@@ -1,8 +1,8 @@
 // Degraded-mode benchmark: sampling throughput of a distributed run that
 // loses a rank mid-flight and completes through the shrink-and-recalibrate
-// recovery protocol. scripts/bench.sh runs this as the dist-degraded tier
-// of BENCH_estimate.json, so a perf regression in the recovery path (or a
-// post-shrink slowdown of the surviving world) shows up in the trajectory.
+// recovery protocol. No bench/ workload covers rank-death recovery, so this
+// is where a perf regression in the recovery path (or a post-shrink
+// slowdown of the surviving world) shows up.
 package repro
 
 import (
@@ -23,7 +23,7 @@ const benchDegradedProcs = 3
 // number of epochs and the mid-run kill epoch actually fires.
 func benchDegradedCfg() core.Config {
 	return core.Config{
-		Config:    kadabra.Config{Eps: benchEstimateEps, Delta: 0.1, Seed: 42, EpochBase: 128},
+		Config:    kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: 42, EpochBase: 128},
 		Threads:   1,
 		NoOverlap: true,
 	}

@@ -242,32 +242,6 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	}
 }
 
-// --- Ablation A3: epoch framework vs naive fixed-batch barrier (§III-B) ---
-
-func BenchmarkAblationSimpleParallel(b *testing.B) {
-	g := gen.RMAT(gen.Graph500(12, 16, 5))
-	g, _ = graph.LargestComponent(g)
-	cfg := benchCfg(0.01, 7)
-	b.Run("epoch-based", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := kadabra.SharedMemory(context.Background(), g, 8, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Tau)/res.Timings.Sampling.Seconds(), "samples/s")
-		}
-	})
-	b.Run("fixed-batch-barrier", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := kadabra.SimpleParallel(context.Background(), g, 8, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Tau)/res.Timings.Sampling.Seconds(), "samples/s")
-		}
-	})
-}
-
 // --- Ablation A4': epoch length n0 (§IV-D) ---------------------------------
 // The paper tunes n0 to check the stopping condition "neither too rarely nor
 // too often"; this sweep exposes both failure modes on a real shared-memory
@@ -281,7 +255,7 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 		base := base
 		b.Run("base-"+itoa(int(base)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := kadabra.SharedMemory(context.Background(), g, 8, kadabra.Config{
+				res, err := kadabra.Run(context.Background(), kadabra.UndirectedWorkload(g), 8, kadabra.Config{
 					Eps: 0.01, Delta: 0.1, Seed: 16, EpochBase: base,
 				})
 				if err != nil {
@@ -326,7 +300,7 @@ func BenchmarkRealSharedMemoryThreads(b *testing.B) {
 		threads := threads
 		b.Run(threadLabel(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := kadabra.SharedMemory(context.Background(), g, threads, benchCfg(0.008, 12))
+				res, err := kadabra.Run(context.Background(), kadabra.UndirectedWorkload(g), threads, benchCfg(0.008, 12))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -93,11 +93,11 @@ type Snapshot struct {
 	// true for every WithProgress delivery and for Estimator.Snapshot on
 	// the steppable backends (Sequential, SharedMemory), which own their
 	// state in-process. On the one-shot backends (MPI, TCP, custom
-	// executors, certified top-k) the state lives inside the backend for
-	// the duration of a Run, so between deliveries Snapshot returns the
-	// last completed Run's final state marked Live == false — never a
-	// fabricated zero mid-run. A false Live with Epoch == 0 means no run
-	// has completed yet.
+	// executors) the state lives inside the backend for the duration of
+	// a Run, so between deliveries Snapshot returns the last completed
+	// Run's final state marked Live == false — never a fabricated zero
+	// mid-run. A false Live with Epoch == 0 means no run has completed
+	// yet.
 	Live bool
 }
 
@@ -236,6 +236,9 @@ func fromKadabra(backend string, kr *kadabra.Result) *Result {
 		Converged:      kr.Converged,
 		Timings:        fromTimings(kr.Timings),
 		Backend:        backend,
+		Lower:          kr.Lower,
+		Upper:          kr.Upper,
+		Separated:      kr.Separated,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -17,7 +16,7 @@ import (
 // ErrNotCheckpointable reports that a session cannot be serialized: only
 // sessions on the Sequential and SharedMemory backends own their sampling
 // state in-process. Test with errors.Is; the wrapped message names the
-// reason (an MPI/TCP backend, or a certified top-k run).
+// backend.
 var ErrNotCheckpointable = errors.New("betweenness: session is not checkpointable")
 
 // ErrNotRefinable reports that a session cannot refine in place: the
@@ -47,11 +46,12 @@ var ErrNotRefinable = errors.New("betweenness: session is not refinable in place
 //     mid-sampling resumes in a fresh process exactly where it stopped.
 //
 // Sessions are fully resumable on the Sequential and SharedMemory
-// backends, which own their state in-process. On the MPI and TCP backends
-// (and for the certified top-k rule of the Sequential backend) the session
-// degrades honestly to a one-shot handle: Run works — including budgets
-// and achieved-eps reporting — and Snapshot reflects rank-0 progress, but
-// Refine returns ErrNotRefinable and Checkpoint ErrNotCheckpointable.
+// backends, which own their state in-process — whichever stopping rule
+// they run (see WithTopK). On the MPI and TCP backends and on custom
+// executors the session degrades honestly to a one-shot handle: Run works —
+// including budgets and achieved-eps reporting — and Snapshot reflects
+// rank-0 progress, but Refine returns ErrNotRefinable and Checkpoint
+// ErrNotCheckpointable.
 //
 // Methods are safe for concurrent use; Run and Refine serialize behind one
 // mutex, and Snapshot never blocks on a running estimate (it returns the
@@ -93,22 +93,11 @@ func NewEstimator(w Workload, opts ...Option) (*Estimator, error) {
 	e := &Estimator{w: w, s: s, last: Snapshot{AchievedEps: 1}}
 	switch s.exec.(type) {
 	case seqExec:
-		if s.TopK > 0 && w.kind == WorkloadUndirected {
-			// The certified top-k stopping rule is a different state
-			// machine (run-to-completion); uniform sessions derive their
-			// ranking from the estimates instead.
-			e.oneShot = "the certified top-k stopping rule runs to completion"
-			return e, nil
-		}
 		if err := e.bindState(0); err != nil {
 			return nil, err
 		}
 	case shmExec:
-		t := s.Threads
-		if t <= 0 {
-			t = runtime.GOMAXPROCS(0)
-		}
-		if err := e.bindState(t); err != nil {
+		if err := e.bindState(shmThreads(s.Params)); err != nil {
 			return nil, err
 		}
 	default:
@@ -125,6 +114,7 @@ func (e *Estimator) bindState(threads int) error {
 	// the machine must not double-apply the config copies.
 	cfg.MaxSamples, cfg.MaxDuration = 0, 0
 	cfg.OnEpoch = nil
+	cfg.TopK = certifiedTopK(e.s.exec, e.w, e.s.Params)
 	st, err := kadabra.NewEstimatorState(e.w.inner, threads, cfg)
 	if err != nil {
 		return err
@@ -167,9 +157,9 @@ func (e *Estimator) deliver(snap Snapshot) {
 // without sampling. On cancellation the completed work is retained but no
 // Result is returned; Snapshot still reads the state.
 //
-// On the one-shot backends (MPI, TCP, custom executors, certified top-k)
-// each Run is an independent run-to-completion estimate, with the
-// vertex diameter cached after the first.
+// On the one-shot backends (MPI, TCP, custom executors) each Run is an
+// independent run-to-completion estimate, with the vertex diameter cached
+// after the first.
 func (e *Estimator) Run(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -259,14 +249,16 @@ func (e *Estimator) storeLast(snap Snapshot) {
 // and per-call knobs: WithEpsilon and WithDelta retarget the guarantee
 // (the error bounds are recalibrated from the current counts — the sample
 // count never resets, so refining to a tighter eps strictly grows tau);
-// WithTopK enlarges (or sets) the derived ranking; WithMaxSamples,
-// WithMaxDuration, and WithProgress replace the session's budget and
-// progress stream. Options that would change the session's statistical
-// identity — seed, threads, executor, diameter knobs — are rejected:
-// start a new Estimator for those.
+// WithTopK sets or changes k — on a session that stops by the certified
+// top-k rule it re-targets the rule (sampling resumes until the new top
+// set is certified), elsewhere it re-derives the ranking from the existing
+// samples; WithMaxSamples, WithMaxDuration, and WithProgress replace the
+// session's budget and progress stream. Options that would change the
+// session's statistical identity — seed, threads, executor, diameter knobs
+// — are rejected: start a new Estimator for those.
 //
-// Refine requires a steppable backend (Sequential or SharedMemory without
-// certified top-k); elsewhere it returns ErrNotRefinable.
+// Refine requires a steppable backend (Sequential or SharedMemory);
+// elsewhere it returns ErrNotRefinable.
 func (e *Estimator) Refine(ctx context.Context, opts ...Option) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -292,14 +284,22 @@ func (e *Estimator) Refine(ctx context.Context, opts ...Option) (*Result, error)
 		// A tighter target needs sampling headroom: refuse to recalibrate
 		// into a session whose sample budget is already spent — a silent
 		// zero-sample "refinement" would betray the strictly-grows
-		// contract. (Top-k-only refines are served from the existing
-		// samples, so they pass through.)
+		// contract. (Top-k-only refines pass through: they are served
+		// from the existing samples, or — re-targeting the certified rule
+		// on a spent budget — report Converged == false honestly.)
 		if ns.MaxSamples > 0 && ns.MaxSamples <= e.st.Tau() {
 			return nil, fmt.Errorf(
 				"betweenness: sampling budget (max samples %d) already spent at tau=%d; raise WithMaxSamples to refine",
 				ns.MaxSamples, e.st.Tau())
 		}
 		e.st.Recalibrate(ns.Epsilon, ns.Delta)
+	}
+	// The stopping rule was chosen when the session was built: only a
+	// certified session follows k; a uniform one keeps its guarantee.
+	if e.st.Config().TopK > 0 {
+		if err := e.st.SetTopK(ns.TopK); err != nil {
+			return nil, err
+		}
 	}
 	e.s = ns
 	e.wireProgress()
@@ -337,10 +337,10 @@ func (e *Estimator) refineGuard(ns settings) error {
 // within one epoch when a progress callback is registered, otherwise the
 // state as of the run's start.
 //
-// On the one-shot backends (MPI, TCP, custom executors, certified top-k)
-// the sampling state lives inside the backend for the duration of a Run,
-// so Snapshot reports the last completed Run's final state — marked
-// Live == false — rather than fabricating zeroes mid-run; before the first
+// On the one-shot backends (MPI, TCP, custom executors) the sampling state
+// lives inside the backend for the duration of a Run, so Snapshot reports
+// the last completed Run's final state — marked Live == false — rather
+// than fabricating zeroes mid-run; before the first
 // Run completes it is the vacuous Snapshot{AchievedEps: 1, Live: false}.
 // Mid-run WithProgress deliveries are still observed live (Live == true)
 // while they stream.
@@ -451,7 +451,7 @@ const (
 // restored from a checkpoint and run to completion is bit-identical to
 // the same session never having stopped.
 //
-// Sessions on the MPI/TCP backends and certified top-k sessions return
+// Sessions on the MPI/TCP backends and custom executors return
 // ErrNotCheckpointable.
 func (e *Estimator) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
@@ -489,6 +489,16 @@ func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte
 // cannot carry — WithProgress, WithMaxSamples, WithMaxDuration, WithTopK —
 // and any statistical options are superseded by the checkpoint (use Refine
 // to retarget afterwards).
+//
+// WithTopK names the stopping rule here exactly as it does at NewEstimator:
+// on a checkpoint that restores onto the Sequential backend over an
+// undirected workload it selects the certified top-k rule, and omitting it
+// selects the uniform one; a converged session is re-judged under the rule
+// chosen. The payloads a shared-memory session captures mid-run and the ones
+// WithDistCheckpoint emits also restore onto the Sequential backend, so pass
+// WithTopK only for a session that was certified when it was written —
+// passing it for a formerly shm/MPI session trades that session's uniform
+// (eps, delta) guarantee for the top-k one.
 //
 // The stream is untrusted: truncated, corrupted, or version-skewed bytes
 // return an error, never panic.
@@ -537,6 +547,11 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 		return nil, err
 	}
 	if err := w.checkRunnable(s.exec); err != nil {
+		return nil, err
+	}
+	// k is session configuration, not checkpoint content: the restorer
+	// names the stopping rule the same way NewEstimator's caller does.
+	if err := st.SetTopK(certifiedTopK(s.exec, w, s.Params)); err != nil {
 		return nil, err
 	}
 	e := &Estimator{w: w, s: s, st: st}

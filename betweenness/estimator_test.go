@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -263,6 +264,40 @@ func TestRefineParityBattery(t *testing.T) {
 			})
 		}
 	}
+
+	// The certified top-k rule is refinable like any other session:
+	// re-targeting k keeps every sample and resumes until the larger top
+	// set is certified (or eps-resolved), with bounds that bracket Brandes.
+	t.Run("certified-top-k", func(t *testing.T) {
+		exact := cases[0].exact
+		est, err := NewEstimator(cases[0].w,
+			WithEpsilon(fine), WithSeed(7), WithTopK(1), WithExecutor(Sequential()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := est.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !first.Converged || !first.Separated || first.Top[0] != TopKOf(exact, 1)[0] {
+			t.Fatalf("top-1 run: converged %v separated %v top %v", first.Converged, first.Separated, first.Top)
+		}
+		refined, err := est.Refine(context.Background(), WithTopK(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refined.Tau <= first.Tau {
+			t.Fatalf("re-targeting k=1 -> k=8 did not grow the sample count: %d -> %d", first.Tau, refined.Tau)
+		}
+		if !refined.Converged || len(refined.Top) != 8 {
+			t.Fatalf("top-8 refine: converged %v top %v", refined.Converged, refined.Top)
+		}
+		for v, b := range exact {
+			if b < refined.Lower[v]-1e-9 || b > refined.Upper[v]+1e-9 {
+				t.Fatalf("vertex %d: exact %f outside [%f, %f]", v, b, refined.Lower[v], refined.Upper[v])
+			}
+		}
+	})
 }
 
 // TestRefineGuards: options that would change the session's statistical
@@ -303,6 +338,25 @@ func TestRefineGuards(t *testing.T) {
 	}
 	if bigger.Tau != first.Tau {
 		t.Errorf("top-k-only refine resampled: tau %d -> %d", first.Tau, bigger.Tau)
+	}
+
+	// The stopping rule is chosen when the session is built: WithTopK on a
+	// Refine of a uniform Sequential session ranks, it does not certify.
+	seq, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithSeed(3), WithExecutor(Sequential()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := seq.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := seq.Refine(context.Background(), WithTopK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ranked.Top) != 3 || ranked.Lower != nil || ranked.Tau != uniform.Tau || !ranked.Converged {
+		t.Fatalf("top-k refine of a uniform seq session: top %v bounds=%v tau %d -> %d converged=%v",
+			ranked.Top, ranked.Lower != nil, uniform.Tau, ranked.Tau, ranked.Converged)
 	}
 }
 
@@ -373,55 +427,103 @@ func TestSnapshotAndProgressShareOneType(t *testing.T) {
 // criterion: a sequential run interrupted mid-sampling via checkpoint,
 // restored into a fresh Estimator (fresh state machine, as a fresh process
 // would build), and resumed produces a bit-identical Result to the
-// uninterrupted run.
+// uninterrupted run — under the uniform stopping rule and under the
+// certified top-k rule, whose k the restorer supplies again (a checkpoint
+// does not carry it).
 func TestCheckpointRestoreResume(t *testing.T) {
 	g := testGraph(t)
-	opts := []Option{WithEpsilon(0.02), WithSeed(8), WithExecutor(Sequential())}
+	for name, rule := range map[string][]Option{
+		"uniform":         nil,
+		"certified-top-k": {WithTopK(1)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := append([]Option{WithEpsilon(0.02), WithSeed(8), WithExecutor(Sequential())}, rule...)
 
-	want, err := Estimate(context.Background(), g, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+			want, err := Estimate(context.Background(), g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	est, err := NewEstimator(Undirected(g), append(opts, WithMaxSamples(want.Tau/2+31))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paused, err := est.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paused.Converged {
-		t.Fatal("interrupted run converged; lower the cut")
-	}
-	var buf bytes.Buffer
-	if err := est.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+			est, err := NewEstimator(Undirected(g), append(opts, WithMaxSamples(want.Tau/2+31))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paused, err := est.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paused.Converged {
+				t.Fatal("interrupted run converged; lower the cut")
+			}
+			if !est.Checkpointable() {
+				t.Fatal("sequential session not checkpointable")
+			}
+			var buf bytes.Buffer
+			if err := est.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
 
-	restored, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tau != want.Tau || got.Epochs != want.Epochs {
-		t.Fatalf("resumed run differs: tau %d/%d epochs %d/%d", got.Tau, want.Tau, got.Epochs, want.Epochs)
-	}
-	if got.AchievedEps != want.AchievedEps || got.Omega != want.Omega {
-		t.Fatalf("resumed guarantee differs: achieved %g/%g omega %g/%g",
-			got.AchievedEps, want.AchievedEps, got.Omega, want.Omega)
-	}
-	for v := range want.Estimates {
-		if got.Estimates[v] != want.Estimates[v] {
-			t.Fatalf("resumed estimate differs at vertex %d: %g vs %g",
-				v, got.Estimates[v], want.Estimates[v])
-		}
-	}
-	if !got.Converged {
-		t.Fatal("resumed run did not converge")
+			restored, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g), rule...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap := restored.Snapshot(); !snap.Live || snap.Tau != paused.Tau {
+				t.Fatalf("restored snapshot live=%v tau=%d, want live at tau %d", snap.Live, snap.Tau, paused.Tau)
+			}
+			got, err := restored.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Tau != want.Tau || got.Epochs != want.Epochs {
+				t.Fatalf("resumed run differs: tau %d/%d epochs %d/%d", got.Tau, want.Tau, got.Epochs, want.Epochs)
+			}
+			if got.AchievedEps != want.AchievedEps || got.Omega != want.Omega {
+				t.Fatalf("resumed guarantee differs: achieved %g/%g omega %g/%g",
+					got.AchievedEps, want.AchievedEps, got.Omega, want.Omega)
+			}
+			for v := range want.Estimates {
+				if got.Estimates[v] != want.Estimates[v] {
+					t.Fatalf("resumed estimate differs at vertex %d: %g vs %g",
+						v, got.Estimates[v], want.Estimates[v])
+				}
+			}
+			if !got.Converged {
+				t.Fatal("resumed run did not converge")
+			}
+			if !reflect.DeepEqual(got.Top, want.Top) || got.Separated != want.Separated ||
+				!reflect.DeepEqual(got.Lower, want.Lower) || !reflect.DeepEqual(got.Upper, want.Upper) {
+				t.Fatalf("resumed ranking differs: top %v/%v separated %v/%v",
+					got.Top, want.Top, got.Separated, want.Separated)
+			}
+			if (got.Lower != nil) != (rule != nil) {
+				t.Fatalf("confidence bounds present=%v under rule %s", got.Lower != nil, name)
+			}
+
+			// The converged checkpoint restored without WithTopK is a uniform
+			// session: its converged flag is re-judged under that rule, so a
+			// certified stop (far short of the uniform eps) resumes sampling
+			// instead of claiming a guarantee it never earned, and a uniform
+			// stop stays put.
+			buf.Reset()
+			if err := restored.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			plain, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			uni, err := plain.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !uni.Converged || uni.AchievedEps > 0.02 || uni.Lower != nil {
+				t.Fatalf("restored without WithTopK: converged=%v achieved eps %g (target 0.02) bounds=%v",
+					uni.Converged, uni.AchievedEps, uni.Lower != nil)
+			}
+			if rule == nil && uni.Tau != got.Tau {
+				t.Fatalf("converged uniform checkpoint resampled: tau %d -> %d", got.Tau, uni.Tau)
+			}
+		})
 	}
 }
 
@@ -466,7 +568,8 @@ func TestCheckpointRestoreRejectsMismatches(t *testing.T) {
 }
 
 // TestNotCheckpointableAndNotRefinable: the one-shot backends degrade
-// honestly with the typed errors.
+// honestly with the typed errors; a certified top-k session is not one of
+// them.
 func TestNotCheckpointableAndNotRefinable(t *testing.T) {
 	g := testGraph(t)
 	est, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithExecutor(LocalMPI(2)))
@@ -491,13 +594,23 @@ func TestNotCheckpointableAndNotRefinable(t *testing.T) {
 		t.Fatalf("one-shot session run broken: backend %q", res.Backend)
 	}
 
-	// Certified top-k on the sequential backend is the other one-shot case.
+	// Certified top-k on the sequential backend is an ordinary session:
+	// MPI/TCP/custom executors are the only one-shot ones.
 	cert, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithTopK(3), WithExecutor(Sequential()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cert.Checkpoint(&bytes.Buffer{}); !errors.Is(err, ErrNotCheckpointable) {
-		t.Errorf("certified top-k Checkpoint returned %v, want ErrNotCheckpointable", err)
+	if !cert.Checkpointable() {
+		t.Error("certified top-k session claims not to be checkpointable")
+	}
+	if err := cert.Checkpoint(&bytes.Buffer{}); err != nil {
+		t.Errorf("certified top-k Checkpoint returned %v", err)
+	}
+	if res, err := cert.Refine(context.Background(), WithEpsilon(0.04)); err != nil || res.Lower == nil {
+		t.Errorf("certified top-k Refine: result %v, err %v", res, err)
+	}
+	if snap := cert.Snapshot(); !snap.Live || snap.Estimates == nil {
+		t.Errorf("certified top-k snapshot not live: %+v", snap)
 	}
 }
 

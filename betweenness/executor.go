@@ -3,6 +3,7 @@ package betweenness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -96,8 +97,9 @@ func (p Params) coreConfigFor(w Workload) core.Config {
 }
 
 // Sequential returns the single-threaded reference backend. It is the only
-// backend with a certified top-k mode (see WithTopK; undirected workload
-// only — the other workloads derive the ranking from the final estimates).
+// backend whose sessions stop by the certified top-k rule (see WithTopK;
+// undirected workload only — every other backend and workload derives the
+// ranking from the final estimates).
 func Sequential() Executor { return seqExec{} }
 
 type seqExec struct{}
@@ -107,29 +109,7 @@ func (seqExec) Name() string { return "sequential" }
 func (seqExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
 
 func (e seqExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	if err := w.checkRunnable(e); err != nil {
-		return nil, err
-	}
-	cfg := p.kadabraConfig()
-	if w.kind == WorkloadUndirected && p.TopK > 0 {
-		// The certified top-k stopping rule is specific to the undirected
-		// scenario; the generic driver below serves every other case.
-		tr, err := kadabra.SequentialTopK(ctx, w.undirected, p.TopK, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res := fromKadabra(e.Name(), &tr.Result)
-		res.Top = tr.Top
-		res.Lower = tr.Lower
-		res.Upper = tr.Upper
-		res.Separated = tr.Separated
-		return res, nil
-	}
-	kr, err := kadabra.SequentialWorkload(ctx, w.inner, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return fromKadabra(e.Name(), kr), nil
+	return runEngine(ctx, e, w, p, 0)
 }
 
 // SharedMemory returns the epoch-based shared-memory backend (the paper's
@@ -144,14 +124,47 @@ func (shmExec) Name() string { return "shared-memory" }
 func (shmExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
 
 func (e shmExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
+	return runEngine(ctx, e, w, p, shmThreads(p))
+}
+
+// shmThreads resolves the shared-memory engine's thread count: zero means
+// one sampling thread per CPU core.
+func shmThreads(p Params) int {
+	if p.Threads <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p.Threads
+}
+
+// certifiedTopK is the one place that decides which sessions stop by the
+// certified top-k rule: WithTopK on the Sequential backend over an
+// undirected workload. It returns the k the engine should certify, or 0
+// for the uniform rule (the ranking is then derived from the estimates).
+func certifiedTopK(exec Executor, w Workload, p Params) int {
+	if _, seq := exec.(seqExec); seq && w.kind == WorkloadUndirected {
+		return p.TopK
+	}
+	return 0
+}
+
+// runEngine is a direct Executor.Run on a single-process backend: one
+// kadabra session run to completion (threads == 0 selects the sequential
+// engine).
+func runEngine(ctx context.Context, e Executor, w Workload, p Params, threads int) (*Result, error) {
 	if err := w.checkRunnable(e); err != nil {
 		return nil, err
 	}
-	kr, err := kadabra.SharedMemoryWorkload(ctx, w.inner, p.Threads, p.kadabraConfig())
+	cfg := p.kadabraConfig()
+	cfg.TopK = certifiedTopK(e, w, p)
+	kr, err := kadabra.Run(ctx, w.inner, threads, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return fromKadabra(e.Name(), kr), nil
+	res := fromKadabra(e.Name(), kr)
+	if cfg.TopK > 0 {
+		res.Top = res.TopK(cfg.TopK)
+	}
+	return res, nil
 }
 
 // LocalMPI returns the paper's epoch-based MPI parallelization (Algorithm

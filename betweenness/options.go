@@ -194,11 +194,17 @@ func WithThreads(threads int) Option {
 }
 
 // WithTopK asks for the k highest-betweenness vertices, filling
-// Result.Top. On the Sequential backend this switches to the KADABRA
-// top-k stopping rule, which certifies the ranking (Result.Separated,
-// Result.Lower/Upper) and usually stops much earlier than a uniform
-// estimate; other backends run the uniform estimate and derive Top from
-// the final scores.
+// Result.Top. On the Sequential backend over an undirected workload the
+// session stops by the KADABRA top-k rule instead of the uniform one: it
+// certifies the ranking (Result.Separated, Result.Lower/Upper) and usually
+// stops much earlier than a uniform estimate. It is an ordinary session in
+// every other respect — budgets, Snapshot, Refine (WithTopK there
+// re-targets the rule), Checkpoint; k is not part of a checkpoint, so pass
+// WithTopK to RestoreEstimator again to resume under the rule. Every other
+// backend and workload runs the uniform estimate and derives Top from the
+// scores. The rule is chosen when the session is built (NewEstimator,
+// RestoreEstimator): WithTopK on a Refine of a uniform session ranks, it
+// never swaps the guarantee.
 func WithTopK(k int) Option {
 	return func(s *settings) error {
 		if k < 1 {

@@ -88,9 +88,6 @@ type Workload struct {
 	// call before any backend runs: strong connectivity for directed,
 	// connectivity for weighted (one O(V+E) pass each).
 	validate func() error
-	// undirected retains the graph on the one scenario with a certified
-	// top-k stopping rule (Sequential backend, WithTopK).
-	undirected *graph.Graph
 	// digest computes the graph's content hash on demand (see Digest).
 	digest func() string
 	// err records a construction failure (nil graph); surfaced by
@@ -164,12 +161,11 @@ func Undirected(g *graph.Graph) Workload {
 		return Workload{kind: WorkloadUndirected, err: fmt.Errorf("betweenness: nil graph")}
 	}
 	return Workload{
-		kind:       WorkloadUndirected,
-		n:          g.NumNodes(),
-		inner:      kadabra.UndirectedWorkload(g),
-		validate:   func() error { return nil },
-		undirected: g,
-		digest:     g.Digest,
+		kind:     WorkloadUndirected,
+		n:        g.NumNodes(),
+		inner:    kadabra.UndirectedWorkload(g),
+		validate: func() error { return nil },
+		digest:   g.Digest,
 	}
 }
 

@@ -4,7 +4,8 @@
 //
 // Backends (any backend runs any workload):
 //
-//	-backend seq   sequential KADABRA (certified top-k with -certify-top)
+//	-backend seq   sequential KADABRA (-certify-top stops by the certified
+//	               top-k rule instead of the uniform one)
 //	-backend shm   shared-memory epoch-based parallelization (the paper's
 //	               baseline, Ref. 24)
 //	-backend dist  epoch-based MPI parallelization (paper Algorithm 2) over
@@ -13,8 +14,6 @@
 //	-backend tcp   Algorithm 2 as one rank of a TCP world: requires -rank
 //	               and -hosts (comma-separated host:port list, one per
 //	               rank); start one OS process per rank
-//
-// (-mode is a deprecated alias of -backend.)
 //
 // Workloads (paper footnote 1; valid with every backend, including the
 // MPI and TCP ones — the workload-generic executor contract threads the
@@ -108,14 +107,13 @@ func main() {
 		eps       = flag.Float64("eps", 0.01, "absolute approximation error")
 		delta     = flag.Float64("delta", 0.1, "failure probability")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
-		backend   = flag.String("backend", "", "seq | shm | dist | alg1 | tcp (default shm)")
-		mode      = flag.String("mode", "", "deprecated alias of -backend")
+		backend   = flag.String("backend", "shm", "seq | shm | dist | alg1 | tcp")
 		procs     = flag.Int("procs", 2, "processes for dist/alg1 modes")
 		threads   = flag.Int("threads", 4, "sampling threads per process")
 		ranksPer  = flag.Int("ranks-per-node", 0, "enable hierarchical aggregation with this group size")
 		agg       = flag.String("agg", "ibarrier+reduce", "MPI aggregation: ibarrier+reduce | ireduce | blocking")
 		topK      = flag.Int("top", 10, "print the top-k vertices")
-		certify   = flag.Bool("certify-top", false, "seq mode: use the certified top-k stopping rule (undirected only)")
+		certify   = flag.Bool("certify-top", false, "-backend seq, undirected: stop by the certified top-k rule for -top instead of the uniform eps rule (budgets, -checkpoint and -resume work as usual; pass it again on -resume)")
 		progress  = flag.Bool("progress", false, "print a progress line per epoch (epoch, tau, achieved eps, samples/s)")
 		rank      = flag.Int("rank", -1, "this process's rank (tcp mode)")
 		hosts     = flag.String("hosts", "", "comma-separated host:port per rank (tcp mode)")
@@ -140,16 +138,6 @@ func main() {
 	// explicitly passed -eps/-delta becomes a refinement target instead.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	// -backend supersedes -mode; honour the alias when only -mode is given.
-	switch {
-	case *backend == "" && *mode == "":
-		*backend = "shm"
-	case *backend == "":
-		*backend = *mode
-	case *mode != "" && *mode != *backend:
-		fatal(fmt.Errorf("-backend %q and -mode %q disagree; drop the deprecated -mode flag", *backend, *mode))
-	}
 
 	if *directed && *weighted {
 		// No backend implements a weighted-digraph workload yet, so this is
@@ -257,9 +245,6 @@ func main() {
 		}
 		if *ckptPath != "" && *backend != "seq" && *backend != "shm" && *distCkpt == 0 {
 			fatal(fmt.Errorf("-checkpoint with backend %q needs -dist-checkpoint-interval (session checkpoints need -backend seq or shm)", *backend))
-		}
-		if *certify {
-			fatal(fmt.Errorf("-certify-top runs to completion and cannot be checkpointed or resumed"))
 		}
 	}
 

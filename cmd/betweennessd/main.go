@@ -57,10 +57,10 @@ func main() {
 	// handler is swapped in atomically once the server is up.
 	var handler atomic.Value // of http.Handler
 	handler.Store(bootHandler())
-	httpSrv := &http.Server{Addr: *addr, Handler: http.HandlerFunc(
+	httpSrv := newHTTPServer(*addr, http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) {
 			handler.Load().(http.Handler).ServeHTTP(w, r)
-		})}
+		}))
 	serveErr := make(chan error, 1)
 	go func() {
 		logger.Printf("listening on %s", *addr)
@@ -109,6 +109,29 @@ func main() {
 		logger.Fatal(err)
 	}
 	<-done
+}
+
+// Connection-level limits of the daemon's listener. A client that opens a
+// connection and never finishes its request headers, or parks an idle
+// keep-alive connection, would otherwise hold a goroutine and a descriptor
+// forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's listener with those limits.
+// WriteTimeout (and ReadTimeout, which would also cover a large graph
+// upload's body) stay 0 on purpose: the SSE progress streams are
+// long-lived responses, and a write deadline would cut every one of them
+// off mid-run.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // bootHandler serves the probe endpoints while the server rehydrates:

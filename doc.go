@@ -27,7 +27,8 @@
 // through the public packages; executables are under cmd/ (bcapprox,
 // bcexact, graphgen, graphconv, graphinfo, experiments); runnable examples under
 // examples/. The top-level bench_test.go regenerates the tables and
-// figures of the paper's evaluation on miniature instances.
+// figures of the paper's evaluation on miniature instances; bench/ (its own
+// module, declared in BENCHMARK.json) is the repository's benchmark.
 //
 // # Per-epoch cost is proportional to what was sampled
 //
@@ -44,8 +45,7 @@
 // order — with a mandatory full sweep before it may answer "stop", since
 // the paper's f/g bounds are not monotone in the state). Result.Distributed
 // reports both the dense-equivalent CommVolumePerEpoch bound and the
-// actual ReduceWireBytes. See the README's Performance section for
-// measured numbers.
+// actual ReduceWireBytes. bench/README.md says how to measure each layer.
 //
 // # Anytime estimation sessions
 //
@@ -70,8 +70,11 @@
 // broadcast — and an early-stopped Result reports Converged == false with
 // the honestly achieved guarantee in AchievedEps. Sessions are resumable
 // (Refine/Checkpoint/repeated Run) on the Sequential and SharedMemory
-// backends; a sequential session interrupted via checkpoint and resumed in
-// a fresh process is bit-identical to the uninterrupted run. Elsewhere the
+// backends — one engine, whichever stopping rule it runs: WithTopK on a
+// sequential undirected session swaps the uniform rule for the certified
+// top-k rule without changing anything else about the session. A
+// sequential session interrupted via checkpoint and resumed in a fresh
+// process is bit-identical to the uninterrupted run. Elsewhere the
 // handle degrades honestly: Refine returns the typed ErrNotRefinable,
 // Checkpoint the typed ErrNotCheckpointable (both errors.Is-able, each
 // naming the reason), and Snapshot reports the last completed Run's final

@@ -1,8 +1,6 @@
 package kadabra
 
 import (
-	"context"
-
 	"repro/internal/bfs"
 	"repro/internal/graph"
 )
@@ -81,27 +79,4 @@ func DirectedVertexDiameter(g *graph.Digraph) int {
 		}
 	}
 	return int(best) + 1
-}
-
-// SequentialDirected runs sequential KADABRA on a strongly connected
-// digraph. cfg.VertexDiameter may be set to skip the bound computation.
-// Cancellation and the OnEpoch hook behave exactly as in Sequential.
-func SequentialDirected(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, error) {
-	w := DirectedWorkload(g)
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return runSequential(ctx, w, cfg)
-}
-
-// SharedMemoryDirected runs the epoch-based shared-memory parallelization
-// on a strongly connected digraph — the paper's footnote-1 claim made
-// concrete: the epoch framework is untouched, only the sampling kernel
-// each thread runs is the directed one.
-func SharedMemoryDirected(ctx context.Context, g *graph.Digraph, threads int, cfg Config) (*Result, error) {
-	w := DirectedWorkload(g)
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return runSharedMemory(ctx, w, threads, cfg)
 }

@@ -56,10 +56,10 @@ func TestDirectedVertexDiameterIsUpperBound(t *testing.T) {
 	}
 }
 
-func TestSequentialDirectedGuarantee(t *testing.T) {
+func TestDirectedSequentialGuarantee(t *testing.T) {
 	g := stronglyConnectedDigraph(3, 150, 900)
 	eps := 0.03
-	res, err := SequentialDirected(context.Background(), g, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := Run(context.Background(), DirectedWorkload(g), 0, Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +75,17 @@ func TestSequentialDirectedGuarantee(t *testing.T) {
 	}
 }
 
-func TestSequentialDirectedAsymmetry(t *testing.T) {
+func TestDirectedSequentialAsymmetry(t *testing.T) {
 	// A graph where direction matters: a long one-way detour means the
 	// "middle" vertex of the cycle carries directed betweenness that the
 	// undirected view would distribute differently. Just verify scores are
 	// sane and deterministic.
 	g := stronglyConnectedDigraph(5, 80, 80)
-	a, err := SequentialDirected(context.Background(), g, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
+	a, err := Run(context.Background(), DirectedWorkload(g), 0, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SequentialDirected(context.Background(), g, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
+	b, err := Run(context.Background(), DirectedWorkload(g), 0, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestSequentialDirectedAsymmetry(t *testing.T) {
 	}
 }
 
-func TestSequentialDirectedRejectsTiny(t *testing.T) {
-	if _, err := SequentialDirected(context.Background(), graph.FromArcs(1, nil), Config{}); err == nil {
+func TestDirectedSequentialRejectsTiny(t *testing.T) {
+	if _, err := Run(context.Background(), DirectedWorkload(graph.FromArcs(1, nil)), 0, Config{}); err == nil {
 		t.Fatal("tiny digraph accepted")
 	}
 }

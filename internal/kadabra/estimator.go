@@ -19,9 +19,11 @@ import (
 // the stopping schedule — and exposes it in pieces the run-to-completion
 // functions never could: Run with a Budget (stop early, stay consistent),
 // Recalibrate (tighten eps while keeping every sample), and a versioned
-// checkpoint codec (resume in a fresh process). runSequential and
-// runSharedMemory are thin wrappers over it, so the one-shot entry points
-// and the session API cannot drift apart.
+// checkpoint codec (resume in a fresh process). The package-level Run is
+// one session run to completion, so one-shot estimates and the session API
+// are the same code path sample for sample. The stopping rule is the one
+// thing a session chooses: the uniform (eps, delta) rule by default, the
+// certified top-k rule when Config.TopK is set (see haveToStop).
 
 // Engine selection: threads == 0 is the sequential reference engine (the
 // plain KADABRA loop on one RNG stream, deterministic and bit-exactly
@@ -63,6 +65,9 @@ type EstimatorState struct {
 	nextCheck  int64 // sequential engine: tau of the next scheduled stopping check
 	epochs     int
 	converged  bool
+	// lower and upper are the scratch confidence bounds of the top-k
+	// stopping rule, allocated on its first check.
+	lower, upper []float64
 
 	timings     Timings
 	clock       time.Duration // cumulative active sampling wall-clock
@@ -79,15 +84,17 @@ type EstimatorState struct {
 // NewEstimatorState validates the workload, runs the diameter phase once
 // (honouring cfg.VertexDiameter), derives omega, and sets up the RNG
 // streams and samplers. threads == 0 selects the sequential engine,
-// threads >= 1 the epoch-based shared-memory engine; the stream derivation
-// matches the corresponding one-shot driver exactly, so a session run is
-// sample-for-sample identical to runSequential / runSharedMemory.
+// threads >= 1 the epoch-based shared-memory engine. cfg.TopK > 0 selects
+// the certified top-k stopping rule and must be below the vertex count.
 func NewEstimatorState(w Workload, threads int, cfg Config) (*EstimatorState, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if threads < 0 {
 		return nil, fmt.Errorf("kadabra: estimator threads must be >= 0, got %d", threads)
+	}
+	if err := checkTopK(cfg.TopK, w.n); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	st := &EstimatorState{w: w, cfg: cfg, threads: threads}
@@ -234,9 +241,12 @@ func (st *EstimatorState) fireProgress() {
 	}
 }
 
-// Result materializes the unified result from the current state.
+// Result materializes the unified result from the current state. Under the
+// top-k rule it also carries the confidence bounds and the separation
+// verdict, re-derived from the counts so they are exact at any tau (a
+// budget can stop a run between two scheduled checks).
 func (st *EstimatorState) Result() *Result {
-	return &Result{
+	res := &Result{
 		Betweenness:    st.Estimates(),
 		Tau:            st.s.Tau,
 		Omega:          st.omega,
@@ -246,6 +256,56 @@ func (st *EstimatorState) Result() *Result {
 		Converged:      st.converged,
 		Timings:        st.timings,
 	}
+	if k := st.cfg.TopK; k > 0 && st.calibrated {
+		res.Lower = make([]float64, st.w.n)
+		res.Upper = make([]float64, st.w.n)
+		_, res.Separated = st.cal.TopKHaveToStop(st.s.C, st.s.Tau, k, res.Lower, res.Upper)
+	}
+	return res
+}
+
+// haveToStop evaluates the session's stopping rule on the consistent
+// state: the certified top-k rule when Config.TopK is set, the uniform
+// (eps, delta) rule otherwise. Both engines call it where the paper's
+// Algorithm 2 has its black-box stopping check. Requires calibration.
+func (st *EstimatorState) haveToStop() bool {
+	k := st.cfg.TopK
+	if k == 0 {
+		return st.cal.HaveToStop(st.s.C, st.s.Tau)
+	}
+	if st.lower == nil {
+		st.lower = make([]float64, st.w.n)
+		st.upper = make([]float64, st.w.n)
+	}
+	stop, _ := st.cal.TopKHaveToStop(st.s.C, st.s.Tau, k, st.lower, st.upper)
+	return stop
+}
+
+// checkTopK validates a top-k target against the vertex count (0 selects
+// the uniform rule).
+func checkTopK(k, n int) error {
+	if k < 0 || k >= n {
+		return fmt.Errorf("kadabra: top-k %d out of range [0, %d)", k, n)
+	}
+	return nil
+}
+
+// SetTopK re-targets the stopping rule — k > 0 selects the certified top-k
+// rule, 0 the uniform one — keeping every sample and the check schedule, so
+// it also serves a restored session (a checkpoint does not carry k). A
+// converged session is re-judged under the rule now in force — also when k
+// is unchanged, since a restored session's converged flag was earned under
+// whatever rule its writer ran: it stays converged when the rule holds, and
+// resumes sampling on the next Run otherwise. Call only between Runs.
+func (st *EstimatorState) SetTopK(k int) error {
+	if err := checkTopK(k, st.w.n); err != nil {
+		return err
+	}
+	st.cfg.TopK = k
+	if st.converged {
+		st.converged = st.haveToStop()
+	}
+	return nil
 }
 
 // Recalibrate retargets the session to a new (eps, delta) while keeping
@@ -264,6 +324,27 @@ func (st *EstimatorState) Recalibrate(eps, delta float64) {
 		st.calibrated = true
 		st.nextCheck = st.s.Tau
 	}
+}
+
+// Run is the one run-to-completion entry point of the package: a fresh
+// session over w (threads == 0: the sequential engine; threads >= 1: the
+// shared-memory engine with that many sampling threads), advanced until it
+// converges or the cfg.MaxSamples / cfg.MaxDuration budget runs out — the
+// duration measured from entry, so it covers the diameter phase. A
+// cancelled ctx returns ctx.Err() within one epoch.
+func Run(ctx context.Context, w Workload, threads int, cfg Config) (*Result, error) {
+	start := time.Now()
+	st, err := NewEstimatorState(w, threads, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := st.Run(ctx, cfg.NewBudget(start)); err != nil {
+		return nil, err
+	}
+	return st.Result(), nil
 }
 
 // Run advances the session until the adaptive stopping rule is satisfied
@@ -339,7 +420,7 @@ func (st *EstimatorState) runSeq(ctx context.Context, b Budget) error {
 		}
 		if S.Tau >= st.nextCheck || float64(S.Tau) >= st.omega {
 			cs := time.Now()
-			stop := st.cal.HaveToStop(S.C, S.Tau)
+			stop := st.haveToStop()
 			st.timings.Check += time.Since(cs)
 			st.epochs++
 			st.fireProgress()
@@ -462,7 +543,7 @@ func (st *EstimatorState) runShm(ctx context.Context, b Budget) error {
 		// calibration-alone-suffices degenerate case and the post-epoch
 		// check of the previous iteration's aggregation.
 		cs := time.Now()
-		stop := st.cal.HaveToStop(S.C, S.Tau)
+		stop := st.haveToStop()
 		checkTime += time.Since(cs)
 		if stop {
 			st.converged = true
@@ -780,6 +861,9 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 	}
 	if nextCheck < 0 {
 		return nil, fmt.Errorf("kadabra: negative checkpoint check schedule %d", nextCheck)
+	}
+	if converged && !calibrated {
+		return nil, fmt.Errorf("kadabra: checkpoint is converged but not calibrated")
 	}
 	wantStreams := threads
 	if engine == engineSequential {

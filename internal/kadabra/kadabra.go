@@ -1,12 +1,8 @@
 package kadabra
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"time"
-
-	"repro/internal/graph"
 )
 
 // Config collects the parameters shared by every KADABRA variant in this
@@ -69,6 +65,12 @@ type Config struct {
 	// for the dense-vs-sparse equivalence tests and as an ablation; leave
 	// it off otherwise.
 	DenseFrames bool
+	// TopK, when positive, replaces the uniform stopping rule of the
+	// single-process engines by the certified top-k rule: stop once the k
+	// top vertices' confidence intervals separate from everyone else's (or
+	// shrink below Eps, or tau reaches omega). Must be below the vertex
+	// count. The MPI algorithms in internal/core ignore it.
+	TopK int
 }
 
 // withDefaults returns a copy with zero fields replaced by defaults.
@@ -201,45 +203,12 @@ type Result struct {
 	Converged bool
 	// Timings is the per-phase wall-clock breakdown.
 	Timings Timings
-}
-
-// TopK returns the k vertices with the highest approximate betweenness, in
-// descending order. With eps chosen below the k-th betweenness value gap,
-// these are reliable with probability 1-delta (the use case motivating the
-// paper's push to eps = 0.001).
-func (r *Result) TopK(k int) []graph.Node {
-	idx := make([]graph.Node, len(r.Betweenness))
-	for i := range idx {
-		idx[i] = graph.Node(i)
-	}
-	sortByScoreDesc(idx, r.Betweenness)
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
-func sortByScoreDesc(idx []graph.Node, scores []float64) {
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if scores[a] != scores[b] {
-			return scores[a] > scores[b]
-		}
-		return a < b
-	})
-}
-
-// resolveVertexDiameter runs phase 1 (or uses the precomputed override);
-// the override/cap/timing logic lives in Workload.ResolveDiameter so the
-// workload-based and classic entry points cannot drift apart.
-func resolveVertexDiameter(g *graph.Graph, cfg Config) (int, time.Duration) {
-	return UndirectedWorkload(g).ResolveDiameter(cfg)
-}
-
-// validate rejects graphs the estimator cannot work with.
-func validate(g *graph.Graph) error {
-	if g.NumNodes() < 2 {
-		return fmt.Errorf("kadabra: need at least 2 vertices, got %d", g.NumNodes())
-	}
-	return nil
+	// Lower and Upper are per-vertex confidence bounds, set under the
+	// top-k rule (Config.TopK) only: with probability 1-delta,
+	// Lower[v] <= b(v) <= Upper[v] for all v simultaneously.
+	Lower, Upper []float64
+	// Separated reports whether the top-k rule holds by a clean separation
+	// of the top set (true) rather than by the eps resolution limit, omega,
+	// or not yet at all (false).
+	Separated bool
 }

@@ -177,7 +177,7 @@ func testGraph() *graph.Graph {
 func TestSequentialGuarantee(t *testing.T) {
 	g := testGraph()
 	eps := 0.03
-	res, err := Sequential(context.Background(), g, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func TestSequentialGuarantee(t *testing.T) {
 func TestSequentialDeterminism(t *testing.T) {
 	g := testGraph()
 	cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 7}
-	a, err := Sequential(context.Background(), g, cfg)
+	a, err := Run(context.Background(), UndirectedWorkload(g), 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sequential(context.Background(), g, cfg)
+	b, err := Run(context.Background(), UndirectedWorkload(g), 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,11 @@ func TestSequentialDeterminism(t *testing.T) {
 
 func TestSequentialStopsEarlierWithLooserEps(t *testing.T) {
 	g := testGraph()
-	tight, err := Sequential(context.Background(), g, Config{Eps: 0.02, Delta: 0.1, Seed: 3})
+	tight, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.02, Delta: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Sequential(context.Background(), g, Config{Eps: 0.1, Delta: 0.1, Seed: 3})
+	loose, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.1, Delta: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSequentialStopsEarlierWithLooserEps(t *testing.T) {
 }
 
 func TestSequentialRejectsTinyGraph(t *testing.T) {
-	if _, err := Sequential(context.Background(), graph.NewBuilder(1).Build(), Config{}); err == nil {
+	if _, err := Run(context.Background(), UndirectedWorkload(graph.NewBuilder(1).Build()), 0, Config{}); err == nil {
 		t.Fatal("singleton graph accepted")
 	}
 }
@@ -238,7 +238,7 @@ func TestSequentialRejectsTinyGraph(t *testing.T) {
 func TestSharedMemoryGuarantee(t *testing.T) {
 	g := testGraph()
 	eps := 0.03
-	res, err := SharedMemory(context.Background(), g, 4, Config{Eps: eps, Delta: 0.1, Seed: 2})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 4, Config{Eps: eps, Delta: 0.1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,30 +253,20 @@ func TestSharedMemoryGuarantee(t *testing.T) {
 
 func TestSharedMemorySingleThread(t *testing.T) {
 	g := testGraph()
-	res, err := SharedMemory(context.Background(), g, 1, Config{Eps: 0.05, Delta: 0.1, Seed: 5})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.05, Delta: 0.1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	guaranteeCheck(t, g, res, 0.05)
 }
 
-func TestSimpleParallelGuarantee(t *testing.T) {
-	g := testGraph()
-	eps := 0.04
-	res, err := SimpleParallel(context.Background(), g, 4, Config{Eps: eps, Delta: 0.1, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	guaranteeCheck(t, g, res, eps)
-}
-
 func TestResultTopK(t *testing.T) {
 	g := testGraph()
-	res, err := Sequential(context.Background(), g, Config{Eps: 0.03, Delta: 0.1, Seed: 9})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.03, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := res.TopK(10)
+	top := brandes.TopK(res.Betweenness, 10)
 	if len(top) != 10 {
 		t.Fatalf("TopK returned %d", len(top))
 	}
@@ -301,7 +291,7 @@ func TestResultTopK(t *testing.T) {
 
 func TestVertexDiameterOverrideSkipsPhase(t *testing.T) {
 	g := testGraph()
-	res, err := Sequential(context.Background(), g, Config{Eps: 0.05, Delta: 0.1, Seed: 1, VertexDiameter: 12})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.05, Delta: 0.1, Seed: 1, VertexDiameter: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

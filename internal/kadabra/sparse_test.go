@@ -49,12 +49,12 @@ func assertBitIdentical(t *testing.T, name string, sparse, dense *Result) {
 func TestDenseSparseEquivalenceSequential(t *testing.T) {
 	for name, w := range testWorkloads(t) {
 		cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 11}
-		sparse, err := SequentialWorkload(context.Background(), w, cfg)
+		sparse, err := Run(context.Background(), w, 0, cfg)
 		if err != nil {
 			t.Fatalf("%s sparse: %v", name, err)
 		}
 		cfg.DenseFrames = true
-		dense, err := SequentialWorkload(context.Background(), w, cfg)
+		dense, err := Run(context.Background(), w, 0, cfg)
 		if err != nil {
 			t.Fatalf("%s dense: %v", name, err)
 		}
@@ -71,12 +71,12 @@ func TestDenseSparseEquivalenceSequential(t *testing.T) {
 func TestDenseSparseEquivalenceSharedMemory(t *testing.T) {
 	for name, w := range testWorkloads(t) {
 		cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 13}
-		sparse, err := SharedMemoryWorkload(context.Background(), w, 1, cfg)
+		sparse, err := Run(context.Background(), w, 1, cfg)
 		if err != nil {
 			t.Fatalf("%s sparse: %v", name, err)
 		}
 		cfg.DenseFrames = true
-		dense, err := SharedMemoryWorkload(context.Background(), w, 1, cfg)
+		dense, err := Run(context.Background(), w, 1, cfg)
 		if err != nil {
 			t.Fatalf("%s dense: %v", name, err)
 		}
@@ -94,7 +94,7 @@ func TestSparseFramePingPongRace(t *testing.T) {
 	g := gen.RMAT(gen.Graph500(8, 8, 9))
 	g, _ = graph.LargestComponent(g)
 	cfg := Config{Eps: 0.08, Delta: 0.1, Seed: 17, EpochBase: 64}
-	res, err := SharedMemory(context.Background(), g, 4, cfg)
+	res, err := Run(context.Background(), UndirectedWorkload(g), 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

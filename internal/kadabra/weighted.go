@@ -1,8 +1,6 @@
 package kadabra
 
 import (
-	"context"
-
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -68,26 +66,4 @@ func maxDegreeW(g *graph.WGraph) graph.Node {
 		}
 	}
 	return best
-}
-
-// SequentialWeighted runs sequential KADABRA on a positively weighted
-// connected graph. Cancellation and the OnEpoch hook behave exactly as in
-// Sequential.
-func SequentialWeighted(ctx context.Context, g *graph.WGraph, cfg Config) (*Result, error) {
-	w := WeightedWorkload(g)
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return runSequential(ctx, w, cfg)
-}
-
-// SharedMemoryWeighted runs the epoch-based shared-memory parallelization
-// on a positively weighted connected graph: the epoch framework is
-// untouched, only the sampling kernel each thread runs is Dijkstra-based.
-func SharedMemoryWeighted(ctx context.Context, g *graph.WGraph, threads int, cfg Config) (*Result, error) {
-	w := WeightedWorkload(g)
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return runSharedMemory(ctx, w, threads, cfg)
 }

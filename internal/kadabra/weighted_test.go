@@ -149,10 +149,10 @@ func TestParallelWeightedMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSequentialWeightedGuarantee(t *testing.T) {
+func TestWeightedSequentialGuarantee(t *testing.T) {
 	g := connectedWeighted(11, 120, 500, 8)
 	eps := 0.03
-	res, err := SequentialWeighted(context.Background(), g, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := Run(context.Background(), WeightedWorkload(g), 0, Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestWeightedVertexDiameterSane(t *testing.T) {
 	}
 }
 
-func TestSequentialWeightedRejectsTiny(t *testing.T) {
+func TestWeightedSequentialRejectsTiny(t *testing.T) {
 	g, err := graph.FromWeightedEdges(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SequentialWeighted(context.Background(), g, Config{}); err == nil {
+	if _, err := Run(context.Background(), WeightedWorkload(g), 0, Config{}); err == nil {
 		t.Fatal("tiny weighted graph accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package kadabra
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -44,8 +43,8 @@ func newStateFrame(n int, cfg Config) *epoch.StateFrame {
 // directed and weighted graphs once the sampling kernel is swapped; the
 // abstraction makes that literal: a Workload bundles the two graph-dependent
 // ingredients — the per-thread path sampler and the phase-1 vertex-diameter
-// bound — and the generic drivers (SequentialWorkload, SharedMemoryWorkload
-// here; Algorithm1/Algorithm2 in internal/core) carry the statistical
+// bound — and the generic drivers (EstimatorState and Run here;
+// Algorithm1/Algorithm2 in internal/core) carry the statistical
 // machinery, context cancellation, and the OnEpoch progress hook for all of
 // them.
 
@@ -159,24 +158,4 @@ func WeightedWorkload(g *graph.WGraph) Workload {
 			return WeightedVertexDiameter(g, cfg.Seed+0xABCD)
 		},
 	}
-}
-
-// SequentialWorkload runs the plain (single-threaded) KADABRA algorithm on
-// an arbitrary workload; Sequential, SequentialDirected, and
-// SequentialWeighted are thin wrappers over it.
-func SequentialWorkload(ctx context.Context, w Workload, cfg Config) (*Result, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return runSequential(ctx, w, cfg)
-}
-
-// SharedMemoryWorkload runs the epoch-based shared-memory parallelization on
-// an arbitrary workload; SharedMemory, SharedMemoryDirected, and
-// SharedMemoryWeighted are thin wrappers over it.
-func SharedMemoryWorkload(ctx context.Context, w Workload, threads int, cfg Config) (*Result, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return runSharedMemory(ctx, w, threads, cfg)
 }

@@ -12,7 +12,8 @@ import (
 	"repro/graph"
 )
 
-// The service-tier benchmarks tracked by scripts/bench.sh: end-to-end
+// The service-tier micro-benchmarks (bench/ has the daemon-session
+// workload for the end-to-end numbers): end-to-end
 // session throughput (create + run + result over HTTP) and the latency of
 // a status poll against a session that is actively sampling. Both ride the
 // sequential backend on a small RMAT graph, so the numbers measure the

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,19 +102,32 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 		t.Fatalf("warm session did not converge: %v", status)
 	}
 
-	// A long run for the background loop to checkpoint mid-flight.
-	long := createSession(t, tsA.URL, map[string]any{"graph": name, "eps": 0.002, "delta": 0.1, "seed": 1})
-	do(t, "POST", tsA.URL+"/sessions/"+long+"/run", nil)
-	ckptPath := filepath.Join(dataDir, "sessions", long+".bck")
+	// Long runs for the background loop to checkpoint mid-flight: the seq
+	// capture is exact; the shm one is a synthesized payload that restores
+	// onto the sequential engine — where its top_k must not turn it into a
+	// certified top-k session (it was created uniform).
+	const longEps = 0.002
+	longs := []map[string]any{
+		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1},
+		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "shm", "threads": 2, "top_k": 3},
+	}
+	ids := make([]string, len(longs))
+	for i, params := range longs {
+		ids[i] = createSession(t, tsA.URL, params)
+		do(t, "POST", tsA.URL+"/sessions/"+ids[i]+"/run", nil)
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(ckptPath); err == nil && sessionTau(t, tsA.URL, long) > 0 {
-			break
+	for _, long := range ids {
+		ckptPath := filepath.Join(dataDir, "sessions", long+".bck")
+		for {
+			if _, err := os.Stat(ckptPath); err == nil && sessionTau(t, tsA.URL, long) > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("background loop never checkpointed running session %s", long)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never checkpointed the running session")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Pull the plug: image the data dir mid-run, then stop the doomed
@@ -122,30 +136,41 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	// Image first, read tau second: sampling only moves forward, so any
 	// checkpoint inside the image is at or behind the tau read afterwards.
 	crashDir := copyDataDir(t, dataDir)
-	tauAtKill := sessionTau(t, tsA.URL, long)
+	tauAtKill := make([]float64, len(ids))
+	for i, long := range ids {
+		tauAtKill[i] = sessionTau(t, tsA.URL, long)
+	}
 	srvA.cancelRuns()
 	srvA.wg.Wait()
 	tsA.Close()
 
 	srvB, tsB := newTestServer(t, Config{DataDir: crashDir})
 
-	// The interrupted session resumes behind, never ahead, of the kill
-	// point: what survives is the last checkpoint.
-	restored := sessionTau(t, tsB.URL, long)
-	if restored <= 0 {
-		t.Fatalf("restored session lost all samples (tau %v)", restored)
-	}
-	if restored > tauAtKill {
-		t.Fatalf("restored tau %v exceeds tau at kill %v", restored, tauAtKill)
-	}
-	if code, _ := do(t, "POST", tsB.URL+"/sessions/"+long+"/run", nil); code != http.StatusAccepted {
-		t.Fatal("resume after crash not accepted")
-	}
-	if status := waitIdle(t, tsB.URL, long); status["converged"] != true {
-		t.Fatalf("resumed session did not converge: %v", status)
-	}
-	if tau := sessionTau(t, tsB.URL, long); tau <= restored {
-		t.Fatalf("resume did not extend samples: %v -> %v", restored, tau)
+	for i, long := range ids {
+		// The interrupted session resumes behind, never ahead, of the kill
+		// point: what survives is the last checkpoint.
+		restored := sessionTau(t, tsB.URL, long)
+		if restored <= 0 {
+			t.Fatalf("restored session %s lost all samples (tau %v)", long, restored)
+		}
+		if restored > tauAtKill[i] {
+			t.Fatalf("restored tau %v of %s exceeds tau at kill %v", restored, long, tauAtKill[i])
+		}
+		if code, _ := do(t, "POST", tsB.URL+"/sessions/"+long+"/run", nil); code != http.StatusAccepted {
+			t.Fatal("resume after crash not accepted")
+		}
+		status := waitIdle(t, tsB.URL, long)
+		if status["converged"] != true {
+			t.Fatalf("resumed session did not converge: %v", status)
+		}
+		if tau := sessionTau(t, tsB.URL, long); tau <= restored {
+			t.Fatalf("resume did not extend samples: %v -> %v", restored, tau)
+		}
+		// Both converged by the uniform rule they were created with.
+		_, res := do(t, "GET", tsB.URL+"/sessions/"+long+"/result", nil)
+		if _, certified := res["separated"]; certified || res["achieved_eps"].(float64) > longEps {
+			t.Fatalf("session %s (%v) came back under the certified top-k rule: %v", long, longs[i], res)
+		}
 	}
 
 	// The converged result survived the crash: an identical query on the
@@ -471,6 +496,60 @@ func TestDistRecoveryRebuild(t *testing.T) {
 	}
 	if deg, _ := status["degraded"].(string); !strings.Contains(deg, "shared-memory") {
 		t.Fatalf("degradation not surfaced: %v", status)
+	}
+}
+
+// TestDistCheckpointRestoresUniform restores a distributed checkpoint of a
+// session that names top_k: the payload lands on the sequential engine,
+// where top_k would select the certified top-k rule, but the session was
+// created uniform and must stay so — now and at every later restart, so
+// the re-keyed seq params drop top_k.
+func TestDistCheckpointRestoresUniform(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	name := uploadGraph(t, ts.URL, "g", testGraphBytes(t))
+	srv.mu.Lock()
+	g := srv.graphs[name]
+	srv.mu.Unlock()
+
+	const eps = 0.005
+	var mu sync.Mutex
+	var payload []byte
+	_, err := betweenness.EstimateWorkload(context.Background(), g.workload(),
+		betweenness.WithEpsilon(eps), betweenness.WithSeed(1), betweenness.WithThreads(1),
+		betweenness.WithExecutor(betweenness.LocalMPI(2)),
+		betweenness.WithDistCheckpoint(1, func(p []byte) {
+			mu.Lock()
+			if payload == nil {
+				payload = append([]byte(nil), p...)
+			}
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload == nil {
+		t.Fatal("distributed run emitted no checkpoint; tighten eps")
+	}
+	ckpt := filepath.Join(t.TempDir(), "dist.bck")
+	if err := os.WriteFile(ckpt, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p := sessionParams{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Backend: "dist", Procs: 2, TopK: 3}
+	s, err := srv.buildSession("restored", g, p, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.currentParams(); got.Backend != "seq" || got.TopK != 0 || s.degraded == "" {
+		t.Fatalf("restored dist session params %+v, degraded %q; want seq without top_k and a note", got, s.degraded)
+	}
+	res, err := s.estimator().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Lower != nil || res.AchievedEps > eps {
+		t.Fatalf("restored dist session stopped by the certified rule: converged=%v bounds=%v achieved eps %g (target %g)",
+			res.Converged, res.Lower != nil, res.AchievedEps, eps)
 	}
 }
 

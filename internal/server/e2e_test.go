@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -37,6 +38,17 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 			"graph": name, "eps": 0.002, "delta": 0.1, "seed": seed,
 		})
 	}
+	// A certified top-k session (seq backend, top_k) is an ordinary
+	// resumable session: stop it on a sample budget between two stopping
+	// checks, and let the drain below checkpoint it with the others.
+	topkParams := map[string]any{"graph": name, "backend": "seq", "top_k": 3, "eps": 0.01, "seed": 3}
+	topkParams["max_samples"] = 1500
+	topk := createSession(t, tsA.URL, topkParams)
+	do(t, "POST", tsA.URL+"/sessions/"+topk+"/run", nil)
+	if status := waitIdle(t, tsA.URL, topk); status["converged"] == true {
+		t.Fatalf("budgeted top-k session converged: %v", status)
+	}
+
 	s1, s2 := mk(1), mk(2)
 	for _, id := range []string{s1, s2} {
 		if code, _ := do(t, "POST", tsA.URL+"/sessions/"+id+"/run", nil); code != http.StatusAccepted {
@@ -99,6 +111,36 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 		t.Fatalf("session %s restored tau = %v, want %v", s2, got, drained2)
 	}
 
+	// The top-k session kept its samples, resumes under the certified rule
+	// (k comes back from the session metadata, not the checkpoint), and
+	// ends exactly where a never-interrupted twin on a fresh daemon ends.
+	if got := tauAt(tsB.URL, topk); got != 1500 {
+		t.Fatalf("top-k session restored tau = %v, want 1500", got)
+	}
+	body, _ := json.Marshal(map[string]any{"max_samples": 1 << 30})
+	if code, resp := do(t, "POST", tsB.URL+"/sessions/"+topk+"/refine", body); code != http.StatusAccepted {
+		t.Fatalf("top-k resume: status %d, resp %v", code, resp)
+	}
+	if status := waitIdle(t, tsB.URL, topk); status["converged"] != true {
+		t.Fatalf("resumed top-k session did not converge: %v", status)
+	}
+	_, tsTwin := newTestServer(t, Config{})
+	delete(topkParams, "max_samples")
+	topkParams["graph"] = uploadGraph(t, tsTwin.URL, "web", testGraphBytes(t))
+	twin := createSession(t, tsTwin.URL, topkParams)
+	do(t, "POST", tsTwin.URL+"/sessions/"+twin+"/run", nil)
+	waitIdle(t, tsTwin.URL, twin)
+	_, got := do(t, "GET", tsB.URL+"/sessions/"+topk+"/result?k=3", nil)
+	_, want := do(t, "GET", tsTwin.URL+"/sessions/"+twin+"/result?k=3", nil)
+	if _, ok := got["separated"].(bool); !ok {
+		t.Fatalf("top-k result does not report separated: %v", got)
+	}
+	for _, field := range []string{"tau", "separated", "achieved_eps", "top"} {
+		if !reflect.DeepEqual(got[field], want[field]) {
+			t.Fatalf("resumed top-k %s = %v, uninterrupted twin has %v", field, got[field], want[field])
+		}
+	}
+
 	// Resume both to convergence.
 	for _, id := range []string{s1, s2} {
 		if code, _ := do(t, "POST", tsB.URL+"/sessions/"+id+"/run", nil); code != http.StatusAccepted {
@@ -116,7 +158,7 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 	}
 
 	// Refine tightens the target while keeping every accumulated sample.
-	body, _ := json.Marshal(map[string]any{"eps": 0.0015})
+	body, _ = json.Marshal(map[string]any{"eps": 0.0015})
 	if code, resp := do(t, "POST", tsB.URL+"/sessions/"+s1+"/refine", body); code != http.StatusAccepted {
 		t.Fatalf("refine: status %d, resp %v", code, resp)
 	}

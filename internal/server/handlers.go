@@ -427,7 +427,10 @@ func (srv *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		if body.Delta > 0 {
 			p.Delta = body.Delta
 		}
-		if body.TopK > 0 {
+		if body.TopK > 0 && (p.TopK > 0 || p.Backend != "seq") {
+			// Refine re-targets k on a certified session and only re-ranks
+			// a uniform one; recording top_k on a uniform seq session would
+			// make its params name the certified rule (see certified).
 			p.TopK = body.TopK
 		}
 		if body.MaxSamples > 0 {
@@ -480,7 +483,8 @@ func parsePage(r *http.Request, total int) (offset, limit int, paged bool, err e
 // handleSessionResult returns the estimates of the last completed
 // operation: top-k (?k=, default 10) always, the per-vertex vector with
 // ?estimates=1 — paginated by ?offset=&limit= so a million-vertex result
-// does not produce an unbounded response. 409 until a result exists.
+// does not produce an unbounded response — plus "separated" when the
+// session stopped by the certified top-k rule. 409 until a result exists.
 func (srv *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 	s, ok := srv.lookupSession(w, r)
 	if !ok {
@@ -517,6 +521,10 @@ func (srv *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 		"vertex_diameter": res.VertexDiameter,
 		"cached":          cached,
 		"top":             top,
+	}
+	if res.Lower != nil {
+		// The session stopped by the certified top-k rule.
+		out["separated"] = res.Separated
 	}
 	if r.URL.Query().Get("estimates") != "" {
 		offset, limit, paged, err := parsePage(r, len(res.Estimates))

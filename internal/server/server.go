@@ -298,7 +298,14 @@ func (srv *Server) wireCheckpointSink(s *session, est *betweenness.Estimator) {
 func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptPath string) (*session, error) {
 	s := &session{id: id, srv: srv, g: g, params: p, state: stateIdle}
 	s.runCtx, s.cancel = context.WithCancel(srv.runCtx)
-	opts, err := srv.sessionOptions(s, p)
+	op := p
+	if ckptPath != "" && !p.certified() {
+		// The in-run checkpoints of shm and dist sessions restore onto the
+		// sequential engine, where WithTopK would select the certified
+		// top-k rule: a session created uniform must come back uniform.
+		op.TopK = 0
+	}
+	opts, err := srv.sessionOptions(s, op)
 	if err != nil {
 		return nil, err
 	}
@@ -313,10 +320,12 @@ func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptP
 			// envelopes that restore onto the sequential engine (the ranks'
 			// state is gone with the ranks). Surface the engine change and
 			// re-key the session honestly instead of claiming a backend it
-			// no longer runs on.
+			// no longer runs on — and drop top_k with it: the session keeps
+			// the uniform rule it was created with, and seq params with
+			// top_k would name the certified one at the next restart.
 			s.degraded = fmt.Sprintf(
 				"restored from a %s-backend checkpoint onto the sequential engine", p.Backend)
-			s.params.Backend, s.params.Procs = "seq", 0
+			s.params.Backend, s.params.Procs, s.params.TopK = "seq", 0, 0
 		}
 		if est.Checkpointable() {
 			// The restored tau is exactly what is on disk already.

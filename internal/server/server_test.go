@@ -274,6 +274,25 @@ func TestResultCache(t *testing.T) {
 		t.Fatalf("different seed served from cache")
 	}
 
+	// top_k is identity only where it selects the stopping rule (seq over
+	// an undirected graph); on shm it ranks the same estimates.
+	shm := map[string]any{"graph": name, "eps": 0.1, "delta": 0.1, "seed": 11, "backend": "shm", "threads": 1}
+	fourth := createSession(t, ts.URL, shm)
+	do(t, "POST", ts.URL+"/sessions/"+fourth+"/run", nil)
+	waitIdle(t, ts.URL, fourth)
+	shm["top_k"] = 3
+	fifth := createSession(t, ts.URL, shm)
+	do(t, "POST", ts.URL+"/sessions/"+fifth+"/run", nil)
+	if status := waitIdle(t, ts.URL, fifth); status["cached"] != true {
+		t.Fatalf("shm query differing only in top_k missed the cache: %v", status)
+	}
+	params["top_k"] = 3
+	sixth := createSession(t, ts.URL, params)
+	do(t, "POST", ts.URL+"/sessions/"+sixth+"/run", nil)
+	if status := waitIdle(t, ts.URL, sixth); status["cached"] == true {
+		t.Fatalf("certified top-k seq query served a uniform result from the cache")
+	}
+
 	_, stats := do(t, "GET", ts.URL+"/stats", nil)
 	cache := stats["cache"].(map[string]any)
 	if cache["hits"].(float64) < 1 {
@@ -305,6 +324,17 @@ func TestRefineTightens(t *testing.T) {
 	tau1 := status["snapshot"].(map[string]any)["tau"].(float64)
 	if tau1 <= tau0 {
 		t.Errorf("refine did not add samples: tau %v -> %v", tau0, tau1)
+	}
+
+	// top_k on a uniform seq session only re-ranks: no resampling, and the
+	// session params do not start naming the certified top-k rule.
+	body, _ = json.Marshal(map[string]any{"top_k": 3})
+	if code, resp := do(t, "POST", ts.URL+"/sessions/"+id+"/refine", body); code != http.StatusAccepted {
+		t.Fatalf("top_k refine: status %d, resp %v", code, resp)
+	}
+	status = waitIdle(t, ts.URL, id)
+	if _, named := status["top_k"]; named || status["snapshot"].(map[string]any)["tau"].(float64) != tau1 {
+		t.Errorf("top_k refine of a uniform seq session changed it: %v", status)
 	}
 
 	// An empty refine body is a 400.

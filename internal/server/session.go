@@ -37,7 +37,9 @@ type sessionParams struct {
 	Backend string `json:"backend,omitempty"`
 	// Procs is the in-process rank count of the dist/alg1 backends.
 	Procs int `json:"procs,omitempty"`
-	TopK  int `json:"top_k,omitempty"`
+	// TopK on the seq backend over an undirected graph makes the session
+	// stop by the certified top-k rule (see betweenness.WithTopK).
+	TopK int `json:"top_k,omitempty"`
 	// MaxSamples and MaxDuration are per-Run admission budgets.
 	MaxSamples  int64  `json:"max_samples,omitempty"`
 	MaxDuration string `json:"max_duration,omitempty"`
@@ -76,6 +78,16 @@ func (p *sessionParams) normalize() error {
 		}
 	}
 	return nil
+}
+
+// certified reports whether the params describe a session that stops by the
+// certified top-k rule: created on the seq backend with top_k (the
+// estimator adds the undirected-graph condition itself). A checkpoint does
+// not record the rule, so these params are what a restart replays; every
+// site that edits Backend or TopK must keep them equal to the rule the
+// estimator actually runs.
+func (p sessionParams) certified() bool {
+	return p.Backend == "seq" && p.TopK > 0
 }
 
 // distBackend reports whether the params name an in-process distributed
@@ -231,6 +243,13 @@ func (s *session) cacheKeyLocked() string {
 	b.WriteString(strconv.Itoa(p.Threads))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(p.Procs))
+	if p.certified() && s.g.kind == betweenness.WorkloadUndirected {
+		// k selects the stopping rule there (certified top-k runs stop far
+		// short of the uniform eps), so it is identity; everywhere else it
+		// only ranks the same estimates.
+		b.WriteString("|k")
+		b.WriteString(strconv.Itoa(p.TopK))
+	}
 	return b.String()
 }
 
