@@ -47,6 +47,16 @@
 // reports both the dense-equivalent CommVolumePerEpoch bound and the
 // actual ReduceWireBytes. bench/README.md says how to measure each layer.
 //
+// # Communication overlaps sampling one sample at a time
+//
+// Algorithm 2's thread 0 samples "while IBARRIER / IBCAST is not done".
+// In internal/mpi the poll is Request.Test, and Test is the progress
+// call: when the operation is not complete it yields the processor once,
+// so the goroutine that runs the collective and the TCP readers advance
+// after every sample the poller takes, not once per scheduler quantum.
+// The contract for any code written against internal/mpi: poll with Test;
+// it yields; never spin on Request.Done() with a default case.
+//
 // # Anytime estimation sessions
 //
 // The adaptive loop holds a valid (eps', delta) guarantee after every

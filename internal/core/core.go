@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/epoch"
@@ -89,8 +88,8 @@ type Config struct {
 	// achieved guarantee with Converged == false.)
 	OnEpoch func(kadabra.Progress)
 	// NoOverlap disables overlap sampling during communication waits
-	// (barrier polls, non-blocking reductions and broadcasts yield instead
-	// of sampling). With Threads <= 1 every rank then takes exactly n0
+	// (barrier polls, non-blocking reductions and broadcasts only poll
+	// instead of sampling). With Threads <= 1 every rank then takes exactly n0
 	// samples per epoch, making runs schedule-independent; it exists for
 	// the dense-vs-sparse equivalence tests and as an ablation of the
 	// paper's overlap story. Leave it off otherwise.
@@ -184,12 +183,14 @@ func commVolumePerEpoch(n, procs int) int64 {
 	return int64(procs-1)*frameBytes(n) + 8*int64(procs-1)
 }
 
-// overlapFn returns the function run while polling non-blocking
+// overlapFn returns the function run between two polls of non-blocking
 // communication: the paper overlaps sampling with every wait; NoOverlap
-// substitutes a scheduler yield for determinism/ablation runs.
+// runs nothing for determinism/ablation runs. Either way the poll itself
+// (mpi.Request.Test) yields the processor, so the loops need no yield of
+// their own.
 func (c Config) overlapFn(sample func()) func() {
 	if c.NoOverlap {
-		return runtime.Gosched
+		return func() {}
 	}
 	return sample
 }

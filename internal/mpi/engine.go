@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"sync"
 )
 
@@ -217,7 +218,8 @@ func (e *engine) fail(err error) {
 }
 
 // Request represents an in-flight non-blocking operation. It is completed
-// exactly once; Wait blocks for completion, Test polls without blocking.
+// exactly once; Wait blocks for completion, Test polls without blocking and
+// yields (see Test).
 type Request struct {
 	done chan struct{}
 	data []byte
@@ -237,11 +239,19 @@ func (r *Request) complete(data []byte, err error) {
 // Test reports whether the operation has completed, without blocking. This
 // is what lets the sampling loop interleave work with communication
 // ("while IREDUCE is not done do sample", paper Alg. 1/2).
+//
+// Test is also the progress call, as MPI_Test is: when the operation is not
+// complete it yields the processor once before returning false, so the
+// goroutine running the collective and the transport's reader goroutines
+// get the polling P between two units of the caller's work. A poll loop
+// that never blocks would otherwise starve them until the runtime preempts
+// it, one scheduler quantum (10 ms) per message hop.
 func (r *Request) Test() bool {
 	select {
 	case <-r.done:
 		return true
 	default:
+		runtime.Gosched()
 		return false
 	}
 }
@@ -253,7 +263,9 @@ func (r *Request) Wait() ([]byte, error) {
 	return r.data, r.err
 }
 
-// Done exposes the completion channel for select-based callers.
+// Done exposes the completion channel for callers that block in a select
+// alongside other events. Do not poll it with a default case: such a loop
+// never yields; poll with Test.
 func (r *Request) Done() <-chan struct{} { return r.done }
 
 // completedRequest returns an already-completed request, used by collectives

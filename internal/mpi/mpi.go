@@ -25,6 +25,20 @@
 // analogue of MPI's shared-memory device), and a TCP transport connecting
 // genuinely separate OS processes or hosts (see tcp.go).
 //
+// Progress. A non-blocking collective runs on an internal goroutine and
+// the TCP transport reads each connection on one; they advance only when
+// they get a processor. The caller's side of that contract is
+// Request.Test, the one place this package (and internal/core above it)
+// yields: poll with Test — when the operation is not complete it yields
+// the processor once and returns false, so a loop that samples between
+// polls hands its P to the collective after every sample, where a loop
+// that never blocks would hold it for a scheduler quantum (10 ms) per
+// message hop. Never spin on Request.Done() with a default case: that loop
+// does not yield. What Test cannot do is poll the network: while no P is
+// idle the Go runtime looks at the sockets only from its monitor thread, at
+// most every 10 ms, so a TCP hop into a fully busy process costs
+// milliseconds where an idle one takes microseconds.
+//
 // Like MPI with MPI_THREAD_FUNNELED (the paper's setting, §IV-F), a Comm
 // may be used from multiple goroutines of one process only through the
 // library's own internals (non-blocking operations run on internal

@@ -195,3 +195,46 @@ func TestTCPGracefulCloseStaysClean(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPCloseStopsDepartureTimer: the timer armed when a peer says goodbye
+// references the transport and its engine, so left running it keeps a
+// cleanly finished world reachable for a liveness window after Close.
+func TestTCPCloseStopsDepartureTimer(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	worlds := make([]*TCPWorld, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range worlds {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			_, worlds[r], errs[r] = ConnectTCP(r, addrs, 10*time.Second)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	// Rank 0 leaves first; rank 1 closes only after it has seen the goodbye,
+	// so its departure timer is armed by then.
+	closed0 := make(chan struct{})
+	go func() {
+		worlds[0].Close()
+		close(closed0)
+	}()
+	tt := worlds[1].tt
+	<-tt.conns[0].sawBye
+	worlds[1].Close()
+	<-closed0
+	tt.mu.Lock()
+	timer := tt.conns[0].departed
+	tt.mu.Unlock()
+	if timer == nil {
+		t.Fatal("no departure timer was armed at the peer's goodbye")
+	}
+	if timer.Stop() {
+		t.Fatal("departure timer still running after Close")
+	}
+}

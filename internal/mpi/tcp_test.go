@@ -190,3 +190,50 @@ func TestTCPConnectTimeout(t *testing.T) {
 		t.Fatal("expected timeout error")
 	}
 }
+
+func TestDialBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		attempt    int
+		left, want time.Duration
+	}{
+		{0, time.Second, 1 * ms},
+		{1, time.Second, 2 * ms},
+		{2, time.Second, 4 * ms},
+		{3, time.Second, 8 * ms},
+		{4, time.Second, 16 * ms},
+		{5, time.Second, 32 * ms},
+		{6, time.Second, 50 * ms},
+		{7, time.Second, 50 * ms},
+		{1000, time.Second, 50 * ms}, // no shift overflow on a long wait
+		{0, 300 * time.Microsecond, 300 * time.Microsecond},
+		{5, 10 * ms, 10 * ms},
+		{40, 7 * ms, 7 * ms},
+	} {
+		if got := dialBackoff(tc.attempt, tc.left); got != tc.want {
+			t.Errorf("dialBackoff(%d, %v) = %v, want %v", tc.attempt, tc.left, got, tc.want)
+		}
+	}
+}
+
+// TestTCPSendAllocatesNothing: a frame is assembled in the connection's
+// scratch and leaves in one vectored write.
+func TestTCPSendAllocatesNothing(t *testing.T) {
+	runTCP(t, 2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return nil // its readLoop drains the frames; untagged ones are buffered
+		}
+		tt := c.eng.tr.(*tcpTransport)
+		env := envelope{ctx: 99, tag: 7, data: make([]byte, 512)}
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			if e := tt.send(1, env); e != nil {
+				err = e
+			}
+		})
+		if err == nil && allocs != 0 {
+			err = fmt.Errorf("send allocates %v times per frame", allocs)
+		}
+		return err
+	})
+}
