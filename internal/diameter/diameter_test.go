@@ -123,19 +123,101 @@ func TestTwoApproxIsUpperBound(t *testing.T) {
 	}
 }
 
-func TestIFUBSweepCapReturnsValidUpperBound(t *testing.T) {
-	g := gen.Road(gen.RoadParams{Rows: 40, Cols: 40, DeleteProb: 0.05, Seed: 3})
+// lcc reduces g to its largest connected component, IFUB's documented input.
+func lcc(g *graph.Graph) *graph.Graph {
 	g, _ = graph.LargestComponent(g)
+	return g
+}
+
+func TestExactMatchesBruteForceAcrossFamilies(t *testing.T) {
+	// 80 seeds x 4 families: eccentricity-bound pruning may only skip
+	// vertices that cannot raise the lower bound, so the result is the brute
+	// force diameter on every one.
+	families := []struct {
+		name string
+		make func(seed uint64) *graph.Graph
+	}{
+		{"erdos-renyi", func(s uint64) *graph.Graph {
+			n := 20 + int(s*37%280)
+			return gen.ErdosRenyi(n, n+int(s*13%uint64(2*n)), s)
+		}},
+		{"road", func(s uint64) *graph.Graph {
+			return gen.Road(gen.RoadParams{Rows: 5 + int(s%20), Cols: 5 + int(s*7%20), DeleteProb: 0.15, Seed: s})
+		}},
+		{"barabasi-albert", func(s uint64) *graph.Graph {
+			return gen.BarabasiAlbert(20+int(s*29%380), 1+int(s%3), s)
+		}},
+		{"rmat", func(s uint64) *graph.Graph {
+			return gen.RMAT(gen.Graph500(6+int(s%5), 2+int(s%7), s))
+		}},
+	}
+	for _, f := range families {
+		for seed := uint64(1); seed <= 80; seed++ {
+			g := lcc(f.make(seed))
+			if got, want := Exact(g), bruteDiameter(g); got != want {
+				t.Errorf("%s seed %d (n=%d): diameter %d, want %d", f.name, seed, g.NumNodes(), got, want)
+			}
+		}
+	}
+}
+
+func TestIFUBSweepCapReturnsValidUpperBound(t *testing.T) {
+	g := lcc(gen.Road(gen.RoadParams{Rows: 40, Cols: 40, DeleteProb: 0.05, Seed: 3}))
 	truth := bruteDiameter(g)
-	ub, exact := IFUB(g, 2)
-	if ub < truth {
-		t.Fatalf("capped IFUB bound %d below true diameter %d", ub, truth)
+	for maxBFS := 1; maxBFS <= 16; maxBFS++ {
+		ub, exact := IFUB(g, maxBFS)
+		if ub < truth {
+			t.Fatalf("cap %d: IFUB bound %d below true diameter %d", maxBFS, ub, truth)
+		}
+		if exact && ub != truth {
+			t.Fatalf("cap %d: IFUB claims exact %d, true diameter %d", maxBFS, ub, truth)
+		}
 	}
 	full, exactFull := IFUB(g, 0)
 	if !exactFull || full != truth {
 		t.Fatalf("uncapped IFUB %d (exact=%v), want %d", full, exactFull, truth)
 	}
-	_ = exact
+}
+
+func TestIFUBSweepCounts(t *testing.T) {
+	// The sweep count is pinned through the cap: enumerating whole fringe
+	// levels needs 4005 fringe sweeps on this lattice, eccentricity-bound
+	// pruning 17. The R-MAT pin guards the low-diameter side, where the
+	// double sweep alone is (and must stay) nearly enough.
+	road := lcc(gen.Road(gen.RoadParams{Rows: 120, Cols: 120, DeleteProb: 0.1, Seed: 1}))
+	if d, exact := IFUB(road, 64); !exact {
+		t.Errorf("road 120x120: IFUB(g, 64) = %d, not exact within 64 sweeps", d)
+	}
+	rmat := lcc(gen.RMAT(gen.Graph500(14, 16, 1)))
+	if d, exact := IFUB(rmat, 16); !exact {
+		t.Errorf("R-MAT 2^14: IFUB(g, 16) = %d, not exact within 16 sweeps", d)
+	}
+}
+
+func TestIFUBDisconnectedInput(t *testing.T) {
+	// Two components: a 7-path (0..6) holding the max-degree root, and a
+	// 30-path that no chosen root reaches. The documented behaviour is the
+	// maximum over pairs reachable from the chosen roots, i.e. the 7-path's
+	// diameter — and the unreached vertices must not disturb it.
+	b := graph.NewBuilder(37)
+	for i := 0; i < 6; i++ {
+		b.AddEdge(graph.Node(i), graph.Node(i+1))
+	}
+	for i := 7; i < 36; i++ {
+		b.AddEdge(graph.Node(i), graph.Node(i+1))
+	}
+	g := b.Build()
+	if root := g.MaxDegreeNode(); root > 6 {
+		t.Fatalf("max-degree root %d is outside the first component", root)
+	}
+	for _, maxBFS := range []int{0, 1, 4} {
+		if d, exact := IFUB(g, maxBFS); d != 6 || !exact {
+			t.Fatalf("IFUB(g, %d) = %d (exact=%v), want 6 (exact)", maxBFS, d, exact)
+		}
+	}
+	if got := DoubleSweep(g, 0); got != 6 {
+		t.Fatalf("DoubleSweep = %d, want 6", got)
+	}
 }
 
 func TestVertexDiameter(t *testing.T) {
@@ -153,24 +235,23 @@ func TestVertexDiameter(t *testing.T) {
 func TestExactOnRoadProxy(t *testing.T) {
 	// Road networks are IFUB's hard case (high diameter); make sure we agree
 	// with brute force on a small one.
-	g := gen.Road(gen.RoadParams{Rows: 20, Cols: 25, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 7})
-	g, _ = graph.LargestComponent(g)
+	g := lcc(gen.Road(gen.RoadParams{Rows: 20, Cols: 25, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 7}))
 	if got, want := Exact(g), bruteDiameter(g); got != want {
 		t.Fatalf("road diameter %d, want %d", got, want)
 	}
 }
 
 func TestExactOnRMAT(t *testing.T) {
-	g := gen.RMAT(gen.Graph500(9, 8, 2))
-	g, _ = graph.LargestComponent(g)
+	g := lcc(gen.RMAT(gen.Graph500(9, 8, 2)))
 	if got, want := Exact(g), bruteDiameter(g); got != want {
 		t.Fatalf("rmat diameter %d, want %d", got, want)
 	}
 }
 
 func BenchmarkIFUBRoad(b *testing.B) {
-	g := gen.Road(gen.RoadParams{Rows: 150, Cols: 150, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 1})
-	g, _ = graph.LargestComponent(g)
+	// At 240x240 a regression to whole-level fringe enumeration costs ~16k
+	// sweeps (19 s per Exact), which the CI smoke step's budget notices.
+	g := lcc(gen.Road(gen.RoadParams{Rows: 240, Cols: 240, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Exact(g)
@@ -178,8 +259,7 @@ func BenchmarkIFUBRoad(b *testing.B) {
 }
 
 func BenchmarkIFUBRMAT(b *testing.B) {
-	g := gen.RMAT(gen.Graph500(13, 16, 1))
-	g, _ = graph.LargestComponent(g)
+	g := lcc(gen.RMAT(gen.Graph500(13, 16, 1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Exact(g)

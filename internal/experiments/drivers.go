@@ -21,12 +21,12 @@ var NodeCounts = []int{1, 2, 4, 8, 16}
 // simCfg returns the KADABRA config used by the simulated-cluster
 // experiments. EpochBase is lowered so the scaled instances still span
 // several epochs at 16 nodes (see the package comment on scaling), and the
-// diameter phase is capped at 32 iFUB sweeps: the paper uses the fast
-// BFS-based heuristic of Borassi et al. [6], whereas uncapped iFUB on road
-// proxies spends hundreds of sweeps — at proxy scale that sequential cost
-// would swamp the (shrunken) sampling phase and distort the Amdahl
-// behaviour of Fig. 2. The capped value is still a sound upper bound, so
-// the guarantee is unaffected (omega only grows).
+// diameter phase is capped at 32 iFUB fringe sweeps so that its sequential
+// cost cannot swamp the (shrunken) sampling phase and distort the Amdahl
+// behaviour of Fig. 2. Since iFUB prunes by eccentricity bounds the road
+// proxies finish exactly within the cap; where it does bind, the capped
+// value is still a sound upper bound, so the guarantee is unaffected (omega
+// only grows).
 func simCfg(eps float64, seed uint64) kadabra.Config {
 	return kadabra.Config{Eps: eps, Delta: 0.1, Seed: seed, EpochBase: 250, DiameterBFSCap: 32}
 }

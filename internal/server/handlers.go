@@ -276,8 +276,8 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	id := srv.allocSessionIDLocked()
 	srv.mu.Unlock()
 
-	// Estimator construction validates options and runs the diameter
-	// phase on steppable backends; do it outside srv.mu.
+	// Estimator construction validates options, and the first session on a
+	// graph resolves its vertex diameter; do it outside srv.mu.
 	s, err := srv.buildSession(id, g, p, "")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/betweenness"
 	"repro/graph"
+	"repro/internal/kadabra"
 )
 
 // graphEntry is one named, immutable graph shared by any number of
@@ -43,6 +45,12 @@ type graphEntry struct {
 	// copy. Closed when the entry is deleted; the refs counter already
 	// guarantees no session outlives it.
 	mapped *graph.Mapped
+
+	// vd memoizes the phase-1 vertex diameter, a constant of the immutable
+	// graph: resolved once by the first session (see vertexDiameter) and
+	// handed to every later one instead of being re-derived per estimate.
+	vdOnce sync.Once
+	vd     int
 }
 
 // closeMapping releases the entry's mmap, if any. Call only once the
@@ -65,6 +73,23 @@ func (g *graphEntry) workload() betweenness.Workload {
 	default:
 		return betweenness.Undirected(g.und.Load())
 	}
+}
+
+// vertexDiameter returns the value the library's own phase 1 computes for
+// this graph, resolving it on first use, so a session given it through
+// betweenness.WithVertexDiameter is bit-identical to one that ran the phase.
+// It is 0 for weighted graphs: their resolver is a sampled heuristic seeded
+// per session, so there is no per-graph constant to share.
+func (g *graphEntry) vertexDiameter() int {
+	g.vdOnce.Do(func() {
+		switch g.kind {
+		case betweenness.WorkloadUndirected:
+			g.vd = graph.VertexDiameter(g.und.Load())
+		case betweenness.WorkloadDirected:
+			g.vd = kadabra.DirectedVertexDiameter(g.dig)
+		}
+	})
+	return g.vd
 }
 
 // parseKind resolves the ?kind= upload parameter.

@@ -265,12 +265,17 @@ func (srv *Server) sessionLive(s *session) bool {
 
 // sessionOptions builds the betweenness options for params p on session s,
 // including the server-owned extras: the progress hook (always — it keeps
-// status and SSE fresh) and, for the distributed backends under a data dir,
+// status and SSE fresh), the graph's memoized vertex diameter (so only the
+// first session on a graph pays phase 1; a restore ignores it in favour of
+// the checkpoint's own) and, for the distributed backends under a data dir,
 // the periodic distributed checkpoint sink.
 func (srv *Server) sessionOptions(s *session, p sessionParams) ([]betweenness.Option, error) {
 	opts, err := p.options(s.progress)
 	if err != nil {
 		return nil, err
+	}
+	if vd := s.g.vertexDiameter(); vd > 0 {
+		opts = append(opts, betweenness.WithVertexDiameter(vd))
 	}
 	if srv.cfg.DataDir != "" && srv.cfg.CheckpointInterval > 0 && p.distBackend() {
 		opts = append(opts, betweenness.WithDistCheckpoint(distCheckpointEpochs, func(payload []byte) {

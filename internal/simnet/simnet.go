@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/bfs"
-	"repro/internal/diameter"
 	"repro/internal/epoch"
 	"repro/internal/graph"
 	"repro/internal/kadabra"
@@ -212,18 +211,7 @@ func simulate(g *graph.Graph, m Model, cfg kadabra.Config, shmBaseline bool) (*R
 	// here, and the simulated node's core is the host's core, so the real
 	// measured time is the virtual time.
 	var vd int
-	{
-		start := time.Now()
-		if cfg.VertexDiameter > 0 {
-			vd = cfg.VertexDiameter
-		} else if cfg.DiameterBFSCap > 0 {
-			d, _ := diameter.IFUB(g, cfg.DiameterBFSCap)
-			vd = int(d) + 1
-		} else {
-			vd = diameter.VertexDiameter(g)
-		}
-		times.Diameter = time.Since(start)
-	}
+	vd, times.Diameter = kadabra.UndirectedWorkload(g).ResolveDiameter(cfg)
 	omega := kadabra.Omega(vd, cfg.Eps, cfg.Delta)
 
 	sampler := bfs.NewSampler(g, rng.NewRand(cfg.Seed))
