@@ -232,7 +232,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 					Config:   benchCfg(0.01, 6),
 					Threads:  2,
 					Strategy: s,
-				}, core.VariantEpoch)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func BenchmarkRealDistributedProcs(b *testing.B) {
 				res, err := core.RunLocal(context.Background(), kadabra.UndirectedWorkload(g), procs, core.Config{
 					Config:  benchCfg(0.008, 13),
 					Threads: 4,
-				}, core.VariantEpoch)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,8 +10,9 @@
 // with functional options for the statistical parameters and a pluggable
 // Executor for the execution backend: Sequential (reference), SharedMemory
 // (epoch-based threads), LocalMPI (the paper's Algorithm 2 over in-process
-// ranks), PureMPI (the paper's Algorithm 1 baseline), and TCP (Algorithm 2
-// as one rank of a genuinely distributed world).
+// ranks; with its default of one sampling thread per rank, the paper's
+// Algorithm 1), and TCP (Algorithm 2 as one rank of a genuinely distributed
+// world).
 //
 // Every backend honours context cancellation: cancelling ctx stops the
 // calibration and adaptive-sampling loops within one epoch and Estimate

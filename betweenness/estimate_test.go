@@ -86,7 +86,7 @@ func TestBackendsAgreeWithExact(t *testing.T) {
 	exact := Exact(g, 0)
 	const eps = 0.03
 
-	backends := []Executor{Sequential(), SharedMemory(), LocalMPI(2), PureMPI(2)}
+	backends := []Executor{Sequential(), SharedMemory(), LocalMPI(2)}
 	results := make(map[string]*Result, len(backends))
 	for _, exec := range backends {
 		res, err := Estimate(context.Background(), g,
@@ -126,12 +126,10 @@ func TestBackendsAgreeWithExact(t *testing.T) {
 		}
 	}
 
-	// MPI backends must report distribution statistics; single-process
+	// The MPI backend must report distribution statistics; single-process
 	// backends must not.
-	for _, name := range []string{"local-mpi", "pure-mpi"} {
-		if results[name].Distributed == nil {
-			t.Errorf("%s: missing distributed stats", name)
-		}
+	if results["local-mpi"].Distributed == nil {
+		t.Error("local-mpi: missing distributed stats")
 	}
 	for _, name := range []string{"sequential", "shared-memory"} {
 		if results[name].Distributed != nil {
@@ -203,7 +201,7 @@ func TestContextCancelledBeforeStart(t *testing.T) {
 	g := testGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2), PureMPI(2)} {
+	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
 		_, err := Estimate(ctx, g, WithEpsilon(0.05), WithExecutor(exec))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)

@@ -319,26 +319,25 @@ func TestDirectedWeightedBackendDispatch(t *testing.T) {
 	wg := weightedGrid(t, 6, 6, 4)
 	dexact, wexact := ExactDirected(dg, 0), ExactWeighted(wg, 0)
 	const eps = 0.05
-	for _, exec := range []Executor{LocalMPI(2), PureMPI(2)} {
-		dres, err := EstimateDirected(context.Background(), dg,
-			WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
-		if err != nil {
-			t.Fatalf("%s: EstimateDirected: %v", exec.Name(), err)
-		}
-		if rep := Compare(dexact, dres.Estimates, eps); rep.MaxAbs > eps {
-			t.Errorf("%s directed: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, dres.Tau)
-		}
-		if dres.Distributed == nil {
-			t.Errorf("%s directed: missing distributed stats", exec.Name())
-		}
-		wres, err := EstimateWeighted(context.Background(), wg,
-			WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
-		if err != nil {
-			t.Fatalf("%s: EstimateWeighted: %v", exec.Name(), err)
-		}
-		if rep := Compare(wexact, wres.Estimates, eps); rep.MaxAbs > eps {
-			t.Errorf("%s weighted: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, wres.Tau)
-		}
+	exec := LocalMPI(2)
+	dres, err := EstimateDirected(context.Background(), dg,
+		WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
+	if err != nil {
+		t.Fatalf("%s: EstimateDirected: %v", exec.Name(), err)
+	}
+	if rep := Compare(dexact, dres.Estimates, eps); rep.MaxAbs > eps {
+		t.Errorf("%s directed: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, dres.Tau)
+	}
+	if dres.Distributed == nil {
+		t.Errorf("%s directed: missing distributed stats", exec.Name())
+	}
+	wres, err := EstimateWeighted(context.Background(), wg,
+		WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
+	if err != nil {
+		t.Fatalf("%s: EstimateWeighted: %v", exec.Name(), err)
+	}
+	if rep := Compare(wexact, wres.Estimates, eps); rep.MaxAbs > eps {
+		t.Errorf("%s weighted: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, wres.Tau)
 	}
 	// Invalid options must fail on the new front doors exactly as on
 	// Estimate.
@@ -472,7 +471,7 @@ func TestDirectedProgressSnapshots(t *testing.T) {
 // (eps, delta) guarantee would be silently void.
 func TestDirectRunEnforcesValidation(t *testing.T) {
 	path := graph.FromArcs(3, [][2]graph.Node{{0, 1}, {1, 2}})
-	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2), PureMPI(2)} {
+	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
 		if _, err := exec.Run(context.Background(), Directed(path), Params{}); err == nil {
 			t.Errorf("%s: direct Run accepted a non-strongly-connected digraph", exec.Name())
 		}

@@ -19,8 +19,8 @@ import (
 //
 // Capabilities lists the workload kinds the backend can run;
 // EstimateWorkload rejects any other kind with ErrUnsupportedWorkload
-// before Run is invoked. All five built-in backends (Sequential,
-// SharedMemory, LocalMPI, PureMPI, TCP) support all three kinds.
+// before Run is invoked. All four built-in backends (Sequential,
+// SharedMemory, LocalMPI, TCP) support all three kinds.
 type Executor interface {
 	// Name identifies the backend (recorded in Result.Backend).
 	Name() string
@@ -170,25 +170,17 @@ func runEngine(ctx context.Context, e Executor, w Workload, p Params, threads in
 // LocalMPI returns the paper's epoch-based MPI parallelization (Algorithm
 // 2) over procs in-process ranks — the single-machine analogue of an MPI
 // job, with Params.Threads sampling threads per rank and optional
-// hierarchical aggregation (WithHierarchical).
+// hierarchical aggregation (WithHierarchical). Without WithThreads every
+// rank runs one sampling thread, which is the paper's Algorithm 1.
 func LocalMPI(procs int) Executor {
-	return localExec{procs: procs, variant: core.VariantEpoch, name: "local-mpi"}
-}
-
-// PureMPI returns the paper's Algorithm 1 baseline over procs in-process
-// ranks: one sampling thread per rank, sampling overlapped with the
-// non-blocking aggregation.
-func PureMPI(procs int) Executor {
-	return localExec{procs: procs, variant: core.VariantPureMPI, name: "pure-mpi"}
+	return localExec{procs: procs}
 }
 
 type localExec struct {
-	procs   int
-	variant core.Variant
-	name    string
+	procs int
 }
 
-func (e localExec) Name() string { return e.name }
+func (localExec) Name() string { return "local-mpi" }
 
 func (localExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
 
@@ -197,13 +189,13 @@ func (e localExec) Run(ctx context.Context, w Workload, p Params) (*Result, erro
 		return nil, err
 	}
 	if e.procs < 1 {
-		return nil, fmt.Errorf("betweenness: %s backend needs at least 1 process, got %d", e.name, e.procs)
+		return nil, fmt.Errorf("betweenness: local-mpi backend needs at least 1 process, got %d", e.procs)
 	}
-	cr, err := core.RunLocal(ctx, w.inner, e.procs, p.coreConfigFor(w), e.variant)
+	cr, err := core.RunLocal(ctx, w.inner, e.procs, p.coreConfigFor(w))
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(e.name, cr), nil
+	return fromCore(e.Name(), cr), nil
 }
 
 // TCP returns a genuinely distributed backend: this process joins a TCP

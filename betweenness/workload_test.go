@@ -18,7 +18,6 @@ func TestBackendCapabilities(t *testing.T) {
 		Sequential(),
 		SharedMemory(),
 		LocalMPI(2),
-		PureMPI(2),
 		TCP(0, []string{"localhost:1", "localhost:2"}),
 	}
 	for _, exec := range backends {
@@ -134,7 +133,7 @@ func TestZeroWorkloadRejected(t *testing.T) {
 	if _, err := EstimateWorkload(context.Background(), Workload{}); err == nil {
 		t.Error("EstimateWorkload accepted the zero workload")
 	}
-	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2), PureMPI(2)} {
+	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
 		if _, err := exec.Run(context.Background(), Workload{}, Params{}); err == nil {
 			t.Errorf("%s.Run accepted the zero workload", exec.Name())
 		}

@@ -9,8 +9,8 @@
 //	-backend shm   shared-memory epoch-based parallelization (the paper's
 //	               baseline, Ref. 24)
 //	-backend dist  epoch-based MPI parallelization (paper Algorithm 2) over
-//	               -procs in-process ranks
-//	-backend alg1  pure-MPI parallelization (paper Algorithm 1)
+//	               -procs in-process ranks; with -threads 1 it is the
+//	               pure-MPI parallelization (paper Algorithm 1)
 //	-backend tcp   Algorithm 2 as one rank of a TCP world: requires -rank
 //	               and -hosts (comma-separated host:port list, one per
 //	               rank); start one OS process per rank
@@ -52,7 +52,7 @@
 //	                   -eps/-delta refine the resumed session toward the
 //	                   new target, reusing every prior sample
 //
-// Fault tolerance (dist/alg1/tcp): a rank death mid-run is absorbed by the
+// Fault tolerance (dist/tcp): a rank death mid-run is absorbed by the
 // shrink-and-recalibrate recovery protocol — the world shrinks to the
 // survivors and the run completes with the full (eps, delta) guarantee.
 // The one failure that cannot be absorbed in-run is the death of rank 0
@@ -107,8 +107,8 @@ func main() {
 		eps       = flag.Float64("eps", 0.01, "absolute approximation error")
 		delta     = flag.Float64("delta", 0.1, "failure probability")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
-		backend   = flag.String("backend", "shm", "seq | shm | dist | alg1 | tcp")
-		procs     = flag.Int("procs", 2, "processes for dist/alg1 modes")
+		backend   = flag.String("backend", "shm", "seq | shm | dist | tcp")
+		procs     = flag.Int("procs", 2, "processes for dist mode")
 		threads   = flag.Int("threads", 4, "sampling threads per process")
 		ranksPer  = flag.Int("ranks-per-node", 0, "enable hierarchical aggregation with this group size")
 		agg       = flag.String("agg", "ibarrier+reduce", "MPI aggregation: ibarrier+reduce | ireduce | blocking")
@@ -120,9 +120,9 @@ func main() {
 
 		maxSamples = flag.Int64("max-samples", 0, "stop after this many samples and report the achieved guarantee (0 = until eps)")
 		maxDur     = flag.Duration("max-duration", 0, "stop after this much wall clock and report the achieved guarantee (0 = until eps)")
-		ckptPath   = flag.String("checkpoint", "", "seq/shm: persist the session here (written on Ctrl-C and on completion); dist/alg1/tcp with -dist-checkpoint-interval: destination of the periodic distributed checkpoint")
+		ckptPath   = flag.String("checkpoint", "", "seq/shm: persist the session here (written on Ctrl-C and on completion); dist/tcp with -dist-checkpoint-interval: destination of the periodic distributed checkpoint")
 		resumePath = flag.String("resume", "", "seq/shm: resume a -checkpoint session; explicit -eps/-delta refine it")
-		distCkpt   = flag.Int("dist-checkpoint-interval", 0, "dist/alg1/tcp: write a distributed checkpoint to -checkpoint every N epochs (0 = off; resume it with -backend seq -resume)")
+		distCkpt   = flag.Int("dist-checkpoint-interval", 0, "dist/tcp: write a distributed checkpoint to -checkpoint every N epochs (0 = off; resume it with -backend seq -resume)")
 		memstats   = flag.Bool("memstats", false, "print heap and resident-set stats before exiting (the ingest smoke test's RSS bound)")
 	)
 	flag.Parse()
@@ -204,8 +204,6 @@ func main() {
 		exec = betweenness.SharedMemory()
 	case "dist":
 		exec = betweenness.LocalMPI(*procs)
-	case "alg1":
-		exec = betweenness.PureMPI(*procs)
 	case "tcp":
 		if *rank < 0 || *hosts == "" {
 			fatal(fmt.Errorf("tcp backend requires -rank and -hosts"))
@@ -221,9 +219,9 @@ func main() {
 	}
 	if *distCkpt > 0 {
 		switch *backend {
-		case "dist", "alg1", "tcp":
+		case "dist", "tcp":
 		default:
-			fatal(fmt.Errorf("-dist-checkpoint-interval needs an MPI backend (dist, alg1, or tcp), got %q", *backend))
+			fatal(fmt.Errorf("-dist-checkpoint-interval needs an MPI backend (dist or tcp), got %q", *backend))
 		}
 		if *ckptPath == "" {
 			fatal(fmt.Errorf("-dist-checkpoint-interval needs -checkpoint PATH as the destination"))

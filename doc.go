@@ -11,8 +11,8 @@
 //     Estimate, EstimateDirected (strongly connected digraphs), and
 //     EstimateWeighted (positively weighted graphs) sharing one option
 //     set. Execution backends are pluggable Executors (Sequential,
-//     SharedMemory, LocalMPI, PureMPI, TCP) that each report their
-//     Capabilities(); all five run all three workloads, and a mismatch
+//     SharedMemory, LocalMPI, TCP) that each report their
+//     Capabilities(); all four run all three workloads, and a mismatch
 //     with a narrower custom backend fails fast with
 //     ErrUnsupportedWorkload. Exact Brandes ground truth (Exact,
 //     ExactDirected, ExactWeighted) and accuracy reports round out the
@@ -24,9 +24,13 @@
 //     RandomDigraph/RandomWeights for the new workloads.
 //
 // The algorithm implementations live under internal/ and are reached only
-// through the public packages; executables are under cmd/ (bcapprox,
-// bcexact, graphgen, graphconv, graphinfo, experiments); runnable examples under
-// examples/. The top-level bench_test.go regenerates the tables and
+// through the public packages. The thread choreography of the paper's
+// Algorithm 2 is written once, in internal/epoch's Driver: the
+// shared-memory engine (internal/kadabra), the MPI driver (internal/core,
+// which at one thread per rank is the paper's Algorithm 1) and
+// examples/adaptivesampling all run on it. Executables are under cmd/
+// (bcapprox, bcexact, graphgen, graphconv, graphinfo, experiments); runnable
+// examples under examples/. The top-level bench_test.go regenerates the tables and
 // figures of the paper's evaluation on miniature instances; bench/ (its own
 // module, declared in BENCHMARK.json) is the repository's benchmark.
 //

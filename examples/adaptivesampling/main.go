@@ -1,15 +1,16 @@
 // Generic adaptive sampling: the paper closes with "we would like to apply
 // our method to other adaptive sampling algorithms. We expect the necessary
 // changes to be small." This example demonstrates that claim by reusing the
-// epoch framework, unchanged, for a different estimator: adaptive
-// estimation of per-vertex REACHABILITY counts (the fraction of vertices
-// reachable within h hops), stopping when a Hoeffding bound certifies the
-// requested accuracy for every vertex.
+// epoch driver (epoch.Driver — the same one the betweenness engines run
+// on), unchanged, for a different estimator: adaptive estimation of
+// per-vertex REACHABILITY counts (the fraction of vertices reachable within
+// h hops), stopping when a Hoeffding bound certifies the requested accuracy
+// for every vertex.
 //
-// The structure is identical to Algorithm 2's shared-memory core: sampling
-// threads are wait-free, thread 0 forces epoch transitions, aggregates
-// frozen state frames and evaluates a non-monotone stopping condition on a
-// consistent snapshot.
+// All this program supplies is what a sample is and when to stop: the
+// driver keeps the sampling threads wait-free, forces the epoch
+// transitions on thread 0 and aggregates the frozen state frames, so the
+// stopping condition is evaluated on a consistent snapshot.
 //
 // Run with:
 //
@@ -20,8 +21,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/graph"
@@ -76,50 +75,23 @@ func main() {
 	}
 
 	start := time.Now()
-	fw := epoch.New(T, n)
-	var done atomic.Bool
-	var wg sync.WaitGroup
 	master := rng.NewRand(9)
-	for t := 1; t < T; t++ {
-		wg.Add(1)
-		go func(t int, r *rng.Rand) {
-			defer wg.Done()
-			b := bfs.New(g)
-			sf := fw.Frame(t)
-			for !done.Load() {
-				sampleInto(b, r, sf)
-				if fw.CheckTransition(t) {
-					sf = fw.Frame(t)
-				}
-			}
-			for fw.CheckTransition(t) {
-			}
-		}(t, master.Split())
+	sample := make([]func(*epoch.StateFrame), T)
+	for t := range sample {
+		b, r := bfs.New(g), master.Split()
+		sample[t] = func(sf *epoch.StateFrame) { sampleInto(b, r, sf) }
 	}
+	drv := epoch.NewDriver(epoch.New(T, n), sample)
+	drv.Start()
 
 	S := epoch.NewStateFrame(n)
-	b0 := bfs.New(g)
-	r0 := master.Split()
 	const n0 = 32
-	var e uint64
 	epochs := 0
-	for {
-		for i := 0; i < n0; i++ {
-			sampleInto(b0, r0, fw.Frame(0))
-		}
-		fw.ForceTransition()
-		for !fw.TransitionDone(e + 1) {
-			sampleInto(b0, r0, fw.Frame(0))
-		}
-		fw.AggregateEpoch(e, S)
+	for !haveToStop(S.Tau) {
+		drv.Epoch(n0, S)
 		epochs++
-		e++
-		if haveToStop(S.Tau) {
-			done.Store(true)
-			break
-		}
 	}
-	wg.Wait()
+	drv.Stop()
 	if S.Tau == 0 {
 		log.Fatal("no samples taken")
 	}

@@ -25,7 +25,6 @@ func main() {
 		betweenness.Sequential(),
 		betweenness.SharedMemory(),
 		betweenness.LocalMPI(2),
-		betweenness.PureMPI(2),
 	} {
 		fmt.Printf("backend %-13s capabilities: %v\n", exec.Name(), exec.Capabilities())
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/epoch"
@@ -58,19 +56,27 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 	omega := kadabra.Omega(vd, kcfg.Eps, kcfg.Delta)
 
 	// Deterministic, globally distinct sampler streams: stream index is
-	// worldRank*T + t.
+	// worldRank*T + t. The in-process half of the algorithm — calibration
+	// fan-out, sampling threads, epoch transitions — is epoch.Driver's.
 	sm := rng.NewSplitMix64(kcfg.Seed)
 	for i := 0; i < comm.Rank()*T; i++ {
 		sm.Next()
 	}
-	samplers := make([]kadabra.Sampler, T)
-	for t := range samplers {
-		samplers[t] = w.NewSampler(rng.NewRand(sm.Next()))
+	sample := make([]func(*epoch.StateFrame), T)
+	for t := range sample {
+		s := w.NewSampler(rng.NewRand(sm.Next()))
+		sample[t] = func(sf *epoch.StateFrame) { kadabra.SampleInto(s, sf) }
 	}
+	fw := epoch.New(T, n)
+	if kcfg.DenseFrames {
+		fw.ForceDense()
+	}
+	drv := epoch.NewDriver(fw, sample)
+	defer drv.Stop()
 
 	// Budget stopping (anytime sessions): rank 0 enforces the sample cap
 	// against the global tau; every rank honours the wall-clock deadline
-	// in its own calibration threads.
+	// and its own context in its calibration threads.
 	budget := kcfg.NewBudget(start)
 	converged := false
 	// The progress throughput counts from here: tau includes the
@@ -80,33 +86,9 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 	// Phase 2: calibration — all T threads of all processes sample a fixed
 	// share in parallel, then one blocking merge-reduction (§IV-F:
 	// "Parallelizing the computation of the initial fixed number of samples
-	// is straightforward"). Per-thread partials are sparse frames, merged
-	// in O(touched) per thread.
-	cal, calCounts, calTau, calTime, err := phase2(comm, cfg, n, omega,
-		func(perThread int) *epoch.StateFrame {
-			merged := cfg.newFrame(n)
-			partial := make([]*epoch.StateFrame, T)
-			var wg sync.WaitGroup
-			for t := 0; t < T; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					local := cfg.newFrame(n)
-					for i := 0; i < perThread; i++ {
-						if i%256 == 0 && budget.Overdue() {
-							break
-						}
-						kadabra.SampleInto(samplers[t], local)
-					}
-					partial[t] = local
-				}(t)
-			}
-			wg.Wait()
-			for t := 0; t < T; t++ {
-				merged.Add(partial[t])
-			}
-			return merged
-		})
+	// is straightforward").
+	cal, calCounts, calTau, calTime, err := phase2(comm, cfg, n, omega, drv,
+		func() bool { return ctx.Err() != nil || budget.Overdue() })
 	if err != nil {
 		return nil, err
 	}
@@ -150,40 +132,18 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		STau = calTau
 	}
 
-	// Epoch framework and sampling threads.
-	fw := epoch.New(T, n)
-	if kcfg.DenseFrames {
-		fw.ForceDense()
+	// Sampling threads 1..T-1 start here. overlap runs between two polls of
+	// non-blocking communication: drv.Sample takes one sample in thread 0's
+	// *current* frame, which during a wait is already the next epoch's
+	// (Alg. 2 lines 21/27); NoOverlap runs nothing. Either way the poll
+	// itself (mpi.Request.Test) yields the processor.
+	drv.Start()
+	overlap := drv.Sample
+	if cfg.NoOverlap {
+		overlap = func() {}
 	}
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	for t := 1; t < T; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sf := fw.Frame(t)
-			for !done.Load() {
-				kadabra.SampleInto(samplers[t], sf)
-				if fw.CheckTransition(t) {
-					sf = fw.Frame(t)
-				}
-			}
-			for fw.CheckTransition(t) {
-			}
-		}(t)
-	}
-
-	// sample0 takes one sample in thread 0's *current* frame; during a
-	// transition or a communication wait the current frame is already the
-	// next epoch's, matching Alg. 2 lines 15/21/27.
-	sample0 := func() {
-		kadabra.SampleInto(samplers[0], fw.Frame(0))
-	}
-	overlap := cfg.overlapFn(sample0)
 
 	finish := func(stats Stats, samplingTime time.Duration, checkTime time.Duration) *Result {
-		done.Store(true)
-		wg.Wait()
 		res := &Result{Stats: stats}
 		if comm.Rank() == root {
 			res.Stats.Samples = STau
@@ -210,10 +170,8 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		converged = cal.HaveToStop(S, STau)
 		code = stopCode(converged || budget.Exceeded(STau), ctx.Err(), false)
 	}
-	code, err = broadcastCode(comm, root, code, overlap)
+	code, _, err = broadcastFrame(comm, root, code, nil, overlap)
 	if err != nil {
-		done.Store(true)
-		wg.Wait()
 		return nil, err
 	}
 	if code != codeContinue {
@@ -229,7 +187,6 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 	eLoc := cfg.newFrame(n)
 	var wire []byte
 	var checkTime time.Duration
-	var e uint64
 
 	// Fault tolerance: a rank death inside the epoch loop is absorbed by
 	// shrinking the world, salvaging unfolded frames, rebuilding the
@@ -258,23 +215,12 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 	}
 
 	for {
-		// Sample n0 times into the epoch-e frame (Alg. 2 lines 12-13).
-		for i := 0; i < n0; i++ {
-			sample0()
-		}
-		// Force the transition; keep sampling (into the epoch-e+1 frame)
-		// until every thread has moved (lines 14-15).
-		ts := time.Now()
-		fw.ForceTransition()
-		for !fw.TransitionDone(e + 1) {
-			sample0()
-		}
-		stats.TransitionWait += time.Since(ts)
-
-		// Aggregate this process's epoch-e frames (lines 16-18) — O(touched
-		// across the T frames) — and encode them for the wire, gossiping
-		// this rank's context state with the reduction.
-		fw.AggregateEpoch(e, eLoc)
+		// One in-process epoch (Alg. 2 lines 12-18): n0 samples, the forced
+		// transition overlapped with sampling, and this process's frozen
+		// frames summed into eLoc in O(touched across the T frames). Encode
+		// them for the wire, gossiping this rank's context state with the
+		// reduction.
+		stats.TransitionWait += drv.Epoch(n0, eLoc)
 		wire = epoch.AppendWire(wire[:0], eLoc, ctx.Err() != nil)
 		eLoc.Reset()
 		stats.WireBytes += int64(len(wire))
@@ -290,8 +236,6 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 			lres, lerr := local.ReduceMerge(0, payload, epoch.MergeWire)
 			if lerr != nil {
 				if _, ok := mpi.AsRankDead(lerr); !ok {
-					done.Store(true)
-					wg.Wait()
 					return nil, fmt.Errorf("core: local reduce: %w", lerr)
 				}
 				aggErr = lerr
@@ -303,8 +247,6 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 			reduced, bw, rt, err = aggregate(global, cfg.Strategy, payload, overlap)
 			if err != nil {
 				if _, ok := mpi.AsRankDead(err); !ok {
-					done.Store(true)
-					wg.Wait()
 					return nil, err
 				}
 				aggErr = err
@@ -314,13 +256,9 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		}
 		if aggErr != nil {
 			if rerr := recoverWorld(aggErr); rerr != nil {
-				done.Store(true)
-				wg.Wait()
 				return nil, rerr
 			}
-			// The epoch framework already moved past epoch e; resume the
-			// loop at the next epoch index on the shrunken world.
-			e++
+			// Resume with the next epoch on the shrunken world.
 			continue
 		}
 		stats.Epochs++
@@ -332,8 +270,6 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		if ft.comm.Rank() == root {
 			tau, remoteCancelled, ferr := epoch.FoldWire(reduced, S)
 			if ferr != nil {
-				done.Store(true)
-				wg.Wait()
 				return nil, fmt.Errorf("core: epoch frame: %w", ferr)
 			}
 			STau += tau
@@ -353,20 +289,16 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		code, blob, err = broadcastFrame(ft.comm, root, next, blob, overlap)
 		if err != nil {
 			if rerr := recoverWorld(err); rerr != nil {
-				done.Store(true)
-				wg.Wait()
 				return nil, rerr
 			}
 			// A decided stop that failed to broadcast is re-derived next
 			// epoch: the stopping rule is monotone in S.
-			e++
 			continue
 		}
 		if len(blob) > 0 && cfg.OnCheckpoint != nil {
 			cfg.OnCheckpoint(blob)
 			stats.Checkpoints++
 		}
-		e++
 		if code != codeContinue {
 			stats.CheckTime = checkTime
 			res := finish(stats, time.Since(samplingStart), checkTime)

@@ -1,16 +1,30 @@
-// Package core implements the paper's primary contribution: MPI-based
-// parallelizations of the KADABRA adaptive-sampling algorithm for
+// Package core implements the paper's primary contribution: the MPI-based
+// parallelization of the KADABRA adaptive-sampling algorithm for
 // betweenness approximation.
 //
-//   - Algorithm1 is the pure-MPI parallelization of paper Algorithm 1: one
-//     sampling thread per process, sampling overlapped with a non-blocking
-//     reduction of state-frame snapshots and a non-blocking broadcast of
-//     the termination flag.
-//   - Algorithm2 is the epoch-based MPI parallelization of paper Algorithm
-//     2 (§IV-C): T sampling threads per process aggregated wait-free with
-//     the epoch framework, combined with MPI aggregation across processes,
-//     optionally hierarchical (node-local aggregation before the global
-//     reduction, §IV-E).
+// Algorithm2 is the one distributed loop. It is the epoch-based MPI
+// parallelization of paper Algorithm 2 (§IV-C): T sampling threads per
+// process aggregated wait-free with the epoch framework, combined with MPI
+// aggregation across processes, optionally hierarchical (node-local
+// aggregation before the global reduction, §IV-E). Paper Algorithm 1, the
+// pure-MPI stepping stone, is the same loop at T = 1 (Config.Threads <= 1,
+// the default): with a single thread a forced epoch transition completes
+// at once, so the epoch framework degenerates to the snapshot-and-reset of
+// Alg. 1 lines 7-8.
+//
+// Where the pseudocode lives (Alg. 2 line numbers; Alg. 1's in brackets):
+//
+//   - lines 5-9, the sampling threads t != 0: epoch.Driver.Start
+//   - lines 12-18 [5-8], thread 0's n0 samples, forceTransition with
+//     sampling until every thread has followed, and the frozen frames
+//     summed into the process-local snapshot: epoch.Driver.Epoch, then
+//     AppendWire
+//   - lines 19-21 [9-11], the non-blocking reduction overlapped with
+//     sampling: aggregate, with epoch.Driver.Sample as the overlap function
+//   - lines 22-24 [13-14], rank 0 folds the snapshot into S and checks the
+//     stopping condition: FoldWire and Calibration.HaveToStop
+//   - lines 25-27 [16-18], the termination broadcast overlapped with
+//     sampling: broadcastFrame
 //
 // Every process must hold the full graph (the paper's standing assumption,
 // §I-A: samples are taken locally without communication). The communicator
@@ -143,7 +157,7 @@ type Stats struct {
 	// CheckTime is the stopping-condition evaluation time at rank 0.
 	CheckTime time.Duration
 	// TransitionWait is the time spent waiting for epoch transitions
-	// (Algorithm 2 only; overlapped with sampling).
+	// (overlapped with sampling).
 	TransitionWait time.Duration
 	// RanksStarted is the world size the run began with; RanksLost counts
 	// ranks declared dead and folded out by the recovery protocol (see
@@ -183,18 +197,6 @@ func commVolumePerEpoch(n, procs int) int64 {
 	return int64(procs-1)*frameBytes(n) + 8*int64(procs-1)
 }
 
-// overlapFn returns the function run between two polls of non-blocking
-// communication: the paper overlaps sampling with every wait; NoOverlap
-// runs nothing for determinism/ablation runs. Either way the poll itself
-// (mpi.Request.Test) yields the processor, so the loops need no yield of
-// their own.
-func (c Config) overlapFn(sample func()) func() {
-	if c.NoOverlap {
-		return func() {}
-	}
-	return sample
-}
-
 // newFrame builds a state frame honouring cfg.DenseFrames.
 func (c Config) newFrame(n int) *epoch.StateFrame {
 	sf := epoch.NewStateFrame(n)
@@ -230,12 +232,12 @@ func phase1(w kadabra.Workload, comm *mpi.Comm, cfg Config) (vd int, elapsed tim
 // a blocking reduction lands the counts at world rank 0, and rank 0 derives
 // the per-vertex failure budgets. Non-root ranks return cal == nil.
 //
-// sampleBatch(perThread) must take perThread samples per local thread and
-// return the process-local state frame; phase2 encodes it (sparse or dense
-// as the frame decided) and merge-reduces the encodings, so calibration
-// traffic scales with what was sampled just like the epoch loop's.
-func phase2(comm *mpi.Comm, cfg Config, n int, omega float64,
-	sampleBatch func(perThread int) *epoch.StateFrame,
+// The local threads' share is drv.Batch's, cut short once stop reports
+// true (an empty batch still calibrates; the stopping rule never fires on
+// tau = 0); phase2 encodes the process-local frame (sparse or dense as the
+// frame decided) and merge-reduces the encodings, so calibration traffic
+// scales with what was sampled just like the epoch loop's.
+func phase2(comm *mpi.Comm, cfg Config, n int, omega float64, drv *epoch.Driver, stop func() bool,
 ) (cal *kadabra.Calibration, calCounts []int64, calTau int64, elapsed time.Duration, err error) {
 	start := time.Now()
 	kcfg := cfg.Config
@@ -246,17 +248,18 @@ func phase2(comm *mpi.Comm, cfg Config, n int, omega float64,
 	totalWorkers := comm.Size() * cfg.threads()
 	perThread := int(tau0)/totalWorkers + 1
 	// A sample budget smaller than the calibration batch caps each
-	// thread's share; the wall-clock deadline is enforced inside the
-	// callers' sampling loops (each rank checks its own clock — the
-	// reduce merges whatever was taken, and the calibration heuristic
-	// tolerates a short batch: it only influences running time).
+	// thread's share; the wall-clock deadline and the context are
+	// enforced by stop (each rank checks its own — the reduce merges
+	// whatever was taken, and the calibration heuristic tolerates a short
+	// batch: it only influences running time).
 	if kcfg.MaxSamples > 0 {
 		if cap := int(kcfg.MaxSamples)/totalWorkers + 1; cap < perThread {
 			perThread = cap
 		}
 	}
 
-	local := sampleBatch(perThread)
+	local := cfg.newFrame(n)
+	drv.Batch(perThread, stop, local)
 	buf := epoch.AppendWire(nil, local, false)
 	res, err := comm.ReduceMerge(0, buf, epoch.MergeWire)
 	if err != nil {
@@ -321,13 +324,6 @@ const (
 	codeStop
 	codeCancelled
 )
-
-// broadcastCode distributes the termination code with a non-blocking
-// broadcast, overlapping with overlap().
-func broadcastCode(comm *mpi.Comm, root int, code int64, overlap func()) (int64, error) {
-	code, _, err := broadcastFrame(comm, root, code, nil, overlap)
-	return code, err
-}
 
 // broadcastFrame distributes the termination code plus an optional opaque
 // blob — the periodic distributed checkpoint rides here, so checkpointing

@@ -32,41 +32,10 @@ func guaranteeCheck(t *testing.T, g *graph.Graph, res *kadabra.Result, eps float
 	}
 }
 
-func TestAlgorithm1SingleProcess(t *testing.T) {
-	g := testGraph()
-	eps := 0.04
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 1}}, VariantPureMPI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil || res.Res == nil {
-		t.Fatal("rank 0 returned no result")
-	}
-	guaranteeCheck(t, g, res.Res, eps)
-}
-
-func TestAlgorithm1MultiProcess(t *testing.T) {
-	g := testGraph()
-	eps := 0.04
-	for _, p := range []int{2, 4} {
-		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), p, Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 2}}, VariantPureMPI)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		guaranteeCheck(t, g, res.Res, eps)
-		if res.Stats.Epochs < 1 {
-			t.Fatalf("p=%d: no epochs", p)
-		}
-		if res.Stats.CommVolumePerEpoch <= 0 {
-			t.Fatalf("p=%d: no communication volume accounted", p)
-		}
-	}
-}
-
 func TestAlgorithm2SingleProcessSingleThread(t *testing.T) {
 	g := testGraph()
 	eps := 0.04
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 3}, Threads: 1}, VariantEpoch)
+	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 3}, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +45,21 @@ func TestAlgorithm2SingleProcessSingleThread(t *testing.T) {
 func TestAlgorithm2MultiProcessMultiThread(t *testing.T) {
 	g := testGraph()
 	eps := 0.04
-	for _, pc := range []struct{ p, t int }{{1, 4}, {2, 2}, {4, 2}} {
+	// Threads 0 is the default of one sampling thread per rank: the paper's
+	// Algorithm 1.
+	for _, pc := range []struct{ p, t int }{{1, 4}, {2, 2}, {4, 2}, {2, 0}, {4, 0}} {
 		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), pc.p,
-			Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 4}, Threads: pc.t}, VariantEpoch)
+			Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 4}, Threads: pc.t})
 		if err != nil {
 			t.Fatalf("p=%d t=%d: %v", pc.p, pc.t, err)
 		}
 		guaranteeCheck(t, g, res.Res, eps)
 		if res.Res.Tau <= 0 {
 			t.Fatalf("p=%d t=%d: tau=%d", pc.p, pc.t, res.Res.Tau)
+		}
+		if pc.p > 1 && (res.Stats.Epochs < 1 || res.Stats.CommVolumePerEpoch <= 0) {
+			t.Fatalf("p=%d t=%d: epochs %d, communication volume %d", pc.p, pc.t,
+				res.Stats.Epochs, res.Stats.CommVolumePerEpoch)
 		}
 	}
 }
@@ -97,7 +72,7 @@ func TestAlgorithm2Hierarchical(t *testing.T) {
 		Config:       kadabra.Config{Eps: eps, Delta: 0.1, Seed: 5},
 		Threads:      2,
 		RanksPerNode: 2,
-	}, VariantEpoch)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,29 +83,17 @@ func TestAlgorithm2AllStrategies(t *testing.T) {
 	g := testGraph()
 	eps := 0.05
 	for _, s := range []AggStrategy{AggIBarrierReduce, AggIReduce, AggBlocking} {
-		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, Config{
-			Config:   kadabra.Config{Eps: eps, Delta: 0.1, Seed: 6},
-			Threads:  2,
-			Strategy: s,
-		}, VariantEpoch)
-		if err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
+		for _, pc := range []struct{ p, t int }{{2, 2}, {3, 1}} {
+			res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), pc.p, Config{
+				Config:   kadabra.Config{Eps: eps, Delta: 0.1, Seed: 6},
+				Threads:  pc.t,
+				Strategy: s,
+			})
+			if err != nil {
+				t.Fatalf("strategy %v p=%d t=%d: %v", s, pc.p, pc.t, err)
+			}
+			guaranteeCheck(t, g, res.Res, eps)
 		}
-		guaranteeCheck(t, g, res.Res, eps)
-	}
-}
-
-func TestAlgorithm1AllStrategies(t *testing.T) {
-	g := testGraph()
-	for _, s := range []AggStrategy{AggIBarrierReduce, AggIReduce, AggBlocking} {
-		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 3, Config{
-			Config:   kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: 7},
-			Strategy: s,
-		}, VariantPureMPI)
-		if err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
-		}
-		guaranteeCheck(t, g, res.Res, 0.05)
 	}
 }
 
@@ -145,7 +108,7 @@ func TestAlgorithm2DegenerateStopAfterCalibration(t *testing.T) {
 	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, Config{
 		Config:  kadabra.Config{Eps: 0.3, Delta: 0.2, Seed: 8, StartFactor: 1},
 		Threads: 2,
-	}, VariantEpoch)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +122,13 @@ func TestAlgorithm2DegenerateStopAfterCalibration(t *testing.T) {
 
 func TestAlgorithm2RejectsTinyGraph(t *testing.T) {
 	g := graph.NewBuilder(1).Build()
-	if _, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{}, VariantEpoch); err == nil {
+	if _, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{}); err == nil {
 		t.Fatal("singleton accepted")
 	}
 }
 
 func TestRunLocalRejectsZeroProcs(t *testing.T) {
-	if _, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(testGraph()), 0, Config{}, VariantEpoch); err == nil {
+	if _, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(testGraph()), 0, Config{}); err == nil {
 		t.Fatal("0 processes accepted")
 	}
 }
@@ -178,7 +141,7 @@ func TestResultConsistencyAcrossRanks(t *testing.T) {
 	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 3, Config{
 		Config:  kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: 9},
 		Threads: 2,
-	}, VariantEpoch)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +222,7 @@ func TestTerminationIsPrompt(t *testing.T) {
 		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), p, Config{
 			Config:  kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: 11},
 			Threads: 2,
-		}, VariantEpoch)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +249,7 @@ func TestOnEpochHook(t *testing.T) {
 			taus = append(taus, p.Tau)
 			achieved = append(achieved, p.AchievedEps)
 		},
-	}, VariantEpoch)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +275,7 @@ func TestOnEpochHook(t *testing.T) {
 // The distributed algorithms take a kadabra.Workload, so the directed and
 // weighted scenarios (paper footnote 1) run through the same epoch-reduce
 // machinery as the undirected one. These tests pin the (eps, delta)
-// guarantee of both scenarios on both variants against exact Brandes.
+// guarantee of both scenarios against exact Brandes.
 
 func testDigraph() *graph.Digraph {
 	dg := gen.RandomDigraph(150, 900, 5)
@@ -356,17 +319,15 @@ func TestDistributedDirectedWorkload(t *testing.T) {
 	dg := testDigraph()
 	exact := brandes.ExactDirected(dg)
 	const eps = 0.05
-	for _, variant := range []Variant{VariantEpoch, VariantPureMPI} {
-		res, err := RunLocal(context.Background(), kadabra.DirectedWorkload(dg), 2, Config{
-			Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 31},
-			Threads: 2,
-		}, variant)
-		if err != nil {
-			t.Fatalf("variant %d: %v", variant, err)
-		}
-		if worst := maxAbsErr(exact, res.Res.Betweenness); worst > eps {
-			t.Errorf("variant %d: max error %f exceeds eps %f (tau=%d)", variant, worst, eps, res.Res.Tau)
-		}
+	res, err := RunLocal(context.Background(), kadabra.DirectedWorkload(dg), 2, Config{
+		Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 31},
+		Threads: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worst := maxAbsErr(exact, res.Res.Betweenness); worst > eps {
+		t.Errorf("max error %f exceeds eps %f (tau=%d)", worst, eps, res.Res.Tau)
 	}
 }
 
@@ -374,22 +335,20 @@ func TestDistributedWeightedWorkload(t *testing.T) {
 	wg := testWGraph(t)
 	exact := brandes.ExactWeighted(wg)
 	const eps = 0.05
-	for _, variant := range []Variant{VariantEpoch, VariantPureMPI} {
-		res, err := RunLocal(context.Background(), kadabra.WeightedWorkload(wg), 2, Config{
-			Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 32},
-			Threads: 2,
-		}, variant)
-		if err != nil {
-			t.Fatalf("variant %d: %v", variant, err)
-		}
-		if worst := maxAbsErr(exact, res.Res.Betweenness); worst > eps {
-			t.Errorf("variant %d: max error %f exceeds eps %f (tau=%d)", variant, worst, eps, res.Res.Tau)
-		}
+	res, err := RunLocal(context.Background(), kadabra.WeightedWorkload(wg), 2, Config{
+		Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 32},
+		Threads: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worst := maxAbsErr(exact, res.Res.Betweenness); worst > eps {
+		t.Errorf("max error %f exceeds eps %f (tau=%d)", worst, eps, res.Res.Tau)
 	}
 }
 
 func TestRunLocalRejectsZeroWorkload(t *testing.T) {
-	if _, err := RunLocal(context.Background(), kadabra.Workload{}, 1, Config{}, VariantEpoch); err == nil {
+	if _, err := RunLocal(context.Background(), kadabra.Workload{}, 1, Config{}); err == nil {
 		t.Fatal("zero workload accepted")
 	}
 }

@@ -9,17 +9,7 @@ import (
 	"repro/internal/mpi"
 )
 
-// Variant selects which distributed algorithm a driver runs.
-type Variant int
-
-const (
-	// VariantEpoch is Algorithm 2, the paper's contribution (default).
-	VariantEpoch Variant = iota
-	// VariantPureMPI is Algorithm 1.
-	VariantPureMPI
-)
-
-// RunLocal executes the selected algorithm on a workload (any of the three
+// RunLocal executes Algorithm2 on a workload (any of the three
 // estimation scenarios — undirected, directed, weighted) over an in-process
 // world of procs ranks (each a goroutine group sharing the graph — the
 // analogue of MPI ranks on one machine, where the graph data structure is
@@ -29,21 +19,14 @@ const (
 // cancellation into the termination broadcast, so every rank exits the
 // collective loop cleanly, and RunLocal returns ctx.Err() (wrapped with the
 // failing rank by the mpi layer).
-func RunLocal(ctx context.Context, w kadabra.Workload, procs int, cfg Config, variant Variant) (*Result, error) {
+func RunLocal(ctx context.Context, w kadabra.Workload, procs int, cfg Config) (*Result, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("core: need at least 1 process, got %d", procs)
 	}
 	var mu sync.Mutex
 	var rootRes *Result
 	err := mpi.RunLocal(procs, func(c *mpi.Comm) error {
-		var res *Result
-		var err error
-		switch variant {
-		case VariantPureMPI:
-			res, err = Algorithm1(ctx, w, c, cfg)
-		default:
-			res, err = Algorithm2(ctx, w, c, cfg)
-		}
+		res, err := Algorithm2(ctx, w, c, cfg)
 		if err != nil {
 			return err
 		}

@@ -92,8 +92,8 @@ func decodeSpec(buf []byte) (reconfigSpec, error) {
 	return s, nil
 }
 
-// ftState threads the fault-tolerance bookkeeping through the epoch loops
-// of Algorithm 1 and Algorithm 2.
+// ftState threads the fault-tolerance bookkeeping through the epoch loop
+// of Algorithm2.
 type ftState struct {
 	comm      *mpi.Comm // current (possibly shrunken) world communicator
 	origSize  int

@@ -65,17 +65,15 @@ func assertBitIdenticalCore(t *testing.T, name string, sparse, dense *Result) {
 
 func TestDenseSparseEquivalenceLocalMPI(t *testing.T) {
 	for name, w := range coreTestWorkloads(t) {
-		for _, variant := range []Variant{VariantEpoch, VariantPureMPI} {
-			sparse, err := RunLocal(context.Background(), w, 2, deterministicCfg(41, false), variant)
-			if err != nil {
-				t.Fatalf("%s variant %d sparse: %v", name, variant, err)
-			}
-			dense, err := RunLocal(context.Background(), w, 2, deterministicCfg(41, true), variant)
-			if err != nil {
-				t.Fatalf("%s variant %d dense: %v", name, variant, err)
-			}
-			assertBitIdenticalCore(t, name, sparse, dense)
+		sparse, err := RunLocal(context.Background(), w, 2, deterministicCfg(41, false))
+		if err != nil {
+			t.Fatalf("%s sparse: %v", name, err)
 		}
+		dense, err := RunLocal(context.Background(), w, 2, deterministicCfg(41, true))
+		if err != nil {
+			t.Fatalf("%s dense: %v", name, err)
+		}
+		assertBitIdenticalCore(t, name, sparse, dense)
 	}
 }
 
@@ -117,17 +115,8 @@ func TestDenseSparseEquivalenceTCP(t *testing.T) {
 		dense := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
 			return Algorithm2(context.Background(), w, comm, deterministicCfg(43, true))
 		})
-		assertBitIdenticalCore(t, name+"/alg2", sparse, dense)
+		assertBitIdenticalCore(t, name, sparse, dense)
 	}
-	// Algorithm 1 exercises the non-epoch encode/reset path over TCP too.
-	w := kadabra.UndirectedWorkload(testGraph())
-	sparse := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
-		return Algorithm1(context.Background(), w, comm, deterministicCfg(47, false))
-	})
-	dense := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
-		return Algorithm1(context.Background(), w, comm, deterministicCfg(47, true))
-	})
-	assertBitIdenticalCore(t, "undirected/alg1", sparse, dense)
 }
 
 // TestSparseWireBytesLocalMPI checks the point of the wire format: on a
@@ -140,7 +129,7 @@ func TestSparseWireBytesLocalMPI(t *testing.T) {
 	n := g.NumNodes()
 	cfg := deterministicCfg(51, false)
 	cfg.VertexDiameter = 24 // skip the diameter phase; any valid bound works
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg, VariantEpoch)
+	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +144,7 @@ func TestSparseWireBytesLocalMPI(t *testing.T) {
 	}
 
 	cfg.DenseFrames = true
-	dres, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg, VariantEpoch)
+	dres, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,19 @@
 // The paper's §IV-B describes the mechanism as a specialized non-blocking,
 // asymmetric barrier with two operations:
 //
-//   - ForceTransition(e): called only by thread 0 in epoch e; initiates an
+//   - forceTransition(e): called only by thread 0 in epoch e; initiates an
 //     epoch transition and immediately advances thread 0 to epoch e+1.
-//     Thread 0 then monitors completion (TransitionDone) while sampling.
-//   - CheckTransition(e): called by threads t != 0 in epoch e; if a
+//     Thread 0 then monitors completion (transitionDone) while sampling.
+//   - checkTransition(e): called by threads t != 0 in epoch e; if a
 //     transition has been initiated, the thread advances to epoch e+1 and
 //     the call returns true, otherwise it is a no-op returning false.
+//
+// All three calls are unexported: the order in which threads must make them
+// (sample, check, follow; force, sample until done, aggregate; drain on
+// shutdown) is written once, in Driver (driver.go), generic over what a
+// sample is. Its three callers are the shared-memory engine (kadabra's
+// runShm), the per-process half of the MPI driver (core.Algorithm2), and a
+// non-betweenness estimator (examples/adaptivesampling).
 //
 // Once every thread has advanced past e, the epoch-e state frames are
 // immutable and thread 0 may read them without synchronization (the
@@ -177,7 +184,7 @@ func (sf *StateFrame) Add(src *StateFrame) {
 }
 
 // padded prevents false sharing between the per-thread epoch counters; the
-// sampling threads store to their own counter on every CheckTransition.
+// sampling threads store to their own counter on every checkTransition.
 type padded struct {
 	v atomic.Uint64
 	_ [56]byte
@@ -218,12 +225,16 @@ func (f *Framework) ForceDense() {
 	}
 }
 
-// Threads returns T.
-func (f *Framework) Threads() int { return f.t }
-
-// Epoch returns the current epoch of thread t (only meaningful when called
-// from thread t itself or for diagnostics).
-func (f *Framework) Epoch(t int) uint64 { return f.epochs[t].v.Load() }
+// newFrame returns a zeroed frame of the framework's vector length and
+// dense pin, for state that lives outside the epoch ping-pong.
+func (f *Framework) newFrame() *StateFrame {
+	like := f.frames[0][0]
+	sf := NewStateFrame(len(like.C))
+	if like.alwaysDense {
+		sf.ForceDense()
+	}
+	return sf
+}
 
 // Frame returns the state frame thread t writes during its current epoch.
 // Only thread t may write to it.
@@ -231,18 +242,11 @@ func (f *Framework) Frame(t int) *StateFrame {
 	return f.frames[t][f.epochs[t].v.Load()&1]
 }
 
-// FrameAt returns thread t's frame for the given epoch. Thread 0 uses it to
-// read frozen frames and to pre-fill its next-epoch frame during a
-// transition (paper Alg. 2 lines 15/21/27).
-func (f *Framework) FrameAt(t int, e uint64) *StateFrame {
-	return f.frames[t][e&1]
-}
-
-// CheckTransition is the sampling-thread side of the barrier (paper §IV-B).
+// checkTransition is the sampling-thread side of the barrier (paper §IV-B).
 // Called by thread t (t != 0); if thread 0 has initiated a transition past
 // t's current epoch, t advances one epoch and the call returns true. The
 // call is wait-free: one atomic load, plus one atomic store when advancing.
-func (f *Framework) CheckTransition(t int) bool {
+func (f *Framework) checkTransition(t int) bool {
 	cur := f.epochs[t].v.Load()
 	if f.target.Load() <= cur {
 		return false
@@ -253,22 +257,22 @@ func (f *Framework) CheckTransition(t int) bool {
 	return true
 }
 
-// ForceTransition is the coordinator side: it initiates a transition from
+// forceTransition is the coordinator side: it initiates a transition from
 // thread 0's current epoch e to e+1 and advances thread 0 immediately. It
 // must only be called by thread 0, and only when no transition is in
-// progress (i.e. after TransitionDone(e) returned true for the previous
+// progress (i.e. after transitionDone(e) returned true for the previous
 // epoch). Returns the new epoch of thread 0.
-func (f *Framework) ForceTransition() uint64 {
+func (f *Framework) forceTransition() uint64 {
 	e := f.epochs[0].v.Load()
 	f.target.Store(e + 1)
 	f.epochs[0].v.Store(e + 1)
 	return e + 1
 }
 
-// TransitionDone reports whether every thread has advanced to at least the
+// transitionDone reports whether every thread has advanced to at least the
 // given epoch. Thread 0 polls it while sampling into its next-epoch frame;
 // the poll is O(T) as stated in the paper.
-func (f *Framework) TransitionDone(e uint64) bool {
+func (f *Framework) transitionDone(e uint64) bool {
 	for i := range f.epochs {
 		if f.epochs[i].v.Load() < e {
 			return false
@@ -279,7 +283,7 @@ func (f *Framework) TransitionDone(e uint64) bool {
 
 // AggregateEpoch sums every thread's frame of epoch e into dst and zeroes
 // the source frames for reuse. It must only be called by thread 0, after
-// TransitionDone(e+1) has returned true (so the epoch-e frames are frozen).
+// the transition to e+1 has completed (so the epoch-e frames are frozen).
 // dst must have the same vector length as the frames. The cost is
 // O(total touched vertices) across the T frames, not O(T·n), unless a
 // frame overflowed its density cutover.

@@ -119,12 +119,12 @@ func TestStateFrameCutover(t *testing.T) {
 
 func TestSingleThreadTransitions(t *testing.T) {
 	f := New(1, 2)
-	if f.Epoch(0) != 0 {
+	if f.epochs[0].v.Load() != 0 {
 		t.Fatal("initial epoch not 0")
 	}
 	f.Frame(0).Tau = 3
-	e := f.ForceTransition()
-	if e != 1 || !f.TransitionDone(1) {
+	e := f.forceTransition()
+	if e != 1 || !f.transitionDone(1) {
 		t.Fatal("single-thread transition must complete immediately")
 	}
 	f.Frame(0).Tau = 9 // epoch-1 frame
@@ -133,7 +133,7 @@ func TestSingleThreadTransitions(t *testing.T) {
 	if dst.Tau != 3 {
 		t.Fatalf("aggregated Tau = %d, want 3", dst.Tau)
 	}
-	if f.FrameAt(0, 0).Tau != 0 {
+	if f.frames[0][0].Tau != 0 {
 		t.Fatal("consumed frame not reset")
 	}
 	if f.Frame(0).Tau != 9 {
@@ -143,17 +143,17 @@ func TestSingleThreadTransitions(t *testing.T) {
 
 func TestCheckTransitionNoopBeforeForce(t *testing.T) {
 	f := New(2, 1)
-	if f.CheckTransition(1) {
+	if f.checkTransition(1) {
 		t.Fatal("CheckTransition fired before ForceTransition")
 	}
-	f.ForceTransition()
-	if !f.CheckTransition(1) {
+	f.forceTransition()
+	if !f.checkTransition(1) {
 		t.Fatal("CheckTransition did not fire after ForceTransition")
 	}
-	if f.CheckTransition(1) {
+	if f.checkTransition(1) {
 		t.Fatal("CheckTransition advanced twice for one transition")
 	}
-	if !f.TransitionDone(1) {
+	if !f.transitionDone(1) {
 		t.Fatal("transition not done after all threads advanced")
 	}
 }
@@ -180,13 +180,13 @@ func TestNoLostSamplesUnderConcurrency(t *testing.T) {
 				sf.Tau++
 				sf.Bump(uint32(r.Intn(vecLen)))
 				produced[th]++
-				if f.CheckTransition(th) {
+				if f.checkTransition(th) {
 					sf = f.Frame(th)
 				}
 			}
 			// Drain: advance through any pending transitions so the final
 			// frames freeze.
-			for f.CheckTransition(th) {
+			for f.checkTransition(th) {
 			}
 		}(th)
 	}
@@ -201,9 +201,9 @@ func TestNoLostSamplesUnderConcurrency(t *testing.T) {
 			sf.Bump(uint32(r.Intn(vecLen)))
 			produced[0]++
 		}
-		f.ForceTransition()
+		f.forceTransition()
 		nf := f.Frame(0)
-		for !f.TransitionDone(e + 1) {
+		for !f.transitionDone(e + 1) {
 			nf.Tau++
 			nf.Bump(uint32(r.Intn(vecLen)))
 			produced[0]++
@@ -216,8 +216,8 @@ func TestNoLostSamplesUnderConcurrency(t *testing.T) {
 	// Collect what is still sitting in unaggregated frames (the final epoch
 	// and any partial next-epoch frames).
 	for th := 0; th < T; th++ {
-		total.Add(f.FrameAt(th, 0))
-		total.Add(f.FrameAt(th, 1))
+		total.Add(f.frames[th][0])
+		total.Add(f.frames[th][1])
 	}
 	var want int64
 	for _, p := range produced {
@@ -251,16 +251,16 @@ func TestEpochSkewBound(t *testing.T) {
 		go func(th int) {
 			defer wg.Done()
 			for !stop.Load() {
-				f.CheckTransition(th)
+				f.checkTransition(th)
 			}
 		}(th)
 	}
 	for e := uint64(0); e < 200; e++ {
-		f.ForceTransition()
-		for !f.TransitionDone(e + 1) {
+		f.forceTransition()
+		for !f.transitionDone(e + 1) {
 		}
 		for th := 0; th < T; th++ {
-			got := f.Epoch(th)
+			got := f.epochs[th].v.Load()
 			if got != e+1 {
 				t.Fatalf("thread %d at epoch %d, coordinator at %d", th, got, e+1)
 			}
@@ -273,13 +273,13 @@ func TestEpochSkewBound(t *testing.T) {
 func TestFrameParityReuse(t *testing.T) {
 	f := New(1, 1)
 	f0 := f.Frame(0)
-	f.ForceTransition()
+	f.forceTransition()
 	f1 := f.Frame(0)
 	if f0 == f1 {
 		t.Fatal("consecutive epochs share a frame")
 	}
 	f.AggregateEpoch(0, NewStateFrame(1))
-	f.ForceTransition()
+	f.forceTransition()
 	f2 := f.Frame(0)
 	if f2 != f0 {
 		t.Fatal("epoch e+2 must reuse the epoch-e frame")
@@ -297,7 +297,7 @@ func TestNewPanicsOnZeroThreads(t *testing.T) {
 
 func TestAggregateLengthMismatchPanics(t *testing.T) {
 	f := New(1, 3)
-	f.ForceTransition()
+	f.forceTransition()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("length mismatch did not panic")
@@ -310,7 +310,7 @@ func BenchmarkCheckTransitionNoop(b *testing.B) {
 	f := New(2, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.CheckTransition(1)
+		f.checkTransition(1)
 	}
 }
 
@@ -324,14 +324,14 @@ func BenchmarkTransitionRoundTrip(b *testing.B) {
 		go func(th int) {
 			defer wg.Done()
 			for !stop.Load() {
-				f.CheckTransition(th)
+				f.checkTransition(th)
 			}
 		}(th)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := f.ForceTransition()
-		for !f.TransitionDone(e) {
+		e := f.forceTransition()
+		for !f.transitionDone(e) {
 		}
 	}
 	b.StopTimer()

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,7 +109,10 @@ func NewEstimatorState(w Workload, threads int, cfg Config) (*EstimatorState, er
 		}
 	}
 	st.buildSamplers()
-	st.s = newStateFrame(w.n, cfg)
+	st.s = epoch.NewStateFrame(w.n)
+	if cfg.DenseFrames {
+		st.s.ForceDense()
+	}
 	return st, nil
 }
 
@@ -450,15 +452,26 @@ func (st *EstimatorState) runSeq(ctx context.Context, b Budget) error {
 // runShm is the epoch-based shared-memory engine (paper Ref. 24, Alg. 2
 // with the MPI calls removed): thread 0 coordinates — samples, forces epoch
 // transitions, aggregates frozen frames, checks the stopping condition —
-// while threads 1..T-1 sample wait-free. Each Run spawns its workers and
-// joins them before returning, so between Runs the session is quiescent;
-// samples left in unaggregated frames at a stop are discarded, which is
-// statistically neutral (they are dropped independently of their values).
+// while threads 1..T-1 sample wait-free. The thread choreography is
+// epoch.Driver's; each Run starts its workers and joins them before
+// returning, so between Runs the session is quiescent; samples left in
+// unaggregated frames at a stop are discarded, which is statistically
+// neutral (they are dropped independently of their values).
 func (st *EstimatorState) runShm(ctx context.Context, b Budget) error {
 	cfg := st.cfg
-	n := st.w.n
 	T := st.threads
 	S := st.s
+
+	fw := epoch.New(T, st.w.n)
+	if cfg.DenseFrames {
+		fw.ForceDense()
+	}
+	sample := make([]func(*epoch.StateFrame), T)
+	for t := range sample {
+		s := st.samplers[t]
+		sample[t] = func(sf *epoch.StateFrame) { SampleInto(s, sf) }
+	}
+	drv := epoch.NewDriver(fw, sample)
 
 	// Phase 2: pleasingly parallel calibration toward tau0.
 	if !st.calibrated {
@@ -469,27 +482,8 @@ func (st *EstimatorState) runShm(ctx context.Context, b Budget) error {
 			target = b.MaxSamples
 		}
 		if remaining := target - S.Tau; remaining > 0 {
-			partial := make([]*epoch.StateFrame, T)
-			var wg sync.WaitGroup
-			per := int(remaining)/T + 1
-			for t := 0; t < T; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					local := newStateFrame(n, cfg)
-					for i := 0; i < per; i++ {
-						if i%256 == 0 && (ctx.Err() != nil || b.Overdue()) {
-							break
-						}
-						SampleInto(st.samplers[t], local)
-					}
-					partial[t] = local
-				}(t)
-			}
-			wg.Wait()
-			for t := 0; t < T; t++ {
-				S.Add(partial[t])
-			}
+			stop := func() bool { return ctx.Err() != nil || b.Overdue() }
+			drv.Batch(int(remaining)/T+1, stop, S)
 		}
 		if err := ctx.Err(); err != nil {
 			st.timings.Calibration += time.Since(calStart)
@@ -507,32 +501,9 @@ func (st *EstimatorState) runShm(ctx context.Context, b Budget) error {
 
 	// Phase 3: epoch-based adaptive sampling.
 	samplingStart := time.Now()
-	fw := epoch.New(T, n)
-	if cfg.DenseFrames {
-		fw.ForceDense()
-	}
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	for t := 1; t < T; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sf := fw.Frame(t)
-			for !done.Load() {
-				SampleInto(st.samplers[t], sf)
-				if fw.CheckTransition(t) {
-					sf = fw.Frame(t)
-				}
-			}
-			for fw.CheckTransition(t) {
-			}
-		}(t)
-	}
-
+	drv.Start()
 	n0 := cfg.EpochLength(T)
-	var e uint64
 	var transTime, checkTime time.Duration
-	coord := st.samplers[0]
 	var runErr error
 	for {
 		if err := ctx.Err(); err != nil {
@@ -563,25 +534,12 @@ func (st *EstimatorState) runShm(ctx context.Context, b Budget) error {
 				n0e = int(rem)
 			}
 		}
-		sf := fw.Frame(0)
-		for i := 0; i < n0e; i++ {
-			SampleInto(coord, sf)
-		}
-		ts := time.Now()
-		fw.ForceTransition()
-		next := fw.Frame(0)
-		for !fw.TransitionDone(e + 1) {
-			SampleInto(coord, next)
-		}
-		transTime += time.Since(ts)
-		fw.AggregateEpoch(e, S)
+		transTime += drv.Epoch(n0e, S)
 		st.epochs++
 		st.fireProgress()
 		st.serviceCheckpoint()
-		e++
 	}
-	done.Store(true)
-	wg.Wait()
+	drv.Stop()
 	st.timings.Sampling += time.Since(samplingStart)
 	st.timings.Transition += transTime
 	st.timings.Check += checkTime

@@ -285,3 +285,40 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 		t.Error("vertex-count mismatch accepted")
 	}
 }
+
+// TestEpochDriverGoldenParity pins the shared-memory engine on epoch.Driver
+// to the hand-rolled worker/transition loop it replaced: the expected values
+// were recorded from that loop at commit b2bc129, just before its deletion
+// (threads = 1, where the run is schedule-independent; Eps 0.02, Delta 0.1).
+func TestEpochDriverGoldenParity(t *testing.T) {
+	ws := testWorkloads(t)
+	for _, c := range []struct {
+		workload string
+		seed     uint64
+		tau      int64
+		epochs   int
+		btHash   uint64
+	}{
+		{"undirected", 1, 8076, 8, 0x3f0749e13fb0a72b},
+		{"undirected", 2, 7076, 7, 0x8ce904855a75463a},
+		{"undirected", 3, 7076, 7, 0x84d0e614c21570b2},
+		{"directed", 1, 7089, 7, 0x340dcaf0c32b7ee3},
+		{"directed", 2, 7089, 7, 0xf67c51074a558b02},
+		{"directed", 3, 7089, 7, 0x14d4e8cb75656860},
+		{"weighted", 1, 8089, 8, 0x652a298c8f31da22},
+		{"weighted", 2, 8089, 8, 0x8e7d42c26f25e5cb},
+		{"weighted", 3, 9089, 9, 0xeb783c3dc021bb50},
+	} {
+		res, err := Run(context.Background(), ws[c.workload], 1, Config{Eps: 0.02, Delta: 0.1, Seed: c.seed})
+		if err != nil {
+			t.Fatalf("%s/seed%d: %v", c.workload, c.seed, err)
+		}
+		if res.Tau != c.tau || res.Epochs != c.epochs || !res.Converged {
+			t.Errorf("%s/seed%d: tau %d/%d epochs %d/%d converged %v",
+				c.workload, c.seed, res.Tau, c.tau, res.Epochs, c.epochs, res.Converged)
+		}
+		if got := floatsHash(res.Betweenness); got != c.btHash {
+			t.Errorf("%s/seed%d: Betweenness not bit-identical: hash %#x, want %#x", c.workload, c.seed, got, c.btHash)
+		}
+	}
+}

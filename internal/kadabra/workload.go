@@ -29,22 +29,13 @@ func SampleInto(s Sampler, sf *epoch.StateFrame) {
 	}
 }
 
-// newStateFrame builds a state frame honouring cfg.DenseFrames.
-func newStateFrame(n int, cfg Config) *epoch.StateFrame {
-	sf := epoch.NewStateFrame(n)
-	if cfg.DenseFrames {
-		sf.ForceDense()
-	}
-	return sf
-}
-
 // This file is the workload abstraction behind every KADABRA variant. The
 // paper's footnote 1 observes that the parallelization applies unchanged to
 // directed and weighted graphs once the sampling kernel is swapped; the
 // abstraction makes that literal: a Workload bundles the two graph-dependent
 // ingredients — the per-thread path sampler and the phase-1 vertex-diameter
 // bound — and the generic drivers (EstimatorState and Run here;
-// Algorithm1/Algorithm2 in internal/core) carry the statistical
+// Algorithm2 in internal/core) carry the statistical
 // machinery, context cancellation, and the OnEpoch progress hook for all of
 // them.
 

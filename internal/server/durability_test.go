@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -30,6 +32,9 @@ func copyDataDir(t *testing.T, src string) string {
 	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
+			if os.IsNotExist(err) && filepath.Ext(path) == ".tmp" {
+				return nil // renamed into place between the listing and the lstat
+			}
 			return err
 		}
 		rel, err := filepath.Rel(src, path)
@@ -183,6 +188,84 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	_ = srvB
 }
 
+// setPersistedBackend rewrites the backend name in a session's metadata
+// file, as an older or newer daemon build would have left it.
+func setPersistedBackend(t *testing.T, dataDir, id, backend string) {
+	t.Helper()
+	path := filepath.Join(dataDir, "sessions", id+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["params"].(map[string]any)["backend"] = backend
+	if data, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAlg1SessionRekeyedAtLoad: a data dir written when the daemon still
+// had an alg1 backend (Algorithm 2 at one thread per rank, which is dist's
+// default) must come back as a dist session — not be dropped, and not run
+// on some other engine under the old label — with the re-keyed metadata on
+// disk, so the second restart finds nothing left to translate.
+func TestAlg1SessionRekeyedAtLoad(t *testing.T) {
+	dataDir := t.TempDir()
+	srvA, tsA := newTestServer(t, Config{DataDir: dataDir})
+	name := uploadGraph(t, tsA.URL, "g", testGraphBytes(t))
+	id := createSession(t, tsA.URL, map[string]any{"graph": name, "eps": 0.1, "seed": 5, "backend": "dist", "procs": 2})
+	if err := srvA.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+	setPersistedBackend(t, dataDir, id, "alg1")
+
+	srvB, tsB := newTestServer(t, Config{DataDir: dataDir})
+	if q := quarantineEntries(t, dataDir); len(q) != 0 {
+		t.Fatalf("alg1 session quarantined instead of re-keyed: %v", q)
+	}
+	if code, status := do(t, "GET", tsB.URL+"/sessions/"+id, nil); code != http.StatusOK || status["backend"] != "dist" {
+		t.Fatalf("alg1 session after restart: status %d, %v; want backend dist", code, status)
+	}
+	// The translation is for persisted state only: the API no longer
+	// accepts the name.
+	body, _ := json.Marshal(map[string]any{"graph": name, "backend": "alg1"})
+	if code, resp := do(t, "POST", tsB.URL+"/sessions", body); code != http.StatusBadRequest {
+		t.Fatalf("POST /sessions with backend alg1: status %d, %v; want 400", code, resp)
+	}
+	do(t, "POST", tsB.URL+"/sessions/"+id+"/run", nil)
+	if status := waitIdle(t, tsB.URL, id); status["converged"] != true || status["backend"] != "dist" {
+		t.Fatalf("re-keyed session did not converge on dist: %v", status)
+	}
+	if err := srvB.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	tsB.Close()
+	metaPath := filepath.Join(dataDir, "sessions", id+".json")
+	persisted, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(persisted), "alg1") {
+		t.Fatalf("re-keyed metadata not persisted: %s", persisted)
+	}
+
+	_, tsC := newTestServer(t, Config{DataDir: dataDir})
+	if code, status := do(t, "GET", tsC.URL+"/sessions/"+id, nil); code != http.StatusOK ||
+		status["backend"] != "dist" || status["converged"] != true {
+		t.Fatalf("re-keyed session after the second restart: status %d, %v", code, status)
+	}
+	if again, err := os.ReadFile(metaPath); err != nil || !bytes.Equal(again, persisted) {
+		t.Fatalf("second restart rewrote the metadata (%v):\n%s\n%s", err, persisted, again)
+	}
+}
+
 // TestCorruptionQuarantine seeds a data dir with every class of damage an
 // unclean death can leave — truncated checkpoint envelope, bit-rotted CRC,
 // zero-byte metadata, stale tmp file, corrupt cache entry — and asserts
@@ -233,6 +316,15 @@ func TestCorruptionQuarantine(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dataDir, "sessions", id+".json"), nil, 0o644); err != nil {
 					t.Fatal(err)
 				}
+			},
+			sessionGone: true,
+		},
+		{
+			// A backend name this build cannot construct must not come
+			// back as a sequential session under the stale label.
+			name: "unknown backend in session metadata",
+			damage: func(t *testing.T, dataDir, id string) {
+				setPersistedBackend(t, dataDir, id, "mystery")
 			},
 			sessionGone: true,
 		},
@@ -444,10 +536,6 @@ func TestShrinkOrDegrade(t *testing.T) {
 	}
 	if _, _, ok := shrinkOrDegrade(sessionParams{Backend: "seq"}); ok {
 		t.Fatal("seq params reported degradable")
-	}
-	p, _, ok = shrinkOrDegrade(sessionParams{Backend: "alg1", Procs: 2})
-	if !ok || p.Backend != "shm" {
-		t.Fatalf("alg1 degrade: %+v", p)
 	}
 }
 

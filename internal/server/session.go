@@ -32,10 +32,10 @@ type sessionParams struct {
 	Seed  uint64  `json:"seed,omitempty"`
 	// Threads is the sampling thread count (shm backend; 0 = one per core).
 	Threads int `json:"threads,omitempty"`
-	// Backend is seq | shm | dist | alg1 (default seq: resumable and the
-	// fastest below the shared-memory epoch overhead on small graphs).
+	// Backend is seq | shm | dist (default seq: resumable and the fastest
+	// below the shared-memory epoch overhead on small graphs).
 	Backend string `json:"backend,omitempty"`
-	// Procs is the in-process rank count of the dist/alg1 backends.
+	// Procs is the in-process rank count of the dist backend.
 	Procs int `json:"procs,omitempty"`
 	// TopK on the seq backend over an undirected graph makes the session
 	// stop by the certified top-k rule (see betweenness.WithTopK).
@@ -62,7 +62,7 @@ func (p *sessionParams) normalize() error {
 	}
 	switch p.Backend {
 	case "seq", "shm":
-	case "dist", "alg1":
+	case "dist":
 		if p.Procs == 0 {
 			p.Procs = 2
 		}
@@ -70,7 +70,7 @@ func (p *sessionParams) normalize() error {
 			return fmt.Errorf("procs must be >= 1, got %d", p.Procs)
 		}
 	default:
-		return fmt.Errorf("unknown backend %q (want seq|shm|dist|alg1; tcp worlds cannot live inside the daemon)", p.Backend)
+		return fmt.Errorf("unknown backend %q (want seq|shm|dist; tcp worlds cannot live inside the daemon)", p.Backend)
 	}
 	if p.MaxDuration != "" {
 		if _, err := time.ParseDuration(p.MaxDuration); err != nil {
@@ -90,24 +90,27 @@ func (p sessionParams) certified() bool {
 	return p.Backend == "seq" && p.TopK > 0
 }
 
-// distBackend reports whether the params name an in-process distributed
-// backend — the ones whose runs can die of rank death and are worth
+// distBackend reports whether the params name the in-process distributed
+// backend — the one whose runs can die of rank death and are worth
 // retrying on a smaller world.
 func (p sessionParams) distBackend() bool {
-	return p.Backend == "dist" || p.Backend == "alg1"
+	return p.Backend == "dist"
 }
 
-// executor builds the backend the params name.
-func (p sessionParams) executor() betweenness.Executor {
+// executor builds the backend the params name. Params from POST /sessions
+// went through normalize; persisted ones did not, so a name this build
+// does not know is an error here (loadSessions quarantines the session)
+// rather than a silent run on some other engine under the stale label.
+func (p sessionParams) executor() (betweenness.Executor, error) {
 	switch p.Backend {
+	case "seq":
+		return betweenness.Sequential(), nil
 	case "shm":
-		return betweenness.SharedMemory()
+		return betweenness.SharedMemory(), nil
 	case "dist":
-		return betweenness.LocalMPI(p.Procs)
-	case "alg1":
-		return betweenness.PureMPI(p.Procs)
+		return betweenness.LocalMPI(p.Procs), nil
 	default:
-		return betweenness.Sequential()
+		return nil, fmt.Errorf("unknown backend %q", p.Backend)
 	}
 }
 
@@ -116,11 +119,15 @@ func (p sessionParams) executor() betweenness.Executor {
 // within one epoch mid-run and feeds the SSE stream; its per-epoch O(n)
 // bound sweep is the cost of a live service.
 func (p sessionParams) options(progress func(betweenness.Snapshot)) ([]betweenness.Option, error) {
+	exec, err := p.executor()
+	if err != nil {
+		return nil, err
+	}
 	opts := []betweenness.Option{
 		betweenness.WithEpsilon(p.Eps),
 		betweenness.WithDelta(p.Delta),
 		betweenness.WithSeed(p.Seed),
-		betweenness.WithExecutor(p.executor()),
+		betweenness.WithExecutor(exec),
 		betweenness.WithProgress(progress),
 	}
 	if p.Threads > 0 {

@@ -396,8 +396,9 @@ func (srv *Server) loadGraphEntry(metaPath string) (*graphEntry, error) {
 // loadSessions rehydrates sessions: checkpointed ones resume their exact
 // sampling state via RestoreEstimator; the rest are recreated fresh (same
 // identity, zero samples). A torn or corrupt checkpoint is quarantined and
-// its session served fresh; unreadable metadata quarantines the whole
-// session. Startup only fails on filesystem-level errors.
+// its session served fresh; unreadable metadata, or metadata naming a
+// backend this build cannot construct, quarantines the whole session.
+// Startup only fails on filesystem-level errors.
 func (srv *Server) loadSessions() error {
 	entries, err := os.ReadDir(srv.sessionsDir())
 	if os.IsNotExist(err) {
@@ -428,6 +429,13 @@ func (srv *Server) loadSessions() error {
 			quarantineSession(fmt.Sprintf("unreadable session metadata: %v", err))
 			continue
 		}
+		// Sessions persisted under the removed alg1 backend name ran
+		// Algorithm 2 at one sampling thread per rank, which is what dist
+		// runs unless threads says otherwise: re-key them, once.
+		rekeyed := meta.Params.Backend == "alg1"
+		if rekeyed {
+			meta.Params.Backend = "dist"
+		}
 		g, ok := srv.graphs[meta.Params.Graph]
 		if !ok {
 			quarantineSession(fmt.Sprintf("references unknown graph %q (missing or quarantined)", meta.Params.Graph))
@@ -456,6 +464,11 @@ func (srv *Server) loadSessions() error {
 		}
 		srv.sessions[s.id] = s
 		g.refs++
+		if rekeyed {
+			if err := srv.persistSessionMeta(s, srv.checkpointPathFor(s.id) != ""); err != nil {
+				srv.cfg.Logf("warning: persisting re-keyed session %s meta: %v", s.id, err)
+			}
+		}
 		if n, ok := sessionNumber(meta.ID); ok && n > maxID {
 			maxID = n
 		}

@@ -16,7 +16,7 @@ import (
 //
 // Where the rest of simnet models the *clock* of a healthy cluster, this
 // file models an unhealthy one: it drives the real distributed algorithms
-// (core.Algorithm1/2, real graphs, real samples, real recovery protocol)
+// (core.Algorithm2, real graphs, real samples, real recovery protocol)
 // over the in-process transport and injects failures at exact points in
 // the run — kill rank r the moment the coordinator folds epoch e, cut a
 // set of ranks off mid-run, delay or drop frames on the wire. Because the
@@ -27,9 +27,6 @@ import (
 
 // FaultPlan is a deterministic failure scenario for RunFaulty.
 type FaultPlan struct {
-	// Variant selects the algorithm under test (default core.VariantEpoch).
-	Variant core.Variant
-
 	// KillEpoch, when > 0, kills world rank KillRank at the moment world
 	// rank 0 has folded its KillEpoch-th adaptive epoch (the same
 	// observation point as Config.OnEpoch, between the stopping check and
@@ -150,14 +147,7 @@ func RunFaulty(ctx context.Context, w kadabra.Workload, procs int, cfg core.Conf
 			if i == 0 {
 				rcfg = rootCfg
 			}
-			var res *core.Result
-			var err error
-			switch plan.Variant {
-			case core.VariantPureMPI:
-				res, err = core.Algorithm1(ctx, w, c, rcfg)
-			default:
-				res, err = core.Algorithm2(ctx, w, c, rcfg)
-			}
+			res, err := core.Algorithm2(ctx, w, c, rcfg)
 			report.Errs[i] = err
 			if i == 0 && err == nil {
 				mu.Lock()

@@ -201,37 +201,30 @@ func testWGraph(t *testing.T) *graph.WGraph {
 }
 
 // TestKillTauAccounting pins the exact accounting bound. Under NoOverlap
-// with one thread per rank every drawn sample is either folded into S or
-// part of the dead rank's in-flight epoch, so for Algorithm 1
+// with one thread per rank (faultCfg) no frame is in flight at shutdown —
+// thread 0's next-epoch frame is only ever filled by overlap sampling — so
+// every drawn sample is either folded into S or part of the dead rank's
+// in-flight epoch:
 //
 //	drawnTotal - drawnByKilled <= tau <= drawnTotal
 //
 // and drawnByKilled is at most the largest per-kernel count. A violated
 // lower bound means a survivor's salvage frame was dropped; a violated
-// upper bound means a frame was folded twice. Algorithm 2's epoch
-// framework may discard one in-progress frame per thread at shutdown, so
-// only the upper bound is exact there.
+// upper bound means a frame was folded twice.
 func TestKillTauAccounting(t *testing.T) {
-	g := testGraph()
-	for _, variant := range []core.Variant{core.VariantPureMPI, core.VariantEpoch} {
-		cfg := faultCfg(7)
-		cfg.NoOverlap = true
-		w, drawn := countingWorkload(kadabra.UndirectedWorkload(g))
-		rep, err := RunFaulty(context.Background(), w, 3, cfg, FaultPlan{
-			Variant: variant, KillRank: 1, KillEpoch: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkFaultReport(t, rep, 3, 1)
-		tau := rep.Res.Res.Tau
-		total, maxOne := drawn()
-		if tau > total {
-			t.Errorf("variant %d: tau %d exceeds %d drawn: double-counted fold", variant, tau, total)
-		}
-		if variant == core.VariantPureMPI && tau < total-maxOne {
-			t.Errorf("variant %d: tau %d below %d-%d: lost more than the dead rank's in-flight samples", variant, tau, total, maxOne)
-		}
+	w, drawn := countingWorkload(kadabra.UndirectedWorkload(testGraph()))
+	rep, err := RunFaulty(context.Background(), w, 3, faultCfg(7), FaultPlan{KillRank: 1, KillEpoch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFaultReport(t, rep, 3, 1)
+	tau := rep.Res.Res.Tau
+	total, maxOne := drawn()
+	if tau > total {
+		t.Errorf("tau %d exceeds %d drawn: double-counted fold", tau, total)
+	}
+	if tau < total-maxOne {
+		t.Errorf("tau %d below %d-%d: lost more than the dead rank's in-flight samples", tau, total, maxOne)
 	}
 }
 
