@@ -20,10 +20,7 @@ import (
 // this input, 4-8 ms under the race detector, 11-17 ms under the race
 // detector while other packages' tests share the two cores. A poll loop that
 // does not yield pays a scheduler quantum per message hop, 39-59 ms per
-// barrier, on every run; the bound is half of that, and it is put on the
-// second-fastest of five runs because `go test ./...` runs other packages'
-// spinning tests on the same two cores, which alone pushes single runs past
-// the bound (seen at 20-22 ms, also before this comment was written).
+// barrier; the bound is half of that.
 func TestOverlappedBarrierLatencyTCP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(10, 16, 17)))
@@ -44,7 +41,7 @@ func TestOverlappedBarrierLatencyTCP(t *testing.T) {
 			i, res.Stats.Epochs, res.Stats.BarrierWait, perBarrier[i], res.Stats.Samples)
 	}
 	sort.Slice(perBarrier, func(a, b int) bool { return perBarrier[a] < perBarrier[b] })
-	if q := perBarrier[1]; q >= 20*time.Millisecond {
-		t.Fatalf("second-fastest overlapped barrier wait %v per epoch, want < 20ms", q)
+	if med := perBarrier[runs/2]; med >= 20*time.Millisecond {
+		t.Fatalf("median overlapped barrier wait %v per epoch, want < 20ms", med)
 	}
 }

@@ -33,31 +33,28 @@ func NewDriver(fw *Framework, sample []func(*StateFrame)) *Driver {
 }
 
 // Batch is the non-adaptive fan-out of the calibration phase: every thread
-// draws up to per samples into a private frame, giving up as soon as stop
-// (evaluated every batchPoll samples, from all threads at once) reports
-// true, and the frames are summed into dst in thread order. It returns
-// when every thread has finished; call it only before Start.
+// draws up to per samples into its framework frame, giving up as soon as
+// stop (evaluated every batchPoll samples, from all threads at once)
+// reports true, and the frames are summed into dst in thread order and
+// zeroed. It returns when every thread has finished; call it only before
+// Start, while all threads still sit in the same epoch.
 func (d *Driver) Batch(per int, stop func() bool, dst *StateFrame) {
-	partial := make([]*StateFrame, len(d.sample))
 	var wg sync.WaitGroup
 	for t := range d.sample {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := d.fw.newFrame()
+			sample, sf := d.sample[t], d.fw.Frame(t)
 			for i := 0; i < per; i++ {
 				if i%batchPoll == 0 && stop() {
 					break
 				}
-				d.sample[t](local)
+				sample(sf)
 			}
-			partial[t] = local
 		}()
 	}
 	wg.Wait()
-	for _, local := range partial {
-		dst.Add(local)
-	}
+	d.fw.AggregateEpoch(d.fw.epochs[0].v.Load(), dst)
 }
 
 // Start launches the sampling threads 1..T-1 (Alg. 2 lines 5-9): each

@@ -117,12 +117,11 @@ func TestDriverSingleThreadEpochIsExact(t *testing.T) {
 }
 
 // TestDriverBatchStops: a batch polls its predicate before the first
-// sample and every batchPoll samples, on every thread, and its private
-// frames follow the framework's dense pin.
+// sample and every batchPoll samples, on every thread, and hands the
+// framework's frames back empty for epoch 0.
 func TestDriverBatchStops(t *testing.T) {
 	var drawn atomic.Int64
 	fw := New(3, 64)
-	fw.ForceDense()
 	d := NewDriver(fw, countingSamples(3, 64, &drawn))
 	dst := NewStateFrame(64)
 	d.Batch(10*batchPoll, func() bool { return true }, dst)
@@ -134,7 +133,9 @@ func TestDriverBatchStops(t *testing.T) {
 		t.Fatalf("stopped batch drew %d samples (aggregated %d), want within [%d, %d]",
 			got, dst.Tau, 3*batchPoll, 3*3*batchPoll)
 	}
-	if !fw.newFrame().Dense() {
-		t.Fatal("batch frames ignore the framework's dense pin")
+	for th := 0; th < 3; th++ {
+		if sf := fw.Frame(th); sf.Tau != 0 || sf.TouchedLen() != 0 {
+			t.Fatalf("thread %d's frame not zeroed after the batch: tau %d, %d touched", th, sf.Tau, sf.TouchedLen())
+		}
 	}
 }

@@ -225,17 +225,6 @@ func (f *Framework) ForceDense() {
 	}
 }
 
-// newFrame returns a zeroed frame of the framework's vector length and
-// dense pin, for state that lives outside the epoch ping-pong.
-func (f *Framework) newFrame() *StateFrame {
-	like := f.frames[0][0]
-	sf := NewStateFrame(len(like.C))
-	if like.alwaysDense {
-		sf.ForceDense()
-	}
-	return sf
-}
-
 // Frame returns the state frame thread t writes during its current epoch.
 // Only thread t may write to it.
 func (f *Framework) Frame(t int) *StateFrame {

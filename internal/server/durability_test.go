@@ -32,9 +32,6 @@ func copyDataDir(t *testing.T, src string) string {
 	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
-			if os.IsNotExist(err) && filepath.Ext(path) == ".tmp" {
-				return nil // renamed into place between the listing and the lstat
-			}
 			return err
 		}
 		rel, err := filepath.Rel(src, path)
@@ -280,6 +277,9 @@ func TestCorruptionQuarantine(t *testing.T) {
 		sessionFresh bool
 		// sessionGone: the whole session was quarantined (404 after restart).
 		sessionGone bool
+		// ckptReason, when set, must be the logged reason for quarantining
+		// the session's checkpoint.
+		ckptReason string
 	}{
 		{
 			name: "truncated checkpoint",
@@ -321,10 +321,22 @@ func TestCorruptionQuarantine(t *testing.T) {
 		},
 		{
 			// A backend name this build cannot construct must not come
-			// back as a sequential session under the stale label.
+			// back as a sequential session under the stale label, and the
+			// intact checkpoint next to it must not be blamed for it.
 			name: "unknown backend in session metadata",
 			damage: func(t *testing.T, dataDir, id string) {
 				setPersistedBackend(t, dataDir, id, "mystery")
+			},
+			sessionGone: true,
+			ckptReason:  "checkpoint for quarantined session metadata",
+		},
+		{
+			name: "unknown backend in session metadata, no checkpoint",
+			damage: func(t *testing.T, dataDir, id string) {
+				setPersistedBackend(t, dataDir, id, "mystery")
+				if err := os.Remove(filepath.Join(dataDir, "sessions", id+".bck")); err != nil {
+					t.Fatal(err)
+				}
 			},
 			sessionGone: true,
 		},
@@ -377,7 +389,13 @@ func TestCorruptionQuarantine(t *testing.T) {
 
 			tc.damage(t, dataDir, id)
 
-			srvB, err := New(Config{DataDir: dataDir})
+			var logMu sync.Mutex
+			var logged []string
+			srvB, err := New(Config{DataDir: dataDir, Logf: func(format string, args ...any) {
+				logMu.Lock()
+				defer logMu.Unlock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+			}})
 			if err != nil {
 				t.Fatalf("startup over damaged data dir failed: %v", err)
 			}
@@ -386,6 +404,19 @@ func TestCorruptionQuarantine(t *testing.T) {
 
 			if q := quarantineEntries(t, dataDir); len(q) == 0 {
 				t.Fatal("damage was not quarantined")
+			}
+			if tc.ckptReason != "" {
+				var got []string
+				logMu.Lock()
+				for _, line := range logged {
+					if strings.HasPrefix(line, "quarantined ") && strings.Contains(line, id+".bck ->") {
+						got = append(got, line)
+					}
+				}
+				logMu.Unlock()
+				if len(got) != 1 || !strings.HasSuffix(got[0], ": "+tc.ckptReason) {
+					t.Fatalf("checkpoint quarantine log %q, want one line ending in %q", got, tc.ckptReason)
+				}
 			}
 			code, status := do(t, "GET", tsB.URL+"/sessions/"+id, nil)
 			switch {

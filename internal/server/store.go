@@ -436,6 +436,12 @@ func (srv *Server) loadSessions() error {
 		if rekeyed {
 			meta.Params.Backend = "dist"
 		}
+		// Checked here, not left to buildSession: there the error would be
+		// read as a damaged checkpoint and an intact one set aside for it.
+		if _, err := meta.Params.executor(); err != nil {
+			quarantineSession(err.Error())
+			continue
+		}
 		g, ok := srv.graphs[meta.Params.Graph]
 		if !ok {
 			quarantineSession(fmt.Sprintf("references unknown graph %q (missing or quarantined)", meta.Params.Graph))
