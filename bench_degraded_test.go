@@ -40,10 +40,7 @@ func BenchmarkEstimateDegraded(b *testing.B) {
 
 	// One healthy reference run pins the epoch count, so the kill lands at
 	// ~50% progress regardless of graph or epsilon tweaks.
-	ref, err := core.RunLocal(context.Background(), w, benchDegradedProcs, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ref := runDist(b, w, benchDegradedProcs, cfg)
 	killEpoch := ref.Stats.Epochs / 2
 	if killEpoch < 1 {
 		killEpoch = 1

@@ -29,6 +29,34 @@ func benchCfg(eps float64, seed uint64) kadabra.Config {
 	return kadabra.Config{Eps: eps, Delta: 0.1, Seed: seed, EpochBase: 250}
 }
 
+// runShm is one fresh shared-memory session run once.
+func runShm(b *testing.B, w kadabra.Workload, threads int, cfg kadabra.Config) *kadabra.Result {
+	b.Helper()
+	st, err := kadabra.NewEstimatorState(w, threads, cfg)
+	if err == nil {
+		err = st.Run(context.Background(), kadabra.Budget{})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st.Result()
+}
+
+// runDist is one fresh distributed session run once on procs in-process
+// ranks.
+func runDist(b *testing.B, w kadabra.Workload, procs int, cfg core.Config) *core.Result {
+	b.Helper()
+	sts, err := core.NewStates(w, procs, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.RunLocal(context.Background(), sts, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // benchModel returns the virtual-cluster model with a FIXED per-sample cost
 // so single-iteration benchmark metrics are deterministic; the full-scale
 // runs with empirically measured costs live in cmd/experiments.
@@ -228,14 +256,11 @@ func BenchmarkAblationAggregation(b *testing.B) {
 		s := s
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 4, core.Config{
+				res := runDist(b, kadabra.UndirectedWorkload(g), 4, core.Config{
 					Config:   benchCfg(0.01, 6),
 					Threads:  2,
 					Strategy: s,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.ReportMetric(float64(res.Res.Tau)/res.Res.Timings.Sampling.Seconds(), "samples/s")
 			}
 		})
@@ -255,12 +280,9 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 		base := base
 		b.Run("base-"+itoa(int(base)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := kadabra.Run(context.Background(), kadabra.UndirectedWorkload(g), 8, kadabra.Config{
+				res := runShm(b, kadabra.UndirectedWorkload(g), 8, kadabra.Config{
 					Eps: 0.01, Delta: 0.1, Seed: 16, EpochBase: base,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.ReportMetric(float64(res.Epochs), "epochs")
 				b.ReportMetric(float64(res.Tau), "samples")
 			}
@@ -300,10 +322,7 @@ func BenchmarkRealSharedMemoryThreads(b *testing.B) {
 		threads := threads
 		b.Run(threadLabel(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := kadabra.Run(context.Background(), kadabra.UndirectedWorkload(g), threads, benchCfg(0.008, 12))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runShm(b, kadabra.UndirectedWorkload(g), threads, benchCfg(0.008, 12))
 				b.ReportMetric(float64(res.Tau)/res.Timings.Sampling.Seconds(), "samples/s")
 			}
 		})
@@ -317,13 +336,10 @@ func BenchmarkRealDistributedProcs(b *testing.B) {
 		procs := procs
 		b.Run(procLabel(procs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunLocal(context.Background(), kadabra.UndirectedWorkload(g), procs, core.Config{
+				res := runDist(b, kadabra.UndirectedWorkload(g), procs, core.Config{
 					Config:  benchCfg(0.008, 13),
 					Threads: 4,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.ReportMetric(float64(res.Res.Tau)/res.Res.Timings.Sampling.Seconds(), "samples/s")
 			}
 		})

@@ -38,7 +38,8 @@
 // WithMaxDuration; an early stop reports the achieved guarantee in
 // Result.AchievedEps), Snapshot at any time, Refine toward a tighter eps
 // reusing every prior sample, and Checkpoint/RestoreEstimator to resume
-// across process restarts (Sequential and SharedMemory backends).
+// across process restarts, on every built-in backend: a distributed
+// session keeps its samples at world rank 0 between the collective runs.
 // EstimateWorkload itself is one NewEstimator plus one Run.
 //
 // The distributed backends are fault tolerant: a rank that dies mid-run
@@ -50,8 +51,8 @@
 // lost. Result.Distributed reports the accounting (RanksStarted,
 // RanksLost, Recoveries). The one unabsorbable failure is the death of
 // rank 0, the coordinator; WithDistCheckpoint bounds its cost to one
-// checkpoint interval by shipping a periodic restartable checkpoint to
-// every rank.
+// checkpoint interval by shipping a periodic checkpoint to every rank,
+// from which RestoreEstimator restarts the session as distributed.
 //
 // Exact ground truth (Brandes' algorithm) and accuracy reports are
 // available via Exact, ExactDirected, ExactWeighted, and Compare.
@@ -92,13 +93,11 @@ type Snapshot struct {
 	Estimates []float64
 	// Live reports whether the snapshot observes current sampling state:
 	// true for every WithProgress delivery and for Estimator.Snapshot on
-	// the steppable backends (Sequential, SharedMemory), which own their
-	// state in-process. On the one-shot backends (MPI, TCP, custom
-	// executors) the state lives inside the backend for the duration of
-	// a Run, so between deliveries Snapshot returns the last completed
-	// Run's final state marked Live == false — never a fabricated zero
-	// mid-run. A false Live with Epoch == 0 means no run has completed
-	// yet.
+	// the four built-in backends, whose sessions own their state. A custom
+	// Executor keeps the state inside its Run, so between deliveries
+	// Snapshot returns the last completed Run's final state marked
+	// Live == false — never a fabricated zero mid-run. A false Live with
+	// Epoch == 0 means no run has completed yet.
 	Live bool
 }
 
@@ -136,8 +135,10 @@ type Timings struct {
 // Total returns the end-to-end duration of the three phases.
 func (t Timings) Total() time.Duration { return t.Diameter + t.Calibration + t.Sampling }
 
-// DistStats captures the distribution counters of an MPI-backend run
-// (paper Table II); it is nil on single-process backends.
+// DistStats captures the distribution counters of one MPI-backend run
+// (paper Table II) — of the last Run or Refine call, where Result.Epochs
+// and Result.Tau count the whole session; it is nil on single-process
+// backends.
 type DistStats struct {
 	// Epochs is the number of completed epochs.
 	Epochs int
@@ -255,29 +256,20 @@ func fromTimings(t kadabra.Timings) Timings {
 	}
 }
 
-// fromCore converts a distributed result. Non-root ranks (cr.Res == nil)
-// produce a Result carrying only the backend name and statistics.
-func fromCore(backend string, cr *core.Result) *Result {
-	res := &Result{Backend: backend}
-	if cr == nil {
-		return res
+// fromStats converts the distribution counters of one MPI-backend run.
+func fromStats(st core.Stats) *DistStats {
+	return &DistStats{
+		Epochs:             st.Epochs,
+		BarrierWait:        st.BarrierWait,
+		ReduceTime:         st.ReduceTime,
+		TransitionWait:     st.TransitionWait,
+		CheckTime:          st.CheckTime,
+		CommVolumePerEpoch: st.CommVolumePerEpoch,
+		ReduceWireBytes:    st.WireBytes,
+		RanksStarted:       st.RanksStarted,
+		RanksFinished:      st.RanksStarted - st.RanksLost,
+		RanksLost:          st.RanksLost,
+		Recoveries:         st.Recoveries,
+		Checkpoints:        st.Checkpoints,
 	}
-	if cr.Res != nil {
-		res = fromKadabra(backend, cr.Res)
-	}
-	res.Distributed = &DistStats{
-		Epochs:             cr.Stats.Epochs,
-		BarrierWait:        cr.Stats.BarrierWait,
-		ReduceTime:         cr.Stats.ReduceTime,
-		TransitionWait:     cr.Stats.TransitionWait,
-		CheckTime:          cr.Stats.CheckTime,
-		CommVolumePerEpoch: cr.Stats.CommVolumePerEpoch,
-		ReduceWireBytes:    cr.Stats.WireBytes,
-		RanksStarted:       cr.Stats.RanksStarted,
-		RanksFinished:      cr.Stats.RanksStarted - cr.Stats.RanksLost,
-		RanksLost:          cr.Stats.RanksLost,
-		Recoveries:         cr.Stats.Recoveries,
-		Checkpoints:        cr.Stats.Checkpoints,
-	}
-	return res
 }

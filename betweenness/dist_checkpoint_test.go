@@ -25,12 +25,14 @@ func TestWithDistCheckpointValidation(t *testing.T) {
 }
 
 // TestDistCheckpointRoundtrip drives the full periodic-checkpoint path on
-// the LocalMPI backend: every rank's sink receives the sealed payload, the
-// payload restores through the standard RestoreEstimator door, and the
-// resumed sequential session still converges to the guarantee.
+// the LocalMPI backend: the process's sink receives each sealed payload
+// once (an in-process world delivers at rank 0 only), the payload restores
+// through the standard RestoreEstimator door as a LocalMPI session of the
+// same shape, and the resumed session converges to the guarantee without a
+// second calibration.
 func TestDistCheckpointRoundtrip(t *testing.T) {
 	g := testGraph(t)
-	const procs = 2
+	const procs, threads = 2, 2
 	eps := 0.005
 
 	var mu sync.Mutex
@@ -38,6 +40,7 @@ func TestDistCheckpointRoundtrip(t *testing.T) {
 	res, err := Estimate(context.Background(), g,
 		WithEpsilon(eps),
 		WithSeed(77),
+		WithThreads(threads),
 		WithExecutor(LocalMPI(procs)),
 		WithDistCheckpoint(1, func(p []byte) {
 			cp := append([]byte(nil), p...)
@@ -62,21 +65,32 @@ func TestDistCheckpointRoundtrip(t *testing.T) {
 	count := len(payloads)
 	last := payloads[count-1]
 	mu.Unlock()
-	// Every rank receives every interval's payload.
-	if count != procs*ds.Checkpoints {
-		t.Errorf("sinks saw %d payloads, want %d ranks x %d checkpoints", count, procs, ds.Checkpoints)
+	// One delivery per process and interval.
+	if count != ds.Checkpoints {
+		t.Errorf("the sink saw %d payloads for %d checkpoints", count, ds.Checkpoints)
 	}
 
 	est, err := RestoreEstimator(bytes.NewReader(last), Undirected(g))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	if len(est.sts) != procs || est.st.Procs() != procs || est.st.Threads() != threads {
+		t.Fatalf("restored %d states, procs %d, threads %d; want the %d x %d session",
+			len(est.sts), est.st.Procs(), est.st.Threads(), procs, threads)
+	}
+	held := est.Snapshot().Tau
 	rres, err := est.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rres.Converged {
-		t.Fatal("resumed session did not converge")
+	if rres.Backend != "local-mpi" || rres.Distributed == nil || rres.Distributed.RanksStarted != procs {
+		t.Fatalf("resumed on backend %q (distributed %+v), want local-mpi on %d ranks", rres.Backend, rres.Distributed, procs)
+	}
+	if !rres.Converged || rres.Tau < held || held == 0 {
+		t.Fatalf("resumed session: converged=%v tau=%d, held %d at the restore", rres.Converged, rres.Tau, held)
+	}
+	if rres.Timings.Calibration != 0 {
+		t.Errorf("resumed session recalibrated for %v: phase 2 must be skipped", rres.Timings.Calibration)
 	}
 	// The restored run resumed from mid-run global state; its estimates
 	// must agree with the uninterrupted run's within the two guarantees.

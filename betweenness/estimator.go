@@ -8,20 +8,19 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/kadabra"
 )
 
-// ErrNotCheckpointable reports that a session cannot be serialized: only
-// sessions on the Sequential and SharedMemory backends own their sampling
-// state in-process. Test with errors.Is; the wrapped message names the
-// backend.
+// ErrNotCheckpointable reports that a session cannot be serialized: it runs
+// on a custom Executor, and only the four built-in backends keep their
+// sampling state in a session. Test with errors.Is; the wrapped message
+// names the backend.
 var ErrNotCheckpointable = errors.New("betweenness: session is not checkpointable")
 
-// ErrNotRefinable reports that a session cannot refine in place: the
-// backend runs to completion per call and retains no sampling state
-// between calls. Test with errors.Is.
+// ErrNotRefinable reports that a session cannot refine in place: it runs on
+// a custom Executor, which runs to completion per call and retains no
+// sampling state between calls. Test with errors.Is.
 var ErrNotRefinable = errors.New("betweenness: session is not refinable in place")
 
 // Estimator is a long-lived, resumable estimation session over one
@@ -41,17 +40,22 @@ var ErrNotRefinable = errors.New("betweenness: session is not refinable in place
 //   - Refine continues sampling toward a tighter eps or a larger top-k,
 //     reusing every prior sample: the error bounds are recalibrated from
 //     the accumulated counts, never reset.
-//   - Checkpoint/RestoreEstimator serialize the per-vertex counts, RNG
-//     streams, calibration, and epoch counters, so a run interrupted
-//     mid-sampling resumes in a fresh process exactly where it stopped.
+//   - Checkpoint/RestoreEstimator serialize the per-vertex counts,
+//     calibration, epoch counters, stopping rule and the engine's shape, so
+//     a run interrupted mid-sampling resumes in a fresh process where it
+//     stopped, on the backend it ran on.
 //
-// Sessions are fully resumable on the Sequential and SharedMemory
-// backends, which own their state in-process — whichever stopping rule
-// they run (see WithTopK). On the MPI and TCP backends and on custom
-// executors the session degrades honestly to a one-shot handle: Run works —
-// including budgets and achieved-eps reporting — and Snapshot reflects
-// rank-0 progress, but Refine returns ErrNotRefinable and Checkpoint
-// ErrNotCheckpointable.
+// This holds on all four built-in backends — one state machine advanced by
+// three engines; a distributed session's state lives at world rank 0
+// between the collective runs. One rule says what a resume reproduces: a
+// Sequential session resumes sample for sample (bit-identical to never
+// having stopped); every other resume is statistically equivalent — a
+// capture taken while threads or ranks were drawing from their RNG streams
+// continues on fresh ones, and the guarantee depends on how many samples
+// were drawn, never on which. Only a custom Executor degrades to a one-shot
+// handle: Run works — including budgets and achieved-eps reporting — and
+// Snapshot reflects the progress it streams, but Refine returns
+// ErrNotRefinable and Checkpoint ErrNotCheckpointable.
 //
 // Methods are safe for concurrent use; Run and Refine serialize behind one
 // mutex, and Snapshot never blocks on a running estimate (it returns the
@@ -60,8 +64,11 @@ type Estimator struct {
 	mu sync.Mutex
 	w  Workload
 	s  settings
-	// st owns the resumable state on the steppable backends; nil in
-	// one-shot mode, with oneShot naming the reason.
+	// eng advances sts, the session's states on a built-in backend; st is
+	// sts[0], the one the session reads (see engine). All nil in one-shot
+	// mode, with oneShot naming the reason.
+	eng     engine
+	sts     []*kadabra.EstimatorState
 	st      *kadabra.EstimatorState
 	oneShot string
 	res     *Result
@@ -73,15 +80,21 @@ type Estimator struct {
 // NewEstimator creates an estimation session for the workload. The options
 // are those of EstimateWorkload — which is itself a thin wrapper,
 // NewEstimator followed by one Run — plus the budget options; the workload
-// validation rule and the executor capability check run here, and on the
-// steppable backends the vertex-diameter phase runs (and is cached) here
-// too, so the first Run starts sampling immediately.
+// validation rule and the executor capability check run here, and so does
+// the vertex-diameter phase (at world rank 0 of an MPI backend), so the
+// first Run starts sampling immediately.
 func NewEstimator(w Workload, opts ...Option) (*Estimator, error) {
-	if err := w.err; err != nil {
-		return nil, err
-	}
 	s, err := resolveSettings(opts)
 	if err != nil {
+		return nil, err
+	}
+	return newEstimator(w, s, nil)
+}
+
+// newEstimator builds the session for resolved settings — from root, a
+// restored world-rank-0 state, when given, else fresh.
+func newEstimator(w Workload, s settings, root *kadabra.EstimatorState) (*Estimator, error) {
+	if err := w.err; err != nil {
 		return nil, err
 	}
 	if err := checkSize(w.n, s); err != nil {
@@ -91,37 +104,28 @@ func NewEstimator(w Workload, opts ...Option) (*Estimator, error) {
 		return nil, err
 	}
 	e := &Estimator{w: w, s: s, last: Snapshot{AchievedEps: 1}}
-	switch s.exec.(type) {
-	case seqExec:
-		if err := e.bindState(0); err != nil {
-			return nil, err
-		}
-	case shmExec:
-		if err := e.bindState(shmThreads(s.Params)); err != nil {
-			return nil, err
-		}
-	default:
+	eng, ok := s.exec.(engine)
+	if !ok {
 		e.oneShot = fmt.Sprintf("backend %q runs to completion per call and retains no sampling state", s.exec.Name())
+		return e, nil
 	}
-	return e, nil
-}
-
-// bindState builds the steppable engine (threads == 0 selects the
-// sequential one) and wires the progress hook.
-func (e *Estimator) bindState(threads int) error {
-	cfg := e.s.kadabraConfig()
-	// Budgets are enforced per Run/Refine call through a kadabra.Budget;
-	// the machine must not double-apply the config copies.
-	cfg.MaxSamples, cfg.MaxDuration = 0, 0
-	cfg.OnEpoch = nil
-	cfg.TopK = certifiedTopK(e.s.exec, e.w, e.s.Params)
-	st, err := kadabra.NewEstimatorState(e.w.inner, threads, cfg)
+	cfg := s.kadabraConfig() // its budgets are enforced per Run/Refine call, by advance
+	cfg.TopK = certifiedTopK(s.exec, w, s.Params)
+	if root != nil {
+		cfg = root.Config()
+		cfg.VertexDiameter = s.VertexDiameter // the other ranks' states skip phase 1 too
+	}
+	sts, err := eng.bind(w.inner, s.Params, cfg, root)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.st = st
+	e.eng, e.sts, e.st = eng, sts, sts[0]
 	e.wireProgress()
-	return nil
+	if s.DistCheckpoint != nil {
+		e.setCheckpointSink(s.DistCheckpoint)
+	}
+	e.observeState()
+	return e, nil
 }
 
 // wireProgress registers the machine's per-epoch hook iff a user callback
@@ -157,9 +161,10 @@ func (e *Estimator) deliver(snap Snapshot) {
 // without sampling. On cancellation the completed work is retained but no
 // Result is returned; Snapshot still reads the state.
 //
-// On the one-shot backends (MPI, TCP, custom executors) each Run is an
-// independent run-to-completion estimate, with the vertex diameter cached
-// after the first.
+// On an MPI backend a Run is collective: LocalMPI spins up its in-process
+// world for the call, and every rank of a TCP world must call Run. On a
+// custom Executor each Run is an independent run-to-completion estimate,
+// with the vertex diameter cached after the first.
 func (e *Estimator) Run(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -173,20 +178,27 @@ func (e *Estimator) runLocked(ctx context.Context) (*Result, error) {
 	if e.st == nil {
 		return e.runOneShot(ctx)
 	}
-	b := kadabra.Budget{MaxSamples: e.s.MaxSamples}
-	if e.s.MaxDuration > 0 {
-		b.Deadline = time.Now().Add(e.s.MaxDuration)
-	}
-	if err := e.st.Run(ctx, b); err != nil {
+	stats, err := e.eng.advance(ctx, e.sts, e.s.Params)
+	if err != nil {
 		e.observeState()
+		// Normalize: a cancellation surfaces as the bare ctx error even
+		// when a backend wrapped it (e.g. with the failing MPI rank).
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			return nil, ctxErr
 		}
 		return nil, err
 	}
-	res := fromKadabra(e.s.exec.Name(), e.st.Result())
-	if e.s.TopK > 0 {
-		res.Top = res.TopK(e.s.TopK)
+	// Only world rank 0 of a TCP session holds the samples; the other
+	// ranks report their communication statistics.
+	res := &Result{Backend: e.s.exec.Name()}
+	if e.st.Rank() == 0 {
+		res = fromKadabra(res.Backend, e.st.Result())
+		if e.s.TopK > 0 {
+			res.Top = res.TopK(e.s.TopK)
+		}
+	}
+	if stats != nil {
+		res.Distributed = fromStats(*stats)
 	}
 	e.res = res
 	// Derive the observation from the result just built — Result() already
@@ -195,8 +207,8 @@ func (e *Estimator) runLocked(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// runOneShot delegates to the executor with the session settings, wrapping
-// the progress stream so Snapshot stays fresh mid-run.
+// runOneShot delegates to a custom executor with the session settings,
+// wrapping the progress stream so Snapshot stays fresh mid-run.
 func (e *Estimator) runOneShot(ctx context.Context) (*Result, error) {
 	s := e.s
 	if user := e.s.Progress; user != nil {
@@ -257,8 +269,9 @@ func (e *Estimator) storeLast(snap Snapshot) {
 // session's statistical identity — seed, threads, executor, diameter knobs
 // — are rejected: start a new Estimator for those.
 //
-// Refine requires a steppable backend (Sequential or SharedMemory);
-// elsewhere it returns ErrNotRefinable.
+// On an MPI backend Refine is collective like Run, and world rank 0's
+// targets are the ones that count: it announces them to the other ranks
+// when the run starts. On a custom Executor Refine returns ErrNotRefinable.
 func (e *Estimator) Refine(ctx context.Context, opts ...Option) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -323,7 +336,9 @@ func (e *Estimator) refineGuard(ns settings) error {
 	case ns.DiameterBFSCap != old.DiameterBFSCap:
 		return reject("diameter BFS cap")
 	case ns.exec != old.exec:
-		// old.exec is always comparable here (a steppable backend).
+		// Never panics: old.exec is a built-in backend, all comparable
+		// (tcpExec keeps its hosts in one string for this), and values of
+		// different dynamic types compare unequal without being compared.
 		return reject("executor")
 	}
 	return nil
@@ -337,13 +352,12 @@ func (e *Estimator) refineGuard(ns settings) error {
 // within one epoch when a progress callback is registered, otherwise the
 // state as of the run's start.
 //
-// On the one-shot backends (MPI, TCP, custom executors) the sampling state
-// lives inside the backend for the duration of a Run, so Snapshot reports
-// the last completed Run's final state — marked Live == false — rather
-// than fabricating zeroes mid-run; before the first
-// Run completes it is the vacuous Snapshot{AchievedEps: 1, Live: false}.
-// Mid-run WithProgress deliveries are still observed live (Live == true)
-// while they stream.
+// On a custom Executor the sampling state lives inside the backend for the
+// duration of a Run, so Snapshot reports the last completed Run's final
+// state — marked Live == false — rather than fabricating zeroes mid-run;
+// before the first Run completes it is the vacuous
+// Snapshot{AchievedEps: 1, Live: false}. Mid-run WithProgress deliveries
+// are still observed live (Live == true) while they stream.
 func (e *Estimator) Snapshot() Snapshot {
 	if e.mu.TryLock() {
 		defer e.mu.Unlock()
@@ -371,6 +385,14 @@ func (e *Estimator) Snapshot() Snapshot {
 	return e.last
 }
 
+// Backend names the executor the session runs on — for a restored session
+// the one its checkpoint recorded, whatever the options asked for.
+func (e *Estimator) Backend() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.s.exec.Name()
+}
+
 // Checkpointable reports whether Checkpoint can serialize this session.
 func (e *Estimator) Checkpointable() bool {
 	e.mu.Lock()
@@ -379,21 +401,24 @@ func (e *Estimator) Checkpointable() bool {
 }
 
 // SetCheckpointSink registers sink to receive sealed checkpoint envelopes
-// captured during a Run (see RequestCheckpoint). Each payload is a complete
-// BCSE envelope — exactly what Checkpoint writes — so the sink can persist
-// it as-is and RestoreEstimator will accept it. The sink runs on the
-// engine's coordinating goroutine at an epoch boundary, pausing the run for
-// its duration: hand the bytes off quickly (an atomic file write is fine; a
-// network round-trip is not). Call it before the first Run — typically
-// right after NewEstimator or RestoreEstimator; a nil sink unregisters. On
-// one-shot sessions it is a no-op (use WithDistCheckpoint for the MPI/TCP
-// backends' equivalent).
+// captured during a Run (see RequestCheckpoint and WithDistCheckpoint). Each
+// payload is a complete BCSE envelope — exactly what Checkpoint writes — so
+// the sink can persist it as-is and RestoreEstimator will accept it. The
+// sink runs on the engine's coordinating goroutine at an epoch boundary,
+// pausing the run for its duration: hand the bytes off quickly (an atomic
+// file write is fine; a network round-trip is not). It is called once per
+// process and capture (a LocalMPI world delivers at rank 0 only; every rank
+// of a TCP world receives rank 0's capture). Call it before the first Run;
+// a nil sink unregisters. On a custom Executor it is a no-op.
 func (e *Estimator) SetCheckpointSink(sink func(payload []byte)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.st == nil {
-		return
+	if e.st != nil {
+		e.setCheckpointSink(sink)
 	}
+}
+
+func (e *Estimator) setCheckpointSink(sink func(payload []byte)) {
 	if sink == nil {
 		e.st.SetOnCheckpoint(nil)
 		return
@@ -413,13 +438,14 @@ func (e *Estimator) SetCheckpointSink(sink func(payload []byte)) {
 // estimate — this is the hook a periodic checkpointer uses so an unclean
 // death (SIGKILL, OOM) loses at most one interval of sampling. A request
 // made while the session is idle stays armed for the next Run; requests are
-// not queued (several before a boundary collapse into one capture).
+// not queued (several before a boundary collapse into one capture). On an
+// MPI backend the capture is served at world rank 0.
 //
-// On the sequential engine the capture is bit-exact; on the shared-memory
-// engine it is synthesized from the consistent epoch state and restores
-// onto the sequential engine (statistically equivalent — the guarantee
-// depends on how many samples were drawn, not which). Returns false on
-// one-shot sessions, which have no in-process state to capture.
+// The capture is the one Checkpoint would write, taken mid-run: bit-exact
+// on the Sequential backend; elsewhere the RNG streams are in use, so it
+// carries none and restores — same backend, threads and ranks — onto fresh
+// ones (statistically equivalent; see Estimator). Returns false on a custom
+// Executor, which has no session state to capture.
 func (e *Estimator) RequestCheckpoint() bool {
 	// e.st is set once at construction and never replaced, so reading it
 	// without e.mu is safe — taking e.mu here would defeat the point (Run
@@ -441,18 +467,17 @@ const (
 	ckptMinLen    = ckptHeaderLen + 4
 )
 
-// Checkpoint writes a versioned serialization of the session — per-vertex
-// counts, RNG streams, calibration budgets, epoch counters, and the
-// statistical targets — to w, so RestoreEstimator can resume it in a fresh
-// process. The graph is not serialized; the restorer supplies the same
-// workload. Call it between runs, after a budget stop, or after a
-// cancelled Run (the completed work is captured; samples of the epoch in
-// flight at the cancellation are not, by design). A sequential session
-// restored from a checkpoint and run to completion is bit-identical to
-// the same session never having stopped.
-//
-// Sessions on the MPI/TCP backends and custom executors return
-// ErrNotCheckpointable.
+// Checkpoint writes a versioned serialization of the session — backend
+// shape (engine, threads, ranks), stopping rule, per-vertex counts,
+// calibration budgets, epoch counters, the statistical targets, and the RNG
+// streams where the session holds them (Sequential, SharedMemory) — to w,
+// so RestoreEstimator can resume it in a fresh process. The graph is not
+// serialized; the restorer supplies the same workload. Call it between
+// runs, after a budget stop, or after a cancelled Run (the completed work
+// is captured; samples of the epoch in flight at the cancellation are not,
+// by design). What a resume reproduces is stated on Estimator. In a TCP
+// world it is world rank 0's checkpoint that carries the samples; a session
+// on a custom Executor returns ErrNotCheckpointable.
 func (e *Estimator) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -469,7 +494,7 @@ func (e *Estimator) Checkpoint(w io.Writer) error {
 // sealCheckpoint wraps an engine payload in the BCSE envelope. The payload
 // is appended directly into the envelope buffer by appendPayload — either
 // a live serializer (EstimatorState.AppendCheckpoint) or a closure over
-// pre-built bytes (the distributed checkpoint path).
+// pre-built bytes (an in-run capture).
 func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte {
 	buf := make([]byte, 0, ckptMinLen)
 	buf = append(buf, ckptMagic...)
@@ -484,21 +509,24 @@ func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte
 // re-binding it to w — a workload of the same kind over the same graph the
 // checkpoint was taken from (kind and vertex count are verified; the graph
 // itself is the caller's contract). The session resumes on the backend it
-// was checkpointed from, with the serialized statistical identity (eps,
-// delta, seed, threads, vertex diameter); options supply what a checkpoint
-// cannot carry — WithProgress, WithMaxSamples, WithMaxDuration, WithTopK —
-// and any statistical options are superseded by the checkpoint (use Refine
-// to retarget afterwards).
+// was checkpointed from — Sequential, SharedMemory with its threads, or
+// LocalMPI with its ranks and threads per rank — with the serialized
+// statistical identity (eps, delta, seed, vertex diameter, stopping rule);
+// options supply what a checkpoint cannot carry — WithProgress,
+// WithMaxSamples, WithMaxDuration, WithDistCheckpoint, and WithExecutor
+// with a TCP executor, which resumes a distributed session as this rank of
+// that world (every rank restores, or starts fresh: rank 0's state is the
+// one that counts) — and any statistical options are superseded by the
+// checkpoint (use Refine to retarget afterwards). What a resume reproduces
+// is stated once, on Estimator.
 //
-// WithTopK names the stopping rule here exactly as it does at NewEstimator:
-// on a checkpoint that restores onto the Sequential backend over an
-// undirected workload it selects the certified top-k rule, and omitting it
-// selects the uniform one; a converged session is re-judged under the rule
-// chosen. The payloads a shared-memory session captures mid-run and the ones
-// WithDistCheckpoint emits also restore onto the Sequential backend, so pass
-// WithTopK only for a session that was certified when it was written —
-// passing it for a formerly shm/MPI session trades that session's uniform
-// (eps, delta) guarantee for the top-k one.
+// A checkpoint records its stopping rule, so a certified top-k session
+// comes back certified, with its k, and a uniform one uniform — WithTopK
+// here only asks for a ranking of that many vertices. Checkpoints written
+// before the rule was recorded (format version 1) are the exception: there
+// WithTopK names the rule exactly as it does at NewEstimator, and their
+// mid-run captures of shared-memory and MPI sessions restore onto the
+// Sequential backend, as they always did.
 //
 // The stream is untrusted: truncated, corrupted, or version-skewed bytes
 // return an error, never panic.
@@ -534,28 +562,29 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	if err != nil {
 		return nil, err
 	}
-	// The statistical identity lives in the checkpoint.
+	// The statistical identity and the backend's shape live in the
+	// checkpoint.
 	cfg := st.Config()
 	s.Epsilon, s.Delta, s.Seed = cfg.Eps, cfg.Delta, cfg.Seed
 	s.VertexDiameter = st.VertexDiameter()
-	if st.Threads() == 0 {
-		s.exec, s.Threads = Sequential(), 0
-	} else {
-		s.exec, s.Threads = SharedMemory(), st.Threads()
+	s.Threads = st.Threads()
+	switch _, tcp := s.exec.(tcpExec); {
+	case st.Procs() > 0 && !tcp:
+		s.exec = LocalMPI(st.Procs())
+	case st.Procs() > 0:
+	case st.Threads() == 0:
+		s.exec = Sequential()
+	default:
+		s.exec = SharedMemory()
 	}
-	if err := checkSize(w.n, s); err != nil {
-		return nil, err
+	if !st.RuleRecorded() {
+		// Version 1: k is session configuration, not checkpoint content —
+		// the restorer names the stopping rule as NewEstimator's caller does.
+		if err := st.SetTopK(certifiedTopK(s.exec, w, s.Params)); err != nil {
+			return nil, err
+		}
+	} else if cfg.TopK > 0 {
+		s.TopK = cfg.TopK
 	}
-	if err := w.checkRunnable(s.exec); err != nil {
-		return nil, err
-	}
-	// k is session configuration, not checkpoint content: the restorer
-	// names the stopping rule the same way NewEstimator's caller does.
-	if err := st.SetTopK(certifiedTopK(s.exec, w, s.Params)); err != nil {
-		return nil, err
-	}
-	e := &Estimator{w: w, s: s, st: st}
-	e.wireProgress()
-	e.observeState()
-	return e, nil
+	return newEstimator(w, s, st)
 }

@@ -3,8 +3,11 @@ package betweenness
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -428,8 +431,8 @@ func TestSnapshotAndProgressShareOneType(t *testing.T) {
 // restored into a fresh Estimator (fresh state machine, as a fresh process
 // would build), and resumed produces a bit-identical Result to the
 // uninterrupted run — under the uniform stopping rule and under the
-// certified top-k rule, whose k the restorer supplies again (a checkpoint
-// does not carry it).
+// certified top-k rule, which the checkpoint records: the restorer passes
+// no WithTopK.
 func TestCheckpointRestoreResume(t *testing.T) {
 	g := testGraph(t)
 	for name, rule := range map[string][]Option{
@@ -463,7 +466,7 @@ func TestCheckpointRestoreResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			restored, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g), rule...)
+			restored, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -499,31 +502,84 @@ func TestCheckpointRestoreResume(t *testing.T) {
 				t.Fatalf("confidence bounds present=%v under rule %s", got.Lower != nil, name)
 			}
 
-			// The converged checkpoint restored without WithTopK is a uniform
-			// session: its converged flag is re-judged under that rule, so a
-			// certified stop (far short of the uniform eps) resumes sampling
-			// instead of claiming a guarantee it never earned, and a uniform
-			// stop stays put.
+			// The converged checkpoint comes back under the rule it recorded
+			// and stays put — a certified stop (far short of the uniform eps)
+			// is still a certified stop, not a uniform guarantee it never
+			// earned — and WithTopK on the restore only ranks: it cannot
+			// swap a uniform session's rule.
 			buf.Reset()
 			if err := restored.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			plain, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g))
+			again, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g), WithTopK(3))
 			if err != nil {
 				t.Fatal(err)
 			}
-			uni, err := plain.Run(context.Background())
+			fin, err := again.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !uni.Converged || uni.AchievedEps > 0.02 || uni.Lower != nil {
-				t.Fatalf("restored without WithTopK: converged=%v achieved eps %g (target 0.02) bounds=%v",
-					uni.Converged, uni.AchievedEps, uni.Lower != nil)
+			if !fin.Converged || fin.Tau != got.Tau || fin.AchievedEps != got.AchievedEps {
+				t.Fatalf("converged checkpoint restored as converged=%v tau %d (was %d) achieved eps %g (was %g)",
+					fin.Converged, fin.Tau, got.Tau, fin.AchievedEps, got.AchievedEps)
 			}
-			if rule == nil && uni.Tau != got.Tau {
-				t.Fatalf("converged uniform checkpoint resampled: tau %d -> %d", got.Tau, uni.Tau)
+			if (fin.Lower != nil) != (rule != nil) {
+				t.Fatalf("restored with WithTopK(3): confidence bounds present=%v under recorded rule %s", fin.Lower != nil, name)
+			}
+			if wantTop := map[bool]int{true: 1, false: 3}[rule != nil]; len(fin.Top) != wantTop {
+				t.Fatalf("restored with WithTopK(3) under rule %s: ranked %d vertices, want %d", name, len(fin.Top), wantTop)
 			}
 		})
+	}
+}
+
+// TestRestoreV1Checkpoint: the committed checkpoint written before the
+// format recorded engine shape and stopping rule (engine payload v1 in BCSE
+// envelope v1; see internal/kadabra.TestRestoreV1Payload for its
+// provenance) still restores and finishes bit-identically to the session
+// never having stopped — and, as such payloads always did, takes its rule
+// from the restorer.
+func TestRestoreV1Checkpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/v1_seq_undirected.bck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(8, 8, 17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Estimate(context.Background(), g,
+		WithEpsilon(0.03), WithDelta(0.1), WithSeed(11), WithExecutor(Sequential()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := RestoreEstimator(bytes.NewReader(data), Undirected(g))
+	if err != nil {
+		t.Fatalf("restoring the version-1 checkpoint: %v", err)
+	}
+	if snap := est.Snapshot(); snap.Tau != want.Tau/3 {
+		t.Fatalf("v1 checkpoint holds tau %d, want the budget stop at %d", snap.Tau, want.Tau/3)
+	}
+	got, err := est.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Backend != "sequential" || got.Tau != want.Tau || got.Epochs != want.Epochs ||
+		got.AchievedEps != want.AchievedEps || !reflect.DeepEqual(got.Estimates, want.Estimates) {
+		t.Fatalf("v1 resume on %s differs from the uninterrupted run: tau %d/%d epochs %d/%d achieved %g/%g",
+			got.Backend, got.Tau, want.Tau, got.Epochs, want.Epochs, got.AchievedEps, want.AchievedEps)
+	}
+
+	certified, err := RestoreEstimator(bytes.NewReader(data), Undirected(g), WithTopK(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres, err := certified.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Lower == nil || len(cres.Top) != 1 {
+		t.Fatalf("v1 checkpoint restored with WithTopK(1): bounds=%v top=%v, want the certified rule", cres.Lower != nil, cres.Top)
 	}
 }
 
@@ -567,31 +623,51 @@ func TestCheckpointRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestNotCheckpointableAndNotRefinable: the one-shot backends degrade
-// honestly with the typed errors; a certified top-k session is not one of
-// them.
+// TestNotCheckpointableAndNotRefinable: only a custom Executor degrades to
+// the one-shot handle with the typed errors; every built-in backend — the
+// in-process MPI one here, and a certified top-k session — owns its state.
 func TestNotCheckpointableAndNotRefinable(t *testing.T) {
 	g := testGraph(t)
-	est, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithExecutor(LocalMPI(2)))
+	est, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithExecutor(undirectedOnlyExec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Checkpointable() {
-		t.Error("LocalMPI session claims to be checkpointable")
+	if est.Checkpointable() || est.RequestCheckpoint() {
+		t.Error("custom-executor session claims to be checkpointable")
 	}
 	if err := est.Checkpoint(&bytes.Buffer{}); !errors.Is(err, ErrNotCheckpointable) {
-		t.Errorf("Checkpoint on LocalMPI returned %v, want ErrNotCheckpointable", err)
+		t.Errorf("Checkpoint on a custom executor returned %v, want ErrNotCheckpointable", err)
 	}
 	if _, err := est.Refine(context.Background(), WithEpsilon(0.01)); !errors.Is(err, ErrNotRefinable) {
-		t.Errorf("Refine on LocalMPI returned %v, want ErrNotRefinable", err)
+		t.Errorf("Refine on a custom executor returned %v, want ErrNotRefinable", err)
 	}
 	// But Run works, one-shot.
 	res, err := est.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backend != "local-mpi" || res.Estimates == nil {
+	if res.Backend != "sequential" || res.Estimates == nil {
 		t.Fatalf("one-shot session run broken: backend %q", res.Backend)
+	}
+
+	// The other direction: no built-in backend ever yields the typed errors.
+	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2), TCP(0, []string{"127.0.0.1:1"})} {
+		est, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithThreads(2), WithExecutor(exec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !est.Checkpointable() || !est.RequestCheckpoint() {
+			t.Errorf("%s session claims not to be checkpointable", exec.Name())
+		}
+		if err := est.Checkpoint(&bytes.Buffer{}); err != nil {
+			t.Errorf("Checkpoint on %s returned %v", exec.Name(), err)
+		}
+		if exec.Name() == "tcp" {
+			continue // a one-rank "world" of one unroutable host: nothing to run
+		}
+		if res, err := est.Refine(context.Background(), WithEpsilon(0.04)); err != nil || !res.Converged {
+			t.Errorf("Refine on %s: result %+v, err %v", exec.Name(), res, err)
+		}
 	}
 
 	// Certified top-k on the sequential backend is an ordinary session:
@@ -677,6 +753,50 @@ func FuzzRestoreEstimator(f *testing.F) {
 	skew := append([]byte(nil), full...)
 	skew[4] = 0xFF
 	f.Add(skew)
+
+	// One seed per payload shape the decoder knows. Version 1 (the engine
+	// payload without its procs and top-k fields, streams always carried)
+	// is partial re-laid-out, plus the committed parent-written file, which
+	// is over another graph and must be refused on its vertex count.
+	v1 := append([]byte(nil), partial[:ckptHeaderLen]...)
+	v1 = append(v1, 1, 0)                                        // payload version
+	v1 = append(v1, partial[ckptHeaderLen+2:ckptHeaderLen+7]...) // engine, threads
+	v1 = append(v1, partial[ckptHeaderLen+15:len(partial)-4]...) // the rest, less procs and top-k
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	if est, err := RestoreEstimator(bytes.NewReader(v1), Undirected(g)); err != nil || est.Snapshot().Tau != 200 {
+		f.Fatalf("the version-1 seed does not restore: %v", err)
+	}
+	f.Add(v1)
+	committed, err := os.ReadFile("testdata/v1_seq_undirected.bck")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	// Version 2: sequential is `full` and `partial` above; a shared-memory
+	// capture taken mid-run (streams absent) and a distributed session.
+	var shmInRun []byte
+	shm, err := NewEstimator(Undirected(g), WithEpsilon(0.01), WithSeed(1), WithThreads(2), WithExecutor(SharedMemory()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	shm.SetCheckpointSink(func(p []byte) { shmInRun = append([]byte(nil), p...) })
+	shm.RequestCheckpoint()
+	if _, err := shm.Run(context.Background()); err != nil || shmInRun == nil {
+		f.Fatalf("no in-run shared-memory capture (err %v)", err)
+	}
+	f.Add(shmInRun)
+	dist, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithSeed(1), WithMaxSamples(200), WithExecutor(LocalMPI(2)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := dist.Run(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	var distCkpt bytes.Buffer
+	if err := dist.Checkpoint(&distCkpt); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(distCkpt.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Budget the resume: a CRC-colliding mutation could otherwise

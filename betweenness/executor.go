@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -61,79 +62,82 @@ func IsRankDeath(err error) bool {
 	return ok
 }
 
-// coreConfig maps the public parameters onto the internal distributed
-// configuration. The progress callback is wired at the distributed level
-// only (the per-epoch hook of the embedded sequential config is cleared so
-// no future code path can fire it twice).
-func (p Params) coreConfig() core.Config {
-	cfg := core.Config{
-		Config:       p.kadabraConfig(),
-		Threads:      p.Threads,
-		Strategy:     core.AggStrategy(p.Agg),
-		RanksPerNode: p.RanksPerNode,
-	}
-	cfg.OnEpoch = cfg.Config.OnEpoch
-	cfg.Config.OnEpoch = nil
-	return cfg
+// engine is the session half of a built-in backend; a custom Executor lacks
+// it and gets the one-shot handle (see Estimator).
+type engine interface {
+	Executor
+	// bind builds the session's per-rank states from cfg; sts[0] is the one
+	// the session reads — this process's rank in a TCP world, world rank 0
+	// otherwise. A non-nil root is a restored rank-0 state to resume from.
+	bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error)
+	// advance runs the states until the target is reached, the budget in p
+	// runs out, or ctx is cancelled, leaving them consistent in every case;
+	// the MPI backends report their Table II counters.
+	advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error)
 }
 
-// coreConfigFor extends coreConfig with the pieces that depend on the
-// workload: the periodic distributed checkpoint is sealed in the standard
-// session envelope with the workload's kind byte, so RestoreEstimator
-// accepts it directly.
-func (p Params) coreConfigFor(w Workload) core.Config {
-	cfg := p.coreConfig()
-	if p.DistCheckpointInterval > 0 && p.DistCheckpoint != nil {
-		sink := p.DistCheckpoint
-		kind := w.kind
-		cfg.CheckpointInterval = p.DistCheckpointInterval
-		cfg.OnCheckpoint = func(payload []byte) {
-			sink(sealCheckpoint(kind, func(dst []byte) []byte {
-				return append(dst, payload...)
-			}))
-		}
+// coreConfig maps the public parameters onto the distributed run controls;
+// of the embedded config Algorithm2 reads only the per-call budget.
+func (p Params) coreConfig() core.Config {
+	return core.Config{
+		Config:             kadabra.Config{MaxSamples: p.MaxSamples, MaxDuration: p.MaxDuration},
+		Strategy:           core.AggStrategy(p.Agg),
+		RanksPerNode:       p.RanksPerNode,
+		CheckpointInterval: p.DistCheckpointInterval,
 	}
-	return cfg
 }
+
+// rankThreads resolves the MPI backends' per-rank thread count: zero means
+// one sampling thread per rank (the ranks themselves provide parallelism).
+func rankThreads(p Params) int { return max(p.Threads, 1) }
 
 // Sequential returns the single-threaded reference backend. It is the only
 // backend whose sessions stop by the certified top-k rule (see WithTopK;
 // undirected workload only — every other backend and workload derives the
 // ranking from the final estimates).
-func Sequential() Executor { return seqExec{} }
-
-type seqExec struct{}
-
-func (seqExec) Name() string { return "sequential" }
-
-func (seqExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
-
-func (e seqExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	return runEngine(ctx, e, w, p, 0)
-}
+func Sequential() Executor { return procExec{} }
 
 // SharedMemory returns the epoch-based shared-memory backend (the paper's
 // state-of-the-art competitor, its Ref. 24): Params.Threads wait-free
-// sampling threads coordinated by thread 0. This is the default backend.
-func SharedMemory() Executor { return shmExec{} }
+// sampling threads coordinated by thread 0 (zero means one per CPU core).
+// This is the default backend.
+func SharedMemory() Executor { return procExec{shm: true} }
 
-type shmExec struct{}
+// procExec is the single-process backend: kadabra's one state machine on
+// its sequential engine, or on its shared-memory one.
+type procExec struct{ shm bool }
 
-func (shmExec) Name() string { return "shared-memory" }
-
-func (shmExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
-
-func (e shmExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	return runEngine(ctx, e, w, p, shmThreads(p))
+func (e procExec) Name() string {
+	if e.shm {
+		return "shared-memory"
+	}
+	return "sequential"
 }
 
-// shmThreads resolves the shared-memory engine's thread count: zero means
-// one sampling thread per CPU core.
-func shmThreads(p Params) int {
-	if p.Threads <= 0 {
-		return runtime.GOMAXPROCS(0)
+func (procExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
+
+func (e procExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
+	return runSession(ctx, e, w, p)
+}
+
+func (e procExec) bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
+	if root == nil {
+		threads := 0 // the sequential engine
+		if e.shm {
+			if threads = p.Threads; threads <= 0 {
+				threads = runtime.GOMAXPROCS(0)
+			}
+		}
+		var err error
+		if root, err = kadabra.NewEstimatorState(w, threads, cfg); err != nil {
+			return nil, err
+		}
 	}
-	return p.Threads
+	return []*kadabra.EstimatorState{root}, nil
+}
+
+func (procExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error) {
+	return nil, sts[0].Run(ctx, p.kadabraConfig().NewBudget(time.Now()))
 }
 
 // certifiedTopK is the one place that decides which sessions stop by the
@@ -141,30 +145,20 @@ func shmThreads(p Params) int {
 // undirected workload. It returns the k the engine should certify, or 0
 // for the uniform rule (the ranking is then derived from the estimates).
 func certifiedTopK(exec Executor, w Workload, p Params) int {
-	if _, seq := exec.(seqExec); seq && w.kind == WorkloadUndirected {
+	if exec == Sequential() && w.kind == WorkloadUndirected {
 		return p.TopK
 	}
 	return 0
 }
 
-// runEngine is a direct Executor.Run on a single-process backend: one
-// kadabra session run to completion (threads == 0 selects the sequential
-// engine).
-func runEngine(ctx context.Context, e Executor, w Workload, p Params, threads int) (*Result, error) {
-	if err := w.checkRunnable(e); err != nil {
-		return nil, err
-	}
-	cfg := p.kadabraConfig()
-	cfg.TopK = certifiedTopK(e, w, p)
-	kr, err := kadabra.Run(ctx, w.inner, threads, cfg)
+// runSession is a direct Executor.Run on a built-in backend: one fresh
+// session, run once.
+func runSession(ctx context.Context, e engine, w Workload, p Params) (*Result, error) {
+	est, err := newEstimator(w, settings{Params: p, exec: e}, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := fromKadabra(e.Name(), kr)
-	if cfg.TopK > 0 {
-		res.Top = res.TopK(cfg.TopK)
-	}
-	return res, nil
+	return est.Run(ctx)
 }
 
 // LocalMPI returns the paper's epoch-based MPI parallelization (Algorithm
@@ -185,37 +179,48 @@ func (localExec) Name() string { return "local-mpi" }
 func (localExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
 
 func (e localExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	if err := w.checkRunnable(e); err != nil {
-		return nil, err
-	}
+	return runSession(ctx, e, w, p)
+}
+
+func (e localExec) bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
 	if e.procs < 1 {
 		return nil, fmt.Errorf("betweenness: local-mpi backend needs at least 1 process, got %d", e.procs)
 	}
-	cr, err := core.RunLocal(ctx, w.inner, e.procs, p.coreConfigFor(w))
+	sts, err := core.NewStates(w, e.procs, core.Config{Config: cfg, Threads: rankThreads(p)})
+	if err == nil && root != nil {
+		sts[0] = root
+	}
+	return sts, err
+}
+
+func (e localExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error) {
+	cr, err := core.RunLocal(ctx, sts, p.coreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(e.Name(), cr), nil
+	return &cr.Stats, nil
 }
 
 // TCP returns a genuinely distributed backend: this process joins a TCP
 // world as the given rank (hosts lists one host:port per rank, identical
 // on every rank) and runs Algorithm 2 collectively with the other ranks.
-// Every rank must call Estimate (or EstimateWorkload) with a structurally
-// identical graph, the same workload kind, and equal parameters. Only rank
-// 0's Result carries the estimates; the other ranks return
-// Estimates == nil.
+// Every rank must make the same calls (Estimate, or NewEstimator and then
+// the same sequence of Run and Refine) with a structurally identical graph,
+// the same workload kind, and equal parameters; each Run connects a world
+// and tears it down again. Only rank 0's session holds the samples: its
+// Result carries the estimates, the other ranks return Estimates == nil,
+// and it is rank 0's targets and checkpoint that count.
 //
 // Cancelling the context on any rank stops every rank within about one
 // epoch: the cancelled rank returns its ctx.Err(), the others
 // ErrRemoteCancelled.
 func TCP(rank int, hosts []string) Executor {
-	return tcpExec{rank: rank, hosts: hosts, dialTimeout: 30 * time.Second}
+	return tcpExec{rank: rank, hosts: strings.Join(hosts, ","), dialTimeout: 30 * time.Second}
 }
 
 type tcpExec struct {
 	rank        int
-	hosts       []string
+	hosts       string // comma-joined, so executors stay comparable (Refine's guard)
 	dialTimeout time.Duration
 }
 
@@ -224,24 +229,34 @@ func (tcpExec) Name() string { return "tcp" }
 func (tcpExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
 
 func (e tcpExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	if err := w.checkRunnable(e); err != nil {
-		return nil, err
+	return runSession(ctx, e, w, p)
+}
+
+func (e tcpExec) bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
+	if root == nil || e.rank != 0 {
+		// A restored payload is world rank 0's; any other rank starts its
+		// share of the session afresh and follows rank 0's announcement.
+		var err error
+		if root, err = kadabra.NewRankState(w, e.rank, strings.Count(e.hosts, ",")+1, rankThreads(p), cfg); err != nil {
+			return nil, fmt.Errorf("betweenness: tcp: %w", err)
+		}
 	}
-	if e.rank < 0 || e.rank >= len(e.hosts) {
-		return nil, fmt.Errorf("betweenness: tcp rank %d out of range for %d hosts", e.rank, len(e.hosts))
-	}
-	comm, closer, err := mpi.ConnectTCP(e.rank, e.hosts, e.dialTimeout)
+	return []*kadabra.EstimatorState{root}, nil
+}
+
+func (e tcpExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error) {
+	comm, closer, err := mpi.ConnectTCP(e.rank, strings.Split(e.hosts, ","), e.dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("betweenness: tcp connect: %w", err)
 	}
 	defer closer.Close()
-	cr, algErr := core.Algorithm2(ctx, w.inner, comm, p.coreConfigFor(w))
+	cr, algErr := core.Algorithm2(ctx, sts[0], comm, p.coreConfig())
 	// Final barrier: no rank may tear down its connections while peers are
 	// still draining collectives. After an in-run recovery the world
 	// communicator's failure generation is stale, so the barrier would
 	// fail by construction; the graceful-close goodbye handshake then
 	// takes over the draining duty.
-	if algErr == nil && (cr == nil || cr.Stats.Recoveries == 0) {
+	if algErr == nil && cr.Stats.Recoveries == 0 {
 		if berr := comm.Barrier(); berr != nil {
 			return nil, fmt.Errorf("betweenness: tcp final barrier: %w", berr)
 		}
@@ -249,5 +264,5 @@ func (e tcpExec) Run(ctx context.Context, w Workload, p Params) (*Result, error)
 	if algErr != nil {
 		return nil, algErr
 	}
-	return fromCore("tcp", cr), nil
+	return &cr.Stats, nil
 }

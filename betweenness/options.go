@@ -96,18 +96,18 @@ type Params struct {
 	// WithMaxDuration).
 	MaxDuration time.Duration
 	// DistCheckpointInterval, when positive, makes the MPI/TCP backends
-	// emit a periodic distributed checkpoint every that many epochs (see
-	// WithDistCheckpoint).
+	// capture a checkpoint every that many epochs (see WithDistCheckpoint).
 	DistCheckpointInterval int
-	// DistCheckpoint receives each periodic distributed checkpoint; it
-	// must be set together with DistCheckpointInterval.
+	// DistCheckpoint receives each of them; it must be set together with
+	// DistCheckpointInterval.
 	DistCheckpoint func(payload []byte)
 }
 
 // kadabraConfig maps the public parameters onto the internal KADABRA
-// configuration, wiring the progress callback and the sampling budgets.
+// configuration. (The progress callback is wired on the session's state,
+// by Estimator.wireProgress.)
 func (p Params) kadabraConfig() kadabra.Config {
-	cfg := kadabra.Config{
+	return kadabra.Config{
 		Eps:            p.Epsilon,
 		Delta:          p.Delta,
 		Seed:           p.Seed,
@@ -116,13 +116,6 @@ func (p Params) kadabraConfig() kadabra.Config {
 		MaxSamples:     p.MaxSamples,
 		MaxDuration:    p.MaxDuration,
 	}
-	if p.Progress != nil {
-		progress := p.Progress
-		cfg.OnEpoch = func(kp kadabra.Progress) {
-			progress(fromProgress(kp))
-		}
-	}
-	return cfg
 }
 
 // settings is the mutable state the options operate on.
@@ -199,12 +192,12 @@ func WithThreads(threads int) Option {
 // certifies the ranking (Result.Separated, Result.Lower/Upper) and usually
 // stops much earlier than a uniform estimate. It is an ordinary session in
 // every other respect — budgets, Snapshot, Refine (WithTopK there
-// re-targets the rule), Checkpoint; k is not part of a checkpoint, so pass
-// WithTopK to RestoreEstimator again to resume under the rule. Every other
-// backend and workload runs the uniform estimate and derives Top from the
-// scores. The rule is chosen when the session is built (NewEstimator,
-// RestoreEstimator): WithTopK on a Refine of a uniform session ranks, it
-// never swaps the guarantee.
+// re-targets the rule), Checkpoint; the rule and its k are part of the
+// checkpoint, so RestoreEstimator resumes under it without being told.
+// Every other backend and workload runs the uniform estimate and derives
+// Top from the scores. The rule is chosen when the session is built
+// (NewEstimator): WithTopK on a Refine or a restore of a uniform session
+// ranks, it never swaps the guarantee.
 func WithTopK(k int) Option {
 	return func(s *settings) error {
 		if k < 1 {
@@ -297,15 +290,12 @@ func WithMaxSamples(n int64) Option {
 }
 
 // WithMaxDuration sets a wall-clock budget: the run returns within about
-// one epoch of d elapsing. On the session backends (Sequential,
-// SharedMemory) the clock starts at each Run or Refine call — the cached
-// diameter phase already ran in NewEstimator; on the MPI/TCP backends it
-// starts at the call's entry and so covers their diameter phase, which is
-// non-interruptible — bound it with WithDiameterBFSCap or skip it with
-// WithVertexDiameter when d is tight. Like WithMaxSamples, an early stop
-// reports Converged == false and the achieved guarantee in
-// Result.AchievedEps. The budget is per call: each Estimator.Run or
-// Refine gets a fresh d.
+// one epoch of d elapsing. The clock starts at each Run or Refine call —
+// the cached diameter phase already ran in NewEstimator, on every built-in
+// backend (on a custom Executor the clock covers whatever its Run does).
+// Like WithMaxSamples, an early stop reports Converged == false and the
+// achieved guarantee in Result.AchievedEps. The budget is per call: each
+// Estimator.Run or Refine gets a fresh d.
 func WithMaxDuration(d time.Duration) Option {
 	return func(s *settings) error {
 		if d <= 0 {
@@ -316,19 +306,22 @@ func WithMaxDuration(d time.Duration) Option {
 	}
 }
 
-// WithDistCheckpoint makes the MPI/TCP backends emit a periodic
-// distributed checkpoint every `every` epochs: rank 0 serializes the
-// global estimator state, ships it to every rank on the termination-
-// broadcast frame (no extra collective), and each rank hands the sealed
-// payload to sink. The payload is a standard session checkpoint —
-// RestoreEstimator resumes it on the Sequential backend — so any
-// surviving rank can restart the job after a coordinator (rank 0) death,
-// the one failure the in-run shrink-and-recalibrate recovery cannot
-// absorb. The loss is bounded by one interval of samples.
+// WithDistCheckpoint makes the MPI/TCP backends emit a periodic checkpoint
+// every `every` epochs: world rank 0 requests the session's own in-run
+// capture (the one RequestCheckpoint arms), the payload rides to every rank
+// on the termination-broadcast frame (no extra collective), and each
+// process hands the sealed envelope to sink — exactly as if sink had been
+// registered with SetCheckpointSink. The payload is a standard session
+// checkpoint: RestoreEstimator resumes it as a distributed session of the
+// same shape, so any surviving rank's copy restarts the job after a
+// coordinator (rank 0) death, the one failure the in-run shrink-and-
+// recalibrate recovery cannot absorb. The loss is bounded by one interval
+// of samples.
 //
-// sink runs on each rank's coordinator goroutine between epochs: hand the
-// payload off (say, an atomic file write) rather than block in it.
-// Single-process backends ignore the option.
+// sink runs on the coordinator goroutine between epochs, once per process
+// (an in-process LocalMPI world calls it at rank 0 only): hand the payload
+// off (say, an atomic file write) rather than block in it. On the
+// single-process backends nothing requests the periodic capture.
 func WithDistCheckpoint(every int, sink func(payload []byte)) Option {
 	return func(s *settings) error {
 		if every < 1 {

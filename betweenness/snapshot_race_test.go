@@ -75,13 +75,14 @@ func TestConcurrentSnapshotDuringRun(t *testing.T) {
 }
 
 // TestSnapshotOneShotBackendNotLive pins the documented degradation: a
-// one-shot backend (in-process MPI here) retains no mid-run state, so
-// Snapshot serves the last completed Run's final state with Live == false
-// — before the first Run it is the zero observation.
+// custom Executor keeps its state inside Run, so Snapshot serves the last
+// completed Run's final state with Live == false — before the first Run it
+// is the zero observation — while every built-in backend, the in-process
+// MPI one included, serves live snapshots of the state its session owns.
 func TestSnapshotOneShotBackendNotLive(t *testing.T) {
 	g := testGraph(t)
 	est, err := NewEstimator(Undirected(g),
-		WithEpsilon(0.05), WithSeed(3), WithExecutor(LocalMPI(2)))
+		WithEpsilon(0.05), WithSeed(3), WithExecutor(undirectedOnlyExec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +123,37 @@ func TestSnapshotOneShotBackendNotLive(t *testing.T) {
 	}
 	if post.AchievedEps != res.AchievedEps {
 		t.Errorf("one-shot final snapshot eps %g, result %g", post.AchievedEps, res.AchievedEps)
+	}
+
+	// The opposite for LocalMPI: live before, during and after, and the
+	// final snapshot reads the state the session keeps at world rank 0.
+	dist, err := NewEstimator(Undirected(g),
+		WithEpsilon(0.05), WithSeed(3), WithExecutor(LocalMPI(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := dist.Snapshot(); !s.Live || s.Tau != 0 || s.AchievedEps != 1 {
+		t.Errorf("fresh LocalMPI snapshot = %+v; want live, tau 0, eps 1", s)
+	}
+	stop.Store(false)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if s := dist.Snapshot(); !s.Live {
+				t.Error("LocalMPI session produced a non-live snapshot")
+				return
+			}
+		}
+	}()
+	dres, err := dist.Run(context.Background())
+	stop.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := dist.Snapshot(); !s.Live || s.Tau != dres.Tau || s.Estimates == nil {
+		t.Errorf("LocalMPI final snapshot live=%v tau %d (result tau %d) estimates=%v",
+			s.Live, s.Tau, dres.Tau, s.Estimates != nil)
 	}
 }

@@ -42,15 +42,18 @@
 //	                   guarantee (any backend)
 //	-max-duration D    stop after roughly D of wall clock, e.g. 30s
 //	                   (any backend)
-//	-checkpoint PATH   seq/shm only: persist the session state to PATH —
+//	-checkpoint PATH   persist the session state to PATH (any backend) —
 //	                   on Ctrl-C the work done so far is saved instead of
 //	                   discarded, and a completed run saves its final
 //	                   state for later refinement
-//	-resume PATH       seq/shm only: continue a -checkpoint session; the
-//	                   statistical identity (eps, delta, seed, threads)
-//	                   comes from the checkpoint, and explicitly passed
-//	                   -eps/-delta refine the resumed session toward the
-//	                   new target, reusing every prior sample
+//	-resume PATH       continue a -checkpoint session on the backend that
+//	                   wrote it; the statistical identity (eps, delta,
+//	                   seed, threads, ranks, stopping rule) comes from
+//	                   the checkpoint, and explicitly passed -eps/-delta
+//	                   refine the resumed session toward the new target,
+//	                   reusing every prior sample. A tcp session resumes
+//	                   with -backend tcp -rank/-hosts on every rank (rank
+//	                   0's file is the one that counts)
 //
 // Fault tolerance (dist/tcp): a rank death mid-run is absorbed by the
 // shrink-and-recalibrate recovery protocol — the world shrinks to the
@@ -60,11 +63,12 @@
 //
 //	-dist-checkpoint-interval N   with -checkpoint PATH: every N epochs
 //	                              atomically overwrite PATH with a
-//	                              distributed checkpoint of the global
-//	                              state (every rank writes its own copy).
+//	                              checkpoint of the running session (each
+//	                              process writes its own copy: once for
+//	                              -backend dist, one per rank for tcp).
 //	                              After a crash, restart from it with
-//	                              -backend seq -resume PATH — at most N
-//	                              epochs of samples are lost
+//	                              -resume PATH on the same backend — at
+//	                              most N epochs of samples are lost
 //
 // Ctrl-C cancels a running estimate cleanly within one epoch of the
 // sampling loops (the diameter phase runs to completion first; bound it
@@ -82,6 +86,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -113,16 +118,16 @@ func main() {
 		ranksPer  = flag.Int("ranks-per-node", 0, "enable hierarchical aggregation with this group size")
 		agg       = flag.String("agg", "ibarrier+reduce", "MPI aggregation: ibarrier+reduce | ireduce | blocking")
 		topK      = flag.Int("top", 10, "print the top-k vertices")
-		certify   = flag.Bool("certify-top", false, "-backend seq, undirected: stop by the certified top-k rule for -top instead of the uniform eps rule (budgets, -checkpoint and -resume work as usual; pass it again on -resume)")
+		certify   = flag.Bool("certify-top", false, "-backend seq, undirected: stop by the certified top-k rule for -top instead of the uniform eps rule (budgets, -checkpoint and -resume work as usual; the rule is part of the checkpoint)")
 		progress  = flag.Bool("progress", false, "print a progress line per epoch (epoch, tau, achieved eps, samples/s)")
 		rank      = flag.Int("rank", -1, "this process's rank (tcp mode)")
 		hosts     = flag.String("hosts", "", "comma-separated host:port per rank (tcp mode)")
 
 		maxSamples = flag.Int64("max-samples", 0, "stop after this many samples and report the achieved guarantee (0 = until eps)")
 		maxDur     = flag.Duration("max-duration", 0, "stop after this much wall clock and report the achieved guarantee (0 = until eps)")
-		ckptPath   = flag.String("checkpoint", "", "seq/shm: persist the session here (written on Ctrl-C and on completion); dist/tcp with -dist-checkpoint-interval: destination of the periodic distributed checkpoint")
-		resumePath = flag.String("resume", "", "seq/shm: resume a -checkpoint session; explicit -eps/-delta refine it")
-		distCkpt   = flag.Int("dist-checkpoint-interval", 0, "dist/tcp: write a distributed checkpoint to -checkpoint every N epochs (0 = off; resume it with -backend seq -resume)")
+		ckptPath   = flag.String("checkpoint", "", "persist the session here, on Ctrl-C and on completion (tcp: rank 0's copy holds the samples), and every -dist-checkpoint-interval epochs in between")
+		resumePath = flag.String("resume", "", "resume a -checkpoint session on the backend that wrote it (tcp: pass -backend tcp again); explicit -eps/-delta refine it")
+		distCkpt   = flag.Int("dist-checkpoint-interval", 0, "dist/tcp: also write the session to -checkpoint every N epochs while it runs (0 = off)")
 		memstats   = flag.Bool("memstats", false, "print heap and resident-set stats before exiting (the ingest smoke test's RSS bound)")
 	)
 	flag.Parse()
@@ -229,7 +234,8 @@ func main() {
 		// The sink overwrites the same file atomically each interval, so
 		// after a crash (including a rank-0 death, the one failure the
 		// in-run recovery cannot absorb) the newest complete checkpoint is
-		// on disk, restartable with -backend seq -resume.
+		// on disk, restartable with -resume. The library calls it once per
+		// process and interval.
 		path := *ckptPath
 		opts = append(opts, betweenness.WithDistCheckpoint(*distCkpt, func(payload []byte) {
 			if err := writeBlob(path, payload); err != nil {
@@ -237,13 +243,12 @@ func main() {
 			}
 		}))
 	}
-	if *ckptPath != "" || *resumePath != "" {
-		if *resumePath != "" && *backend != "seq" && *backend != "shm" {
-			fatal(fmt.Errorf("-resume needs a resumable session (-backend seq or shm), got %q", *backend))
-		}
-		if *ckptPath != "" && *backend != "seq" && *backend != "shm" && *distCkpt == 0 {
-			fatal(fmt.Errorf("-checkpoint with backend %q needs -dist-checkpoint-interval (session checkpoints need -backend seq or shm)", *backend))
-		}
+	// In a TCP world the session's samples live at rank 0; the other ranks
+	// have nothing worth saving when a run ends (they do keep the periodic
+	// copies rank 0 broadcasts).
+	saveTo := *ckptPath
+	if *backend == "tcp" && *rank != 0 {
+		saveTo = ""
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -323,29 +328,23 @@ func main() {
 	}
 	if err != nil {
 		// SIGINT with a checkpoint path: persist the completed work
-		// instead of discarding it. (With -dist-checkpoint-interval the
-		// periodic sink already left the newest complete checkpoint on
-		// disk; the session is not checkpointable from here.)
-		if errors.Is(err, context.Canceled) && *ckptPath != "" && *distCkpt == 0 {
-			if werr := writeCheckpoint(est, *ckptPath); werr != nil {
+		// instead of discarding it.
+		if errors.Is(err, context.Canceled) && saveTo != "" {
+			if werr := writeCheckpoint(est, saveTo); werr != nil {
 				fatal(werr)
 			}
 			snap := est.Snapshot()
 			fmt.Printf("\ninterrupted: session saved to %s (tau=%d, eps'=%.4f) — continue with -resume %s\n",
-				*ckptPath, snap.Tau, snap.AchievedEps, *ckptPath)
+				saveTo, snap.Tau, snap.AchievedEps, saveTo)
 			return
 		}
 		fatal(err)
 	}
-	switch {
-	case *ckptPath != "" && *distCkpt == 0:
-		if werr := writeCheckpoint(est, *ckptPath); werr != nil {
+	if saveTo != "" {
+		if werr := writeCheckpoint(est, saveTo); werr != nil {
 			fatal(werr)
 		}
-		fmt.Printf("session saved to %s (refine it later with -resume)\n", *ckptPath)
-	case *distCkpt > 0:
-		fmt.Printf("distributed checkpoints: every %d epochs to %s (restartable with -backend seq -resume %s)\n",
-			*distCkpt, *ckptPath, *ckptPath)
+		fmt.Printf("session saved to %s (refine it later with -resume)\n", saveTo)
 	}
 	if res.Estimates == nil {
 		// TCP mode, non-root rank: the result lives at rank 0.
@@ -437,29 +436,17 @@ func restoreSession(path string, w betweenness.Workload, opts []betweenness.Opti
 	return betweenness.RestoreEstimator(f, w, opts...)
 }
 
-// writeCheckpoint persists the session atomically enough for a CLI: write
-// to a temp file next to the target, then rename over it.
+// writeCheckpoint persists the session to path.
 func writeCheckpoint(est *betweenness.Estimator, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := est.Checkpoint(&buf); err != nil {
 		return err
 	}
-	if err := est.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeBlob(path, buf.Bytes())
 }
 
 // writeBlob atomically replaces path with the given bytes (temp file plus
-// rename) — the sink of the periodic distributed checkpoint, whose payload
-// arrives already sealed.
+// rename): a sealed checkpoint, from Checkpoint or from the periodic sink.
 func writeBlob(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {

@@ -83,20 +83,21 @@
 // MPI/TCP ones, where rank 0 folds the budget stop into the termination
 // broadcast — and an early-stopped Result reports Converged == false with
 // the honestly achieved guarantee in AchievedEps. Sessions are resumable
-// (Refine/Checkpoint/repeated Run) on the Sequential and SharedMemory
-// backends — one engine, whichever stopping rule it runs: WithTopK on a
-// sequential undirected session swaps the uniform rule for the certified
-// top-k rule without changing anything else about the session. A
-// sequential session interrupted via checkpoint and resumed in a fresh
-// process is bit-identical to the uninterrupted run. Elsewhere the
-// handle degrades honestly: Refine returns the typed ErrNotRefinable,
-// Checkpoint the typed ErrNotCheckpointable (both errors.Is-able, each
-// naming the reason), and Snapshot reports the last completed Run's final
-// state with Snapshot.Live == false — the one-shot backends hold their
-// sampling state out of process during a Run, so mid-run polls get an
-// honest "not live" marker instead of fabricated zeroes. Checkpoints are
-// versioned and CRC-protected; corrupted or version-skewed bytes error out
-// instead of panicking.
+// (Refine/Checkpoint/repeated Run, live Snapshot) on all four built-in
+// backends — one state machine (kadabra.EstimatorState) advanced by three
+// engines, Algorithm 2 being the collective loop over it: world rank 0
+// keeps the consistent state between runs, and a checkpoint records engine,
+// threads, ranks and stopping rule (WithTopK on a sequential undirected
+// session swaps the uniform rule for the certified top-k one), so a session
+// resumes on the backend that wrote it. A sequential session resumed from a
+// checkpoint in a fresh process is bit-identical to the uninterrupted run;
+// every other resume is statistically equivalent (a capture whose RNG
+// streams were in use continues on streams re-derived from seed, tau and
+// worker index). Only a custom Executor gets a one-shot handle: Refine
+// returns the typed ErrNotRefinable, Checkpoint ErrNotCheckpointable, and
+// Snapshot.Live is false. Checkpoints are versioned (the previous payload
+// version still restores) and CRC-protected; corrupted or version-skewed
+// bytes error out instead of panicking.
 //
 // # Betweenness as a service
 //

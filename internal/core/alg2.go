@@ -8,7 +8,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/kadabra"
 	"repro/internal/mpi"
-	"repro/internal/rng"
 )
 
 // Algorithm2 is the epoch-based MPI parallelization of paper Algorithm 2:
@@ -20,82 +19,52 @@ import (
 // reduce over the global communicator; this mirrors the paper's
 // one-process-per-NUMA-socket deployment.
 //
-// All processes call it collectively with a workload over a structurally
-// identical graph — any of the three estimation scenarios (undirected,
-// directed, weighted), per the paper's footnote 1: only the sampling
-// kernel and the phase-1 bound differ between them. World rank 0 returns
-// the result.
+// It is the collective loop over the session state: every process calls it
+// with its own rank's state (NewStates) over a structurally identical graph
+// — any of the three estimation scenarios, per the paper's footnote 1: only
+// the sampling kernel and the phase-1 bound differ. World rank 0's state is
+// where (S, tau) lives: the reduced frames fold into it, the stopping
+// check, progress hook, result and checkpoints are its own, and a
+// calibrated state skips phase 2 — so a session keeps its samples from one
+// call to the next. World rank 0 returns the result.
 //
 // Cancellation on any rank propagates: every rank gossips its context
 // state with the per-epoch reduction, rank 0 folds it (and its own ctx)
 // into the termination broadcast, and all ranks leave the collective loop
 // cleanly within one epoch — cancelled ranks return their ctx.Err(), the
-// others ErrRemoteCancelled.
-func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Config) (*Result, error) {
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	start := time.Now()
-	kcfg := cfg.Config
-	if kcfg.Eps == 0 {
-		kcfg.Eps = 0.01
-	}
-	if kcfg.Delta == 0 {
-		kcfg.Delta = 0.1
-	}
-	cfg.Config = kcfg
-	n := w.N()
-	T := cfg.threads()
-	root := 0
-
-	// Phase 1: diameter at rank 0, broadcast.
-	vd, diamTime, err := phase1(w, comm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	omega := kadabra.Omega(vd, kcfg.Eps, kcfg.Delta)
-
-	// Deterministic, globally distinct sampler streams: stream index is
-	// worldRank*T + t. The in-process half of the algorithm — calibration
-	// fan-out, sampling threads, epoch transitions — is epoch.Driver's.
-	sm := rng.NewSplitMix64(kcfg.Seed)
-	for i := 0; i < comm.Rank()*T; i++ {
-		sm.Next()
-	}
-	sample := make([]func(*epoch.StateFrame), T)
-	for t := range sample {
-		s := w.NewSampler(rng.NewRand(sm.Next()))
-		sample[t] = func(sf *epoch.StateFrame) { kadabra.SampleInto(s, sf) }
-	}
-	fw := epoch.New(T, n)
-	if kcfg.DenseFrames {
-		fw.ForceDense()
-	}
-	drv := epoch.NewDriver(fw, sample)
-	defer drv.Stop()
-
+// others ErrRemoteCancelled; the samples folded until then stay.
+func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm, cfg Config) (*Result, error) {
 	// Budget stopping (anytime sessions): rank 0 enforces the sample cap
 	// against the global tau; every rank honours the wall-clock deadline
 	// and its own context in its calibration threads.
-	budget := kcfg.NewBudget(start)
-	converged := false
-	// The progress throughput counts from here: tau includes the
-	// calibration samples, so its clock must too.
-	rateStart := time.Now()
+	budget := cfg.NewBudget(time.Now())
+	n := st.N()
+	T := st.Threads()
+	root := 0
+	defer st.Activate()()
 
-	// Phase 2: calibration — all T threads of all processes sample a fixed
-	// share in parallel, then one blocking merge-reduction (§IV-F:
-	// "Parallelizing the computation of the initial fixed number of samples
-	// is straightforward").
-	cal, calCounts, calTau, calTime, err := phase2(comm, cfg, n, omega, drv,
-		func() bool { return ctx.Err() != nil || budget.Overdue() })
+	// Phase 1 ran when rank 0's state was built; announce its outcome.
+	calibrated, tau, err := phase1(st, comm)
 	if err != nil {
 		return nil, err
+	}
+
+	// The in-process half of the algorithm — calibration fan-out, sampling
+	// threads, epoch transitions — is epoch.Driver's.
+	drv := st.NewDriver()
+	defer drv.Stop()
+
+	// Phase 2, unless the session is past it.
+	var remoteCancelled bool
+	if !calibrated {
+		if remoteCancelled, err = phase2(ctx, st, comm, drv, budget, tau); err != nil {
+			return nil, err
+		}
 	}
 
 	// Hierarchical communicators (§IV-E), rebuilt from the current world
 	// communicator after every shrink.
-	ft := newFTState(comm, cfg, n)
+	ft := newFTState(comm, st)
 	var local, global *mpi.Comm
 	var hierarchical bool
 	buildHierarchy := func() error {
@@ -124,14 +93,6 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		return nil, err
 	}
 
-	// Aggregated state S at world rank 0, seeded with calibration samples.
-	var S []int64
-	var STau int64
-	if comm.Rank() == root {
-		S = calCounts
-		STau = calTau
-	}
-
 	// Sampling threads 1..T-1 start here. overlap runs between two polls of
 	// non-blocking communication: drv.Sample takes one sample in thread 0's
 	// *current* frame, which during a wait is already the next epoch's
@@ -143,50 +104,47 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		overlap = func() {}
 	}
 
-	finish := func(stats Stats, samplingTime time.Duration, checkTime time.Duration) *Result {
-		res := &Result{Stats: stats}
-		if comm.Rank() == root {
-			res.Stats.Samples = STau
-			res.Res = finalize(cal, n, S, STau, omega, vd, stats.Epochs, converged, kadabra.Timings{
-				Diameter:    diamTime,
-				Calibration: calTime,
-				Sampling:    samplingTime,
-				Transition:  stats.TransitionWait,
-				Barrier:     stats.BarrierWait,
-				Reduce:      stats.ReduceTime,
-				Check:       checkTime,
-			})
-		}
-		return res
-	}
-
 	var stats Stats
 	stats.RanksStarted = comm.Size()
 	stats.CommVolumePerEpoch = commVolumePerEpoch(n, comm.Size())
-
-	// Degenerate case: calibration alone may satisfy the stopping condition.
-	var code int64
-	if comm.Rank() == root {
-		converged = cal.HaveToStop(S, STau)
-		code = stopCode(converged || budget.Exceeded(STau), ctx.Err(), false)
-	}
-	code, _, err = broadcastFrame(comm, root, code, nil, overlap)
-	if err != nil {
-		return nil, err
-	}
-	if code != codeContinue {
-		res := finish(stats, 0, 0)
+	samplingStart := time.Now()
+	check0 := st.Timings().Check
+	finish := func(code int64) (*Result, error) {
+		res := &Result{Stats: stats}
+		if comm.Rank() == root {
+			t := st.Timings()
+			t.Sampling += time.Since(samplingStart)
+			t.Transition += stats.TransitionWait
+			t.Barrier += stats.BarrierWait
+			t.Reduce += stats.ReduceTime
+			res.Stats.CheckTime = t.Check - check0
+			res.Res = st.Result()
+		}
 		if err := cancelResult(ctx, code); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
 
-	samplingStart := time.Now()
-	n0 := kcfg.EpochLength(comm.Size() * T)
-	eLoc := cfg.newFrame(n)
+	// The state may already satisfy the stopping condition (calibration
+	// alone can; so does a converged session run again), or be unable to
+	// enter the epoch loop: a batch cut short leaves it uncalibrated.
+	var code int64
+	if comm.Rank() == root {
+		stop := !st.Calibrated() || st.Check() || budget.Exceeded(st.Tau())
+		code = stopCode(stop, ctx.Err(), remoteCancelled)
+	}
+	code, _, err = broadcastFrame(comm, root, code, nil, overlap)
+	if err != nil {
+		return nil, err
+	}
+	if code != codeContinue {
+		return finish(code)
+	}
+
+	n0 := st.Config().EpochLength(comm.Size() * T)
+	eLoc := st.NewFrame()
 	var wire []byte
-	var checkTime time.Duration
 
 	// Fault tolerance: a rank death inside the epoch loop is absorbed by
 	// shrinking the world, salvaging unfolded frames, rebuilding the
@@ -196,7 +154,7 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 	// current epoch's frames and are aggregated as usual afterwards.
 	recoverWorld := func(cause error) error {
 		for {
-			if rerr := ft.recover(cause, S, &STau); rerr != nil {
+			if rerr := ft.recover(cause, st); rerr != nil {
 				return rerr
 			}
 			if herr := buildHierarchy(); herr != nil {
@@ -206,7 +164,7 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 				}
 				return herr
 			}
-			n0 = kcfg.EpochLength(ft.comm.Size() * T)
+			n0 = st.Config().EpochLength(ft.comm.Size() * T)
 			stats.RanksLost = ft.ranksLost
 			stats.Recoveries = ft.recoveries
 			stats.CommVolumePerEpoch = commVolumePerEpoch(n, ft.comm.Size())
@@ -263,25 +221,25 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 		}
 		stats.Epochs++
 
-		// Fold into S and check the stopping condition at rank 0 only
-		// (lines 22-24).
+		// Fold into the state and check the stopping condition at rank 0
+		// only (lines 22-24). A periodic checkpoint is one more request for
+		// the state's own in-run capture, shipped on the broadcast below.
 		var next int64
 		var blob []byte
 		if ft.comm.Rank() == root {
-			tau, remoteCancelled, ferr := epoch.FoldWire(reduced, S)
+			remoteCancelled, ferr := st.FoldWire(reduced)
 			if ferr != nil {
 				return nil, fmt.Errorf("core: epoch frame: %w", ferr)
 			}
-			STau += tau
 			ft.noteFold()
-			cs := time.Now()
-			converged = cal.HaveToStop(S, STau)
-			checkTime += time.Since(cs)
-			if cfg.OnEpoch != nil {
-				cfg.OnEpoch(progressAt(cal, S, STau, stats.Epochs, rateStart))
+			st.EndEpoch()
+			next = stopCode(st.Check() || budget.Exceeded(st.Tau()), ctx.Err(), remoteCancelled)
+			if next == codeContinue {
+				if cfg.CheckpointInterval > 0 && st.Epochs()%cfg.CheckpointInterval == 0 {
+					st.RequestCheckpoint()
+				}
+				blob = st.CaptureCheckpoint()
 			}
-			next = stopCode(converged || budget.Exceeded(STau), ctx.Err(), remoteCancelled)
-			blob = checkpointBlob(cfg, vd, n, S, STau, cal, stats.Epochs, next)
 		}
 
 		// Broadcast the termination code (plus any due checkpoint) with
@@ -295,17 +253,12 @@ func Algorithm2(ctx context.Context, w kadabra.Workload, comm *mpi.Comm, cfg Con
 			// epoch: the stopping rule is monotone in S.
 			continue
 		}
-		if len(blob) > 0 && cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(blob)
+		if len(blob) > 0 {
+			st.DeliverCheckpoint(blob)
 			stats.Checkpoints++
 		}
 		if code != codeContinue {
-			stats.CheckTime = checkTime
-			res := finish(stats, time.Since(samplingStart), checkTime)
-			if err := cancelResult(ctx, code); err != nil {
-				return nil, err
-			}
-			return res, nil
+			return finish(code)
 		}
 	}
 }

@@ -22,9 +22,15 @@
 //   - lines 19-21 [9-11], the non-blocking reduction overlapped with
 //     sampling: aggregate, with epoch.Driver.Sample as the overlap function
 //   - lines 22-24 [13-14], rank 0 folds the snapshot into S and checks the
-//     stopping condition: FoldWire and Calibration.HaveToStop
+//     stopping condition: EstimatorState.FoldWire and Check
 //   - lines 25-27 [16-18], the termination broadcast overlapped with
 //     sampling: broadcastFrame
+//
+// The consistent state (S, tau) the loop runs on is not the loop's: it is
+// world rank 0's kadabra.EstimatorState, the same state machine the
+// sequential and shared-memory engines advance — so a distributed session
+// keeps its samples between calls, refines, and checkpoints through the one
+// codec — and every rank's state owns that rank's samplers.
 //
 // Every process must hold the full graph (the paper's standing assumption,
 // §I-A: samples are taken locally without communication). The communicator
@@ -76,6 +82,13 @@ func (s AggStrategy) String() string {
 }
 
 // Config extends the KADABRA parameters with distribution controls.
+// NewStates builds the session from the embedded kadabra.Config — from then
+// on the statistical identity, the progress hook (OnEpoch, fired at world
+// rank 0) and the stopping rule live in the state — and Algorithm2 reads
+// the per-call budget from it: rank 0 enforces MaxSamples against the
+// global tau and MaxDuration against its own clock, folding a budget stop
+// into the termination broadcast, so every rank leaves the loop in lockstep
+// and rank 0's result reports Converged == false.
 type Config struct {
 	kadabra.Config
 	// Threads is the number of sampling threads per process (T); <=0 means 1.
@@ -88,40 +101,21 @@ type Config struct {
 	// (in the paper, one rank per NUMA socket, two per node); frames are
 	// reduced node-locally before the leaders run the global reduction.
 	RanksPerNode int
-	// OnEpoch, when non-nil, is invoked at world rank 0 after every epoch's
-	// aggregation with a consistent progress observation of the global
-	// state. It runs on the coordinator thread between the stopping check
-	// and the termination broadcast, so it must be cheap; registering it
-	// makes every epoch pay the O(n) achieved-eps sweep on top of the
-	// amortized O(1) stopping check. It is intended for progress reporting
-	// and convergence tracing. (The budget knobs — MaxSamples, MaxDuration
-	// — live on the embedded kadabra.Config: rank 0 enforces them against
-	// the global tau and its own clock, folding a budget stop into the
-	// same termination broadcast as a converged stop, so every rank leaves
-	// the collective loop in lockstep and rank 0's result reports the
-	// achieved guarantee with Converged == false.)
-	OnEpoch func(kadabra.Progress)
 	// NoOverlap disables overlap sampling during communication waits
 	// (barrier polls, non-blocking reductions and broadcasts only poll
-	// instead of sampling). With Threads <= 1 every rank then takes exactly n0
-	// samples per epoch, making runs schedule-independent; it exists for
-	// the dense-vs-sparse equivalence tests and as an ablation of the
-	// paper's overlap story. Leave it off otherwise.
+	// instead of sampling). With Threads <= 1 every rank then takes exactly
+	// n0 samples per epoch, which makes a run independent of the schedule:
+	// the golden-parity and fault-accounting tests need exactly that to pin
+	// results bit for bit, which is why it stays. Leave it off otherwise.
 	NoOverlap bool
-	// CheckpointInterval, when > 0, makes rank 0 serialize the global
-	// estimator state every this many epochs and ship it to every rank on
-	// the termination-broadcast frame; each rank then invokes OnCheckpoint
-	// with the payload. Because every rank holds the latest checkpoint, a
-	// rank-0 death — the one failure the in-run recovery protocol cannot
-	// absorb — costs at most one checkpoint interval of samples: restart
-	// from the payload via kadabra.RestoreEstimatorState (the betweenness
-	// layer wraps it for RestoreEstimator).
+	// CheckpointInterval, when > 0, makes rank 0 request an in-run capture
+	// of the session (EstimatorState.RequestCheckpoint) every this many
+	// epochs. Any capture served at rank 0 rides the termination-broadcast
+	// frame to every rank's SetOnCheckpoint sink, so a rank-0 death — the
+	// one failure the in-run recovery protocol cannot absorb — costs at most
+	// one interval of samples: kadabra.RestoreEstimatorState brings the
+	// payload back as world rank 0 of a distributed session.
 	CheckpointInterval int
-	// OnCheckpoint receives each periodic distributed checkpoint (see
-	// CheckpointInterval). It runs on every rank's coordinator goroutine
-	// between the termination broadcast and the next epoch, so it should
-	// hand the payload off (e.g. an atomic file write) rather than block.
-	OnCheckpoint func(payload []byte)
 }
 
 func (c Config) threads() int {
@@ -135,8 +129,6 @@ func (c Config) threads() int {
 type Stats struct {
 	// Epochs is the number of completed epochs (Table II "Ep.").
 	Epochs int
-	// Samples is tau in the final consistent state (Table II "Samples").
-	Samples int64
 	// BarrierWait is the time rank 0's coordinator spent polling the
 	// non-blocking barrier (Table II "B") — overlapped with sampling.
 	BarrierWait time.Duration
@@ -197,83 +189,80 @@ func commVolumePerEpoch(n, procs int) int64 {
 	return int64(procs-1)*frameBytes(n) + 8*int64(procs-1)
 }
 
-// newFrame builds a state frame honouring cfg.DenseFrames.
-func (c Config) newFrame(n int) *epoch.StateFrame {
-	sf := epoch.NewStateFrame(n)
-	if c.DenseFrames {
-		sf.ForceDense()
+// NewStates builds the per-rank session states of a procs-rank world over
+// w, with cfg.Threads sampling threads each. World rank 0's state runs the
+// diameter phase here (the paper uses a sequential diameter algorithm whose
+// cost appears in Fig. 2b); the workload's resolver honours
+// cfg.VertexDiameter and, on the undirected scenario, cfg.DiameterBFSCap.
+func NewStates(w kadabra.Workload, procs int, cfg Config) ([]*kadabra.EstimatorState, error) {
+	if procs < 1 {
+		return nil, fmt.Errorf("core: need at least 1 process, got %d", procs)
 	}
-	return sf
+	sts := make([]*kadabra.EstimatorState, procs)
+	for rank := range sts {
+		st, err := kadabra.NewRankState(w, rank, procs, cfg.threads(), cfg.Config)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		sts[rank] = st
+	}
+	return sts, nil
 }
 
-// phase1 computes the vertex diameter at world rank 0 (the paper uses a
-// sequential diameter algorithm whose cost appears in Fig. 2b) and
-// broadcasts it to all ranks, which need it for the calibration sample
-// budget. The bound itself is workload-specific: the workload's resolver
-// honours cfg.VertexDiameter and, on the undirected scenario, the iFUB
-// cap cfg.DiameterBFSCap.
-func phase1(w kadabra.Workload, comm *mpi.Comm, cfg Config) (vd int, elapsed time.Duration, err error) {
+// phase1 opens a collective run: world rank 0 broadcasts what its state
+// holds — the vertex diameter, which the other ranks need for the
+// calibration sample budget, the targets, whether calibration is behind it,
+// and tau — and every rank aligns its state with it.
+func phase1(st *kadabra.EstimatorState, comm *mpi.Comm) (calibrated bool, tau int64, err error) {
 	var payload []byte
 	if comm.Rank() == 0 {
-		vd, elapsed = w.ResolveDiameter(cfg.Config)
-		payload = mpi.EncodeInt64s(nil, []int64{int64(vd)})
+		payload = mpi.EncodeInt64s(nil, st.Announce())
 	}
 	out, err := comm.Bcast(0, payload)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: diameter broadcast: %w", err)
+		return false, 0, fmt.Errorf("core: diameter broadcast: %w", err)
 	}
-	dec := make([]int64, 1)
+	dec := make([]int64, len(out)/8)
+	if len(dec) != 5 {
+		return false, 0, fmt.Errorf("core: short session announcement (%d bytes)", len(out))
+	}
 	mpi.DecodeInt64s(dec, out)
-	return int(dec[0]), elapsed, nil
+	calibrated, tau = st.Sync(dec)
+	return calibrated, tau, nil
 }
 
 // phase2 runs the calibration: every thread of every process takes an equal
-// share of tau0 = omega/StartFactor samples ("pleasingly parallel", §V-B),
-// a blocking reduction lands the counts at world rank 0, and rank 0 derives
-// the per-vertex failure budgets. Non-root ranks return cal == nil.
+// share of what the session lacks of tau0 = omega/StartFactor samples
+// ("pleasingly parallel", §V-B), a blocking reduction lands the counts in
+// world rank 0's state, and the state derives the per-vertex failure
+// budgets (EstimatorState.FinishCalibration) — or stays uncalibrated and
+// resumable when the batch was cut short.
 //
-// The local threads' share is drv.Batch's, cut short once stop reports
-// true (an empty batch still calibrates; the stopping rule never fires on
-// tau = 0); phase2 encodes the process-local frame (sparse or dense as the
-// frame decided) and merge-reduces the encodings, so calibration traffic
-// scales with what was sampled just like the epoch loop's.
-func phase2(comm *mpi.Comm, cfg Config, n int, omega float64, drv *epoch.Driver, stop func() bool,
-) (cal *kadabra.Calibration, calCounts []int64, calTau int64, elapsed time.Duration, err error) {
+// The local threads' share is drv.Batch's, cut short once the context is
+// cancelled or the deadline passes (each rank checks its own — the reduce
+// merges whatever was taken); phase2 encodes the process-local frame (sparse
+// or dense as the frame decided), gossiping this rank's context state as
+// the epoch loop does, and merge-reduces the encodings, so calibration
+// traffic scales with what was sampled just like the epoch loop's.
+func phase2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm, drv *epoch.Driver,
+	budget kadabra.Budget, tau int64) (remoteCancelled bool, err error) {
 	start := time.Now()
-	kcfg := cfg.Config
-	if kcfg.StartFactor == 0 {
-		kcfg.StartFactor = 100
+	local := st.NewFrame()
+	if remaining := st.CalibrationTarget(budget) - tau; remaining > 0 {
+		stop := func() bool { return ctx.Err() != nil || budget.Overdue() }
+		drv.Batch(int(remaining)/(comm.Size()*st.Threads())+1, stop, local)
 	}
-	tau0 := int64(omega)/int64(kcfg.StartFactor) + 1
-	totalWorkers := comm.Size() * cfg.threads()
-	perThread := int(tau0)/totalWorkers + 1
-	// A sample budget smaller than the calibration batch caps each
-	// thread's share; the wall-clock deadline and the context are
-	// enforced by stop (each rank checks its own — the reduce merges
-	// whatever was taken, and the calibration heuristic tolerates a short
-	// batch: it only influences running time).
-	if kcfg.MaxSamples > 0 {
-		if cap := int(kcfg.MaxSamples)/totalWorkers + 1; cap < perThread {
-			perThread = cap
-		}
-	}
-
-	local := cfg.newFrame(n)
-	drv.Batch(perThread, stop, local)
-	buf := epoch.AppendWire(nil, local, false)
-	res, err := comm.ReduceMerge(0, buf, epoch.MergeWire)
+	res, err := comm.ReduceMerge(0, epoch.AppendWire(nil, local, ctx.Err() != nil), epoch.MergeWire)
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("core: calibration reduce: %w", err)
+		return false, fmt.Errorf("core: calibration reduce: %w", err)
 	}
 	if comm.Rank() == 0 {
-		calCounts = make([]int64, n)
-		calTau, _, err = epoch.FoldWire(res, calCounts)
-		if err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("core: calibration frame: %w", err)
+		if remoteCancelled, err = st.FoldWire(res); err != nil {
+			return false, fmt.Errorf("core: calibration frame: %w", err)
 		}
-		cal = kadabra.Calibrate(calCounts, calTau, omega, kcfg.Eps, kcfg.Delta)
+		st.FinishCalibration(start)
 	}
-	return cal, calCounts, calTau, time.Since(start), nil
+	return remoteCancelled, nil
 }
 
 // aggregate performs one epoch's inter-process aggregation of the local
@@ -353,21 +342,6 @@ func broadcastFrame(comm *mpi.Comm, root int, code int64, blob []byte, overlap f
 	return out[0], data[8:], nil
 }
 
-// checkpointBlob builds the periodic distributed checkpoint at rank 0 when
-// one is due: the run continues, a sink is registered, and the interval
-// divides the epoch count. The payload is a sequential-engine estimator
-// checkpoint of the global state (kadabra.AppendDistCheckpoint), so any
-// rank holding it can restart the job after a rank-0 death.
-func checkpointBlob(cfg Config, vd, n int, S []int64, STau int64, cal *kadabra.Calibration, epochs int, next int64) []byte {
-	if cfg.CheckpointInterval <= 0 || cfg.OnCheckpoint == nil || next != codeContinue {
-		return nil
-	}
-	if epochs%cfg.CheckpointInterval != 0 {
-		return nil
-	}
-	return kadabra.AppendDistCheckpoint(nil, cfg.Config, vd, n, S, STau, cal, epochs)
-}
-
 // stopCode folds the local stopping decision, the local context, and the
 // remotely-gossiped cancellations into the code rank 0 broadcasts.
 func stopCode(stop bool, localErr error, remoteCancelled bool) int64 {
@@ -392,42 +366,4 @@ func cancelResult(ctx context.Context, code int64) error {
 		return ErrRemoteCancelled
 	}
 	return nil
-}
-
-// finalize converts the aggregated state at rank 0 into a kadabra.Result,
-// reporting the anytime guarantee the state actually holds (equal to or
-// tighter than the target eps when converged, the honest looser bound when
-// a budget stopped the run early).
-func finalize(cal *kadabra.Calibration, n int, counts []int64, tau int64, omega float64, vd int,
-	epochs int, converged bool, t kadabra.Timings) *kadabra.Result {
-	bt := make([]float64, n)
-	if tau > 0 {
-		for v, c := range counts {
-			bt[v] = float64(c) / float64(tau)
-		}
-	}
-	achieved := 1.0
-	if cal != nil {
-		achieved = cal.AchievedEps(counts, tau)
-	}
-	return &kadabra.Result{
-		Betweenness:    bt,
-		Tau:            tau,
-		Omega:          omega,
-		VertexDiameter: vd,
-		Epochs:         epochs,
-		AchievedEps:    achieved,
-		Converged:      converged,
-		Timings:        t,
-	}
-}
-
-// progressAt builds the rank-0 per-epoch progress observation; only called
-// when Config.OnEpoch is registered (it pays the O(n) achieved-eps sweep).
-func progressAt(cal *kadabra.Calibration, counts []int64, tau int64, epochs int, since time.Time) kadabra.Progress {
-	p := kadabra.Progress{Epoch: epochs, Tau: tau, AchievedEps: cal.AchievedEps(counts, tau)}
-	if el := time.Since(since).Seconds(); el > 0 && tau > 0 {
-		p.SamplesPerSec = float64(tau) / el
-	}
-	return p
 }

@@ -35,7 +35,7 @@ func guaranteeCheck(t *testing.T, g *graph.Graph, res *kadabra.Result, eps float
 func TestAlgorithm2SingleProcessSingleThread(t *testing.T) {
 	g := testGraph()
 	eps := 0.04
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 3}, Threads: 1})
+	res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 3}, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestAlgorithm2MultiProcessMultiThread(t *testing.T) {
 	// Threads 0 is the default of one sampling thread per rank: the paper's
 	// Algorithm 1.
 	for _, pc := range []struct{ p, t int }{{1, 4}, {2, 2}, {4, 2}, {2, 0}, {4, 0}} {
-		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), pc.p,
+		res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), pc.p,
 			Config{Config: kadabra.Config{Eps: eps, Delta: 0.1, Seed: 4}, Threads: pc.t})
 		if err != nil {
 			t.Fatalf("p=%d t=%d: %v", pc.p, pc.t, err)
@@ -68,7 +68,7 @@ func TestAlgorithm2Hierarchical(t *testing.T) {
 	g := testGraph()
 	eps := 0.04
 	// 4 processes grouped as 2 "nodes" x 2 "sockets" (paper §IV-E).
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 4, Config{
+	res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 4, Config{
 		Config:       kadabra.Config{Eps: eps, Delta: 0.1, Seed: 5},
 		Threads:      2,
 		RanksPerNode: 2,
@@ -84,7 +84,7 @@ func TestAlgorithm2AllStrategies(t *testing.T) {
 	eps := 0.05
 	for _, s := range []AggStrategy{AggIBarrierReduce, AggIReduce, AggBlocking} {
 		for _, pc := range []struct{ p, t int }{{2, 2}, {3, 1}} {
-			res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), pc.p, Config{
+			res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), pc.p, Config{
 				Config:   kadabra.Config{Eps: eps, Delta: 0.1, Seed: 6},
 				Threads:  pc.t,
 				Strategy: s,
@@ -105,7 +105,7 @@ func TestAlgorithm2DegenerateStopAfterCalibration(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, Config{
+	res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 2, Config{
 		Config:  kadabra.Config{Eps: 0.3, Delta: 0.2, Seed: 8, StartFactor: 1},
 		Threads: 2,
 	})
@@ -122,13 +122,13 @@ func TestAlgorithm2DegenerateStopAfterCalibration(t *testing.T) {
 
 func TestAlgorithm2RejectsTinyGraph(t *testing.T) {
 	g := graph.NewBuilder(1).Build()
-	if _, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{}); err == nil {
+	if _, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 1, Config{}); err == nil {
 		t.Fatal("singleton accepted")
 	}
 }
 
 func TestRunLocalRejectsZeroProcs(t *testing.T) {
-	if _, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(testGraph()), 0, Config{}); err == nil {
+	if _, err := runFresh(context.Background(), kadabra.UndirectedWorkload(testGraph()), 0, Config{}); err == nil {
 		t.Fatal("0 processes accepted")
 	}
 }
@@ -138,7 +138,7 @@ func TestResultConsistencyAcrossRanks(t *testing.T) {
 	// scores: sum(btilde) * tau must be an integer (total internal-vertex
 	// count), and every score in [0,1].
 	g := testGraph()
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 3, Config{
+	res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 3, Config{
 		Config:  kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: 9},
 		Threads: 2,
 	})
@@ -176,7 +176,7 @@ func TestAlgorithm2OverTCP(t *testing.T) {
 				return
 			}
 			defer closer.Close()
-			res, err := Algorithm2(context.Background(), kadabra.UndirectedWorkload(g), comm, Config{
+			res, err := algorithm2Fresh(context.Background(), kadabra.UndirectedWorkload(g), comm, Config{
 				Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 10},
 				Threads: 2,
 			})
@@ -219,7 +219,7 @@ func TestTerminationIsPrompt(t *testing.T) {
 	// multiplicative).
 	g := testGraph()
 	for _, p := range []int{1, 2, 4} {
-		res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), p, Config{
+		res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), p, Config{
 			Config:  kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: 11},
 			Threads: 2,
 		})
@@ -241,14 +241,13 @@ func TestOnEpochHook(t *testing.T) {
 	var epochs []int
 	var taus []int64
 	var achieved []float64
-	_, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, Config{
-		Config:  kadabra.Config{Eps: 0.03, Delta: 0.1, Seed: 21},
-		Threads: 2,
-		OnEpoch: func(p kadabra.Progress) {
+	_, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 2, Config{
+		Config: kadabra.Config{Eps: 0.03, Delta: 0.1, Seed: 21, OnEpoch: func(p kadabra.Progress) {
 			epochs = append(epochs, p.Epoch)
 			taus = append(taus, p.Tau)
 			achieved = append(achieved, p.AchievedEps)
-		},
+		}},
+		Threads: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +318,7 @@ func TestDistributedDirectedWorkload(t *testing.T) {
 	dg := testDigraph()
 	exact := brandes.ExactDirected(dg)
 	const eps = 0.05
-	res, err := RunLocal(context.Background(), kadabra.DirectedWorkload(dg), 2, Config{
+	res, err := runFresh(context.Background(), kadabra.DirectedWorkload(dg), 2, Config{
 		Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 31},
 		Threads: 2,
 	})
@@ -335,7 +334,7 @@ func TestDistributedWeightedWorkload(t *testing.T) {
 	wg := testWGraph(t)
 	exact := brandes.ExactWeighted(wg)
 	const eps = 0.05
-	res, err := RunLocal(context.Background(), kadabra.WeightedWorkload(wg), 2, Config{
+	res, err := runFresh(context.Background(), kadabra.WeightedWorkload(wg), 2, Config{
 		Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 32},
 		Threads: 2,
 	})
@@ -348,7 +347,7 @@ func TestDistributedWeightedWorkload(t *testing.T) {
 }
 
 func TestRunLocalRejectsZeroWorkload(t *testing.T) {
-	if _, err := RunLocal(context.Background(), kadabra.Workload{}, 1, Config{}); err == nil {
+	if _, err := runFresh(context.Background(), kadabra.Workload{}, 1, Config{}); err == nil {
 		t.Fatal("zero workload accepted")
 	}
 }

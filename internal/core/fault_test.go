@@ -23,23 +23,28 @@ func faultCfg(seed uint64) Config {
 }
 
 // runWorld drives Algorithm2 as one goroutine per rank over a local world,
-// with a per-rank config hook, and reports every rank's outcome.
-func runWorld(t *testing.T, w *mpi.World, base Config, perRank func(rank int, cfg *Config)) ([]*Result, []error) {
+// on sts when given (a resumed session) or on fresh states, each passed
+// through the per-rank hook first, and reports every rank's outcome.
+func runWorld(t *testing.T, w *mpi.World, cfg Config, sts []*kadabra.EstimatorState, perRank func(rank int, st *kadabra.EstimatorState)) ([]*Result, []error) {
 	t.Helper()
-	g := testGraph()
 	procs := w.Size()
+	if sts == nil {
+		var err error
+		if sts, err = NewStates(kadabra.UndirectedWorkload(testGraph()), procs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	results := make([]*Result, procs)
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
 	for i := 0; i < procs; i++ {
+		if perRank != nil {
+			perRank(i, sts[i])
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := base
-			if perRank != nil {
-				perRank(i, &cfg)
-			}
-			results[i], errs[i] = Algorithm2(context.Background(), kadabra.UndirectedWorkload(g), w.Comm(i), cfg)
+			results[i], errs[i] = Algorithm2(context.Background(), sts[i], w.Comm(i), cfg)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -66,19 +71,19 @@ func TestRank0DeathCheckpointRestore(t *testing.T) {
 	ckpts := make([][][]byte, procs)
 	base := faultCfg(5)
 	base.CheckpointInterval = 2
-	_, errs := runWorld(t, world, base, func(rank int, cfg *Config) {
-		cfg.OnCheckpoint = func(payload []byte) {
+	_, errs := runWorld(t, world, base, nil, func(rank int, st *kadabra.EstimatorState) {
+		st.SetOnCheckpoint(func(payload []byte) {
 			p := append([]byte(nil), payload...)
 			mu.Lock()
 			ckpts[rank] = append(ckpts[rank], p)
 			mu.Unlock()
-		}
+		})
 		if rank == 0 {
-			cfg.OnEpoch = func(p kadabra.Progress) {
+			st.SetOnEpoch(func(p kadabra.Progress) {
 				if p.Epoch == 5 {
 					world.Kill(0)
 				}
-			}
+			})
 		}
 	})
 
@@ -105,20 +110,36 @@ func TestRank0DeathCheckpointRestore(t *testing.T) {
 		}
 	}
 
-	st, err := kadabra.RestoreEstimatorState(ckpts[1][1], kadabra.UndirectedWorkload(g))
+	// A survivor's copy comes back as world rank 0 of a session of the
+	// same shape, and a fresh world around it finishes the job as
+	// distributed: phase 2 is behind it, every sample it held is kept.
+	w := kadabra.UndirectedWorkload(g)
+	st, err := kadabra.RestoreEstimatorState(ckpts[1][1], w)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if !st.Calibrated() || st.Tau() == 0 {
-		t.Fatalf("restored state not resumable: calibrated=%v tau=%d", st.Calibrated(), st.Tau())
+	if st.Procs() != procs || st.Threads() != 1 || !st.Calibrated() || st.Tau() == 0 || st.Epochs() != 4 {
+		t.Fatalf("restored state not the epoch-4 capture of a %d-rank session: procs=%d threads=%d calibrated=%v tau=%d epochs=%d",
+			procs, st.Procs(), st.Threads(), st.Calibrated(), st.Tau(), st.Epochs())
 	}
-	if err := st.Run(context.Background(), kadabra.Budget{}); err != nil {
-		t.Fatalf("resumed run: %v", err)
+	held := st.Tau()
+	sts, err := NewStates(w, procs, base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !st.Converged() {
-		t.Fatal("resumed run did not converge")
+	sts[0] = st
+	results, errs := runWorld(t, mpi.NewLocalWorld(procs), base, sts, nil)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("resumed run, rank %d: %v", r, err)
+		}
 	}
-	guaranteeCheck(t, g, st.Result(), base.Eps)
+	res := results[0].Res
+	if !res.Converged || res.Tau <= held || res.Timings.Calibration != 0 {
+		t.Fatalf("resumed run: converged=%v tau=%d (held %d) calibration=%v; want convergence on top of the held samples without a second phase 2",
+			res.Converged, res.Tau, held, res.Timings.Calibration)
+	}
+	guaranteeCheck(t, g, res, base.Eps)
 }
 
 // TestCheckpointConcurrentWithShrink pins the failure-path race the issue
@@ -133,19 +154,19 @@ func TestCheckpointConcurrentWithShrink(t *testing.T) {
 	var payloads [][]byte
 	base := faultCfg(6)
 	base.CheckpointInterval = 1
-	results, errs := runWorld(t, world, base, func(rank int, cfg *Config) {
-		cfg.OnCheckpoint = func(payload []byte) {
+	results, errs := runWorld(t, world, base, nil, func(rank int, st *kadabra.EstimatorState) {
+		st.SetOnCheckpoint(func(payload []byte) {
 			p := append([]byte(nil), payload...)
 			mu.Lock()
 			payloads = append(payloads, p)
 			mu.Unlock()
-		}
+		})
 		if rank == 0 {
-			cfg.OnEpoch = func(p kadabra.Progress) {
+			st.SetOnEpoch(func(p kadabra.Progress) {
 				if p.Epoch == 2 {
 					world.Kill(2)
 				}
-			}
+			})
 		}
 	})
 
@@ -166,8 +187,9 @@ func TestCheckpointConcurrentWithShrink(t *testing.T) {
 	}
 	guaranteeCheck(t, g, res.Res, base.Eps)
 
-	// Checkpoints written after the shrink must still restore: the payload
-	// carries global state only, so the world size never leaks into it.
+	// Checkpoints written after the shrink must still restore, as the
+	// session the job was started as: the payload records the configured
+	// shape, not the shrunken world's.
 	mu.Lock()
 	last := payloads[len(payloads)-1]
 	mu.Unlock()
@@ -175,8 +197,8 @@ func TestCheckpointConcurrentWithShrink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore of post-shrink checkpoint: %v", err)
 	}
-	if st.Tau() == 0 {
-		t.Fatal("post-shrink checkpoint holds no samples")
+	if st.Tau() == 0 || st.Procs() != procs {
+		t.Fatalf("post-shrink checkpoint: tau=%d procs=%d, want samples and the %d-rank shape", st.Tau(), st.Procs(), procs)
 	}
 }
 
@@ -189,7 +211,7 @@ func TestAsyncKillTermination(t *testing.T) {
 	for _, delay := range []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond, 10 * time.Millisecond} {
 		world := mpi.NewLocalWorld(3)
 		timer := time.AfterFunc(delay, func() { world.Kill(1) })
-		results, errs := runWorld(t, world, faultCfg(8), nil)
+		results, errs := runWorld(t, world, faultCfg(8), nil, nil)
 		timer.Stop()
 		if errs[1] == nil && errs[0] == nil {
 			// The run beat the timer; nothing to assert beyond termination.

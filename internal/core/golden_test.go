@@ -51,7 +51,7 @@ func TestEpochDriverGoldenParity(t *testing.T) {
 		{"weighted", 2, 9642, 6, 0xc17c4ce322c7ff51},
 		{"weighted", 3, 11232, 7, 0x13b6022512224bf1},
 	} {
-		res, err := RunLocal(context.Background(), ws[c.workload], 2, Config{
+		res, err := runFresh(context.Background(), ws[c.workload], 2, Config{
 			Config:    kadabra.Config{Eps: 0.02, Delta: 0.1, Seed: c.seed},
 			Threads:   1,
 			NoOverlap: true,
@@ -84,8 +84,9 @@ func (c countingSampler) Sample() ([]graph.Node, bool) {
 // poll. A context cancelled before the run must cost no calibration batch
 // (the threads used to test only the deadline and drew all tau0 samples on
 // every rank before the cancellation was noticed), and a batch that the
-// predicate cut down to nothing must still calibrate: no panic, and a
-// budget stop that does not claim convergence.
+// predicate cut down to nothing must leave the session as the sequential
+// and shared-memory engines leave theirs — uncalibrated, with no panic and
+// a budget stop that does not claim convergence.
 func TestCalibrationHonoursStop(t *testing.T) {
 	var drawn atomic.Int64
 	w := kadabra.UndirectedWorkload(testGraph()).WrapSampler(func(s kadabra.Sampler) kadabra.Sampler {
@@ -103,7 +104,7 @@ func TestCalibrationHonoursStop(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLocal(ctx, w, 2, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := runFresh(ctx, w, 2, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run returned %v, want context.Canceled", err)
 	}
 	if got := drawn.Load(); got >= tau0 {
@@ -112,7 +113,7 @@ func TestCalibrationHonoursStop(t *testing.T) {
 
 	drawn.Store(0)
 	cfg.MaxDuration = time.Nanosecond // overdue before the first calibration sample
-	res, err := RunLocal(context.Background(), w, 2, cfg)
+	res, err := runFresh(context.Background(), w, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

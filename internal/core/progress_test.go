@@ -28,7 +28,7 @@ func TestOverlappedBarrierLatencyTCP(t *testing.T) {
 	perBarrier := make([]time.Duration, runs)
 	for i := range perBarrier {
 		res := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
-			return Algorithm2(context.Background(), kadabra.UndirectedWorkload(g), comm, Config{
+			return algorithm2Fresh(context.Background(), kadabra.UndirectedWorkload(g), comm, Config{
 				Config:  kadabra.Config{Eps: 0.01, Delta: 0.1, Seed: uint64(20 + i)},
 				Threads: 1,
 			})
@@ -38,7 +38,7 @@ func TestOverlappedBarrierLatencyTCP(t *testing.T) {
 		}
 		perBarrier[i] = res.Stats.BarrierWait / time.Duration(res.Stats.Epochs)
 		t.Logf("run %d: %d epochs, barrier wait %v (%v per epoch), tau %d",
-			i, res.Stats.Epochs, res.Stats.BarrierWait, perBarrier[i], res.Stats.Samples)
+			i, res.Stats.Epochs, res.Stats.BarrierWait, perBarrier[i], res.Res.Tau)
 	}
 	sort.Slice(perBarrier, func(a, b int) bool { return perBarrier[a] < perBarrier[b] })
 	if med := perBarrier[runs/2]; med >= 20*time.Millisecond {

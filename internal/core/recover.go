@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/epoch"
+	"repro/internal/kadabra"
 	"repro/internal/mpi"
 )
 
@@ -127,12 +128,12 @@ type ftState struct {
 	recoveries int
 }
 
-func newFTState(comm *mpi.Comm, cfg Config, n int) *ftState {
+func newFTState(comm *mpi.Comm, st *kadabra.EstimatorState) *ftState {
 	return &ftState{
 		comm:      comm,
 		origSize:  comm.Size(),
 		worldRank: comm.SelfWorldRank(),
-		emptyWire: epoch.AppendWire(nil, cfg.newFrame(n), false),
+		emptyWire: epoch.AppendWire(nil, st.NewFrame(), false),
 	}
 }
 
@@ -156,8 +157,8 @@ func (ft *ftState) noteFold() {
 // consistent again or the failure is unrecoverable (not a rank death, a
 // coordinator death, or this rank falsely declared dead). On success
 // ft.comm is the shrunken world communicator and the salvageable samples
-// have been folded into S at rank 0. S may be nil on non-root ranks.
-func (ft *ftState) recover(cause error, S []int64, STau *int64) error {
+// have been folded into rank 0's state (st is only folded into there).
+func (ft *ftState) recover(cause error, st *kadabra.EstimatorState) error {
 	for {
 		if _, ok := mpi.AsRankDead(cause); !ok {
 			return cause
@@ -173,7 +174,7 @@ func (ft *ftState) recover(cause error, S []int64, STau *int64) error {
 		if err != nil {
 			return err
 		}
-		if cause = ft.salvage(nc, spec, S, STau); cause != nil {
+		if cause = ft.salvage(nc, spec, st); cause != nil {
 			continue // a further death interrupted the salvage
 		}
 		ft.comm = nc
@@ -294,7 +295,7 @@ func (ft *ftState) follow() (*mpi.Comm, reconfigSpec, error) {
 }
 
 // salvage runs one flat merge-reduce over the shrunken world of each
-// rank's own possibly-unfolded epoch frame and folds it into S at rank 0.
+// rank's own possibly-unfolded epoch frame and folds it into rank 0's state.
 //
 // At-most-once accounting: a rank contributes its pending frame iff
 //   - no earlier salvage consumed it (pendingSalvage == 0) and the frame's
@@ -307,7 +308,7 @@ func (ft *ftState) follow() (*mpi.Comm, reconfigSpec, error) {
 // round r, every contribution of round r is in S and the next spec's
 // salvagedRound >= r retires them; if the root never folded round r, the
 // next spec re-arms every round-r contribution.
-func (ft *ftState) salvage(nc *mpi.Comm, spec reconfigSpec, S []int64, STau *int64) error {
+func (ft *ftState) salvage(nc *mpi.Comm, spec reconfigSpec, st *kadabra.EstimatorState) error {
 	contribute := false
 	if len(ft.pendingWire) > 0 {
 		if ft.pendingSalvage > 0 {
@@ -326,11 +327,9 @@ func (ft *ftState) salvage(nc *mpi.Comm, spec reconfigSpec, S []int64, STau *int
 		return err
 	}
 	if nc.Rank() == 0 {
-		tau, _, ferr := epoch.FoldWire(res, S)
-		if ferr != nil {
+		if _, ferr := st.FoldWire(res); ferr != nil {
 			return fmt.Errorf("core: salvage frame: %w", ferr)
 		}
-		*STau += tau
 		ft.salvagedRound = spec.round
 	}
 	return nil

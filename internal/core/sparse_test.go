@@ -65,11 +65,11 @@ func assertBitIdenticalCore(t *testing.T, name string, sparse, dense *Result) {
 
 func TestDenseSparseEquivalenceLocalMPI(t *testing.T) {
 	for name, w := range coreTestWorkloads(t) {
-		sparse, err := RunLocal(context.Background(), w, 2, deterministicCfg(41, false))
+		sparse, err := runFresh(context.Background(), w, 2, deterministicCfg(41, false))
 		if err != nil {
 			t.Fatalf("%s sparse: %v", name, err)
 		}
-		dense, err := RunLocal(context.Background(), w, 2, deterministicCfg(41, true))
+		dense, err := runFresh(context.Background(), w, 2, deterministicCfg(41, true))
 		if err != nil {
 			t.Fatalf("%s dense: %v", name, err)
 		}
@@ -110,10 +110,10 @@ func runTCPWorld(t *testing.T, run func(comm *mpi.Comm) (*Result, error)) *Resul
 func TestDenseSparseEquivalenceTCP(t *testing.T) {
 	for name, w := range coreTestWorkloads(t) {
 		sparse := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
-			return Algorithm2(context.Background(), w, comm, deterministicCfg(43, false))
+			return algorithm2Fresh(context.Background(), w, comm, deterministicCfg(43, false))
 		})
 		dense := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
-			return Algorithm2(context.Background(), w, comm, deterministicCfg(43, true))
+			return algorithm2Fresh(context.Background(), w, comm, deterministicCfg(43, true))
 		})
 		assertBitIdenticalCore(t, name, sparse, dense)
 	}
@@ -129,7 +129,7 @@ func TestSparseWireBytesLocalMPI(t *testing.T) {
 	n := g.NumNodes()
 	cfg := deterministicCfg(51, false)
 	cfg.VertexDiameter = 24 // skip the diameter phase; any valid bound works
-	res, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg)
+	res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSparseWireBytesLocalMPI(t *testing.T) {
 	}
 
 	cfg.DenseFrames = true
-	dres, err := RunLocal(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg)
+	dres, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSparseWireBytesTCP100k(t *testing.T) {
 	cfg.Eps = 0.1 // a short run: the byte profile per epoch is what matters
 	cfg.VertexDiameter = 24
 	res := runTCPWorld(t, func(comm *mpi.Comm) (*Result, error) {
-		return Algorithm2(context.Background(), w, comm, cfg)
+		return algorithm2Fresh(context.Background(), w, comm, cfg)
 	})
 	if res.Stats.Epochs == 0 {
 		t.Fatal("run finished without epochs")

@@ -44,7 +44,7 @@ func killOverTCP(t *testing.T, w kadabra.Workload, cfg Config) (*Result, []error
 			rcfg := cfg
 			switch r {
 			case 0:
-				rcfg.OnEpoch = func(p kadabra.Progress) {
+				rcfg.Config.OnEpoch = func(p kadabra.Progress) {
 					if p.Epoch == 2 {
 						killOnce.Do(func() { close(kill) })
 					}
@@ -64,7 +64,7 @@ func killOverTCP(t *testing.T, w kadabra.Workload, cfg Config) (*Result, []error
 				if r == 2 {
 					defer killOnce.Do(func() { close(kill) }) // run ended before the kill
 				}
-				return Algorithm2(context.Background(), w, comm, rcfg)
+				return algorithm2Fresh(context.Background(), w, comm, rcfg)
 			}()
 			errs[r] = err
 			if r == 0 && err == nil {

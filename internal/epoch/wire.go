@@ -159,6 +159,32 @@ func FoldWire(buf []byte, counts []int64) (tau int64, cancelled bool, err error)
 	return h.tau, h.cancelled, nil
 }
 
+// FoldWire decodes a wire frame into sf — tau and counts both, through the
+// frame's own mutators, so an accumulator frame (the global state S at
+// world rank 0) keeps its touched list and dense cut-over consistent and
+// stays serializable with AppendFrame. It returns the frame's cancellation
+// flag; cost as for the package-level FoldWire.
+func (sf *StateFrame) FoldWire(buf []byte) (cancelled bool, err error) {
+	h, err := parseWire(buf)
+	if err != nil {
+		return false, err
+	}
+	if h.n != len(sf.C) {
+		return false, fmt.Errorf("epoch: wire frame length %d vs state %d", h.n, len(sf.C))
+	}
+	if h.sparse {
+		if err := h.forEachPair(sf.addCount); err != nil {
+			return false, err
+		}
+	} else {
+		for i := range sf.C {
+			sf.addCount(uint32(i), int64(binary.LittleEndian.Uint64(h.body[8*i:])))
+		}
+	}
+	sf.Tau += h.tau
+	return h.cancelled, nil
+}
+
 // MergeWire combines two wire frames (summing tau and counts, ORing the
 // cancellation flags) and returns the merged encoding. It is the reduction
 // operator passed to mpi.ReduceMerge: either input may be mutated and

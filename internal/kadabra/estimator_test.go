@@ -2,6 +2,8 @@ package kadabra
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
@@ -283,6 +285,48 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 	smaller, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(7, 8, 17)))
 	if _, err := RestoreEstimatorState(valid, UndirectedWorkload(smaller)); err == nil {
 		t.Error("vertex-count mismatch accepted")
+	}
+
+	// The engine-shape and stopping-rule fields: version u16 | engine u8 |
+	// threads u32 | procs u32 | top-k u32, and the stream count u32 further
+	// down. Each corruption must be an error — never a panic, never an
+	// allocation sized by the corrupt field.
+	const engineOff, threadsOff, procsOff, topKOff, nstreamsOff = 2, 3, 7, 11, 86
+	if got := binary.LittleEndian.Uint32(valid[nstreamsOff:]); got != 1 {
+		t.Fatalf("layout drifted: stream count at offset %d reads %d, want the sequential engine's 1", nstreamsOff, got)
+	}
+	dist, err := NewRankState(w, 0, 2, 2, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	validDist := dist.AppendCheckpoint(nil)
+	if _, err := RestoreEstimatorState(validDist, w); err != nil {
+		t.Fatalf("valid distributed payload rejected: %v", err)
+	}
+	patch := func(base []byte, off int, v uint32) []byte {
+		out := append([]byte(nil), base...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	for name, bad := range map[string][]byte{
+		"sequential engine with processes":    patch(valid, procsOff, 2),
+		"sequential engine, streams absent":   patch(valid, nstreamsOff, 0),
+		"sequential engine, 2^31 streams":     patch(valid, nstreamsOff, 1<<31),
+		"top-k at the vertex count":           patch(valid, topKOff, uint32(w.N())),
+		"top-k 2^32-1":                        patch(valid, topKOff, math.MaxUint32),
+		"unknown engine":                      append(append([]byte(nil), valid[:engineOff]...), append([]byte{9}, valid[engineOff+1:]...)...),
+		"distributed, 0 processes":            patch(validDist, procsOff, 0),
+		"distributed, 2^32-1 processes":       patch(validDist, procsOff, math.MaxUint32),
+		"distributed, procs x threads 2^15":   patch(patch(validDist, procsOff, 1<<8), threadsOff, 1<<7),
+		"distributed, 0 threads":              patch(validDist, threadsOff, 0),
+		"distributed, 2^32-1 threads":         patch(validDist, threadsOff, math.MaxUint32),
+		"distributed carrying streams":        patch(validDist, nstreamsOff, 4),
+		"distributed relabelled shared-mem":   append(append([]byte(nil), validDist[:engineOff]...), append([]byte{engineSharedMemory}, validDist[engineOff+1:]...)...),
+		"shared-memory relabelled sequential": append(append([]byte(nil), validDist[:engineOff]...), append([]byte{engineSequential}, validDist[engineOff+1:]...)...),
+	} {
+		if _, err := RestoreEstimatorState(bad, w); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

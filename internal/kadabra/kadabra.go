@@ -65,11 +65,12 @@ type Config struct {
 	// for the dense-vs-sparse equivalence tests and as an ablation; leave
 	// it off otherwise.
 	DenseFrames bool
-	// TopK, when positive, replaces the uniform stopping rule of the
-	// single-process engines by the certified top-k rule: stop once the k
-	// top vertices' confidence intervals separate from everyone else's (or
-	// shrink below Eps, or tau reaches omega). Must be below the vertex
-	// count. The MPI algorithms in internal/core ignore it.
+	// TopK, when positive, replaces the uniform stopping rule by the
+	// certified top-k rule: stop once the k top vertices' confidence
+	// intervals separate from everyone else's (or shrink below Eps, or tau
+	// reaches omega). Must be below the vertex count. It is part of the
+	// session state (and of its checkpoints), so every engine that advances
+	// the state checks it.
 	TopK int
 }
 

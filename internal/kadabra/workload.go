@@ -34,8 +34,8 @@ func SampleInto(s Sampler, sf *epoch.StateFrame) {
 // directed and weighted graphs once the sampling kernel is swapped; the
 // abstraction makes that literal: a Workload bundles the two graph-dependent
 // ingredients — the per-thread path sampler and the phase-1 vertex-diameter
-// bound — and the generic drivers (EstimatorState and Run here;
-// Algorithm2 in internal/core) carry the statistical
+// bound — and the generic drivers (EstimatorState here; Algorithm2 in
+// internal/core) carry the statistical
 // machinery, context cancellation, and the OnEpoch progress hook for all of
 // them.
 

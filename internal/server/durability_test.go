@@ -26,12 +26,18 @@ import (
 // scripts/crash_smoke.sh.
 
 // copyDataDir snapshots src into a fresh directory, skipping *.tmp files
-// (a crash image never contains a completed rename of an in-flight write).
+// (a crash image never contains a completed rename of an in-flight write) —
+// including one that vanishes between the directory listing and the lstat
+// because the live daemon renamed it into place meanwhile, as any backup of
+// a live data dir sees.
 func copyDataDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
+			if os.IsNotExist(err) && filepath.Ext(path) == ".tmp" {
+				return nil
+			}
 			return err
 		}
 		rel, err := filepath.Rel(src, path)
@@ -93,7 +99,8 @@ func quarantineEntries(t *testing.T, dataDir string) []string {
 // service, sink write) runs concurrently with sampling and status reads.
 func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	dataDir := t.TempDir()
-	srvA, tsA := newTestServer(t, Config{DataDir: dataDir, CheckpointInterval: 25 * time.Millisecond})
+	// One worker slot per long run below: none may wait for another to finish.
+	srvA, tsA := newTestServer(t, Config{DataDir: dataDir, CheckpointInterval: 25 * time.Millisecond, MaxConcurrentRuns: 3})
 	name := uploadGraph(t, tsA.URL, "web", testGraphBytes(t))
 
 	// A quick converged run fills both cache tiers.
@@ -105,13 +112,14 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	}
 
 	// Long runs for the background loop to checkpoint mid-flight: the seq
-	// capture is exact; the shm one is a synthesized payload that restores
-	// onto the sequential engine — where its top_k must not turn it into a
-	// certified top-k session (it was created uniform).
+	// capture is exact; the shm and dist ones are taken while the threads
+	// and ranks sample, and restore as the shm and dist sessions they were
+	// — under the uniform rule they were created with, whatever top_k says.
 	const longEps = 0.002
 	longs := []map[string]any{
 		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1},
 		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "shm", "threads": 2, "top_k": 3},
+		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "dist", "procs": 2, "threads": 2, "top_k": 3},
 	}
 	ids := make([]string, len(longs))
 	for i, params := range longs {
@@ -155,6 +163,14 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 		if restored <= 0 {
 			t.Fatalf("restored session %s lost all samples (tau %v)", long, restored)
 		}
+		wantBackend, _ := longs[i]["backend"].(string)
+		if wantBackend == "" {
+			wantBackend = "seq"
+		}
+		_, st := do(t, "GET", tsB.URL+"/sessions/"+long, nil)
+		if _, degraded := st["degraded"]; degraded || st["backend"] != wantBackend {
+			t.Fatalf("session %s (%v) came back as %v", long, longs[i], st)
+		}
 		if restored > tauAtKill[i] {
 			t.Fatalf("restored tau %v of %s exceeds tau at kill %v", restored, long, tauAtKill[i])
 		}
@@ -166,9 +182,9 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 			t.Fatalf("resumed session did not converge: %v", status)
 		}
 		if tau := sessionTau(t, tsB.URL, long); tau <= restored {
-			t.Fatalf("resume did not extend samples: %v -> %v", restored, tau)
+			t.Fatalf("resume of %s (%v) did not extend samples: %v -> %v (status %v)", long, longs[i], restored, tau, status)
 		}
-		// Both converged by the uniform rule they were created with.
+		// All converged by the uniform rule they were created with.
 		_, res := do(t, "GET", tsB.URL+"/sessions/"+long+"/result", nil)
 		if _, certified := res["separated"]; certified || res["achieved_eps"].(float64) > longEps {
 			t.Fatalf("session %s (%v) came back under the certified top-k rule: %v", long, longs[i], res)
@@ -619,10 +635,10 @@ func TestDistRecoveryRebuild(t *testing.T) {
 }
 
 // TestDistCheckpointRestoresUniform restores a distributed checkpoint of a
-// session that names top_k: the payload lands on the sequential engine,
-// where top_k would select the certified top-k rule, but the session was
-// created uniform and must stay so — now and at every later restart, so
-// the re-keyed seq params drop top_k.
+// session that names top_k: it comes back as the dist session it was —
+// same backend, same params, no degraded note — under the uniform rule it
+// recorded, for which top_k only ranks. A checkpoint that is not this
+// session's (another backend's) is refused, not run under its label.
 func TestDistCheckpointRestoresUniform(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	name := uploadGraph(t, ts.URL, "g", testGraphBytes(t))
@@ -654,21 +670,34 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := sessionParams{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Backend: "dist", Procs: 2, TopK: 3}
+	p := sessionParams{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Threads: 1, Backend: "dist", Procs: 2, TopK: 3}
 	s, err := srv.buildSession("restored", g, p, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.currentParams(); got.Backend != "seq" || got.TopK != 0 || s.degraded == "" {
-		t.Fatalf("restored dist session params %+v, degraded %q; want seq without top_k and a note", got, s.degraded)
+	if got := s.currentParams(); got != p || s.degraded != "" || s.lastCkptTau == 0 {
+		t.Fatalf("restored dist session params %+v, degraded %q, tau %d; want it back as created, samples held",
+			got, s.degraded, s.lastCkptTau)
 	}
 	res, err := s.estimator().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Lower != nil || res.AchievedEps > eps {
-		t.Fatalf("restored dist session stopped by the certified rule: converged=%v bounds=%v achieved eps %g (target %g)",
-			res.Converged, res.Lower != nil, res.AchievedEps, eps)
+	if res.Backend != "local-mpi" || res.Distributed == nil || res.Distributed.RanksStarted != 2 {
+		t.Fatalf("restored dist session ran on %q (%+v)", res.Backend, res.Distributed)
+	}
+	if !res.Converged || res.Lower != nil || res.AchievedEps > eps || len(res.Top) != 3 {
+		t.Fatalf("restored dist session: converged=%v bounds=%v achieved eps %g (target %g) top %v",
+			res.Converged, res.Lower != nil, res.AchievedEps, eps, res.Top)
+	}
+
+	for _, other := range []sessionParams{
+		{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Backend: "seq"},
+		{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Backend: "shm", Threads: 1},
+	} {
+		if _, err := srv.buildSession("other", g, other, ckpt); err == nil || !strings.Contains(err.Error(), "local-mpi") {
+			t.Errorf("a dist checkpoint under %s metadata: err %v, want a refusal naming the backends", other.Backend, err)
+		}
 	}
 }
 

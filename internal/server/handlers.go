@@ -207,7 +207,7 @@ func (srv *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 
 // sessionJSON renders a session's full status, including the current
 // snapshot (live mid-run to within one epoch — the progress hook keeps it
-// fresh; see Snapshot.Live for the one-shot degradation).
+// fresh).
 func (srv *Server) sessionJSON(s *session) map[string]any {
 	snap := s.estimator().Snapshot()
 	s.mu.Lock()
@@ -377,8 +377,7 @@ type refineBody struct {
 }
 
 // handleSessionRefine starts an asynchronous Refine toward tighter
-// targets, reusing every accumulated sample. One-shot backends yield a
-// 409 with the typed ErrNotRefinable text when the refine executes.
+// targets, reusing every accumulated sample, on any backend.
 func (srv *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 	s, ok := srv.lookupSession(w, r)
 	if !ok {
@@ -414,12 +413,6 @@ func (srv *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("refine body names no targets (eps, delta, top_k, max_samples, max_duration)"))
 		return
 	}
-	// Fail fast on one-shot backends instead of queuing a doomed op.
-	if !s.estimator().Checkpointable() {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("%w (backend %q)", betweenness.ErrNotRefinable, s.paramsBackend()))
-		return
-	}
 	spec := refineSpec{opts: opts, apply: func(p *sessionParams) {
 		if body.Eps > 0 {
 			p.Eps = body.Eps
@@ -445,12 +438,6 @@ func (srv *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": s.id, "state": stateQueued})
-}
-
-func (s *session) paramsBackend() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.params.Backend
 }
 
 // parsePage reads the ?offset=&limit= pagination parameters against a

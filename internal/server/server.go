@@ -120,12 +120,6 @@ type Server struct {
 	mux   *http.ServeMux
 }
 
-// distCheckpointEpochs is the in-run checkpoint cadence of the distributed
-// backends, in epochs: their WithDistCheckpoint hook is epoch-denominated
-// (rank 0 serializes at collective boundaries), unlike the wall-clock loop
-// driving the steppable engines.
-const distCheckpointEpochs = 8
-
 // New builds a Server and, when cfg.DataDir holds a previous instance's
 // state, rehydrates it: the recovery scan quarantines files torn by an
 // unclean death, graphs and sessions reload (checkpointed sessions resume
@@ -230,13 +224,11 @@ func (srv *Server) checkpointLoop() {
 	}
 }
 
-// checkpointPass arms one in-run capture per running session. It never
-// touches the estimator mutex: RequestCheckpoint is a flag the engine
-// services at its next consistent epoch boundary on its own coordinating
-// goroutine, and the sink (writeSessionCheckpoint) persists the sealed
-// envelope. One-shot backends return false — the distributed ones among
-// them checkpoint through their epoch-denominated WithDistCheckpoint hook
-// instead, wired in sessionOptions.
+// checkpointPass arms one in-run capture per running session, whatever its
+// backend. It never touches the estimator mutex: RequestCheckpoint is a
+// flag the engine services at its next consistent epoch boundary on its own
+// coordinating goroutine (world rank 0's, for a dist session), and the sink
+// (writeSessionCheckpoint) persists the sealed envelope.
 func (srv *Server) checkpointPass() {
 	srv.mu.Lock()
 	sessions := make([]*session, 0, len(srv.sessions))
@@ -265,10 +257,9 @@ func (srv *Server) sessionLive(s *session) bool {
 
 // sessionOptions builds the betweenness options for params p on session s,
 // including the server-owned extras: the progress hook (always — it keeps
-// status and SSE fresh), the graph's memoized vertex diameter (so only the
-// first session on a graph pays phase 1; a restore ignores it in favour of
-// the checkpoint's own) and, for the distributed backends under a data dir,
-// the periodic distributed checkpoint sink.
+// status and SSE fresh) and the graph's memoized vertex diameter (so only
+// the first session on a graph pays phase 1; a restore ignores it in favour
+// of the checkpoint's own).
 func (srv *Server) sessionOptions(s *session, p sessionParams) ([]betweenness.Option, error) {
 	opts, err := p.options(s.progress)
 	if err != nil {
@@ -277,17 +268,12 @@ func (srv *Server) sessionOptions(s *session, p sessionParams) ([]betweenness.Op
 	if vd := s.g.vertexDiameter(); vd > 0 {
 		opts = append(opts, betweenness.WithVertexDiameter(vd))
 	}
-	if srv.cfg.DataDir != "" && srv.cfg.CheckpointInterval > 0 && p.distBackend() {
-		opts = append(opts, betweenness.WithDistCheckpoint(distCheckpointEpochs, func(payload []byte) {
-			srv.writeSessionCheckpoint(s, payload)
-		}))
-	}
 	return opts, nil
 }
 
-// wireCheckpointSink registers the in-run capture sink on a steppable
-// estimator (no-op on one-shot ones, and without a data dir or with the
-// loop disabled there is nothing to capture for).
+// wireCheckpointSink registers the in-run capture sink on an estimator
+// (without a data dir or with the loop disabled there is nothing to capture
+// for).
 func (srv *Server) wireCheckpointSink(s *session, est *betweenness.Estimator) {
 	if srv.cfg.DataDir == "" || srv.cfg.CheckpointInterval <= 0 {
 		return
@@ -303,43 +289,26 @@ func (srv *Server) wireCheckpointSink(s *session, est *betweenness.Estimator) {
 func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptPath string) (*session, error) {
 	s := &session{id: id, srv: srv, g: g, params: p, state: stateIdle}
 	s.runCtx, s.cancel = context.WithCancel(srv.runCtx)
-	op := p
-	if ckptPath != "" && !p.certified() {
-		// The in-run checkpoints of shm and dist sessions restore onto the
-		// sequential engine, where WithTopK would select the certified
-		// top-k rule: a session created uniform must come back uniform.
-		op.TopK = 0
-	}
-	opts, err := srv.sessionOptions(s, op)
+	opts, err := srv.sessionOptions(s, p)
 	if err != nil {
 		return nil, err
 	}
-	if ckptPath != "" {
-		est, err := restoreFromFile(ckptPath, g.workload(), opts)
-		if err != nil {
-			return nil, err
+	var est *betweenness.Estimator
+	if ckptPath == "" {
+		est, err = betweenness.NewEstimator(g.workload(), opts...)
+	} else if est, err = restoreFromFile(ckptPath, g.workload(), opts); err == nil {
+		// The checkpoint brings its own backend shape and stopping rule; the
+		// options add what it cannot carry. The restored tau is exactly
+		// what is on disk already.
+		s.lastCkptTau = est.Snapshot().Tau
+		if exec, _ := p.executor(); est.Backend() != exec.Name() {
+			// Not this session's state (a version-1 capture of an shm or dist
+			// run, or a ladder rebuild's leftover): refuse it rather than
+			// run under a stale label.
+			err = fmt.Errorf("checkpoint holds a %s session, the session metadata names backend %q",
+				est.Backend(), p.Backend)
 		}
-		s.est = est
-		if p.distBackend() {
-			// A distributed session's in-run checkpoints are synthesized
-			// envelopes that restore onto the sequential engine (the ranks'
-			// state is gone with the ranks). Surface the engine change and
-			// re-key the session honestly instead of claiming a backend it
-			// no longer runs on — and drop top_k with it: the session keeps
-			// the uniform rule it was created with, and seq params with
-			// top_k would name the certified one at the next restart.
-			s.degraded = fmt.Sprintf(
-				"restored from a %s-backend checkpoint onto the sequential engine", p.Backend)
-			s.params.Backend, s.params.Procs, s.params.TopK = "seq", 0, 0
-		}
-		if est.Checkpointable() {
-			// The restored tau is exactly what is on disk already.
-			s.lastCkptTau = est.Snapshot().Tau
-		}
-		srv.wireCheckpointSink(s, est)
-		return s, nil
 	}
-	est, err := betweenness.NewEstimator(g.workload(), opts...)
 	if err != nil {
 		return nil, err
 	}

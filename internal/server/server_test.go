@@ -343,13 +343,28 @@ func TestRefineTightens(t *testing.T) {
 	}
 }
 
-func TestRefineOneShotBackendRejected(t *testing.T) {
+// TestRefineDistSession: a dist session refines in place like any other —
+// the samples of the run before it are kept and the tighter target reached.
+func TestRefineDistSession(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := uploadGraph(t, ts.URL, "g1", testGraphBytes(t))
 	id := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.2, "backend": "dist"})
-	body, _ := json.Marshal(map[string]any{"eps": 0.1})
-	if code, _ := do(t, "POST", ts.URL+"/sessions/"+id+"/refine", body); code != http.StatusConflict {
-		t.Errorf("refine on one-shot backend: status %d, want 409", code)
+	do(t, "POST", ts.URL+"/sessions/"+id+"/run", nil)
+	status := waitIdle(t, ts.URL, id)
+	tau0 := status["snapshot"].(map[string]any)["tau"].(float64)
+	if status["converged"] != true || tau0 == 0 {
+		t.Fatalf("dist run: %v", status)
+	}
+
+	body, _ := json.Marshal(map[string]any{"eps": 0.01})
+	if code, resp := do(t, "POST", ts.URL+"/sessions/"+id+"/refine", body); code != http.StatusAccepted {
+		t.Fatalf("refine on the dist backend: status %d, resp %v", code, resp)
+	}
+	status = waitIdle(t, ts.URL, id)
+	snap := status["snapshot"].(map[string]any)
+	if status["converged"] != true || status["backend"] != "dist" || status["eps"].(float64) != 0.01 ||
+		snap["tau"].(float64) < tau0 || snap["achieved_eps"].(float64) > 0.01 || snap["live"] != true {
+		t.Fatalf("refined dist session (tau was %v): %v", tau0, status)
 	}
 }
 

@@ -82,19 +82,13 @@ func (p *sessionParams) normalize() error {
 
 // certified reports whether the params describe a session that stops by the
 // certified top-k rule: created on the seq backend with top_k (the
-// estimator adds the undirected-graph condition itself). A checkpoint does
-// not record the rule, so these params are what a restart replays; every
+// estimator adds the undirected-graph condition itself). A checkpoint
+// records the rule itself; these params key the result cache, and are what
+// a session that restarts without a checkpoint is rebuilt from — so every
 // site that edits Backend or TopK must keep them equal to the rule the
 // estimator actually runs.
 func (p sessionParams) certified() bool {
 	return p.Backend == "seq" && p.TopK > 0
-}
-
-// distBackend reports whether the params name the in-process distributed
-// backend — the one whose runs can die of rank death and are worth
-// retrying on a smaller world.
-func (p sessionParams) distBackend() bool {
-	return p.Backend == "dist"
 }
 
 // executor builds the backend the params name. Params from POST /sessions
@@ -180,8 +174,8 @@ type session struct {
 	interruptReason string
 	// degraded, when non-empty, records that the session no longer runs
 	// exactly as requested: a distributed world shrank or fell back to the
-	// shared-memory backend after rank deaths, or a restart restored a
-	// synthesized checkpoint onto the sequential engine.
+	// shared-memory backend after rank deaths, or a restart found its
+	// checkpoint unusable and began again from zero samples.
 	degraded string
 	// lastCkptTau is the sample count of the last persisted checkpoint,
 	// used to skip no-op checkpoint writes.
@@ -404,7 +398,7 @@ func isDistDeath(err error) bool {
 // while more than two remain, then fall back to the shared-memory backend.
 // ok is false when the params are not degradable (already single-process).
 func shrinkOrDegrade(p sessionParams) (next sessionParams, note string, ok bool) {
-	if !p.distBackend() {
+	if p.Backend != "dist" {
 		return p, "", false
 	}
 	if p.Procs > 2 {
@@ -417,9 +411,11 @@ func shrinkOrDegrade(p sessionParams) (next sessionParams, note string, ok bool)
 
 // rebuild replaces the session's estimator with one built for the new
 // params. It runs on the op goroutine while the session is formally
-// running, so no other operation can observe the swap mid-flight. The dist
-// backends are one-shot (no in-process sampling state), so nothing is lost
-// in the swap beyond what the failed run already lost.
+// running, so no other operation can observe the swap mid-flight. The
+// ladder still restarts fresh: the failed estimator's rank-0 state holds
+// every sample folded before the death, and the swap abandons them (and
+// the checkpoint on disk, which describes the abandoned shape) — carrying
+// that state down the ladder is a ROADMAP follow-up.
 func (s *session) rebuild(p sessionParams) error {
 	opts, err := s.srv.sessionOptions(s, p)
 	if err != nil {
@@ -430,9 +426,11 @@ func (s *session) rebuild(p sessionParams) error {
 		return err
 	}
 	s.srv.wireCheckpointSink(s, est)
+	s.srv.removeSessionCheckpoint(s.id)
 	s.mu.Lock()
 	s.params = p
 	s.est = est
+	s.lastCkptTau = 0
 	s.mu.Unlock()
 	if err := s.srv.persistSessionMeta(s, false); err != nil {
 		s.srv.cfg.Logf("warning: persisting session %s meta: %v", s.id, err)

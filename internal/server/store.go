@@ -218,13 +218,12 @@ func (srv *Server) persistSessionMeta(s *session, hasCkpt bool) error {
 }
 
 // checkpointSession writes the estimator state next to the metadata,
-// returning whether a checkpoint was produced (one-shot backends and
-// sample-less sessions produce none, by design). Call only while the
-// estimator is quiescent — between operations, or from the goroutine that
-// just finished one.
+// returning whether a checkpoint was produced (sample-less sessions
+// produce none, by design). Call only while the estimator is quiescent —
+// between operations, or from the goroutine that just finished one.
 func (srv *Server) checkpointSession(s *session) (bool, error) {
 	est := s.estimator()
-	if srv.cfg.DataDir == "" || !est.Checkpointable() {
+	if srv.cfg.DataDir == "" {
 		return false, nil
 	}
 	snap := est.Snapshot()
@@ -243,9 +242,8 @@ func (srv *Server) checkpointSession(s *session) (bool, error) {
 }
 
 // writeSessionCheckpoint persists a sealed checkpoint payload captured
-// while the session's run is in flight. It is the sink behind both in-run
-// capture paths — Estimator.SetCheckpointSink on the seq/shm engines and
-// WithDistCheckpoint on the dist backends — and runs on the engine's
+// while the session's run is in flight. It is the sink every session's
+// estimator gets (Estimator.SetCheckpointSink) and runs on the engine's
 // coordinating goroutine between epochs, so it must only hand the bytes to
 // the filesystem and go. Failures are logged, never fatal: a missed
 // periodic checkpoint degrades the durability window, not the run.
@@ -281,11 +279,7 @@ func (srv *Server) checkpointAfterOp(s *session) {
 	if srv.cfg.DataDir == "" || !srv.sessionLive(s) {
 		return
 	}
-	est := s.estimator()
-	if !est.Checkpointable() {
-		return
-	}
-	tau := est.Snapshot().Tau
+	tau := s.estimator().Snapshot().Tau
 	s.mu.Lock()
 	last := s.lastCkptTau
 	s.mu.Unlock()
@@ -307,7 +301,16 @@ func (srv *Server) dropSessionFiles(id string) {
 		return
 	}
 	os.Remove(filepath.Join(srv.sessionsDir(), id+".json"))
-	os.Remove(filepath.Join(srv.sessionsDir(), id+".bck"))
+	srv.removeSessionCheckpoint(id)
+}
+
+// removeSessionCheckpoint removes a session's checkpoint (best effort): the
+// session is gone, or its estimator was rebuilt and the file describes the
+// one it replaced.
+func (srv *Server) removeSessionCheckpoint(id string) {
+	if srv.cfg.DataDir != "" {
+		os.Remove(filepath.Join(srv.sessionsDir(), id+".bck"))
+	}
 }
 
 // loadGraphs rehydrates the graph registry from the data dir. Damaged

@@ -109,10 +109,13 @@ func RunFaulty(ctx context.Context, w kadabra.Workload, procs int, cfg core.Conf
 	// The triggers ride rank 0's OnEpoch hook: it fires on the coordinator
 	// goroutine right after epoch p.Epoch was folded, so the injected
 	// failure lands between the fold and the termination broadcast.
+	sts, err := core.NewStates(w, procs, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var fired, partitioned bool
-	rootCfg := cfg
 	userHook := cfg.OnEpoch
-	rootCfg.OnEpoch = func(p kadabra.Progress) {
+	sts[0].SetOnEpoch(func(p kadabra.Progress) {
 		if plan.KillEpoch > 0 && !fired && p.Epoch >= plan.KillEpoch {
 			fired = true
 			world.Kill(plan.KillRank)
@@ -133,7 +136,7 @@ func RunFaulty(ctx context.Context, w kadabra.Workload, procs int, cfg core.Conf
 		if userHook != nil {
 			userHook(p)
 		}
-	}
+	})
 
 	report := &FaultReport{Errs: make([]error, procs)}
 	var mu sync.Mutex
@@ -142,12 +145,7 @@ func RunFaulty(ctx context.Context, w kadabra.Workload, procs int, cfg core.Conf
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := world.Comm(i)
-			rcfg := cfg
-			if i == 0 {
-				rcfg = rootCfg
-			}
-			res, err := core.Algorithm2(ctx, w, c, rcfg)
+			res, err := core.Algorithm2(ctx, sts[i], world.Comm(i), cfg)
 			report.Errs[i] = err
 			if i == 0 && err == nil {
 				mu.Lock()

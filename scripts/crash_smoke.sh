@@ -16,7 +16,10 @@
 #      periodic checkpoint: tau > 0 and no further ahead than the moment
 #      of the kill (at most one interval of sampling lost)
 #   5. run the resumed session to convergence
-#   6. repeat the step-2 query and assert it is served from the
+#   6. do 3-5 again with a "backend":"dist" session: it must come back as
+#      the dist session it was — status backend "dist", tau intact, no
+#      "degraded" field — and run to convergence as such
+#   7. repeat the step-2 query and assert it is served from the
 #      rehydrated result cache without resampling
 #
 # Usage: scripts/crash_smoke.sh [workdir]
@@ -96,47 +99,63 @@ wait_idle "$s1"
 [ "$(jget "$work/status.json" converged)" = "True" ] || { echo "session $s1 did not converge" >&2; exit 1; }
 echo "   converged: tau=$(jget "$work/status.json" snapshot tau)"
 
-echo "== long session, SIGKILL mid-run"
-curl -fsS -X POST -d '{"graph":"crash","eps":0.003,"delta":0.1,"seed":11}' "$base/sessions" > "$work/s2.json"
-s2="$(jget "$work/s2.json" id)"
-curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
-# Wait for the periodic checkpointer: the envelope must exist and the run
-# must have real samples before the plug is pulled.
-ckpt_tau=0
-for _ in $(seq 1 600); do
+# crash_pass BACKEND BODY: start a long session, SIGKILL the daemon once the
+# periodic checkpointer has its envelope on disk, restart, and require the
+# session back on BACKEND with its samples, then run it to convergence.
+crash_pass() {
+    local backend="$1" body="$2"
+    echo "== long $backend session, SIGKILL mid-run"
+    curl -fsS -X POST -d "$body" "$base/sessions" > "$work/s2.json"
+    local s2; s2="$(jget "$work/s2.json" id)"
+    curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
+    # Wait for the periodic checkpointer: the envelope must exist and the run
+    # must have real samples before the plug is pulled.
+    local ckpt_tau=0
+    for _ in $(seq 1 600); do
+        curl -fsS "$base/sessions/$s2" > "$work/status.json"
+        ckpt_tau="$(jget "$work/status.json" snapshot tau)"
+        if [ -f "$data/sessions/$s2.bck" ] && [ "$ckpt_tau" -ge 500 ] 2>/dev/null; then break; fi
+        sleep 0.05
+    done
+    [ -f "$data/sessions/$s2.bck" ] || { echo "periodic checkpointer never wrote $s2.bck" >&2; cat "$log" >&2; exit 1; }
+    [ "$(jget "$work/status.json" state)" != "idle" ] || { echo "session $s2 finished before the kill; tighten its eps" >&2; exit 1; }
+    # Read tau one last time right before the kill: the checkpoint on disk can
+    # be no further ahead than this (sampling only moves forward).
     curl -fsS "$base/sessions/$s2" > "$work/status.json"
-    ckpt_tau="$(jget "$work/status.json" snapshot tau)"
-    if [ -f "$data/sessions/$s2.bck" ] && [ "$ckpt_tau" -ge 500 ] 2>/dev/null; then break; fi
-    sleep 0.05
-done
-[ -f "$data/sessions/$s2.bck" ] || { echo "periodic checkpointer never wrote $s2.bck" >&2; cat "$log" >&2; exit 1; }
-# Read tau one last time right before the kill: the checkpoint on disk can
-# be no further ahead than this (sampling only moves forward).
-curl -fsS "$base/sessions/$s2" > "$work/status.json"
-kill_tau="$(jget "$work/status.json" snapshot tau)"
-kill -9 "$(cat "$pidfile")"
-wait "$(cat "$pidfile")" 2>/dev/null || true
-rm -f "$pidfile"
-echo "   killed -9 at tau=$kill_tau (checkpoint existed at tau>=$ckpt_tau)"
+    local kill_tau; kill_tau="$(jget "$work/status.json" snapshot tau)"
+    kill -9 "$(cat "$pidfile")"
+    wait "$(cat "$pidfile")" 2>/dev/null || true
+    rm -f "$pidfile"
+    echo "   killed -9 at tau=$kill_tau (checkpoint existed at tau>=$ckpt_tau)"
 
-echo "== restart on the crashed data directory"
-start_daemon
-curl -fsS "$base/stats" > "$work/stats.json"
-quarantined="$(jget "$work/stats.json" quarantined_files)"
-[ "$quarantined" = "0" ] || echo "   note: $quarantined file(s) quarantined at startup"
-curl -fsS "$base/sessions/$s2" > "$work/status.json"
-resumed_tau="$(jget "$work/status.json" snapshot tau)"
-[ "$resumed_tau" -gt 0 ] || { echo "SIGKILL lost all samples (tau=$resumed_tau)" >&2; cat "$log" >&2; exit 1; }
-[ "$resumed_tau" -le "$kill_tau" ] || { echo "resumed tau $resumed_tau ahead of kill point $kill_tau" >&2; exit 1; }
-echo "   resumed from periodic checkpoint with tau=$resumed_tau (kill point $kill_tau)"
+    echo "== restart on the crashed data directory"
+    start_daemon
+    curl -fsS "$base/stats" > "$work/stats.json"
+    local quarantined; quarantined="$(jget "$work/stats.json" quarantined_files)"
+    [ "$quarantined" = "0" ] || echo "   note: $quarantined file(s) quarantined at startup"
+    curl -fsS "$base/sessions/$s2" > "$work/status.json"
+    local resumed_tau; resumed_tau="$(jget "$work/status.json" snapshot tau)"
+    [ "$resumed_tau" -gt 0 ] || { echo "SIGKILL lost all samples (tau=$resumed_tau)" >&2; cat "$log" >&2; exit 1; }
+    [ "$resumed_tau" -le "$kill_tau" ] || { echo "resumed tau $resumed_tau ahead of kill point $kill_tau" >&2; exit 1; }
+    [ "$(jget "$work/status.json" backend)" = "$backend" ] || { echo "session came back on another backend:" >&2; cat "$work/status.json" >&2; exit 1; }
+    if grep -q '"degraded"' "$work/status.json"; then echo "session came back degraded:" >&2; cat "$work/status.json" >&2; exit 1; fi
+    echo "   resumed on $backend from the periodic checkpoint with tau=$resumed_tau (kill point $kill_tau)"
 
-echo "== resumed session runs to convergence"
-curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
-wait_idle "$s2"
-[ "$(jget "$work/status.json" converged)" = "True" ] || { echo "resumed session did not converge" >&2; exit 1; }
-final_tau="$(jget "$work/status.json" snapshot tau)"
-[ "$final_tau" -gt "$resumed_tau" ] || { echo "resumed run did not extend samples" >&2; exit 1; }
-echo "   converged at tau=$final_tau"
+    echo "== resumed session runs to convergence"
+    curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
+    wait_idle "$s2"
+    [ "$(jget "$work/status.json" converged)" = "True" ] || { echo "resumed session did not converge" >&2; exit 1; }
+    [ "$(jget "$work/status.json" backend)" = "$backend" ] || { echo "resumed session finished on another backend" >&2; exit 1; }
+    local final_tau; final_tau="$(jget "$work/status.json" snapshot tau)"
+    [ "$final_tau" -gt "$resumed_tau" ] || { echo "resumed run did not extend samples" >&2; exit 1; }
+    echo "   converged at tau=$final_tau"
+}
+
+# Eps sized so each run outlasts several checkpoint intervals: a run that
+# finishes before the first tick leaves only its completion checkpoint, and
+# the kill would land on a converged session with nothing left to resume.
+crash_pass seq '{"graph":"crash","eps":0.0015,"delta":0.1,"seed":11}'
+crash_pass dist '{"graph":"crash","eps":0.001,"delta":0.1,"seed":12,"backend":"dist","procs":2,"threads":2}'
 
 echo "== pre-kill converged result survives as a cache hit"
 curl -fsS -X POST -d '{"graph":"crash","eps":0.05,"delta":0.1,"seed":7}' "$base/sessions" > "$work/s3.json"
