@@ -1,10 +1,12 @@
 package bfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/pq"
 	"repro/internal/rng"
 )
 
@@ -80,8 +82,6 @@ func TestWeightedSamplePathValidity(t *testing.T) {
 		n := 15 + r.Intn(40)
 		g := randomWeighted(uint64(trial)+50, n, 4*n, 7)
 		ws := NewWeightedSampler(g, rng.NewRand(uint64(trial)))
-		ref := refWeightedDistances(g, 0)
-		_ = ref
 		for i := 0; i < 20; i++ {
 			s := graph.Node(r.Intn(n))
 			tt := graph.Node(r.Intn(n))
@@ -166,6 +166,331 @@ func TestWeightedSamplerPrefersLightPath(t *testing.T) {
 		if !ok || len(internal) != 1 || internal[0] != 1 {
 			t.Fatalf("expected route via 1, got %v", internal)
 		}
+	}
+}
+
+// refDijkstra is the independent reference the bidirectional sampler is
+// held to: a plain unidirectional Dijkstra from s over a binary heap with
+// DecreaseKey, returning every vertex's distance (wInf if unreachable) and
+// shortest-path count.
+func refDijkstra(g *graph.WGraph, s graph.Node) (dist []uint64, sig []float64) {
+	n := g.NumNodes()
+	dist = make([]uint64, n)
+	sig = make([]float64, n)
+	for i := range dist {
+		dist[i] = wInf
+	}
+	h := pq.New(n)
+	dist[s], sig[s] = 0, 1
+	h.Push(uint32(s), 0)
+	for h.Len() > 0 {
+		item, d := h.Pop()
+		v := graph.Node(item)
+		adj, wts := g.Neighbors(v)
+		for i, u := range adj {
+			nd := d + uint64(wts[i])
+			switch {
+			case nd < dist[u]:
+				dist[u], sig[u] = nd, sig[v]
+				h.PushOrDecrease(uint32(u), nd)
+			case nd == dist[u]:
+				sig[u] += sig[v]
+			}
+		}
+	}
+	return dist, sig
+}
+
+// checkAllPairs asserts that the sampler's distance and path count agree
+// with refDijkstra on every ordered pair of g.
+func checkAllPairs(t *testing.T, name string, g *graph.WGraph, ws *WeightedSampler) {
+	t.Helper()
+	n := g.NumNodes()
+	for s := 0; s < n; s++ {
+		dist, sig := refDijkstra(g, graph.Node(s))
+		for tt := 0; tt < n; tt++ {
+			if s == tt {
+				continue
+			}
+			ok := ws.search(graph.Node(s), graph.Node(tt))
+			if ok != (dist[tt] != wInf) || ws.mu != dist[tt] {
+				t.Fatalf("%s: dist(%d,%d) = %d (ok=%v), want %d", name, s, tt, ws.mu, ok, dist[tt])
+			}
+			if !ok {
+				continue
+			}
+			if got := ws.crossing(); got != sig[tt] {
+				t.Fatalf("%s: sigma(%d,%d) = %v, want %v", name, s, tt, got, sig[tt])
+			}
+		}
+	}
+}
+
+func TestWeightedAllPairsParity(t *testing.T) {
+	graphs := 0
+	for _, maxW := range []uint32{1, 2, 3, 4, 100} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			n := 12 + int(seed)*4
+			// Sparse enough that some inputs fall apart into components.
+			g := randomWeighted(seed*31+uint64(maxW), n, n+n/2+int(seed), maxW)
+			ws := NewWeightedSampler(g, rng.NewRand(seed))
+			checkAllPairs(t, fmt.Sprintf("maxW %d seed %d", maxW, seed), g, ws)
+			graphs++
+		}
+	}
+	if graphs < 40 {
+		t.Fatalf("battery ran on %d graphs, want >= 40", graphs)
+	}
+}
+
+// tieGrid is a rows x cols lattice built to tie heavily: unit axis edges,
+// weight-2 diagonals both ways and weight-4 double diagonals, so a diagonal
+// step can be taken as one edge, two unit edges, or half of a long edge.
+func tieGrid(rows, cols int, extra ...graph.WeightedEdge) *graph.WGraph {
+	id := func(i, j int) graph.Node { return graph.Node(i*cols + j) }
+	edges := append([]graph.WeightedEdge(nil), extra...)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if j+1 < cols {
+				edges = append(edges, graph.WeightedEdge{U: id(i, j), V: id(i, j+1), W: 1})
+			}
+			if i+1 < rows {
+				edges = append(edges, graph.WeightedEdge{U: id(i, j), V: id(i+1, j), W: 1})
+			}
+			if i+1 < rows && j+1 < cols {
+				edges = append(edges, graph.WeightedEdge{U: id(i, j), V: id(i+1, j+1), W: 2})
+				edges = append(edges, graph.WeightedEdge{U: id(i, j+1), V: id(i+1, j), W: 2})
+			}
+			if i+2 < rows && j+2 < cols {
+				edges = append(edges, graph.WeightedEdge{U: id(i, j), V: id(i+2, j+2), W: 4})
+			}
+		}
+	}
+	g, err := graph.FromWeightedEdges(rows*cols, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// enumerateShortestPaths lists every minimum-weight s-t path (as its
+// internal vertices) by DFS over the exact shortest-path DAG of the
+// Bellman-Ford reference.
+func enumerateShortestPaths(g *graph.WGraph, s, t graph.Node) []string {
+	ds, dt := refWeightedDistances(g, s), refWeightedDistances(g, t)
+	var paths []string
+	var stack []graph.Node
+	var dfs func(v graph.Node)
+	dfs = func(v graph.Node) {
+		if v == t {
+			paths = append(paths, fmt.Sprint(stack))
+			return
+		}
+		adj, wts := g.Neighbors(v)
+		for i, u := range adj {
+			if ds[v]+uint64(wts[i])+dt[u] != ds[t] {
+				continue
+			}
+			if u != t {
+				stack = append(stack, u)
+			}
+			dfs(u)
+			if u != t {
+				stack = stack[:len(stack)-1]
+			}
+		}
+	}
+	dfs(s)
+	return paths
+}
+
+// checkUniformPaths draws paths between s and t and compares their
+// frequencies with the enumerated shortest paths by a chi-square test; it
+// returns the number of tied paths.
+func checkUniformPaths(t *testing.T, g *graph.WGraph, s, tt graph.Node, seed uint64) int {
+	t.Helper()
+	paths := enumerateShortestPaths(g, s, tt)
+	counts := make(map[string]int, len(paths))
+	for _, p := range paths {
+		counts[p] = 0
+	}
+	ws := NewWeightedSampler(g, rng.NewRand(seed))
+	draws := 40 * len(paths)
+	if draws < 500 {
+		draws = 500
+	}
+	for i := 0; i < draws; i++ {
+		internal, ok := ws.SamplePath(s, tt)
+		if !ok {
+			t.Fatalf("pair (%d,%d) reported disconnected", s, tt)
+		}
+		key := fmt.Sprint(internal)
+		if _, known := counts[key]; !known {
+			t.Fatalf("pair (%d,%d): sampled %s, not one of the %d shortest paths", s, tt, key, len(paths))
+		}
+		counts[key]++
+	}
+	if len(paths) == 1 {
+		return 1
+	}
+	expect := float64(draws) / float64(len(paths))
+	chi2 := 0.0
+	for _, c := range counts {
+		d := float64(c) - expect
+		chi2 += d * d / expect
+	}
+	df := float64(len(paths) - 1)
+	if z := (chi2 - df) / math.Sqrt(2*df); math.Abs(z) > 4 {
+		t.Errorf("pair (%d,%d): %d paths, %d draws: chi-square %.1f on %.0f degrees of freedom (z = %.2f)",
+			s, tt, len(paths), draws, chi2, df, z)
+	}
+	return len(paths)
+}
+
+func TestWeightedPathUniformityChiSquare(t *testing.T) {
+	const rows, cols = 5, 5
+	corner, far := graph.Node(0), graph.Node(rows*cols-1)
+	// The corner-to-corner distance is 8; the direct edge is heavier.
+	g := tieGrid(rows, cols, graph.WeightedEdge{U: corner, V: far, W: 11})
+	cases := []struct {
+		name     string
+		s, t     graph.Node
+		minPaths int
+	}{
+		{"corners joined by a heavy edge that is not shortest", corner, far, 100},
+		{"reverse direction", far, corner, 100},
+		{"off-diagonal pair", 1, 23, 20},
+		{"adjacent by a long edge that ties", 0, 12, 2},
+		{"adjacent by a diagonal that ties", 6, 12, 2},
+		{"only shortest path is one edge", 7, 8, 1},
+		{"only shortest path is one edge, at the border", 0, 5, 1},
+		{"one row apart", 10, 14, 1},
+	}
+	for i, c := range cases {
+		got := checkUniformPaths(t, g, c.s, c.t, uint64(i)+1)
+		if got < c.minPaths {
+			t.Errorf("%s: %d shortest paths, the case wants >= %d", c.name, got, c.minPaths)
+		}
+		if c.minPaths == 1 && got != 1 {
+			t.Errorf("%s: %d shortest paths, want exactly 1", c.name, got)
+		}
+	}
+}
+
+func TestWeightedDisconnectedPairThenNextSample(t *testing.T) {
+	// Two components: a weighted triangle 0-1-2 and a path 3-4-5-6.
+	g, err := graph.FromWeightedEdges(7, []graph.WeightedEdge{
+		{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 4},
+		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 7}, {U: 5, V: 6, W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWeightedSampler(g, rng.NewRand(5))
+	for round := 0; round < 3; round++ {
+		for _, pair := range [][2]graph.Node{{0, 3}, {6, 2}, {4, 1}} {
+			if internal, ok := ws.SamplePath(pair[0], pair[1]); ok {
+				t.Fatalf("pair %v across components sampled %v", pair, internal)
+			}
+			if d := ws.Distance(pair[0], pair[1]); d != math.MaxUint64 {
+				t.Fatalf("pair %v across components at distance %d", pair, d)
+			}
+		}
+		if internal, ok := ws.SamplePath(3, 6); !ok || fmt.Sprint(internal) != "[4 5]" {
+			t.Fatalf("after a disconnected pair: path 3-6 = %v ok=%v, want [4 5]", internal, ok)
+		}
+		checkAllPairs(t, "after disconnected pairs", g, ws)
+	}
+}
+
+func TestWeightedStampWrapClearsBothSides(t *testing.T) {
+	const n = 60
+	g := randomWeighted(77, n, 240, 5)
+	ws := NewWeightedSampler(g, rng.NewRand(9))
+	// Every vertex carries, on both sides, a settled distance-0 label from a
+	// round the counter will reach again after wrapping.
+	for v := 0; v < n; v++ {
+		stale := wlabel{dist: 0, sig: 5, stamp: uint32(v%7) + 1, done: true}
+		ws.fwd.lab[v], ws.bwd.lab[v] = stale, stale
+	}
+	ws.cur = math.MaxUint32
+	ws.search(0, 1)
+	if ws.cur != 1 {
+		t.Fatalf("round counter %d after the wrap, want 1", ws.cur)
+	}
+	for v := 0; v < n; v++ {
+		if f, b := ws.fwd.lab[v].stamp, ws.bwd.lab[v].stamp; f > 1 || b > 1 {
+			t.Fatalf("vertex %d keeps stale stamps (forward %d, backward %d) across the wrap", v, f, b)
+		}
+	}
+	checkAllPairs(t, "after the wrap", g, ws)
+}
+
+// TestWeightedUnitWeightsMatchBFS: with every weight 1 the search
+// degenerates to a bidirectional BFS, so distance and path count must match
+// the unweighted sampler on the skeleton.
+func TestWeightedUnitWeightsMatchBFS(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		n := 30 + int(seed)*5
+		wg := randomWeighted(seed+200, n, 3*n, 1)
+		ws := NewWeightedSampler(wg, rng.NewRand(seed))
+		sp := NewSampler(wg.Unweighted(), rng.NewRand(seed))
+		for s := 0; s < n; s++ {
+			for tt := 0; tt < n; tt++ {
+				if s == tt {
+					continue
+				}
+				_, ok := sp.SamplePath(graph.Node(s), graph.Node(tt))
+				if got := ws.search(graph.Node(s), graph.Node(tt)); got != ok {
+					t.Fatalf("seed %d pair (%d,%d): weighted ok=%v, bfs ok=%v", seed, s, tt, got, ok)
+				}
+				if !ok {
+					continue
+				}
+				x := sp.meet[0]
+				want := 0.0
+				for _, m := range sp.meet {
+					want += sp.sigS[m] * sp.sigT[m]
+				}
+				if d := uint64(sp.distS[x] + sp.distT[x]); ws.mu != d {
+					t.Fatalf("seed %d pair (%d,%d): distance %d, bfs %d", seed, s, tt, ws.mu, d)
+				}
+				if got := ws.crossing(); got != want {
+					t.Fatalf("seed %d pair (%d,%d): %v paths, bfs %v", seed, s, tt, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedHugeWeights: distances beyond 2^32 on a 4-cycle of
+// MaxUint32 edges (plus a lighter chord) neither overflow the mu candidates
+// nor index a bucket out of range, and the two tied routes 0-1-2 / 0-3-2
+// are both drawn.
+func TestWeightedHugeWeights(t *testing.T) {
+	const big = math.MaxUint32
+	g, err := graph.FromWeightedEdges(5, []graph.WeightedEdge{
+		{U: 0, V: 1, W: big}, {U: 1, V: 2, W: big}, {U: 2, V: 3, W: big}, {U: 3, V: 0, W: big},
+		{U: 1, V: 4, W: big - 1}, {U: 4, V: 3, W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWeightedSampler(g, rng.NewRand(1))
+	checkAllPairs(t, "MaxUint32 cycle", g, ws)
+	if d := ws.Distance(0, 2); d != 2*uint64(big) {
+		t.Fatalf("distance over two MaxUint32 edges = %d, want %d", d, 2*uint64(big))
+	}
+	seen := map[graph.Node]int{}
+	for i := 0; i < 200; i++ {
+		internal, ok := ws.SamplePath(0, 2)
+		if !ok || len(internal) != 1 {
+			t.Fatalf("0-2 = %v ok=%v, want one internal vertex", internal, ok)
+		}
+		seen[internal[0]]++
+	}
+	if seen[1] < 60 || seen[3] < 60 || seen[1]+seen[3] != 200 {
+		t.Fatalf("tied routes drawn %v, want vertices 1 and 3 about evenly", seen)
 	}
 }
 

@@ -113,13 +113,19 @@ func TestSparseFramePingPongRace(t *testing.T) {
 // regimes a sampler sees: accumulating into a long-lived state (which cuts
 // over to dense) and the epoch ping-pong (sparse frame filled then Reset).
 func TestSampleSteadyStateZeroAlloc(t *testing.T) {
-	for name, w := range testWorkloads(t) {
+	ws := testWorkloads(t)
+	// A weighted cell big and tie-heavy enough (3000 vertices, weights 1..3)
+	// that the Dijkstra sampler's bucket queues, which start empty, and its
+	// crossing-arc scratch have real growing to do; the warm-up below scales
+	// with n so they reach their working size before allocations are counted.
+	ws["weighted-large"] = WeightedWorkload(connectedWeighted(9, 3000, 12000, 3))
+	for name, w := range ws {
 		sampler := w.NewSampler(rng.NewRand(23))
 		n := w.N()
 
 		// Regime 1: accumulated state frame.
 		acc := epoch.NewStateFrame(n)
-		for i := 0; i < 2000; i++ { // warm sampler buffers + pass the cutover
+		for i := 0; i < 2000+10*n; i++ { // warm sampler buffers + pass the cutover
 			SampleInto(sampler, acc)
 		}
 		if avg := testing.AllocsPerRun(200, func() {

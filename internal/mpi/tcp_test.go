@@ -182,12 +182,43 @@ func TestTCPConnectBadRank(t *testing.T) {
 	}
 }
 
+// heldAddr returns a loopback address that refuses connections and that no
+// other process can take while the test runs: the test keeps it bound as the
+// local end of a connection to a listener of its own, so nothing ever
+// listens on it. (A port from freeAddrs is released, and a test of another
+// package running in parallel may be listening on it by the time it is
+// dialled.)
+func heldAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	d := net.Dialer{LocalAddr: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)}}
+	conn, err := d.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn.LocalAddr().String()
+}
+
 func TestTCPConnectTimeout(t *testing.T) {
-	addrs := freeAddrs(t, 2)
 	// Only rank 1 connects; it must time out dialing the absent rank 0.
+	// Nobody dials rank 1, so it listens on whatever port is free.
+	addrs := []string{heldAddr(t), "127.0.0.1:0"}
+	if ln, err := net.Listen("tcp", addrs[0]); err == nil {
+		ln.Close()
+		t.Fatalf("rank 0's address %s is free to listen on, so not held", addrs[0])
+	}
+	start := time.Now()
 	_, _, err := ConnectTCP(1, addrs, 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("expected timeout error")
+	}
+	if waited := time.Since(start); waited < 300*time.Millisecond {
+		t.Fatalf("gave up after %v (%v), want the full 300ms of redialling", waited, err)
 	}
 }
 

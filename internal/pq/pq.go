@@ -1,8 +1,10 @@
-// Package pq provides an indexed binary min-heap keyed by uint64
-// priorities over uint32 items — the priority queue behind the weighted
-// (Dijkstra-based) shortest-path machinery. DecreaseKey is O(log n) via the
-// position index, which plain container/heap cannot offer without an extra
-// map.
+// Package pq provides the two priority queues behind the weighted
+// (Dijkstra-based) shortest-path machinery, both keyed by uint64 priorities
+// over uint32 items. Heap is an indexed binary min-heap whose DecreaseKey is
+// O(log n) via the position index, which plain container/heap cannot offer
+// without an extra map; the exact Brandes reference uses it. Monotone is a
+// radix heap for callers whose keys never fall below the last one popped;
+// the sampling kernel uses one per search direction.
 package pq
 
 // Heap is an indexed min-heap. Items are vertex IDs in [0, n); each item
