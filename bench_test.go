@@ -14,13 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kadabra"
-	"repro/internal/rng"
 	"repro/internal/simnet"
 )
 
@@ -288,27 +286,6 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Ablation A5: bidirectional vs unidirectional BFS sampling (§III-A) ---
-
-func BenchmarkAblationBiBFS(b *testing.B) {
-	g := gen.RMAT(gen.Graph500(14, 16, 9))
-	g, _ = graph.LargestComponent(g)
-	b.Run("bidirectional", func(b *testing.B) {
-		sp := bfs.NewSampler(g, rng.NewRand(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sp.Sample()
-		}
-	})
-	b.Run("unidirectional", func(b *testing.B) {
-		us := bfs.NewUnidirSampler(g, rng.NewRand(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			us.Sample()
-		}
-	})
 }
 
 // --- Real-machine scaling (not simulated) ----------------------------------

@@ -43,7 +43,7 @@ func main() {
 		m        = flag.Int("m", 1000000, "er/directed: edge (arc) count")
 		k        = flag.Int("k", 5, "ba: edges per new vertex")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
-		out      = flag.String("o", "", "output path (.bcsr for binary, else edge list)")
+		out      = flag.String("o", "", "output path (.bcsr for BCSR v2 binary, else edge list)")
 		lcc      = flag.Bool("lcc", false, "keep only the largest connected component")
 		directed = flag.Bool("directed", false, "generate a random strongly connected digraph (-n, -m) as an arc list")
 		weighted = flag.Bool("weighted", false, "assign uniform weights in [1, -maxw] and write a weighted edge list")

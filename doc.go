@@ -40,7 +40,8 @@
 // epoch machinery is sparse end to end: state frames maintain a
 // touched-vertex list on first increment (reset/aggregate in O(touched),
 // with an automatic dense fallback past n/8 touched vertices so huge
-// epochs never regress), the per-epoch MPI reduction ships frames as
+// epochs never regress — the one frame mode there is; nothing pins a frame
+// dense), the per-epoch MPI reduction ships frames as
 // varint (vertex-delta, count) pairs through a variable-length merge
 // reduction (bytes scale with samples, not with |V| — on a ~150k-vertex
 // graph a TCP rank ships ~2.4 kB per epoch instead of the dense ~1.2 MB),
@@ -118,8 +119,10 @@
 // on-disk BCSR v2 format in memory bounded by its sort budget rather than
 // the edge count, and graph.OpenMapped memory-maps the result — an O(1)
 // open (header parse plus an offsets-monotonicity scan, no adjacency
-// touch) that serves the CSR zero-copy off the page cache. graph.LoadFile
-// routes .bcsr files through the mapped path automatically, estimators
+// touch) that serves the CSR zero-copy off the page cache. Every writer in
+// the module (graph.SaveFile on a .bcsr path included) emits v2; the older
+// BCSR v1 is only read. graph.LoadFile
+// routes v2 files through the mapped path automatically, estimators
 // fault pages in lazily as samples walk the graph, and betweennessd
 // persists undirected uploads as BCSR v2 and serves sessions off the
 // shared mapping. graphgen -stream pipes the synthetic generators through

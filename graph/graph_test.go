@@ -44,6 +44,9 @@ func TestGeneratorsAndRoundTrip(t *testing.T) {
 	if err := SaveFile(path, g); err != nil {
 		t.Fatal(err)
 	}
+	if format, err := DetectFormatFile(path); err != nil || format != FormatBCSR2 {
+		t.Fatalf("SaveFile(%q) wrote format %v (%v), want BCSR v2", path, format, err)
+	}
 	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)

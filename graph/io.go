@@ -2,6 +2,7 @@ package graph
 
 import (
 	"io"
+	"strings"
 
 	"repro/internal/bigio"
 	igraph "repro/internal/graph"
@@ -67,9 +68,16 @@ func LoadFile(path string) (*Graph, error) {
 	return igraph.LoadFile(path)
 }
 
-// SaveFile writes a graph to path, choosing the format by extension like
-// LoadFile.
-func SaveFile(path string, g *Graph) error { return igraph.SaveFile(path, g) }
+// SaveFile writes a graph to path, choosing the format by extension:
+// ".bcsr" is BCSR v2 — the one binary format every writer in the module
+// emits — written tmp -> fsync -> rename like WriteBCSR2File; anything else
+// is a text edge list.
+func SaveFile(path string, g *Graph) error {
+	if strings.HasSuffix(path, ".bcsr") {
+		return WriteBCSR2File(path, g, WriteOptions{})
+	}
+	return igraph.SaveFile(path, g)
+}
 
 // ReadEdgeList parses a whitespace-separated text edge list ('#' and '%'
 // start comments).
@@ -78,11 +86,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) { return igraph.ReadEdgeList(r) }
 // WriteEdgeList writes g as a text edge list, one edge per line.
 func WriteEdgeList(w io.Writer, g *Graph) error { return igraph.WriteEdgeList(w, g) }
 
-// ReadBinary parses the BCSR binary format.
+// ReadBinary parses the BCSR v1 binary format, which older versions of
+// this module wrote; nothing writes it any more.
 func ReadBinary(r io.Reader) (*Graph, error) { return igraph.ReadBinary(r) }
-
-// WriteBinary writes g in the BCSR binary format.
-func WriteBinary(w io.Writer, g *Graph) error { return igraph.WriteBinary(w, g) }
 
 // ReadArcList parses a directed text arc list: one "u v" arc per line
 // meaning u -> v, with the same comment and renumbering conventions as

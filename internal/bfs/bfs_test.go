@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,11 +66,7 @@ func TestBFSMatchesReference(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%60) + 2
 		r := rng.NewRand(seed)
-		edges := make([][2]graph.Node, 3*n)
-		for i := range edges {
-			edges[i] = [2]graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
-		}
-		g := graph.FromEdges(n, edges)
+		g := randomGraph(r, n)
 		b := New(g)
 		s := graph.Node(r.Intn(n))
 		got := b.Run(s)
@@ -97,85 +94,103 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
+// views returns a digraph's out- and in-adjacency as CSR views, the two
+// inputs the reference routines below take (an undirected graph is its own
+// transpose and is passed twice).
+func views(g *graph.Digraph) (out, in *graph.Graph) {
+	return &graph.Graph{Offsets: g.OutOffsets, Adj: g.OutAdj},
+		&graph.Graph{Offsets: g.InOffsets, Adj: g.InAdj}
+}
+
+func randomGraph(r *rng.Rand, n int) *graph.Graph {
+	edges := make([][2]graph.Node, 3*n)
+	for i := range edges {
+		edges[i] = [2]graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
+	}
+	return graph.FromEdges(n, edges)
+}
+
+func randomDigraph(seed uint64, n, m int) *graph.Digraph {
+	r := rng.NewRand(seed)
+	arcs := make([][2]graph.Node, m)
+	for i := range arcs {
+		arcs[i] = [2]graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
+	}
+	return graph.FromArcs(n, arcs)
+}
+
 // validatePath checks that internal is the internal vertex list of a genuine
-// shortest s-t path in g.
-func validatePath(t *testing.T, g *graph.Graph, s, tt graph.Node, internal []graph.Node) {
+// shortest s-t path along the arcs of fwd.
+func validatePath(t *testing.T, fwd *graph.Graph, s, tt graph.Node, internal []graph.Node) {
 	t.Helper()
 	full := append([]graph.Node{s}, internal...)
 	full = append(full, tt)
-	for i := 0; i+1 < len(full); i++ {
-		if !g.HasEdge(full[i], full[i+1]) {
-			t.Fatalf("path edge (%d,%d) missing; path %v", full[i], full[i+1], full)
-		}
-	}
 	seen := map[graph.Node]bool{}
-	for _, v := range full {
+	for i, v := range full {
 		if seen[v] {
 			t.Fatalf("path revisits %d: %v", v, full)
 		}
 		seen[v] = true
+		if i+1 < len(full) && !slices.Contains(fwd.Neighbors(v), full[i+1]) {
+			t.Fatalf("path arc (%d,%d) missing; path %v", v, full[i+1], full)
+		}
 	}
-	want := refDistances(g, s)[tt]
+	want := refDistances(fwd, s)[tt]
 	if uint32(len(full)-1) != want {
 		t.Fatalf("path length %d, shortest distance %d; path %v", len(full)-1, want, full)
+	}
+}
+
+// checkPathValidity draws random pairs on one graph and checks that the
+// sampler reports a path exactly for the reachable ones and that each path
+// is a shortest one.
+func checkPathValidity(t *testing.T, r *rng.Rand, fwd *graph.Graph, sp *Sampler, pairs int) {
+	t.Helper()
+	n := fwd.NumNodes()
+	for i := 0; i < pairs; i++ {
+		s := graph.Node(r.Intn(n))
+		tt := graph.Node(r.Intn(n))
+		if s == tt {
+			continue
+		}
+		internal, ok := sp.SamplePath(s, tt)
+		reachable := refDistances(fwd, s)[tt] != Unreached
+		if ok != reachable {
+			t.Fatalf("ok=%v but reachable=%v for (%d,%d)", ok, reachable, s, tt)
+		}
+		if ok {
+			validatePath(t, fwd, s, tt, internal)
+		}
 	}
 }
 
 func TestSamplePathValidity(t *testing.T) {
 	r := rng.NewRand(1)
 	for trial := 0; trial < 40; trial++ {
-		n := 20 + r.Intn(60)
-		edges := make([][2]graph.Node, 3*n)
-		for i := range edges {
-			edges[i] = [2]graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
-		}
-		g := graph.FromEdges(n, edges)
-		sp := NewSampler(g, rng.NewRand(uint64(trial)))
-		ref := refDistances(g, 0)
-		for i := 0; i < 30; i++ {
-			s := graph.Node(r.Intn(n))
-			tt := graph.Node(r.Intn(n))
-			if s == tt {
-				continue
-			}
-			internal, ok := sp.SamplePath(s, tt)
-			connected := refDistances(g, s)[tt] != Unreached
-			if ok != connected {
-				t.Fatalf("ok=%v but connected=%v for (%d,%d)", ok, connected, s, tt)
-			}
-			if ok {
-				validatePath(t, g, s, tt, internal)
-			}
-		}
-		_ = ref
+		g := randomGraph(r, 20+r.Intn(60))
+		checkPathValidity(t, r, g, NewSampler(g, rng.NewRand(uint64(trial))), 30)
 	}
 }
 
-func TestUnidirSamplePathValidity(t *testing.T) {
-	r := rng.NewRand(2)
-	for trial := 0; trial < 20; trial++ {
-		n := 20 + r.Intn(40)
-		edges := make([][2]graph.Node, 3*n)
-		for i := range edges {
-			edges[i] = [2]graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
-		}
-		g := graph.FromEdges(n, edges)
-		us := NewUnidirSampler(g, rng.NewRand(uint64(trial)))
-		for i := 0; i < 20; i++ {
-			s := graph.Node(r.Intn(n))
-			tt := graph.Node(r.Intn(n))
-			if s == tt {
-				continue
-			}
-			internal, ok := us.SamplePath(s, tt)
-			connected := refDistances(g, s)[tt] != Unreached
-			if ok != connected {
-				t.Fatalf("ok=%v connected=%v for (%d,%d)", ok, connected, s, tt)
-			}
-			if ok {
-				validatePath(t, g, s, tt, internal)
-			}
-		}
+func TestDirectedSamplePathValidity(t *testing.T) {
+	r := rng.NewRand(7)
+	for trial := 0; trial < 30; trial++ {
+		n := 15 + r.Intn(50)
+		g := randomDigraph(uint64(trial), n, 4*n)
+		out, _ := views(g)
+		checkPathValidity(t, r, out, NewDirectedSampler(g, rng.NewRand(uint64(trial)+99)), 25)
+	}
+}
+
+func TestDirectedSamplerRespectsDirection(t *testing.T) {
+	// 0->1->2 with no back arcs: 2 cannot reach 0.
+	g := graph.FromArcs(3, [][2]graph.Node{{0, 1}, {1, 2}})
+	sp := NewDirectedSampler(g, rng.NewRand(1))
+	if internal, ok := sp.SamplePath(0, 2); !ok || len(internal) != 1 || internal[0] != 1 {
+		t.Fatalf("forward path wrong: %v ok=%v", internal, ok)
+	}
+	if _, ok := sp.SamplePath(2, 0); ok {
+		t.Fatal("found a path against arc direction")
 	}
 }
 
@@ -209,68 +224,67 @@ func sigmaRef(g *graph.Graph, s graph.Node) ([]uint32, []float64) {
 	return dist, sig
 }
 
-// TestSamplerUniformity verifies that for a fixed pair (s,t), each vertex v
+// checkUniformity verifies that for the fixed pair (s,t), each vertex v
 // appears as an internal path vertex with probability
 // sigma_st(v)/sigma_st — the property the KADABRA estimator relies on.
-func TestSamplerUniformity(t *testing.T) {
-	samplers := map[string]func(g *graph.Graph, seed uint64) func(s, tt graph.Node) ([]graph.Node, bool){
-		"bidir": func(g *graph.Graph, seed uint64) func(s, tt graph.Node) ([]graph.Node, bool) {
-			sp := NewSampler(g, rng.NewRand(seed))
-			return sp.SamplePath
-		},
-		"unidir": func(g *graph.Graph, seed uint64) func(s, tt graph.Node) ([]graph.Node, bool) {
-			us := NewUnidirSampler(g, rng.NewRand(seed))
-			return us.SamplePath
-		},
+// Counts toward t are counts from t on the transpose bwd. An unreachable
+// pair is skipped.
+func checkUniformity(t *testing.T, fwd, bwd *graph.Graph, sp *Sampler, s, tt graph.Node) {
+	t.Helper()
+	if s == tt {
+		return
 	}
-	r := rng.NewRand(3)
-	for name, mk := range samplers {
-		for trial := 0; trial < 5; trial++ {
-			n := 12 + r.Intn(10)
-			edges := make([][2]graph.Node, 3*n)
-			for i := range edges {
-				edges[i] = [2]graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
-			}
-			g := graph.FromEdges(n, edges)
-			s := graph.Node(r.Intn(n))
-			tt := graph.Node(r.Intn(n))
-			if s == tt {
-				continue
-			}
-			distS, sigS := sigmaRef(g, s)
-			distT, sigT := sigmaRef(g, tt)
-			if distS[tt] == Unreached {
-				continue
-			}
-			D := distS[tt]
-			total := sigS[tt]
-			sample := mk(g, uint64(trial)*7+11)
-			const iters = 4000
-			counts := make([]int, n)
-			for i := 0; i < iters; i++ {
-				internal, ok := sample(s, tt)
-				if !ok {
-					t.Fatalf("%s: connected pair reported disconnected", name)
-				}
-				for _, v := range internal {
-					counts[v]++
-				}
-			}
-			for v := 0; v < n; v++ {
-				var want float64
-				if graph.Node(v) != s && graph.Node(v) != tt &&
-					distS[v]+distT[v] == D {
-					want = sigS[v] * sigT[v] / total
-				}
-				got := float64(counts[v]) / iters
-				// Binomial stddev bound with 5-sigma slack.
-				slack := 5*math.Sqrt(want*(1-want)/iters) + 0.01
-				if math.Abs(got-want) > slack {
-					t.Fatalf("%s: vertex %d frequency %.4f, want %.4f (pair %d-%d)",
-						name, v, got, want, s, tt)
-				}
-			}
+	distS, sigS := sigmaRef(fwd, s)
+	distT, sigT := sigmaRef(bwd, tt)
+	if distS[tt] == Unreached {
+		return
+	}
+	D := distS[tt]
+	total := sigS[tt]
+	const iters = 4000
+	counts := make([]int, fwd.NumNodes())
+	for i := 0; i < iters; i++ {
+		internal, ok := sp.SamplePath(s, tt)
+		if !ok {
+			t.Fatal("reachable pair reported unreachable")
 		}
+		for _, v := range internal {
+			counts[v]++
+		}
+	}
+	for v := range counts {
+		var want float64
+		if graph.Node(v) != s && graph.Node(v) != tt &&
+			distS[v] != Unreached && distT[v] != Unreached && distS[v]+distT[v] == D {
+			want = sigS[v] * sigT[v] / total
+		}
+		got := float64(counts[v]) / iters
+		// Binomial stddev bound with 5-sigma slack.
+		slack := 5*math.Sqrt(want*(1-want)/iters) + 0.01
+		if math.Abs(got-want) > slack {
+			t.Fatalf("vertex %d frequency %.4f, want %.4f (pair %d->%d)", v, got, want, s, tt)
+		}
+	}
+}
+
+func TestSamplerUniformity(t *testing.T) {
+	r := rng.NewRand(3)
+	for trial := 0; trial < 5; trial++ {
+		n := 12 + r.Intn(10)
+		g := randomGraph(r, n)
+		s, tt := graph.Node(r.Intn(n)), graph.Node(r.Intn(n))
+		checkUniformity(t, g, g, NewSampler(g, rng.NewRand(uint64(trial)*7+11)), s, tt)
+	}
+}
+
+func TestDirectedSamplerUniformity(t *testing.T) {
+	r := rng.NewRand(5)
+	for trial := 0; trial < 4; trial++ {
+		n := 12 + r.Intn(8)
+		g := randomDigraph(uint64(trial)+40, n, 4*n)
+		out, in := views(g)
+		s, tt := graph.Node(r.Intn(n)), graph.Node(r.Intn(n))
+		checkUniformity(t, out, in, NewDirectedSampler(g, rng.NewRand(uint64(trial)*3+1)), s, tt)
 	}
 }
 
@@ -354,20 +368,20 @@ func BenchmarkBidirSampleRMAT(b *testing.B) {
 	}
 }
 
-func BenchmarkUnidirSampleRMAT(b *testing.B) {
-	g := gen.RMAT(gen.Graph500(14, 16, 1))
-	g, _ = graph.LargestComponent(g)
-	us := NewUnidirSampler(g, rng.NewRand(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		us.Sample()
-	}
-}
-
 func BenchmarkBidirSampleRoad(b *testing.B) {
 	g := gen.Road(gen.RoadParams{Rows: 300, Cols: 300, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 2})
 	g, _ = graph.LargestComponent(g)
 	sp := NewSampler(g, rng.NewRand(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.Sample()
+	}
+}
+
+func BenchmarkDirectedSample(b *testing.B) {
+	g := randomDigraph(1, 20000, 200000)
+	g, _ = graph.LargestSCC(g)
+	sp := NewDirectedSampler(g, rng.NewRand(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.Sample()

@@ -13,11 +13,21 @@ import (
 // below a full BFS on complex networks, which is what makes billion-edge
 // sampling feasible.
 //
+// One kernel serves undirected and directed graphs (the paper's footnote 1)
+// through two CSR views. The s ball grows along fwd, the t ball along bwd:
+// for an undirected graph both are the caller's *graph.Graph (the pointer
+// itself, so an mmap'd graph stays reachable and an emptied one panics on
+// an index instead of faulting); for a Digraph fwd is the out-adjacency and
+// bwd the in-adjacency (the stored transpose, as in the paper's NetworKit
+// setup, §IV-F). A vertex's BFS predecessors sit across the arcs its ball
+// was grown along, so walk scans the opposite view of the side it walks:
+// toward s it reads bwd (in-neighbours), toward t it reads fwd.
+//
 // A Sampler is not safe for concurrent use; each sampling thread owns one.
 // The backing graph is shared and read-only.
 type Sampler struct {
-	g   *graph.Graph
-	rng *rng.Rand
+	fwd, bwd *graph.Graph
+	rng      *rng.Rand
 
 	// Per-side BFS state, validity gated by stamp to avoid O(|V|) clears.
 	stampS, stampT []uint32
@@ -31,11 +41,25 @@ type Sampler struct {
 	path           []graph.Node
 }
 
-// NewSampler creates a sampler over g using the given private RNG.
+// NewSampler creates a sampler over the undirected graph g using the given
+// private RNG.
 func NewSampler(g *graph.Graph, r *rng.Rand) *Sampler {
-	n := g.NumNodes()
+	return newSampler(g, g, r)
+}
+
+// NewDirectedSampler creates a sampler over the digraph g: shortest s->t
+// paths follow arc directions.
+func NewDirectedSampler(g *graph.Digraph, r *rng.Rand) *Sampler {
+	return newSampler(
+		&graph.Graph{Offsets: g.OutOffsets, Adj: g.OutAdj},
+		&graph.Graph{Offsets: g.InOffsets, Adj: g.InAdj}, r)
+}
+
+func newSampler(fwd, bwd *graph.Graph, r *rng.Rand) *Sampler {
+	n := fwd.NumNodes()
 	return &Sampler{
-		g:      g,
+		fwd:    fwd,
+		bwd:    bwd,
 		rng:    r,
 		stampS: make([]uint32, n),
 		stampT: make([]uint32, n),
@@ -51,12 +75,11 @@ func NewSampler(g *graph.Graph, r *rng.Rand) *Sampler {
 	}
 }
 
-// SamplePair picks a uniform random pair (s, t), s != t. Exposed so the
-// unidirectional ablation and tests can share the pair distribution.
+// SamplePair picks a uniform random pair (s, t), s != t.
 //
 //bc:hotpath
 func (sp *Sampler) SamplePair() (s, t graph.Node) {
-	n := sp.g.NumNodes()
+	n := sp.fwd.NumNodes()
 	s = graph.Node(sp.rng.Intn(n))
 	t = graph.Node(sp.rng.Intn(n - 1))
 	if t >= s {
@@ -78,8 +101,9 @@ func (sp *Sampler) Sample() (internal []graph.Node, ok bool) {
 	return sp.SamplePath(s, t)
 }
 
-// SamplePath draws a uniform random shortest s-t path via balanced
-// bidirectional BFS. See Sample for the return convention.
+// SamplePath draws a uniform random shortest s-t path (s->t along arc
+// directions on a digraph) via balanced bidirectional BFS. See Sample for
+// the return convention.
 //
 //bc:hotpath
 func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) {
@@ -99,35 +123,18 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	sp.stampT[t], sp.distT[t], sp.sigT[t] = cur, 0, 1
 	sp.frontS = append(sp.frontS[:0], s)
 	sp.frontT = append(sp.frontT[:0], t)
-	if sp.g.Degree(s) == 0 || sp.g.Degree(t) == 0 {
+	if sp.fwd.Degree(s) == 0 || sp.bwd.Degree(t) == 0 {
 		return nil, false
 	}
 
-	// Ball radii settled so far.
-	var radS, radT uint32
-
-	// Expand one side per iteration until the balls meet or a side dies.
+	// Expand the cheaper side until the balls meet or a side dies.
 	for {
-		expandS := sp.frontierCost(sp.frontS) <= sp.frontierCost(sp.frontT)
-		var done bool
-		if expandS {
-			done = sp.expand(true)
-			radS++
-		} else {
-			done = sp.expand(false)
-			radT++
-		}
-		if done {
+		expandS := frontierCost(sp.fwd, sp.frontS) <= frontierCost(sp.bwd, sp.frontT)
+		if sp.expand(expandS) {
 			break
 		}
-		if expandS {
-			if len(sp.frontS) == 0 {
-				return nil, false // s-ball exhausted: disconnected
-			}
-		} else {
-			if len(sp.frontT) == 0 {
-				return nil, false
-			}
+		if (expandS && len(sp.frontS) == 0) || (!expandS && len(sp.frontT) == 0) {
+			return nil, false // ball exhausted: t is unreachable from s
 		}
 	}
 
@@ -164,13 +171,14 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	return sp.path, true
 }
 
-// frontierCost estimates the work to expand a frontier: the sum of degrees.
+// frontierCost estimates the work to expand a frontier: the sum of its
+// degrees in the view its side scans.
 //
 //bc:hotpath
-func (sp *Sampler) frontierCost(front []graph.Node) uint64 {
+func frontierCost(g *graph.Graph, front []graph.Node) uint64 {
 	var c uint64
 	for _, v := range front {
-		c += uint64(sp.g.Degree(v))
+		c += uint64(g.Degree(v))
 	}
 	return c
 }
@@ -190,16 +198,17 @@ func (sp *Sampler) frontierCost(front []graph.Node) uint64 {
 //
 //bc:hotpath
 func (sp *Sampler) expand(sSide bool) bool {
+	var g *graph.Graph
 	var front *[]graph.Node
 	var stamp, otherStamp, dist, otherDist []uint32
 	var sig []float64
 	if sSide {
-		front = &sp.frontS
+		g, front = sp.fwd, &sp.frontS
 		stamp, otherStamp = sp.stampS, sp.stampT
 		dist, otherDist = sp.distS, sp.distT
 		sig = sp.sigS
 	} else {
-		front = &sp.frontT
+		g, front = sp.bwd, &sp.frontT
 		stamp, otherStamp = sp.stampT, sp.stampS
 		dist, otherDist = sp.distT, sp.distS
 		sig = sp.sigT
@@ -211,7 +220,7 @@ func (sp *Sampler) expand(sSide bool) bool {
 	for _, u := range *front {
 		du := dist[u]
 		su := sig[u]
-		for _, w := range sp.g.Neighbors(u) {
+		for _, w := range g.Neighbors(u) {
 			if stamp[w] != cur {
 				stamp[w] = cur
 				dist[w] = du + 1
@@ -240,16 +249,18 @@ func (sp *Sampler) expand(sSide bool) bool {
 // walk samples a shortest path from x toward target (distance 0 end) on one
 // side, appending internal vertices to sp.path. When toS is true it walks the
 // s side (appending before x conceptually; caller reverses), otherwise the t
-// side.
+// side. Predecessors are read from the opposite view of the one the side was
+// grown along (see Sampler).
 //
 //bc:hotpath
 func (sp *Sampler) walk(x, target graph.Node, toS bool) {
+	var g *graph.Graph
 	var stamp, dist []uint32
 	var sig []float64
 	if toS {
-		stamp, dist, sig = sp.stampS, sp.distS, sp.sigS
+		g, stamp, dist, sig = sp.bwd, sp.stampS, sp.distS, sp.sigS
 	} else {
-		stamp, dist, sig = sp.stampT, sp.distT, sp.sigT
+		g, stamp, dist, sig = sp.fwd, sp.stampT, sp.distT, sp.sigT
 	}
 	cur := sp.cur
 	v := x
@@ -260,7 +271,7 @@ func (sp *Sampler) walk(x, target graph.Node, toS bool) {
 		pick := sp.rng.Float64() * sig[v]
 		var chosen graph.Node
 		found := false
-		for _, u := range sp.g.Neighbors(v) {
+		for _, u := range g.Neighbors(v) {
 			if stamp[u] == cur && dist[u] == dv-1 {
 				if pick < sig[u] {
 					chosen = u
@@ -272,7 +283,7 @@ func (sp *Sampler) walk(x, target graph.Node, toS bool) {
 		}
 		if !found {
 			// Floating-point slack: fall back to the last valid predecessor.
-			for _, u := range sp.g.Neighbors(v) {
+			for _, u := range g.Neighbors(v) {
 				if stamp[u] == cur && dist[u] == dv-1 {
 					chosen = u
 					found = true

@@ -1,6 +1,7 @@
 package bigio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -165,14 +166,17 @@ func TestVersionSkew(t *testing.T) {
 
 	// A v1 file refused by the v2 opener, with the typed error.
 	v1 := filepath.Join(dir, "v1.bcsr")
-	f, err := os.Create(v1)
-	if err != nil {
+	var image bytes.Buffer // the v1 layout: header, offsets, adjacency; nothing writes it any more
+	for _, section := range []any{
+		[]uint64{graph.BCSRMagic(1), uint64(g.NumNodes()), uint64(len(g.Adj))}, g.Offsets, g.Adj,
+	} {
+		if err := binary.Write(&image, binary.LittleEndian, section); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(v1, image.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.WriteBinary(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if _, err := Open(v1); !errors.Is(err, graph.ErrBCSRVersion) {
 		t.Errorf("Open(v1) error = %v, want ErrBCSRVersion", err)
 	}

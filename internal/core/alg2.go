@@ -143,7 +143,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	}
 
 	n0 := st.Config().EpochLength(comm.Size() * T)
-	eLoc := st.NewFrame()
+	eLoc := epoch.NewStateFrame(st.N())
 	var wire []byte
 
 	// Fault tolerance: a rank death inside the epoch loop is absorbed by

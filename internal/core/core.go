@@ -247,7 +247,7 @@ func phase1(st *kadabra.EstimatorState, comm *mpi.Comm) (calibrated bool, tau in
 func phase2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm, drv *epoch.Driver,
 	budget kadabra.Budget, tau int64) (remoteCancelled bool, err error) {
 	start := time.Now()
-	local := st.NewFrame()
+	local := epoch.NewStateFrame(st.N())
 	if remaining := st.CalibrationTarget(budget) - tau; remaining > 0 {
 		stop := func() bool { return ctx.Err() != nil || budget.Overdue() }
 		drv.Batch(int(remaining)/(comm.Size()*st.Threads())+1, stop, local)

@@ -133,7 +133,7 @@ func newFTState(comm *mpi.Comm, st *kadabra.EstimatorState) *ftState {
 		comm:      comm,
 		origSize:  comm.Size(),
 		worldRank: comm.SelfWorldRank(),
-		emptyWire: epoch.AppendWire(nil, st.NewFrame(), false),
+		emptyWire: epoch.AppendWire(nil, epoch.NewStateFrame(st.N()), false),
 	}
 }
 

@@ -35,11 +35,10 @@ func AppendFrame(dst []byte, sf *StateFrame) []byte {
 
 // ParseFrame decodes one AppendFrame encoding from the front of buf,
 // expecting a count vector of length n, and returns the reconstructed frame
-// plus the remaining bytes. forceDense pins the frame to the dense path
-// (Config.DenseFrames runs); a sparse encoding is replayed through the
-// frame's own bookkeeping either way, so the restored frame cuts over to
-// dense exactly where a frame accumulated in-process would.
-func ParseFrame(buf []byte, n int, forceDense bool) (*StateFrame, []byte, error) {
+// plus the remaining bytes. Either encoding is replayed through the frame's
+// own bookkeeping, so the restored frame cuts over to dense exactly where a
+// frame accumulated in-process would.
+func ParseFrame(buf []byte, n int) (*StateFrame, []byte, error) {
 	if n < 0 {
 		return nil, nil, fmt.Errorf("epoch: negative frame length %d", n)
 	}
@@ -62,14 +61,11 @@ func ParseFrame(buf []byte, n int, forceDense bool) (*StateFrame, []byte, error)
 		return nil, nil, fmt.Errorf("epoch: negative tau %d in checkpoint frame", h.tau)
 	}
 	sf := NewStateFrame(n)
-	if forceDense {
-		sf.ForceDense()
-	}
 	if h.sparse {
 		var bad error
 		err := h.forEachPair(func(v uint32, c int64) {
-			if c <= 0 && bad == nil {
-				bad = fmt.Errorf("epoch: non-positive count %d at vertex %d in sparse checkpoint frame", c, v)
+			if (c <= 0 || sf.C[v] != 0) && bad == nil {
+				bad = fmt.Errorf("epoch: non-positive count %d or repeated vertex %d in sparse checkpoint frame", c, v)
 			}
 			if bad == nil {
 				sf.AddCount(v, c)

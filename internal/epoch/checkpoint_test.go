@@ -2,6 +2,8 @@ package epoch
 
 import (
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestFrameCheckpointRoundTrip: sparse and dense frames survive
@@ -9,23 +11,10 @@ import (
 // behavior (a restored frame keeps accumulating with correct bookkeeping).
 func TestFrameCheckpointRoundTrip(t *testing.T) {
 	const n = 300
-	build := func(dense bool) *StateFrame {
-		sf := NewStateFrame(n)
-		if dense {
-			sf.ForceDense()
-		}
-		for i := 0; i < 20; i++ {
-			v := uint32((i * 37) % n)
-			sf.Bump(v)
-			sf.Bump(v)
-		}
-		sf.Tau = 57
-		return sf
-	}
 	for _, dense := range []bool{false, true} {
-		sf := build(dense)
+		sf := frameOf(t, rng.NewRand(57), n, dense)
 		buf := AppendFrame(nil, sf)
-		got, rest, err := ParseFrame(buf, n, dense)
+		got, rest, err := ParseFrame(buf, n)
 		if err != nil {
 			t.Fatalf("dense=%v: %v", dense, err)
 		}
@@ -62,7 +51,7 @@ func TestFrameCheckpointTrailingData(t *testing.T) {
 	sf.Tau = 1
 	buf := AppendFrame(nil, sf)
 	buf = append(buf, 0xAA, 0xBB)
-	_, rest, err := ParseFrame(buf, 10, false)
+	_, rest, err := ParseFrame(buf, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +72,14 @@ func TestParseFrameRejectsCorruption(t *testing.T) {
 	valid := AppendFrame(nil, sf)
 
 	for cut := 0; cut < len(valid); cut++ {
-		if _, _, err := ParseFrame(valid[:cut], n, false); err == nil {
+		if _, _, err := ParseFrame(valid[:cut], n); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
-	if _, _, err := ParseFrame(valid, n+1, false); err == nil {
+	if _, _, err := ParseFrame(valid, n+1); err == nil {
 		t.Error("wrong vector length accepted")
 	}
-	if _, _, err := ParseFrame(nil, -1, false); err == nil {
+	if _, _, err := ParseFrame(nil, -1); err == nil {
 		t.Error("negative vector length accepted")
 	}
 	// Flip every byte in turn; every mutation must either parse to a
@@ -105,7 +94,7 @@ func TestParseFrameRejectsCorruption(t *testing.T) {
 					t.Fatalf("byte %d mutation panicked: %v", i, r)
 				}
 			}()
-			_, _, _ = ParseFrame(mut, n, false)
+			_, _, _ = ParseFrame(mut, n)
 		}()
 	}
 }

@@ -80,27 +80,15 @@ type StateFrame struct {
 	// touched lists the vertices with C[v] != 0, in first-increment order,
 	// while the frame is sparse. Meaningless once dense.
 	touched []uint32
-	// dense marks that the touched list overflowed DenseCutover (or was
-	// forced off): Reset and Add iterate the full vector.
-	dense bool
-	// alwaysDense pins the frame to the dense path (ForceDense): the
-	// ablation/equivalence hook that reproduces the pre-sparse behavior.
-	alwaysDense bool
-	cutover     int
+	// dense marks that the touched list overflowed DenseCutover: Reset and
+	// Add iterate the full vector.
+	dense   bool
+	cutover int
 }
 
 // NewStateFrame returns a zeroed state frame of the given vector length.
 func NewStateFrame(n int) *StateFrame {
 	return &StateFrame{C: make([]int64, n), cutover: DenseCutover(n)}
-}
-
-// ForceDense pins the frame to dense iteration permanently (survives
-// Reset). It exists for the dense-vs-sparse equivalence tests and as an
-// ablation of the sparse representation.
-func (sf *StateFrame) ForceDense() {
-	sf.alwaysDense = true
-	sf.dense = true
-	sf.touched = nil
 }
 
 // Dense reports whether the frame is currently on the dense path.
@@ -149,13 +137,13 @@ func (sf *StateFrame) touch(v uint32) {
 }
 
 // Reset zeroes the frame in place: O(touched) while sparse, O(n) once
-// dense. A dense frame returns to sparse tracking (unless ForceDense'd) —
-// the next epoch starts with an empty touched list either way.
+// dense. A dense frame returns to sparse tracking — the next epoch starts
+// with an empty touched list either way.
 func (sf *StateFrame) Reset() {
 	sf.Tau = 0
 	if sf.dense {
 		clear(sf.C)
-		sf.dense = sf.alwaysDense
+		sf.dense = false
 		return
 	}
 	for _, v := range sf.touched {
@@ -213,16 +201,6 @@ func New(t, n int) *Framework {
 		f.frames[i] = [2]*StateFrame{NewStateFrame(n), NewStateFrame(n)}
 	}
 	return f
-}
-
-// ForceDense pins every frame of the framework to the dense path (the
-// pre-sparse behavior); see StateFrame.ForceDense. Call before any
-// sampling starts.
-func (f *Framework) ForceDense() {
-	for i := range f.frames {
-		f.frames[i][0].ForceDense()
-		f.frames[i][1].ForceDense()
-	}
 }
 
 // Frame returns the state frame thread t writes during its current epoch.

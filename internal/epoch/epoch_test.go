@@ -34,56 +34,67 @@ func TestStateFrameAddReset(t *testing.T) {
 	}
 }
 
-// TestStateFrameSparseDenseEquivalence drives a sparse frame and a
-// force-dense frame through the same randomized Bump/Add/Reset schedule and
-// demands identical counts throughout, including across the density
-// cutover.
+// TestStateFrameSparseDenseEquivalence drives frames through a randomized
+// Bump/Add/Reset schedule beside a plain []int64 reference that knows no
+// touched list, and demands identical counts throughout — while the frame is
+// sparse, after it crossed the density cutover on its own, and after Reset
+// returned it to sparse tracking.
 func TestStateFrameSparseDenseEquivalence(t *testing.T) {
 	const n = 512
 	r := rng.NewRand(7)
-	sparse := NewStateFrame(n)
-	dense := NewStateFrame(n)
-	dense.ForceDense()
-	othS, othD := NewStateFrame(n), NewStateFrame(n)
-	othD.ForceDense()
+	sf, oth := NewStateFrame(n), NewStateFrame(n)
+	ref, refOth := make([]int64, n), make([]int64, n)
+	var refTau int64
 	check := func(step string) {
 		t.Helper()
 		for v := 0; v < n; v++ {
-			if sparse.C[v] != dense.C[v] {
-				t.Fatalf("%s: C[%d] sparse %d dense %d", step, v, sparse.C[v], dense.C[v])
+			if sf.C[v] != ref[v] {
+				t.Fatalf("%s: C[%d] frame %d reference %d", step, v, sf.C[v], ref[v])
 			}
 		}
-		if sparse.Tau != dense.Tau {
-			t.Fatalf("%s: tau sparse %d dense %d", step, sparse.Tau, dense.Tau)
+		if sf.Tau != refTau {
+			t.Fatalf("%s: tau frame %d reference %d", step, sf.Tau, refTau)
 		}
 	}
+	var sawSparse, sawDense bool
 	for round := 0; round < 10; round++ {
 		// Bump enough distinct vertices that some rounds cross the cutover.
 		bumps := 1 + r.Intn(2*DenseCutover(n))
 		for i := 0; i < bumps; i++ {
 			v := uint32(r.Intn(n))
-			sparse.Bump(v)
-			dense.Bump(v)
-			sparse.Tau++
-			dense.Tau++
+			sf.Bump(v)
+			ref[v]++
+			sf.Tau++
+			refTau++
 		}
 		for i := 0; i < 32; i++ {
 			v := uint32(r.Intn(n))
-			othS.Bump(v)
-			othD.Bump(v)
+			oth.Bump(v)
+			refOth[v]++
 		}
-		othS.Tau++
-		othD.Tau++
-		sparse.Add(othS)
-		dense.Add(othD)
+		oth.Tau++
+		sf.Add(oth)
+		for v, c := range refOth {
+			ref[v] += c
+		}
+		refTau += oth.Tau
 		check("after add")
+		if sf.Dense() {
+			sawDense = true
+		} else {
+			sawSparse = true
+		}
 		if round%3 == 2 {
-			sparse.Reset()
-			dense.Reset()
-			othS.Reset()
-			othD.Reset()
+			sf.Reset()
+			oth.Reset()
+			clear(ref)
+			clear(refOth)
+			refTau = 0
 			check("after reset")
 		}
+	}
+	if !sawSparse || !sawDense {
+		t.Fatalf("schedule covered sparse=%v dense=%v, want both", sawSparse, sawDense)
 	}
 }
 

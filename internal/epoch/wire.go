@@ -3,6 +3,7 @@ package epoch
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -99,7 +100,7 @@ func parseWire(buf []byte) (wireHeader, error) {
 	h.sparse = flags&wireFlagSparse != 0
 	h.cancelled = flags&wireFlagCancelled != 0
 	n, sz := binary.Uvarint(buf[1:])
-	if sz <= 0 {
+	if sz <= 0 || n > math.MaxUint32 { // vertices are 32-bit; keeps 8*n from wrapping
 		return h, fmt.Errorf("epoch: corrupt wire frame length")
 	}
 	h.n = int(n)

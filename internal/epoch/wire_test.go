@@ -17,6 +17,23 @@ func randomFrame(r *rng.Rand, sf *StateFrame, bumps int) {
 	sf.Tau += int64(bumps)
 }
 
+// frameOf returns a frame of length n filled from r that is on the path
+// asked for: half a cutover of bumps keeps it sparse, six cutovers of them
+// touch enough distinct vertices that it goes dense on its own.
+func frameOf(t testing.TB, r *rng.Rand, n int, dense bool) *StateFrame {
+	t.Helper()
+	sf := NewStateFrame(n)
+	bumps := DenseCutover(n) / 2
+	if dense {
+		bumps = 6 * DenseCutover(n)
+	}
+	randomFrame(r, sf, bumps)
+	if sf.Dense() != dense {
+		t.Fatalf("frame of %d bumps over %d vertices: dense=%v, want %v", bumps, n, sf.Dense(), dense)
+	}
+	return sf
+}
+
 func foldToCounts(t *testing.T, buf []byte, n int) (counts []int64, tau int64, cancelled bool) {
 	t.Helper()
 	counts = make([]int64, n)
@@ -41,9 +58,7 @@ func assertSameState(t *testing.T, want *StateFrame, counts []int64, tau int64) 
 
 func TestWireRoundTripSparse(t *testing.T) {
 	const n = 300
-	r := rng.NewRand(1)
-	sf := NewStateFrame(n)
-	randomFrame(r, sf, 20)
+	sf := frameOf(t, rng.NewRand(1), n, false)
 	buf := AppendWire(nil, sf, false)
 	if buf[0]&wireFlagSparse == 0 {
 		t.Fatal("small frame did not encode sparse")
@@ -61,13 +76,10 @@ func TestWireRoundTripSparse(t *testing.T) {
 
 func TestWireRoundTripDense(t *testing.T) {
 	const n = 64
-	r := rng.NewRand(2)
-	sf := NewStateFrame(n)
-	sf.ForceDense()
-	randomFrame(r, sf, 100)
+	sf := frameOf(t, rng.NewRand(2), n, true)
 	buf := AppendWire(nil, sf, true)
 	if buf[0]&wireFlagSparse != 0 {
-		t.Fatal("forced-dense frame encoded sparse")
+		t.Fatal("frame past its cutover encoded sparse")
 	}
 	counts, tau, cancelled := foldToCounts(t, buf, n)
 	if !cancelled {
@@ -107,15 +119,7 @@ func TestWireMergeMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rng.NewRand(99)
-			a, b := NewStateFrame(n), NewStateFrame(n)
-			if tc.denseA {
-				a.ForceDense()
-			}
-			if tc.denseB {
-				b.ForceDense()
-			}
-			randomFrame(r, a, 25)
-			randomFrame(r, b, 30)
+			a, b := frameOf(t, r, n, tc.denseA), frameOf(t, r, n, tc.denseB)
 			want := NewStateFrame(n)
 			want.Add(a)
 			want.Add(b)
@@ -171,10 +175,7 @@ func TestWireMergeRandomized(t *testing.T) {
 		var acc []byte
 		for i := 0; i < k; i++ {
 			sf := NewStateFrame(n)
-			if r.Intn(3) == 0 {
-				sf.ForceDense()
-			}
-			randomFrame(r, sf, 1+r.Intn(3*DenseCutover(n)/2))
+			randomFrame(r, sf, 1+r.Intn(3*DenseCutover(n)))
 			want.Add(sf)
 			wire := AppendWire(nil, sf, false)
 			if acc == nil {
@@ -210,5 +211,10 @@ func TestWireErrors(t *testing.T) {
 	other := AppendWire(nil, NewStateFrame(11), false)
 	if _, err := MergeWire(good, other); err == nil {
 		t.Fatal("merge of mismatched lengths accepted")
+	}
+	// A dense header claiming n = 2^61 with an empty body: 8n wraps to 0.
+	wrap := []byte{0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := MergeWire(wrap, append([]byte(nil), wrap...)); err == nil {
+		t.Fatal("merge of frames whose byte length wraps accepted")
 	}
 }

@@ -51,11 +51,7 @@ func TestDetectFormatText(t *testing.T) {
 
 func TestDetectFormatBCSR(t *testing.T) {
 	g := FromEdges(3, [][2]Node{{0, 1}, {1, 2}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	format, r, err := DetectFormat(bytes.NewReader(buf.Bytes()))
+	format, r, err := DetectFormat(bytes.NewReader(v1Image(g)))
 	if err != nil {
 		t.Fatal(err)
 	}

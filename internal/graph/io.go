@@ -61,27 +61,14 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // bcsrMagic is the magic word of BCSR version 1, the heap-loaded format
-// this file implements. Version 2 (page-aligned sections, opened by mmap)
-// lives in internal/bigio; see BCSRMagic for the shared magic scheme.
+// this file still reads (three little-endian uint64 — magic, n, len(adj) —
+// then the n+1 uint64 offsets and the uint32 adjacency). Nothing in the
+// program writes it any more: version 2 (page-aligned sections, opened by
+// mmap) lives in internal/bigio and is what every writer emits; see
+// BCSRMagic for the shared magic scheme.
 var bcsrMagic = BCSRMagic(1)
 
-// WriteBinary writes g in the BCSR binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{bcsrMagic, uint64(g.NumNodes()), uint64(len(g.Adj))}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a BCSR binary graph and validates its structure.
+// ReadBinary reads a BCSR v1 binary graph and validates its structure.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]uint64, 3)
@@ -139,16 +126,14 @@ func LoadFile(path string) (*Graph, error) {
 	return ReadEdgeList(f)
 }
 
-// SaveFile writes a graph to path, choosing the format by extension as in
-// LoadFile.
+// SaveFile writes a graph to path as a text edge list. (The ".bcsr" route
+// to BCSR v2 is repro/graph.SaveFile's: the v2 writer lives in
+// internal/bigio, which imports this package.)
 func SaveFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".bcsr") {
-		return WriteBinary(f, g)
-	}
 	return WriteEdgeList(f, g)
 }

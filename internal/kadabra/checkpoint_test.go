@@ -1,11 +1,15 @@
 package kadabra
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
 	"os"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // TestInRunCheckpointRoundtrip exercises the one serializer on the payload
@@ -16,15 +20,26 @@ import (
 // the shared-memory engine with its thread count, and run on to the
 // (eps, delta) guarantee on streams re-derived from (seed, tau, worker).
 func TestInRunCheckpointRoundtrip(t *testing.T) {
-	g := testGraph()
 	const threads = 3
-	for _, dense := range []bool{false, true} {
-		name := "sparse"
-		if dense {
-			name = "dense"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 17, DenseFrames: dense}
+	// The captured state frame is serialized on whichever path it is on and
+	// must come back on the same one: the ~200-vertex graph's is dense after
+	// its first default epoch, and on the 2^13-vertex one (cut-over 712) the
+	// first minimum-length epoch ends some tens of samples in, so it is still
+	// sparse unless the coordinator was descheduled for milliseconds while
+	// the workers kept drawing — which is why only the dense row is asserted.
+	big, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(13, 8, 17)))
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		eps, base float64
+		dense     bool
+	}{
+		{"sparse", big, 0.1, 16, false},
+		{"dense", testGraph(), 0.03, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			cfg := Config{Eps: tc.eps, Delta: 0.1, Seed: 17, EpochBase: tc.base}
 			w := UndirectedWorkload(g)
 			want, err := Run(context.Background(), w, 0, cfg)
 			if err != nil || !want.Converged {
@@ -41,6 +56,7 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 			var counts []int64
 			var tau int64
 			var epochs int
+			var dense bool
 			var deltaL, deltaU []float64
 			src.SetOnCheckpoint(func(payload []byte) {
 				if blob != nil {
@@ -48,7 +64,7 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 				}
 				blob = append([]byte(nil), payload...)
 				counts = append([]int64(nil), src.s.C...)
-				tau, epochs = src.Tau(), src.Epochs()
+				tau, epochs, dense = src.Tau(), src.Epochs(), src.s.Dense()
 				deltaL = append([]float64(nil), src.cal.DeltaL...)
 				deltaU = append([]float64(nil), src.cal.DeltaU...)
 			})
@@ -77,6 +93,9 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 						t.Fatalf("re-derived streams %d and %d coincide", i, j)
 					}
 				}
+			}
+			if restored.s.Dense() != dense || (tc.dense && !dense) {
+				t.Fatalf("state frame captured dense=%v, restored dense=%v", dense, restored.s.Dense())
 			}
 			if restored.Tau() != tau || restored.Epochs() != epochs {
 				t.Errorf("restored tau/epochs %d/%d, want %d/%d", restored.Tau(), restored.Epochs(), tau, epochs)
@@ -251,4 +270,41 @@ func TestV2PayloadUnderV1LayoutRejected(t *testing.T) {
 			t.Errorf("%+v: version-3 payload accepted", shape)
 		}
 	}
+}
+
+// TestDenseByteIgnored: the byte that carried the deleted forced-dense knob
+// is still written, as 0, so the layout stays version 2. A payload written
+// while the knob existed may hold 1 there; it must restore to the very
+// state the byte-0 payload restores to and resume bit-identically.
+func TestDenseByteIgnored(t *testing.T) {
+	const denseByteOff = 2 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 8 // version ... EpochSkew
+	w := UndirectedWorkload(testGraph())
+	st, err := NewEstimatorState(w, 0, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Run(context.Background(), Budget{MaxSamples: 700}); err != nil {
+		t.Fatal(err)
+	}
+	payload := st.AppendCheckpoint(nil)
+	if payload[denseByteOff] != 0 {
+		t.Fatalf("byte %d of a fresh payload is %d, want 0", denseByteOff, payload[denseByteOff])
+	}
+	flipped := bytes.Clone(payload)
+	flipped[denseByteOff] = 1
+	var results [2]*Result
+	for i, p := range [][]byte{payload, flipped} {
+		restored, err := RestoreEstimatorState(p, w)
+		if err != nil {
+			t.Fatalf("dense byte %d: %v", p[denseByteOff], err)
+		}
+		if !bytes.Equal(restored.AppendCheckpoint(nil), payload) {
+			t.Fatalf("dense byte %d: the restored state re-serializes to a different payload", p[denseByteOff])
+		}
+		if err := restored.Run(context.Background(), Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		results[i] = restored.Result()
+	}
+	resultsBitIdentical(t, results[0], results[1], "dense byte 0 vs 1")
 }

@@ -8,8 +8,10 @@ import (
 // Directed-graph support, per the paper's footnote 1: "The parallelization
 // techniques considered in this paper also apply to directed ... graphs if
 // the required modifications to the underlying sampling algorithm are done."
-// The modified sampler is bfs.DirectedSampler (forward ball over out-arcs,
-// backward ball over the stored transpose); the statistical machinery
+// The modification is nil at the kernel: bfs.Sampler grows its forward ball
+// over one CSR view and its backward ball over another, and
+// bfs.NewDirectedSampler hands it the out-arcs and the stored transpose
+// where an undirected graph is its own transpose. The statistical machinery
 // (omega, f/g, calibration) is direction-agnostic.
 //
 // The input must be strongly connected (use graph.LargestSCC), mirroring

@@ -137,7 +137,7 @@ func newState(w Workload, rank, procs, threads int, cfg Config) (*EstimatorState
 		}
 	}
 	st.buildSamplers()
-	st.s = st.NewFrame()
+	st.s = epoch.NewStateFrame(st.w.n)
 	return st, nil
 }
 
@@ -178,22 +178,10 @@ func (st *EstimatorState) buildSamplers() {
 	}
 }
 
-// NewFrame builds an empty state frame honouring cfg.DenseFrames.
-func (st *EstimatorState) NewFrame() *epoch.StateFrame {
-	sf := epoch.NewStateFrame(st.w.n)
-	if st.cfg.DenseFrames {
-		sf.ForceDense()
-	}
-	return sf
-}
-
 // NewDriver builds the epoch framework and thread choreography over this
 // process's samplers — one per run, so between runs no goroutine exists.
 func (st *EstimatorState) NewDriver() *epoch.Driver {
 	fw := epoch.New(st.threads, st.w.n)
-	if st.cfg.DenseFrames {
-		fw.ForceDense()
-	}
 	sample := make([]func(*epoch.StateFrame), st.threads)
 	for t := range sample {
 		s := st.samplers[t]
@@ -713,11 +701,7 @@ func (st *EstimatorState) AppendCheckpoint(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(cfg.CheckInterval))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.EpochBase))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.EpochSkew))
-	var dense byte
-	if cfg.DenseFrames {
-		dense = 1
-	}
-	dst = append(dst, dense)
+	dst = append(dst, 0) // the deleted forced-dense knob; kept so the layout stays v2
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.vd))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.w.n))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.nextCheck))
@@ -849,7 +833,7 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 	cfg.CheckInterval = int(r.u32())
 	cfg.EpochBase = r.f64()
 	cfg.EpochSkew = r.f64()
-	cfg.DenseFrames = r.u8() != 0
+	r.u8() // the deleted forced-dense knob: written as 0, ignored when read
 	vd := int(r.u32())
 	n := int(r.u32())
 	nextCheck := int64(r.u64())
@@ -939,7 +923,7 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 		streams[i] = stream
 	}
 
-	frame, rest, err := epoch.ParseFrame(r.b, n, cfg.DenseFrames)
+	frame, rest, err := epoch.ParseFrame(r.b, n)
 	if err != nil {
 		return nil, err
 	}

@@ -41,34 +41,34 @@ func resultsBitIdentical(t *testing.T, a, b *Result, label string) {
 // TestEstimatorStateBitIdenticalResume is the core checkpoint guarantee: a
 // sequential run stopped mid-sampling by a sample budget, checkpointed,
 // restored into a fresh state machine, and run to completion produces a
-// bit-identical Result to an uninterrupted run — in both the dense-frame
-// and sparse-frame representations.
+// bit-identical Result to an uninterrupted run — whether the budget stop
+// caught the state frame still sparse (a few samples in) or past its
+// density cut-over.
 func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 	g := testGraph()
-	for _, dense := range []bool{true, false} {
-		name := "sparse"
-		if dense {
-			name = "dense"
-		}
+	cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 11}
+	w := UndirectedWorkload(g)
+
+	full, err := NewEstimatorState(w, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Run(context.Background(), Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	want := full.Result()
+	if !want.Converged {
+		t.Fatal("uninterrupted run did not converge")
+	}
+
+	// Interrupt at several points, including mid-calibration and
+	// off-CheckInterval-boundary taus.
+	for name, cuts := range map[string][]int64{
+		"sparse": {3, 8},
+		"dense":  {50, want.Tau / 3, want.Tau/2 + 137},
+	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 11, DenseFrames: dense}
-			w := UndirectedWorkload(g)
-
-			full, err := NewEstimatorState(w, 0, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := full.Run(context.Background(), Budget{}); err != nil {
-				t.Fatal(err)
-			}
-			want := full.Result()
-			if !want.Converged {
-				t.Fatal("uninterrupted run did not converge")
-			}
-
-			// Interrupt at several points, including mid-calibration and
-			// off-CheckInterval-boundary taus.
-			for _, cut := range []int64{50, want.Tau / 3, want.Tau/2 + 137} {
+			for _, cut := range cuts {
 				st, err := NewEstimatorState(w, 0, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -81,6 +81,9 @@ func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 				}
 				if st.Converged() {
 					t.Fatalf("cut %d: converged at the budget stop", cut)
+				}
+				if st.s.Dense() != (name == "dense") {
+					t.Fatalf("cut %d: state frame dense=%v in the %s row", cut, st.s.Dense(), name)
 				}
 				ckpt := st.AppendCheckpoint(nil)
 				restored, err := RestoreEstimatorState(ckpt, UndirectedWorkload(g))

@@ -59,12 +59,6 @@ type Config struct {
 	// (one deadline-check batch, for the sequential driver) of the
 	// deadline and report the achieved guarantee, like MaxSamples.
 	MaxDuration time.Duration
-	// DenseFrames disables the sparse touched-vertex tracking in the epoch
-	// state frames (and, on the MPI backends, ships classic dense wire
-	// frames). It reproduces the pre-sparse behavior bit for bit and exists
-	// for the dense-vs-sparse equivalence tests and as an ablation; leave
-	// it off otherwise.
-	DenseFrames bool
 	// TopK, when positive, replaces the uniform stopping rule by the
 	// certified top-k rule: stop once the k top vertices' confidence
 	// intervals separate from everyone else's (or shrink below Eps, or tau

@@ -10,10 +10,54 @@ import (
 	"repro/internal/rng"
 )
 
-// The dense-vs-sparse battery: Config.DenseFrames reproduces the classic
-// dense state-frame behavior, and with identical seeds the two paths must
-// produce bit-identical results on every workload — the sparse
-// representation is a pure data-structure change, never an algorithmic one.
+// The dense-reference battery: every sample an engine draws is also summed
+// into a plain []int64 that knows no touched list, no cut-over and no wire
+// format, and the engine's result must equal that reference bit for bit on
+// every workload — the sparse representation is a pure data-structure
+// change, never an algorithmic one.
+
+// denseRef is the reference accumulator; wrap it around a workload's
+// kernels with Workload.WrapSampler.
+type denseRef struct {
+	tau int64
+	c   []int64
+}
+
+type refSampler struct {
+	inner Sampler
+	ref   *denseRef
+}
+
+func (r refSampler) Sample() ([]graph.Node, bool) {
+	internal, ok := r.inner.Sample()
+	r.ref.tau++
+	for _, v := range internal {
+		r.ref.c[v]++
+	}
+	return internal, ok
+}
+
+// runAgainstDenseRef runs w on one kernel (the sequential engine, or the
+// epoch engine at one thread, where no drawn sample is left in an
+// unaggregated frame) and checks the result against the reference.
+func runAgainstDenseRef(t *testing.T, name string, w Workload, threads int, cfg Config) {
+	t.Helper()
+	ref := &denseRef{c: make([]int64, w.N())}
+	res, err := Run(context.Background(), w.WrapSampler(func(s Sampler) Sampler {
+		return refSampler{s, ref}
+	}), threads, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if res.Tau != ref.tau {
+		t.Fatalf("%s: tau %d, kernels drew %d", name, res.Tau, ref.tau)
+	}
+	for v, c := range ref.c {
+		if want := float64(c) / float64(ref.tau); res.Betweenness[v] != want {
+			t.Fatalf("%s: betweenness[%d] = %v, dense reference %v", name, v, res.Betweenness[v], want)
+		}
+	}
+}
 
 // testWorkloads returns the three estimation scenarios over small fixed
 // instances.
@@ -30,58 +74,45 @@ func testWorkloads(t testing.TB) map[string]Workload {
 	}
 }
 
-func assertBitIdentical(t *testing.T, name string, sparse, dense *Result) {
-	t.Helper()
-	if sparse.Tau != dense.Tau {
-		t.Fatalf("%s: tau sparse %d dense %d", name, sparse.Tau, dense.Tau)
-	}
-	if sparse.Epochs != dense.Epochs {
-		t.Fatalf("%s: epochs sparse %d dense %d", name, sparse.Epochs, dense.Epochs)
-	}
-	for v := range sparse.Betweenness {
-		if sparse.Betweenness[v] != dense.Betweenness[v] {
-			t.Fatalf("%s: betweenness[%d] sparse %v dense %v",
-				name, v, sparse.Betweenness[v], dense.Betweenness[v])
-		}
+func TestDenseSparseEquivalenceSequential(t *testing.T) {
+	for name, w := range testWorkloads(t) {
+		runAgainstDenseRef(t, name, w, 0, Config{Eps: 0.05, Delta: 0.1, Seed: 11})
 	}
 }
 
-func TestDenseSparseEquivalenceSequential(t *testing.T) {
-	for name, w := range testWorkloads(t) {
-		cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 11}
-		sparse, err := Run(context.Background(), w, 0, cfg)
-		if err != nil {
-			t.Fatalf("%s sparse: %v", name, err)
-		}
-		cfg.DenseFrames = true
-		dense, err := Run(context.Background(), w, 0, cfg)
-		if err != nil {
-			t.Fatalf("%s dense: %v", name, err)
-		}
-		assertBitIdentical(t, name, sparse, dense)
+// epochFrameDense reports whether one epoch of n0 samples of w takes a fresh
+// state frame past its density cut-over.
+func epochFrameDense(w Workload, n0 int) bool {
+	sf := epoch.NewStateFrame(w.N())
+	for s := w.NewSampler(rng.NewRand(1)); sf.Tau < int64(n0); {
+		SampleInto(s, sf)
 	}
+	return sf.Dense()
 }
 
 // TestDenseSparseEquivalenceSharedMemory runs the epoch-based driver with a
-// single thread, where the epoch trajectory is schedule-independent, so the
-// dense and sparse paths must agree bit for bit (with more threads the
-// per-epoch sample counts depend on scheduling, so runs are only
+// single thread, where every drawn sample reaches the state (with more
+// threads the samples in flight at the stop are dropped, so runs are only
 // statistically comparable — that regime is covered by the race test below
-// and the parity batteries).
+// and the parity batteries). Both branches of the epoch frames' Add/Reset
+// feed a checked result: on the ~100-vertex instances a default epoch takes
+// its frame past DenseCutover on its own, and on a 2^11-vertex R-MAT graph
+// at the minimum epoch length the frames stay sparse.
 func TestDenseSparseEquivalenceSharedMemory(t *testing.T) {
+	cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 13}
 	for name, w := range testWorkloads(t) {
-		cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 13}
-		sparse, err := Run(context.Background(), w, 1, cfg)
-		if err != nil {
-			t.Fatalf("%s sparse: %v", name, err)
+		if !epochFrameDense(w, cfg.EpochLength(1)) {
+			t.Fatalf("%s: a default epoch leaves its frame sparse; shrink the instance", name)
 		}
-		cfg.DenseFrames = true
-		dense, err := Run(context.Background(), w, 1, cfg)
-		if err != nil {
-			t.Fatalf("%s dense: %v", name, err)
-		}
-		assertBitIdentical(t, name, sparse, dense)
+		runAgainstDenseRef(t, name, w, 1, cfg)
 	}
+	g, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(11, 8, 5)))
+	w := UndirectedWorkload(g)
+	cfg.EpochBase = 16
+	if epochFrameDense(w, 4*cfg.EpochLength(1)) {
+		t.Fatal("four minimum-length epochs take a frame dense; enlarge the instance")
+	}
+	runAgainstDenseRef(t, "sparse-epochs", w, 1, cfg)
 }
 
 // TestSparseFramePingPongRace exercises the sparse frames' touched-list

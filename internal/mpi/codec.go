@@ -23,17 +23,3 @@ func DecodeInt64s(dst []int64, buf []byte) {
 		dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 }
-
-// EncodeBool encodes a single boolean (the termination flag of the
-// broadcast in paper Alg. 1/2).
-func EncodeBool(v bool) []byte {
-	if v {
-		return []byte{1}
-	}
-	return []byte{0}
-}
-
-// DecodeBool decodes a boolean produced by EncodeBool.
-func DecodeBool(buf []byte) bool {
-	return len(buf) > 0 && buf[0] != 0
-}

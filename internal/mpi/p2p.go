@@ -65,13 +65,3 @@ func (c *Comm) recvRaw(src int, tag int32) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// Isend sends without blocking the caller beyond the transport handoff and
-// returns a completed Request (the in-process and TCP transports both copy
-// eagerly, so completion is immediate; the Request exists for API symmetry).
-func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
-	if err := c.Send(dst, tag, data); err != nil {
-		return nil, err
-	}
-	return completedRequest(nil, nil), nil
-}

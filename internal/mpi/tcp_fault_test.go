@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -236,5 +237,113 @@ func TestTCPCloseStopsDepartureTimer(t *testing.T) {
 	}
 	if timer.Stop() {
 		t.Fatal("departure timer still running after Close")
+	}
+}
+
+// TestTCPFailureInjection verifies the fail-stop model: when a connection
+// dies without the goodbye handshake, blocked receivers error out rather
+// than hang.
+func TestTCPFailureInjection(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	type result struct {
+		err error
+	}
+	done := make(chan result, 2)
+	go func() {
+		comm, closer, err := ConnectTCP(0, addrs, 5*time.Second)
+		if err != nil {
+			done <- result{err}
+			return
+		}
+		_ = comm
+		// Simulate a crash: slam the transport shut without the goodbye by
+		// closing the raw connections via the closer after marking... we
+		// cannot skip the goodbye through the public API, so emulate a
+		// crash by exiting without closing; the peer's Recv must then time
+		// out at the test level — instead, close abruptly the whole
+		// process-side by closing the listener-side conn through closer
+		// AFTER sending one message so the peer is mid-protocol.
+		_ = comm.Send(1, 1, []byte("x")) // mid-protocol crash follows; the send's fate is irrelevant
+		closer.Close()                   // graceful close sends goodbye...
+		done <- result{nil}
+	}()
+	go func() {
+		comm, closer, err := ConnectTCP(1, addrs, 5*time.Second)
+		if err != nil {
+			done <- result{err}
+			return
+		}
+		defer closer.Close()
+		if _, err := comm.Recv(0, 1); err != nil {
+			done <- result{fmt.Errorf("first recv failed: %w", err)}
+			return
+		}
+		// The peer has closed gracefully; a further receive must not match
+		// anything. Use Irecv+timeout to confirm it simply stays pending
+		// (graceful shutdown does not poison) — the fail-stop poisoning
+		// path is exercised by TestTCPAbruptDisconnect below.
+		req, err := comm.Irecv(0, 2)
+		if err != nil {
+			done <- result{err}
+			return
+		}
+		select {
+		case <-req.Done():
+			_, werr := req.Wait()
+			done <- result{fmt.Errorf("unexpected completion: %v", werr)}
+		case <-time.After(200 * time.Millisecond):
+			done <- result{nil}
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		if r := <-done; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+}
+
+// TestTCPAbruptDisconnect kills a connection WITHOUT the goodbye handshake
+// (simulating a crashed peer) and verifies the survivor's pending receive
+// errors out instead of hanging — the fail-stop guarantee.
+func TestTCPAbruptDisconnect(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	errs := make(chan error, 2)
+	go func() {
+		comm, closer, err := ConnectTCP(0, addrs, 5*time.Second)
+		if err != nil {
+			errs <- err
+			return
+		}
+		_ = closer
+		// Crash: close the raw socket to rank 1 directly, bypassing the
+		// graceful goodbye (package-internal access).
+		tt := comm.eng.tr.(*tcpTransport)
+		time.Sleep(100 * time.Millisecond) // let rank 1 post its receive
+		tt.conns[1].c.Close()
+		errs <- nil
+	}()
+	go func() {
+		comm, closer, err := ConnectTCP(1, addrs, 5*time.Second)
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer closer.Close()
+		_, rerr := comm.Recv(0, 7) // must fail, not hang
+		if rerr == nil {
+			errs <- fmt.Errorf("recv succeeded after peer crash")
+			return
+		}
+		// Subsequent operations must fail fast too.
+		if _, rerr := comm.Recv(0, 8); rerr == nil {
+			errs <- fmt.Errorf("post-crash recv succeeded")
+			return
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
