@@ -338,9 +338,35 @@ func TestTCPBackend(t *testing.T) {
 	}
 }
 
-// TestTCPRemoteCancellation cancels rank 1 of a TCP world mid-run: the
-// cancellation must gossip through the per-epoch aggregation so rank 1
-// returns its own ctx error and rank 0 returns ErrRemoteCancelled.
+// runTCPPair runs Estimate as the two ranks of a localhost TCP world, rank
+// r under ctxs[r], with rank 0's progress hook (only world rank 0 delivers
+// progress) and the shared options, and returns both outcomes.
+func runTCPPair(t *testing.T, g *graph.Graph, ctxs [2]context.Context, progress func(Snapshot), opts ...Option) ([2]*Result, [2]error) {
+	t.Helper()
+	addrs := tcpWorld(t, 2)
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for rank := 0; rank < 2; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			o := append([]Option{WithExecutor(TCP(rank, addrs))}, opts...)
+			if rank == 0 {
+				o = append(o, WithProgress(progress))
+			}
+			results[rank], errs[rank] = Estimate(ctxs[rank], g, o...)
+		}(rank)
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// TestTCPRemoteCancellation cancels rank 1 of a TCP world mid-run, from
+// rank 0's first progress delivery, so the cancellation lands after the
+// first epoch whatever the sampler's speed: it must gossip through the
+// per-epoch aggregation so rank 1 returns its own ctx error and rank 0
+// returns ErrRemoteCancelled.
 func TestTCPRemoteCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("demanding scale-11 instance; skipped in -short (race CI)")
@@ -350,29 +376,51 @@ func TestTCPRemoteCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := tcpWorld(t, 2)
-
-	rank1Ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	rank1Ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctxs := []context.Context{context.Background(), rank1Ctx}
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for rank := 0; rank < 2; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			// Demanding enough that an uncancelled run takes far longer
-			// than rank 1's 500ms deadline.
-			_, errs[rank] = Estimate(ctxs[rank], g,
-				WithEpsilon(0.002), WithSeed(13), WithThreads(2),
-				WithExecutor(TCP(rank, addrs)))
-		}(rank)
-	}
-	wg.Wait()
-	if !errors.Is(errs[1], context.DeadlineExceeded) {
-		t.Errorf("cancelled rank returned %v, want context.DeadlineExceeded", errs[1])
+	var once sync.Once
+	// Demanding enough that the first epoch cannot meet the stopping rule.
+	_, errs := runTCPPair(t, g, [2]context.Context{context.Background(), rank1Ctx},
+		func(Snapshot) { once.Do(cancel) },
+		WithEpsilon(0.002), WithSeed(13), WithThreads(2))
+	if !errors.Is(errs[1], context.Canceled) {
+		t.Errorf("cancelled rank returned %v, want context.Canceled", errs[1])
 	}
 	if !errors.Is(errs[0], ErrRemoteCancelled) {
 		t.Errorf("remote rank returned %v, want ErrRemoteCancelled", errs[0])
+	}
+}
+
+// TestTCPLateCancellation cancels rank 1 in the epoch where rank 0 decides
+// to stop (the sample cap is reached), after rank 1 has sent that epoch's
+// frame: the cancellation is too late to count, so both ranks must agree on
+// the result and run the final barrier together instead of rank 0 waiting
+// out the liveness timeout for a peer that left.
+func TestTCPLateCancellation(t *testing.T) {
+	g := testGraph(t)
+	const maxSamples = 3000
+	rank1Ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	results, errs := runTCPPair(t, g, [2]context.Context{context.Background(), rank1Ctx},
+		func(s Snapshot) {
+			if s.Tau >= maxSamples {
+				cancel()
+			}
+		},
+		WithEpsilon(0.005), WithSeed(3), WithThreads(1), WithMaxSamples(maxSamples))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("ranks took %v to agree; a rank waited for a departed peer", elapsed)
+	}
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v; a cancellation after the stop decision must not count", rank, err)
+		}
+	}
+	if rank1Ctx.Err() == nil {
+		t.Fatal("rank 1 was never cancelled: the run stopped before reaching the sample cap")
+	}
+	if res := results[0]; res.Tau < maxSamples || res.Converged {
+		t.Fatalf("rank 0: tau %d converged %v, want a budget stop at >= %d samples", res.Tau, res.Converged, maxSamples)
 	}
 }

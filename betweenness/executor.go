@@ -44,7 +44,8 @@ func allWorkloadKinds() []WorkloadKind {
 var ErrRemoteCancelled = core.ErrRemoteCancelled
 
 // ErrCoordinatorLost reports that a distributed run's world rank 0 died —
-// the one failure the in-run shrink-and-recalibrate recovery cannot absorb.
+// the one failure the in-run shrink-and-recalibrate recovery cannot absorb —
+// or gave the run up on another rank's death before the sampling epochs.
 // Test with errors.Is. Callers holding a distributed checkpoint (see
 // WithDistCheckpoint) can resume from it; otherwise the run must restart,
 // ideally on a smaller world or a single-process backend.

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -358,13 +359,18 @@ func TestSamplerStampReuseManyCalls(t *testing.T) {
 	}
 }
 
+// BenchmarkBidirSampleRMAT samples the benchmark workloads' R-MAT graphs:
+// scale 12 is small-tcp2's and daemon-session's, scale 16 social-shm's.
 func BenchmarkBidirSampleRMAT(b *testing.B) {
-	g := gen.RMAT(gen.Graph500(14, 16, 1))
-	g, _ = graph.LargestComponent(g)
-	sp := NewSampler(g, rng.NewRand(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.Sample()
+	for _, scale := range []int{12, 16} {
+		g := rmatLCC(scale)
+		b.Run(fmt.Sprintf("scale%d", scale), func(b *testing.B) {
+			sp := NewSampler(g, rng.NewRand(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.Sample()
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -23,6 +25,28 @@ import (
 // was grown along, so walk scans the opposite view of the side it walks:
 // toward s it reads bwd (in-neighbours), toward t it reads fwd.
 //
+// Most samples on a low-diameter graph end with two small frontiers next to
+// each other, one of them holding a hub, and expanding that round would
+// stamp thousands of vertices only to keep the few that meet. So before a
+// round expands, when |frontS| * |frontT| * probeCost is below the cheaper
+// side's frontier cost, the round probes instead: it finds each expanding
+// vertex's arcs into the other frontier (a scan of a short list, a binary
+// search per frontier pair otherwise) and stamps only those. Every meeting
+// vertex lies in the other frontier, so a probe with hits has found the
+// whole meeting set; one without hits wrote nothing, and the round expands.
+// After a probe, the walk's first step on the probed side reads its
+// candidates off the frontier when that is cheaper than scanning the meeting
+// vertex's arcs, and at distance 1 the predecessor is the endpoint itself.
+//
+// The output is sample-for-sample identical to expanding every round. Sorted
+// adjacency lists make the probe discover meeting vertices in expand's
+// order with the same sigma sums, the walk sees its candidates in ascending
+// order either way, and it draws the same random numbers. This makes sorted,
+// duplicate-free neighbour lists (graph.Graph's invariant) load-bearing: on
+// unsorted lists a binary search can miss an arc, so the walk falls back to
+// scanning whenever the frontier yields no candidate. Every path is then
+// still a shortest path, but the path distribution may differ.
+//
 // A Sampler is not safe for concurrent use; each sampling thread owns one.
 // The backing graph is shared and read-only.
 type Sampler struct {
@@ -39,7 +63,12 @@ type Sampler struct {
 	nextF          []graph.Node
 	meet           []graph.Node
 	path           []graph.Node
+	hits           []graph.Node // probe and preds scratch
 }
+
+// probeCost prices one frontier pair of a probe in scanned arcs: a binary
+// search and its cache misses.
+const probeCost = 8
 
 // NewSampler creates a sampler over the undirected graph g using the given
 // private RNG.
@@ -72,6 +101,7 @@ func newSampler(fwd, bwd *graph.Graph, r *rng.Rand) *Sampler {
 		nextF:  make([]graph.Node, 0, 256),
 		meet:   make([]graph.Node, 0, 64),
 		path:   make([]graph.Node, 0, 64),
+		hits:   make([]graph.Node, 0, 64),
 	}
 }
 
@@ -127,14 +157,31 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 		return nil, false
 	}
 
-	// Expand the cheaper side until the balls meet or a side dies.
+	// Expand the cheaper side until the balls meet or a side dies; probe for
+	// the meeting first when the frontier pairs are cheaper than expanding.
+	costS, costT := frontierCost(sp.fwd, sp.frontS), frontierCost(sp.bwd, sp.frontT)
+	probed := false
+	var expandS bool
 	for {
-		expandS := frontierCost(sp.fwd, sp.frontS) <= frontierCost(sp.bwd, sp.frontT)
+		expandS = costS <= costT
+		pairs := uint64(len(sp.frontS)) * uint64(len(sp.frontT))
+		if pairs*probeCost < min(costS, costT) && sp.probe(expandS) {
+			probed = true
+			break
+		}
 		if sp.expand(expandS) {
 			break
 		}
-		if (expandS && len(sp.frontS) == 0) || (!expandS && len(sp.frontT) == 0) {
-			return nil, false // ball exhausted: t is unreachable from s
+		if expandS {
+			if len(sp.frontS) == 0 {
+				return nil, false // ball exhausted: t is unreachable from s
+			}
+			costS = frontierCost(sp.fwd, sp.frontS)
+		} else {
+			if len(sp.frontT) == 0 {
+				return nil, false
+			}
+			costT = frontierCost(sp.bwd, sp.frontT)
 		}
 	}
 
@@ -158,7 +205,7 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	// Walk from x back to s and forward to t, sampling predecessors
 	// proportionally to their path counts; collect internal vertices.
 	sp.path = sp.path[:0]
-	sp.walk(x, s, true)
+	sp.walk(x, s, true, probed && expandS)
 	// reverse the s-side prefix so the path reads s..t (order irrelevant for
 	// counting, but useful for tests that validate the path).
 	for i, j := 0, len(sp.path)-1; i < j; i, j = i+1, j-1 {
@@ -167,8 +214,87 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	if x != s && x != t {
 		sp.path = append(sp.path, x)
 	}
-	sp.walk(x, t, false)
+	sp.walk(x, t, false, probed && !expandS)
 	return sp.path, true
+}
+
+// probe is expand restricted to the meeting vertices: for each vertex u of
+// the expanding frontier, in frontier order, it finds u's arcs into the
+// other frontier and stamps, counts and collects their far ends exactly as
+// expand would. It returns true when it found the meeting set; otherwise it
+// has written nothing. A vertex of the other ball adjacent to the expanding
+// frontier always sits in the other frontier (else the balls would already
+// have met), so a scan of u's list can test the other stamp.
+//
+//bc:hotpath
+func (sp *Sampler) probe(sSide bool) bool {
+	g, gt := sp.fwd, sp.bwd
+	front, other := sp.frontS, sp.frontT
+	stamp, otherStamp, dist, sig := sp.stampS, sp.stampT, sp.distS, sp.sigS
+	if !sSide {
+		g, gt = sp.bwd, sp.fwd
+		front, other = sp.frontT, sp.frontS
+		stamp, otherStamp, dist, sig = sp.stampT, sp.stampS, sp.distT, sp.sigT
+	}
+	cur := sp.cur
+	sp.meet = sp.meet[:0]
+	for _, u := range front {
+		hits := sp.hits[:0]
+		if adj := g.Neighbors(u); len(adj) <= len(other)*probeCost {
+			for _, w := range adj {
+				if otherStamp[w] == cur {
+					hits = append(hits, w)
+				}
+			}
+		} else {
+			for _, w := range other {
+				if arc(g, gt, u, w) {
+					hits = append(hits, w)
+				}
+			}
+			slices.Sort(hits) // expand meets them in adjacency order
+		}
+		sp.hits = hits
+		du, su := dist[u], sig[u]
+		for _, w := range hits {
+			if stamp[w] != cur {
+				stamp[w], dist[w], sig[w] = cur, du+1, su
+				sp.meet = append(sp.meet, w)
+			} else {
+				sig[w] += su
+			}
+		}
+	}
+	return len(sp.meet) > 0
+}
+
+// preds returns the vertices of front with an arc into x along g (gt is its
+// transpose), ascending: the order a scan of x's sorted list meets them.
+//
+//bc:hotpath
+func (sp *Sampler) preds(g, gt *graph.Graph, front []graph.Node, x graph.Node) []graph.Node {
+	hits := sp.hits[:0]
+	for _, u := range front {
+		if arc(g, gt, u, x) {
+			hits = append(hits, u)
+		}
+	}
+	slices.Sort(hits)
+	sp.hits = hits
+	return hits
+}
+
+// arc reports whether u->w is an arc of g, whose transpose is gt, by binary
+// search in the shorter of u's list in g and w's list in gt.
+//
+//bc:hotpath
+func arc(g, gt *graph.Graph, u, w graph.Node) bool {
+	adj, key := g.Neighbors(u), w
+	if in := gt.Neighbors(w); len(in) < len(adj) {
+		adj, key = in, u
+	}
+	_, ok := slices.BinarySearch(adj, key)
+	return ok
 }
 
 // frontierCost estimates the work to expand a frontier: the sum of its
@@ -250,28 +376,41 @@ func (sp *Sampler) expand(sSide bool) bool {
 // side, appending internal vertices to sp.path. When toS is true it walks the
 // s side (appending before x conceptually; caller reverses), otherwise the t
 // side. Predecessors are read from the opposite view of the one the side was
-// grown along (see Sampler).
+// grown along (see Sampler). When probed, this side's meeting round was a
+// probe and its frontier still holds x's predecessors.
 //
 //bc:hotpath
-func (sp *Sampler) walk(x, target graph.Node, toS bool) {
-	var g *graph.Graph
-	var stamp, dist []uint32
-	var sig []float64
-	if toS {
-		g, stamp, dist, sig = sp.bwd, sp.stampS, sp.distS, sp.sigS
-	} else {
-		g, stamp, dist, sig = sp.fwd, sp.stampT, sp.distT, sp.sigT
+func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
+	g, gt := sp.bwd, sp.fwd
+	stamp, dist, sig, front := sp.stampS, sp.distS, sp.sigS, sp.frontS
+	if !toS {
+		g, gt = sp.fwd, sp.bwd
+		stamp, dist, sig, front = sp.stampT, sp.distT, sp.sigT, sp.frontT
 	}
 	cur := sp.cur
 	v := x
 	for dist[v] > 0 {
 		dv := dist[v]
+		if dv == 1 {
+			// The one vertex at distance 0 is the endpoint; the scan would
+			// pick it whatever it drew, so draw and skip the scan.
+			sp.rng.Float64()
+			v = target
+			break
+		}
 		// Choose a predecessor u (dist[u] == dv-1) with probability
 		// sigma[u]/sigma[v]. sigma[v] equals the sum over predecessors.
 		pick := sp.rng.Float64() * sig[v]
+		cands := g.Neighbors(v)
+		if probed && len(front)*probeCost < len(cands) {
+			if p := sp.preds(gt, g, front, v); len(p) > 0 {
+				cands = p
+			}
+		}
+		probed = false
 		var chosen graph.Node
 		found := false
-		for _, u := range g.Neighbors(v) {
+		for _, u := range cands {
 			if stamp[u] == cur && dist[u] == dv-1 {
 				if pick < sig[u] {
 					chosen = u
@@ -283,7 +422,7 @@ func (sp *Sampler) walk(x, target graph.Node, toS bool) {
 		}
 		if !found {
 			// Floating-point slack: fall back to the last valid predecessor.
-			for _, u := range g.Neighbors(v) {
+			for _, u := range cands {
 				if stamp[u] == cur && dist[u] == dv-1 {
 					chosen = u
 					found = true

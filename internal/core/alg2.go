@@ -32,7 +32,9 @@ import (
 // state with the per-epoch reduction, rank 0 folds it (and its own ctx)
 // into the termination broadcast, and all ranks leave the collective loop
 // cleanly within one epoch — cancelled ranks return their ctx.Err(), the
-// others ErrRemoteCancelled; the samples folded until then stay.
+// others ErrRemoteCancelled; the samples folded until then stay. A
+// cancellation that lands after rank 0 decided to stop is too late to
+// count: every rank returns the result.
 func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm, cfg Config) (*Result, error) {
 	// Budget stopping (anytime sessions): rank 0 enforces the sample cap
 	// against the global tau; every rank honours the wall-clock deadline
@@ -58,6 +60,9 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	var remoteCancelled bool
 	if !calibrated {
 		if remoteCancelled, err = phase2(ctx, st, comm, drv, budget, tau); err != nil {
+			if _, dead := mpi.AsRankDead(err); dead && comm.Rank() == root {
+				abandon(comm) // ranks past the reduce wait at the first broadcast
+			}
 			return nil, err
 		}
 	}
@@ -126,22 +131,6 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 		return res, nil
 	}
 
-	// The state may already satisfy the stopping condition (calibration
-	// alone can; so does a converged session run again), or be unable to
-	// enter the epoch loop: a batch cut short leaves it uncalibrated.
-	var code int64
-	if comm.Rank() == root {
-		stop := !st.Calibrated() || st.Check() || budget.Exceeded(st.Tau())
-		code = stopCode(stop, ctx.Err(), remoteCancelled)
-	}
-	code, _, err = broadcastFrame(comm, root, code, nil, overlap)
-	if err != nil {
-		return nil, err
-	}
-	if code != codeContinue {
-		return finish(code)
-	}
-
 	n0 := st.Config().EpochLength(comm.Size() * T)
 	eLoc := epoch.NewStateFrame(st.N())
 	var wire []byte
@@ -169,6 +158,36 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 			stats.Recoveries = ft.recoveries
 			stats.CommVolumePerEpoch = commVolumePerEpoch(n, ft.comm.Size())
 			return nil
+		}
+	}
+
+	// The state may already satisfy the stopping condition (calibration
+	// alone can; so does a converged session run again), or be unable to
+	// enter the epoch loop: a batch cut short leaves it uncalibrated.
+	var code int64
+	if comm.Rank() == root {
+		stop := !st.Calibrated() || st.Check() || budget.Exceeded(st.Tau())
+		code = stopCode(stop, ctx.Err(), remoteCancelled)
+	}
+	got, _, err := broadcastFrame(comm, root, code, nil, overlap)
+	if err == nil && got != codeContinue {
+		return finish(got)
+	}
+	if err != nil {
+		// A death around this first broadcast can fail it on some ranks
+		// only, and a rank that failed cannot tell whether rank 0 got past
+		// it into the epoch loop. So every rank recovers as the loop would,
+		// unless rank 0 is not going there: then it abandons the run, and
+		// the ranks waiting for its recovery round learn so.
+		_, dead := mpi.AsRankDead(err)
+		if dead && comm.Rank() == root && code != codeContinue {
+			abandon(comm)
+		}
+		if !dead || code != codeContinue {
+			return nil, err
+		}
+		if rerr := recoverWorld(err); rerr != nil {
+			return nil, rerr
 		}
 	}
 

@@ -357,13 +357,16 @@ func stopCode(stop bool, localErr error, remoteCancelled bool) int64 {
 
 // cancelResult translates the termination code into the error each rank
 // returns: the rank's own ctx error when it was cancelled, and
-// ErrRemoteCancelled when the early stop originated elsewhere.
+// ErrRemoteCancelled when the early stop originated elsewhere. A stop rank 0
+// decided without a cancellation stands even if this rank's context was
+// cancelled since: every rank then returns the result, so the ranks agree
+// (and a TCP world still runs its final barrier together).
 func cancelResult(ctx context.Context, code int64) error {
+	if code != codeCancelled {
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if code == codeCancelled {
-		return ErrRemoteCancelled
-	}
-	return nil
+	return ErrRemoteCancelled
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,5 +227,84 @@ func TestAsyncKillTermination(t *testing.T) {
 				t.Fatalf("delay %v: rank 0 returned no error and no result", delay)
 			}
 		}
+	}
+}
+
+// TestDeathAtFirstBroadcastRecovers kills rank 1 while rank 0 sends the
+// termination code that opens the epoch loop, after rank 0's frame to rank 2
+// was lost in flight: rank 0 is past the broadcast and rank 2 is not. Rank 2
+// cannot tell that rank 0 went on, so it must join rank 0's recovery round
+// rather than leave the world with rank 0 waiting for its ACK; both finish.
+func TestDeathAtFirstBroadcastRecovers(t *testing.T) {
+	world := mpi.NewLocalWorld(3)
+	var step atomic.Int32
+	world.SetFaultHook(func(src, dst, size int) bool {
+		if src != 0 || size != 8 { // the termination code is one int64
+			return true
+		}
+		switch {
+		case dst == 2 && step.CompareAndSwap(0, 1):
+			return false // lost in flight
+		case dst == 1 && step.CompareAndSwap(1, 2):
+			world.Kill(1)
+			return false
+		}
+		return true
+	})
+	results, errs := runWorld(t, world, faultCfg(4), nil, nil)
+	if step.Load() != 2 {
+		t.Fatal("the run never reached the first termination broadcast")
+	}
+	if errs[1] == nil {
+		t.Fatal("killed rank 1 returned no error")
+	}
+	for _, r := range []int{0, 2} {
+		if errs[r] != nil {
+			t.Fatalf("survivor rank %d: %v", r, errs[r])
+		}
+	}
+	if res := results[0]; res.Res == nil || res.Stats.RanksLost != 1 {
+		t.Fatalf("rank 0: result %v, stats %+v; want a result and one rank lost", res.Res, res.Stats)
+	}
+}
+
+// TestCoordinatorAbandonsAfterCalibration kills rank 1 as it sends its
+// calibration frame, once rank 2's has left: rank 0's calibration reduce
+// fails while rank 2 is past it and fails at the first termination
+// broadcast, which sends it into recovery. Rank 0 must abandon the run so
+// that rank 2 stops waiting for a recovery round and reports the lost
+// coordinator.
+func TestCoordinatorAbandonsAfterCalibration(t *testing.T) {
+	world := mpi.NewLocalWorld(3)
+	sent2 := make(chan struct{})
+	var once sync.Once
+	var killed atomic.Bool
+	world.SetFaultHook(func(src, dst, _ int) bool {
+		switch {
+		case dst != 0 || killed.Load():
+		case src == 2:
+			once.Do(func() { close(sent2) })
+		case src == 1:
+			select {
+			case <-sent2:
+			case <-time.After(10 * time.Second):
+			}
+			killed.Store(true)
+			world.Kill(1)
+			return false
+		}
+		return true
+	})
+	_, errs := runWorld(t, world, faultCfg(4), nil, nil)
+	if !killed.Load() {
+		t.Fatal("rank 1 never sent its calibration frame")
+	}
+	for r, err := range errs {
+		if err == nil {
+			t.Fatalf("rank %d returned no error from a run whose calibration lost a rank", r)
+		}
+	}
+	if !errors.Is(errs[2], ErrCoordinatorLost) {
+		t.Fatalf("rank 2 returned %v, want ErrCoordinatorLost", errs[2])
 	}
 }

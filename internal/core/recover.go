@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/epoch"
 	"repro/internal/kadabra"
@@ -47,7 +48,9 @@ import (
 // checkpoints (Config.CheckpointInterval) bound the loss to one interval.
 // Deaths during the diameter and calibration phases are likewise reported
 // as plain errors — recovery covers the adaptive epoch loop, where
-// virtually all of the run time lives.
+// virtually all of the run time lives, and the termination broadcast that
+// opens it. When rank 0 reports such an error after survivors may have
+// entered recovery, it abandons the run (abandon) so they stop waiting.
 
 const (
 	recoverySpecTag = 1
@@ -246,9 +249,21 @@ func (ft *ftState) coordinate() (*mpi.Comm, reconfigSpec, error) {
 	}
 }
 
-// ErrCoordinatorLost reports that world rank 0 died: in-run recovery is
-// impossible by design (rank 0 owns the global state S), so survivors
-// abort and the caller restarts from the latest distributed checkpoint.
+// abandon is world rank 0 leaving the run on a rank death before the epoch
+// loop, when survivors may already wait in follow for a recovery round (see
+// Algorithm2's first broadcast). It sends every other world rank a spec
+// newer than any round and naming no survivors, on which follow gives up.
+func abandon(world *mpi.Comm) {
+	payload := reconfigSpec{round: math.MaxUint64}.encode()
+	for r := 1; r < world.Size(); r++ {
+		world.RecoverySend(r, recoverySpecTag, payload) // a dead rank's copy is lost
+	}
+}
+
+// ErrCoordinatorLost reports that world rank 0 died, or abandoned the run
+// before the epoch loop: in-run recovery is impossible by design (rank 0
+// owns the global state S), so survivors abort and the caller restarts
+// from the latest distributed checkpoint.
 // Test with errors.Is; the cause (usually an mpi.ErrRankDead) is wrapped
 // alongside it.
 var ErrCoordinatorLost = errors.New("core: coordinator (world rank 0) lost, in-run recovery impossible — restart from the latest distributed checkpoint")
@@ -266,6 +281,9 @@ func (ft *ftState) follow() (*mpi.Comm, reconfigSpec, error) {
 		spec, derr := decodeSpec(data)
 		if derr != nil {
 			return nil, reconfigSpec{}, derr
+		}
+		if len(spec.survivors) == 0 {
+			return nil, reconfigSpec{}, fmt.Errorf("%w: it abandoned the run", ErrCoordinatorLost)
 		}
 		if spec.round <= ft.round {
 			continue
