@@ -161,6 +161,44 @@ func TestWeightedParityAgainstExact(t *testing.T) {
 	}
 }
 
+// TestWeightedSequentialCoverage is a coverage smoke of the (eps, delta)
+// guarantee on the weighted x sequential cell: over R seeds on one weighted
+// R-MAT, the share of estimates whose max error exceeds eps must stay
+// within delta plus a 3-sigma binomial tolerance. R is 200, 20 under -short.
+func TestWeightedSequentialCoverage(t *testing.T) {
+	lcc, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(7, 8, 21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomWeights(lcc, 10, 3)
+	w := Weighted(g)
+	exact := ExactWeighted(g, 0)
+	const eps, delta = 0.05, 0.1
+	runs := 200
+	if testing.Short() {
+		runs = 20
+	}
+	failed, worst := 0, 0.0
+	for seed := range uint64(runs) {
+		res, err := EstimateWorkload(context.Background(), w,
+			WithEpsilon(eps), WithDelta(delta), WithSeed(seed+1), WithExecutor(Sequential()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := Compare(exact, res.Estimates, eps)
+		worst = max(worst, rep.MaxAbs)
+		if rep.MaxAbs > eps {
+			failed++
+		}
+	}
+	share := float64(failed) / float64(runs)
+	tol := 3 * math.Sqrt(delta*(1-delta)/float64(runs))
+	t.Logf("%d of %d runs over eps %g (worst max error %.4f)", failed, runs, eps, worst)
+	if share > delta+tol {
+		t.Fatalf("%d of %d runs exceed eps %g: share %.3f > delta %g + %.3f", failed, runs, eps, share, delta, tol)
+	}
+}
+
 // TestDirectedSeqVsShmParity pins the two executors against each other
 // directly: same omega (same diameter bound) and estimates within 2*eps.
 func TestDirectedSeqVsShmParity(t *testing.T) {

@@ -198,7 +198,9 @@ func Directed(g *graph.Digraph) Workload {
 // weighted workload. Connectivity is the workload's validation rule —
 // checked once per Estimate call (one O(V+E) pass) so the vertex-diameter
 // probe behind the sample budget is valid; reduce arbitrary inputs with
-// graph.LargestComponentW first.
+// graph.LargestComponentW first. Construction sorts every vertex's arcs by
+// weight into a view the samplers share (8 bytes per arc), so build the
+// workload once per graph and reuse it across estimates.
 func Weighted(g *graph.WGraph) Workload {
 	if g == nil {
 		return Workload{kind: WorkloadWeighted, err: fmt.Errorf("betweenness: nil weighted graph")}

@@ -2,18 +2,51 @@ package bfs
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/pq"
 	"repro/internal/rng"
 )
 
+// ArcsByWeight is the weight-ordered view of a graph.WGraph the weighted
+// kernel reads: vertex v's arcs are packed as weight<<32 | neighbour and
+// sorted ascending, that is by (weight, neighbour ID), whatever order the
+// graph stores them in. It shares the graph's Offsets, so it costs 8 bytes
+// per arc. Build it once per graph; it is read-only, and every sampler over
+// the graph shares it.
+type ArcsByWeight struct {
+	offsets []uint64
+	arcs    []uint64
+}
+
+// SortArcsByWeight builds g's weight-ordered view.
+func SortArcsByWeight(g *graph.WGraph) *ArcsByWeight {
+	a := &ArcsByWeight{offsets: g.Offsets, arcs: make([]uint64, len(g.Adj))}
+	for i, v := range g.Adj {
+		a.arcs[i] = uint64(g.W[i])<<32 | uint64(v)
+	}
+	for v := range g.NumNodes() {
+		slices.Sort(a.arcs[g.Offsets[v]:g.Offsets[v+1]])
+	}
+	return a
+}
+
+// NumNodes returns |V|.
+func (a *ArcsByWeight) NumNodes() int { return len(a.offsets) - 1 }
+
+// Degree returns the number of neighbours of v.
+func (a *ArcsByWeight) Degree(v graph.Node) int { return int(a.offsets[v+1] - a.offsets[v]) }
+
+// of returns v's packed arcs, lightest first.
+func (a *ArcsByWeight) of(v graph.Node) []uint64 { return a.arcs[a.offsets[v]:a.offsets[v+1]] }
+
 // WeightedSampler draws uniform random shortest paths in a positively
 // weighted undirected graph — the weighted variant of the sampling kernel
 // the paper's footnote 1 alludes to — by a balanced bidirectional Dijkstra
 // with exact integer distances and path counting.
 //
-// Two balls grow from s and t, the side that has relaxed fewer arcs going
+// Two balls grow from s and t, the side that has scanned fewer arcs going
 // next. mu is the lightest connection d_f(u)+w+d_b(v) seen over a relaxed
 // arc whose far end carries the other side's label. The search stops when
 // the queue heads satisfy head_f + head_b > mu (strictly: with >= a vertex
@@ -26,12 +59,20 @@ import (
 // proportion to its product, then walking u->s and v->t by the
 // sigma-proportional predecessor rule, gives every path the same chance.
 //
+// Arcs are read from an ArcsByWeight view, lightest first, and settling u
+// stops at the first arc with d(u)+w > mu. That cut drops only arcs that
+// would do nothing: such an arc can neither lower mu, nor be a crossing arc
+// (those attain mu), nor queue its far end (that needs d(u)+w < mu); and as
+// mu never rises, every later, heavier arc is past it too. An arc with
+// d(u)+w == mu is still scanned: it is how the arc into the other root,
+// whose label is 0, attains mu and is recorded as a crossing arc.
+//
 // Total path weights must stay below 2^63. A WeightedSampler is not safe
-// for concurrent use; each sampling thread owns one. The backing graph is
-// shared and read-only.
+// for concurrent use; each sampling thread owns one. The view is shared and
+// read-only.
 type WeightedSampler struct {
-	g   *graph.WGraph
-	rng *rng.Rand
+	arcs *ArcsByWeight
+	rng  *rng.Rand
 
 	fwd, bwd wside
 	cur      uint32
@@ -61,18 +102,18 @@ type wside struct {
 	q       pq.Monotone
 	head    graph.Node
 	headKey uint64 // wInf once the queue has drained
-	work    uint64 // arcs relaxed this round
+	work    uint64 // arcs scanned this round
 }
 
 type crossArc struct{ u, v graph.Node }
 
 const wInf = math.MaxUint64
 
-// NewWeightedSampler creates a sampler over g with a private RNG.
-func NewWeightedSampler(g *graph.WGraph, r *rng.Rand) *WeightedSampler {
-	n := g.NumNodes()
+// NewWeightedSampler creates a sampler over the view arcs with a private RNG.
+func NewWeightedSampler(arcs *ArcsByWeight, r *rng.Rand) *WeightedSampler {
+	n := arcs.NumNodes()
 	ws := &WeightedSampler{
-		g:     g,
+		arcs:  arcs,
 		rng:   r,
 		fwd:   wside{lab: make([]wlabel, n)},
 		bwd:   wside{lab: make([]wlabel, n)},
@@ -90,7 +131,7 @@ func NewWeightedSampler(g *graph.WGraph, r *rng.Rand) *WeightedSampler {
 //
 //bc:hotpath
 func (ws *WeightedSampler) Sample() (internal []graph.Node, ok bool) {
-	n := ws.g.NumNodes()
+	n := ws.arcs.NumNodes()
 	s := graph.Node(ws.rng.Intn(n))
 	t := graph.Node(ws.rng.Intn(n - 1))
 	if t >= s {
@@ -206,17 +247,17 @@ func (sd *wside) start(root graph.Node, cur uint32) {
 	sd.work = 0
 }
 
-// settle makes sd's head final, relaxes its arcs and advances the head.
-// Each arc first offers d(head)+w+d_other(v) to mu if v carries the other
-// side's label — a tentative label is still the weight of a real path — and
-// is recorded as a crossing candidate when it attains mu and v is settled
-// there: of an arc's two relaxations only the later one sees the far end
-// settled, so no arc is recorded twice. A label is queued only if v can
-// still lie on a shortest s-t path: nd must stay below mu, and nd plus v's
-// remaining distance — exact if the other side settled v, else at least the
-// other head's key — within it. The vertices this drops are on no shortest
-// path, so neither are their successors through them, and every count the
-// crossing arcs use is unaffected.
+// settle makes sd's head final, relaxes its arcs up to the first one past
+// mu and advances the head. Each arc first offers d(head)+w+d_other(v) to
+// mu if v carries the other side's label — a tentative label is still the
+// weight of a real path — and is recorded as a crossing candidate when it
+// attains mu and v is settled there: of an arc's two relaxations only the
+// later one sees the far end settled, so no arc is recorded twice. A label
+// is queued only if v can still lie on a shortest s-t path: nd must stay
+// below mu, and nd plus v's remaining distance — exact if the other side
+// settled v, else at least the other head's key — within it. The vertices
+// this drops are on no shortest path, so neither are their successors
+// through them, and every count the crossing arcs use is unaffected.
 //
 //bc:hotpath
 func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
@@ -225,10 +266,14 @@ func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
 	lu := &sd.lab[u]
 	lu.done = true
 	du, su := lu.dist, lu.sig
-	adj, wts := ws.g.Neighbors(u)
-	sd.work += uint64(len(adj))
-	for i, v := range adj {
-		nd := du + uint64(wts[i])
+	arcs := ws.arcs.of(u)
+	i := 0
+	for ; i < len(arcs); i++ {
+		nd := du + arcs[i]>>32
+		if nd > ws.mu {
+			break // arcs are lightest first and mu only falls: the rest are past it too
+		}
+		v := graph.Node(uint32(arcs[i]))
 		rest := other.headKey // lower bound on v's distance to the other root
 		if ov := &other.lab[v]; ov.stamp == cur {
 			if cand := nd + ov.dist; cand <= ws.mu {
@@ -263,6 +308,7 @@ func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
 			lv.sig += su
 		}
 	}
+	sd.work += uint64(i)
 
 	// Next head: an entry is live iff its key is still its item's label
 	// (labels only decrease, and each (item, key) is queued once).
@@ -286,12 +332,12 @@ func (ws *WeightedSampler) walk(sd *wside, x graph.Node) {
 	for sd.lab[x].dist > 0 {
 		ws.path = append(ws.path, x)
 		dx := sd.lab[x].dist
-		adj, wts := ws.g.Neighbors(x)
 		pick := ws.rng.Float64() * sd.lab[x].sig
 		var chosen graph.Node
 		found := false
-		for i, y := range adj {
-			if ly := &sd.lab[y]; ly.stamp == cur && ly.dist+uint64(wts[i]) == dx {
+		for _, a := range ws.arcs.of(x) {
+			y := graph.Node(uint32(a))
+			if ly := &sd.lab[y]; ly.stamp == cur && ly.dist+a>>32 == dx {
 				chosen, found = y, true // rounding may exhaust pick: keep the last
 				if pick < ly.sig {
 					break

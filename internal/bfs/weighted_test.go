@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pq"
 	"repro/internal/rng"
@@ -61,7 +62,7 @@ func TestWeightedDistanceMatchesBellmanFord(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		n := 20 + int(seed)
 		g := randomWeighted(seed, n, 4*n, 9)
-		ws := NewWeightedSampler(g, rng.NewRand(seed))
+		ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(seed))
 		ref := refWeightedDistances(g, 0)
 		for v := 1; v < n; v++ {
 			got := ws.Distance(0, graph.Node(v))
@@ -81,7 +82,7 @@ func TestWeightedSamplePathValidity(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 15 + r.Intn(40)
 		g := randomWeighted(uint64(trial)+50, n, 4*n, 7)
-		ws := NewWeightedSampler(g, rng.NewRand(uint64(trial)))
+		ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(uint64(trial)))
 		for i := 0; i < 20; i++ {
 			s := graph.Node(r.Intn(n))
 			tt := graph.Node(r.Intn(n))
@@ -133,7 +134,7 @@ func TestWeightedSamplerUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWeightedSampler(g, rng.NewRand(1))
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(1))
 	const iters = 6000
 	counts := map[graph.Node]int{}
 	for i := 0; i < iters; i++ {
@@ -160,7 +161,7 @@ func TestWeightedSamplerPrefersLightPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWeightedSampler(g, rng.NewRand(2))
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(2))
 	for i := 0; i < 50; i++ {
 		internal, ok := ws.SamplePath(0, 2)
 		if !ok || len(internal) != 1 || internal[0] != 1 {
@@ -233,13 +234,117 @@ func TestWeightedAllPairsParity(t *testing.T) {
 			n := 12 + int(seed)*4
 			// Sparse enough that some inputs fall apart into components.
 			g := randomWeighted(seed*31+uint64(maxW), n, n+n/2+int(seed), maxW)
-			ws := NewWeightedSampler(g, rng.NewRand(seed))
+			ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(seed))
 			checkAllPairs(t, fmt.Sprintf("maxW %d seed %d", maxW, seed), g, ws)
 			graphs++
 		}
 	}
 	if graphs < 40 {
 		t.Fatalf("battery ran on %d graphs, want >= 40", graphs)
+	}
+}
+
+// hubRMAT is a hub-heavy weighted input: the Graph500 R-MAT at scale 8
+// (edge factor 16) reduced to its largest component, weights 1..maxW.
+func hubRMAT(maxW uint32) *graph.WGraph {
+	return gen.RandomWeights(rmatLCC(8), maxW, uint64(maxW))
+}
+
+// weightedStar joins a centre to leaves 1..leaves-1 by weights 1..5, plus
+// chords between leaves that are each one heavier than the route through
+// the centre, so the centre lies on every shortest path and a leaf's chords
+// all lie past mu once the centre route is seen.
+func weightedStar(leaves int, seed uint64) *graph.WGraph {
+	r := rng.NewRand(seed)
+	w := make([]uint32, leaves)
+	var edges []graph.WeightedEdge
+	for v := 1; v < leaves; v++ {
+		w[v] = uint32(r.Intn(5)) + 1
+		edges = append(edges, graph.WeightedEdge{U: 0, V: graph.Node(v), W: w[v]})
+	}
+	for i := 0; i < 2*leaves; i++ {
+		a, b := r.Intn(leaves-1)+1, r.Intn(leaves-1)+1
+		edges = append(edges, graph.WeightedEdge{U: graph.Node(a), V: graph.Node(b), W: w[a] + w[b] + 1})
+	}
+	g, err := graph.FromWeightedEdges(leaves, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// shuffledLists returns g with every adjacency list, weights alongside, in
+// a random order: a graph.WGraph no constructor would build.
+func shuffledLists(g *graph.WGraph, seed uint64) *graph.WGraph {
+	r := rng.NewRand(seed)
+	out := &graph.WGraph{
+		Offsets: g.Offsets,
+		Adj:     append([]graph.Node(nil), g.Adj...),
+		W:       append([]uint32(nil), g.W...),
+	}
+	for v := range g.NumNodes() {
+		lo, hi := int(g.Offsets[v]), int(g.Offsets[v+1])
+		for i := hi - 1; i > lo; i-- {
+			j := lo + r.Intn(i-lo+1)
+			out.Adj[i], out.Adj[j] = out.Adj[j], out.Adj[i]
+			out.W[i], out.W[j] = out.W[j], out.W[i]
+		}
+	}
+	return out
+}
+
+// TestWeightedCutParity holds the search to refDijkstra on every ordered
+// pair of inputs where the cut at mu fires often: hub-heavy R-MATs with
+// heavily tied (1..3) and spread (1..10) weights, a star with heavy chords,
+// and graphs whose lists are not in ID order — the weight-ordered view must
+// come out right from any input.
+func TestWeightedCutParity(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.WGraph
+	}{
+		{"hub rmat weights 1..3", hubRMAT(3)},
+		{"hub rmat weights 1..10", hubRMAT(10)},
+		{"star with heavy chords", weightedStar(60, 4)},
+		{"hub rmat, lists shuffled", shuffledLists(hubRMAT(10), 6)},
+		// Lists in descending ID order; edges 0-1:2 0-2:1 1-2:1 1-3:3 2-3:4
+		// 2-4:2 3-4:1 3-5:1 4-5:2.
+		{"literal, lists descending", &graph.WGraph{
+			Offsets: []uint64{0, 2, 5, 9, 13, 16, 18},
+			Adj:     []graph.Node{2, 1, 3, 2, 0, 4, 3, 1, 0, 5, 4, 2, 1, 5, 3, 2, 4, 3},
+			W:       []uint32{1, 2, 3, 1, 2, 2, 4, 1, 1, 1, 1, 4, 3, 2, 1, 2, 2, 1},
+		}},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ws := NewWeightedSampler(SortArcsByWeight(c.g), rng.NewRand(uint64(i)+1))
+			checkAllPairs(t, c.name, c.g, ws)
+		})
+	}
+}
+
+// TestWeightedCutScansFewerArcs: on the hub R-MAT the cut at mu must skip
+// most of the arcs of the vertices a search settles.
+func TestWeightedCutScansFewerArcs(t *testing.T) {
+	g := hubRMAT(10)
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(1))
+	const samples = 2000
+	var scanned, settledDeg, settles uint64
+	for range samples {
+		ws.Sample()
+		scanned += ws.fwd.work + ws.bwd.work
+		for _, sd := range []*wside{&ws.fwd, &ws.bwd} {
+			for v, l := range sd.lab {
+				if l.stamp == ws.cur && l.done {
+					settledDeg += uint64(g.Degree(graph.Node(v)))
+					settles++
+				}
+			}
+		}
+	}
+	t.Logf("per sample: %d settles, %d arcs scanned of %d", settles/samples, scanned/samples, settledDeg/samples)
+	if 2*scanned >= settledDeg {
+		t.Fatalf("scanned %d arcs of the settled vertices' %d, want under half", scanned, settledDeg)
 	}
 }
 
@@ -314,7 +419,7 @@ func checkUniformPaths(t *testing.T, g *graph.WGraph, s, tt graph.Node, seed uin
 	for _, p := range paths {
 		counts[p] = 0
 	}
-	ws := NewWeightedSampler(g, rng.NewRand(seed))
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(seed))
 	draws := 40 * len(paths)
 	if draws < 500 {
 		draws = 500
@@ -386,7 +491,7 @@ func TestWeightedDisconnectedPairThenNextSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWeightedSampler(g, rng.NewRand(5))
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(5))
 	for round := 0; round < 3; round++ {
 		for _, pair := range [][2]graph.Node{{0, 3}, {6, 2}, {4, 1}} {
 			if internal, ok := ws.SamplePath(pair[0], pair[1]); ok {
@@ -406,7 +511,7 @@ func TestWeightedDisconnectedPairThenNextSample(t *testing.T) {
 func TestWeightedStampWrapClearsBothSides(t *testing.T) {
 	const n = 60
 	g := randomWeighted(77, n, 240, 5)
-	ws := NewWeightedSampler(g, rng.NewRand(9))
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(9))
 	// Every vertex carries, on both sides, a settled distance-0 label from a
 	// round the counter will reach again after wrapping.
 	for v := 0; v < n; v++ {
@@ -433,7 +538,7 @@ func TestWeightedUnitWeightsMatchBFS(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		n := 30 + int(seed)*5
 		wg := randomWeighted(seed+200, n, 3*n, 1)
-		ws := NewWeightedSampler(wg, rng.NewRand(seed))
+		ws := NewWeightedSampler(SortArcsByWeight(wg), rng.NewRand(seed))
 		sp := NewSampler(wg.Unweighted(), rng.NewRand(seed))
 		for s := 0; s < n; s++ {
 			for tt := 0; tt < n; tt++ {
@@ -476,7 +581,7 @@ func TestWeightedHugeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWeightedSampler(g, rng.NewRand(1))
+	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(1))
 	checkAllPairs(t, "MaxUint32 cycle", g, ws)
 	if d := ws.Distance(0, 2); d != 2*uint64(big) {
 		t.Fatalf("distance over two MaxUint32 edges = %d, want %d", d, 2*uint64(big))
@@ -494,11 +599,23 @@ func TestWeightedHugeWeights(t *testing.T) {
 	}
 }
 
+// BenchmarkWeightedSample times one sample on a uniform random graph (low
+// degree, weights 1..100) and on the weighted-seq benchmark workload's shape:
+// the R-MAT 2^11 LCC with weights 1..10, whose hubs hold most of the arcs.
 func BenchmarkWeightedSample(b *testing.B) {
-	g := randomWeighted(1, 20000, 120000, 100)
-	ws := NewWeightedSampler(g, rng.NewRand(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Sample()
+	for _, c := range []struct {
+		name string
+		g    *graph.WGraph
+	}{
+		{"uniform", randomWeighted(1, 20000, 120000, 100)},
+		{"rmat11", gen.RandomWeights(rmatLCC(11), 10, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ws := NewWeightedSampler(SortArcsByWeight(c.g), rng.NewRand(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Sample()
+			}
+		})
 	}
 }

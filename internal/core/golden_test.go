@@ -35,6 +35,10 @@ func floatsHash(xs []float64) uint64 {
 // The weighted rows were recorded again when the weighted sampler became
 // bidirectional (PR 22): the same seed now draws other, equally distributed
 // paths; the loop under test did not change, as the other six rows show.
+// They were recorded a third time when the weighted search began relaxing
+// each vertex's arcs in weight order, cut at mu: the path distribution is
+// the same, but when mu drops within a settle (so which vertices get
+// queued), the queue's tie order and which side goes next all changed.
 func TestEpochDriverGoldenParity(t *testing.T) {
 	ws := coreTestWorkloads(t)
 	for _, c := range []struct {
@@ -50,9 +54,9 @@ func TestEpochDriverGoldenParity(t *testing.T) {
 		{"directed", 1, 4846, 3, 0x581a6f5e542d3523},
 		{"directed", 2, 4846, 3, 0x741806d2cc7a8d31},
 		{"directed", 3, 4846, 3, 0x35568564476c5f58},
-		{"weighted", 1, 11232, 7, 0x5b45f59ad19c3e4},
-		{"weighted", 2, 11232, 7, 0x848a395e1346e318},
-		{"weighted", 3, 11232, 7, 0xaf3c135b89416745},
+		{"weighted", 1, 11232, 7, 0x672345824c163eca},
+		{"weighted", 2, 11232, 7, 0xe9596714b22bd628},
+		{"weighted", 3, 11232, 7, 0x156a0b945057f84d},
 	} {
 		res, err := runFresh(context.Background(), ws[c.workload], 2, Config{
 			Config:    kadabra.Config{Eps: 0.02, Delta: 0.1, Seed: c.seed},

@@ -340,6 +340,10 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 // The weighted rows were recorded again when the weighted sampler became
 // bidirectional (PR 22): the same seed now draws other, equally distributed
 // paths; the engine under test did not change, as the other six rows show.
+// They were recorded a third time when the weighted search began relaxing
+// each vertex's arcs in weight order, cut at mu: the path distribution is
+// the same, but when mu drops within a settle (so which vertices get
+// queued), the queue's tie order and which side goes next all changed.
 func TestEpochDriverGoldenParity(t *testing.T) {
 	ws := testWorkloads(t)
 	for _, c := range []struct {
@@ -355,9 +359,9 @@ func TestEpochDriverGoldenParity(t *testing.T) {
 		{"directed", 1, 7089, 7, 0x340dcaf0c32b7ee3},
 		{"directed", 2, 7089, 7, 0xf67c51074a558b02},
 		{"directed", 3, 7089, 7, 0x14d4e8cb75656860},
-		{"weighted", 1, 8089, 8, 0x2b5b7940968e088a},
-		{"weighted", 2, 8089, 8, 0xc1bcdc68949f2872},
-		{"weighted", 3, 9089, 9, 0x92f2f01e1f6af660},
+		{"weighted", 1, 8089, 8, 0x7017c3f73adce99b},
+		{"weighted", 2, 8089, 8, 0x2373f852b943094},
+		{"weighted", 3, 9089, 9, 0xfd4f64a5c26226e},
 	} {
 		res, err := Run(context.Background(), ws[c.workload], 1, Config{Eps: 0.02, Delta: 0.1, Seed: c.seed})
 		if err != nil {

@@ -11,18 +11,18 @@ import (
 // vertex-diameter bound differ.
 
 // WeightedVertexDiameter estimates an upper bound on the weighted vertex
-// diameter — the maximum number of VERTICES on any minimum-weight path,
-// which is what omega's sample-complexity term needs (not the weighted
-// diameter itself). It samples minimum-weight paths from a few pivots,
-// takes the maximum hop count observed, and doubles it: any shortest u-w
-// path is hop-wise at most the u->pivot plus pivot->w paths only when it
-// passes the pivot, so the doubling provides headroom for paths that do
-// not. Equal-weight paths differ in hops and the sampler picks among them
+// diameter of the graph behind the view g — the maximum number of VERTICES
+// on any minimum-weight path, which is what omega's sample-complexity term
+// needs (not the weighted diameter itself). It samples minimum-weight paths
+// from a few pivots, takes the maximum hop count observed, and doubles it:
+// any shortest u-w path is hop-wise at most the u->pivot plus pivot->w
+// paths only when it passes the pivot, so the doubling provides headroom
+// for paths that do not. Equal-weight paths differ in hops and the sampler picks among them
 // at random, so the bound depends on the seed. This mirrors the estimation
 // approach used in practice (a pessimistic bound only slows the algorithm
 // down; correctness is unaffected because the adaptive stopping condition
 // still certifies the error bounds).
-func WeightedVertexDiameter(g *graph.WGraph, seed uint64) int {
+func WeightedVertexDiameter(g *bfs.ArcsByWeight, seed uint64) int {
 	n := g.NumNodes()
 	if n <= 1 {
 		return n
@@ -59,7 +59,7 @@ func WeightedVertexDiameter(g *graph.WGraph, seed uint64) int {
 	return vd
 }
 
-func maxDegreeW(g *graph.WGraph) graph.Node {
+func maxDegreeW(g *bfs.ArcsByWeight) graph.Node {
 	best, bestDeg := graph.Node(0), -1
 	for v := 0; v < g.NumNodes(); v++ {
 		if d := g.Degree(graph.Node(v)); d > bestDeg {

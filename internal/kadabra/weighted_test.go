@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/brandes"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -171,7 +172,7 @@ func TestWeightedSequentialGuarantee(t *testing.T) {
 
 func TestWeightedVertexDiameterSane(t *testing.T) {
 	g := connectedWeighted(13, 100, 300, 6)
-	vd := WeightedVertexDiameter(g, 1)
+	vd := WeightedVertexDiameter(bfs.SortArcsByWeight(g), 1)
 	if vd < 2 || vd > g.NumNodes() {
 		t.Fatalf("vd = %d out of [2, %d]", vd, g.NumNodes())
 	}

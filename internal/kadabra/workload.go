@@ -138,15 +138,17 @@ func DirectedWorkload(g *graph.Digraph) Workload {
 }
 
 // WeightedWorkload swaps in the Dijkstra-based sampler. The graph must be
-// connected with positive weights.
+// connected with positive weights. Its weight-ordered arc view is built here,
+// once, and shared read-only by every sampler and the diameter phase.
 func WeightedWorkload(g *graph.WGraph) Workload {
+	arcs := bfs.SortArcsByWeight(g)
 	return Workload{
 		n: g.NumNodes(),
 		newSampler: func(r *rng.Rand) Sampler {
-			return bfs.NewWeightedSampler(g, r)
+			return bfs.NewWeightedSampler(arcs, r)
 		},
 		vertexDiameter: func(cfg Config) int {
-			return WeightedVertexDiameter(g, cfg.Seed+0xABCD)
+			return WeightedVertexDiameter(arcs, cfg.Seed+0xABCD)
 		},
 	}
 }

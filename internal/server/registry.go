@@ -46,6 +46,11 @@ type graphEntry struct {
 	// guarantees no session outlives it.
 	mapped *graph.Mapped
 
+	// weighted memoizes wgt's workload, whose construction sorts every
+	// vertex's arcs by weight: once per graph, not once per session.
+	weightedOnce sync.Once
+	weighted     betweenness.Workload
+
 	// vd memoizes the phase-1 vertex diameter, a constant of the immutable
 	// graph: resolved once by the first session (see vertexDiameter) and
 	// handed to every later one instead of being re-derived per estimate.
@@ -62,14 +67,16 @@ func (g *graphEntry) closeMapping() {
 	}
 }
 
-// workload builds the tagged workload for this graph. Construction is
-// cheap (the digest closure is lazy; validation runs per estimate call).
+// workload returns the tagged workload for this graph. Construction is
+// cheap (the digest closure is lazy; validation runs per estimate call),
+// except the weighted one's arc sort, which is done once.
 func (g *graphEntry) workload() betweenness.Workload {
 	switch g.kind {
 	case betweenness.WorkloadDirected:
 		return betweenness.Directed(g.dig)
 	case betweenness.WorkloadWeighted:
-		return betweenness.Weighted(g.wgt)
+		g.weightedOnce.Do(func() { g.weighted = betweenness.Weighted(g.wgt) })
+		return g.weighted
 	default:
 		return betweenness.Undirected(g.und.Load())
 	}
