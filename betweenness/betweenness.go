@@ -3,16 +3,16 @@
 // approximation of van der Grinten & Meyerhenke (IPDPS 2020) behind one
 // entry point,
 //
-//	res, err := betweenness.Estimate(ctx, g,
+//	res, err := betweenness.Estimate(ctx, betweenness.Undirected(g),
 //	        betweenness.WithEpsilon(0.005),
 //	        betweenness.WithExecutor(betweenness.SharedMemory()))
 //
-// with functional options for the statistical parameters and a pluggable
-// Executor for the execution backend: Sequential (reference), SharedMemory
-// (epoch-based threads), LocalMPI (the paper's Algorithm 2 over in-process
-// ranks; with its default of one sampling thread per rank, the paper's
-// Algorithm 1), and TCP (Algorithm 2 as one rank of a genuinely distributed
-// world).
+// with functional options for the statistical parameters and the execution
+// backend. The backends are a closed set of four Executor values:
+// Sequential (reference), SharedMemory (epoch-based threads), LocalMPI (the
+// paper's Algorithm 2 over in-process ranks; with its default of one
+// sampling thread per rank, the paper's Algorithm 1), and TCP (Algorithm 2
+// as one rank of a genuinely distributed world).
 //
 // Every backend honours context cancellation: cancelling ctx stops the
 // calibration and adaptive-sampling loops within one epoch and Estimate
@@ -25,12 +25,7 @@
 // Directed and weighted graphs are first-class workloads (the paper's
 // footnote 1): the Undirected, Directed, and Weighted constructors produce
 // tagged Workload values carrying their validation rule, sampling kernel,
-// and vertex-diameter resolver, and the generic front door
-// EstimateWorkload(ctx, w, opts...) runs any of them on any backend —
-// Estimate, EstimateDirected, and EstimateWeighted are thin wrappers over
-// it. Every built-in backend reports Capabilities() covering all three
-// kinds; dispatching a workload to a backend that cannot run it fails
-// fast with ErrUnsupportedWorkload.
+// and vertex-diameter resolver, and every backend runs all three.
 //
 // Estimation is anytime: after every epoch the run holds a valid
 // (eps', delta) guarantee that only tightens. NewEstimator exposes that
@@ -38,9 +33,9 @@
 // WithMaxDuration; an early stop reports the achieved guarantee in
 // Result.AchievedEps), Snapshot at any time, Refine toward a tighter eps
 // reusing every prior sample, and Checkpoint/RestoreEstimator to resume
-// across process restarts, on every built-in backend: a distributed
-// session keeps its samples at world rank 0 between the collective runs.
-// EstimateWorkload itself is one NewEstimator plus one Run.
+// across process restarts, on every backend: a distributed session keeps
+// its samples at world rank 0 between the collective runs. Estimate itself
+// is one NewEstimator plus one Run.
 //
 // The distributed backends are fault tolerant: a rank that dies mid-run
 // (closed connection, or a silent peer caught by the TCP transport's
@@ -91,14 +86,6 @@ type Snapshot struct {
 	// it is nil in WithProgress deliveries, which stay cheap enough to
 	// run every epoch.
 	Estimates []float64
-	// Live reports whether the snapshot observes current sampling state:
-	// true for every WithProgress delivery and for Estimator.Snapshot on
-	// the four built-in backends, whose sessions own their state. A custom
-	// Executor keeps the state inside its Run, so between deliveries
-	// Snapshot returns the last completed Run's final state marked
-	// Live == false — never a fabricated zero mid-run. A false Live with
-	// Epoch == 0 means no run has completed yet.
-	Live bool
 }
 
 // fromProgress converts the internal progress observation.
@@ -108,7 +95,6 @@ func fromProgress(p kadabra.Progress) Snapshot {
 		Tau:           p.Tau,
 		AchievedEps:   p.AchievedEps,
 		SamplesPerSec: p.SamplesPerSec,
-		Live:          true,
 	}
 }
 

@@ -37,7 +37,7 @@ func TestDistCheckpointRoundtrip(t *testing.T) {
 
 	var mu sync.Mutex
 	var payloads [][]byte
-	res, err := Estimate(context.Background(), g,
+	res, err := Estimate(context.Background(), Undirected(g),
 		WithEpsilon(eps),
 		WithSeed(77),
 		WithThreads(threads),

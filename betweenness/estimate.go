@@ -2,88 +2,38 @@ package betweenness
 
 import (
 	"context"
-	"errors"
 	"fmt"
-
-	"repro/graph"
 )
 
-// EstimateWorkload is the workload-generic front door: it approximates the
-// betweenness centrality of every vertex of the workload's graph with the
-// KADABRA adaptive-sampling algorithm — with probability 1-delta, every
-// estimate is within epsilon of the true (normalized) betweenness — on any
-// backend whose Capabilities list the workload's kind. All five built-in
-// backends run all three workloads, so the full workload x backend matrix
-// is valid; a custom Executor with narrower capabilities is rejected with
-// ErrUnsupportedWorkload (test with errors.Is) before any work starts.
+// Estimate approximates the betweenness centrality of every vertex of the
+// workload's graph with the KADABRA adaptive-sampling algorithm: with
+// probability 1-delta, every estimate is within epsilon of the true
+// (normalized) betweenness. Any backend runs any workload:
 //
+//	res, err := Estimate(ctx, Undirected(g), opts...)
+//	res, err := Estimate(ctx, Directed(dg), opts...) // strongly connected digraph
+//	res, err := Estimate(ctx, Weighted(wg), opts...) // connected, positive weights
+//
+// The defaults are epsilon 0.01, delta 0.1, seed 1, and the SharedMemory
+// backend with one sampling thread per CPU core; options override them.
 // The workload's validation rule (strong connectivity for Directed,
 // connectivity for Weighted — one O(V+E) pass each) runs after option
-// resolution and before the backend starts. Estimate, EstimateDirected,
-// and EstimateWeighted are thin wrappers over this function — and this
-// function is itself a thin wrapper over the session API: one NewEstimator
-// followed by one Run. Keep the Estimator instead when you want to refine,
-// poll, budget incrementally, or checkpoint the run.
-func EstimateWorkload(ctx context.Context, w Workload, opts ...Option) (*Result, error) {
+// resolution and before the backend starts. Cancelling ctx stops the
+// sampling loops within one epoch and returns ctx.Err(). The diameter
+// phase (phase 1) is not interruptible — on large undirected graphs bound
+// it with WithDiameterBFSCap or skip it entirely with WithVertexDiameter
+// (the directed and weighted phases are a constant number of sweeps
+// already, so the cap is a no-op there).
+//
+// Estimate is one NewEstimator followed by one Run. Keep the Estimator
+// instead when you want to refine, poll, budget incrementally, or
+// checkpoint the run.
+func Estimate(ctx context.Context, w Workload, opts ...Option) (*Result, error) {
 	est, err := NewEstimator(w, opts...)
 	if err != nil {
 		return nil, err
 	}
 	return est.Run(ctx)
-}
-
-// Estimate approximates the betweenness centrality of every vertex of g
-// with the KADABRA adaptive-sampling algorithm: with probability 1-delta,
-// every estimate is within epsilon of the true (normalized) betweenness.
-// It is shorthand for EstimateWorkload(ctx, Undirected(g), opts...).
-//
-// The defaults are epsilon 0.01, delta 0.1, seed 1, and the SharedMemory
-// backend with one sampling thread per CPU core; options override them.
-// Cancelling ctx stops the sampling loops within one epoch and returns
-// ctx.Err(). The diameter phase (phase 1) is not interruptible — on large
-// graphs bound it with WithDiameterBFSCap or skip it entirely with
-// WithVertexDiameter.
-func Estimate(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
-	return EstimateWorkload(ctx, Undirected(g), opts...)
-}
-
-// EstimateDirected approximates directed betweenness centrality on a
-// strongly connected digraph, with the same (epsilon, delta) guarantee,
-// options, and cancellation semantics as Estimate. The sampler walks
-// shortest directed paths (forward over out-arcs, backward over the stored
-// transpose), per the paper's footnote 1. It is shorthand for
-// EstimateWorkload(ctx, Directed(g), opts...).
-//
-// The digraph must be strongly connected — reduce arbitrary inputs with
-// graph.LargestSCC first — because the vertex-diameter bound behind the
-// sample budget is only valid there; the workload's validation rule
-// verifies this (one O(V+E) pass) and fails otherwise. Every built-in
-// backend supports the directed workload, including the MPI and TCP ones.
-// WithTopK derives the ranking from the final estimates (the certified
-// top-k stopping rule remains undirected-only), and WithDiameterBFSCap is
-// a no-op here: the directed diameter phase is already a constant number
-// of BFS sweeps, not the exact computation the cap exists to bound.
-func EstimateDirected(ctx context.Context, g *graph.Digraph, opts ...Option) (*Result, error) {
-	return EstimateWorkload(ctx, Directed(g), opts...)
-}
-
-// EstimateWeighted approximates betweenness centrality on a connected,
-// positively weighted undirected graph, with the same (epsilon, delta)
-// guarantee, options, and cancellation semantics as Estimate. Shortest
-// paths follow minimum total weight (Dijkstra-based sampling with exact
-// integer distances), per the paper's footnote 1. It is shorthand for
-// EstimateWorkload(ctx, Weighted(g), opts...).
-//
-// The graph must be connected — reduce arbitrary inputs with
-// graph.LargestComponentW first — so the vertex-diameter probe behind the
-// sample budget is valid; the workload's validation rule verifies this
-// (one O(V+E) pass) and fails otherwise. Every built-in backend supports
-// the weighted workload, including the MPI and TCP ones. WithTopK derives
-// the ranking from the final estimates, and WithDiameterBFSCap is a no-op
-// here: the weighted diameter phase is already a constant number of
-// Dijkstra probes, not the exact computation the cap exists to bound.
-func EstimateWeighted(ctx context.Context, g *graph.WGraph, opts ...Option) (*Result, error) {
-	return EstimateWorkload(ctx, Weighted(g), opts...)
 }
 
 // resolveSettings applies the options over the defaults.
@@ -101,7 +51,7 @@ func resolveSettings(opts []Option) (settings, error) {
 }
 
 // checkSize rejects graphs too small to estimate on and out-of-range top-k
-// requests, uniformly across the front doors.
+// requests, at session construction and on every Refine.
 func checkSize(n int, s settings) error {
 	if n < 2 {
 		return fmt.Errorf("betweenness: need at least 2 vertices, got %d", n)
@@ -110,34 +60,4 @@ func checkSize(n int, s settings) error {
 		return fmt.Errorf("betweenness: top-k %d out of range [1, %d)", s.TopK, n)
 	}
 	return nil
-}
-
-// runEstimate executes a backend call and applies the shared post-
-// processing: error normalization on cancellation and the uniform top-k
-// surface.
-func runEstimate(ctx context.Context, s settings, exec func(context.Context) (*Result, error)) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background() //bc:ctxok nil-ctx guard at the public front door
-	}
-	res, err := exec(ctx)
-	if err != nil {
-		// Normalize: a cancellation surfaces as the bare ctx error even
-		// when a backend wrapped it (e.g. with the failing MPI rank).
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return nil, ctxErr
-		}
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("betweenness: backend %q returned no result", s.exec.Name())
-	}
-	if res.Backend == "" {
-		res.Backend = s.exec.Name()
-	}
-	// Uniform top-k surface: backends without a certified top-k mode
-	// derive the ranking from the final estimates.
-	if s.TopK > 0 && res.Top == nil && res.Estimates != nil {
-		res.Top = res.TopK(s.TopK)
-	}
-	return res, nil
 }

@@ -55,25 +55,25 @@ func TestOptionValidation(t *testing.T) {
 		"vd zero":           WithVertexDiameter(0),
 		"bfs cap negative":  WithDiameterBFSCap(-1),
 		"agg unknown":       WithAggStrategy(AggStrategy(99)),
-		"nil executor":      WithExecutor(nil),
+		"zero executor":     WithExecutor(Executor{}),
 	}
 	for name, opt := range bad {
-		if _, err := Estimate(context.Background(), g, opt); err == nil {
+		if _, err := Estimate(context.Background(), Undirected(g), opt); err == nil {
 			t.Errorf("%s: Estimate accepted an invalid option", name)
 		}
 	}
 }
 
 func TestEstimateRejectsDegenerateInputs(t *testing.T) {
-	if _, err := Estimate(context.Background(), nil); err == nil {
+	if _, err := Estimate(context.Background(), Undirected(nil)); err == nil {
 		t.Error("Estimate accepted a nil graph")
 	}
 	tiny := graph.NewBuilder(1).Build()
-	if _, err := Estimate(context.Background(), tiny); err == nil {
+	if _, err := Estimate(context.Background(), Undirected(tiny)); err == nil {
 		t.Error("Estimate accepted a 1-vertex graph")
 	}
 	g := testGraph(t)
-	if _, err := Estimate(context.Background(), g, WithTopK(g.NumNodes())); err == nil {
+	if _, err := Estimate(context.Background(), Undirected(g), WithTopK(g.NumNodes())); err == nil {
 		t.Error("Estimate accepted top-k = NumNodes")
 	}
 }
@@ -89,7 +89,7 @@ func TestBackendsAgreeWithExact(t *testing.T) {
 	backends := []Executor{Sequential(), SharedMemory(), LocalMPI(2)}
 	results := make(map[string]*Result, len(backends))
 	for _, exec := range backends {
-		res, err := Estimate(context.Background(), g,
+		res, err := Estimate(context.Background(), Undirected(g),
 			WithEpsilon(eps),
 			WithDelta(0.1),
 			WithSeed(7),
@@ -141,7 +141,7 @@ func TestBackendsAgreeWithExact(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := testGraph(t)
 	run := func() *Result {
-		res, err := Estimate(context.Background(), g,
+		res, err := Estimate(context.Background(), Undirected(g),
 			WithEpsilon(0.05), WithSeed(42), WithExecutor(Sequential()))
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestTopK(t *testing.T) {
 	want := TopKOf(exact, 3)
 
 	// Sequential backend: certified top-k stopping rule.
-	res, err := Estimate(context.Background(), g,
+	res, err := Estimate(context.Background(), Undirected(g),
 		WithEpsilon(0.02), WithSeed(5), WithTopK(3), WithExecutor(Sequential()))
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestTopK(t *testing.T) {
 	}
 
 	// Other backends derive Top from the final estimates.
-	res, err = Estimate(context.Background(), g,
+	res, err = Estimate(context.Background(), Undirected(g),
 		WithEpsilon(0.02), WithSeed(5), WithTopK(3), WithExecutor(SharedMemory()))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestContextCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
-		_, err := Estimate(ctx, g, WithEpsilon(0.05), WithExecutor(exec))
+		_, err := Estimate(ctx, Undirected(g), WithEpsilon(0.05), WithExecutor(exec))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)
 		}
@@ -229,7 +229,7 @@ func TestCancellationStopsSharedMemoryWithinOneEpoch(t *testing.T) {
 
 	var once sync.Once
 	var cancelledAt time.Time
-	res, err := Estimate(ctx, g,
+	res, err := Estimate(ctx, Undirected(g),
 		WithEpsilon(0.002),
 		WithSeed(9),
 		WithProgress(func(Snapshot) {
@@ -262,7 +262,7 @@ func TestCancellationStopsLocalMPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	_, err = Estimate(ctx, g,
+	_, err = Estimate(ctx, Undirected(g),
 		WithEpsilon(0.002),
 		WithSeed(2),
 		WithThreads(2),
@@ -276,7 +276,7 @@ func TestCancellationStopsLocalMPI(t *testing.T) {
 func TestProgressSnapshots(t *testing.T) {
 	g := testGraph(t)
 	var snaps []Snapshot
-	_, err := Estimate(context.Background(), g,
+	_, err := Estimate(context.Background(), Undirected(g),
 		WithEpsilon(0.03), WithSeed(1),
 		WithProgress(func(s Snapshot) { snaps = append(snaps, s) }),
 		WithExecutor(SharedMemory()))
@@ -307,7 +307,7 @@ func TestTCPBackend(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			results[rank], errs[rank] = Estimate(context.Background(), g,
+			results[rank], errs[rank] = Estimate(context.Background(), Undirected(g),
 				WithEpsilon(0.05), WithSeed(6), WithThreads(2),
 				WithExecutor(TCP(rank, addrs)))
 		}(rank)
@@ -355,7 +355,7 @@ func runTCPPair(t *testing.T, g *graph.Graph, ctxs [2]context.Context, progress 
 			if rank == 0 {
 				o = append(o, WithProgress(progress))
 			}
-			results[rank], errs[rank] = Estimate(ctxs[rank], g, o...)
+			results[rank], errs[rank] = Estimate(ctxs[rank], Undirected(g), o...)
 		}(rank)
 	}
 	wg.Wait()

@@ -78,7 +78,7 @@ func weightedGrid(t *testing.T, rows, cols int, maxW uint32) *graph.WGraph {
 
 // --- parity battery --------------------------------------------------------
 
-// TestDirectedParityAgainstExact asserts that EstimateDirected matches the
+// TestDirectedParityAgainstExact asserts that the directed workload matches the
 // directed Brandes ground truth within eps on small digraphs, across the
 // sequential and shared-memory executors and several seeds.
 func TestDirectedParityAgainstExact(t *testing.T) {
@@ -98,7 +98,7 @@ func TestDirectedParityAgainstExact(t *testing.T) {
 		for _, exec := range execs {
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, exec.Name(), seed), func(t *testing.T) {
-					res, err := EstimateDirected(context.Background(), tc.g,
+					res, err := Estimate(context.Background(), Directed(tc.g),
 						WithEpsilon(eps), WithDelta(0.1), WithSeed(seed), WithThreads(2),
 						WithExecutor(exec))
 					if err != nil {
@@ -143,7 +143,7 @@ func TestWeightedParityAgainstExact(t *testing.T) {
 		for _, exec := range execs {
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, exec.Name(), seed), func(t *testing.T) {
-					res, err := EstimateWeighted(context.Background(), tc.g,
+					res, err := Estimate(context.Background(), Weighted(tc.g),
 						WithEpsilon(eps), WithDelta(0.1), WithSeed(seed), WithThreads(2),
 						WithExecutor(exec))
 					if err != nil {
@@ -180,7 +180,7 @@ func TestWeightedSequentialCoverage(t *testing.T) {
 	}
 	failed, worst := 0, 0.0
 	for seed := range uint64(runs) {
-		res, err := EstimateWorkload(context.Background(), w,
+		res, err := Estimate(context.Background(), w,
 			WithEpsilon(eps), WithDelta(delta), WithSeed(seed+1), WithExecutor(Sequential()))
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDirectedSeqVsShmParity(t *testing.T) {
 	g := graph.RandomDigraph(150, 900, 9)
 	const eps = 0.04
 	run := func(exec Executor) *Result {
-		res, err := EstimateDirected(context.Background(), g,
+		res, err := Estimate(context.Background(), Directed(g),
 			WithEpsilon(eps), WithSeed(13), WithThreads(2), WithExecutor(exec))
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +230,7 @@ func TestDirectedSeqVsShmParity(t *testing.T) {
 func TestDirectedDeterminism(t *testing.T) {
 	g := graph.RandomDigraph(100, 500, 4)
 	run := func() *Result {
-		res, err := EstimateDirected(context.Background(), g,
+		res, err := Estimate(context.Background(), Directed(g),
 			WithEpsilon(0.05), WithSeed(42), WithExecutor(Sequential()))
 		if err != nil {
 			t.Fatal(err)
@@ -254,7 +254,7 @@ func TestWeightedTopKDerived(t *testing.T) {
 	g := weightedGrid(t, 6, 6, 7)
 	exact := ExactWeighted(g, 0)
 	want := TopKOf(exact, 3)
-	res, err := EstimateWeighted(context.Background(), g,
+	res, err := Estimate(context.Background(), Weighted(g),
 		WithEpsilon(0.02), WithSeed(5), WithTopK(3), WithExecutor(SharedMemory()))
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestDiameterPhaseKnobs(t *testing.T) {
 	g := testGraph(t)
 	exact := Exact(g, 0)
 	const eps = 0.05
-	res, err := Estimate(context.Background(), g,
+	res, err := Estimate(context.Background(), Undirected(g),
 		WithEpsilon(eps), WithSeed(3), WithDiameterBFSCap(8), WithExecutor(Sequential()))
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestDiameterPhaseKnobs(t *testing.T) {
 	}
 
 	dg := directedCycle(30)
-	dres, err := EstimateDirected(context.Background(), dg,
+	dres, err := Estimate(context.Background(), Directed(dg),
 		WithEpsilon(eps), WithSeed(3), WithVertexDiameter(31), WithExecutor(Sequential()))
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestDiameterPhaseKnobs(t *testing.T) {
 	}
 
 	wg := weightedGrid(t, 4, 4, 3)
-	wres, err := EstimateWeighted(context.Background(), wg,
+	wres, err := Estimate(context.Background(), Weighted(wg),
 		WithEpsilon(eps), WithSeed(3), WithVertexDiameter(9), WithExecutor(SharedMemory()))
 	if err != nil {
 		t.Fatal(err)
@@ -313,27 +313,27 @@ func TestDiameterPhaseKnobs(t *testing.T) {
 // --- input validation and dispatch -----------------------------------------
 
 func TestDirectedWeightedRejectDegenerateInputs(t *testing.T) {
-	if _, err := EstimateDirected(context.Background(), nil); err == nil {
-		t.Error("EstimateDirected accepted a nil digraph")
+	if _, err := Estimate(context.Background(), Directed(nil)); err == nil {
+		t.Error("directed Estimate accepted a nil digraph")
 	}
-	if _, err := EstimateWeighted(context.Background(), nil); err == nil {
-		t.Error("EstimateWeighted accepted a nil weighted graph")
+	if _, err := Estimate(context.Background(), Weighted(nil)); err == nil {
+		t.Error("weighted Estimate accepted a nil weighted graph")
 	}
-	if _, err := EstimateDirected(context.Background(), graph.FromArcs(1, nil)); err == nil {
-		t.Error("EstimateDirected accepted a 1-vertex digraph")
+	if _, err := Estimate(context.Background(), Directed(graph.FromArcs(1, nil))); err == nil {
+		t.Error("directed Estimate accepted a 1-vertex digraph")
 	}
 	tiny, err := graph.FromWeightedEdges(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateWeighted(context.Background(), tiny); err == nil {
-		t.Error("EstimateWeighted accepted a 1-vertex graph")
+	if _, err := Estimate(context.Background(), Weighted(tiny)); err == nil {
+		t.Error("weighted Estimate accepted a 1-vertex graph")
 	}
 
 	// Not strongly connected: a one-way path.
 	path := graph.FromArcs(3, [][2]graph.Node{{0, 1}, {1, 2}})
-	if _, err := EstimateDirected(context.Background(), path); err == nil {
-		t.Error("EstimateDirected accepted a non-strongly-connected digraph")
+	if _, err := Estimate(context.Background(), Directed(path)); err == nil {
+		t.Error("directed Estimate accepted a non-strongly-connected digraph")
 	}
 
 	// Disconnected weighted graph: two separate edges.
@@ -343,8 +343,8 @@ func TestDirectedWeightedRejectDegenerateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateWeighted(context.Background(), disc); err == nil {
-		t.Error("EstimateWeighted accepted a disconnected graph")
+	if _, err := Estimate(context.Background(), Weighted(disc)); err == nil {
+		t.Error("weighted Estimate accepted a disconnected graph")
 	}
 }
 
@@ -358,10 +358,10 @@ func TestDirectedWeightedBackendDispatch(t *testing.T) {
 	dexact, wexact := ExactDirected(dg, 0), ExactWeighted(wg, 0)
 	const eps = 0.05
 	exec := LocalMPI(2)
-	dres, err := EstimateDirected(context.Background(), dg,
+	dres, err := Estimate(context.Background(), Directed(dg),
 		WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
 	if err != nil {
-		t.Fatalf("%s: EstimateDirected: %v", exec.Name(), err)
+		t.Fatalf("%s: directed Estimate: %v", exec.Name(), err)
 	}
 	if rep := Compare(dexact, dres.Estimates, eps); rep.MaxAbs > eps {
 		t.Errorf("%s directed: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, dres.Tau)
@@ -369,21 +369,21 @@ func TestDirectedWeightedBackendDispatch(t *testing.T) {
 	if dres.Distributed == nil {
 		t.Errorf("%s directed: missing distributed stats", exec.Name())
 	}
-	wres, err := EstimateWeighted(context.Background(), wg,
+	wres, err := Estimate(context.Background(), Weighted(wg),
 		WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
 	if err != nil {
-		t.Fatalf("%s: EstimateWeighted: %v", exec.Name(), err)
+		t.Fatalf("%s: weighted Estimate: %v", exec.Name(), err)
 	}
 	if rep := Compare(wexact, wres.Estimates, eps); rep.MaxAbs > eps {
 		t.Errorf("%s weighted: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, wres.Tau)
 	}
-	// Invalid options must fail on the new front doors exactly as on
-	// Estimate.
-	if _, err := EstimateDirected(context.Background(), dg, WithEpsilon(0)); err == nil {
-		t.Error("EstimateDirected accepted an invalid option")
+	// Invalid options must fail on these workloads exactly as on the
+	// undirected one.
+	if _, err := Estimate(context.Background(), Directed(dg), WithEpsilon(0)); err == nil {
+		t.Error("directed Estimate accepted an invalid option")
 	}
-	if _, err := EstimateWeighted(context.Background(), wg, WithTopK(wg.NumNodes())); err == nil {
-		t.Error("EstimateWeighted accepted top-k = NumNodes")
+	if _, err := Estimate(context.Background(), Weighted(wg), WithTopK(wg.NumNodes())); err == nil {
+		t.Error("weighted Estimate accepted top-k = NumNodes")
 	}
 }
 
@@ -395,10 +395,10 @@ func TestDirectedWeightedContextCancelledBeforeStart(t *testing.T) {
 	dg := graph.RandomDigraph(100, 500, 1)
 	wg := weightedGrid(t, 8, 8, 5)
 	for _, exec := range []Executor{Sequential(), SharedMemory()} {
-		if _, err := EstimateDirected(ctx, dg, WithEpsilon(0.05), WithExecutor(exec)); !errors.Is(err, context.Canceled) {
+		if _, err := Estimate(ctx, Directed(dg), WithEpsilon(0.05), WithExecutor(exec)); !errors.Is(err, context.Canceled) {
 			t.Errorf("directed/%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)
 		}
-		if _, err := EstimateWeighted(ctx, wg, WithEpsilon(0.05), WithExecutor(exec)); !errors.Is(err, context.Canceled) {
+		if _, err := Estimate(ctx, Weighted(wg), WithEpsilon(0.05), WithExecutor(exec)); !errors.Is(err, context.Canceled) {
 			t.Errorf("weighted/%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestCancellationStopsDirectedEstimate(t *testing.T) {
 			defer cancel()
 			var once sync.Once
 			var cancelledAt time.Time
-			_, err := EstimateDirected(ctx, g,
+			_, err := Estimate(ctx, Directed(g),
 				WithEpsilon(0.002),
 				WithSeed(9),
 				WithThreads(2),
@@ -458,7 +458,7 @@ func TestCancellationStopsWeightedEstimate(t *testing.T) {
 			defer cancel()
 			var once sync.Once
 			var cancelledAt time.Time
-			_, err := EstimateWeighted(ctx, g,
+			_, err := Estimate(ctx, Weighted(g),
 				WithEpsilon(0.002),
 				WithSeed(9),
 				WithThreads(2),
@@ -487,7 +487,7 @@ func TestCancellationStopsWeightedEstimate(t *testing.T) {
 func TestDirectedProgressSnapshots(t *testing.T) {
 	g := graph.RandomDigraph(120, 700, 5)
 	var snaps []Snapshot
-	_, err := EstimateDirected(context.Background(), g,
+	_, err := Estimate(context.Background(), Directed(g),
 		WithEpsilon(0.05), WithSeed(1),
 		WithProgress(func(s Snapshot) { snaps = append(snaps, s) }),
 		WithExecutor(SharedMemory()))
@@ -504,23 +504,23 @@ func TestDirectedProgressSnapshots(t *testing.T) {
 	}
 }
 
-// TestDirectRunEnforcesValidation: a direct Executor.Run call (bypassing
-// EstimateWorkload) must still apply the workload's admission rule, or the
-// (eps, delta) guarantee would be silently void.
+// TestDirectRunEnforcesValidation: session construction applies the
+// workload's admission rule on every backend, or the (eps, delta) guarantee
+// would be silently void. TCP is included: validation runs before any dial.
 func TestDirectRunEnforcesValidation(t *testing.T) {
 	path := graph.FromArcs(3, [][2]graph.Node{{0, 1}, {1, 2}})
-	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
-		if _, err := exec.Run(context.Background(), Directed(path), Params{}); err == nil {
-			t.Errorf("%s: direct Run accepted a non-strongly-connected digraph", exec.Name())
-		}
-	}
 	disc, err := graph.FromWeightedEdges(4, []graph.WeightedEdge{
 		{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sequential().Run(context.Background(), Weighted(disc), Params{}); err == nil {
-		t.Error("direct Run accepted a disconnected weighted graph")
+	for _, exec := range allBackends() {
+		if _, err := NewEstimator(Directed(path), WithExecutor(exec)); err == nil {
+			t.Errorf("%s: accepted a non-strongly-connected digraph", exec.Name())
+		}
+		if _, err := NewEstimator(Weighted(disc), WithExecutor(exec)); err == nil {
+			t.Errorf("%s: accepted a disconnected weighted graph", exec.Name())
+		}
 	}
 }

@@ -12,17 +12,6 @@ import (
 	"repro/internal/kadabra"
 )
 
-// ErrNotCheckpointable reports that a session cannot be serialized: it runs
-// on a custom Executor, and only the four built-in backends keep their
-// sampling state in a session. Test with errors.Is; the wrapped message
-// names the backend.
-var ErrNotCheckpointable = errors.New("betweenness: session is not checkpointable")
-
-// ErrNotRefinable reports that a session cannot refine in place: it runs on
-// a custom Executor, which runs to completion per call and retains no
-// sampling state between calls. Test with errors.Is.
-var ErrNotRefinable = errors.New("betweenness: session is not refinable in place")
-
 // Estimator is a long-lived, resumable estimation session over one
 // workload: the anytime front door the adaptive-sampling algorithm has
 // deserved all along — after every epoch it holds a valid (eps', delta)
@@ -45,17 +34,14 @@ var ErrNotRefinable = errors.New("betweenness: session is not refinable in place
 //     a run interrupted mid-sampling resumes in a fresh process where it
 //     stopped, on the backend it ran on.
 //
-// This holds on all four built-in backends — one state machine advanced by
-// three engines; a distributed session's state lives at world rank 0
+// This holds on all four backends — one state machine advanced by three
+// engines; a distributed session's state lives at world rank 0
 // between the collective runs. One rule says what a resume reproduces: a
 // Sequential session resumes sample for sample (bit-identical to never
 // having stopped); every other resume is statistically equivalent — a
 // capture taken while threads or ranks were drawing from their RNG streams
 // continues on fresh ones, and the guarantee depends on how many samples
-// were drawn, never on which. Only a custom Executor degrades to a one-shot
-// handle: Run works — including budgets and achieved-eps reporting — and
-// Snapshot reflects the progress it streams, but Refine returns
-// ErrNotRefinable and Checkpoint ErrNotCheckpointable.
+// were drawn, never on which.
 //
 // Methods are safe for concurrent use; Run and Refine serialize behind one
 // mutex, and Snapshot never blocks on a running estimate (it returns the
@@ -64,25 +50,20 @@ type Estimator struct {
 	mu sync.Mutex
 	w  Workload
 	s  settings
-	// eng advances sts, the session's states on a built-in backend; st is
-	// sts[0], the one the session reads (see engine). All nil in one-shot
-	// mode, with oneShot naming the reason.
-	eng     engine
-	sts     []*kadabra.EstimatorState
-	st      *kadabra.EstimatorState
-	oneShot string
-	res     *Result
+	// sts are the session's states, advanced by s.exec; st is sts[0], the
+	// one the session reads (see Executor.bind).
+	sts []*kadabra.EstimatorState
+	st  *kadabra.EstimatorState
 
 	snapMu sync.Mutex
 	last   Snapshot
 }
 
 // NewEstimator creates an estimation session for the workload. The options
-// are those of EstimateWorkload — which is itself a thin wrapper,
-// NewEstimator followed by one Run — plus the budget options; the workload
-// validation rule and the executor capability check run here, and so does
-// the vertex-diameter phase (at world rank 0 of an MPI backend), so the
-// first Run starts sampling immediately.
+// are those of Estimate — which is itself NewEstimator followed by one
+// Run; the workload validation rule runs here, and so does the
+// vertex-diameter phase (at world rank 0 of an MPI backend), so the first
+// Run starts sampling immediately.
 func NewEstimator(w Workload, opts ...Option) (*Estimator, error) {
 	s, err := resolveSettings(opts)
 	if err != nil {
@@ -94,32 +75,20 @@ func NewEstimator(w Workload, opts ...Option) (*Estimator, error) {
 // newEstimator builds the session for resolved settings — from root, a
 // restored world-rank-0 state, when given, else fresh.
 func newEstimator(w Workload, s settings, root *kadabra.EstimatorState) (*Estimator, error) {
-	if err := w.err; err != nil {
+	if err := w.checkRunnable(s); err != nil {
 		return nil, err
-	}
-	if err := checkSize(w.n, s); err != nil {
-		return nil, err
-	}
-	if err := w.checkRunnable(s.exec); err != nil {
-		return nil, err
-	}
-	e := &Estimator{w: w, s: s, last: Snapshot{AchievedEps: 1}}
-	eng, ok := s.exec.(engine)
-	if !ok {
-		e.oneShot = fmt.Sprintf("backend %q runs to completion per call and retains no sampling state", s.exec.Name())
-		return e, nil
 	}
 	cfg := s.kadabraConfig() // its budgets are enforced per Run/Refine call, by advance
-	cfg.TopK = certifiedTopK(s.exec, w, s.Params)
+	cfg.TopK = certifiedTopK(w, s)
 	if root != nil {
 		cfg = root.Config()
 		cfg.VertexDiameter = s.VertexDiameter // the other ranks' states skip phase 1 too
 	}
-	sts, err := eng.bind(w.inner, s.Params, cfg, root)
+	sts, err := s.exec.bind(w.inner, s, cfg, root)
 	if err != nil {
 		return nil, err
 	}
-	e.eng, e.sts, e.st = eng, sts, sts[0]
+	e := &Estimator{w: w, s: s, sts: sts, st: sts[0]}
 	e.wireProgress()
 	if s.DistCheckpoint != nil {
 		e.setCheckpointSink(s.DistCheckpoint)
@@ -154,7 +123,7 @@ func (e *Estimator) deliver(snap Snapshot) {
 // Run advances the session until the current target eps is reached, the
 // budget (WithMaxSamples, WithMaxDuration) runs out, or ctx is cancelled,
 // and returns the result of the accumulated state. One NewEstimator + Run
-// is exactly EstimateWorkload; unlike it, a budget- or cancellation-stopped
+// is exactly Estimate; unlike it, a budget- or cancellation-stopped
 // session keeps its samples — call Run again to continue toward the same
 // target (a fresh wall-clock budget per call), Refine to retarget, or
 // Checkpoint to persist. Run after convergence returns the same result
@@ -162,9 +131,7 @@ func (e *Estimator) deliver(snap Snapshot) {
 // Result is returned; Snapshot still reads the state.
 //
 // On an MPI backend a Run is collective: LocalMPI spins up its in-process
-// world for the call, and every rank of a TCP world must call Run. On a
-// custom Executor each Run is an independent run-to-completion estimate,
-// with the vertex diameter cached after the first.
+// world for the call, and every rank of a TCP world must call Run.
 func (e *Estimator) Run(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -175,10 +142,7 @@ func (e *Estimator) runLocked(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //bc:ctxok nil-ctx guard at the public front door
 	}
-	if e.st == nil {
-		return e.runOneShot(ctx)
-	}
-	stats, err := e.eng.advance(ctx, e.sts, e.s.Params)
+	stats, err := e.s.exec.advance(ctx, e.sts, e.s)
 	if err != nil {
 		e.observeState()
 		// Normalize: a cancellation surfaces as the bare ctx error even
@@ -200,47 +164,9 @@ func (e *Estimator) runLocked(ctx context.Context) (*Result, error) {
 	if stats != nil {
 		res.Distributed = fromStats(*stats)
 	}
-	e.res = res
 	// Derive the observation from the result just built — Result() already
 	// paid the O(n) achieved-eps sweep, no need for a second one.
-	e.storeLast(Snapshot{Epoch: res.Epochs, Tau: res.Tau, AchievedEps: res.AchievedEps, Live: true})
-	return res, nil
-}
-
-// runOneShot delegates to a custom executor with the session settings,
-// wrapping the progress stream so Snapshot stays fresh mid-run.
-func (e *Estimator) runOneShot(ctx context.Context) (*Result, error) {
-	s := e.s
-	if user := e.s.Progress; user != nil {
-		s.Progress = func(snap Snapshot) {
-			e.storeLast(snap)
-			user(snap)
-		}
-	}
-	res, err := runEstimate(ctx, s, func(ctx context.Context) (*Result, error) {
-		return s.exec.Run(ctx, e.w, s.Params)
-	})
-	if err != nil {
-		// The backend discarded the run's state; whatever mid-run progress
-		// observation Snapshot was serving is no longer backed by anything.
-		e.snapMu.Lock()
-		e.last.Live = false
-		e.snapMu.Unlock()
-		return nil, err
-	}
-	e.res = res
-	if e.s.VertexDiameter == 0 && res.VertexDiameter > 0 {
-		// Cache phase 1 for any further Run on this session.
-		e.s.VertexDiameter = res.VertexDiameter
-	}
-	// A one-shot backend retains no state between calls: what Snapshot can
-	// report from here on is the completed run's final state, marked not
-	// live (see Snapshot.Live).
-	e.storeLast(Snapshot{
-		Epoch:       res.Epochs,
-		Tau:         res.Tau,
-		AchievedEps: res.AchievedEps,
-	})
+	e.storeLast(Snapshot{Epoch: res.Epochs, Tau: res.Tau, AchievedEps: res.AchievedEps})
 	return res, nil
 }
 
@@ -271,13 +197,10 @@ func (e *Estimator) storeLast(snap Snapshot) {
 //
 // On an MPI backend Refine is collective like Run, and world rank 0's
 // targets are the ones that count: it announces them to the other ranks
-// when the run starts. On a custom Executor Refine returns ErrNotRefinable.
+// when the run starts.
 func (e *Estimator) Refine(ctx context.Context, opts ...Option) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.st == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotRefinable, e.oneShot)
-	}
 	ns := e.s
 	for _, opt := range opts {
 		if opt == nil {
@@ -336,9 +259,6 @@ func (e *Estimator) refineGuard(ns settings) error {
 	case ns.DiameterBFSCap != old.DiameterBFSCap:
 		return reject("diameter BFS cap")
 	case ns.exec != old.exec:
-		// Never panics: old.exec is a built-in backend, all comparable
-		// (tcpExec keeps its hosts in one string for this), and values of
-		// different dynamic types compare unequal without being compared.
 		return reject("executor")
 	}
 	return nil
@@ -351,34 +271,12 @@ func (e *Estimator) refineGuard(ns settings) error {
 // returns the latest per-epoch observation without blocking — fresh to
 // within one epoch when a progress callback is registered, otherwise the
 // state as of the run's start.
-//
-// On a custom Executor the sampling state lives inside the backend for the
-// duration of a Run, so Snapshot reports the last completed Run's final
-// state — marked Live == false — rather than fabricating zeroes mid-run;
-// before the first Run completes it is the vacuous
-// Snapshot{AchievedEps: 1, Live: false}. Mid-run WithProgress deliveries
-// are still observed live (Live == true) while they stream.
 func (e *Estimator) Snapshot() Snapshot {
 	if e.mu.TryLock() {
 		defer e.mu.Unlock()
-		if e.st != nil {
-			snap := fromProgress(e.st.Progress())
-			snap.Estimates = e.st.Estimates()
-			return snap
-		}
-		if e.res != nil {
-			return Snapshot{
-				Epoch:       e.res.Epochs,
-				Tau:         e.res.Tau,
-				AchievedEps: e.res.AchievedEps,
-				// Copied, like the steppable branch: snapshots are the
-				// caller's to mutate.
-				Estimates: append([]float64(nil), e.res.Estimates...),
-				// The run completed and the backend's state is gone: this
-				// is a faithful final observation, but not a live one.
-				Live: false,
-			}
-		}
+		snap := fromProgress(e.st.Progress())
+		snap.Estimates = e.st.Estimates()
+		return snap
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
@@ -393,12 +291,9 @@ func (e *Estimator) Backend() string {
 	return e.s.exec.Name()
 }
 
-// Checkpointable reports whether Checkpoint can serialize this session.
-func (e *Estimator) Checkpointable() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.st != nil
-}
+// Checkpointable reports whether Checkpoint can serialize this session. It
+// always can: every backend's session owns its state.
+func (e *Estimator) Checkpointable() bool { return true }
 
 // SetCheckpointSink registers sink to receive sealed checkpoint envelopes
 // captured during a Run (see RequestCheckpoint and WithDistCheckpoint). Each
@@ -409,13 +304,11 @@ func (e *Estimator) Checkpointable() bool {
 // file write is fine; a network round-trip is not). It is called once per
 // process and capture (a LocalMPI world delivers at rank 0 only; every rank
 // of a TCP world receives rank 0's capture). Call it before the first Run;
-// a nil sink unregisters. On a custom Executor it is a no-op.
+// a nil sink unregisters.
 func (e *Estimator) SetCheckpointSink(sink func(payload []byte)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.st != nil {
-		e.setCheckpointSink(sink)
-	}
+	e.setCheckpointSink(sink)
 }
 
 func (e *Estimator) setCheckpointSink(sink func(payload []byte)) {
@@ -444,17 +337,12 @@ func (e *Estimator) setCheckpointSink(sink func(payload []byte)) {
 // The capture is the one Checkpoint would write, taken mid-run: bit-exact
 // on the Sequential backend; elsewhere the RNG streams are in use, so it
 // carries none and restores — same backend, threads and ranks — onto fresh
-// ones (statistically equivalent; see Estimator). Returns false on a custom
-// Executor, which has no session state to capture.
-func (e *Estimator) RequestCheckpoint() bool {
+// ones (statistically equivalent; see Estimator).
+func (e *Estimator) RequestCheckpoint() {
 	// e.st is set once at construction and never replaced, so reading it
 	// without e.mu is safe — taking e.mu here would defeat the point (Run
 	// holds it for the duration of the estimate).
-	if e.st == nil {
-		return false
-	}
 	e.st.RequestCheckpoint()
-	return true
 }
 
 // The checkpoint envelope: magic, format version, workload kind, then the
@@ -476,14 +364,10 @@ const (
 // runs, after a budget stop, or after a cancelled Run (the completed work
 // is captured; samples of the epoch in flight at the cancellation are not,
 // by design). What a resume reproduces is stated on Estimator. In a TCP
-// world it is world rank 0's checkpoint that carries the samples; a session
-// on a custom Executor returns ErrNotCheckpointable.
+// world it is world rank 0's checkpoint that carries the samples.
 func (e *Estimator) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.st == nil {
-		return fmt.Errorf("%w: %s", ErrNotCheckpointable, e.oneShot)
-	}
 	buf := sealCheckpoint(e.w.kind, e.st.AppendCheckpoint)
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("betweenness: writing checkpoint: %w", err)
@@ -568,7 +452,7 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	s.Epsilon, s.Delta, s.Seed = cfg.Eps, cfg.Delta, cfg.Seed
 	s.VertexDiameter = st.VertexDiameter()
 	s.Threads = st.Threads()
-	switch _, tcp := s.exec.(tcpExec); {
+	switch tcp := s.exec.kind == backendTCP; {
 	case st.Procs() > 0 && !tcp:
 		s.exec = LocalMPI(st.Procs())
 	case st.Procs() > 0:
@@ -580,7 +464,7 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	if !st.RuleRecorded() {
 		// Version 1: k is session configuration, not checkpoint content —
 		// the restorer names the stopping rule as NewEstimator's caller does.
-		if err := st.SetTopK(certifiedTopK(s.exec, w, s.Params)); err != nil {
+		if err := st.SetTopK(certifiedTopK(w, s)); err != nil {
 			return nil, err
 		}
 	} else if cfg.TopK > 0 {

@@ -19,12 +19,12 @@ import (
 // --- session basics ----------------------------------------------------------
 
 // TestEstimatorRunMatchesEstimateWorkload: one NewEstimator + Run is
-// exactly EstimateWorkload (same seed, same backend, same result), and a
-// second Run returns the converged result without resampling.
+// exactly Estimate (same seed, same backend, same result), and a second
+// Run returns the converged result without resampling.
 func TestEstimatorRunMatchesEstimateWorkload(t *testing.T) {
 	g := testGraph(t)
 	opts := []Option{WithEpsilon(0.05), WithSeed(4), WithExecutor(Sequential())}
-	want, err := Estimate(context.Background(), g, opts...)
+	want, err := Estimate(context.Background(), Undirected(g), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +78,9 @@ func TestEstimatorValidation(t *testing.T) {
 	path := graph.FromArcs(3, [][2]graph.Node{{0, 1}, {1, 2}})
 	if _, err := NewEstimator(Directed(path)); err == nil {
 		t.Error("non-strongly-connected digraph accepted")
+	}
+	if _, err := NewEstimator(Undirected(g), WithExecutor(LocalMPI(0))); err == nil {
+		t.Error("LocalMPI(0) accepted")
 	}
 }
 
@@ -155,7 +158,7 @@ func TestMaxDurationAllBackends(t *testing.T) {
 	}
 	t.Run("sequential", func(t *testing.T) {
 		start := time.Now()
-		res, err := Estimate(context.Background(), g, opts(WithExecutor(Sequential()))...)
+		res, err := Estimate(context.Background(), Undirected(g), opts(WithExecutor(Sequential()))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +166,7 @@ func TestMaxDurationAllBackends(t *testing.T) {
 	})
 	t.Run("shared-memory", func(t *testing.T) {
 		start := time.Now()
-		res, err := Estimate(context.Background(), g, opts(WithExecutor(SharedMemory()))...)
+		res, err := Estimate(context.Background(), Undirected(g), opts(WithExecutor(SharedMemory()))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +174,7 @@ func TestMaxDurationAllBackends(t *testing.T) {
 	})
 	t.Run("local-mpi", func(t *testing.T) {
 		start := time.Now()
-		res, err := Estimate(context.Background(), g, opts(WithExecutor(LocalMPI(2)))...)
+		res, err := Estimate(context.Background(), Undirected(g), opts(WithExecutor(LocalMPI(2)))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +190,7 @@ func TestMaxDurationAllBackends(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				results[rank], errs[rank] = Estimate(context.Background(), g,
+				results[rank], errs[rank] = Estimate(context.Background(), Undirected(g),
 					opts(WithExecutor(TCP(rank, addrs)))...)
 			}(rank)
 		}
@@ -442,7 +445,7 @@ func TestCheckpointRestoreResume(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := append([]Option{WithEpsilon(0.02), WithSeed(8), WithExecutor(Sequential())}, rule...)
 
-			want, err := Estimate(context.Background(), g, opts...)
+			want, err := Estimate(context.Background(), Undirected(g), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,8 +473,8 @@ func TestCheckpointRestoreResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap := restored.Snapshot(); !snap.Live || snap.Tau != paused.Tau {
-				t.Fatalf("restored snapshot live=%v tau=%d, want live at tau %d", snap.Live, snap.Tau, paused.Tau)
+			if snap := restored.Snapshot(); snap.Tau != paused.Tau {
+				t.Fatalf("restored snapshot tau=%d, want %d", snap.Tau, paused.Tau)
 			}
 			got, err := restored.Run(context.Background())
 			if err != nil {
@@ -548,7 +551,7 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Estimate(context.Background(), g,
+	want, err := Estimate(context.Background(), Undirected(g),
 		WithEpsilon(0.03), WithDelta(0.1), WithSeed(11), WithExecutor(Sequential()))
 	if err != nil {
 		t.Fatal(err)
@@ -623,42 +626,20 @@ func TestCheckpointRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestNotCheckpointableAndNotRefinable: only a custom Executor degrades to
-// the one-shot handle with the typed errors; every built-in backend — the
-// in-process MPI one here, and a certified top-k session — owns its state.
-func TestNotCheckpointableAndNotRefinable(t *testing.T) {
+// TestEveryBackendCheckpointableAndRefinable: every backend's session owns
+// its state — it checkpoints, accepts a capture request, and refines in
+// place — and so does a certified top-k session.
+func TestEveryBackendCheckpointableAndRefinable(t *testing.T) {
 	g := testGraph(t)
-	est, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithExecutor(undirectedOnlyExec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Checkpointable() || est.RequestCheckpoint() {
-		t.Error("custom-executor session claims to be checkpointable")
-	}
-	if err := est.Checkpoint(&bytes.Buffer{}); !errors.Is(err, ErrNotCheckpointable) {
-		t.Errorf("Checkpoint on a custom executor returned %v, want ErrNotCheckpointable", err)
-	}
-	if _, err := est.Refine(context.Background(), WithEpsilon(0.01)); !errors.Is(err, ErrNotRefinable) {
-		t.Errorf("Refine on a custom executor returned %v, want ErrNotRefinable", err)
-	}
-	// But Run works, one-shot.
-	res, err := est.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "sequential" || res.Estimates == nil {
-		t.Fatalf("one-shot session run broken: backend %q", res.Backend)
-	}
-
-	// The other direction: no built-in backend ever yields the typed errors.
-	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2), TCP(0, []string{"127.0.0.1:1"})} {
+	for _, exec := range allBackends() {
 		est, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithThreads(2), WithExecutor(exec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !est.Checkpointable() || !est.RequestCheckpoint() {
+		if !est.Checkpointable() {
 			t.Errorf("%s session claims not to be checkpointable", exec.Name())
 		}
+		est.RequestCheckpoint()
 		if err := est.Checkpoint(&bytes.Buffer{}); err != nil {
 			t.Errorf("Checkpoint on %s returned %v", exec.Name(), err)
 		}
@@ -670,14 +651,10 @@ func TestNotCheckpointableAndNotRefinable(t *testing.T) {
 		}
 	}
 
-	// Certified top-k on the sequential backend is an ordinary session:
-	// MPI/TCP/custom executors are the only one-shot ones.
+	// Certified top-k on the sequential backend is an ordinary session.
 	cert, err := NewEstimator(Undirected(g), WithEpsilon(0.05), WithTopK(3), WithExecutor(Sequential()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cert.Checkpointable() {
-		t.Error("certified top-k session claims not to be checkpointable")
 	}
 	if err := cert.Checkpoint(&bytes.Buffer{}); err != nil {
 		t.Errorf("certified top-k Checkpoint returned %v", err)
@@ -685,8 +662,8 @@ func TestNotCheckpointableAndNotRefinable(t *testing.T) {
 	if res, err := cert.Refine(context.Background(), WithEpsilon(0.04)); err != nil || res.Lower == nil {
 		t.Errorf("certified top-k Refine: result %v, err %v", res, err)
 	}
-	if snap := cert.Snapshot(); !snap.Live || snap.Estimates == nil {
-		t.Errorf("certified top-k snapshot not live: %+v", snap)
+	if snap := cert.Snapshot(); snap.Estimates == nil {
+		t.Errorf("certified top-k snapshot carries no estimates: %+v", snap)
 	}
 }
 

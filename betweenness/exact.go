@@ -17,15 +17,15 @@ func Exact(g *graph.Graph, workers int) []float64 {
 
 // ExactDirected computes exact normalized directed betweenness (shortest
 // directed paths, ordered pairs) with the directed Brandes variant,
-// parallelized over sources — the ground truth for EstimateDirected.
+// parallelized over sources — the ground truth for the Directed workload.
 func ExactDirected(g *graph.Digraph, workers int) []float64 {
 	return brandes.ParallelDirected(g, workers)
 }
 
 // ExactWeighted computes exact normalized betweenness on a positively
 // weighted undirected graph (Brandes with Dijkstra searches and exact
-// integer distances), parallelized over sources — the ground truth for
-// EstimateWeighted.
+// integer distances), parallelized over sources — the ground truth for the
+// Weighted workload.
 func ExactWeighted(g *graph.WGraph, workers int) []float64 {
 	return brandes.ParallelWeighted(g, workers)
 }

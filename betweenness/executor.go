@@ -12,30 +12,36 @@ import (
 	"repro/internal/mpi"
 )
 
-// Executor is a pluggable execution backend speaking the workload-generic
-// contract: Run receives a tagged Workload (undirected, directed, or
-// weighted) plus the resolved Params and must honour ctx cancellation by
-// returning ctx.Err() within one epoch of the sampling loop (the diameter
-// phase may run to completion first; see Estimate).
-//
-// Capabilities lists the workload kinds the backend can run;
-// EstimateWorkload rejects any other kind with ErrUnsupportedWorkload
-// before Run is invoked. All four built-in backends (Sequential,
-// SharedMemory, LocalMPI, TCP) support all three kinds.
-type Executor interface {
-	// Name identifies the backend (recorded in Result.Backend).
-	Name() string
-	// Capabilities returns the workload kinds this backend supports.
-	Capabilities() []WorkloadKind
-	// Run executes the estimation for the workload with the resolved
-	// parameters.
-	Run(ctx context.Context, w Workload, p Params) (*Result, error)
+// Executor selects the execution backend of a session: one of the four
+// values Sequential, SharedMemory, LocalMPI and TCP return. Every backend
+// runs every workload kind and owns its session's sampling state. The zero
+// Executor is not a backend; WithExecutor rejects it. Executors are
+// comparable: two are equal exactly when they name the same backend of the
+// same shape.
+type Executor struct {
+	kind  backendKind
+	procs int    // LocalMPI: in-process ranks
+	rank  int    // TCP: this process's rank
+	hosts string // TCP: comma-joined host:port per rank, so Executor stays comparable
 }
 
-// allWorkloadKinds is the capability set of every built-in backend.
-func allWorkloadKinds() []WorkloadKind {
-	return []WorkloadKind{WorkloadUndirected, WorkloadDirected, WorkloadWeighted}
-}
+type backendKind uint8
+
+const (
+	_ backendKind = iota // the zero Executor
+	backendSequential
+	backendSharedMemory
+	backendLocalMPI
+	backendTCP
+)
+
+var backendNames = [...]string{"", "sequential", "shared-memory", "local-mpi", "tcp"}
+
+// tcpDialTimeout bounds how long a TCP rank waits for its world to connect.
+const tcpDialTimeout = 30 * time.Second
+
+// Name identifies the backend (recorded in Result.Backend).
+func (e Executor) Name() string { return backendNames[e.kind] }
 
 // ErrRemoteCancelled reports that an MPI-backend run stopped early because
 // another rank's context was cancelled; the local result carries no
@@ -63,144 +69,24 @@ func IsRankDeath(err error) bool {
 	return ok
 }
 
-// engine is the session half of a built-in backend; a custom Executor lacks
-// it and gets the one-shot handle (see Estimator).
-type engine interface {
-	Executor
-	// bind builds the session's per-rank states from cfg; sts[0] is the one
-	// the session reads — this process's rank in a TCP world, world rank 0
-	// otherwise. A non-nil root is a restored rank-0 state to resume from.
-	bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error)
-	// advance runs the states until the target is reached, the budget in p
-	// runs out, or ctx is cancelled, leaving them consistent in every case;
-	// the MPI backends report their Table II counters.
-	advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error)
-}
-
-// coreConfig maps the public parameters onto the distributed run controls;
-// of the embedded config Algorithm2 reads only the per-call budget.
-func (p Params) coreConfig() core.Config {
-	return core.Config{
-		Config:             kadabra.Config{MaxSamples: p.MaxSamples, MaxDuration: p.MaxDuration},
-		Strategy:           core.AggStrategy(p.Agg),
-		RanksPerNode:       p.RanksPerNode,
-		CheckpointInterval: p.DistCheckpointInterval,
-	}
-}
-
-// rankThreads resolves the MPI backends' per-rank thread count: zero means
-// one sampling thread per rank (the ranks themselves provide parallelism).
-func rankThreads(p Params) int { return max(p.Threads, 1) }
-
 // Sequential returns the single-threaded reference backend. It is the only
 // backend whose sessions stop by the certified top-k rule (see WithTopK;
 // undirected workload only — every other backend and workload derives the
 // ranking from the final estimates).
-func Sequential() Executor { return procExec{} }
+func Sequential() Executor { return Executor{kind: backendSequential} }
 
 // SharedMemory returns the epoch-based shared-memory backend (the paper's
-// state-of-the-art competitor, its Ref. 24): Params.Threads wait-free
-// sampling threads coordinated by thread 0 (zero means one per CPU core).
-// This is the default backend.
-func SharedMemory() Executor { return procExec{shm: true} }
-
-// procExec is the single-process backend: kadabra's one state machine on
-// its sequential engine, or on its shared-memory one.
-type procExec struct{ shm bool }
-
-func (e procExec) Name() string {
-	if e.shm {
-		return "shared-memory"
-	}
-	return "sequential"
-}
-
-func (procExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
-
-func (e procExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	return runSession(ctx, e, w, p)
-}
-
-func (e procExec) bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
-	if root == nil {
-		threads := 0 // the sequential engine
-		if e.shm {
-			if threads = p.Threads; threads <= 0 {
-				threads = runtime.GOMAXPROCS(0)
-			}
-		}
-		var err error
-		if root, err = kadabra.NewEstimatorState(w, threads, cfg); err != nil {
-			return nil, err
-		}
-	}
-	return []*kadabra.EstimatorState{root}, nil
-}
-
-func (procExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error) {
-	return nil, sts[0].Run(ctx, p.kadabraConfig().NewBudget(time.Now()))
-}
-
-// certifiedTopK is the one place that decides which sessions stop by the
-// certified top-k rule: WithTopK on the Sequential backend over an
-// undirected workload. It returns the k the engine should certify, or 0
-// for the uniform rule (the ranking is then derived from the estimates).
-func certifiedTopK(exec Executor, w Workload, p Params) int {
-	if exec == Sequential() && w.kind == WorkloadUndirected {
-		return p.TopK
-	}
-	return 0
-}
-
-// runSession is a direct Executor.Run on a built-in backend: one fresh
-// session, run once.
-func runSession(ctx context.Context, e engine, w Workload, p Params) (*Result, error) {
-	est, err := newEstimator(w, settings{Params: p, exec: e}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return est.Run(ctx)
-}
+// state-of-the-art competitor, its Ref. 24): WithThreads wait-free sampling
+// threads coordinated by thread 0 (zero means one per CPU core). This is
+// the default backend.
+func SharedMemory() Executor { return Executor{kind: backendSharedMemory} }
 
 // LocalMPI returns the paper's epoch-based MPI parallelization (Algorithm
 // 2) over procs in-process ranks — the single-machine analogue of an MPI
-// job, with Params.Threads sampling threads per rank and optional
+// job, with WithThreads sampling threads per rank and optional
 // hierarchical aggregation (WithHierarchical). Without WithThreads every
 // rank runs one sampling thread, which is the paper's Algorithm 1.
-func LocalMPI(procs int) Executor {
-	return localExec{procs: procs}
-}
-
-type localExec struct {
-	procs int
-}
-
-func (localExec) Name() string { return "local-mpi" }
-
-func (localExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
-
-func (e localExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	return runSession(ctx, e, w, p)
-}
-
-func (e localExec) bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
-	if e.procs < 1 {
-		return nil, fmt.Errorf("betweenness: local-mpi backend needs at least 1 process, got %d", e.procs)
-	}
-	sts, err := core.NewStates(w, e.procs, core.Config{Config: cfg, Threads: rankThreads(p)})
-	if err == nil && root != nil {
-		sts[0] = root
-	}
-	return sts, err
-}
-
-func (e localExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error) {
-	cr, err := core.RunLocal(ctx, sts, p.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &cr.Stats, nil
-}
+func LocalMPI(procs int) Executor { return Executor{kind: backendLocalMPI, procs: procs} }
 
 // TCP returns a genuinely distributed backend: this process joins a TCP
 // world as the given rank (hosts lists one host:port per rank, identical
@@ -216,54 +102,90 @@ func (e localExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p
 // epoch: the cancelled rank returns its ctx.Err(), the others
 // ErrRemoteCancelled.
 func TCP(rank int, hosts []string) Executor {
-	return tcpExec{rank: rank, hosts: strings.Join(hosts, ","), dialTimeout: 30 * time.Second}
+	return Executor{kind: backendTCP, rank: rank, hosts: strings.Join(hosts, ",")}
 }
 
-type tcpExec struct {
-	rank        int
-	hosts       string // comma-joined, so executors stay comparable (Refine's guard)
-	dialTimeout time.Duration
-}
-
-func (tcpExec) Name() string { return "tcp" }
-
-func (tcpExec) Capabilities() []WorkloadKind { return allWorkloadKinds() }
-
-func (e tcpExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	return runSession(ctx, e, w, p)
-}
-
-func (e tcpExec) bind(w kadabra.Workload, p Params, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
-	if root == nil || e.rank != 0 {
-		// A restored payload is world rank 0's; any other rank starts its
-		// share of the session afresh and follows rank 0's announcement.
-		var err error
-		if root, err = kadabra.NewRankState(w, e.rank, strings.Count(e.hosts, ",")+1, rankThreads(p), cfg); err != nil {
-			return nil, fmt.Errorf("betweenness: tcp: %w", err)
+// bind builds a session's per-rank states from cfg; sts[0] is the one the
+// session reads — this process's rank in a TCP world, world rank 0
+// otherwise. A non-nil root is a restored rank-0 state to resume from.
+func (e Executor) bind(w kadabra.Workload, s settings, cfg kadabra.Config, root *kadabra.EstimatorState) ([]*kadabra.EstimatorState, error) {
+	var err error
+	switch e.kind {
+	case backendLocalMPI:
+		if e.procs < 1 {
+			return nil, fmt.Errorf("betweenness: local-mpi backend needs at least 1 process, got %d", e.procs)
+		}
+		sts, err := core.NewStates(w, e.procs, core.Config{Config: cfg, Threads: s.rankThreads()})
+		if err == nil && root != nil {
+			sts[0] = root
+		}
+		return sts, err
+	case backendTCP:
+		if root == nil || e.rank != 0 {
+			// A restored payload is world rank 0's; any other rank starts its
+			// share of the session afresh and follows rank 0's announcement.
+			if root, err = kadabra.NewRankState(w, e.rank, strings.Count(e.hosts, ",")+1, s.rankThreads(), cfg); err != nil {
+				return nil, fmt.Errorf("betweenness: tcp: %w", err)
+			}
+		}
+	default: // Sequential, SharedMemory
+		if root == nil {
+			threads := 0 // the sequential engine
+			if e.kind == backendSharedMemory {
+				if threads = s.Threads; threads <= 0 {
+					threads = runtime.GOMAXPROCS(0)
+				}
+			}
+			if root, err = kadabra.NewEstimatorState(w, threads, cfg); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return []*kadabra.EstimatorState{root}, nil
 }
 
-func (e tcpExec) advance(ctx context.Context, sts []*kadabra.EstimatorState, p Params) (*core.Stats, error) {
-	comm, closer, err := mpi.ConnectTCP(e.rank, strings.Split(e.hosts, ","), e.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("betweenness: tcp connect: %w", err)
-	}
-	defer closer.Close()
-	cr, algErr := core.Algorithm2(ctx, sts[0], comm, p.coreConfig())
-	// Final barrier: no rank may tear down its connections while peers are
-	// still draining collectives. After an in-run recovery the world
-	// communicator's failure generation is stale, so the barrier would
-	// fail by construction; the graceful-close goodbye handshake then
-	// takes over the draining duty.
-	if algErr == nil && cr.Stats.Recoveries == 0 {
-		if berr := comm.Barrier(); berr != nil {
-			return nil, fmt.Errorf("betweenness: tcp final barrier: %w", berr)
+// advance runs the states until the target is reached, the budget in s runs
+// out, or ctx is cancelled, leaving them consistent in every case; the MPI
+// backends report their Table II counters.
+func (e Executor) advance(ctx context.Context, sts []*kadabra.EstimatorState, s settings) (*core.Stats, error) {
+	var cr *core.Result
+	var err error
+	switch e.kind {
+	case backendLocalMPI:
+		cr, err = core.RunLocal(ctx, sts, s.coreConfig())
+	case backendTCP:
+		comm, closer, cerr := mpi.ConnectTCP(e.rank, strings.Split(e.hosts, ","), tcpDialTimeout)
+		if cerr != nil {
+			return nil, fmt.Errorf("betweenness: tcp connect: %w", cerr)
 		}
+		defer closer.Close()
+		cr, err = core.Algorithm2(ctx, sts[0], comm, s.coreConfig())
+		// Final barrier: no rank may tear down its connections while peers are
+		// still draining collectives. After an in-run recovery the world
+		// communicator's failure generation is stale, so the barrier would
+		// fail by construction; the graceful-close goodbye handshake then
+		// takes over the draining duty.
+		if err == nil && cr.Stats.Recoveries == 0 {
+			if berr := comm.Barrier(); berr != nil {
+				return nil, fmt.Errorf("betweenness: tcp final barrier: %w", berr)
+			}
+		}
+	default:
+		return nil, sts[0].Run(ctx, s.kadabraConfig().NewBudget(time.Now()))
 	}
-	if algErr != nil {
-		return nil, algErr
+	if err != nil {
+		return nil, err
 	}
 	return &cr.Stats, nil
+}
+
+// certifiedTopK is the one place that decides which sessions stop by the
+// certified top-k rule: WithTopK on the Sequential backend over an
+// undirected workload. It returns the k the engine should certify, or 0
+// for the uniform rule (the ranking is then derived from the estimates).
+func certifiedTopK(w Workload, s settings) int {
+	if s.exec == Sequential() && w.kind == WorkloadUndirected {
+		return s.TopK
+	}
+	return 0
 }

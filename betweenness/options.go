@@ -55,11 +55,9 @@ func ParseAggStrategy(name string) (AggStrategy, error) {
 	}
 }
 
-// Params are the resolved estimation parameters an Executor receives.
-// Callers never build a Params directly — Estimate assembles it from the
-// defaults and the supplied options — but custom Executor implementations
-// read it.
-type Params struct {
+// settings are the resolved estimation parameters: the defaults with the
+// options applied over them.
+type settings struct {
 	// Epsilon is the absolute approximation error (default 0.01; the
 	// paper's main experiments use 0.001).
 	Epsilon float64
@@ -101,38 +99,42 @@ type Params struct {
 	// DistCheckpoint receives each of them; it must be set together with
 	// DistCheckpointInterval.
 	DistCheckpoint func(payload []byte)
-}
-
-// kadabraConfig maps the public parameters onto the internal KADABRA
-// configuration. (The progress callback is wired on the session's state,
-// by Estimator.wireProgress.)
-func (p Params) kadabraConfig() kadabra.Config {
-	return kadabra.Config{
-		Eps:            p.Epsilon,
-		Delta:          p.Delta,
-		Seed:           p.Seed,
-		VertexDiameter: p.VertexDiameter,
-		DiameterBFSCap: p.DiameterBFSCap,
-		MaxSamples:     p.MaxSamples,
-		MaxDuration:    p.MaxDuration,
-	}
-}
-
-// settings is the mutable state the options operate on.
-type settings struct {
-	Params
+	// exec is the backend (default SharedMemory()).
 	exec Executor
 }
 
-func defaultSettings() settings {
-	return settings{
-		Params: Params{
-			Epsilon: 0.01,
-			Delta:   0.1,
-			Seed:    1,
-		},
-		exec: SharedMemory(),
+// kadabraConfig maps the settings onto the internal KADABRA configuration.
+// (The progress callback is wired on the session's state, by
+// Estimator.wireProgress.)
+func (s settings) kadabraConfig() kadabra.Config {
+	return kadabra.Config{
+		Eps:            s.Epsilon,
+		Delta:          s.Delta,
+		Seed:           s.Seed,
+		VertexDiameter: s.VertexDiameter,
+		DiameterBFSCap: s.DiameterBFSCap,
+		MaxSamples:     s.MaxSamples,
+		MaxDuration:    s.MaxDuration,
 	}
+}
+
+// coreConfig maps the settings onto the distributed run controls; of the
+// embedded config Algorithm2 reads only the per-call budget.
+func (s settings) coreConfig() core.Config {
+	return core.Config{
+		Config:             kadabra.Config{MaxSamples: s.MaxSamples, MaxDuration: s.MaxDuration},
+		Strategy:           core.AggStrategy(s.Agg),
+		RanksPerNode:       s.RanksPerNode,
+		CheckpointInterval: s.DistCheckpointInterval,
+	}
+}
+
+// rankThreads resolves the MPI backends' per-rank thread count: zero means
+// one sampling thread per rank (the ranks themselves provide parallelism).
+func (s settings) rankThreads() int { return max(s.Threads, 1) }
+
+func defaultSettings() settings {
+	return settings{Epsilon: 0.01, Delta: 0.1, Seed: 1, exec: SharedMemory()}
 }
 
 // Option configures one aspect of an Estimate call. Options validate their
@@ -291,9 +293,8 @@ func WithMaxSamples(n int64) Option {
 
 // WithMaxDuration sets a wall-clock budget: the run returns within about
 // one epoch of d elapsing. The clock starts at each Run or Refine call —
-// the cached diameter phase already ran in NewEstimator, on every built-in
-// backend (on a custom Executor the clock covers whatever its Run does).
-// Like WithMaxSamples, an early stop reports Converged == false and the
+// the cached diameter phase already ran in NewEstimator. Like
+// WithMaxSamples, an early stop reports Converged == false and the
 // achieved guarantee in Result.AchievedEps. The budget is per call: each
 // Estimator.Run or Refine gets a fresh d.
 func WithMaxDuration(d time.Duration) Option {
@@ -339,8 +340,8 @@ func WithDistCheckpoint(every int, sink func(payload []byte)) Option {
 // WithExecutor selects the execution backend (default SharedMemory()).
 func WithExecutor(e Executor) Option {
 	return func(s *settings) error {
-		if e == nil {
-			return fmt.Errorf("betweenness: executor must not be nil")
+		if e == (Executor{}) {
+			return fmt.Errorf("betweenness: zero executor (use Sequential, SharedMemory, LocalMPI, or TCP)")
 		}
 		s.exec = e
 		return nil

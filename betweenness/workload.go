@@ -1,7 +1,6 @@
 package betweenness
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/graph"
@@ -9,9 +8,7 @@ import (
 )
 
 // WorkloadKind tags one of the estimation scenarios of the paper's
-// footnote 1. Every built-in backend reports the kinds it can run via
-// Executor.Capabilities; EstimateWorkload rejects a mismatch with
-// ErrUnsupportedWorkload before any work starts.
+// footnote 1. Every backend runs every kind.
 type WorkloadKind int
 
 const (
@@ -40,58 +37,26 @@ func (k WorkloadKind) String() string {
 	}
 }
 
-// ErrUnsupportedWorkload reports that an executor cannot run the requested
-// workload kind. EstimateWorkload returns it (wrapped with the backend name
-// and the kind) whenever a workload is dispatched to a backend whose
-// Capabilities do not list that kind; test with errors.Is.
-var ErrUnsupportedWorkload = errors.New("betweenness: unsupported workload")
-
-// UnsupportedWorkloadError is the concrete dispatch error: it names the
-// backend and the workload kind as fields (extract with errors.As) and
-// matches ErrUnsupportedWorkload under errors.Is, so callers never have
-// to parse the message text.
-type UnsupportedWorkloadError struct {
-	// Backend is the executor's Name().
-	Backend string
-	// Kind is the workload kind the backend cannot run.
-	Kind WorkloadKind
-}
-
-func (e *UnsupportedWorkloadError) Error() string {
-	return fmt.Sprintf("%s: backend %q cannot run the %s workload", ErrUnsupportedWorkload, e.Backend, e.Kind)
-}
-
-// Is makes errors.Is(err, ErrUnsupportedWorkload) hold for the typed
-// error.
-func (e *UnsupportedWorkloadError) Is(target error) bool {
-	return target == ErrUnsupportedWorkload
-}
-
-// unsupportedWorkload builds the typed dispatch error.
-func unsupportedWorkload(backend string, kind WorkloadKind) error {
-	return &UnsupportedWorkloadError{Backend: backend, Kind: kind}
-}
-
 // Workload is a tagged estimation scenario over a fixed graph: the paper's
 // undirected, directed, or weighted betweenness problem, bundled with its
 // validation rule (connectivity / strong connectivity), its sampling-kernel
 // factory, and its vertex-diameter resolver. Construct one with Undirected,
-// Directed, or Weighted and run it on any capable backend with
-// EstimateWorkload; the zero value is rejected by every entry point.
+// Directed, or Weighted and run it on any backend with Estimate or
+// NewEstimator; the zero value is rejected by every entry point.
 type Workload struct {
 	kind WorkloadKind
 	n    int
 	// inner carries the sampler factory and diameter resolver consumed by
 	// the generic drivers (internal/kadabra and internal/core).
 	inner kadabra.Workload
-	// validate is the workload's admission rule, checked once per Estimate
-	// call before any backend runs: strong connectivity for directed,
+	// validate is the workload's admission rule, checked once per session
+	// before any backend runs: strong connectivity for directed,
 	// connectivity for weighted (one O(V+E) pass each).
 	validate func() error
 	// digest computes the graph's content hash on demand (see Digest).
 	digest func() string
-	// err records a construction failure (nil graph); surfaced by
-	// EstimateWorkload so constructors stay chainable.
+	// err records a construction failure (nil graph); surfaced by every
+	// entry point so constructors stay chainable.
 	err error
 }
 
@@ -119,42 +84,27 @@ func (w Workload) Digest() string {
 	return w.digest()
 }
 
-// checkRunnable is the guard every backend applies on entry: the workload
-// must have been built by a constructor, over a non-degenerate graph, its
-// kind must be listed in the executor's capabilities, and its admission
-// rule (strong connectivity / connectivity) must hold — so even a direct
-// Executor.Run call cannot produce estimates whose (eps, delta) guarantee
-// is void. EstimateWorkload applies the same guard up front; the repeated
-// O(V+E) validation pass is negligible next to the sampling phase.
-func (w Workload) checkRunnable(e Executor) error {
+// checkRunnable is the guard every session applies on construction: the
+// workload must have been built by a constructor, over a graph large enough
+// for the settings (see checkSize), and its admission rule (strong
+// connectivity / connectivity) must hold, so no session can produce
+// estimates whose (eps, delta) guarantee is void.
+func (w Workload) checkRunnable(s settings) error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.inner.N() == 0 {
 		return fmt.Errorf("betweenness: zero workload (use Undirected, Directed, or Weighted)")
 	}
-	if w.n < 2 {
-		return fmt.Errorf("betweenness: need at least 2 vertices, got %d", w.n)
-	}
-	if !kindSupported(e.Capabilities(), w.kind) {
-		return unsupportedWorkload(e.Name(), w.kind)
+	if err := checkSize(w.n, s); err != nil {
+		return err
 	}
 	return w.validate()
 }
 
-func kindSupported(caps []WorkloadKind, kind WorkloadKind) bool {
-	for _, k := range caps {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // Undirected wraps an undirected graph as the paper's standard workload.
 // No connectivity requirement: the sampler tolerates unreachable pairs
-// (they count toward tau with no internal vertices), matching Estimate's
-// historical semantics. Reduce to the largest component first
+// (they count toward tau with no internal vertices). Reduce to the largest component first
 // (graph.LargestComponent) for the tight vertex-diameter bound.
 func Undirected(g *graph.Graph) Workload {
 	if g == nil {
@@ -171,7 +121,7 @@ func Undirected(g *graph.Graph) Workload {
 
 // Directed wraps a strongly connected digraph as the directed workload.
 // Strong connectivity is the workload's validation rule — checked once per
-// Estimate call (one O(V+E) pass) because the vertex-diameter bound behind
+// session (one O(V+E) pass) because the vertex-diameter bound behind
 // the sample budget is only valid there; reduce arbitrary inputs with
 // graph.LargestSCC first.
 func Directed(g *graph.Digraph) Workload {
@@ -196,7 +146,7 @@ func Directed(g *graph.Digraph) Workload {
 
 // Weighted wraps a connected, positively weighted undirected graph as the
 // weighted workload. Connectivity is the workload's validation rule —
-// checked once per Estimate call (one O(V+E) pass) so the vertex-diameter
+// checked once per session (one O(V+E) pass) so the vertex-diameter
 // probe behind the sample budget is valid; reduce arbitrary inputs with
 // graph.LargestComponentW first. Construction sorts every vertex's arcs by
 // weight into a view the samplers share (8 bytes per arc), so build the

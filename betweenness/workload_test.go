@@ -2,37 +2,10 @@ package betweenness
 
 import (
 	"context"
-	"errors"
 	"net"
 	"sync"
 	"testing"
 )
-
-// --- capability discovery ---------------------------------------------------
-
-// TestBackendCapabilities pins the workload x backend matrix: every built-in
-// backend must report all three workload kinds, in the canonical order.
-func TestBackendCapabilities(t *testing.T) {
-	want := []WorkloadKind{WorkloadUndirected, WorkloadDirected, WorkloadWeighted}
-	backends := []Executor{
-		Sequential(),
-		SharedMemory(),
-		LocalMPI(2),
-		TCP(0, []string{"localhost:1", "localhost:2"}),
-	}
-	for _, exec := range backends {
-		caps := exec.Capabilities()
-		if len(caps) != len(want) {
-			t.Errorf("%s: %d capabilities, want %d", exec.Name(), len(caps), len(want))
-			continue
-		}
-		for i, k := range want {
-			if caps[i] != k {
-				t.Errorf("%s: capability[%d] = %v, want %v", exec.Name(), i, caps[i], k)
-			}
-		}
-	}
-}
 
 func TestWorkloadKindString(t *testing.T) {
 	cases := map[WorkloadKind]string{
@@ -70,74 +43,24 @@ func TestWorkloadAccessors(t *testing.T) {
 	}
 }
 
-// --- typed dispatch errors --------------------------------------------------
-
-// undirectedOnlyExec is a custom executor with deliberately narrow
-// capabilities, standing in for the pre-redesign MPI backends.
-type undirectedOnlyExec struct{}
-
-func (undirectedOnlyExec) Name() string                 { return "undirected-only" }
-func (undirectedOnlyExec) Capabilities() []WorkloadKind { return []WorkloadKind{WorkloadUndirected} }
-func (e undirectedOnlyExec) Run(ctx context.Context, w Workload, p Params) (*Result, error) {
-	if err := w.checkRunnable(e); err != nil {
-		return nil, err
-	}
-	return Sequential().Run(ctx, w, p)
-}
-
-// TestUnsupportedWorkloadTypedError: dispatching a workload to a backend
-// whose capabilities do not list its kind fails with the typed sentinel,
-// and the message names both the backend and the kind.
-func TestUnsupportedWorkloadTypedError(t *testing.T) {
-	dg := directedCycle(10)
-	wg := weightedGrid(t, 3, 3, 4)
-	for _, tc := range []struct {
-		kind string
-		run  func() error
-	}{
-		{"directed", func() error {
-			_, err := EstimateDirected(context.Background(), dg, WithExecutor(undirectedOnlyExec{}))
-			return err
-		}},
-		{"weighted", func() error {
-			_, err := EstimateWeighted(context.Background(), wg, WithExecutor(undirectedOnlyExec{}))
-			return err
-		}},
-	} {
-		err := tc.run()
-		if !errors.Is(err, ErrUnsupportedWorkload) {
-			t.Errorf("%s: err = %v, want errors.Is(..., ErrUnsupportedWorkload)", tc.kind, err)
-			continue
-		}
-		var ue *UnsupportedWorkloadError
-		if !errors.As(err, &ue) {
-			t.Errorf("%s: error %q is not an *UnsupportedWorkloadError", tc.kind, err)
-		} else if ue.Backend != "undirected-only" || ue.Kind.String() != tc.kind {
-			t.Errorf("%s: error names backend %q kind %s, want undirected-only/%s", tc.kind, ue.Backend, ue.Kind, tc.kind)
-		}
-	}
-	// The undirected workload still dispatches fine on the narrow backend.
-	if _, err := Estimate(context.Background(), testGraph(t),
-		WithEpsilon(0.05), WithExecutor(undirectedOnlyExec{})); err != nil {
-		t.Errorf("undirected on undirected-only backend: %v", err)
-	}
-	// A direct Run call (bypassing EstimateWorkload) hits the same guard.
-	if _, err := (undirectedOnlyExec{}).Run(context.Background(), Directed(dg), Params{}); !errors.Is(err, ErrUnsupportedWorkload) {
-		t.Errorf("direct Run: err = %v, want ErrUnsupportedWorkload", err)
-	}
-}
-
-// TestZeroWorkloadRejected: the zero Workload must be rejected by the front
-// door and by every backend's Run guard, never panic.
+// TestZeroWorkloadRejected: the zero Workload must be rejected at session
+// construction on every backend, never panic. TCP is included: validation
+// runs before any dial.
 func TestZeroWorkloadRejected(t *testing.T) {
-	if _, err := EstimateWorkload(context.Background(), Workload{}); err == nil {
-		t.Error("EstimateWorkload accepted the zero workload")
+	if _, err := Estimate(context.Background(), Workload{}); err == nil {
+		t.Error("Estimate accepted the zero workload")
 	}
-	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
-		if _, err := exec.Run(context.Background(), Workload{}, Params{}); err == nil {
-			t.Errorf("%s.Run accepted the zero workload", exec.Name())
+	for _, exec := range allBackends() {
+		if _, err := NewEstimator(Workload{}, WithExecutor(exec)); err == nil {
+			t.Errorf("%s: NewEstimator accepted the zero workload", exec.Name())
 		}
 	}
+}
+
+// allBackends is one value of each backend. The TCP world's only host is
+// unroutable: sessions on it may be built, never run.
+func allBackends() []Executor {
+	return []Executor{Sequential(), SharedMemory(), LocalMPI(2), TCP(0, []string{"127.0.0.1:1"})}
 }
 
 // --- TCP directed & weighted parity -----------------------------------------
@@ -173,7 +96,7 @@ func runTCPWorkload(t *testing.T, w Workload, seed uint64) *Result {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			results[rank], errs[rank] = EstimateWorkload(context.Background(), w,
+			results[rank], errs[rank] = Estimate(context.Background(), w,
 				WithEpsilon(0.05), WithSeed(seed), WithThreads(2),
 				WithExecutor(TCP(rank, addrs)))
 		}(rank)
@@ -219,28 +142,5 @@ func TestTCPWeightedParity(t *testing.T) {
 	}
 	if rep := Compare(exact, res.Estimates, 0.05); rep.MaxAbs > 0.05 {
 		t.Errorf("tcp weighted estimates off by %.4f > eps (tau=%d)", rep.MaxAbs, res.Tau)
-	}
-}
-
-// TestEstimateWorkloadUndirectedMatchesEstimate: the wrapper and the
-// generic front door are the same code path — identical results.
-func TestEstimateWorkloadUndirectedMatchesEstimate(t *testing.T) {
-	g := testGraph(t)
-	opts := []Option{WithEpsilon(0.05), WithSeed(23), WithExecutor(Sequential())}
-	a, err := Estimate(context.Background(), g, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EstimateWorkload(context.Background(), Undirected(g), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Tau != b.Tau {
-		t.Fatalf("tau differs: %d vs %d", a.Tau, b.Tau)
-	}
-	for v := range a.Estimates {
-		if a.Estimates[v] != b.Estimates[v] {
-			t.Fatalf("estimate differs at vertex %d", v)
-		}
 	}
 }

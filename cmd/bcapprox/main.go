@@ -145,10 +145,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if *directed && *weighted {
-		// No backend implements a weighted-digraph workload yet, so this is
-		// the typed capability error, not an ad-hoc flag restriction.
-		fatal(fmt.Errorf("%w: no backend implements the directed-weighted workload (pick -directed or -weighted)",
-			betweenness.ErrUnsupportedWorkload))
+		fatal(fmt.Errorf("-directed and -weighted are mutually exclusive: there is no weighted-digraph workload"))
 	}
 
 	// Format autodetection: a -graph file with no explicit workload flag

@@ -6,15 +6,11 @@
 //
 //   - repro/betweenness — estimation scenarios are first-class Workload
 //     values (Undirected, Directed, Weighted — the paper's footnote-1
-//     scenarios) run through one workload-generic front door,
-//     betweenness.EstimateWorkload(ctx, w, opts...), with thin wrappers
-//     Estimate, EstimateDirected (strongly connected digraphs), and
-//     EstimateWeighted (positively weighted graphs) sharing one option
-//     set. Execution backends are pluggable Executors (Sequential,
-//     SharedMemory, LocalMPI, TCP) that each report their
-//     Capabilities(); all four run all three workloads, and a mismatch
-//     with a narrower custom backend fails fast with
-//     ErrUnsupportedWorkload. Exact Brandes ground truth (Exact,
+//     scenarios) run through one front door,
+//     betweenness.Estimate(ctx, w, opts...), or held as a session
+//     (NewEstimator). The execution backend is one of four closed
+//     Executor values (Sequential, SharedMemory, LocalMPI, TCP), and each
+//     runs all three workloads. Exact Brandes ground truth (Exact,
 //     ExactDirected, ExactWeighted) and accuracy reports round out the
 //     package.
 //   - repro/graph — the CSR graph types (Graph, Digraph, WGraph),
@@ -79,13 +75,13 @@
 //	_ = est.Checkpoint(file)            // survive restarts ...
 //	est2, _ := betweenness.RestoreEstimator(file, betweenness.Undirected(g))
 //
-// EstimateWorkload is literally NewEstimator followed by one Run. Budgets
+// Estimate is literally NewEstimator followed by one Run. Budgets
 // (WithMaxSamples, WithMaxDuration) work on every backend — including the
 // MPI/TCP ones, where rank 0 folds the budget stop into the termination
 // broadcast — and an early-stopped Result reports Converged == false with
 // the honestly achieved guarantee in AchievedEps. Sessions are resumable
-// (Refine/Checkpoint/repeated Run, live Snapshot) on all four built-in
-// backends — one state machine (kadabra.EstimatorState) advanced by three
+// (Refine/Checkpoint/repeated Run, live Snapshot) on all four backends —
+// one state machine (kadabra.EstimatorState) advanced by three
 // engines, Algorithm 2 being the collective loop over it: world rank 0
 // keeps the consistent state between runs, and a checkpoint records engine,
 // threads, ranks and stopping rule (WithTopK on a sequential undirected
@@ -94,9 +90,7 @@
 // checkpoint in a fresh process is bit-identical to the uninterrupted run;
 // every other resume is statistically equivalent (a capture whose RNG
 // streams were in use continues on streams re-derived from seed, tau and
-// worker index). Only a custom Executor gets a one-shot handle: Refine
-// returns the typed ErrNotRefinable, Checkpoint ErrNotCheckpointable, and
-// Snapshot.Live is false. Checkpoints are versioned (the previous payload
+// worker index). Checkpoints are versioned (the previous payload
 // version still restores) and CRC-protected; corrupted or version-skewed
 // bytes error out instead of panicking.
 //

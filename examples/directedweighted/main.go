@@ -1,8 +1,8 @@
 // Example directedweighted demonstrates the directed and weighted
 // estimation paths of the public API (the paper's footnote 1 made
 // first-class): the Undirected/Directed/Weighted constructors produce
-// tagged betweenness.Workload values, and the workload-generic
-// EstimateWorkload front door runs any of them on any backend — here the
+// tagged betweenness.Workload values, and betweenness.Estimate runs any of
+// them on any backend — here the
 // directed workload on the distributed LocalMPI backend (paper Algorithm
 // 2 over in-process ranks) and the weighted workload on the shared-memory
 // backend, both validated against their exact Brandes ground truth.
@@ -20,20 +20,11 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// Every built-in backend reports all three workload kinds.
-	for _, exec := range []betweenness.Executor{
-		betweenness.Sequential(),
-		betweenness.SharedMemory(),
-		betweenness.LocalMPI(2),
-	} {
-		fmt.Printf("backend %-13s capabilities: %v\n", exec.Name(), exec.Capabilities())
-	}
-
 	// --- Directed workload on the distributed backend. --------------------
 	dg := graph.RandomDigraph(400, 3200, 1)
-	fmt.Printf("\ndigraph: %d nodes, %d arcs\n", dg.NumNodes(), dg.NumArcs())
+	fmt.Printf("digraph: %d nodes, %d arcs\n", dg.NumNodes(), dg.NumArcs())
 
-	dres, err := betweenness.EstimateWorkload(ctx, betweenness.Directed(dg),
+	dres, err := betweenness.Estimate(ctx, betweenness.Directed(dg),
 		betweenness.WithEpsilon(0.02),
 		betweenness.WithThreads(2),
 		betweenness.WithExecutor(betweenness.LocalMPI(2)))
@@ -54,7 +45,7 @@ func main() {
 	wg := graph.RandomWeights(lcc, 10, 7)
 	fmt.Printf("weighted graph: %d nodes, %d edges\n", wg.NumNodes(), wg.NumEdges())
 
-	wres, err := betweenness.EstimateWorkload(ctx, betweenness.Weighted(wg),
+	wres, err := betweenness.Estimate(ctx, betweenness.Weighted(wg),
 		betweenness.WithEpsilon(0.02),
 		betweenness.WithThreads(4),
 		betweenness.WithTopK(5),

@@ -92,7 +92,7 @@ func worker(rank int, addrs []string) {
 	}
 
 	start := time.Now()
-	res, err := betweenness.Estimate(context.Background(), g,
+	res, err := betweenness.Estimate(context.Background(), betweenness.Undirected(g),
 		betweenness.WithEpsilon(0.015),
 		betweenness.WithDelta(0.1),
 		betweenness.WithSeed(7),
@@ -122,7 +122,7 @@ func worker(rank int, addrs []string) {
 	// rank builds the identical digraph and passes the identical workload
 	// kind; rank 0 gets the estimates.
 	dg := graph.RandomDigraph(1<<13, 1<<16, 2024)
-	dres, err := betweenness.EstimateWorkload(context.Background(), betweenness.Directed(dg),
+	dres, err := betweenness.Estimate(context.Background(), betweenness.Directed(dg),
 		betweenness.WithEpsilon(0.015),
 		betweenness.WithSeed(7),
 		betweenness.WithThreads(4),

@@ -37,7 +37,7 @@ func main() {
 	//    context to abort a long run early.
 	const eps = 0.01
 	start := time.Now()
-	res, err := betweenness.Estimate(context.Background(), g,
+	res, err := betweenness.Estimate(context.Background(), betweenness.Undirected(g),
 		betweenness.WithEpsilon(eps),
 		betweenness.WithDelta(0.1),
 		betweenness.WithSeed(7))

@@ -50,7 +50,7 @@ func main() {
 		if threads > 1 {
 			exec = betweenness.SharedMemory()
 		}
-		res, err := betweenness.Estimate(context.Background(), g,
+		res, err := betweenness.Estimate(context.Background(), betweenness.Undirected(g),
 			betweenness.WithEpsilon(eps),
 			betweenness.WithDelta(0.1),
 			betweenness.WithSeed(11),

@@ -36,7 +36,7 @@ func main() {
 	// NUMA-socket layout).
 	run := func(eps float64) (*betweenness.Result, time.Duration) {
 		start := time.Now()
-		res, err := betweenness.Estimate(context.Background(), g,
+		res, err := betweenness.Estimate(context.Background(), betweenness.Undirected(g),
 			betweenness.WithEpsilon(eps),
 			betweenness.WithDelta(0.1),
 			betweenness.WithSeed(3),

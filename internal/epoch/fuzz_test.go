@@ -2,6 +2,8 @@ package epoch
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -77,6 +79,82 @@ func FuzzFoldWire(f *testing.F) {
 		}
 		if err == nil && (sf.Tau != tau || !slices.Equal(sf.C, counts)) {
 			t.Fatal("the two folds disagree on an accepted frame")
+		}
+	})
+}
+
+// mergeSeeds returns frame pairs for FuzzMergeWire: sparse⊕sparse whose
+// union stays under DenseCutover and whose union passes it, dense⊕sparse,
+// mismatched n, and sparse frames claiming more pairs than their body holds
+// (one at n = 2^32-1, where densifying from the claim would need 32 GiB).
+func mergeSeeds(t testing.TB) [][2][]byte {
+	wire := func(n int, cancelled bool, vs ...uint32) []byte {
+		sf := NewStateFrame(n)
+		for i, v := range vs {
+			sf.addCount(v, int64(i+1))
+		}
+		sf.Tau = int64(len(vs))
+		return AppendWire(nil, sf, cancelled)
+	}
+	var evens, odds []uint32
+	for v := uint32(0); v < 30; v += 2 {
+		evens, odds = append(evens, v), append(odds, v+1)
+	}
+	small, below := wire(fuzzN, false, 3, 9, 40), wire(fuzzN, true, 9, 41, 63)
+	lying := bytes.Clone(small)
+	binary.LittleEndian.PutUint32(lying[1+1+8:], math.MaxUint32) // n = 64 is a one-byte varint
+	huge := []byte{wireFlagSparse, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 1}
+	dense := AppendWire(nil, frameOf(t, rng.NewRand(3), fuzzN, true), false)
+	return [][2][]byte{
+		{small, below},
+		{wire(fuzzN, false, evens...), wire(fuzzN, false, odds...)},
+		{dense, small},
+		{small, dense},
+		{small, wire(fuzzN+1, false, 3)},
+		{lying, small},
+		{huge, huge},
+	}
+}
+
+// FuzzMergeWire feeds two arbitrary frames to the reduction operator: it
+// must return an error or a frame, never panic and never size an allocation
+// from an unchecked length. When both inputs fold at the same (small) n,
+// the merge must succeed, and folding it must equal folding the two inputs:
+// counts, tau and the cancellation flag.
+func FuzzMergeWire(f *testing.F) {
+	for _, pair := range mergeSeeds(f) {
+		f.Add(pair[0], pair[1])
+	}
+	const maxFoldN = 1 << 12
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ha, errA := parseWire(a)
+		hb, errB := parseWire(b)
+		folds := errA == nil && errB == nil && ha.n == hb.n && ha.n <= maxFoldN
+		var want []int64
+		var wantTau int64
+		var wantCancelled bool
+		if folds {
+			want = make([]int64, ha.n)
+			tauA, cA, errA := FoldWire(a, want)
+			tauB, cB, errB := FoldWire(b, want)
+			folds = errA == nil && errB == nil
+			wantTau, wantCancelled = tauA+tauB, cA || cB
+		}
+		merged, err := MergeWire(bytes.Clone(a), bytes.Clone(b))
+		if !folds {
+			return
+		}
+		if err != nil {
+			t.Fatalf("MergeWire rejected two frames that fold: %v", err)
+		}
+		got := make([]int64, ha.n)
+		tau, cancelled, err := FoldWire(merged, got)
+		if err != nil {
+			t.Fatalf("merged frame does not fold: %v", err)
+		}
+		if tau != wantTau || cancelled != wantCancelled || !slices.Equal(got, want) {
+			t.Fatalf("merged frame folds to tau %d cancelled %v, want tau %d cancelled %v (counts equal: %v)",
+				tau, cancelled, wantTau, wantCancelled, slices.Equal(got, want))
 		}
 	})
 }

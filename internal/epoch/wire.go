@@ -116,12 +116,19 @@ func parseWire(buf []byte) (wireHeader, error) {
 	return h, nil
 }
 
-// pairCount reads a sparse body's fixed-width pair count.
+// pairCount reads a sparse body's fixed-width pair count, which must fit
+// the body (a pair takes at least two bytes): MergeWire densifies on the
+// claim, so an unchecked one would size an allocation of 8·n bytes from a
+// frame of a few bytes.
 func (h wireHeader) pairCount() (uint32, error) {
 	if len(h.body) < 4 {
 		return 0, fmt.Errorf("epoch: corrupt sparse pair count")
 	}
-	return binary.LittleEndian.Uint32(h.body), nil
+	k := binary.LittleEndian.Uint32(h.body)
+	if uint64(k) > uint64(len(h.body)-4)/2 {
+		return 0, fmt.Errorf("epoch: sparse pair count %d exceeds its %d-byte body", k, len(h.body)-4)
+	}
+	return k, nil
 }
 
 // forEachPair decodes the sparse pair stream, invoking fn(vertex, count).

@@ -24,7 +24,7 @@ func libraryRun(t *testing.T, upload []byte, kind string, eps float64, seed uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := betweenness.EstimateWorkload(context.Background(), e.workload(),
+	res, err := betweenness.Estimate(context.Background(), e.workload(),
 		betweenness.WithEpsilon(eps), betweenness.WithDelta(0.1), betweenness.WithSeed(seed),
 		betweenness.WithExecutor(betweenness.Sequential()))
 	if err != nil {

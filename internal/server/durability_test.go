@@ -652,7 +652,7 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 	const eps = 0.005
 	var mu sync.Mutex
 	var payload []byte
-	_, err := betweenness.EstimateWorkload(context.Background(), g.workload(),
+	_, err := betweenness.Estimate(context.Background(), g.workload(),
 		betweenness.WithEpsilon(eps), betweenness.WithSeed(1), betweenness.WithThreads(1),
 		betweenness.WithExecutor(betweenness.LocalMPI(2)),
 		betweenness.WithDistCheckpoint(1, func(p []byte) {

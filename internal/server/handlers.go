@@ -550,7 +550,6 @@ func (srv *Server) handleSessionEstimates(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tau":          snap.Tau,
 		"achieved_eps": snap.AchievedEps,
-		"live":         snap.Live,
 		"total":        len(snap.Estimates),
 		"offset":       offset,
 		"limit":        limit,

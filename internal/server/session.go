@@ -104,7 +104,7 @@ func (p sessionParams) executor() (betweenness.Executor, error) {
 	case "dist":
 		return betweenness.LocalMPI(p.Procs), nil
 	default:
-		return nil, fmt.Errorf("unknown backend %q", p.Backend)
+		return betweenness.Executor{}, fmt.Errorf("unknown backend %q", p.Backend)
 	}
 }
 
@@ -548,7 +548,6 @@ func snapshotJSON(snap betweenness.Snapshot) map[string]any {
 		"tau":             snap.Tau,
 		"achieved_eps":    snap.AchievedEps,
 		"samples_per_sec": snap.SamplesPerSec,
-		"live":            snap.Live,
 	}
 }
 
