@@ -27,12 +27,13 @@ func benchCfg(eps float64, seed uint64) kadabra.Config {
 	return kadabra.Config{Eps: eps, Delta: 0.1, Seed: seed, EpochBase: 250}
 }
 
-// runShm is one fresh shared-memory session run once.
-func runShm(b *testing.B, w kadabra.Workload, threads int, cfg kadabra.Config) *kadabra.Result {
+// runSharedMemory is one fresh shared-memory session run once, on a
+// one-rank world.
+func runSharedMemory(b *testing.B, w kadabra.Workload, threads int, cfg kadabra.Config) *kadabra.Result {
 	b.Helper()
 	st, err := kadabra.NewEstimatorState(w, threads, cfg)
 	if err == nil {
-		err = st.Run(context.Background(), kadabra.Budget{})
+		_, err = core.RunLocal(context.Background(), []*kadabra.EstimatorState{st}, core.Config{})
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -278,7 +279,7 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 		base := base
 		b.Run("base-"+itoa(int(base)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := runShm(b, kadabra.UndirectedWorkload(g), 8, kadabra.Config{
+				res := runSharedMemory(b, kadabra.UndirectedWorkload(g), 8, kadabra.Config{
 					Eps: 0.01, Delta: 0.1, Seed: 16, EpochBase: base,
 				})
 				b.ReportMetric(float64(res.Epochs), "epochs")
@@ -299,7 +300,7 @@ func BenchmarkRealSharedMemoryThreads(b *testing.B) {
 		threads := threads
 		b.Run(threadLabel(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := runShm(b, kadabra.UndirectedWorkload(g), threads, benchCfg(0.008, 12))
+				res := runSharedMemory(b, kadabra.UndirectedWorkload(g), threads, benchCfg(0.008, 12))
 				b.ReportMetric(float64(res.Tau)/res.Timings.Sampling.Seconds(), "samples/s")
 			}
 		})

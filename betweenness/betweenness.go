@@ -8,11 +8,12 @@
 //	        betweenness.WithExecutor(betweenness.SharedMemory()))
 //
 // with functional options for the statistical parameters and the execution
-// backend. The backends are a closed set of four Executor values:
-// Sequential (reference), SharedMemory (epoch-based threads), LocalMPI (the
-// paper's Algorithm 2 over in-process ranks; with its default of one
-// sampling thread per rank, the paper's Algorithm 1), and TCP (Algorithm 2
-// as one rank of a genuinely distributed world).
+// backend. The backends are a closed set of four Executor values, all
+// running the paper's Algorithm 2: Sequential (reference) and SharedMemory
+// (epoch-based threads) on a one-rank in-process world, LocalMPI over
+// in-process ranks (with its default of one sampling thread per rank, the
+// paper's Algorithm 1), and TCP as one rank of a genuinely distributed
+// world.
 //
 // Every backend honours context cancellation: cancelling ctx stops the
 // calibration and adaptive-sampling loops within one epoch and Estimate

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +156,66 @@ func TestDeterminism(t *testing.T) {
 	for v := range a.Estimates {
 		if a.Estimates[v] != b.Estimates[v] {
 			t.Fatalf("same seed, different estimate at vertex %d", v)
+		}
+	}
+}
+
+// TestDeterminismHeapVsMapped: the sequential engine reads the graph only
+// through its CSR slices, so the same seed must give a bit-identical result
+// on a heap graph and on the same graph saved as BCSR and memory-mapped.
+func TestDeterminismHeapVsMapped(t *testing.T) {
+	g := testGraph(t)
+	path := filepath.Join(t.TempDir(), "x.bcsr")
+	if err := graph.SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	m, err := graph.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	run := func(g *graph.Graph) *Result {
+		res, err := Estimate(context.Background(), Undirected(g),
+			WithEpsilon(0.03), WithSeed(42), WithExecutor(Sequential()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	heap, mapped := run(g), run(m.Graph())
+	if heap.Tau != mapped.Tau || heap.Epochs != mapped.Epochs || heap.AchievedEps != mapped.AchievedEps {
+		t.Fatalf("heap tau/epochs/achieved eps %d/%d/%v, mapped %d/%d/%v",
+			heap.Tau, heap.Epochs, heap.AchievedEps, mapped.Tau, mapped.Epochs, mapped.AchievedEps)
+	}
+	for v := range heap.Estimates {
+		if heap.Estimates[v] != mapped.Estimates[v] {
+			t.Fatalf("vertex %d: heap %v, mapped %v", v, heap.Estimates[v], mapped.Estimates[v])
+		}
+	}
+}
+
+// TestStopAtOmega pins the omega cap of the sequential schedule, on the
+// daemon-session benchmark's shape (R-MAT scale 12, eps 0.05), where the
+// adaptive rule never fires before tau reaches omega. The sequential run
+// must stop on the first tau >= omega, not at the next scheduled check a
+// whole CheckInterval later; the shared-memory run checks only at epoch
+// ends, so it stops at the first epoch end past omega.
+func TestStopAtOmega(t *testing.T) {
+	g, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(12, 16, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exec := range []Executor{Sequential(), SharedMemory()} {
+		res, err := Estimate(context.Background(), Undirected(g),
+			WithEpsilon(0.05), WithSeed(1000), WithThreads(2), WithExecutor(exec))
+		if err != nil {
+			t.Fatalf("%s: %v", exec.Name(), err)
+		}
+		if !res.Converged || float64(res.Tau) < res.Omega {
+			t.Fatalf("%s: converged %v at tau %d, omega %.1f", exec.Name(), res.Converged, res.Tau, res.Omega)
+		}
+		if want := int64(math.Ceil(res.Omega)); exec == Sequential() && res.Tau != want {
+			t.Fatalf("sequential: stopped at tau %d, want the first tau >= omega, %d", res.Tau, want)
 		}
 	}
 }

@@ -34,14 +34,16 @@ import (
 //     a run interrupted mid-sampling resumes in a fresh process where it
 //     stopped, on the backend it ran on.
 //
-// This holds on all four backends — one state machine advanced by three
-// engines; a distributed session's state lives at world rank 0
-// between the collective runs. One rule says what a resume reproduces: a
-// Sequential session resumes sample for sample (bit-identical to never
-// having stopped); every other resume is statistically equivalent — a
-// capture taken while threads or ranks were drawing from their RNG streams
-// continues on fresh ones, and the guarantee depends on how many samples
-// were drawn, never on which.
+// This holds on all four backends — one state machine advanced by one
+// engine, the paper's Algorithm 2 (on a one-rank in-process world for
+// Sequential and SharedMemory); a distributed session's state lives at
+// world rank 0 between the collective runs. Every backend stops within one
+// epoch of a WithMaxDuration deadline. One rule says what a resume
+// reproduces: a Sequential session resumes sample for sample
+// (bit-identical to never having stopped); every other resume is
+// statistically equivalent — a capture taken while threads or ranks were
+// drawing from their RNG streams continues on fresh ones, and the
+// guarantee depends on how many samples were drawn, never on which.
 //
 // Methods are safe for concurrent use; Run and Refine serialize behind one
 // mutex, and Snapshot never blocks on a running estimate (it returns the
@@ -161,7 +163,7 @@ func (e *Estimator) runLocked(ctx context.Context) (*Result, error) {
 			res.Top = res.TopK(e.s.TopK)
 		}
 	}
-	if stats != nil {
+	if e.st.Procs() > 0 { // a one-rank world has no distribution to report
 		res.Distributed = fromStats(*stats)
 	}
 	// Derive the observation from the result just built — Result() already

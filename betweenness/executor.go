@@ -69,16 +69,19 @@ func IsRankDeath(err error) bool {
 	return ok
 }
 
-// Sequential returns the single-threaded reference backend. It is the only
+// Sequential returns the single-threaded reference backend: Algorithm 2 on
+// a one-rank world with one thread, one RNG stream and an absolute check
+// schedule (tau0, then every CheckInterval samples, and omega), so a run is
+// deterministic under its seed and resumes bit-identically. It is the only
 // backend whose sessions stop by the certified top-k rule (see WithTopK;
 // undirected workload only — every other backend and workload derives the
 // ranking from the final estimates).
 func Sequential() Executor { return Executor{kind: backendSequential} }
 
 // SharedMemory returns the epoch-based shared-memory backend (the paper's
-// state-of-the-art competitor, its Ref. 24): WithThreads wait-free sampling
-// threads coordinated by thread 0 (zero means one per CPU core). This is
-// the default backend.
+// state-of-the-art competitor, its Ref. 24, which is Algorithm 2 on a
+// one-rank world): WithThreads wait-free sampling threads coordinated by
+// thread 0 (zero means one per CPU core). This is the default backend.
 func SharedMemory() Executor { return Executor{kind: backendSharedMemory} }
 
 // LocalMPI returns the paper's epoch-based MPI parallelization (Algorithm
@@ -130,7 +133,7 @@ func (e Executor) bind(w kadabra.Workload, s settings, cfg kadabra.Config, root 
 		}
 	default: // Sequential, SharedMemory
 		if root == nil {
-			threads := 0 // the sequential engine
+			threads := 0 // the sequential schedule
 			if e.kind == backendSharedMemory {
 				if threads = s.Threads; threads <= 0 {
 					threads = runtime.GOMAXPROCS(0)
@@ -144,16 +147,15 @@ func (e Executor) bind(w kadabra.Workload, s settings, cfg kadabra.Config, root 
 	return []*kadabra.EstimatorState{root}, nil
 }
 
-// advance runs the states until the target is reached, the budget in s runs
-// out, or ctx is cancelled, leaving them consistent in every case; the MPI
-// backends report their Table II counters.
+// advance runs the states through core.Algorithm2 until the target is
+// reached, the budget in s runs out, or ctx is cancelled, leaving them
+// consistent in every case, and returns the run's Table II counters. All it
+// chooses is the communicator: a TCP world, or an in-process world of
+// len(sts) ranks — one, for a single-process session.
 func (e Executor) advance(ctx context.Context, sts []*kadabra.EstimatorState, s settings) (*core.Stats, error) {
 	var cr *core.Result
 	var err error
-	switch e.kind {
-	case backendLocalMPI:
-		cr, err = core.RunLocal(ctx, sts, s.coreConfig())
-	case backendTCP:
+	if e.kind == backendTCP {
 		comm, closer, cerr := mpi.ConnectTCP(e.rank, strings.Split(e.hosts, ","), tcpDialTimeout)
 		if cerr != nil {
 			return nil, fmt.Errorf("betweenness: tcp connect: %w", cerr)
@@ -170,8 +172,8 @@ func (e Executor) advance(ctx context.Context, sts []*kadabra.EstimatorState, s 
 				return nil, fmt.Errorf("betweenness: tcp final barrier: %w", berr)
 			}
 		}
-	default:
-		return nil, sts[0].Run(ctx, s.kadabraConfig().NewBudget(time.Now()))
+	} else {
+		cr, err = core.RunLocal(ctx, sts, s.coreConfig())
 	}
 	if err != nil {
 		return nil, err

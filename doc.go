@@ -20,11 +20,12 @@
 //     RandomDigraph/RandomWeights for the new workloads.
 //
 // The algorithm implementations live under internal/ and are reached only
-// through the public packages. The thread choreography of the paper's
-// Algorithm 2 is written once, in internal/epoch's Driver: the
-// shared-memory engine (internal/kadabra), the MPI driver (internal/core,
-// which at one thread per rank is the paper's Algorithm 1) and
-// examples/adaptivesampling all run on it. Executables are under cmd/
+// through the public packages. There is one engine, the paper's
+// Algorithm 2 (internal/core): every backend runs it, the single-process
+// ones on a one-rank in-process world, and at one thread per rank it is the
+// paper's Algorithm 1. Its thread choreography is written once, in
+// internal/epoch's Driver, which examples/adaptivesampling also runs on.
+// Executables are under cmd/
 // (bcapprox, bcexact, graphgen, graphconv, graphinfo, experiments); runnable
 // examples under examples/. The top-level bench_test.go regenerates the tables and
 // figures of the paper's evaluation on miniature instances; bench/ (its own
@@ -81,9 +82,9 @@
 // broadcast — and an early-stopped Result reports Converged == false with
 // the honestly achieved guarantee in AchievedEps. Sessions are resumable
 // (Refine/Checkpoint/repeated Run, live Snapshot) on all four backends —
-// one state machine (kadabra.EstimatorState) advanced by three
-// engines, Algorithm 2 being the collective loop over it: world rank 0
-// keeps the consistent state between runs, and a checkpoint records engine,
+// one state machine (kadabra.EstimatorState) advanced by the one engine,
+// Algorithm 2: world rank 0 keeps the consistent state between runs, and
+// every engine stops within one epoch of a deadline. A checkpoint records engine,
 // threads, ranks and stopping rule (WithTopK on a sequential undirected
 // session swaps the uniform rule for the certified top-k one), so a session
 // resumes on the backend that wrote it. A sequential session resumed from a

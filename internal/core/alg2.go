@@ -41,7 +41,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	// and its own context in its calibration threads.
 	budget := cfg.NewBudget(time.Now())
 	n := st.N()
-	T := st.Threads()
+	T := max(st.Threads(), 1) // the sequential state samples on one thread
 	root := 0
 	defer st.Activate()()
 
@@ -163,10 +163,11 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 
 	// The state may already satisfy the stopping condition (calibration
 	// alone can; so does a converged session run again), or be unable to
-	// enter the epoch loop: a batch cut short leaves it uncalibrated.
+	// enter the epoch loop: a batch cut short leaves it uncalibrated. Which
+	// taus are checked is the state's schedule (CheckDue).
 	var code int64
 	if comm.Rank() == root {
-		stop := !st.Calibrated() || st.Check() || budget.Exceeded(st.Tau())
+		stop := !st.Calibrated() || st.Converged() || st.CheckDue() && st.Check() || budget.Exceeded(st.Tau())
 		code = stopCode(stop, ctx.Err(), remoteCancelled)
 	}
 	got, _, err := broadcastFrame(comm, root, code, nil, overlap)
@@ -192,12 +193,12 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	}
 
 	for {
-		// One in-process epoch (Alg. 2 lines 12-18): n0 samples, the forced
-		// transition overlapped with sampling, and this process's frozen
-		// frames summed into eLoc in O(touched across the T frames). Encode
-		// them for the wire, gossiping this rank's context state with the
-		// reduction.
-		stats.TransitionWait += drv.Epoch(n0, eLoc)
+		// One in-process epoch (Alg. 2 lines 12-18): thread 0's quota of
+		// samples (n0 on the epoch schedule), the forced transition
+		// overlapped with sampling, and this process's frozen frames summed
+		// into eLoc in O(touched across the T frames). Encode them for the
+		// wire, gossiping this rank's context state with the reduction.
+		stats.TransitionWait += drv.Epoch(st.EpochQuota(n0, budget), eLoc)
 		wire = epoch.AppendWire(wire[:0], eLoc, ctx.Err() != nil)
 		eLoc.Reset()
 		stats.WireBytes += int64(len(wire))
@@ -252,7 +253,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 			}
 			ft.noteFold()
 			st.EndEpoch()
-			next = stopCode(st.Check() || budget.Exceeded(st.Tau()), ctx.Err(), remoteCancelled)
+			next = stopCode(st.CheckDue() && st.Check() || budget.Exceeded(st.Tau()), ctx.Err(), remoteCancelled)
 			if next == codeContinue {
 				if cfg.CheckpointInterval > 0 && st.Epochs()%cfg.CheckpointInterval == 0 {
 					st.RequestCheckpoint()

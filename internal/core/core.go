@@ -2,15 +2,20 @@
 // parallelization of the KADABRA adaptive-sampling algorithm for
 // betweenness approximation.
 //
-// Algorithm2 is the one distributed loop. It is the epoch-based MPI
-// parallelization of paper Algorithm 2 (§IV-C): T sampling threads per
+// Algorithm2 is the one engine every backend runs. It is the epoch-based
+// MPI parallelization of paper Algorithm 2 (§IV-C): T sampling threads per
 // process aggregated wait-free with the epoch framework, combined with MPI
 // aggregation across processes, optionally hierarchical (node-local
 // aggregation before the global reduction, §IV-E). Paper Algorithm 1, the
 // pure-MPI stepping stone, is the same loop at T = 1 (Config.Threads <= 1,
 // the default): with a single thread a forced epoch transition completes
 // at once, so the epoch framework degenerates to the snapshot-and-reset of
-// Alg. 1 lines 7-8.
+// Alg. 1 lines 7-8. The shared-memory engine of the paper's Ref. 24 is the
+// same loop on a one-rank world, whose collectives are plain copies that
+// complete at once; so is KADABRA's sequential loop, at one thread. What
+// tells the three apart is the session state's schedule — whether a check
+// is due, thread 0's quota per epoch, each worker's calibration share — never
+// the loop.
 //
 // Where the pseudocode lives (Alg. 2 line numbers; Alg. 1's in brackets):
 //
@@ -27,16 +32,15 @@
 //     sampling: broadcastFrame
 //
 // The consistent state (S, tau) the loop runs on is not the loop's: it is
-// world rank 0's kadabra.EstimatorState, the same state machine the
-// sequential and shared-memory engines advance — so a distributed session
-// keeps its samples between calls, refines, and checkpoints through the one
-// codec — and every rank's state owns that rank's samplers.
+// world rank 0's kadabra.EstimatorState — so a session keeps its samples
+// between calls, refines, and checkpoints through the one codec — and every
+// rank's state owns that rank's samplers.
 //
 // Every process must hold the full graph (the paper's standing assumption,
 // §I-A: samples are taken locally without communication). The communicator
-// may come from the in-process world (mpi.RunLocal — the analogue of
-// several MPI ranks on one machine) or from TCP (mpi.ConnectTCP — genuinely
-// distributed).
+// may come from the in-process world (RunLocal — the analogue of several
+// MPI ranks on one machine, or of one process) or from TCP (mpi.ConnectTCP
+// — genuinely distributed).
 package core
 
 import (
@@ -104,7 +108,8 @@ type Config struct {
 	// NoOverlap disables overlap sampling during communication waits
 	// (barrier polls, non-blocking reductions and broadcasts only poll
 	// instead of sampling). With Threads <= 1 every rank then takes exactly
-	// n0 samples per epoch, which makes a run independent of the schedule:
+	// its epoch quota (EstimatorState.EpochQuota: n0, or less at rank 0
+	// near a sample cap), which makes a run independent of the schedule:
 	// the golden-parity and fault-accounting tests need exactly that to pin
 	// results bit for bit, which is why it stays. Leave it off otherwise.
 	NoOverlap bool
@@ -231,12 +236,13 @@ func phase1(st *kadabra.EstimatorState, comm *mpi.Comm) (calibrated bool, tau in
 	return calibrated, tau, nil
 }
 
-// phase2 runs the calibration: every thread of every process takes an equal
-// share of what the session lacks of tau0 = omega/StartFactor samples
-// ("pleasingly parallel", §V-B), a blocking reduction lands the counts in
-// world rank 0's state, and the state derives the per-vertex failure
-// budgets (EstimatorState.FinishCalibration) — or stays uncalibrated and
-// resumable when the batch was cut short.
+// phase2 runs the calibration: every thread of every process takes its
+// share (EstimatorState.CalibrationShare) of what the session lacks of
+// tau0 = omega/StartFactor samples ("pleasingly parallel", §V-B), a
+// blocking reduction lands the counts in world rank 0's state, and the
+// state derives the per-vertex failure budgets
+// (EstimatorState.FinishCalibration) — or stays uncalibrated and resumable
+// when the batch was cut short.
 //
 // The local threads' share is drv.Batch's, cut short once the context is
 // cancelled or the deadline passes (each rank checks its own — the reduce
@@ -248,9 +254,9 @@ func phase2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm, drv
 	budget kadabra.Budget, tau int64) (remoteCancelled bool, err error) {
 	start := time.Now()
 	local := epoch.NewStateFrame(st.N())
-	if remaining := st.CalibrationTarget(budget) - tau; remaining > 0 {
+	if per := st.CalibrationShare(budget, tau, comm.Size()*st.Threads()); per > 0 {
 		stop := func() bool { return ctx.Err() != nil || budget.Overdue() }
-		drv.Batch(int(remaining)/(comm.Size()*st.Threads())+1, stop, local)
+		drv.Batch(per, stop, local)
 	}
 	res, err := comm.ReduceMerge(0, epoch.AppendWire(nil, local, ctx.Err() != nil), epoch.MergeWire)
 	if err != nil {

@@ -117,7 +117,7 @@ func TestResumeAfterCalibrationCutShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tau0 := sts[0].CalibrationTarget(kadabra.Budget{})
+	tau0 := int64(sts[0].Omega())/100 + 1 // omega/StartFactor, the default 100
 	if sts[0].Calibrated() || res.Res.Converged || res.Res.AchievedEps != 1 || res.Res.Tau < 50 || res.Res.Tau >= tau0 {
 		t.Fatalf("budget 50 < tau0 %d: calibrated=%v converged=%v achieved eps %g tau %d",
 			tau0, sts[0].Calibrated(), res.Res.Converged, res.Res.AchievedEps, res.Res.Tau)

@@ -17,8 +17,8 @@
 // All three calls are unexported: the order in which threads must make them
 // (sample, check, follow; force, sample until done, aggregate; drain on
 // shutdown) is written once, in Driver (driver.go), generic over what a
-// sample is. Its three callers are the shared-memory engine (kadabra's
-// runShm), the per-process half of the MPI driver (core.Algorithm2), and a
+// sample is. Its two callers are the per-process half of the one
+// betweenness engine (core.Algorithm2, which every backend runs) and a
 // non-betweenness estimator (examples/adaptivesampling).
 //
 // Once every thread has advanced past e, the epoch-e state frames are

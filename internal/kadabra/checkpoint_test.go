@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 )
 
 // TestInRunCheckpointRoundtrip exercises the one serializer on the payload
@@ -63,13 +64,13 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 					return
 				}
 				blob = append([]byte(nil), payload...)
-				counts = append([]int64(nil), src.s.C...)
-				tau, epochs, dense = src.Tau(), src.Epochs(), src.s.Dense()
-				deltaL = append([]float64(nil), src.cal.DeltaL...)
-				deltaU = append([]float64(nil), src.cal.DeltaU...)
+				counts = append([]int64(nil), src.Frame().C...)
+				tau, epochs, dense = src.Tau(), src.Epochs(), src.Frame().Dense()
+				deltaL = append([]float64(nil), src.Cal().DeltaL...)
+				deltaU = append([]float64(nil), src.Cal().DeltaU...)
 			})
 			src.RequestCheckpoint()
-			if err := src.Run(context.Background(), Budget{}); err != nil {
+			if err := advance(context.Background(), src, Config{}); err != nil {
 				t.Fatal(err)
 			}
 			if blob == nil {
@@ -84,18 +85,18 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 				t.Errorf("restored as %d threads, %d procs; want the shared-memory engine with %d threads",
 					restored.Threads(), restored.Procs(), threads)
 			}
-			if len(restored.streams) != threads {
-				t.Fatalf("restored %d streams, want %d re-derived ones", len(restored.streams), threads)
+			if len(restored.Streams()) != threads {
+				t.Fatalf("restored %d streams, want %d re-derived ones", len(restored.Streams()), threads)
 			}
-			for i, r := range restored.streams {
+			for i, r := range restored.Streams() {
 				for j := range i {
-					if r.State() == restored.streams[j].State() {
+					if r.State() == restored.Streams()[j].State() {
 						t.Fatalf("re-derived streams %d and %d coincide", i, j)
 					}
 				}
 			}
-			if restored.s.Dense() != dense || (tc.dense && !dense) {
-				t.Fatalf("state frame captured dense=%v, restored dense=%v", dense, restored.s.Dense())
+			if restored.Frame().Dense() != dense || (tc.dense && !dense) {
+				t.Fatalf("state frame captured dense=%v, restored dense=%v", dense, restored.Frame().Dense())
 			}
 			if restored.Tau() != tau || restored.Epochs() != epochs {
 				t.Errorf("restored tau/epochs %d/%d, want %d/%d", restored.Tau(), restored.Epochs(), tau, epochs)
@@ -103,16 +104,16 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 			if !restored.Calibrated() || !restored.RuleRecorded() {
 				t.Errorf("restored calibrated=%v ruleRecorded=%v", restored.Calibrated(), restored.RuleRecorded())
 			}
-			if restored.vd != src.vd || restored.omega != src.omega {
-				t.Errorf("restored vd/omega %d/%f, want %d/%f", restored.vd, restored.omega, src.vd, src.omega)
+			if restored.VertexDiameter() != src.VertexDiameter() || restored.Omega() != src.Omega() {
+				t.Errorf("restored vd/omega %d/%f, want %d/%f", restored.VertexDiameter(), restored.Omega(), src.VertexDiameter(), src.Omega())
 			}
 			for v := range counts {
-				if restored.s.C[v] != counts[v] {
-					t.Fatalf("restored count differs at vertex %d: %d vs %d", v, restored.s.C[v], counts[v])
+				if restored.Frame().C[v] != counts[v] {
+					t.Fatalf("restored count differs at vertex %d: %d vs %d", v, restored.Frame().C[v], counts[v])
 				}
 			}
 			for i := range deltaL {
-				if restored.cal.DeltaL[i] != deltaL[i] || restored.cal.DeltaU[i] != deltaU[i] {
+				if restored.Cal().DeltaL[i] != deltaL[i] || restored.Cal().DeltaU[i] != deltaU[i] {
 					t.Fatalf("calibration tables differ at vertex %d", i)
 				}
 			}
@@ -120,7 +121,7 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 			// Fresh streams: resumption is statistically equivalent, not
 			// bit-exact; it must converge and agree with the uninterrupted
 			// run within the two guarantees.
-			if err := restored.Run(context.Background(), Budget{}); err != nil {
+			if err := advance(context.Background(), restored, Config{}); err != nil {
 				t.Fatal(err)
 			}
 			res := restored.Result()
@@ -174,10 +175,10 @@ func TestCheckpointRecordsEngineShape(t *testing.T) {
 		if got.Config().TopK != cfg.TopK || !got.RuleRecorded() {
 			t.Errorf("%+v: restored rule k=%d recorded=%v, want k=%d", shape, got.Config().TopK, got.RuleRecorded(), cfg.TopK)
 		}
-		for i, r := range got.streams {
+		for i, r := range got.Streams() {
 			// Fresh distributed streams are rekey(0) on both sides, so all
 			// three shapes compare equal here.
-			if r.State() != src.streams[i].State() {
+			if r.State() != src.Streams()[i].State() {
 				t.Errorf("%+v: stream %d not restored", shape, i)
 			}
 		}
@@ -229,7 +230,7 @@ func TestRestoreV1Payload(t *testing.T) {
 	if st.Tau() != want.Tau/3 || st.Converged() {
 		t.Fatalf("v1 payload holds tau %d (converged %v), want the budget stop at %d", st.Tau(), st.Converged(), want.Tau/3)
 	}
-	if err := st.Run(context.Background(), Budget{}); err != nil {
+	if err := advance(context.Background(), st, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	resultsBitIdentical(t, want, st.Result(), "v1 resume")
@@ -283,7 +284,7 @@ func TestDenseByteIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Run(context.Background(), Budget{MaxSamples: 700}); err != nil {
+	if err := advance(context.Background(), st, Config{MaxSamples: 700}); err != nil {
 		t.Fatal(err)
 	}
 	payload := st.AppendCheckpoint(nil)
@@ -301,7 +302,7 @@ func TestDenseByteIgnored(t *testing.T) {
 		if !bytes.Equal(restored.AppendCheckpoint(nil), payload) {
 			t.Fatalf("dense byte %d: the restored state re-serializes to a different payload", p[denseByteOff])
 		}
-		if err := restored.Run(context.Background(), Budget{}); err != nil {
+		if err := advance(context.Background(), restored, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		results[i] = restored.Result()

@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/brandes"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 	"repro/internal/rng"
 )
 

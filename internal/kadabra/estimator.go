@@ -1,7 +1,6 @@
 package kadabra
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,47 +11,44 @@ import (
 	"repro/internal/rng"
 )
 
-// This file is the anytime core of every KADABRA driver: an epoch-stepped
+// This file is the anytime core of every KADABRA session: an epoch-stepped
 // state machine that owns the resumable sampling state — the accumulated
 // state frame, the per-thread RNG streams, the calibration, and the
 // stopping schedule — and exposes it in pieces the run-to-completion
-// functions never could: Run with a Budget (stop early, stay consistent),
+// functions never could: runs under a Budget (stop early, stay consistent),
 // Recalibrate (tighten eps while keeping every sample), and a versioned
 // checkpoint codec (resume in a fresh process). The stopping rule is the
 // one thing a session chooses: the uniform (eps, delta) rule by default,
 // the certified top-k rule when Config.TopK is set (see haveToStop).
 //
-// Three engines advance the same state. threads == 0 is the sequential
-// reference engine (the plain KADABRA loop on one RNG stream, deterministic
-// and bit-exactly resumable); threads >= 1 the epoch-based shared-memory
-// engine of the paper's Ref. 24. The third is core.Algorithm2, the
-// collective loop over the states NewRankState builds: every rank's state
-// owns that rank's samplers and streams, world rank 0's also the counts,
-// the calibration and the stopping rule — and it takes the same Check /
-// EndEpoch / FinishCalibration / checkpoint steps the local engines take.
+// One engine advances it: core.Algorithm2, the paper's Algorithm 2, on a
+// one-rank in-process world for the single-process states and on a world
+// of ranks for the states NewRankState builds. Every rank's state owns that
+// rank's samplers and streams, world rank 0's also the counts, the
+// calibration and the stopping rule. The state decides the one thing the
+// backends differ in — when to check and how many samples to take (CheckDue,
+// EpochQuota, CalibrationShare): threads == 0 is the sequential state, the
+// plain KADABRA loop on one RNG stream with an absolute check schedule,
+// deterministic and bit-exactly resumable; every other state follows the
+// epoch schedule of the paper's Ref. 24, checking after every epoch.
 const (
 	engineSequential   = 0
 	engineSharedMemory = 1
 	engineDistributed  = 2
 )
 
-// calCheckEvery is the cadence (in samples) of the context/budget checks
-// inside the sequential calibration and deadline-bounded sampling loops.
-// The checks consume no randomness, so the cadence never affects results.
-const calCheckEvery = 64
-
 // EstimatorState is the resumable core of a KADABRA estimation session over
 // one workload. It is created by NewEstimatorState or NewRankState (which
 // validate the workload and resolve the vertex diameter once), advanced by
-// Run or core.Algorithm2 — every return leaves the state quiescent and
-// consistent, whether the run converged, exhausted its budget, or was
-// cancelled — and serialized by AppendCheckpoint/RestoreEstimatorState. It
+// core.Algorithm2 — every return leaves the state quiescent and consistent,
+// whether the run converged, exhausted its budget, or was cancelled — and
+// serialized by AppendCheckpoint/RestoreEstimatorState. It
 // is not safe for concurrent use; betweenness.Estimator is the locking
 // front door.
 type EstimatorState struct {
 	w       Workload
 	cfg     Config // defaults applied; Eps/Delta track Recalibrate
-	threads int    // sampling threads of this process; 0 = sequential engine
+	threads int    // sampling threads of this process; 0 = sequential schedule
 	// procs > 0 marks rank `rank` of a procs-rank distributed session.
 	procs, rank int
 	vd          int
@@ -67,7 +63,7 @@ type EstimatorState struct {
 	s            *epoch.StateFrame // accumulated consistent state
 	cal          *Calibration
 	calibrated   bool
-	nextCheck    int64 // sequential engine: tau of the next scheduled stopping check
+	nextCheck    int64 // sequential schedule: tau of the next scheduled stopping check
 	epochs       int
 	converged    bool
 	ruleRecorded bool // false only when restored from a version-1 payload
@@ -81,7 +77,7 @@ type EstimatorState struct {
 	clockTau    int64         // tau already present when the clock started (restored sessions)
 
 	// ckptReq arms a one-shot in-run checkpoint capture (RequestCheckpoint,
-	// callable from any goroutine); the engines service it at the next
+	// callable from any goroutine); the engine services it at the next
 	// consistent epoch boundary on the coordinating goroutine.
 	ckptReq      atomic.Bool
 	onCheckpoint func(payload []byte)
@@ -89,8 +85,9 @@ type EstimatorState struct {
 
 // NewEstimatorState validates the workload, runs the diameter phase once
 // (honouring cfg.VertexDiameter), derives omega, and sets up the RNG
-// streams and samplers of a single-process session. threads == 0 selects
-// the sequential engine, threads >= 1 the epoch-based shared-memory engine.
+// streams and samplers of a single-process session, which core.Algorithm2
+// advances on a one-rank world. threads == 0 selects the sequential
+// schedule on one thread, threads >= 1 the epoch schedule on that many.
 // cfg.TopK > 0 selects the certified top-k stopping rule and must be below
 // the vertex count.
 func NewEstimatorState(w Workload, threads int, cfg Config) (*EstimatorState, error) {
@@ -179,10 +176,11 @@ func (st *EstimatorState) buildSamplers() {
 }
 
 // NewDriver builds the epoch framework and thread choreography over this
-// process's samplers — one per run, so between runs no goroutine exists.
+// process's samplers (one thread on the sequential state) — one per run, so
+// between runs no goroutine exists.
 func (st *EstimatorState) NewDriver() *epoch.Driver {
-	fw := epoch.New(st.threads, st.w.n)
-	sample := make([]func(*epoch.StateFrame), st.threads)
+	fw := epoch.New(len(st.samplers), st.w.n)
+	sample := make([]func(*epoch.StateFrame), len(st.samplers))
 	for t := range sample {
 		s := st.samplers[t]
 		sample[t] = func(sf *epoch.StateFrame) { SampleInto(s, sf) }
@@ -190,11 +188,12 @@ func (st *EstimatorState) NewDriver() *epoch.Driver {
 	return epoch.NewDriver(fw, sample)
 }
 
-// Threads returns the engine's sampling-thread count (0 = sequential).
+// Threads returns the state's sampling-thread count (0 = sequential, which
+// samples on one thread).
 func (st *EstimatorState) Threads() int { return st.threads }
 
 // Procs returns the world size of a distributed session (0 on the
-// single-process engines), Rank this state's world rank in it, N the
+// single-process states), Rank this state's world rank in it, N the
 // workload's vertex count.
 func (st *EstimatorState) Procs() int { return st.procs }
 func (st *EstimatorState) Rank() int  { return st.rank }
@@ -256,7 +255,7 @@ func (st *EstimatorState) SetOnCheckpoint(fn func(payload []byte)) { st.onCheckp
 func (st *EstimatorState) RequestCheckpoint() { st.ckptReq.Store(true) }
 
 // CaptureCheckpoint fulfils an armed checkpoint request: it returns the
-// payload, or nil when none is due. The engines call it on the coordinating
+// payload, or nil when none is due. The engine calls it on the coordinating
 // goroutine at epoch boundaries, where the accumulated frame is consistent.
 func (st *EstimatorState) CaptureCheckpoint() []byte {
 	if st.onCheckpoint == nil || !st.ckptReq.CompareAndSwap(true, false) {
@@ -365,48 +364,102 @@ func (st *EstimatorState) haveToStop() bool {
 	return stop
 }
 
-// Check is the black-box stopping check of the paper's Algorithm 2, the
-// one every engine calls on the consistent state: it evaluates the rule
-// (timed into Timings.Check) and latches convergence. Requires calibration.
+// sequential reports whether the state runs the sequential schedule.
+func (st *EstimatorState) sequential() bool { return st.threads == 0 }
+
+// CheckDue reports whether the stopping rule is to be evaluated at the
+// current tau. The sequential state checks on an absolute schedule — at
+// tau0, then every CheckInterval samples, and at the first tau >= omega —
+// so a run stopped at any tau resumes on exactly the checks an
+// uninterrupted run makes; every other state checks after every epoch.
+func (st *EstimatorState) CheckDue() bool {
+	return !st.sequential() || st.s.Tau >= st.nextCheck || float64(st.s.Tau) >= st.omega
+}
+
+// Check is the black-box stopping check of the paper's Algorithm 2, made on
+// the consistent state when CheckDue: it evaluates the rule (timed into
+// Timings.Check) and latches convergence. On the sequential schedule every
+// check closes an epoch and schedules the next one. Requires calibration.
 func (st *EstimatorState) Check() bool {
 	cs := time.Now()
 	st.converged = st.haveToStop()
 	st.timings.Check += time.Since(cs)
+	if st.sequential() {
+		st.nextCheck = st.s.Tau + int64(st.cfg.CheckInterval)
+		st.closeEpoch()
+	}
 	return st.converged
 }
 
-// EndEpoch closes one epoch (one stopping check, sequentially): the counter
-// advances and the progress hook, if any, observes the consistent state.
+// EndEpoch closes one aggregated epoch of the epoch schedule. The
+// sequential schedule counts its checks instead (see Check), so there it
+// does nothing.
 func (st *EstimatorState) EndEpoch() {
+	if !st.sequential() {
+		st.closeEpoch()
+	}
+}
+
+// closeEpoch advances the epoch counter and lets the progress hook, if any,
+// observe the consistent state.
+func (st *EstimatorState) closeEpoch() {
 	st.epochs++
 	if st.cfg.OnEpoch != nil {
 		st.cfg.OnEpoch(st.Progress())
 	}
 }
 
+// EpochQuota is thread 0's sample count for the next epoch of a run whose
+// epoch length is n0. The sequential state samples up to its next scheduled
+// check, which omega caps, since the rule stops unconditionally there; every
+// other state takes n0. Either way the quota ends at the sample cap of b
+// where the counts live (rank 0), so small budgets stay small: a sequential
+// budget stop lands on the cap exactly, and elsewhere only the other
+// threads' share of one epoch overshoots it.
+func (st *EstimatorState) EpochQuota(n0 int, b Budget) int {
+	end := st.s.Tau + int64(n0)
+	if st.sequential() {
+		end = min(st.nextCheck, int64(math.Ceil(st.omega)))
+	}
+	if b.MaxSamples > 0 && st.rank == 0 {
+		end = min(end, b.MaxSamples)
+	}
+	return int(max(end-st.s.Tau, 0))
+}
+
 // tau0 is the calibration batch: omega/StartFactor non-adaptive samples
 // (paper §III-A).
 func (st *EstimatorState) tau0() int64 { return int64(st.omega)/int64(st.cfg.StartFactor) + 1 }
 
-// CalibrationTarget is the tau phase 2 samples toward under budget b: tau0,
-// or the sample cap when that is smaller.
-func (st *EstimatorState) CalibrationTarget(b Budget) int64 {
-	if b.MaxSamples > 0 && b.MaxSamples < st.tau0() {
-		return b.MaxSamples
+// CalibrationShare is each of workers sampling threads' share of the
+// calibration batch a session holding tau samples still lacks: phase 2
+// samples toward tau0, or toward the sample cap of b when that is smaller.
+// The sequential state's one thread draws exactly what is missing; every
+// other state rounds the per-thread share up.
+func (st *EstimatorState) CalibrationShare(b Budget, tau int64, workers int) int {
+	target := st.tau0()
+	if b.MaxSamples > 0 {
+		target = min(target, b.MaxSamples)
 	}
-	return st.tau0()
+	switch missing := target - tau; {
+	case missing <= 0:
+		return 0
+	case st.sequential():
+		return int(missing)
+	default:
+		return int(missing)/workers + 1
+	}
 }
 
-// FinishCalibration is the last step of phase 2 on every engine: a state
-// holding the calibration batch derives its per-vertex failure budgets; a
-// batch cut short by a budget or a cancellation leaves it uncalibrated and
-// resumable. The phase's wall clock since start is charged either way.
-func (st *EstimatorState) FinishCalibration(start time.Time) bool {
+// FinishCalibration is the last step of phase 2: a state holding the
+// calibration batch derives its per-vertex failure budgets; a batch cut
+// short by a budget or a cancellation leaves it uncalibrated and resumable.
+// The phase's wall clock since start is charged either way.
+func (st *EstimatorState) FinishCalibration(start time.Time) {
 	if st.s.Tau >= st.tau0() {
 		st.calibrate()
 	}
 	st.timings.Calibration += time.Since(start)
-	return st.calibrated
 }
 
 // calibrate derives the failure budgets from the current counts; the first
@@ -475,15 +528,17 @@ func (st *EstimatorState) Announce() []int64 {
 
 // Sync aligns this rank with rank 0's Announce: the other ranks adopt the
 // vertex diameter and the targets (so a Recalibrate at rank 0 reaches every
-// rank), and once the session holds samples every rank re-keys its worker
-// streams by tau (see rekey). It returns whether to skip phase 2, and tau.
+// rank), and once a distributed session holds samples every rank re-keys
+// its worker streams by tau (see rekey); a single-process state keeps its
+// streams running from one run to the next. It returns whether to skip
+// phase 2, and tau.
 func (st *EstimatorState) Sync(a []int64) (calibrated bool, tau int64) {
 	if st.rank != 0 {
 		st.vd = int(a[0])
 		st.cfg.Eps, st.cfg.Delta = math.Float64frombits(uint64(a[2])), math.Float64frombits(uint64(a[3]))
 		st.omega = Omega(st.vd, st.cfg.Eps, st.cfg.Delta)
 	}
-	if tau = a[4]; tau > 0 {
+	if tau = a[4]; tau > 0 && st.procs > 0 {
 		st.rekey(tau)
 	}
 	return a[1] != 0, tau
@@ -494,153 +549,6 @@ func (st *EstimatorState) Sync(a []int64) (calibrated bool, tau int64) {
 // remote-cancellation flag.
 func (st *EstimatorState) FoldWire(buf []byte) (cancelled bool, err error) {
 	return st.s.FoldWire(buf)
-}
-
-// Run advances a single-process session until the adaptive stopping rule is
-// satisfied for the current targets, the budget runs out, or ctx is
-// cancelled. Every return leaves the state quiescent and consistent: on a
-// budget stop Run returns nil with Converged() false, on cancellation it
-// returns ctx.Err() with all completed work retained, so the caller may
-// checkpoint, refine, or resume in all three cases. Calling Run after
-// convergence returns immediately. (A rank of a distributed session is
-// advanced collectively, by core.Algorithm2.)
-func (st *EstimatorState) Run(ctx context.Context, b Budget) error {
-	if st.converged {
-		return nil
-	}
-	defer st.Activate()()
-	if st.threads == 0 {
-		return st.runSeq(ctx, b)
-	}
-	return st.runShm(ctx, b)
-}
-
-// runSeq is the sequential engine: the plain KADABRA loop restructured
-// around an absolute stopping-check schedule (checks fire at tau0 and then
-// every CheckInterval samples, capped at omega) so that a budget stop at
-// any tau resumes on exactly the schedule an uninterrupted run would have
-// followed — the foundation of the bit-identical checkpoint guarantee.
-func (st *EstimatorState) runSeq(ctx context.Context, b Budget) error {
-	cfg := st.cfg
-	sampler := st.samplers[0]
-	S := st.s
-
-	// Phase 2: calibration with tau0 non-adaptive samples, kept in the
-	// running state.
-	if !st.calibrated {
-		calStart := time.Now()
-		for target := st.CalibrationTarget(b); S.Tau < target; {
-			if S.Tau%calCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					st.timings.Calibration += time.Since(calStart)
-					return err
-				}
-				if b.Overdue() {
-					break
-				}
-			}
-			SampleInto(sampler, S)
-		}
-		if !st.FinishCalibration(calStart) {
-			return nil // budget exhausted mid-calibration; resumable
-		}
-	}
-
-	// Phase 3: adaptive sampling on the absolute check schedule.
-	samplingStart := time.Now()
-	defer func() { st.timings.Sampling += time.Since(samplingStart) }()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if S.Tau >= st.nextCheck || float64(S.Tau) >= st.omega {
-			stop := st.Check()
-			st.EndEpoch()
-			st.nextCheck = S.Tau + int64(cfg.CheckInterval)
-			st.DeliverCheckpoint(st.CaptureCheckpoint())
-			if stop {
-				return nil
-			}
-		}
-		if b.Exceeded(S.Tau) {
-			return nil
-		}
-		target := st.nextCheck
-		if b.MaxSamples > 0 && b.MaxSamples < target {
-			target = b.MaxSamples
-		}
-		for S.Tau < target && float64(S.Tau) < st.omega {
-			SampleInto(sampler, S)
-			if S.Tau%calCheckEvery == 0 && b.Overdue() {
-				break
-			}
-		}
-	}
-}
-
-// runShm is the epoch-based shared-memory engine (paper Ref. 24, Alg. 2
-// with the MPI calls removed): thread 0 coordinates — samples, forces epoch
-// transitions, aggregates frozen frames, checks the stopping condition —
-// while threads 1..T-1 sample wait-free. The thread choreography is
-// epoch.Driver's; each Run starts its workers and joins them before
-// returning, so between Runs the session is quiescent; samples left in
-// unaggregated frames at a stop are discarded, which is statistically
-// neutral (they are dropped independently of their values).
-func (st *EstimatorState) runShm(ctx context.Context, b Budget) error {
-	T := st.threads
-	S := st.s
-	drv := st.NewDriver()
-
-	// Phase 2: pleasingly parallel calibration toward tau0.
-	if !st.calibrated {
-		calStart := time.Now()
-		if remaining := st.CalibrationTarget(b) - S.Tau; remaining > 0 {
-			stop := func() bool { return ctx.Err() != nil || b.Overdue() }
-			drv.Batch(int(remaining)/T+1, stop, S)
-		}
-		if err := ctx.Err(); err != nil {
-			st.timings.Calibration += time.Since(calStart)
-			return err
-		}
-		if !st.FinishCalibration(calStart) {
-			return nil // budget exhausted mid-calibration; resumable
-		}
-	}
-
-	// Phase 3: epoch-based adaptive sampling.
-	samplingStart := time.Now()
-	drv.Start()
-	n0 := st.cfg.EpochLength(T)
-	var runErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
-		// Stopping check on the consistent state: covers both the
-		// calibration-alone-suffices degenerate case and the post-epoch
-		// check of the previous iteration's aggregation.
-		if st.Check() || b.Exceeded(S.Tau) {
-			break
-		}
-		// The budget is re-checked per epoch, so a budget stop overshoots
-		// by at most one epoch's samples; cap the coordinator's share by
-		// the remaining allowance so small budgets stay small (worker
-		// threads keep sampling until the transition either way — their
-		// overshoot scales with the epoch's wall time).
-		n0e := n0
-		if b.MaxSamples > 0 {
-			if rem := b.MaxSamples - S.Tau; rem < int64(n0e) {
-				n0e = int(rem)
-			}
-		}
-		st.timings.Transition += drv.Epoch(n0e, S)
-		st.EndEpoch()
-		st.DeliverCheckpoint(st.CaptureCheckpoint())
-	}
-	drv.Stop()
-	st.timings.Sampling += time.Since(samplingStart)
-	return runErr
 }
 
 // --- checkpoint codec -------------------------------------------------------
@@ -660,8 +568,8 @@ const (
 )
 
 // ownsStreams reports whether the worker RNG streams are the serializing
-// goroutine's to read: always on the sequential engine (the coordinator is
-// the sampler), between runs on the shared-memory engine (mid-run its
+// goroutine's to read: always on the sequential state (the coordinator is
+// the sampler), between runs on the shared-memory state (mid-run its
 // workers draw from them), never in a distributed session (rank 0 does not
 // hold its peers', and every collective run re-keys them anyway: rekey).
 func (st *EstimatorState) ownsStreams() bool {
@@ -673,8 +581,8 @@ func (st *EstimatorState) ownsStreams() bool {
 // vertex diameter, per-vertex counts, calibration budgets, the stopping
 // schedule, and the RNG streams when the caller owns them (ownsStreams;
 // otherwise marked absent, and re-derived on restore by rekey) — to dst. It
-// is the one serializer: Checkpoint between runs and the in-run captures of
-// all three engines write it. The graph itself is NOT serialized;
+// is the one serializer: Checkpoint between runs and every in-run capture
+// write it. The graph itself is NOT serialized;
 // RestoreEstimatorState re-binds the state to a caller-supplied workload
 // over the same graph. Call it between runs, or on the coordinating
 // goroutine at an epoch boundary. Timings and the hooks are not serialized.

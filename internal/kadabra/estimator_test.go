@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 )
 
 // resultsBitIdentical compares everything except wall-clock timings.
@@ -53,7 +54,7 @@ func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Run(context.Background(), Budget{}); err != nil {
+	if err := advance(context.Background(), full, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	want := full.Result()
@@ -73,7 +74,7 @@ func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := st.Run(context.Background(), Budget{MaxSamples: cut}); err != nil {
+				if err := advance(context.Background(), st, Config{MaxSamples: cut}); err != nil {
 					t.Fatal(err)
 				}
 				if st.Tau() != cut {
@@ -82,15 +83,15 @@ func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 				if st.Converged() {
 					t.Fatalf("cut %d: converged at the budget stop", cut)
 				}
-				if st.s.Dense() != (name == "dense") {
-					t.Fatalf("cut %d: state frame dense=%v in the %s row", cut, st.s.Dense(), name)
+				if st.Frame().Dense() != (name == "dense") {
+					t.Fatalf("cut %d: state frame dense=%v in the %s row", cut, st.Frame().Dense(), name)
 				}
 				ckpt := st.AppendCheckpoint(nil)
 				restored, err := RestoreEstimatorState(ckpt, UndirectedWorkload(g))
 				if err != nil {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
-				if err := restored.Run(context.Background(), Budget{}); err != nil {
+				if err := advance(context.Background(), restored, Config{}); err != nil {
 					t.Fatal(err)
 				}
 				resultsBitIdentical(t, want, restored.Result(), name)
@@ -109,7 +110,7 @@ func TestEstimatorStateRepeatedRunsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Run(context.Background(), Budget{}); err != nil {
+	if err := advance(context.Background(), full, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	want := full.Result()
@@ -119,7 +120,7 @@ func TestEstimatorStateRepeatedRunsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := int64(400); !st.Converged(); step += 400 {
-		if err := st.Run(context.Background(), Budget{MaxSamples: step}); err != nil {
+		if err := advance(context.Background(), st, Config{MaxSamples: step}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func TestEstimatorStateShmCheckpointResume(t *testing.T) {
 	}
 	tau0 := int64(st.Omega())/100 + 1
 	pauseAt := tau0 / 2
-	if err := st.Run(context.Background(), Budget{MaxSamples: pauseAt}); err != nil {
+	if err := advance(context.Background(), st, Config{MaxSamples: pauseAt}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Calibrated() || st.Converged() {
@@ -166,7 +167,7 @@ func TestEstimatorStateShmCheckpointResume(t *testing.T) {
 	if restored.Tau() != paused {
 		t.Fatalf("restored tau %d, want %d", restored.Tau(), paused)
 	}
-	if err := restored.Run(context.Background(), Budget{}); err != nil {
+	if err := advance(context.Background(), restored, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	res := restored.Result()
@@ -188,7 +189,7 @@ func TestEstimatorStateRecalibrateKeepsSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Run(context.Background(), Budget{}); err != nil {
+	if err := advance(context.Background(), st, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	coarse := st.Tau()
@@ -202,7 +203,7 @@ func TestEstimatorStateRecalibrateKeepsSamples(t *testing.T) {
 	if st.Tau() != coarse {
 		t.Fatalf("recalibration changed tau: %d vs %d", st.Tau(), coarse)
 	}
-	if err := st.Run(context.Background(), Budget{}); err != nil {
+	if err := advance(context.Background(), st, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	res := st.Result()
@@ -224,7 +225,7 @@ func TestEstimatorStateBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Run(context.Background(), Budget{MaxSamples: 2000}); err != nil {
+	if err := advance(context.Background(), st, Config{MaxSamples: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Tau() != 2000 {
@@ -239,7 +240,7 @@ func TestEstimatorStateBudgets(t *testing.T) {
 	}
 
 	begin := time.Now()
-	if err := st.Run(context.Background(), Budget{Deadline: time.Now().Add(150 * time.Millisecond)}); err != nil {
+	if err := advance(context.Background(), st, Config{MaxDuration: 150 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(begin); elapsed > 5*time.Second {
@@ -263,7 +264,7 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Run(context.Background(), Budget{MaxSamples: 500}); err != nil {
+	if err := advance(context.Background(), st, Config{MaxSamples: 500}); err != nil {
 		t.Fatal(err)
 	}
 	valid := st.AppendCheckpoint(nil)
@@ -324,8 +325,8 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 		"distributed, 0 threads":              patch(validDist, threadsOff, 0),
 		"distributed, 2^32-1 threads":         patch(validDist, threadsOff, math.MaxUint32),
 		"distributed carrying streams":        patch(validDist, nstreamsOff, 4),
-		"distributed relabelled shared-mem":   append(append([]byte(nil), validDist[:engineOff]...), append([]byte{engineSharedMemory}, validDist[engineOff+1:]...)...),
-		"shared-memory relabelled sequential": append(append([]byte(nil), validDist[:engineOff]...), append([]byte{engineSequential}, validDist[engineOff+1:]...)...),
+		"distributed relabelled shared-mem":   append(append([]byte(nil), validDist[:engineOff]...), append([]byte{EngineSharedMemory}, validDist[engineOff+1:]...)...),
+		"shared-memory relabelled sequential": append(append([]byte(nil), validDist[:engineOff]...), append([]byte{EngineSequential}, validDist[engineOff+1:]...)...),
 	} {
 		if _, err := RestoreEstimatorState(bad, w); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -1,0 +1,30 @@
+package kadabra
+
+import (
+	"repro/internal/epoch"
+	"repro/internal/rng"
+)
+
+// Views of unexported state for this package's external tests, which drive
+// the state through core.Algorithm2 and so cannot live inside the package
+// (core imports it).
+
+const (
+	EngineSequential   = engineSequential
+	EngineSharedMemory = engineSharedMemory
+)
+
+// Frame returns the accumulated state frame.
+func (st *EstimatorState) Frame() *epoch.StateFrame { return st.s }
+
+// Cal returns the failure budgets (nil before calibration).
+func (st *EstimatorState) Cal() *Calibration { return st.cal }
+
+// Streams returns the worker RNG streams.
+func (st *EstimatorState) Streams() []*rng.Rand { return st.streams }
+
+// DerivedState returns the cached logs and the sweep order Calibrate
+// precomputes for the amortized check.
+func (c *Calibration) DerivedState() (logDL, logDU []float64, order []uint32) {
+	return c.logDL, c.logDU, c.order
+}

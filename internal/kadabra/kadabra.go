@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Config collects the parameters shared by every KADABRA variant in this
-// repository (sequential, shared-memory, and the MPI algorithms built on
-// top in internal/core).
+// Config collects the parameters of a KADABRA session, whichever schedule
+// it runs on (sequential, shared-memory, or the ranks of a distributed
+// session; internal/core's Algorithm2 advances all of them).
 type Config struct {
 	// Eps is the absolute approximation error (paper: 0.001 for the main
 	// experiments; smaller values sharply increase running time).
@@ -20,10 +20,11 @@ type Config struct {
 	// tau0 = omega/StartFactor (default 100, as in the original code).
 	StartFactor int
 	// CheckInterval is the number of samples between stopping-condition
-	// checks in the sequential algorithm (default 1000). Parallel variants
-	// use epochs instead (see EpochBase).
+	// checks on the sequential schedule (default 1000): its epochs end at
+	// tau0 + k*CheckInterval, or at omega. The other schedules check after
+	// every epoch (see EpochBase).
 	CheckInterval int
-	// EpochBase and EpochSkew set the epoch length for parallel variants:
+	// EpochBase and EpochSkew set the epoch length of the epoch schedule:
 	// thread 0 takes n0 = EpochBase / W^EpochSkew samples per epoch, where W
 	// is the total number of sampling threads (P*T in the distributed
 	// setting). The paper (§IV-D) decreases the epoch length as workers are
@@ -39,10 +40,10 @@ type Config struct {
 	// (0 = exact). The paper uses a sequential diameter algorithm whose
 	// cost shows up in Fig. 2b; the cap trades tightness for speed.
 	DiameterBFSCap int
-	// OnEpoch, when non-nil, is invoked after every epoch aggregation
-	// (SharedMemory) or stopping check (Sequential) with a consistent
-	// Progress observation. It runs on the coordinator thread between the
-	// stopping check and the next epoch, so it must be cheap; it exists
+	// OnEpoch, when non-nil, is invoked after every epoch (on the
+	// sequential schedule, every stopping check) with a consistent
+	// Progress observation. It runs on the coordinator thread between two
+	// epochs, so it must be cheap; it exists
 	// for progress reporting and convergence tracing. Registering it makes
 	// every epoch pay the O(n) achieved-eps sweep on top of the amortized
 	// O(1) stopping check.
@@ -53,11 +54,10 @@ type Config struct {
 	// Converged == false and reports the guarantee actually achieved in
 	// AchievedEps.
 	MaxSamples int64
-	// MaxDuration, when positive, is a wall-clock budget for one driver
-	// call, measured from its entry (so it covers the diameter and
-	// calibration phases too). The sampling loops stop within one epoch
-	// (one deadline-check batch, for the sequential driver) of the
-	// deadline and report the achieved guarantee, like MaxSamples.
+	// MaxDuration, when positive, is a wall-clock budget for one run,
+	// measured from its entry (so it covers the calibration phase too).
+	// Every engine stops within one epoch of the deadline and reports the
+	// achieved guarantee, like MaxSamples.
 	MaxDuration time.Duration
 	// TopK, when positive, replaces the uniform stopping rule by the
 	// certified top-k rule: stop once the k top vertices' confidence
@@ -103,8 +103,8 @@ func (c Config) EpochLength(totalWorkers int) int {
 }
 
 // Progress is one consistent observation of a running estimate, delivered
-// to Config.OnEpoch after every epoch (or stopping check, for the
-// sequential driver) and by the anytime estimator's Snapshot.
+// to Config.OnEpoch after every epoch (every stopping check, on the
+// sequential schedule) and by the anytime estimator's Snapshot.
 type Progress struct {
 	// Epoch is the 1-based index of the completed epoch (stopping check).
 	Epoch int
@@ -120,17 +120,18 @@ type Progress struct {
 	SamplesPerSec float64
 }
 
-// Budget bounds one EstimatorState.Run call: an absolute cap on the
-// consistent sample count tau, plus a wall-clock deadline. The zero value
-// means unbounded. A budget-stopped run leaves the state consistent and
+// Budget bounds one run of a session: an absolute cap on the consistent
+// sample count tau, plus a wall-clock deadline. The zero value means
+// unbounded. A budget-stopped run leaves the state consistent and
 // resumable; the result reports the guarantee actually achieved.
 type Budget struct {
 	// MaxSamples, when positive, stops the run once tau reaches it. The
-	// sequential engine stops at exactly this tau; the epoch-based engines
-	// may overshoot by up to one epoch (one calibration share per thread).
+	// sequential schedule stops at exactly this tau; the epoch schedule may
+	// overshoot by the other threads' share of one epoch (of one
+	// calibration share per thread, in phase 2).
 	MaxSamples int64
 	// Deadline, when non-zero, stops the run once the wall clock passes
-	// it, within one epoch (one deadline-check batch, sequentially).
+	// it, within one epoch.
 	Deadline time.Time
 }
 
@@ -162,7 +163,7 @@ type Timings struct {
 	Diameter    time.Duration
 	Calibration time.Duration
 	Sampling    time.Duration // adaptive sampling phase, total
-	// Within the sampling phase (parallel variants only):
+	// Within the sampling phase:
 	Transition time.Duration // waiting for epoch transitions (overlapped)
 	Barrier    time.Duration // non-blocking barrier waits (overlapped)
 	Reduce     time.Duration // blocking aggregation (not overlapped)
@@ -174,7 +175,7 @@ func (t Timings) Total() time.Duration {
 	return t.Diameter + t.Calibration + t.Sampling
 }
 
-// Result is the output of every KADABRA variant.
+// Result is the output of a KADABRA session.
 type Result struct {
 	// Betweenness holds btilde(x) = ctilde(x)/tau for every vertex.
 	Betweenness []float64
@@ -184,8 +185,8 @@ type Result struct {
 	Omega float64
 	// VertexDiameter is the value used for omega.
 	VertexDiameter int
-	// Epochs is the number of completed epochs (parallel variants; the
-	// sequential algorithm reports the number of stopping checks).
+	// Epochs is the number of completed epochs (on the sequential
+	// schedule, the number of stopping checks).
 	Epochs int
 	// AchievedEps is the guarantee actually achieved: with probability
 	// 1-delta every estimate is within AchievedEps of the truth. It is at

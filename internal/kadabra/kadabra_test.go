@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/brandes"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 )
 
 func TestOmegaBasics(t *testing.T) {

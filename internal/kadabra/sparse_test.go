@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 	"repro/internal/rng"
 )
 
@@ -269,21 +270,21 @@ func TestHaveToStopMatchesReference(t *testing.T) {
 // Calibrate precomputes for the amortized check.
 func TestCalibrateDerivedState(t *testing.T) {
 	counts := []int64{5, 50, 0, 20, 50}
-	cal := Calibrate(counts, 125, 10000, 0.05, 0.1)
-	if len(cal.logDL) != len(counts) || len(cal.logDU) != len(counts) {
+	logDL, logDU, order := Calibrate(counts, 125, 10000, 0.05, 0.1).DerivedState()
+	if len(logDL) != len(counts) || len(logDU) != len(counts) {
 		t.Fatal("cached logs missing")
 	}
 	for v := range counts {
-		if cal.logDL[v] <= 0 || cal.logDU[v] <= 0 {
+		if logDL[v] <= 0 || logDU[v] <= 0 {
 			t.Fatalf("non-positive cached log at %d", v)
 		}
 	}
 	// Descending calibration counts, ties by ascending ID: 50@1, 50@4,
 	// 20@3, 5@0, 0@2.
 	want := []uint32{1, 4, 3, 0, 2}
-	for i, v := range cal.order {
+	for i, v := range order {
 		if v != want[i] {
-			t.Fatalf("order %v, want %v", cal.order, want)
+			t.Fatalf("order %v, want %v", order, want)
 		}
 	}
 }

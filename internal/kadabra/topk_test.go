@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/brandes"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 )
 
 func TestTopKHaveToStopBasics(t *testing.T) {

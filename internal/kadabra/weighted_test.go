@@ -1,4 +1,4 @@
-package kadabra
+package kadabra_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/brandes"
 	"repro/internal/graph"
+	. "repro/internal/kadabra"
 	"repro/internal/rng"
 )
 

@@ -61,9 +61,13 @@ func (c *Comm) Barrier() error {
 // IBarrier is the non-blocking barrier of paper §IV-F: the returned Request
 // completes once all processes have entered the barrier, while the caller
 // keeps sampling. Combined with a blocking Reduce it forms the paper's
-// preferred aggregation strategy.
+// preferred aggregation strategy. On a one-rank communicator it returns
+// completed, as do IBcast and IReduceMerge: no goroutine is started.
 func (c *Comm) IBarrier() *Request {
 	seq := c.nextCollSeq()
+	if c.Size() == 1 {
+		return completedRequest(nil, nil)
+	}
 	req := newRequest()
 	go func() {
 		_, err := c.barrierWithSeq(seq)
@@ -110,6 +114,9 @@ func (c *Comm) IBcast(root int, data []byte) *Request {
 	seq := c.nextCollSeq()
 	buf := make([]byte, len(data))
 	copy(buf, data)
+	if c.Size() == 1 {
+		return completedRequest(buf, nil)
+	}
 	req := newRequest()
 	go func() {
 		res, err := c.bcastWithSeq(root, buf, seq)
@@ -209,6 +216,9 @@ func (c *Comm) IReduceMerge(root int, data []byte, op MergeOp) *Request {
 	seq := c.nextCollSeq()
 	acc := make([]byte, len(data))
 	copy(acc, data)
+	if c.Size() == 1 {
+		return completedRequest(acc, nil)
+	}
 	req := newRequest()
 	go func() {
 		res, err := c.reduceMergeWithSeq(root, acc, op, seq)

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -371,6 +372,45 @@ func TestIBcastTerminationFlagPattern(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneRankNonBlockingCollectives: on a one-rank world the non-blocking
+// collectives are plain copies, handed back already completed. None may
+// start a goroutine — the single-process engines run Algorithm 2 on such a
+// world, and a goroutine per collective per epoch is what they must not pay
+// — so the goroutine count is compared across every call, while a goroutine
+// started by it would still be alive.
+func TestOneRankNonBlockingCollectives(t *testing.T) {
+	c := NewLocalWorld(1).Comm(0)
+	for i := 0; i < 1000; i++ {
+		in := []byte{byte(i), byte(i >> 8), 7}
+		for _, op := range []struct {
+			name string
+			call func() *Request
+			want []byte
+		}{
+			{"IBarrier", c.IBarrier, nil},
+			{"IBcast", func() *Request { return c.IBcast(0, in) }, in},
+			{"IReduceMerge", func() *Request { return c.IReduceMerge(0, in, Op(SumInt64).mergeOp()) }, in},
+		} {
+			before := runtime.NumGoroutine()
+			req := op.call()
+			// Only a rise counts: an earlier test's goroutine may exit meanwhile.
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("round %d: %s raised the goroutine count from %d to %d", i, op.name, before, n)
+			}
+			if !req.Test() {
+				t.Fatalf("round %d: %s did not complete synchronously", i, op.name)
+			}
+			out, err := req.Wait()
+			if err != nil {
+				t.Fatalf("round %d: %s: %v", i, op.name, err)
+			}
+			if !bytes.Equal(out, op.want) {
+				t.Fatalf("round %d: %s returned %v, want %v", i, op.name, out, op.want)
+			}
+		}
 	}
 }
 
