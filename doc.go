@@ -45,7 +45,10 @@
 // and the stopping check is amortized O(1) per epoch (cached logs, the
 // last failing vertex re-checked first, descending-calibration-count sweep
 // order — with a mandatory full sweep before it may answer "stop", since
-// the paper's f/g bounds are not monotone in the state). Result.Distributed
+// the paper's f/g bounds are not monotone in the state). Calibration and
+// checkpoint restore share one derivation of that state, over the groups
+// of vertices with equal budgets, so phase 2 costs O(n) plus a term per
+// distinct calibration count rather than per vertex. Result.Distributed
 // reports both the dense-equivalent CommVolumePerEpoch bound and the
 // actual ReduceWireBytes. bench/README.md says how to measure each layer.
 //

@@ -67,11 +67,16 @@ func FBound(btilde float64, deltaL, omega float64, tau int64) float64 {
 // fBoundLog is FBound with log(1/deltaL) precomputed — the stopping check
 // evaluates the bounds once per vertex per epoch, and the log is the single
 // most expensive term, so Calibrate caches it per vertex.
+//
+// The clamp is the builtin min, not math.Min: it returns the same value on
+// every input without a NaN beside an infinity, and compiles without the
+// special-case branches, which a sweep mixing zero and non-zero btilde
+// (an errChern of exactly 0 against a btilde of 0) would mispredict.
 func fBoundLog(btilde, logD, omega float64, tau int64) float64 {
 	ft := float64(tau)
 	tmp := omega/ft - 1.0/3
 	errChern := logD / ft * (-tmp + math.Sqrt(tmp*tmp+2*btilde*omega/logD))
-	return math.Min(errChern, btilde)
+	return min(errChern, btilde)
 }
 
 // GBound is the lower error bound function g(btilde, deltaU, omega, tau):
@@ -84,12 +89,13 @@ func GBound(btilde float64, deltaU, omega float64, tau int64) float64 {
 	return gBoundLog(btilde, math.Log(1/deltaU), omega, tau)
 }
 
-// gBoundLog is GBound with log(1/deltaU) precomputed.
+// gBoundLog is GBound with log(1/deltaU) precomputed, clamped like
+// fBoundLog.
 func gBoundLog(btilde, logD, omega float64, tau int64) float64 {
 	ft := float64(tau)
 	tmp := omega/ft + 1.0/3
 	errChern := logD / ft * (tmp + math.Sqrt(tmp*tmp+2*btilde*omega/logD))
-	return math.Min(errChern, 1-btilde)
+	return min(errChern, 1-btilde)
 }
 
 // Calibration holds the per-vertex failure budgets computed in phase 2.
@@ -103,12 +109,17 @@ type Calibration struct {
 
 	// Derived state for the amortized stopping check (see HaveToStop):
 	// cached logs, the sweep order, and the last vertex that failed the
-	// bounds. Populated by Calibrate; recomputed lazily for hand-built
-	// Calibrations.
+	// bounds. Populated by Calibrate and by checkpoint restore; derived
+	// lazily for hand-built Calibrations.
 	logDL, logDU []float64
 	order        []uint32
 	lastFail     int32
 }
+
+// budgetSlack is the rounding allowance on sum(deltaL+deltaU) <= delta/2:
+// Calibrate meets the bound up to the rounding of an n-term sum, far below
+// it; a restored checkpoint whose budgets exceed it is rejected.
+const budgetSlack = 1e-9
 
 // balancingFactor is the fraction of the adaptive budget spread uniformly
 // over all vertices so that no vertex gets a vanishing budget (mirrors the
@@ -127,6 +138,14 @@ const balancingFactor = 0.1
 // sum_v 2*exp(-kappa/(2*btilde(v)+2*eps/3)) equals (1-balancing)*delta/2,
 // then spread the remaining balancing*delta/2 uniformly. High-betweenness
 // vertices (the stopping bottleneck) thereby receive the largest budgets.
+//
+// A vertex's budget depends only on its count, so the bisection sums one
+// term per distinct count, weighted by how many vertices share it, and each
+// distinct count costs one exp and one log. The cost is O(n + D*rounds)
+// for D distinct counts, at most 100 bisection rounds plus the doubling of
+// the initial bracket. D distinct non-negative counts sum to at least
+// D(D-1)/2, so D <= sqrt(2*sum(counts)) + 1, and sum(counts) is tau0 times
+// the mean path interior: tens to a few hundred groups whatever n is.
 func Calibrate(counts []int64, tau0 int64, omega, eps, delta float64) *Calibration {
 	n := len(counts)
 	cal := &Calibration{
@@ -138,35 +157,41 @@ func Calibrate(counts []int64, tau0 int64, omega, eps, delta float64) *Calibrati
 	budget := delta / 2 * (1 - balancingFactor)
 	uniform := delta / 2 * balancingFactor / (2 * float64(n))
 
-	// weight(v) = 2*btilde(v) + 2eps/3, the denominator of the exponent.
-	weights := make([]float64, n)
+	// weight(g) = 2*btilde + 2eps/3, the denominator of the exponent, for
+	// the count shared by the size[g] vertices of group g.
+	group, distinct, size := groupCounts(counts)
+	weights := make([]float64, len(distinct))
 	maxW := 0.0
-	for v, c := range counts {
+	for g, c := range distinct {
 		bt := 0.0
 		if tau0 > 0 {
 			bt = float64(c) / float64(tau0)
 		}
-		weights[v] = 2*bt + 2*eps/3
-		if weights[v] > maxW {
-			maxW = weights[v]
+		weights[g] = 2*bt + 2*eps/3
+		if weights[g] > maxW {
+			maxW = weights[g]
 		}
 	}
 
 	sumFor := func(kappa float64) float64 {
 		s := 0.0
-		for _, w := range weights {
-			s += 2 * math.Exp(-kappa/w)
+		for g, w := range weights {
+			s += float64(size[g]) * math.Exp(-kappa/w)
 		}
-		return s
+		return 2 * s
 	}
 	// kappa=0 gives sum 2n >= budget (delta < 1 <= 2n); grow hi until the sum
-	// drops below budget, then bisect.
+	// drops below budget, then bisect. Once mid rounds onto lo or hi the
+	// bracket can no longer move, so the remaining rounds are skipped.
 	lo, hi := 0.0, maxW*math.Log(4*float64(n)/(delta/2))
 	for sumFor(hi) > budget {
 		hi *= 2
 	}
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
 		if sumFor(mid) > budget {
 			lo = mid
 		} else {
@@ -174,41 +199,124 @@ func Calibrate(counts []int64, tau0 int64, omega, eps, delta float64) *Calibrati
 		}
 	}
 	kappa := hi // guarantees sumFor(kappa) <= budget
-	for v := range cal.DeltaL {
-		d := math.Exp(-kappa/weights[v]) + uniform
-		cal.DeltaL[v] = d
-		cal.DeltaU[v] = d
+	d := make([]float64, len(distinct))
+	for g, w := range weights {
+		d[g] = math.Exp(-kappa/w) + uniform
 	}
-	cal.deriveCheckState(counts)
+	for v, g := range group {
+		cal.DeltaL[v] = d[g]
+		cal.DeltaU[v] = d[g]
+	}
+	cal.deriveCheckState(group, d, size)
 	return cal
+}
+
+// groupCounts groups vertices by calibration count, as groupBudgets does
+// by budget: a count below n (almost every one) finds its group in a table
+// indexed by the count, and only the at most sum(counts)/n larger ones go
+// through a map.
+func groupCounts(counts []int64) (group []int32, distinct []int64, size []int32) {
+	group = make([]int32, len(counts))
+	table := make([]int32, len(counts)) // group+1 of each count below n
+	var large map[int64]int32
+	for v, c := range counts {
+		if c >= 0 && c < int64(len(table)) {
+			if table[c] == 0 {
+				distinct = append(distinct, c)
+				size = append(size, 0)
+				table[c] = int32(len(distinct))
+			}
+			group[v] = table[c] - 1
+			size[group[v]]++
+			continue
+		}
+		g, ok := large[c]
+		if !ok {
+			if large == nil {
+				large = make(map[int64]int32)
+			}
+			g = int32(len(distinct))
+			large[c] = g
+			distinct = append(distinct, c)
+			size = append(size, 0)
+		}
+		group[v] = g
+		size[g]++
+	}
+	return group, distinct, size
+}
+
+// groupBudgets groups vertices by their budget, keyed on its bits (a
+// budget is never a NaN or a zero, so equal bits mean equal budgets): the
+// index of each vertex's budget in distinct, the budgets in order of first
+// appearance, and how many vertices hold each of them.
+func groupBudgets(ds []float64) (group []int32, distinct []float64, size []int32) {
+	group = make([]int32, len(ds))
+	index := make(map[uint64]int32)
+	for v, d := range ds {
+		g, ok := index[math.Float64bits(d)]
+		if !ok {
+			g = int32(len(distinct))
+			index[math.Float64bits(d)] = g
+			distinct = append(distinct, d)
+			size = append(size, 0)
+		}
+		group[v] = g
+		size[g]++
+	}
+	return group, distinct, size
 }
 
 // deriveCheckState precomputes what the per-epoch stopping check needs:
 // log(1/deltaL[v]) and log(1/deltaU[v]) (so HaveToStop performs no math.Log
-// at all), and the sweep order — vertices in descending calibration-count
-// order, ties broken by vertex ID for determinism. High-count vertices have
-// the largest btilde and are the stopping bottleneck, so sweeping them
-// first makes the expected position of the first failing vertex O(1).
-func (cal *Calibration) deriveCheckState(counts []int64) {
+// at all), and the sweep order — vertices in descending deltaL order, ties
+// broken by vertex ID for determinism. deltaL is increasing in the
+// calibration count, so high-count vertices come first: they have the
+// largest btilde and are the stopping bottleneck, and sweeping them first
+// makes the expected position of the first failing vertex O(1).
+//
+// The vertices arrive grouped by budget: d[group[v]] == DeltaL[v], and
+// size[g] vertices share d[g]. Groups are ranked by descending budget
+// (equal budgets share a rank) and the vertices bucketed by rank in ID
+// order, so the sweep order costs O(n + D log D) and each group takes one
+// log. Calibrate groups by count, a restored or hand-built Calibration by
+// the budget itself (groupBudgets); both arrive at the same state.
+func (cal *Calibration) deriveCheckState(group []int32, d []float64, size []int32) {
+	byBudget := make([]int32, len(d))
+	for g := range byBudget {
+		byBudget[g] = int32(g)
+	}
+	sort.Slice(byBudget, func(i, j int) bool { return d[byBudget[i]] > d[byBudget[j]] })
+	rank := make([]int32, len(d))
+	logD := make([]float64, len(d))
+	ranks := int32(0)
+	for i, g := range byBudget {
+		if i > 0 && d[g] != d[byBudget[i-1]] {
+			ranks++
+		}
+		rank[g] = ranks
+		logD[g] = math.Log(1 / d[g])
+	}
+	next := make([]int, ranks+2)
+	for g, m := range size {
+		next[rank[g]+1] += int(m)
+	}
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
+	}
 	n := len(cal.DeltaL)
 	cal.logDL = make([]float64, n)
 	cal.logDU = make([]float64, n)
-	for v := 0; v < n; v++ {
-		cal.logDL[v] = math.Log(1 / cal.DeltaL[v])
-		cal.logDU[v] = math.Log(1 / cal.DeltaU[v])
-	}
 	cal.order = make([]uint32, n)
-	for v := range cal.order {
-		cal.order[v] = uint32(v)
-	}
-	if counts != nil {
-		sort.Slice(cal.order, func(i, j int) bool {
-			a, b := cal.order[i], cal.order[j]
-			if counts[a] != counts[b] {
-				return counts[a] > counts[b]
-			}
-			return a < b
-		})
+	for v, g := range group {
+		cal.order[next[rank[g]]] = uint32(v)
+		next[rank[g]]++
+		cal.logDL[v] = logD[g]
+		if cal.DeltaU[v] == cal.DeltaL[v] {
+			cal.logDU[v] = logD[g]
+		} else {
+			cal.logDU[v] = math.Log(1 / cal.DeltaU[v])
+		}
 	}
 	cal.lastFail = -1
 }
@@ -233,7 +341,8 @@ func (cal *Calibration) TotalBudget() float64 {
 // bounds is re-checked first (in a long run the same bottleneck vertex
 // fails for many consecutive epochs, so most calls return after one
 // two-bound evaluation), and the sweep otherwise proceeds in descending
-// calibration-count order with cached logs, exiting at the first failure.
+// budget (so calibration-count) order with cached logs, exiting at the
+// first failure.
 // The functions f and g are NOT monotone in the state (paper §III-B
 // footnote), so no vertex is ever permanently pruned: a full sweep over all
 // n vertices still runs before the check may return true, and the
@@ -253,8 +362,8 @@ func (cal *Calibration) HaveToStop(counts []int64, tau int64) bool {
 		return true
 	}
 	if cal.logDL == nil {
-		// Hand-built Calibration (tests): derive lazily, natural order.
-		cal.deriveCheckState(nil)
+		// Hand-built Calibration (tests): derive lazily.
+		cal.deriveCheckState(groupBudgets(cal.DeltaL))
 	}
 	ft := float64(tau)
 	last := cal.lastFail
@@ -291,7 +400,7 @@ func (cal *Calibration) AchievedEps(counts []int64, tau int64) float64 {
 		return 1
 	}
 	if cal.logDL == nil {
-		cal.deriveCheckState(nil)
+		cal.deriveCheckState(groupBudgets(cal.DeltaL))
 	}
 	ft := float64(tau)
 	worst := 0.0

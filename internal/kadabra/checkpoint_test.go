@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -308,4 +309,84 @@ func TestDenseByteIgnored(t *testing.T) {
 		results[i] = restored.Result()
 	}
 	resultsBitIdentical(t, results[0], results[1], "dense byte 0 vs 1")
+}
+
+// TestRestoredDerivedState: a session restored from a mid-run checkpoint
+// derives the very sweep order and cached logs the uninterrupted session's
+// Calibrate derived, element for element, on every workload.
+func TestRestoredDerivedState(t *testing.T) {
+	for name, w := range testWorkloads(t) {
+		cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 11}
+		full, err := NewEstimatorState(w, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := advance(context.Background(), full, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewEstimatorState(w, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := advance(context.Background(), st, Config{MaxSamples: (st.Tau0() + full.Tau()) / 2}); err != nil {
+			t.Fatal(err)
+		}
+		if !st.Calibrated() || st.Converged() {
+			t.Fatalf("%s: checkpoint at tau %d is not mid-run", name, st.Tau())
+		}
+		restored, err := RestoreEstimatorState(st.AppendCheckpoint(nil), w)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", name, err)
+		}
+		wantL, wantU, wantOrder := full.Cal().DerivedState()
+		gotL, gotU, gotOrder := restored.Cal().DerivedState()
+		if !slices.Equal(gotL, wantL) || !slices.Equal(gotU, wantU) {
+			t.Errorf("%s: restored cached logs differ from the uninterrupted session's", name)
+		}
+		if !slices.Equal(gotOrder, wantOrder) {
+			t.Errorf("%s: restored sweep order %v, uninterrupted %v", name, gotOrder, wantOrder)
+		}
+	}
+}
+
+// TestRestoreRejectsInflatedBudget: failure budgets summing above delta/2
+// would void the (eps, delta) guarantee, so a payload carrying one is
+// refused with an error — even though every budget lies in (0, 1).
+func TestRestoreRejectsInflatedBudget(t *testing.T) {
+	w := UndirectedWorkload(testGraph())
+	st, err := NewEstimatorState(w, 0, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := advance(context.Background(), st, Config{MaxSamples: st.Tau0() + 100}); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Calibrated() {
+		t.Fatal("budget stop before calibration")
+	}
+	payload := st.AppendCheckpoint(nil)
+	if _, err := RestoreEstimatorState(payload, w); err != nil {
+		t.Fatalf("pristine payload: %v", err)
+	}
+	// The payload ends with deltaL[0..n) and deltaU[0..n).
+	n := w.N()
+	for _, c := range []struct {
+		name string
+		off  int
+		d    float64
+	}{
+		{"deltaL[0]", len(payload) - 16*n, st.Cal().DeltaL[0]},
+		{"deltaU[n-1]", len(payload) - 8, st.Cal().DeltaU[n-1]},
+	} {
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(payload[c.off:])); got != c.d {
+			t.Fatalf("%s is not at byte %d: found %g, want %g", c.name, c.off, got, c.d)
+		}
+		for _, inflated := range []float64{0.5, c.d + 1e-6} {
+			bad := bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(bad[c.off:], math.Float64bits(inflated))
+			if _, err := RestoreEstimatorState(bad, w); err == nil {
+				t.Errorf("%s inflated to %g: accepted", c.name, inflated)
+			}
+		}
+	}
 }

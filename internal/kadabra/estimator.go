@@ -882,10 +882,14 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 				return nil, err
 			}
 		}
-		// The sweep order and cached logs are derived, not serialized;
-		// natural order only affects how fast a failing state is
-		// recognized, never the stopping decision.
-		cal.deriveCheckState(nil)
+		// Budgets summing above delta/2 would void the (eps, delta)
+		// guarantee: the omega fallback holds the other half.
+		if total := cal.TotalBudget(); !(total <= cfg.Delta/2+budgetSlack) {
+			return nil, fmt.Errorf("kadabra: checkpoint failure budgets sum to %g, above delta/2 = %g", total, cfg.Delta/2)
+		}
+		// The sweep order and cached logs are derived, not serialized,
+		// the same way Calibrate derives them.
+		cal.deriveCheckState(groupBudgets(cal.DeltaL))
 		st.cal = cal
 	}
 	if len(r.b) != 0 {

@@ -17,6 +17,9 @@ const (
 // Frame returns the accumulated state frame.
 func (st *EstimatorState) Frame() *epoch.StateFrame { return st.s }
 
+// Tau0 returns the size of the calibration batch.
+func (st *EstimatorState) Tau0() int64 { return st.tau0() }
+
 // Cal returns the failure budgets (nil before calibration).
 func (st *EstimatorState) Cal() *Calibration { return st.cal }
 

@@ -2,6 +2,10 @@ package kadabra_test
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/epoch"
@@ -329,6 +333,174 @@ func BenchmarkHaveToStop(b *testing.B) {
 			if haveToStopReference(cal, counts, tau) {
 				b.Fatal("state unexpectedly stopped")
 			}
+		}
+	})
+}
+
+// calibrateReference is the per-vertex Calibrate the grouped one replaced,
+// kept as the oracle: every bisection round sums one exp per vertex. It
+// returns the budgets (deltaL == deltaU) and the sweep order, vertices by
+// descending budget with ties by ascending ID. The balancing factor 0.1 is
+// written out.
+func calibrateReference(counts []int64, tau0 int64, eps, delta float64) ([]float64, []uint32) {
+	n := len(counts)
+	budget := delta / 2 * 0.9
+	uniform := delta / 2 * 0.1 / (2 * float64(n))
+	weights := make([]float64, n)
+	maxW := 0.0
+	for v, c := range counts {
+		bt := 0.0
+		if tau0 > 0 {
+			bt = float64(c) / float64(tau0)
+		}
+		weights[v] = 2*bt + 2*eps/3
+		maxW = max(maxW, weights[v])
+	}
+	sumFor := func(kappa float64) float64 {
+		s := 0.0
+		for _, w := range weights {
+			s += 2 * math.Exp(-kappa/w)
+		}
+		return s
+	}
+	lo, hi := 0.0, maxW*math.Log(4*float64(n)/(delta/2))
+	for sumFor(hi) > budget {
+		hi *= 2
+	}
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if sumFor(mid) > budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	d := make([]float64, n)
+	order := make([]uint32, n)
+	for v := range d {
+		d[v] = math.Exp(-hi/weights[v]) + uniform
+		order[v] = uint32(v)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return d[order[i]] > d[order[j]] })
+	return d, order
+}
+
+// calibrationCounts runs a sequential session over w to the end of phase 2
+// and returns the counts Calibrate saw.
+func calibrationCounts(t *testing.T, w Workload, cfg Config) ([]int64, int64) {
+	t.Helper()
+	st, err := NewEstimatorState(w, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := advance(context.Background(), st, Config{MaxSamples: st.Tau0()}); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Calibrated() || st.Tau() != st.Tau0() {
+		t.Fatalf("stopped at tau %d (calibrated %v), want the end of phase 2 at %d", st.Tau(), st.Calibrated(), st.Tau0())
+	}
+	return append([]int64(nil), st.Frame().C...), st.Tau()
+}
+
+// TestCalibrateMatchesReference holds the grouped Calibrate to the
+// per-vertex reference: budgets equal up to the rounding of the two sums,
+// the guarantee's budget bound met, and the same sweep order.
+func TestCalibrateMatchesReference(t *testing.T) {
+	type input struct {
+		name       string
+		counts     []int64
+		tau0       int64
+		eps, delta float64
+	}
+	filled := func(n int, f func(v int) int64) []int64 {
+		c := make([]int64, n)
+		for v := range c {
+			c[v] = f(v)
+		}
+		return c
+	}
+	inputs := []input{
+		{"all-zero", make([]int64, 50), 100, 0.01, 0.1},
+		{"one-hub", filled(300, func(v int) int64 {
+			if v == 250 {
+				return 400
+			}
+			return int64(v % 2)
+		}), 400, 0.02, 0.1},
+		{"n=2", []int64{3, 0}, 5, 0.05, 0.1},
+		{"all-distinct", filled(200, func(v int) int64 { return int64(v) }), 20_000, 0.01, 0.05},
+		{"all-tau0", filled(64, func(int) int64 { return 90 }), 90, 0.03, 0.1},
+	}
+	rmat, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(8, 8, 31)))
+	for name, g := range map[string]*graph.Graph{"star": starGraph(101), "rmat": rmat} {
+		counts, tau0 := calibrationCounts(t, UndirectedWorkload(g), Config{Eps: 0.01, Delta: 0.1, Seed: 1})
+		inputs = append(inputs, input{"golden-" + name, counts, tau0, 0.01, 0.1})
+	}
+	r := rng.NewRand(41)
+	for i := 0; i < 200; i++ {
+		n := 2 + r.Intn(500)
+		tau0 := int64(1 + r.Intn(5000))
+		counts := make([]int64, n)
+		// Paths of a few interior vertices each, half of them through a
+		// handful of hubs.
+		for s := int64(0); s < tau0; s++ {
+			for k := r.Intn(5); k > 0; k-- {
+				v := r.Intn(n)
+				if r.Intn(2) == 0 {
+					v = r.Intn(1 + n/50)
+				}
+				counts[v]++
+			}
+		}
+		eps := []float64{0.005, 0.01, 0.05}[r.Intn(3)]
+		delta := []float64{0.01, 0.1}[r.Intn(2)]
+		inputs = append(inputs, input{fmt.Sprintf("random-%d", i), counts, tau0, eps, delta})
+	}
+
+	for _, in := range inputs {
+		cal := Calibrate(in.counts, in.tau0, Omega(10, in.eps, in.delta), in.eps, in.delta)
+		want, wantOrder := calibrateReference(in.counts, in.tau0, in.eps, in.delta)
+		for v, d := range want {
+			for _, got := range []float64{cal.DeltaL[v], cal.DeltaU[v]} {
+				if math.Abs(got-d) > 1e-10*d {
+					t.Fatalf("%s: budget of vertex %d is %g, reference %g", in.name, v, got, d)
+				}
+			}
+		}
+		if total := cal.TotalBudget(); total > in.delta/2+1e-9 {
+			t.Fatalf("%s: total budget %g above delta/2 = %g", in.name, total, in.delta/2)
+		}
+		if _, _, order := cal.DerivedState(); !slices.Equal(order, wantOrder) {
+			t.Fatalf("%s: sweep order %v, reference %v", in.name, order, wantOrder)
+		}
+	}
+}
+
+// BenchmarkCalibrate measures phase 2's budget derivation on a 100k-vertex
+// calibration state against the per-vertex reference.
+func BenchmarkCalibrate(b *testing.B) {
+	const n = 100_000
+	r := rng.NewRand(37)
+	counts := make([]int64, n)
+	const tau0 = 20_000
+	for s := 0; s < tau0; s++ {
+		for k := 1 + r.Intn(6); k > 0; k-- {
+			v := r.Intn(n)
+			if r.Intn(4) == 0 {
+				v = r.Intn(100)
+			}
+			counts[v]++
+		}
+	}
+	omega := Omega(20, 0.01, 0.1)
+	b.Run("grouped", func(b *testing.B) {
+		for b.Loop() {
+			Calibrate(counts, tau0, omega, 0.01, 0.1)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for b.Loop() {
+			calibrateReference(counts, tau0, 0.01, 0.1)
 		}
 	})
 }

@@ -28,11 +28,14 @@ func (cal *Calibration) TopKHaveToStop(counts []int64, tau int64, k int, lower, 
 	if tau <= 0 || k <= 0 || k >= n {
 		return false, false
 	}
+	if cal.logDL == nil {
+		cal.deriveCheckState(groupBudgets(cal.DeltaL))
+	}
 	ft := float64(tau)
 	for v, c := range counts {
 		bt := float64(c) / ft
-		lower[v] = bt - FBound(bt, cal.DeltaL[v], cal.Omega, tau)
-		upper[v] = bt + GBound(bt, cal.DeltaU[v], cal.Omega, tau)
+		lower[v] = bt - fBoundLog(bt, cal.logDL[v], cal.Omega, tau)
+		upper[v] = bt + gBoundLog(bt, cal.logDU[v], cal.Omega, tau)
 	}
 	// Find the top-k set by empirical score via partial selection.
 	idx := make([]int, n)

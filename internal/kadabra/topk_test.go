@@ -166,6 +166,12 @@ func floatsHash(xs []float64) uint64 {
 // (Eps 0.01, Delta 0.1). The three cases end three different ways — early
 // separation on the star, mid-run separation on R-MAT k=1, and the omega cap
 // on R-MAT k=5 — and the hashes make Betweenness/Lower/Upper bit-identical.
+// Three rows (rmat k1 seed1, rmat k1 seed3, rmat k5 seed1) were re-pinned
+// in their Lower/Upper/AchievedEps fields only when Calibrate began summing
+// its bisection per distinct count: the grouped sum rounds differently from
+// the per-vertex one, moving kappa, and so the budgets, in their last bits
+// (AchievedEps by one ulp); tau, epochs, the top set and the estimates are
+// the recorded ones.
 func TestTopKGoldenParity(t *testing.T) {
 	rmat, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(8, 8, 31)))
 	graphs := map[string]*graph.Graph{"star": starGraph(101), "rmat": rmat}
@@ -183,10 +189,10 @@ func TestTopKGoldenParity(t *testing.T) {
 		{"star", 1, 1, 1200, 2, []graph.Node{0}, true, 0x7e125e5c1e253fcd, 0x301004c67e00c96c, 0xc783d1a103392ff8, 0x3fd3369164ae638e},
 		{"star", 1, 2, 1200, 2, []graph.Node{0}, true, 0xb9ee4691abc56777, 0xe4b72164f21e4f39, 0xc783d1a103392ff8, 0x3fd3369164ae638e},
 		{"star", 1, 3, 1200, 2, []graph.Node{0}, true, 0x935d779fd7b23804, 0xd8f8233c7aa11742, 0xc783d1a103392ff8, 0x3fd3369164ae638e},
-		{"rmat", 1, 1, 4300, 5, []graph.Node{0}, true, 0xd53c0d37b82dc919, 0x99adee5513f9268b, 0x5db6a83a57a0ebee, 0x3fb35420520452d0},
+		{"rmat", 1, 1, 4300, 5, []graph.Node{0}, true, 0xd53c0d37b82dc919, 0x1a02a4368dfb6b36, 0xdd68ac2a3612f31d, 0x3fb35420520452cf},
 		{"rmat", 1, 2, 4300, 5, []graph.Node{0}, true, 0x293ed2dd58f53e3, 0xc6d24482157c6d9a, 0x40470f9859537f29, 0x3fb29ab731e6d2a3},
-		{"rmat", 1, 3, 4300, 5, []graph.Node{0}, true, 0xcf9e64ebc8046aa0, 0x8fedba650c3a7af5, 0x66ca553663cff088, 0x3fb36c564e4fcc38},
-		{"rmat", 5, 1, 29979, 31, []graph.Node{0, 32, 2, 16, 59}, false, 0x8fbb534349a2d7a3, 0x491a4e85c47c55c7, 0xab0518b0a0761897, 0x3f8073d273043c5c},
+		{"rmat", 1, 3, 4300, 5, []graph.Node{0}, true, 0xcf9e64ebc8046aa0, 0x8f948121ad13ce17, 0x66ca553663cff088, 0x3fb36c564e4fcc38},
+		{"rmat", 5, 1, 29979, 31, []graph.Node{0, 32, 2, 16, 59}, false, 0x8fbb534349a2d7a3, 0x491a4e85c47c55c7, 0xb4fac1a4e5877604, 0x3f8073d273043c5b},
 		{"rmat", 5, 2, 29979, 31, []graph.Node{0, 32, 16, 2, 59}, false, 0x21f0793f07f7f773, 0x184199ef44ebdd1b, 0xf55af5c1a60417d1, 0x3f806f07137bb605},
 		{"rmat", 5, 3, 29979, 31, []graph.Node{0, 2, 16, 32, 59}, false, 0x655b610996bb27dd, 0xaa61f842de12db84, 0x1a6e5cf004f4d38, 0x3f8139f364492308},
 	} {
