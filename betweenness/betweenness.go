@@ -20,13 +20,14 @@
 // returns ctx.Err(). On the multi-process backends the cancellation
 // propagates through the per-epoch aggregation, so cancelling any one
 // rank stops the whole world; the other ranks return ErrRemoteCancelled.
-// The diameter phase is the one non-interruptible stretch — cap it with
-// WithDiameterBFSCap or skip it with WithVertexDiameter on large graphs.
+// The diameter phase is the one non-interruptible stretch; a Workload runs
+// it once, on its first estimate, and every later estimate on the same
+// Workload value reuses the bound (WithVertexDiameter skips it outright).
 //
 // Directed and weighted graphs are first-class workloads (the paper's
 // footnote 1): the Undirected, Directed, and Weighted constructors produce
 // tagged Workload values carrying their validation rule, sampling kernel,
-// and vertex-diameter resolver, and every backend runs all three.
+// and certified vertex-diameter bound, and every backend runs all three.
 //
 // Estimation is anytime: after every epoch the run holds a valid
 // (eps', delta) guarantee that only tightens. NewEstimator exposes that

@@ -20,10 +20,9 @@ import (
 // connectivity for Weighted — one O(V+E) pass each) runs after option
 // resolution and before the backend starts. Cancelling ctx stops the
 // sampling loops within one epoch and returns ctx.Err(). The diameter
-// phase (phase 1) is not interruptible — on large undirected graphs bound
-// it with WithDiameterBFSCap or skip it entirely with WithVertexDiameter
-// (the directed and weighted phases are a constant number of sweeps
-// already, so the cap is a no-op there).
+// phase (phase 1) is not interruptible; it runs once per Workload value,
+// so reuse the Workload across estimates, or skip the phase with
+// WithVertexDiameter.
 //
 // Estimate is one NewEstimator followed by one Run. Keep the Estimator
 // instead when you want to refine, poll, budget incrementally, or

@@ -54,7 +54,6 @@ func TestOptionValidation(t *testing.T) {
 		"topk zero":         WithTopK(0),
 		"hierarchical zero": WithHierarchical(0),
 		"vd zero":           WithVertexDiameter(0),
-		"bfs cap negative":  WithDiameterBFSCap(-1),
 		"agg unknown":       WithAggStrategy(AggStrategy(99)),
 		"zero executor":     WithExecutor(Executor{}),
 	}

@@ -165,6 +165,9 @@ func TestWeightedParityAgainstExact(t *testing.T) {
 // guarantee on the weighted x sequential cell: over R seeds on one weighted
 // R-MAT, the share of estimates whose max error exceeds eps must stay
 // within delta plus a 3-sigma binomial tolerance. R is 200, 20 under -short.
+// The omega-bound row is set where the adaptive rule never fires, so every
+// run stops at omega and its guarantee rests on the vertex-diameter bound
+// alone: it is the end-to-end check that sees an omega from a wrong VD.
 func TestWeightedSequentialCoverage(t *testing.T) {
 	lcc, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(7, 8, 21)))
 	if err != nil {
@@ -173,29 +176,43 @@ func TestWeightedSequentialCoverage(t *testing.T) {
 	g := graph.RandomWeights(lcc, 10, 3)
 	w := Weighted(g)
 	exact := ExactWeighted(g, 0)
-	const eps, delta = 0.05, 0.1
+	const delta = 0.1
 	runs := 200
 	if testing.Short() {
 		runs = 20
 	}
-	failed, worst := 0, 0.0
-	for seed := range uint64(runs) {
-		res, err := Estimate(context.Background(), w,
-			WithEpsilon(eps), WithDelta(delta), WithSeed(seed+1), WithExecutor(Sequential()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := Compare(exact, res.Estimates, eps)
-		worst = max(worst, rep.MaxAbs)
-		if rep.MaxAbs > eps {
-			failed++
-		}
-	}
-	share := float64(failed) / float64(runs)
-	tol := 3 * math.Sqrt(delta*(1-delta)/float64(runs))
-	t.Logf("%d of %d runs over eps %g (worst max error %.4f)", failed, runs, eps, worst)
-	if share > delta+tol {
-		t.Fatalf("%d of %d runs exceed eps %g: share %.3f > delta %g + %.3f", failed, runs, eps, share, delta, tol)
+	for _, c := range []struct {
+		name       string
+		eps        float64
+		omegaBound bool
+	}{
+		{"adaptive", 0.05, false},
+		{"omega-bound", 0.04, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			failed, worst := 0, 0.0
+			for seed := range uint64(runs) {
+				res, err := Estimate(context.Background(), w,
+					WithEpsilon(c.eps), WithDelta(delta), WithSeed(seed+1), WithExecutor(Sequential()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.omegaBound && float64(res.Tau) < res.Omega {
+					t.Fatalf("seed %d: adaptive stop at tau %d < omega %.0f; the row is not omega-bound", seed+1, res.Tau, res.Omega)
+				}
+				rep := Compare(exact, res.Estimates, c.eps)
+				worst = max(worst, rep.MaxAbs)
+				if rep.MaxAbs > c.eps {
+					failed++
+				}
+			}
+			share := float64(failed) / float64(runs)
+			tol := 3 * math.Sqrt(delta*(1-delta)/float64(runs))
+			t.Logf("%d of %d runs over eps %g (worst max error %.4f)", failed, runs, c.eps, worst)
+			if share > delta+tol {
+				t.Fatalf("%d of %d runs exceed eps %g: share %.3f > delta %g + %.3f", failed, runs, c.eps, share, delta, tol)
+			}
+		})
 	}
 }
 
@@ -271,22 +288,25 @@ func TestWeightedTopKDerived(t *testing.T) {
 }
 
 // TestDiameterPhaseKnobs pins the phase-1 plumbing through the workload
-// abstraction: the iFUB cap still drives the undirected path, and the
-// explicit vertex-diameter override bypasses the phase on the new paths.
+// abstraction: a Workload resolves its bound once, so a second estimate on
+// the same value skips the phase, and the explicit vertex-diameter override
+// bypasses the phase on the directed and weighted paths.
 func TestDiameterPhaseKnobs(t *testing.T) {
 	g := testGraph(t)
-	exact := Exact(g, 0)
+	w := Undirected(g)
 	const eps = 0.05
-	res, err := Estimate(context.Background(), Undirected(g),
-		WithEpsilon(eps), WithSeed(3), WithDiameterBFSCap(8), WithExecutor(Sequential()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.VertexDiameter < 2 {
-		t.Errorf("capped diameter phase produced vd = %d", res.VertexDiameter)
-	}
-	if rep := Compare(exact, res.Estimates, eps); rep.MaxAbs > eps {
-		t.Errorf("capped run max abs error %.4f exceeds eps", rep.MaxAbs)
+	for run := range 2 {
+		res, err := Estimate(context.Background(), w,
+			WithEpsilon(eps), WithSeed(3+uint64(run)), WithExecutor(Sequential()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := graph.VertexDiameter(g); res.VertexDiameter != want {
+			t.Errorf("run %d: vd = %d, want the exact %d", run, res.VertexDiameter, want)
+		}
+		if run > 0 && res.Timings.Diameter != 0 {
+			t.Errorf("run %d on the same workload ran the diameter phase again (%v)", run, res.Timings.Diameter)
+		}
 	}
 
 	dg := directedCycle(30)

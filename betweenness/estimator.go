@@ -18,8 +18,9 @@ import (
 // guarantee that only tightens, so a session can answer coarse-and-fast
 // now, keep refining later, and survive restarts in between.
 //
-// NewEstimator validates the workload once, resolves and caches the
-// vertex diameter once, and owns the sampling state from then on:
+// NewEstimator validates the workload once, takes the workload's vertex
+// diameter (resolved by the first estimator on that Workload value), and
+// owns the sampling state from then on:
 //
 //   - Run samples until the target eps is reached, the budget
 //     (WithMaxSamples, WithMaxDuration) runs out, or ctx is cancelled —
@@ -258,8 +259,6 @@ func (e *Estimator) refineGuard(ns settings) error {
 		return reject("thread count")
 	case ns.VertexDiameter != old.VertexDiameter:
 		return reject("vertex diameter")
-	case ns.DiameterBFSCap != old.DiameterBFSCap:
-		return reject("diameter BFS cap")
 	case ns.exec != old.exec:
 		return reject("executor")
 	}

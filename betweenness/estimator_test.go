@@ -329,7 +329,6 @@ func TestRefineGuards(t *testing.T) {
 		"threads":  WithThreads(7),
 		"executor": WithExecutor(Sequential()),
 		"vd":       WithVertexDiameter(50),
-		"bfs-cap":  WithDiameterBFSCap(3),
 	} {
 		if _, err := est.Refine(context.Background(), opt); err == nil {
 			t.Errorf("Refine accepted a %s change", name)

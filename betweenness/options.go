@@ -83,9 +83,6 @@ type settings struct {
 	// VertexDiameter, when positive, skips the diameter phase and uses
 	// the given value.
 	VertexDiameter int
-	// DiameterBFSCap bounds the BFS sweeps of the iFUB diameter bound
-	// (0 = exact diameter phase).
-	DiameterBFSCap int
 	// MaxSamples, when positive, is an absolute sampling budget: the run
 	// stops once tau reaches it, reporting the achieved guarantee (see
 	// WithMaxSamples).
@@ -112,7 +109,6 @@ func (s settings) kadabraConfig() kadabra.Config {
 		Delta:          s.Delta,
 		Seed:           s.Seed,
 		VertexDiameter: s.VertexDiameter,
-		DiameterBFSCap: s.DiameterBFSCap,
 		MaxSamples:     s.MaxSamples,
 		MaxDuration:    s.MaxDuration,
 	}
@@ -256,19 +252,6 @@ func WithVertexDiameter(vd int) Option {
 			return fmt.Errorf("betweenness: vertex diameter must be >= 1, got %d", vd)
 		}
 		s.VertexDiameter = vd
-		return nil
-	}
-}
-
-// WithDiameterBFSCap bounds the diameter phase to at most n iFUB BFS
-// sweeps, trading a slightly looser sample budget for a faster phase 1
-// (0 restores the exact diameter phase).
-func WithDiameterBFSCap(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("betweenness: diameter BFS cap must be >= 0, got %d", n)
-		}
-		s.DiameterBFSCap = n
 		return nil
 	}
 }

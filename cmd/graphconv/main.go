@@ -102,7 +102,12 @@ func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, er
 	wopts := graph.WriteOptions{Compress: opts.Compress, BlockVerts: opts.BlockVerts}
 	switch format {
 	case graph.FormatBCSR:
-		g, err := graph.LoadFile(in)
+		f, err := os.Open(in)
+		if err != nil {
+			return nil, err
+		}
+		g, err := graph.ReadBinary(f)
+		f.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -66,8 +66,11 @@
 //
 // The adaptive loop holds a valid (eps', delta) guarantee after every
 // epoch, and the session API exposes it: betweenness.NewEstimator returns
-// a resumable handle that validates the workload and resolves the vertex
-// diameter once, then owns the sampling state across calls —
+// a resumable handle that validates the workload, then owns the sampling
+// state across calls. The vertex-diameter bound is a deterministic
+// property of the graph, resolved once per Workload value and reused by
+// every estimator built on it (betweennessd keeps one workload per
+// registered graph) —
 //
 //	est, _ := betweenness.NewEstimator(betweenness.Undirected(g),
 //	        betweenness.WithEpsilon(0.01),
@@ -119,7 +122,7 @@
 // open (header parse plus an offsets-monotonicity scan, no adjacency
 // touch) that serves the CSR zero-copy off the page cache. Every writer in
 // the module (graph.SaveFile on a .bcsr path included) emits v2; the older
-// BCSR v1 is only read. graph.LoadFile
+// BCSR v1 is read only by graphconv, to convert it. graph.LoadFile
 // routes v2 files through the mapped path automatically, estimators
 // fault pages in lazily as samples walk the graph, and betweennessd
 // persists undirected uploads as BCSR v2 and serves sessions off the

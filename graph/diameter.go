@@ -4,17 +4,11 @@ import (
 	"repro/internal/diameter"
 )
 
-// Diameter computes the exact diameter of g by running a BFS from every
-// vertex — Theta(|V||E|), feasible only on small graphs.
-func Diameter(g *Graph) int { return int(diameter.Exact(g)) }
-
-// ApproxDiameter bounds the diameter with the iFUB heuristic using at most
-// maxBFS BFS sweeps (0 = run to an exact answer). The second return value
-// reports whether the bound is exact.
-func ApproxDiameter(g *Graph, maxBFS int) (diam int, exact bool) {
-	d, ex := diameter.IFUB(g, maxBFS)
-	return int(d), ex
-}
+// Diameter computes the exact diameter of the connected graph g with iFUB
+// (the iterative fringe upper bound method): a handful of BFS sweeps on
+// typical inputs, not one from every vertex, though Theta(|V||E|) in the
+// worst case.
+func Diameter(g *Graph) int { return int(diameter.IFUB(g)) }
 
 // VertexDiameter returns the number of vertices on a longest shortest
 // path, the quantity the KADABRA sample budget omega depends on.

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -298,9 +302,6 @@ func TestDiameterHelpers(t *testing.T) {
 	if vd := VertexDiameter(g); vd != 4 {
 		t.Errorf("VertexDiameter = %d, want 4", vd)
 	}
-	if d, exact := ApproxDiameter(g, 0); !exact || d != 3 {
-		t.Errorf("ApproxDiameter = (%d, %v), want (3, true)", d, exact)
-	}
 }
 
 func TestLargestSCCRejectsDegenerateInputs(t *testing.T) {
@@ -315,5 +316,37 @@ func TestLargestSCCRejectsDegenerateInputs(t *testing.T) {
 	dag := FromArcs(3, [][2]Node{{0, 1}, {1, 2}})
 	if _, _, err := LargestSCC(dag); err == nil {
 		t.Error("acyclic digraph accepted (largest SCC is a single vertex)")
+	}
+}
+
+// writeV1 writes g in the BCSR v1 layout (header, offsets, adjacency),
+// which no writer in the module emits any more.
+func writeV1(t *testing.T, path string, g *Graph) {
+	t.Helper()
+	var image bytes.Buffer
+	for _, section := range []any{
+		[]uint64{0x42435352<<32 | 1 /* "BCSR", version 1 */, uint64(g.NumNodes()), uint64(len(g.Adj))}, g.Offsets, g.Adj,
+	} {
+		if err := binary.Write(&image, binary.LittleEndian, section); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, image.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// LoadFile refuses BCSR v1 by content, whatever the file's name, with the
+// typed version error pointing at graphconv.
+func TestLoadFileRefusesBCSRv1(t *testing.T) {
+	g := RMAT(Graph500(6, 8, 1))
+	for _, name := range []string{"old.bcsr", "old.bin"} {
+		path := filepath.Join(t.TempDir(), name)
+		writeV1(t, path, g)
+		_, err := LoadFile(path)
+		var vErr *BCSRVersionError
+		if !errors.As(err, &vErr) || vErr.Version != 1 || !strings.Contains(vErr.Error(), "graphconv") {
+			t.Errorf("LoadFile(%s) error = %v, want BCSRVersionError{Version: 1} naming graphconv", name, err)
+		}
 	}
 }

@@ -51,14 +51,18 @@ func DetectFormatFile(path string) (Format, error) { return igraph.DetectFormatF
 // LoadFile reads a graph from path. BCSR v2 files (whatever their name)
 // open through the mmap-backed loader — O(1), adjacency served from the
 // mapping, see OpenMapped — and the returned Graph keeps the mapping
-// alive; everything else falls back to the extension rule: ".bcsr" for
-// the heap-loaded BCSR v1 binary format, text edge list otherwise.
+// alive. A BCSR v1 file is refused with a *BCSRVersionError: graphconv,
+// through ReadBinary, is the one v1 reader. Anything else is read as a
+// text edge list.
 func LoadFile(path string) (*Graph, error) {
 	format, err := igraph.DetectFormatFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if format == FormatBCSR2 {
+	switch format {
+	case FormatBCSR:
+		return nil, &BCSRVersionError{Version: 1, Hint: "convert it to v2 with graphconv"}
+	case FormatBCSR2:
 		m, err := bigio.Open(path)
 		if err != nil {
 			return nil, err
@@ -87,7 +91,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) { return igraph.ReadEdgeList(r) }
 func WriteEdgeList(w io.Writer, g *Graph) error { return igraph.WriteEdgeList(w, g) }
 
 // ReadBinary parses the BCSR v1 binary format, which older versions of
-// this module wrote; nothing writes it any more.
+// this module wrote; nothing writes it any more, and graphconv is the one
+// program that still reads it, to rewrite it as v2.
 func ReadBinary(r io.Reader) (*Graph, error) { return igraph.ReadBinary(r) }
 
 // ReadArcList parses a directed text arc list: one "u v" arc per line

@@ -41,6 +41,57 @@ func (a *ArcsByWeight) Degree(v graph.Node) int { return int(a.offsets[v+1] - a.
 // of returns v's packed arcs, lightest first.
 func (a *ArcsByWeight) of(v graph.Node) []uint64 { return a.arcs[a.offsets[v]:a.offsets[v+1]] }
 
+// MinWeight returns the lightest arc weight of the graph (0 without arcs).
+func (a *ArcsByWeight) MinWeight() uint64 {
+	lightest := uint64(0)
+	for v := range a.NumNodes() {
+		if arcs := a.of(graph.Node(v)); len(arcs) > 0 && (lightest == 0 || arcs[0]>>32 < lightest) {
+			lightest = arcs[0] >> 32
+		}
+	}
+	return lightest
+}
+
+// Eccentricity runs a Dijkstra from source and returns its two largest
+// finite distances to distinct vertices, ecc >= second (second is 0 when
+// source reaches nothing else), and the farthest vertex (the lowest ID
+// among ties). It is the weighted counterpart of BFS.Eccentricity, for the
+// vertex-diameter bound: any two vertices u != w are at most
+// d(u,source) + d(source,w) <= ecc + second apart.
+func (a *ArcsByWeight) Eccentricity(source graph.Node) (ecc, second uint64, farthest graph.Node) {
+	const unreached = math.MaxUint64
+	dist := make([]uint64, a.NumNodes())
+	for i := range dist {
+		dist[i] = unreached
+	}
+	var q pq.Monotone
+	dist[source] = 0
+	q.Push(uint32(source), 0)
+	for q.Len() > 0 {
+		x, d := q.Pop()
+		if d != dist[x] {
+			continue // stale entry
+		}
+		for _, arc := range a.of(graph.Node(x)) {
+			if y, nd := uint32(arc), d+arc>>32; nd < dist[y] {
+				dist[y] = nd
+				q.Push(y, nd)
+			}
+		}
+	}
+	farthest = source
+	for v, d := range dist {
+		switch {
+		case d == unreached || graph.Node(v) == source:
+		case d > ecc:
+			ecc, second, farthest = d, ecc, graph.Node(v)
+		case d > second:
+			second = d
+		}
+	}
+	return ecc, second, farthest
+}
+
 // WeightedSampler draws uniform random shortest paths in a positively
 // weighted undirected graph — the weighted variant of the sampling kernel
 // the paper's footnote 1 alludes to — by a balanced bidirectional Dijkstra

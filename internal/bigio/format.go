@@ -140,7 +140,7 @@ func parseHeader(buf []byte, fileSize int64) (*header, error) {
 		if uint32(word>>32) == uint32(magic2>>32) {
 			return nil, &graph.BCSRVersionError{
 				Version: word & 0xffffffff,
-				Hint:    "the mapped loader reads v2 only; v1 loads via graph.ReadBinary",
+				Hint:    "the mapped loader reads v2 only; convert v1 to v2 with graphconv",
 			}
 		}
 		return nil, &FormatError{Detail: fmt.Sprintf("bad magic %#x", word)}

@@ -197,8 +197,8 @@ func commVolumePerEpoch(n, procs int) int64 {
 // NewStates builds the per-rank session states of a procs-rank world over
 // w, with cfg.Threads sampling threads each. World rank 0's state runs the
 // diameter phase here (the paper uses a sequential diameter algorithm whose
-// cost appears in Fig. 2b); the workload's resolver honours
-// cfg.VertexDiameter and, on the undirected scenario, cfg.DiameterBFSCap.
+// cost appears in Fig. 2b), unless cfg.VertexDiameter overrides it or the
+// workload has resolved its bound already.
 func NewStates(w kadabra.Workload, procs int, cfg Config) ([]*kadabra.EstimatorState, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("core: need at least 1 process, got %d", procs)

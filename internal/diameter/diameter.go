@@ -14,9 +14,7 @@
 //     Borassi et al.'s SumSweep and Takes & Kosters' BoundingDiameters), and
 //     fringe vertices whose bound cannot beat the current lower bound are
 //     never swept. Measured sweeps, whole fringe levels -> with pruning:
-//     120x120 lattice 4009 -> 20, 240x240 16478 -> 24, R-MAT 2^16 77 -> 6;
-//   - TwoApprox is a single-BFS factor-2 upper bound for callers that want
-//     O(|E|) worst-case behaviour on enormous inputs.
+//     120x120 lattice 4009 -> 20, 240x240 16478 -> 24, R-MAT 2^16 77 -> 6.
 //
 // All functions treat a disconnected graph as the maximum over reachable
 // pairs from the chosen roots; callers are expected to pass the largest
@@ -42,21 +40,8 @@ func DoubleSweep(g *graph.Graph, start graph.Node) uint32 {
 	return ecc
 }
 
-// TwoApprox returns an upper bound of at most twice the true diameter using
-// a single BFS from a maximum-degree vertex: diam <= 2*ecc(v) for any v.
-func TwoApprox(g *graph.Graph) uint32 {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	b := bfs.New(g)
-	ecc, _ := b.Eccentricity(g.MaxDegreeNode())
-	return 2 * ecc
-}
-
 // IFUB computes the exact diameter of the connected graph g using the
-// iterative fringe upper bound method. maxBFS caps the number of fringe BFS
-// sweeps (0 means unlimited); if the cap is hit, the current (still valid)
-// upper bound is returned together with exact=false.
+// iterative fringe upper bound method.
 //
 // The method roots a BFS at a high-eccentricity-ish vertex r (we use the
 // midpoint of a double sweep, the standard choice), then processes fringe
@@ -68,14 +53,19 @@ func TwoApprox(g *graph.Graph) uint32 {
 // Pruning rule: every sweep the function runs anyway (max-degree root, u,
 // the midpoint, each fringe vertex) tightens hi[w], a per-vertex upper
 // bound on ecc(w), and a fringe vertex with hi[w] <= lb is skipped without
-// a sweep. It could not have raised lb, so the invariant above and the
-// capped return (max(lb, 2i) is still an upper bound) hold unchanged and
-// the result is the same exact value. hi costs 4n bytes for the duration
-// of the call.
-func IFUB(g *graph.Graph, maxBFS int) (diam uint32, exact bool) {
+// a sweep. It could not have raised lb, so the invariant above holds
+// unchanged and the result is the same exact value. hi costs 4n bytes for
+// the duration of the call.
+func IFUB(g *graph.Graph) uint32 {
+	d, _ := ifub(g)
+	return d
+}
+
+// ifub is IFUB, also reporting how many fringe sweeps it ran.
+func ifub(g *graph.Graph) (diam uint32, fringeSweeps int) {
 	n := g.NumNodes()
 	if n == 0 {
-		return 0, true
+		return 0, 0
 	}
 	b := bfs.New(g)
 	hi := make([]uint32, n)
@@ -107,29 +97,23 @@ func IFUB(g *graph.Graph, maxBFS int) (diam uint32, exact bool) {
 		}
 	}
 
-	sweeps := 0
 	for i := int(maxLevel); i > 0; i-- {
 		if lb >= uint32(2*i) {
-			return lb, true
+			return lb, fringeSweeps
 		}
 		for _, w := range levels[i] {
 			if hi[w] <= lb {
 				continue
 			}
-			if maxBFS > 0 && sweeps >= maxBFS {
-				// Upper bound still valid: eccentricities of unprocessed
-				// vertices are at most 2i.
-				return max(lb, uint32(2*i)), false
-			}
 			ecc, _ := sweep(b, w, hi)
-			sweeps++
+			fringeSweeps++
 			lb = max(lb, ecc)
 			if lb >= uint32(2*i) {
-				return lb, true
+				return lb, fringeSweeps
 			}
 		}
 	}
-	return lb, true
+	return lb, fringeSweeps
 }
 
 // sweep runs a BFS from src and folds what it proves into hi: for every
@@ -163,12 +147,6 @@ func midpoint(g *graph.Graph, dist []uint32, v graph.Node) graph.Node {
 	return cur
 }
 
-// Exact computes the exact diameter by running IFUB without a sweep cap.
-func Exact(g *graph.Graph) uint32 {
-	d, _ := IFUB(g, 0)
-	return d
-}
-
 // VertexDiameter returns the vertex diameter (number of vertices on a
 // longest shortest path): diameter + 1 for nonempty connected graphs. This
 // is the quantity KADABRA's omega formula consumes.
@@ -179,5 +157,5 @@ func VertexDiameter(g *graph.Graph) int {
 	if g.NumNodes() == 1 {
 		return 1
 	}
-	return int(Exact(g)) + 1
+	return int(IFUB(g)) + 1
 }

@@ -48,7 +48,7 @@ func pathGraph(n int) *graph.Graph {
 
 func TestExactOnPath(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 101} {
-		if got := Exact(pathGraph(n)); got != uint32(n-1) {
+		if got := IFUB(pathGraph(n)); got != uint32(n-1) {
 			t.Fatalf("path %d: diameter %d, want %d", n, got, n-1)
 		}
 	}
@@ -60,7 +60,7 @@ func TestExactOnCycle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b.AddEdge(graph.Node(i), graph.Node((i+1)%n))
 		}
-		if got := Exact(b.Build()); got != uint32(n/2) {
+		if got := IFUB(b.Build()); got != uint32(n/2) {
 			t.Fatalf("cycle %d: diameter %d, want %d", n, got, n/2)
 		}
 	}
@@ -72,7 +72,7 @@ func TestExactOnStarAndClique(t *testing.T) {
 	for i := graph.Node(1); i < 8; i++ {
 		b.AddEdge(0, i)
 	}
-	if got := Exact(b.Build()); got != 2 {
+	if got := IFUB(b.Build()); got != 2 {
 		t.Fatalf("star diameter %d, want 2", got)
 	}
 	// Clique: diameter 1.
@@ -82,7 +82,7 @@ func TestExactOnStarAndClique(t *testing.T) {
 			b.AddEdge(i, j)
 		}
 	}
-	if got := Exact(b.Build()); got != 1 {
+	if got := IFUB(b.Build()); got != 1 {
 		t.Fatalf("clique diameter %d, want 1", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestIFUBMatchesBruteForce(t *testing.T) {
 		n := int(nRaw%80) + 2
 		m := int(mRaw % 160)
 		g := connectedRandom(seed, n, m)
-		return Exact(g) == bruteDiameter(g)
+		return IFUB(g) == bruteDiameter(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -105,18 +105,6 @@ func TestDoubleSweepIsLowerBound(t *testing.T) {
 		m := int(mRaw % 160)
 		g := connectedRandom(seed, n, m)
 		return DoubleSweep(g, 0) <= bruteDiameter(g)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTwoApproxIsUpperBound(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint8) bool {
-		n := int(nRaw%80) + 2
-		m := int(mRaw % 160)
-		g := connectedRandom(seed, n, m)
-		return TwoApprox(g) >= bruteDiameter(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -154,43 +142,25 @@ func TestExactMatchesBruteForceAcrossFamilies(t *testing.T) {
 	for _, f := range families {
 		for seed := uint64(1); seed <= 80; seed++ {
 			g := lcc(f.make(seed))
-			if got, want := Exact(g), bruteDiameter(g); got != want {
+			if got, want := IFUB(g), bruteDiameter(g); got != want {
 				t.Errorf("%s seed %d (n=%d): diameter %d, want %d", f.name, seed, g.NumNodes(), got, want)
 			}
 		}
 	}
 }
 
-func TestIFUBSweepCapReturnsValidUpperBound(t *testing.T) {
-	g := lcc(gen.Road(gen.RoadParams{Rows: 40, Cols: 40, DeleteProb: 0.05, Seed: 3}))
-	truth := bruteDiameter(g)
-	for maxBFS := 1; maxBFS <= 16; maxBFS++ {
-		ub, exact := IFUB(g, maxBFS)
-		if ub < truth {
-			t.Fatalf("cap %d: IFUB bound %d below true diameter %d", maxBFS, ub, truth)
-		}
-		if exact && ub != truth {
-			t.Fatalf("cap %d: IFUB claims exact %d, true diameter %d", maxBFS, ub, truth)
-		}
-	}
-	full, exactFull := IFUB(g, 0)
-	if !exactFull || full != truth {
-		t.Fatalf("uncapped IFUB %d (exact=%v), want %d", full, exactFull, truth)
-	}
-}
-
 func TestIFUBSweepCounts(t *testing.T) {
-	// The sweep count is pinned through the cap: enumerating whole fringe
-	// levels needs 4005 fringe sweeps on this lattice, eccentricity-bound
-	// pruning 17. The R-MAT pin guards the low-diameter side, where the
-	// double sweep alone is (and must stay) nearly enough.
+	// Enumerating whole fringe levels needs 4005 fringe sweeps on this
+	// lattice, eccentricity-bound pruning 17. The R-MAT pin guards the
+	// low-diameter side, where the double sweep alone is (and must stay)
+	// nearly enough.
 	road := lcc(gen.Road(gen.RoadParams{Rows: 120, Cols: 120, DeleteProb: 0.1, Seed: 1}))
-	if d, exact := IFUB(road, 64); !exact {
-		t.Errorf("road 120x120: IFUB(g, 64) = %d, not exact within 64 sweeps", d)
+	if d, sweeps := ifub(road); sweeps > 64 {
+		t.Errorf("road 120x120: IFUB = %d took %d fringe sweeps, want <= 64", d, sweeps)
 	}
 	rmat := lcc(gen.RMAT(gen.Graph500(14, 16, 1)))
-	if d, exact := IFUB(rmat, 16); !exact {
-		t.Errorf("R-MAT 2^14: IFUB(g, 16) = %d, not exact within 16 sweeps", d)
+	if d, sweeps := ifub(rmat); sweeps > 16 {
+		t.Errorf("R-MAT 2^14: IFUB = %d took %d fringe sweeps, want <= 16", d, sweeps)
 	}
 }
 
@@ -210,10 +180,8 @@ func TestIFUBDisconnectedInput(t *testing.T) {
 	if root := g.MaxDegreeNode(); root > 6 {
 		t.Fatalf("max-degree root %d is outside the first component", root)
 	}
-	for _, maxBFS := range []int{0, 1, 4} {
-		if d, exact := IFUB(g, maxBFS); d != 6 || !exact {
-			t.Fatalf("IFUB(g, %d) = %d (exact=%v), want 6 (exact)", maxBFS, d, exact)
-		}
+	if d := IFUB(g); d != 6 {
+		t.Fatalf("IFUB = %d, want 6", d)
 	}
 	if got := DoubleSweep(g, 0); got != 6 {
 		t.Fatalf("DoubleSweep = %d, want 6", got)
@@ -236,14 +204,14 @@ func TestExactOnRoadProxy(t *testing.T) {
 	// Road networks are IFUB's hard case (high diameter); make sure we agree
 	// with brute force on a small one.
 	g := lcc(gen.Road(gen.RoadParams{Rows: 20, Cols: 25, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 7}))
-	if got, want := Exact(g), bruteDiameter(g); got != want {
+	if got, want := IFUB(g), bruteDiameter(g); got != want {
 		t.Fatalf("road diameter %d, want %d", got, want)
 	}
 }
 
 func TestExactOnRMAT(t *testing.T) {
 	g := lcc(gen.RMAT(gen.Graph500(9, 8, 2)))
-	if got, want := Exact(g), bruteDiameter(g); got != want {
+	if got, want := IFUB(g), bruteDiameter(g); got != want {
 		t.Fatalf("rmat diameter %d, want %d", got, want)
 	}
 }
@@ -254,7 +222,7 @@ func BenchmarkIFUBRoad(b *testing.B) {
 	g := lcc(gen.Road(gen.RoadParams{Rows: 240, Cols: 240, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Exact(g)
+		IFUB(g)
 	}
 }
 
@@ -262,6 +230,6 @@ func BenchmarkIFUBRMAT(b *testing.B) {
 	g := lcc(gen.RMAT(gen.Graph500(13, 16, 1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Exact(g)
+		IFUB(g)
 	}
 }

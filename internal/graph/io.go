@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 )
 
 // This file implements two interchange formats:
@@ -112,17 +111,14 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// LoadFile loads a graph from path, choosing the format by extension:
-// ".bcsr" for binary, anything else for text edge lists.
+// LoadFile loads a text edge list from path. (Binary files route through
+// repro/graph.LoadFile, which opens BCSR v2 by mmap and refuses v1.)
 func LoadFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".bcsr") {
-		return ReadBinary(f)
-	}
 	return ReadEdgeList(f)
 }
 

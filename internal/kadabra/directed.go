@@ -22,41 +22,16 @@ import (
 // DirectedVertexDiameter returns an upper bound on the directed vertex
 // diameter of a strongly connected digraph: for any pivot v and all (u, w),
 // d(u, w) <= d(u, v) + d(v, w) <= becc(v) + fecc(v), where fecc/becc are
-// the forward/backward eccentricities of v. The bound is minimized over a
-// few pivots (max-out-degree and the farthest vertices found), the standard
-// cheap directed bound.
+// the forward/backward eccentricities of v, one BFS each over the out-arc
+// and in-arc views. The bound is minimized over a few pivots (max-out-degree
+// and the farthest vertices found), the standard cheap directed bound.
 func DirectedVertexDiameter(g *graph.Digraph) int {
 	n := g.NumNodes()
 	if n <= 1 {
 		return n
 	}
-	// Forward/backward BFS eccentricities from a pivot.
-	ecc := func(start graph.Node, forward bool) (uint32, graph.Node) {
-		dist := make([]uint32, n)
-		for i := range dist {
-			dist[i] = bfs.Unreached
-		}
-		dist[start] = 0
-		queue := []graph.Node{start}
-		far := start
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			var neigh []graph.Node
-			if forward {
-				neigh = g.Successors(v)
-			} else {
-				neigh = g.Predecessors(v)
-			}
-			for _, w := range neigh {
-				if dist[w] == bfs.Unreached {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-					far = w
-				}
-			}
-		}
-		return dist[far], far
-	}
+	fwd := bfs.New(&graph.Graph{Offsets: g.OutOffsets, Adj: g.OutAdj})
+	bwd := bfs.New(&graph.Graph{Offsets: g.InOffsets, Adj: g.InAdj})
 	// Pivot 1: max out-degree vertex.
 	pivot := graph.Node(0)
 	bestDeg := -1
@@ -65,20 +40,13 @@ func DirectedVertexDiameter(g *graph.Digraph) int {
 			bestDeg, pivot = d, graph.Node(v)
 		}
 	}
-	best := uint32(1<<31 - 1)
-	pivots := []graph.Node{pivot}
-	f1, farF := ecc(pivot, true)
-	b1, farB := ecc(pivot, false)
-	if f1+b1 < best {
-		best = f1 + b1
-	}
-	pivots = append(pivots, farF, farB)
-	for _, p := range pivots[1:] {
-		f, _ := ecc(p, true)
-		b, _ := ecc(p, false)
-		if f+b < best {
-			best = f + b
-		}
+	f, farF := fwd.Eccentricity(pivot)
+	b, farB := bwd.Eccentricity(pivot)
+	best := f + b
+	for _, p := range []graph.Node{farF, farB} {
+		f, _ := fwd.Eccentricity(p)
+		b, _ := bwd.Eccentricity(p)
+		best = min(best, f+b)
 	}
 	return int(best) + 1
 }

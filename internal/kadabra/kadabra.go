@@ -36,10 +36,6 @@ type Config struct {
 	// given value (useful when the caller has computed it already, and for
 	// the virtual-cluster harness which charges the phase separately).
 	VertexDiameter int
-	// DiameterBFSCap bounds the number of BFS sweeps iFUB may spend
-	// (0 = exact). The paper uses a sequential diameter algorithm whose
-	// cost shows up in Fig. 2b; the cap trades tightness for speed.
-	DiameterBFSCap int
 	// OnEpoch, when non-nil, is invoked after every epoch (on the
 	// sequential schedule, every stopping check) with a consistent
 	// Progress observation. It runs on the coordinator thread between two

@@ -3,10 +3,13 @@ package kadabra_test
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/brandes"
+	"repro/internal/diameter"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	. "repro/internal/kadabra"
@@ -301,5 +304,45 @@ func TestVertexDiameterOverrideSkipsPhase(t *testing.T) {
 	}
 	if res.Timings.Diameter != 0 {
 		t.Fatal("diameter time charged despite override")
+	}
+}
+
+// TestResolveDiameterOnce races the first resolution of one workload's bound
+// across copies of the value (a WrapSampler copy among them, run under
+// -race): every caller gets the exact bound, at most one pays for it, and
+// later calls and an override do not run the phase.
+func TestResolveDiameterOnce(t *testing.T) {
+	g := testGraph()
+	w := UndirectedWorkload(g)
+	copies := []Workload{w, w, w, w.WrapSampler(func(s Sampler) Sampler { return s })}
+	vds := make([]int, len(copies))
+	took := make([]time.Duration, len(copies))
+	var wg sync.WaitGroup
+	for i, c := range copies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vds[i], took[i] = c.ResolveDiameter(Config{Seed: uint64(i)})
+		}()
+	}
+	wg.Wait()
+	want := diameter.VertexDiameter(g)
+	paid := 0
+	for i := range copies {
+		if vds[i] != want {
+			t.Fatalf("copy %d resolved %d, want %d", i, vds[i], want)
+		}
+		if took[i] != 0 {
+			paid++
+		}
+	}
+	if paid > 1 {
+		t.Errorf("%d callers ran the diameter phase, want at most one", paid)
+	}
+	if vd, d := w.ResolveDiameter(Config{}); vd != want || d != 0 {
+		t.Errorf("later call: (%d, %v), want (%d, 0)", vd, d, want)
+	}
+	if vd, d := w.ResolveDiameter(Config{VertexDiameter: 7}); vd != 7 || d != 0 {
+		t.Errorf("override: (%d, %v), want (7, 0)", vd, d)
 	}
 }

@@ -3,60 +3,30 @@ package kadabra
 import (
 	"repro/internal/bfs"
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // Weighted-graph support (paper footnote 1). The statistical machinery is
 // unchanged; only the sampler (Dijkstra-based, bfs.WeightedSampler) and the
 // vertex-diameter bound differ.
 
-// WeightedVertexDiameter estimates an upper bound on the weighted vertex
-// diameter of the graph behind the view g — the maximum number of VERTICES
-// on any minimum-weight path, which is what omega's sample-complexity term
-// needs (not the weighted diameter itself). It samples minimum-weight paths
-// from a few pivots, takes the maximum hop count observed, and doubles it:
-// any shortest u-w path is hop-wise at most the u->pivot plus pivot->w
-// paths only when it passes the pivot, so the doubling provides headroom
-// for paths that do not. Equal-weight paths differ in hops and the sampler picks among them
-// at random, so the bound depends on the seed. This mirrors the estimation
-// approach used in practice (a pessimistic bound only slows the algorithm
-// down; correctness is unaffected because the adaptive stopping condition
-// still certifies the error bounds).
-func WeightedVertexDiameter(g *bfs.ArcsByWeight, seed uint64) int {
+// WeightedVertexDiameter returns an upper bound on the weighted vertex
+// diameter of the connected graph behind the view g: the maximum number of
+// VERTICES on any minimum-weight path, ties included, which is what omega's
+// sample-complexity term needs (not the weighted diameter itself). For a
+// pivot r whose two largest distances are e1 >= e2, any two vertices are at
+// most e1 + e2 apart (through r), and a path of that weight has at most
+// (e1+e2)/w_min arcs, w_min the lightest arc weight. The bound is minimised
+// over two pivots, the max-degree vertex and its farthest vertex, and capped
+// at n. It is a function of the graph alone: no seed, no sampling.
+func WeightedVertexDiameter(g *bfs.ArcsByWeight) int {
 	n := g.NumNodes()
-	if n <= 1 {
+	wmin := g.MinWeight()
+	if n <= 1 || wmin == 0 {
 		return n
 	}
-	r := rng.NewRand(seed)
-	ws := bfs.NewWeightedSampler(g, r)
-	maxHops := 0
-	// Sweep from the max-degree vertex and a few random ones: for each, use
-	// sampled far pairs to probe tree depth via path lengths.
-	pivots := []graph.Node{maxDegreeW(g)}
-	for i := 0; i < 3; i++ {
-		pivots = append(pivots, graph.Node(r.Intn(n)))
-	}
-	for _, p := range pivots {
-		for probe := 0; probe < 8; probe++ {
-			t := graph.Node(r.Intn(n))
-			if t == p {
-				continue
-			}
-			if internal, ok := ws.SamplePath(p, t); ok {
-				if h := len(internal) + 1; h > maxHops {
-					maxHops = h
-				}
-			}
-		}
-	}
-	vd := 2*maxHops + 2
-	if vd > n {
-		vd = n
-	}
-	if vd < 2 {
-		vd = 2
-	}
-	return vd
+	e1, e2, far := g.Eccentricity(maxDegreeW(g))
+	f1, f2, _ := g.Eccentricity(far)
+	return int(min(uint64(n), (e1+e2)/wmin+1, (f1+f2)/wmin+1))
 }
 
 func maxDegreeW(g *bfs.ArcsByWeight) graph.Node {

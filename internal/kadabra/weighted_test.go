@@ -1,8 +1,12 @@
 package kadabra_test
 
 import (
+	"cmp"
+	"container/heap"
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bfs"
@@ -171,11 +175,107 @@ func TestWeightedSequentialGuarantee(t *testing.T) {
 	}
 }
 
-func TestWeightedVertexDiameterSane(t *testing.T) {
-	g := connectedWeighted(13, 100, 300, 6)
-	vd := WeightedVertexDiameter(bfs.SortArcsByWeight(g), 1)
-	if vd < 2 || vd > g.NumNodes() {
-		t.Fatalf("vd = %d out of [2, %d]", vd, g.NumNodes())
+// maxPathVertices is the true weighted vertex diameter: the most vertices
+// on any minimum-weight path, ties included. Per source it runs a Dijkstra,
+// then a longest-hop pass over the shortest-path DAG in distance order.
+func maxPathVertices(g *graph.WGraph) int {
+	n := g.NumNodes()
+	best := 0
+	dist := make([]uint64, n)
+	hops := make([]int, n)
+	order := make([]graph.Node, n)
+	for s := range n {
+		for i := range dist {
+			dist[i] = math.MaxUint64
+		}
+		dist[s] = 0
+		h := &distHeap{dist: dist, items: []graph.Node{graph.Node(s)}}
+		for h.Len() > 0 {
+			v := heap.Pop(h).(graph.Node)
+			adj, wts := g.Neighbors(v)
+			for i, u := range adj {
+				if nd := dist[v] + uint64(wts[i]); nd < dist[u] {
+					dist[u] = nd
+					heap.Push(h, u)
+				}
+			}
+		}
+		for v := range order {
+			order[v] = graph.Node(v)
+		}
+		slices.SortFunc(order, func(a, b graph.Node) int { return cmp.Compare(dist[a], dist[b]) })
+		for _, v := range order {
+			hops[v] = 0
+			adj, wts := g.Neighbors(v)
+			for i, u := range adj {
+				if dist[u] != math.MaxUint64 && dist[u]+uint64(wts[i]) == dist[v] {
+					hops[v] = max(hops[v], hops[u]+1)
+				}
+			}
+			best = max(best, hops[v]+1)
+		}
+	}
+	return best
+}
+
+// distHeap is a lazy-deletion binary heap of vertices keyed by dist.
+type distHeap struct {
+	dist  []uint64
+	items []graph.Node
+}
+
+func (h *distHeap) Len() int           { return len(h.items) }
+func (h *distHeap) Less(i, j int) bool { return h.dist[h.items[i]] < h.dist[h.items[j]] }
+func (h *distHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *distHeap) Push(x any)         { h.items = append(h.items, x.(graph.Node)) }
+func (h *distHeap) Pop() any {
+	x := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return x
+}
+
+// starWithChain is a star of 999 leaves on weight-25 spokes with a 50-vertex
+// unit-weight chain hung off the centre: a leaf-to-chain-end shortest path
+// holds 52 vertices, though every path through the centre is short in hops.
+func starWithChain(t *testing.T) *graph.WGraph {
+	var edges []graph.WeightedEdge
+	for leaf := 1; leaf <= 999; leaf++ {
+		edges = append(edges, graph.WeightedEdge{U: 0, V: graph.Node(leaf), W: 25})
+	}
+	prev := graph.Node(0)
+	for v := graph.Node(1000); v < 1050; v++ {
+		edges = append(edges, graph.WeightedEdge{U: prev, V: v, W: 1})
+		prev = v
+	}
+	g, err := graph.FromWeightedEdges(1050, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestWeightedVertexDiameterIsUpperBound checks the weighted phase-1 bound
+// against brute force on the star-with-chain counterexample and on random
+// graphs whose weights are mostly equal (so shortest paths tie and differ in
+// hops), and checks that it is a property of the graph: every seed resolves
+// the same value.
+func TestWeightedVertexDiameterIsUpperBound(t *testing.T) {
+	graphs := map[string]*graph.WGraph{"star+chain": starWithChain(t)}
+	for seed := uint64(1); seed <= 60; seed++ {
+		n := 8 + int(seed*7%50)
+		graphs[fmt.Sprintf("random/seed%d", seed)] = connectedWeighted(seed, n, int(seed*3%uint64(2*n)), 1+uint32(seed%3))
+	}
+	for name, g := range graphs {
+		truth := maxPathVertices(g)
+		bound := WeightedVertexDiameter(bfs.SortArcsByWeight(g))
+		if bound < truth || bound > g.NumNodes() {
+			t.Errorf("%s: bound %d, true vertex diameter %d, n %d", name, bound, truth, g.NumNodes())
+		}
+		for _, seed := range []uint64{0, 1, 7, 1 << 40} {
+			if vd, _ := WeightedWorkload(g).ResolveDiameter(Config{Seed: seed}); vd != bound {
+				t.Errorf("%s: seed %d resolves %d, want %d", name, seed, vd, bound)
+			}
+		}
 	}
 }
 

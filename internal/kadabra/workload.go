@@ -2,6 +2,7 @@ package kadabra
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bfs"
@@ -48,18 +49,26 @@ type Sampler interface {
 }
 
 // Workload is one estimation scenario over a fixed graph: the vertex count,
-// an independent-sampler factory, and the phase-1 vertex-diameter resolver.
-// Construct one with UndirectedWorkload, DirectedWorkload, or
-// WeightedWorkload; the zero value is not runnable.
+// an independent-sampler factory, and the graph's phase-1 vertex-diameter
+// bound. Construct one with UndirectedWorkload, DirectedWorkload, or
+// WeightedWorkload; the zero value is not runnable. Copies share one
+// diameter memo, so build a workload once per graph and reuse it.
 type Workload struct {
 	// n is the number of vertices.
 	n int
 	// newSampler builds an independent sampling kernel over the graph; each
 	// sampling thread gets its own kernel with a split RNG stream.
 	newSampler func(r *rng.Rand) Sampler
-	// vertexDiameter computes the phase-1 vertex-diameter bound (only
-	// called when cfg.VertexDiameter does not override it).
-	vertexDiameter func(cfg Config) int
+	// diameter memoizes the vertex-diameter bound, a deterministic
+	// property of the graph.
+	diameter *diameterMemo
+}
+
+// diameterMemo resolves a workload's vertex-diameter bound on first use.
+type diameterMemo struct {
+	once    sync.Once
+	resolve func() int
+	vd      int
 }
 
 // N returns the number of vertices of the underlying graph.
@@ -68,21 +77,28 @@ func (w Workload) N() int { return w.n }
 // NewSampler builds an independent sampling kernel with its own RNG stream.
 func (w Workload) NewSampler(r *rng.Rand) Sampler { return w.newSampler(r) }
 
-// ResolveDiameter runs phase 1 for the workload (or uses the precomputed
-// cfg.VertexDiameter override) and reports the time spent.
+// ResolveDiameter returns the workload's vertex-diameter bound (or the
+// cfg.VertexDiameter override) and the time this call spent computing it:
+// the bound is computed once per workload, by the first call, and every
+// later call, on any copy, returns it with a zero duration.
 func (w Workload) ResolveDiameter(cfg Config) (int, time.Duration) {
 	if cfg.VertexDiameter > 0 {
 		return cfg.VertexDiameter, 0
 	}
-	start := time.Now()
-	vd := w.vertexDiameter(cfg)
-	return vd, time.Since(start)
+	var took time.Duration
+	m := w.diameter
+	m.once.Do(func() {
+		start := time.Now()
+		m.vd = m.resolve()
+		took = time.Since(start)
+	})
+	return m.vd, took
 }
 
 // Validate rejects workloads the estimator cannot run: the zero Workload
 // and graphs with fewer than two vertices.
 func (w Workload) Validate() error {
-	if w.newSampler == nil || w.vertexDiameter == nil {
+	if w.newSampler == nil || w.diameter == nil {
 		return fmt.Errorf("kadabra: zero workload (use a workload constructor)")
 	}
 	if w.n < 2 {
@@ -103,22 +119,16 @@ func (w Workload) WrapSampler(wrap func(Sampler) Sampler) Workload {
 }
 
 // UndirectedWorkload wraps the paper's standard scenario: bidirectional BFS
-// sampling on an undirected graph. Its diameter phase is exact (iFUB with
-// eccentricity-bound pruning: ~20 BFS sweeps on a 120x120 lattice, ~6 on
-// R-MAT 2^16) unless cfg.DiameterBFSCap bounds the fringe sweeps, the
-// escape hatch for inputs where even that is too slow; the directed and
-// weighted bounds below are constant-sweep heuristics.
+// sampling on an undirected graph. Its diameter phase is exact: iFUB with
+// eccentricity-bound pruning, ~20 BFS sweeps on a 120x120 lattice, ~6 on
+// R-MAT 2^16.
 func UndirectedWorkload(g *graph.Graph) Workload {
 	return Workload{
 		n: g.NumNodes(),
 		newSampler: func(r *rng.Rand) Sampler {
 			return bfs.NewSampler(g, r)
 		},
-		vertexDiameter: func(cfg Config) int {
-			// A cap of 0 runs iFUB to the exact diameter.
-			d, _ := diameter.IFUB(g, cfg.DiameterBFSCap)
-			return int(d) + 1
-		},
+		diameter: &diameterMemo{resolve: func() int { return diameter.VertexDiameter(g) }},
 	}
 }
 
@@ -131,9 +141,7 @@ func DirectedWorkload(g *graph.Digraph) Workload {
 		newSampler: func(r *rng.Rand) Sampler {
 			return bfs.NewDirectedSampler(g, r)
 		},
-		vertexDiameter: func(cfg Config) int {
-			return DirectedVertexDiameter(g)
-		},
+		diameter: &diameterMemo{resolve: func() int { return DirectedVertexDiameter(g) }},
 	}
 }
 
@@ -147,8 +155,6 @@ func WeightedWorkload(g *graph.WGraph) Workload {
 		newSampler: func(r *rng.Rand) Sampler {
 			return bfs.NewWeightedSampler(arcs, r)
 		},
-		vertexDiameter: func(cfg Config) int {
-			return WeightedVertexDiameter(arcs, cfg.Seed+0xABCD)
-		},
+		diameter: &diameterMemo{resolve: func() int { return WeightedVertexDiameter(arcs) }},
 	}
 }

@@ -76,26 +76,33 @@ func TestVertexDiameterResolvedOncePerGraph(t *testing.T) {
 	entry := srv.graphs[name]
 	srv.mu.Unlock()
 	want := graph.VertexDiameter(entry.und.Load())
-	if entry.vd != 0 {
-		t.Fatalf("vertex diameter resolved at upload (%d); want lazily on the first session", entry.vd)
-	}
 
 	// The first resolution is raced: session creation on this goroutine
-	// against direct readers (run under -race).
+	// against library estimates on the entry's workload (run under -race).
+	// Whoever resolves first pays phase 1; everyone else reuses the bound.
 	var wg sync.WaitGroup
-	memo := make([]int, 4)
-	for i := range memo {
+	raced := make([]*betweenness.Result, 4)
+	for i := range raced {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			memo[i] = entry.vertexDiameter()
+			raced[i], _ = betweenness.Estimate(context.Background(), entry.workload(),
+				betweenness.WithEpsilon(0.05), betweenness.WithSeed(100+uint64(i)),
+				betweenness.WithExecutor(betweenness.Sequential()))
 		}()
 	}
 	first := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.05, "seed": 5})
 	wg.Wait()
-	for _, vd := range memo {
-		if vd != want {
-			t.Fatalf("memoized vertex diameter %d, want %d", vd, want)
+	paid := 0
+	for i, res := range raced {
+		if res == nil {
+			t.Fatalf("racing estimate %d failed", i)
+		}
+		if res.VertexDiameter != want {
+			t.Fatalf("racing estimate %d: vertex diameter %d, want %d", i, res.VertexDiameter, want)
+		}
+		if res.Timings.Diameter != 0 {
+			paid++
 		}
 	}
 
@@ -106,12 +113,18 @@ func TestVertexDiameterResolvedOncePerGraph(t *testing.T) {
 		seed := uint64(5 + i)
 		res, reported := sessionResult(t, srv, ts.URL, id)
 		if res.Timings.Diameter != 0 {
-			t.Errorf("seed %d: session ran the diameter phase itself (%v)", seed, res.Timings.Diameter)
+			paid++
+			if i > 0 {
+				t.Errorf("seed %d: a later session ran the diameter phase again (%v)", seed, res.Timings.Diameter)
+			}
 		}
 		if reported != want {
 			t.Errorf("seed %d: /result vertex_diameter = %d, want %d", seed, reported, want)
 		}
 		sameEstimates(t, "undirected session", res, libraryRun(t, upload, "", 0.05, seed))
+	}
+	if paid != 1 {
+		t.Errorf("%d estimates ran the diameter phase, want exactly the first one", paid)
 	}
 }
 
@@ -131,24 +144,20 @@ func TestVertexDiameterMemoByKind(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every kind's bound is a deterministic property of the graph, so the
+	// first session resolves it and the second reuses it.
 	for _, tc := range []struct {
 		name, kind string
 		upload     []byte
-		memoized   bool
 	}{
-		{"dig", "directed", arcs.Bytes(), true},
-		// The weighted bound is a sampled heuristic seeded per session: no
-		// memo, and each session still resolves (and reports) its own.
-		{"wgt", "weighted", weighted.Bytes(), false},
+		{"dig", "directed", arcs.Bytes()},
+		{"wgt", "weighted", weighted.Bytes()},
 	} {
 		code, resp := do(t, "POST", ts.URL+"/graphs?name="+tc.name+"&kind="+tc.kind, tc.upload)
 		if code != http.StatusCreated {
 			t.Fatalf("%s upload: status %d, resp %v", tc.kind, code, resp)
 		}
-		srv.mu.Lock()
-		entry := srv.graphs[tc.name]
-		srv.mu.Unlock()
-		for _, seed := range []uint64{11, 12} {
+		for i, seed := range []uint64{11, 12} {
 			id := createSession(t, ts.URL, map[string]any{"graph": tc.name, "eps": 0.05, "seed": seed})
 			res, reported := sessionResult(t, srv, ts.URL, id)
 			want := libraryRun(t, tc.upload, tc.kind, 0.05, seed)
@@ -156,24 +165,53 @@ func TestVertexDiameterMemoByKind(t *testing.T) {
 			if reported != want.VertexDiameter {
 				t.Errorf("%s seed %d: /result vertex_diameter = %d, want %d", tc.kind, seed, reported, want.VertexDiameter)
 			}
-			wantMemo := 0
-			if tc.memoized {
-				wantMemo = want.VertexDiameter
-			}
-			if memo := entry.vertexDiameter(); memo != wantMemo {
-				t.Errorf("%s: memoized vertex diameter %d, want %d", tc.kind, memo, wantMemo)
-			}
-			if tc.memoized != (res.Timings.Diameter == 0) {
-				t.Errorf("%s seed %d: diameter phase took %v in the session, memoized=%v", tc.kind, seed, res.Timings.Diameter, tc.memoized)
+			if first := i == 0; first != (res.Timings.Diameter != 0) {
+				t.Errorf("%s seed %d: diameter phase took %v in the session, first session %v", tc.kind, seed, res.Timings.Diameter, first)
 			}
 		}
 	}
 }
 
-// A checkpoint written before the memo existed comes from an estimator that
-// resolved the diameter itself (no WithVertexDiameter in its options). It
-// must restore, resume, and still accept a refine: the restored identity is
-// the checkpoint's, so the memo passed at restore cannot trip refineGuard.
+// The heap-to-mmap swap persistGraph makes must not cost the bound a
+// session already resolved on the heap copy: the entry keeps that workload.
+func TestVertexDiameterSurvivesMappedSwap(t *testing.T) {
+	srv, ts := newTestServer(t, Config{DataDir: t.TempDir()})
+	upload := testGraphBytes(t)
+	entry, err := buildGraphEntry("g", bytes.NewReader(upload), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	srv.graphs[entry.name] = entry
+	srv.mu.Unlock()
+	heapRes, err := betweenness.Estimate(context.Background(), entry.workload(),
+		betweenness.WithEpsilon(0.05), betweenness.WithSeed(3),
+		betweenness.WithExecutor(betweenness.Sequential()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heapRes.Timings.Diameter == 0 {
+		t.Fatal("the first estimate on the heap copy did not run the diameter phase")
+	}
+	if err := srv.persistGraph(entry); err != nil {
+		t.Fatal(err)
+	}
+	if entry.mapped == nil {
+		t.Fatal("persistGraph did not map the persisted graph")
+	}
+	id := createSession(t, ts.URL, map[string]any{"graph": entry.name, "eps": 0.05, "seed": 4})
+	res, reported := sessionResult(t, srv, ts.URL, id)
+	if res.Timings.Diameter != 0 || reported != heapRes.VertexDiameter {
+		t.Errorf("after the swap: diameter phase %v, vertex_diameter %d; want 0 and %d",
+			res.Timings.Diameter, reported, heapRes.VertexDiameter)
+	}
+}
+
+// A checkpoint written before the memo moved into the workload comes from an
+// estimator that resolved the diameter itself, and a daemon of that time
+// passed the bound to every session through WithVertexDiameter. Either way
+// the checkpoint must restore, resume, and still accept a refine: the
+// restored identity is the checkpoint's.
 func TestRestoreCheckpointFromBeforeMemo(t *testing.T) {
 	dataDir := t.TempDir()
 	upload := testGraphBytes(t)

@@ -9,7 +9,6 @@ import (
 
 	"repro/betweenness"
 	"repro/graph"
-	"repro/internal/kadabra"
 )
 
 // graphEntry is one named, immutable graph shared by any number of
@@ -46,16 +45,12 @@ type graphEntry struct {
 	// guarantees no session outlives it.
 	mapped *graph.Mapped
 
-	// weighted memoizes wgt's workload, whose construction sorts every
-	// vertex's arcs by weight: once per graph, not once per session.
-	weightedOnce sync.Once
-	weighted     betweenness.Workload
-
-	// vd memoizes the phase-1 vertex diameter, a constant of the immutable
-	// graph: resolved once by the first session (see vertexDiameter) and
-	// handed to every later one instead of being re-derived per estimate.
-	vdOnce sync.Once
-	vd     int
+	// work is the graph's one workload, built by the first session that
+	// needs it and shared by every later one, so the work a workload does
+	// once per value — the weighted arc sort, the phase-1 vertex-diameter
+	// bound — is done once per graph.
+	workOnce sync.Once
+	work     betweenness.Workload
 }
 
 // closeMapping releases the entry's mmap, if any. Call only once the
@@ -67,36 +62,23 @@ func (g *graphEntry) closeMapping() {
 	}
 }
 
-// workload returns the tagged workload for this graph. Construction is
-// cheap (the digest closure is lazy; validation runs per estimate call),
-// except the weighted one's arc sort, which is done once.
+// workload returns the graph's tagged workload, built on first use. The
+// first estimate on it resolves the vertex-diameter bound, and every later
+// session reuses it. An undirected workload is built over whatever und
+// holds then: normally the mapping persistGraph swapped in, but a session
+// that raced the swap keeps the heap copy it was built over, bound and all.
 func (g *graphEntry) workload() betweenness.Workload {
-	switch g.kind {
-	case betweenness.WorkloadDirected:
-		return betweenness.Directed(g.dig)
-	case betweenness.WorkloadWeighted:
-		g.weightedOnce.Do(func() { g.weighted = betweenness.Weighted(g.wgt) })
-		return g.weighted
-	default:
-		return betweenness.Undirected(g.und.Load())
-	}
-}
-
-// vertexDiameter returns the value the library's own phase 1 computes for
-// this graph, resolving it on first use, so a session given it through
-// betweenness.WithVertexDiameter is bit-identical to one that ran the phase.
-// It is 0 for weighted graphs: their resolver is a sampled heuristic seeded
-// per session, so there is no per-graph constant to share.
-func (g *graphEntry) vertexDiameter() int {
-	g.vdOnce.Do(func() {
+	g.workOnce.Do(func() {
 		switch g.kind {
-		case betweenness.WorkloadUndirected:
-			g.vd = graph.VertexDiameter(g.und.Load())
 		case betweenness.WorkloadDirected:
-			g.vd = kadabra.DirectedVertexDiameter(g.dig)
+			g.work = betweenness.Directed(g.dig)
+		case betweenness.WorkloadWeighted:
+			g.work = betweenness.Weighted(g.wgt)
+		default:
+			g.work = betweenness.Undirected(g.und.Load())
 		}
 	})
-	return g.vd
+	return g.work
 }
 
 // parseKind resolves the ?kind= upload parameter.
@@ -130,6 +112,8 @@ func buildGraphEntry(name string, r io.Reader, kindStr string) (*graphEntry, err
 
 	kind := betweenness.WorkloadUndirected
 	switch format {
+	case graph.FormatBCSR:
+		return nil, fmt.Errorf("BCSR v1 uploads are not read; convert the file to v2 with graphconv first")
 	case graph.FormatArcList:
 		kind = betweenness.WorkloadDirected
 	case graph.FormatWeightedEdgeList:
@@ -144,7 +128,7 @@ func buildGraphEntry(name string, r io.Reader, kindStr string) (*graphEntry, err
 		if err != nil {
 			return nil, err
 		}
-		if (format == graph.FormatBCSR || format == graph.FormatBCSR2) && override != betweenness.WorkloadUndirected {
+		if format == graph.FormatBCSR2 && override != betweenness.WorkloadUndirected {
 			return nil, fmt.Errorf("BCSR uploads are undirected; cannot register as %s", override)
 		}
 		if format == graph.FormatWeightedEdgeList && override == betweenness.WorkloadDirected {
@@ -180,8 +164,6 @@ func buildGraphEntry(name string, r io.Reader, kindStr string) (*graphEntry, err
 	default:
 		var g *graph.Graph
 		switch format {
-		case graph.FormatBCSR:
-			g, err = graph.ReadBinary(r)
 		case graph.FormatBCSR2:
 			// Upload bodies are streams, so the v2 image decodes in
 			// memory here; the persisted copy is what sessions are

@@ -255,22 +255,6 @@ func (srv *Server) sessionLive(s *session) bool {
 	return srv.sessions[s.id] == s
 }
 
-// sessionOptions builds the betweenness options for params p on session s,
-// including the server-owned extras: the progress hook (always — it keeps
-// status and SSE fresh) and the graph's memoized vertex diameter (so only
-// the first session on a graph pays phase 1; a restore ignores it in favour
-// of the checkpoint's own).
-func (srv *Server) sessionOptions(s *session, p sessionParams) ([]betweenness.Option, error) {
-	opts, err := p.options(s.progress)
-	if err != nil {
-		return nil, err
-	}
-	if vd := s.g.vertexDiameter(); vd > 0 {
-		opts = append(opts, betweenness.WithVertexDiameter(vd))
-	}
-	return opts, nil
-}
-
 // wireCheckpointSink registers the in-run capture sink on an estimator
 // (without a data dir or with the loop disabled there is nothing to capture
 // for).
@@ -289,7 +273,7 @@ func (srv *Server) wireCheckpointSink(s *session, est *betweenness.Estimator) {
 func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptPath string) (*session, error) {
 	s := &session{id: id, srv: srv, g: g, params: p, state: stateIdle}
 	s.runCtx, s.cancel = context.WithCancel(srv.runCtx)
-	opts, err := srv.sessionOptions(s, p)
+	opts, err := p.options(s.progress)
 	if err != nil {
 		return nil, err
 	}

@@ -417,7 +417,7 @@ func shrinkOrDegrade(p sessionParams) (next sessionParams, note string, ok bool)
 // the checkpoint on disk, which describes the abandoned shape) — carrying
 // that state down the ladder is a ROADMAP follow-up.
 func (s *session) rebuild(p sessionParams) error {
-	opts, err := s.srv.sessionOptions(s, p)
+	opts, err := p.options(s.progress)
 	if err != nil {
 		return err
 	}

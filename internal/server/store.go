@@ -370,24 +370,13 @@ func (srv *Server) loadGraphEntry(metaPath string) (*graphEntry, error) {
 	case betweenness.WorkloadWeighted:
 		g.wgt, err = graph.LoadWGraphFile(path)
 	default:
+		// A v1 file from a store written before the v2 format fails here
+		// with a BCSRVersionError whose hint names graphconv, and the entry
+		// is quarantined.
 		var m *graph.Mapped
-		m, err = graph.OpenMapped(path)
-		if err == nil {
+		if m, err = graph.OpenMapped(path); err == nil {
 			g.mapped = m
 			g.und.Store(m.Graph())
-			break
-		}
-		if errors.Is(err, graph.ErrBCSRVersion) {
-			// A store written before the v2 format: load the v1 bytes to
-			// the heap this once; the next persist rewrites them as v2.
-			var f *os.File
-			f, err = os.Open(path)
-			if err == nil {
-				var und *graph.Graph
-				und, err = graph.ReadBinary(f)
-				f.Close()
-				g.und.Store(und)
-			}
 		}
 	}
 	if err != nil {
