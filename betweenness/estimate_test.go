@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/graph"
+	"repro/internal/bfs"
+	"repro/internal/rng"
 )
 
 // testGraph returns a small connected social-network proxy.
@@ -17,6 +19,18 @@ func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := graph.RMAT(graph.Graph500(9, 8, 17))
 	g, _, err := graph.LargestComponent(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// testLattice is a side x side road lattice reduced to its largest
+// component; from side 16 up, its diameter makes Undirected sample it with
+// the goal-directed kernel.
+func testLattice(t *testing.T, side int) *graph.Graph {
+	t.Helper()
+	g, _, err := graph.LargestComponent(graph.Road(graph.RoadParams{Rows: side, Cols: side, DeleteProb: 0.1, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,35 +175,44 @@ func TestDeterminism(t *testing.T) {
 
 // TestDeterminismHeapVsMapped: the sequential engine reads the graph only
 // through its CSR slices, so the same seed must give a bit-identical result
-// on a heap graph and on the same graph saved as BCSR and memory-mapped.
+// on a heap graph and on the same graph saved as BCSR and memory-mapped —
+// on R-MAT with the bidirectional BFS and on a lattice with the goal
+// kernel, which both graphs select alike.
 func TestDeterminismHeapVsMapped(t *testing.T) {
-	g := testGraph(t)
-	path := filepath.Join(t.TempDir(), "x.bcsr")
-	if err := graph.SaveFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := graph.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	run := func(g *graph.Graph) *Result {
-		res, err := Estimate(context.Background(), Undirected(g),
-			WithEpsilon(0.03), WithSeed(42), WithExecutor(Sequential()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	heap, mapped := run(g), run(m.Graph())
-	if heap.Tau != mapped.Tau || heap.Epochs != mapped.Epochs || heap.AchievedEps != mapped.AchievedEps {
-		t.Fatalf("heap tau/epochs/achieved eps %d/%d/%v, mapped %d/%d/%v",
-			heap.Tau, heap.Epochs, heap.AchievedEps, mapped.Tau, mapped.Epochs, mapped.AchievedEps)
-	}
-	for v := range heap.Estimates {
-		if heap.Estimates[v] != mapped.Estimates[v] {
-			t.Fatalf("vertex %d: heap %v, mapped %v", v, heap.Estimates[v], mapped.Estimates[v])
-		}
+	for name, g := range map[string]*graph.Graph{"rmat": testGraph(t), "lattice": testLattice(t, 16)} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x.bcsr")
+			if err := graph.SaveFile(path, g); err != nil {
+				t.Fatal(err)
+			}
+			m, err := graph.OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			run := func(g *graph.Graph) *Result {
+				w := Undirected(g)
+				if _, goal := w.inner.NewSampler(rng.NewRand(1)).(*bfs.GoalSampler); goal != (name == "lattice") {
+					t.Fatalf("goal kernel selected: %v", goal)
+				}
+				res, err := Estimate(context.Background(), w,
+					WithEpsilon(0.03), WithSeed(42), WithExecutor(Sequential()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			heap, mapped := run(g), run(m.Graph())
+			if heap.Tau != mapped.Tau || heap.Epochs != mapped.Epochs || heap.AchievedEps != mapped.AchievedEps {
+				t.Fatalf("heap tau/epochs/achieved eps %d/%d/%v, mapped %d/%d/%v",
+					heap.Tau, heap.Epochs, heap.AchievedEps, mapped.Tau, mapped.Epochs, mapped.AchievedEps)
+			}
+			for v := range heap.Estimates {
+				if heap.Estimates[v] != mapped.Estimates[v] {
+					t.Fatalf("vertex %d: heap %v, mapped %v", v, heap.Estimates[v], mapped.Estimates[v])
+				}
+			}
+		})
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/graph"
+	"repro/internal/bfs"
+	"repro/internal/rng"
 )
 
 // --- test graph constructors -----------------------------------------------
@@ -161,21 +163,30 @@ func TestWeightedParityAgainstExact(t *testing.T) {
 	}
 }
 
-// TestWeightedSequentialCoverage is a coverage smoke of the (eps, delta)
-// guarantee on the weighted x sequential cell: over R seeds on one weighted
-// R-MAT, the share of estimates whose max error exceeds eps must stay
-// within delta plus a 3-sigma binomial tolerance. R is 200, 20 under -short.
-// The omega-bound row is set where the adaptive rule never fires, so every
-// run stops at omega and its guarantee rests on the vertex-diameter bound
-// alone: it is the end-to-end check that sees an omega from a wrong VD.
-func TestWeightedSequentialCoverage(t *testing.T) {
+// TestCoverage is a coverage smoke of the (eps, delta) guarantee, one cell
+// per workload x executor: over R seeds on one instance, the share of
+// estimates whose max error exceeds eps must stay within delta plus a
+// 3-sigma binomial tolerance. R is 200, 20 under -short.
+//   - weighted-seq: a weighted R-MAT on the sequential engine. Its
+//     omega-bound row is set where the adaptive rule never fires, so every
+//     run stops at omega and its guarantee rests on the vertex-diameter
+//     bound alone: it is the end-to-end check that sees an omega from a
+//     wrong VD.
+//   - lattice-seq, lattice-shm: a 16x16 road lattice, which the undirected
+//     workload samples with the goal-directed kernel (asserted), on the
+//     sequential and the two-thread shared-memory engine.
+func TestCoverage(t *testing.T) {
 	lcc, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(7, 8, 21)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.RandomWeights(lcc, 10, 3)
-	w := Weighted(g)
-	exact := ExactWeighted(g, 0)
+	wg := graph.RandomWeights(lcc, 10, 3)
+	lattice := testLattice(t, 16)
+	weighted, road := Weighted(wg), Undirected(lattice)
+	if _, ok := road.inner.NewSampler(rng.NewRand(1)).(*bfs.GoalSampler); !ok {
+		t.Fatal("the lattice is not sampled with the goal-directed kernel")
+	}
+	exactW, exactRoad := ExactWeighted(wg, 0), Exact(lattice, 0)
 	const delta = 0.1
 	runs := 200
 	if testing.Short() {
@@ -183,24 +194,29 @@ func TestWeightedSequentialCoverage(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name       string
+		w          Workload
+		exact      []float64
+		exec       Executor
 		eps        float64
 		omegaBound bool
 	}{
-		{"adaptive", 0.05, false},
-		{"omega-bound", 0.04, true},
+		{"weighted-seq/adaptive", weighted, exactW, Sequential(), 0.05, false},
+		{"weighted-seq/omega-bound", weighted, exactW, Sequential(), 0.04, true},
+		{"lattice-seq", road, exactRoad, Sequential(), 0.03, false},
+		{"lattice-shm", road, exactRoad, SharedMemory(), 0.03, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			failed, worst := 0, 0.0
 			for seed := range uint64(runs) {
-				res, err := Estimate(context.Background(), w,
-					WithEpsilon(c.eps), WithDelta(delta), WithSeed(seed+1), WithExecutor(Sequential()))
+				res, err := Estimate(context.Background(), c.w, WithEpsilon(c.eps), WithDelta(delta),
+					WithSeed(seed+1), WithThreads(2), WithExecutor(c.exec))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if c.omegaBound && float64(res.Tau) < res.Omega {
 					t.Fatalf("seed %d: adaptive stop at tau %d < omega %.0f; the row is not omega-bound", seed+1, res.Tau, res.Omega)
 				}
-				rep := Compare(exact, res.Estimates, c.eps)
+				rep := Compare(c.exact, res.Estimates, c.eps)
 				worst = max(worst, rep.MaxAbs)
 				if rep.MaxAbs > c.eps {
 					failed++

@@ -31,6 +31,25 @@
 // figures of the paper's evaluation on miniature instances; bench/ (its own
 // module, declared in BENCHMARK.json) is the repository's benchmark.
 //
+// # High-diameter graphs sample goal-directed
+//
+// The paper's hard inputs are high-diameter graphs, where the balanced
+// bidirectional BFS grows two balls of radius about d(s,t)/2 to count the
+// paths of a thin s-t shortest-path DAG. An undirected workload therefore
+// chooses its sampling kernel once per graph, with no option to set: when a
+// double sweep from the max-degree vertex bounds the diameter above
+// 2·⌈log2 n⌉, the graph grows its balls polynomially (a lattice, a road
+// network), and every sampler is an A* toward t under an ALT potential from
+// four landmarks (the sweep's two endpoints and two farthest-point picks,
+// 16 bytes per vertex shared by every thread); otherwise it is the
+// bidirectional BFS. Four landmarks settle about 1.2x the DAG on a
+// lattice; two (the sweep's endpoints) bound one axis only, and more than
+// three measure alike. The search
+// settles in (key, g) order over a three-level integer bucket queue and
+// counts exact path counts, so the drawn path is uniform as before. The
+// rule is a seed-free function of the graph: every rank, a restored
+// checkpoint and a cached daemon workload choose the same kernel.
+//
 // # Per-epoch cost is proportional to what was sampled
 //
 // An epoch increments only ~n0 × avg-path-length distinct vertices, so the

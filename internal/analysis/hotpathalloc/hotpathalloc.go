@@ -1,6 +1,6 @@
 // Package hotpathalloc is the static complement of
 // TestSampleSteadyStateZeroAlloc: functions annotated with a //bc:hotpath
-// directive (the three workload sampling kernels, SampleInto, and
+// directive (the four workload sampling kernels, SampleInto, and
 // StateFrame.Bump) must not contain allocation-introducing constructs.
 // The runtime test proves the steady state is allocation-free on one
 // compiler version; this pass rejects the constructs that would make it

@@ -1,8 +1,10 @@
 // Package bfs provides breadth-first-search kernels: plain single-source
 // BFS (used by connected components, diameter computation and the exact
-// Brandes baseline) and the balanced bidirectional BFS shortest-path sampler
+// Brandes baseline), the balanced bidirectional BFS shortest-path sampler
 // that KADABRA uses to draw one uniform shortest path per sample (paper
-// §III-A, improvement (ii) over the RK algorithm).
+// §III-A, improvement (ii) over the RK algorithm), its goal-directed ALT A*
+// counterpart for unweighted graphs of high diameter, and the bidirectional
+// Dijkstra sampler for weighted graphs.
 //
 // All kernels carry reusable workspaces: the adaptive sampling phase calls
 // the sampler millions of times, so per-call allocations and O(|V|) clears

@@ -142,10 +142,16 @@ func validatePath(t *testing.T, fwd *graph.Graph, s, tt graph.Node, internal []g
 	}
 }
 
+// pathSampler is what the path checks below need of a kernel: Sampler and
+// GoalSampler both draw a uniform shortest s-t path through SamplePath.
+type pathSampler interface {
+	SamplePath(s, t graph.Node) (internal []graph.Node, ok bool)
+}
+
 // checkPathValidity draws random pairs on one graph and checks that the
 // sampler reports a path exactly for the reachable ones and that each path
 // is a shortest one.
-func checkPathValidity(t *testing.T, r *rng.Rand, fwd *graph.Graph, sp *Sampler, pairs int) {
+func checkPathValidity(t *testing.T, r *rng.Rand, fwd *graph.Graph, sp pathSampler, pairs int) {
 	t.Helper()
 	n := fwd.NumNodes()
 	for i := 0; i < pairs; i++ {
@@ -165,11 +171,15 @@ func checkPathValidity(t *testing.T, r *rng.Rand, fwd *graph.Graph, sp *Sampler,
 	}
 }
 
+// TestSamplePathValidity runs both undirected kernels on arbitrary sparse
+// graphs, where the goal kernel's potential is loose and components are
+// many.
 func TestSamplePathValidity(t *testing.T) {
 	r := rng.NewRand(1)
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(r, 20+r.Intn(60))
 		checkPathValidity(t, r, g, NewSampler(g, rng.NewRand(uint64(trial))), 30)
+		checkPathValidity(t, r, g, NewGoalSampler(g, NewLandmarks(g), rng.NewRand(uint64(trial))), 30)
 	}
 }
 
@@ -230,7 +240,7 @@ func sigmaRef(g *graph.Graph, s graph.Node) ([]uint32, []float64) {
 // sigma_st(v)/sigma_st — the property the KADABRA estimator relies on.
 // Counts toward t are counts from t on the transpose bwd. An unreachable
 // pair is skipped.
-func checkUniformity(t *testing.T, fwd, bwd *graph.Graph, sp *Sampler, s, tt graph.Node) {
+func checkUniformity(t *testing.T, fwd, bwd *graph.Graph, sp pathSampler, s, tt graph.Node) {
 	t.Helper()
 	if s == tt {
 		return

@@ -47,6 +47,16 @@ import (
 // scanning whenever the frontier yields no candidate. Every path is then
 // still a shortest path, but the path distribution may differ.
 //
+// On an undirected graph of high diameter the two balls have radius about
+// d(s,t)/2 and hold several times the s-t shortest-path DAG, so
+// kadabra.UndirectedWorkload samples such graphs with GoalSampler instead:
+// when a double sweep from the max-degree vertex bounds the diameter above
+// 2·⌈log2 n⌉ (balls grow polynomially, as on a lattice, not exponentially,
+// as on a small world), it builds NumLandmarks = 4 landmarks once and every
+// sampler is the goal kernel. Below the threshold, and on digraphs, this
+// kernel runs. Per-thread memory is 32 bytes per vertex (stamp, distance
+// and path count per side).
+//
 // A Sampler is not safe for concurrent use; each sampling thread owns one.
 // The backing graph is shared and read-only.
 type Sampler struct {
@@ -109,9 +119,15 @@ func newSampler(fwd, bwd *graph.Graph, r *rng.Rand) *Sampler {
 //
 //bc:hotpath
 func (sp *Sampler) SamplePair() (s, t graph.Node) {
-	n := sp.fwd.NumNodes()
-	s = graph.Node(sp.rng.Intn(n))
-	t = graph.Node(sp.rng.Intn(n - 1))
+	return samplePair(sp.rng, sp.fwd.NumNodes())
+}
+
+// samplePair draws a uniform ordered pair of distinct vertices out of n.
+//
+//bc:hotpath
+func samplePair(r *rng.Rand, n int) (s, t graph.Node) {
+	s = graph.Node(r.Intn(n))
+	t = graph.Node(r.Intn(n - 1))
 	if t >= s {
 		t++
 	}

@@ -7,7 +7,7 @@
 // Like the paper (which uses the BFS-based method of Borassi et al. [6]), we
 // rely on BFS pruning techniques rather than all-pairs computation:
 //
-//   - DoubleSweep gives a fast lower bound (and a decent starting point);
+//   - DoubleSweep gives a fast lower bound and two far-apart vertices;
 //   - IFUB (iterative Fringe Upper Bound, Crescenzi et al.) computes the
 //     exact diameter. Every sweep also bounds the eccentricity of each
 //     vertex it reaches (ecc(w) <= ecc(v) + d(v, w), the refinement of
@@ -26,18 +26,21 @@ import (
 	"repro/internal/graph"
 )
 
-// DoubleSweep returns a lower bound on the diameter: BFS from start to the
-// farthest vertex u, then BFS from u; the second eccentricity is the bound.
-// On trees it is exact; on real-world graphs it is usually exact or within
-// one or two of the true value.
-func DoubleSweep(g *graph.Graph, start graph.Node) uint32 {
+// DoubleSweep returns a lower bound on the diameter and the two vertices
+// that realise it: a BFS from start finds the farthest vertex u, a BFS from
+// u the farthest vertex v (lowest index on ties), and ecc = d(u, v). On
+// trees the bound is exact; on real-world graphs it is usually exact or
+// within one or two of the true value. The undirected workload compares it
+// with log2 n to tell a lattice-like graph from a small world, and uses u
+// and v as its first two ALT landmarks.
+func DoubleSweep(g *graph.Graph, start graph.Node) (ecc uint32, u, v graph.Node) {
 	if g.NumNodes() == 0 {
-		return 0
+		return 0, 0, 0
 	}
 	b := bfs.New(g)
-	_, u := b.Eccentricity(start)
-	ecc, _ := b.Eccentricity(u)
-	return ecc
+	_, u = b.Eccentricity(start)
+	ecc, v = b.Eccentricity(u)
+	return ecc, u, v
 }
 
 // IFUB computes the exact diameter of the connected graph g using the

@@ -104,7 +104,8 @@ func TestDoubleSweepIsLowerBound(t *testing.T) {
 		n := int(nRaw%80) + 2
 		m := int(mRaw % 160)
 		g := connectedRandom(seed, n, m)
-		return DoubleSweep(g, 0) <= bruteDiameter(g)
+		ecc, u, v := DoubleSweep(g, 0)
+		return ecc <= bruteDiameter(g) && bfs.New(g).Run(u)[v] == ecc
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -183,7 +184,7 @@ func TestIFUBDisconnectedInput(t *testing.T) {
 	if d := IFUB(g); d != 6 {
 		t.Fatalf("IFUB = %d, want 6", d)
 	}
-	if got := DoubleSweep(g, 0); got != 6 {
+	if got, _, _ := DoubleSweep(g, 0); got != 6 {
 		t.Fatalf("DoubleSweep = %d, want 6", got)
 	}
 }

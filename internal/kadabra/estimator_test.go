@@ -44,9 +44,19 @@ func resultsBitIdentical(t *testing.T, a, b *Result, label string) {
 // restored into a fresh state machine, and run to completion produces a
 // bit-identical Result to an uninterrupted run — whether the budget stop
 // caught the state frame still sparse (a few samples in) or past its
-// density cut-over.
+// density cut-over — on R-MAT with the bidirectional BFS and on a lattice
+// with the goal kernel, whose restored workload chooses that kernel again.
 func TestEstimatorStateBitIdenticalResume(t *testing.T) {
-	g := testGraph()
+	// A lattice sample bumps a dozen vertices of 256, so its frame stays
+	// sparse for the first two samples only.
+	checkBitIdenticalResume(t, "", testGraph(), []int64{3, 8})
+	checkBitIdenticalResume(t, "lattice-", testLattice(), []int64{1, 2})
+}
+
+// checkBitIdenticalResume runs TestEstimatorStateBitIdenticalResume's cuts
+// on the undirected workload over g, as subtests named prefix+"sparse" (at
+// the sparse cuts) and prefix+"dense".
+func checkBitIdenticalResume(t *testing.T, prefix string, g *graph.Graph, sparse []int64) {
 	cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 11}
 	w := UndirectedWorkload(g)
 
@@ -65,10 +75,10 @@ func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 	// Interrupt at several points, including mid-calibration and
 	// off-CheckInterval-boundary taus.
 	for name, cuts := range map[string][]int64{
-		"sparse": {3, 8},
+		"sparse": sparse,
 		"dense":  {50, want.Tau / 3, want.Tau/2 + 137},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(prefix+name, func(t *testing.T) {
 			for _, cut := range cuts {
 				st, err := NewEstimatorState(w, 0, cfg)
 				if err != nil {
@@ -94,7 +104,7 @@ func TestEstimatorStateBitIdenticalResume(t *testing.T) {
 				if err := advance(context.Background(), restored, Config{}); err != nil {
 					t.Fatal(err)
 				}
-				resultsBitIdentical(t, want, restored.Result(), name)
+				resultsBitIdentical(t, want, restored.Result(), prefix+name)
 			}
 		})
 	}
@@ -348,6 +358,8 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 // They were recorded a fourth time when the weighted vertex-diameter bound
 // became certified: omega moved with it (VD 14-16, seed-dependent, to 25;
 // omega 8745 to 9995), which moves the check schedule and the stop.
+// The lattice row, a 16x16 road lattice the undirected workload samples
+// with the goal-directed kernel, was recorded when that kernel came in.
 func TestEpochDriverGoldenParity(t *testing.T) {
 	ws := testWorkloads(t)
 	for _, c := range []struct {
@@ -366,6 +378,7 @@ func TestEpochDriverGoldenParity(t *testing.T) {
 		{"weighted", 1, 8101, 8, 0x23a975ebcbc52295},
 		{"weighted", 2, 9101, 9, 0xbf49488b27410539},
 		{"weighted", 3, 9101, 9, 0x849783c1149c2558},
+		{"lattice", 2, 9101, 9, 0xdd57c3bf71b0964e},
 	} {
 		res, err := Run(context.Background(), ws[c.workload], 1, Config{Eps: 0.02, Delta: 0.1, Seed: c.seed})
 		if err != nil {

@@ -1,6 +1,9 @@
 package kadabra
 
 import (
+	"sync/atomic"
+
+	"repro/internal/bfs"
 	"repro/internal/epoch"
 	"repro/internal/rng"
 )
@@ -30,4 +33,17 @@ func (st *EstimatorState) Streams() []*rng.Rand { return st.streams }
 // precomputes for the amortized check.
 func (c *Calibration) DerivedState() (logDL, logDU []float64, order []uint32) {
 	return c.logDL, c.logDU, c.order
+}
+
+// CountKernelResolutions counts how often an undirected workload's kernel
+// memo, shared by all copies of w, resolves its kernel. Call it before w's
+// first sampler.
+func CountKernelResolutions(w Workload) *atomic.Int32 {
+	var n atomic.Int32
+	inner := w.kernel.resolve
+	w.kernel.resolve = func() *bfs.Landmarks {
+		n.Add(1)
+		return inner()
+	}
+	return &n
 }

@@ -8,11 +8,13 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/brandes"
 	"repro/internal/diameter"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	. "repro/internal/kadabra"
+	"repro/internal/rng"
 )
 
 func TestOmegaBasics(t *testing.T) {
@@ -175,6 +177,13 @@ func guaranteeCheck(t *testing.T, g *graph.Graph, res *Result, eps float64) {
 func testGraph() *graph.Graph {
 	g := gen.RMAT(gen.Graph500(8, 8, 17))
 	g, _ = graph.LargestComponent(g)
+	return g
+}
+
+// testLattice is a small road lattice, high-diameter enough (double sweep
+// above 2·⌈log2 n⌉) that UndirectedWorkload samples it with the goal kernel.
+func testLattice() *graph.Graph {
+	g, _ := graph.LargestComponent(gen.Road(gen.RoadParams{Rows: 16, Cols: 16, DeleteProb: 0.1, Seed: 3}))
 	return g
 }
 
@@ -344,5 +353,45 @@ func TestResolveDiameterOnce(t *testing.T) {
 	}
 	if vd, d := w.ResolveDiameter(Config{VertexDiameter: 7}); vd != 7 || d != 0 {
 		t.Errorf("override: (%d, %v), want (7, 0)", vd, d)
+	}
+}
+
+// TestResolveKernelOnce races the first resolution of an undirected
+// workload's sampling kernel across copies of the value (a WrapSampler copy
+// among them, run under -race): the double sweep and the landmarks run
+// once, and every sampler is the goal kernel on the lattice and the
+// bidirectional BFS on R-MAT.
+func TestResolveKernelOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		goal bool
+	}{{"lattice", testLattice(), true}, {"rmat", testGraph(), false}} {
+		t.Run(c.name, func(t *testing.T) {
+			w := UndirectedWorkload(c.g)
+			calls := CountKernelResolutions(w)
+			copies := []Workload{w, w, w, w.WrapSampler(func(s Sampler) Sampler { return s })}
+			samplers := make([]Sampler, len(copies))
+			var wg sync.WaitGroup
+			for i, cp := range copies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					samplers[i] = cp.NewSampler(rng.NewRand(uint64(i)))
+				}()
+			}
+			wg.Wait()
+			w.NewSampler(rng.NewRand(9))
+			if n := calls.Load(); n != 1 {
+				t.Fatalf("kernel resolved %d times, want once", n)
+			}
+			for i, s := range samplers {
+				_, goal := s.(*bfs.GoalSampler)
+				_, bidir := s.(*bfs.Sampler)
+				if goal != c.goal || bidir == c.goal {
+					t.Fatalf("copy %d built a %T, want the goal kernel: %v", i, s, c.goal)
+				}
+			}
+		})
 	}
 }

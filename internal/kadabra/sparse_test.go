@@ -65,7 +65,8 @@ func runAgainstDenseRef(t *testing.T, name string, w Workload, threads int, cfg 
 }
 
 // testWorkloads returns the three estimation scenarios over small fixed
-// instances.
+// instances, the undirected one twice: on R-MAT with the bidirectional BFS
+// and on a lattice with the goal kernel.
 func testWorkloads(t testing.TB) map[string]Workload {
 	t.Helper()
 	g := gen.RMAT(gen.Graph500(8, 8, 5))
@@ -74,6 +75,7 @@ func testWorkloads(t testing.TB) map[string]Workload {
 	wg := connectedWeighted(7, 100, 200, 8)
 	return map[string]Workload{
 		"undirected": UndirectedWorkload(g),
+		"lattice":    UndirectedWorkload(testLattice()),
 		"directed":   DirectedWorkload(dg),
 		"weighted":   WeightedWorkload(wg),
 	}

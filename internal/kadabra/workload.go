@@ -2,6 +2,7 @@ package kadabra
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -52,7 +53,8 @@ type Sampler interface {
 // an independent-sampler factory, and the graph's phase-1 vertex-diameter
 // bound. Construct one with UndirectedWorkload, DirectedWorkload, or
 // WeightedWorkload; the zero value is not runnable. Copies share one
-// diameter memo, so build a workload once per graph and reuse it.
+// diameter memo (and an undirected workload's kernel memo), so build a
+// workload once per graph and reuse it.
 type Workload struct {
 	// n is the number of vertices.
 	n int
@@ -62,6 +64,9 @@ type Workload struct {
 	// diameter memoizes the vertex-diameter bound, a deterministic
 	// property of the graph.
 	diameter *diameterMemo
+	// kernel memoizes an undirected workload's choice of sampling kernel,
+	// the one newSampler reads; nil on the other workloads.
+	kernel *kernelMemo
 }
 
 // diameterMemo resolves a workload's vertex-diameter bound on first use.
@@ -118,18 +123,65 @@ func (w Workload) WrapSampler(wrap func(Sampler) Sampler) Workload {
 	return w
 }
 
-// UndirectedWorkload wraps the paper's standard scenario: bidirectional BFS
-// sampling on an undirected graph. Its diameter phase is exact: iFUB with
-// eccentricity-bound pruning, ~20 BFS sweeps on a 120x120 lattice, ~6 on
-// R-MAT 2^16.
+// UndirectedWorkload wraps the paper's standard scenario, unweighted
+// shortest paths on an undirected graph. Its diameter phase is exact: iFUB
+// with eccentricity-bound pruning, ~20 BFS sweeps on a 120x120 lattice, ~6
+// on R-MAT 2^16.
+//
+// Its sampling kernel is chosen once per graph, by the first sampler any
+// copy of the value builds. A double sweep from the max-degree vertex
+// bounds the diameter from below; when the bound exceeds 2·⌈log2 n⌉, the
+// graph grows its balls polynomially, like a lattice or a road network,
+// not like a small world, and every sampler is the goal-directed ALT A*
+// (bfs.GoalSampler), steered by bfs.NumLandmarks = 4 landmarks: the sweep's
+// two endpoints plus two farthest-point picks, 16 bytes per vertex shared
+// read-only (bfs.NumLandmarks says why four). They settle about 1.2x the
+// s-t shortest-path DAG on a lattice.
+// Otherwise it is the balanced bidirectional BFS (bfs.Sampler), which on a
+// small world meets after a few levels. On the benchmark's 120x120 lattice
+// the bound is 238 against 28, on R-MAT 2^16 it is 7 against 32. The
+// choice is a seed-free function of the graph, so every rank, a restored
+// checkpoint and a cached workload make the same one.
 func UndirectedWorkload(g *graph.Graph) Workload {
+	k := &kernelMemo{resolve: func() *bfs.Landmarks { return goalLandmarks(g) }}
 	return Workload{
 		n: g.NumNodes(),
 		newSampler: func(r *rng.Rand) Sampler {
+			if lm := k.landmarks(); lm != nil {
+				return bfs.NewGoalSampler(g, lm, r)
+			}
 			return bfs.NewSampler(g, r)
 		},
 		diameter: &diameterMemo{resolve: func() int { return diameter.VertexDiameter(g) }},
+		kernel:   k,
 	}
+}
+
+// kernelMemo resolves an undirected workload's kernel on first use: the
+// goal kernel's landmarks, or nil for the bidirectional BFS.
+type kernelMemo struct {
+	once    sync.Once
+	resolve func() *bfs.Landmarks
+	lm      *bfs.Landmarks
+}
+
+func (k *kernelMemo) landmarks() *bfs.Landmarks {
+	k.once.Do(func() { k.lm = k.resolve() })
+	return k.lm
+}
+
+// goalLandmarks returns the goal kernel's landmarks when g's double-sweep
+// diameter bound exceeds 2·⌈log2 n⌉, and nil otherwise.
+func goalLandmarks(g *graph.Graph) *bfs.Landmarks {
+	n := g.NumNodes()
+	if n < 2 {
+		return nil
+	}
+	ecc, u, v := diameter.DoubleSweep(g, g.MaxDegreeNode())
+	if int(ecc) <= 2*bits.Len(uint(n-1)) {
+		return nil
+	}
+	return bfs.NewLandmarks(g, u, v)
 }
 
 // DirectedWorkload swaps in the bidirectional sampler over out-arcs and the
