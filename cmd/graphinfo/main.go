@@ -1,6 +1,6 @@
-// Command graphinfo prints Table-I-style statistics for a graph file or for
-// the built-in proxy suite: node/edge counts, degree statistics, connected
-// components and the exact diameter.
+// Command graphinfo prints Table-I-style statistics for a graph file:
+// node/edge counts, degree statistics, connected components and the exact
+// diameter.
 //
 // The file format is sniffed (graph.DetectFormat): edge lists and .bcsr
 // binaries describe the undirected statistics, weighted edge lists add the
@@ -18,7 +18,6 @@
 //	graphinfo -graph web.bcsr
 //	graphinfo -graph roads.wedges   # weighted edge list, autodetected
 //	graphinfo -graph big.bcsr -quick -memstats
-//	graphinfo -suite                # all ten Table-I proxies
 package main
 
 import (
@@ -28,31 +27,23 @@ import (
 	"time"
 
 	"repro/graph"
-	"repro/internal/experiments"
 	"repro/internal/memprof"
 )
 
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file (edge list, arc list, weighted edge list, or .bcsr; format sniffed)")
-		suite     = flag.Bool("suite", false, "describe the built-in Table-I proxy suite")
 		noDiam    = flag.Bool("no-diameter", false, "skip the (possibly slow) exact diameter")
 		quick     = flag.Bool("quick", false, "header-and-offsets stats only: skip components, diameter, and any adjacency access")
 		memstats  = flag.Bool("memstats", false, "print heap and resident-set stats before exiting")
 	)
 	flag.Parse()
 
-	switch {
-	case *suite:
-		if err := experiments.TableI(os.Stdout, experiments.Suite()); err != nil {
-			fail(err)
-		}
-	case *graphPath != "":
-		if err := describeFile(*graphPath, !*noDiam, *quick); err != nil {
-			fail(err)
-		}
-	default:
-		fail(fmt.Errorf("need -graph FILE or -suite"))
+	if *graphPath == "" {
+		fail(fmt.Errorf("need -graph FILE"))
+	}
+	if err := describeFile(*graphPath, !*noDiam, *quick); err != nil {
+		fail(err)
 	}
 	if *memstats {
 		memprof.Read().Report(os.Stdout)

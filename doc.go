@@ -25,11 +25,10 @@
 // ones on a one-rank in-process world, and at one thread per rank it is the
 // paper's Algorithm 1. Its thread choreography is written once, in
 // internal/epoch's Driver, which examples/adaptivesampling also runs on.
-// Executables are under cmd/
-// (bcapprox, bcexact, graphgen, graphconv, graphinfo, experiments); runnable
-// examples under examples/. The top-level bench_test.go regenerates the tables and
-// figures of the paper's evaluation on miniature instances; bench/ (its own
-// module, declared in BENCHMARK.json) is the repository's benchmark.
+// Executables are under cmd/ (bcapprox, bcexact, graphgen, graphconv,
+// graphinfo, betweennessd, repolint); runnable examples under examples/.
+// bench/ (its own module, declared in BENCHMARK.json) is the repository's
+// benchmark.
 //
 // # High-diameter graphs sample goal-directed
 //

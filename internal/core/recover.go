@@ -85,8 +85,10 @@ func decodeSpec(buf []byte) (reconfigSpec, error) {
 	s.round = binary.LittleEndian.Uint64(buf[0:])
 	s.foldedEpoch = int64(binary.LittleEndian.Uint64(buf[8:]))
 	s.salvagedRound = binary.LittleEndian.Uint64(buf[16:])
-	k := int(binary.LittleEndian.Uint32(buf[24:]))
-	if len(buf) != 28+4*k {
+	// Compared in uint64, so a hostile count cannot wrap 4*k on a 32-bit
+	// int and size the allocation below.
+	k := binary.LittleEndian.Uint32(buf[24:])
+	if uint64(len(buf)-28) != 4*uint64(k) {
 		return s, fmt.Errorf("core: recovery spec length mismatch")
 	}
 	s.survivors = make([]int, k)

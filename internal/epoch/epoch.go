@@ -111,8 +111,8 @@ func (sf *StateFrame) Bump(v uint32) {
 }
 
 // AddCount adds c to C[v] with touched-list maintenance: the bulk variant
-// of Bump for callers that replay aggregated counts into a frame (simnet's
-// wire-size model). It does not advance Tau.
+// of Bump for callers that replay aggregated counts into a frame
+// (checkpoint restore). It does not advance Tau.
 func (sf *StateFrame) AddCount(v uint32, c int64) { sf.addCount(v, c) }
 
 // addCount adds c (> 0 in practice) to C[v] with touched maintenance.

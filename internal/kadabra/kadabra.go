@@ -33,8 +33,7 @@ type Config struct {
 	EpochBase float64
 	EpochSkew float64
 	// VertexDiameter, when positive, skips the diameter phase and uses the
-	// given value (useful when the caller has computed it already, and for
-	// the virtual-cluster harness which charges the phase separately).
+	// given value (useful when the caller has computed it already).
 	VertexDiameter int
 	// OnEpoch, when non-nil, is invoked after every epoch (on the
 	// sequential schedule, every stopping check) with a consistent

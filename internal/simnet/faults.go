@@ -1,3 +1,12 @@
+// Package simnet is deterministic fault injection for the distributed
+// runtime: it drives the real distributed algorithm (core.Algorithm2, real
+// graphs, real samples, the real recovery protocol) over the in-process
+// transport and injects failures at exact points in the run — kill rank r
+// the moment the coordinator folds epoch e, cut a set of ranks off mid-run,
+// delay or drop frames on the wire. Because the trigger is an epoch count
+// rather than a timer, every scenario is reproducible, which is what makes
+// a (rank, epoch) kill grid a usable regression battery for the
+// shrink-and-recalibrate protocol in core/recover.go.
 package simnet
 
 import (
@@ -11,19 +20,6 @@ import (
 	"repro/internal/kadabra"
 	"repro/internal/mpi"
 )
-
-// Deterministic fault injection for the distributed runtime.
-//
-// Where the rest of simnet models the *clock* of a healthy cluster, this
-// file models an unhealthy one: it drives the real distributed algorithms
-// (core.Algorithm2, real graphs, real samples, real recovery protocol)
-// over the in-process transport and injects failures at exact points in
-// the run — kill rank r the moment the coordinator folds epoch e, cut a
-// set of ranks off mid-run, delay or drop frames on the wire. Because the
-// trigger is an epoch count rather than a timer, every scenario is
-// reproducible, which is what makes a (rank, epoch) kill grid a usable
-// regression battery for the shrink-and-recalibrate protocol in
-// core/recover.go.
 
 // FaultPlan is a deterministic failure scenario for RunFaulty.
 type FaultPlan struct {

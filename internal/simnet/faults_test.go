@@ -18,6 +18,18 @@ import (
 	"repro/internal/mpi"
 )
 
+func testGraph() *graph.Graph {
+	g := gen.RMAT(gen.Graph500(9, 8, 21))
+	g, _ = graph.LargestComponent(g)
+	return g
+}
+
+func testDigraph() *graph.Digraph {
+	dg := gen.RandomDigraph(150, 900, 5)
+	dg, _ = graph.LargestSCC(dg)
+	return dg
+}
+
 // faultCfg keeps the runs short enough that a (rank, epoch) grid stays
 // fast while lasting enough epochs for every planned kill to fire:
 // NoOverlap pins the per-epoch intake to exactly n0 samples per rank
@@ -44,7 +56,7 @@ func maxErr(exact, got []float64) float64 {
 
 // countingWorkload wraps every sampler of w with a per-kernel draw counter
 // so tests can bound the folded tau by what was actually drawn.
-func countingWorkload(w kadabra.Workload) (kadabra.Workload, func() (total, maxOne int64)) {
+func countingWorkload(w kadabra.Workload) (kadabra.Workload, func() (total int64)) {
 	var mu sync.Mutex
 	var counters []*atomic.Int64
 	cw := w.WrapSampler(func(s kadabra.Sampler) kadabra.Sampler {
@@ -54,18 +66,14 @@ func countingWorkload(w kadabra.Workload) (kadabra.Workload, func() (total, maxO
 		mu.Unlock()
 		return &countingSampler{inner: s, n: c}
 	})
-	return cw, func() (int64, int64) {
+	return cw, func() int64 {
 		mu.Lock()
 		defer mu.Unlock()
-		var total, maxOne int64
+		var total int64
 		for _, c := range counters {
-			v := c.Load()
-			total += v
-			if v > maxOne {
-				maxOne = v
-			}
+			total += c.Load()
 		}
-		return total, maxOne
+		return total
 	}
 }
 
@@ -131,7 +139,7 @@ func TestKillGrid(t *testing.T) {
 				if worst := maxErr(exact, res.Betweenness); worst > cfg.Eps {
 					t.Errorf("kill rank %d at epoch %d: max error %f exceeds eps %f (tau=%d)", r, e, worst, cfg.Eps, res.Tau)
 				}
-				total, _ := drawn()
+				total := drawn()
 				if res.Tau > total {
 					t.Errorf("tau %d exceeds %d drawn samples: salvage double-counted", res.Tau, total)
 				}
@@ -145,8 +153,7 @@ func TestKillGrid(t *testing.T) {
 // the guarantee must survive a shrink on every sampler kernel.
 func TestKillGridWorkloads(t *testing.T) {
 	t.Run("directed", func(t *testing.T) {
-		dg := gen.RandomDigraph(150, 900, 5)
-		dg, _ = graph.LargestSCC(dg)
+		dg := testDigraph()
 		exactD := brandes.ExactDirected(dg)
 		cfg := faultCfg(41)
 		rep, err := RunFaulty(context.Background(), kadabra.DirectedWorkload(dg), 3, cfg, FaultPlan{
@@ -200,31 +207,46 @@ func testWGraph(t *testing.T) *graph.WGraph {
 	return g
 }
 
-// TestKillTauAccounting pins the exact accounting bound. Under NoOverlap
-// with one thread per rank (faultCfg) no frame is in flight at shutdown —
-// thread 0's next-epoch frame is only ever filled by overlap sampling — so
-// every drawn sample is either folded into S or part of the dead rank's
-// in-flight epoch:
+// TestKillTauAccounting pins the exact accounting bound on every
+// workload. Under NoOverlap with one thread per rank (faultCfg) no frame is
+// in flight at shutdown — thread 0's next-epoch frame is only ever filled
+// by overlap sampling — so every drawn sample is either folded into S or
+// part of the dead rank's in-flight epoch, which holds at most n0 samples
+// (the epoch length of the unshrunken world):
 //
-//	drawnTotal - drawnByKilled <= tau <= drawnTotal
+//	drawnTotal - n0 <= tau <= drawnTotal
 //
-// and drawnByKilled is at most the largest per-kernel count. A violated
-// lower bound means a survivor's salvage frame was dropped; a violated
-// upper bound means a frame was folded twice.
+// A violated lower bound means samples beyond the dead rank's one epoch
+// were dropped; a violated upper bound means a frame was folded twice.
 func TestKillTauAccounting(t *testing.T) {
-	w, drawn := countingWorkload(kadabra.UndirectedWorkload(testGraph()))
-	rep, err := RunFaulty(context.Background(), w, 3, faultCfg(7), FaultPlan{KillRank: 1, KillEpoch: 2})
-	if err != nil {
-		t.Fatal(err)
+	workloads := []struct {
+		name string
+		w    kadabra.Workload
+	}{
+		{"undirected", kadabra.UndirectedWorkload(testGraph())},
+		{"directed", kadabra.DirectedWorkload(testDigraph())},
+		{"weighted", kadabra.WeightedWorkload(testWGraph(t))},
 	}
-	checkFaultReport(t, rep, 3, 1)
-	tau := rep.Res.Res.Tau
-	total, maxOne := drawn()
-	if tau > total {
-		t.Errorf("tau %d exceeds %d drawn: double-counted fold", tau, total)
-	}
-	if tau < total-maxOne {
-		t.Errorf("tau %d below %d-%d: lost more than the dead rank's in-flight samples", tau, total, maxOne)
+	for _, wl := range workloads {
+		for _, killed := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/rank%d", wl.name, killed), func(t *testing.T) {
+				w, drawn := countingWorkload(wl.w)
+				cfg := faultCfg(uint64(6 + killed))
+				rep, err := RunFaulty(context.Background(), w, 3, cfg, FaultPlan{KillRank: killed, KillEpoch: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFaultReport(t, rep, 3, killed)
+				tau := rep.Res.Res.Tau
+				total := drawn()
+				if tau > total {
+					t.Errorf("tau %d exceeds %d drawn: double-counted fold", tau, total)
+				}
+				if n0 := int64(cfg.EpochLength(3)); tau < total-n0 {
+					t.Errorf("tau %d below %d-%d: lost more than the dead rank's in-flight epoch", tau, total, n0)
+				}
+			})
+		}
 	}
 }
 

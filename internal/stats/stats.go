@@ -1,6 +1,5 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness: aggregate statistics (geometric mean, quantiles) and
-// accuracy metrics comparing approximate against exact betweenness.
+// Package stats provides accuracy metrics comparing approximate against
+// exact betweenness, and small aggregate statistics (means, quantiles).
 package stats
 
 import (
