@@ -1,6 +1,5 @@
-// Real-machine benchmarks of the root package, each timing real runs:
-// Algorithm 2's aggregation strategies (§IV-F), the epoch length n0
-// (§IV-D), and thread and rank scaling. bench_degraded_test.go adds the
+// Real-machine benchmarks of the root package, each timing real runs: the
+// epoch length n0 (§IV-D), and thread and rank scaling. bench_degraded_test.go adds the
 // rank-death recovery path. The repository's end-to-end benchmark is
 // bench/ (its own module, declared in BENCHMARK.json).
 //
@@ -50,28 +49,6 @@ func runDist(b *testing.B, w kadabra.Workload, procs int, cfg core.Config) *core
 		b.Fatal(err)
 	}
 	return res
-}
-
-// --- Aggregation strategy (§IV-F) ------------------------------------------
-// Runs of Algorithm 2 on the in-process world with the three strategies the
-// paper compares.
-
-func BenchmarkAblationAggregation(b *testing.B) {
-	g := gen.RMAT(gen.Graph500(12, 16, 5))
-	g, _ = graph.LargestComponent(g)
-	for _, s := range []core.AggStrategy{core.AggIBarrierReduce, core.AggIReduce, core.AggBlocking} {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runDist(b, kadabra.UndirectedWorkload(g), 4, core.Config{
-					Config:   benchCfg(0.01, 6),
-					Threads:  2,
-					Strategy: s,
-				})
-				b.ReportMetric(float64(res.Res.Tau)/res.Res.Timings.Sampling.Seconds(), "samples/s")
-			}
-		})
-	}
 }
 
 // --- Epoch length n0 (§IV-D) -----------------------------------------------

@@ -48,9 +48,6 @@ func TestDefaults(t *testing.T) {
 	if s.Seed != 1 {
 		t.Errorf("default seed = %d, want 1", s.Seed)
 	}
-	if s.Agg != AggIBarrierReduce {
-		t.Errorf("default aggregation = %v, want %v", s.Agg, AggIBarrierReduce)
-	}
 	if name := s.exec.Name(); name != "shared-memory" {
 		t.Errorf("default executor = %q, want shared-memory", name)
 	}
@@ -68,7 +65,6 @@ func TestOptionValidation(t *testing.T) {
 		"topk zero":         WithTopK(0),
 		"hierarchical zero": WithHierarchical(0),
 		"vd zero":           WithVertexDiameter(0),
-		"agg unknown":       WithAggStrategy(AggStrategy(99)),
 		"zero executor":     WithExecutor(Executor{}),
 	}
 	for name, opt := range bad {

@@ -8,53 +8,6 @@ import (
 	"repro/internal/kadabra"
 )
 
-// AggStrategy selects how state frames are aggregated across MPI processes
-// each epoch (paper §IV-F compares these). The zero value is the paper's
-// preferred strategy.
-type AggStrategy int
-
-// The public constants are defined in terms of the internal ones so the
-// two enums cannot drift apart.
-const (
-	// AggIBarrierReduce overlaps a non-blocking barrier with sampling and
-	// then runs a blocking reduction — the paper's choice (§IV-F).
-	AggIBarrierReduce = AggStrategy(core.AggIBarrierReduce)
-	// AggIReduce uses a non-blocking reduction directly (paper Alg. 1/2
-	// as written; slower with common MPI implementations).
-	AggIReduce = AggStrategy(core.AggIReduce)
-	// AggBlocking performs a fully blocking reduction with no overlap
-	// (the strategy the paper found detrimental).
-	AggBlocking = AggStrategy(core.AggBlocking)
-)
-
-func (s AggStrategy) String() string {
-	switch s {
-	case AggIBarrierReduce:
-		return "ibarrier+reduce"
-	case AggIReduce:
-		return "ireduce"
-	case AggBlocking:
-		return "blocking"
-	default:
-		return fmt.Sprintf("AggStrategy(%d)", int(s))
-	}
-}
-
-// ParseAggStrategy resolves the names printed by AggStrategy.String —
-// handy for command-line flags.
-func ParseAggStrategy(name string) (AggStrategy, error) {
-	switch name {
-	case "ibarrier+reduce", "ibarrier-reduce":
-		return AggIBarrierReduce, nil
-	case "ireduce":
-		return AggIReduce, nil
-	case "blocking":
-		return AggBlocking, nil
-	default:
-		return 0, fmt.Errorf("betweenness: unknown aggregation strategy %q (want ibarrier+reduce|ireduce|blocking)", name)
-	}
-}
-
 // settings are the resolved estimation parameters: the defaults with the
 // options applied over them.
 type settings struct {
@@ -73,8 +26,6 @@ type settings struct {
 	// TopK, when positive, asks for the k highest-betweenness vertices;
 	// see WithTopK for backend-dependent semantics.
 	TopK int
-	// Agg selects the inter-process aggregation strategy (MPI backends).
-	Agg AggStrategy
 	// RanksPerNode, when > 1, enables hierarchical aggregation (§IV-E)
 	// with the given group size (MPI backends).
 	RanksPerNode int
@@ -119,7 +70,6 @@ func (s settings) kadabraConfig() kadabra.Config {
 func (s settings) coreConfig() core.Config {
 	return core.Config{
 		Config:             kadabra.Config{MaxSamples: s.MaxSamples, MaxDuration: s.MaxDuration},
-		Strategy:           core.AggStrategy(s.Agg),
 		RanksPerNode:       s.RanksPerNode,
 		CheckpointInterval: s.DistCheckpointInterval,
 	}
@@ -203,20 +153,6 @@ func WithTopK(k int) Option {
 		}
 		s.TopK = k
 		return nil
-	}
-}
-
-// WithAggStrategy selects the inter-process aggregation strategy of the
-// MPI backends. Single-process backends ignore it.
-func WithAggStrategy(strategy AggStrategy) Option {
-	return func(s *settings) error {
-		switch strategy {
-		case AggIBarrierReduce, AggIReduce, AggBlocking:
-			s.Agg = strategy
-			return nil
-		default:
-			return fmt.Errorf("betweenness: unknown aggregation strategy %d", int(strategy))
-		}
 	}
 }
 

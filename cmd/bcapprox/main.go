@@ -116,7 +116,6 @@ func main() {
 		procs     = flag.Int("procs", 2, "processes for dist mode")
 		threads   = flag.Int("threads", 4, "sampling threads per process")
 		ranksPer  = flag.Int("ranks-per-node", 0, "enable hierarchical aggregation with this group size")
-		agg       = flag.String("agg", "ibarrier+reduce", "MPI aggregation: ibarrier+reduce | ireduce | blocking")
 		topK      = flag.Int("top", 10, "print the top-k vertices")
 		certify   = flag.Bool("certify-top", false, "-backend seq, undirected: stop by the certified top-k rule for -top instead of the uniform eps rule (budgets, -checkpoint and -resume work as usual; the rule is part of the checkpoint)")
 		progress  = flag.Bool("progress", false, "print a progress line per epoch (epoch, tau, achieved eps, samples/s)")
@@ -165,16 +164,11 @@ func main() {
 		}
 	}
 
-	strategy, err := betweenness.ParseAggStrategy(*agg)
-	if err != nil {
-		fatal(err)
-	}
 	opts := []betweenness.Option{
 		betweenness.WithEpsilon(*eps),
 		betweenness.WithDelta(*delta),
 		betweenness.WithSeed(*seed),
 		betweenness.WithThreads(*threads),
-		betweenness.WithAggStrategy(strategy),
 	}
 	if *ranksPer > 1 {
 		opts = append(opts, betweenness.WithHierarchical(*ranksPer))
@@ -296,7 +290,10 @@ func main() {
 	}
 
 	start := time.Now()
-	var est *betweenness.Estimator
+	var (
+		est *betweenness.Estimator
+		err error
+	)
 	if *resumePath != "" {
 		est, err = restoreSession(*resumePath, w, opts)
 	} else {

@@ -14,8 +14,8 @@
 //   - string-matching an error: strings.Contains/HasPrefix/HasSuffix/
 //     EqualFold or ==/!= on an err.Error() result. Message text is not
 //     API; match the typed sentinel instead.
-//   - a transport op (Send/Recv/Reduce/IReduce/ReduceMerge/IReduceMerge/
-//     Bcast/Barrier/Wait on an internal/mpi type) as a bare expression
+//   - a transport op (Send/Recv/ReduceMerge/Bcast/Barrier/Wait on an
+//     internal/mpi type) as a bare expression
 //     statement. An explicit `_ =` assignment is the visible opt-out for
 //     the rare site that really can ignore the result.
 package rankdead
@@ -40,8 +40,7 @@ var scopePrefixes = []string{
 
 // transportOps are the mpi methods whose error result is protocol.
 var transportOps = map[string]bool{
-	"Send": true, "Recv": true, "Reduce": true, "IReduce": true,
-	"ReduceMerge": true, "IReduceMerge": true, "Bcast": true,
+	"Send": true, "Recv": true, "ReduceMerge": true, "Bcast": true,
 	"Barrier": true, "Wait": true,
 }
 

@@ -28,9 +28,9 @@ func bad(c *mpi.Comm, err, other error) {
 	if strings.HasPrefix(err.Error(), "mpi:") { // want `string-matching an error with strings\.HasPrefix`
 		return
 	}
-	c.Send(1, 1, nil) // want `dropped error from Comm\.Send: a transport op's error carries rank-death`
-	c.Barrier()       // want `dropped error from Comm\.Barrier`
-	c.Reduce(nil)     // want `dropped error from Comm\.Reduce`
+	c.Send(1, 1, nil)          // want `dropped error from Comm\.Send: a transport op's error carries rank-death`
+	c.Barrier()                // want `dropped error from Comm\.Barrier`
+	c.ReduceMerge(0, nil, nil) // want `dropped error from Comm\.ReduceMerge`
 }
 
 func clean(c *mpi.Comm, err error) error {

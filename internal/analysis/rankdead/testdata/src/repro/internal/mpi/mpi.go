@@ -27,10 +27,13 @@ func AsRankDead(err error) (*RankDeadError, bool) {
 	return nil, false
 }
 
+// MergeOp is the reduction operator ReduceMerge takes.
+type MergeOp func(acc, src []byte) ([]byte, error)
+
 // Comm mirrors the transport-op surface the analyzer knows.
 type Comm struct{}
 
-func (c *Comm) Send(dst, tag int, b []byte) error { return nil }
-func (c *Comm) Recv(src, tag int) ([]byte, error) { return nil, nil }
-func (c *Comm) Reduce(b []byte) ([]byte, error)   { return nil, nil }
-func (c *Comm) Barrier() error                    { return nil }
+func (c *Comm) Send(dst, tag int, b []byte) error                          { return nil }
+func (c *Comm) Recv(src, tag int) ([]byte, error)                          { return nil, nil }
+func (c *Comm) ReduceMerge(root int, b []byte, op MergeOp) ([]byte, error) { return nil, nil }
+func (c *Comm) Barrier() error                                             { return nil }

@@ -206,7 +206,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 
 		// Inter-process aggregation (lines 19-21), hierarchical per §IV-E:
 		// node-local blocking merge-reduce (the shared-memory analogue),
-		// then the strategy-selected global aggregation among node leaders.
+		// then the IBarrier + reduce global aggregation among node leaders.
 		var reduced []byte
 		payload := wire
 		aggErr := error(nil)
@@ -222,7 +222,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 		}
 		if aggErr == nil && (!hierarchical || local.Rank() == 0) {
 			var bw, rt time.Duration
-			reduced, bw, rt, err = aggregate(global, cfg.Strategy, payload, overlap)
+			reduced, bw, rt, err = aggregate(global, payload, overlap)
 			if err != nil {
 				if _, ok := mpi.AsRankDead(err); !ok {
 					return nil, err

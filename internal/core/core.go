@@ -25,7 +25,9 @@
 //     summed into the process-local snapshot: epoch.Driver.Epoch, then
 //     AppendWire
 //   - lines 19-21 [9-11], the non-blocking reduction overlapped with
-//     sampling: aggregate, with epoch.Driver.Sample as the overlap function
+//     sampling, done the way §IV-F settles on (a non-blocking barrier
+//     overlapped with sampling, then a blocking reduce): aggregate, with
+//     epoch.Driver.Sample as the overlap function
 //   - lines 22-24 [13-14], rank 0 folds the snapshot into S and checks the
 //     stopping condition: EstimatorState.FoldWire and Check
 //   - lines 25-27 [16-18], the termination broadcast overlapped with
@@ -54,37 +56,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// AggStrategy selects how state frames are aggregated across processes
-// each epoch (paper §IV-F compares these).
-type AggStrategy int
-
-const (
-	// AggIBarrierReduce is the paper's preferred strategy: a non-blocking
-	// barrier overlapped with sampling, followed by a blocking reduction
-	// ("we first perform a non-blocking barrier followed by a blocking
-	// MPI_Reduce. This strategy resulted in a considerable speedup", §IV-F).
-	AggIBarrierReduce AggStrategy = iota
-	// AggIReduce uses the non-blocking reduction directly (paper Alg. 1/2
-	// as written; slower with common MPI implementations, §IV-F).
-	AggIReduce
-	// AggBlocking performs a fully blocking reduction with no overlap (the
-	// strategy the paper found "again detrimental to performance").
-	AggBlocking
-)
-
-func (s AggStrategy) String() string {
-	switch s {
-	case AggIBarrierReduce:
-		return "ibarrier+reduce"
-	case AggIReduce:
-		return "ireduce"
-	case AggBlocking:
-		return "blocking"
-	default:
-		return fmt.Sprintf("AggStrategy(%d)", int(s))
-	}
-}
-
 // Config extends the KADABRA parameters with distribution controls.
 // NewStates builds the session from the embedded kadabra.Config — from then
 // on the statistical identity, the progress hook (OnEpoch, fired at world
@@ -97,9 +68,6 @@ type Config struct {
 	kadabra.Config
 	// Threads is the number of sampling threads per process (T); <=0 means 1.
 	Threads int
-	// Strategy selects the inter-process aggregation (default
-	// AggIBarrierReduce, the paper's choice).
-	Strategy AggStrategy
 	// RanksPerNode, when > 1, enables the hierarchical aggregation of
 	// §IV-E: consecutive groups of this many ranks form a "compute node"
 	// (in the paper, one rank per NUMA socket, two per node); frames are
@@ -273,42 +241,29 @@ func phase2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm, drv
 
 // aggregate performs one epoch's inter-process aggregation of the local
 // frame encoding (already node-locally merged by the caller when hierarchy
-// is on), following the configured strategy, while overlap() is invoked
-// repeatedly during non-blocking waits. It returns the reduced frame at
-// rank 0 (nil elsewhere) plus the time spent in the barrier poll and in the
-// blocking reduction. Frames flow through the variable-length merge
-// reduction, so a sparse epoch costs O(touched) per tree edge end to end.
-func aggregate(comm *mpi.Comm, strategy AggStrategy, buf []byte, overlap func()) (
+// is on) the way paper §IV-F settles on: a non-blocking barrier, polled
+// with overlap() until every rank has arrived, then a blocking merge
+// reduction ("we first perform a non-blocking barrier followed by a
+// blocking MPI_Reduce. This strategy resulted in a considerable speedup").
+// It returns the reduced frame at rank 0 (nil elsewhere) plus the time
+// spent in the barrier poll and in the blocking reduction. Frames flow
+// through the variable-length merge reduction, so a sparse epoch costs
+// O(touched) per tree edge end to end.
+func aggregate(comm *mpi.Comm, buf []byte, overlap func()) (
 	reduced []byte, barrierWait, reduceTime time.Duration, err error,
 ) {
-	switch strategy {
-	case AggIReduce:
-		req := comm.IReduceMerge(0, buf, epoch.MergeWire)
-		bs := time.Now()
-		for !req.Test() {
-			overlap()
-		}
-		barrierWait = time.Since(bs)
-		reduced, err = req.Wait()
-		return reduced, barrierWait, 0, err
-	case AggBlocking:
-		rs := time.Now()
-		reduced, err = comm.ReduceMerge(0, buf, epoch.MergeWire)
-		return reduced, 0, time.Since(rs), err
-	default: // AggIBarrierReduce
-		req := comm.IBarrier()
-		bs := time.Now()
-		for !req.Test() {
-			overlap()
-		}
-		barrierWait = time.Since(bs)
-		if _, err = req.Wait(); err != nil {
-			return nil, barrierWait, 0, err
-		}
-		rs := time.Now()
-		reduced, err = comm.ReduceMerge(0, buf, epoch.MergeWire)
-		return reduced, barrierWait, time.Since(rs), err
+	req := comm.IBarrier()
+	bs := time.Now()
+	for !req.Test() {
+		overlap()
 	}
+	barrierWait = time.Since(bs)
+	if _, err = req.Wait(); err != nil {
+		return nil, barrierWait, 0, err
+	}
+	rs := time.Now()
+	reduced, err = comm.ReduceMerge(0, buf, epoch.MergeWire)
+	return reduced, barrierWait, time.Since(rs), err
 }
 
 // Termination codes broadcast by rank 0 each epoch (paper Alg. 1 line 16

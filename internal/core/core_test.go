@@ -82,18 +82,15 @@ func TestAlgorithm2Hierarchical(t *testing.T) {
 func TestAlgorithm2AllStrategies(t *testing.T) {
 	g := testGraph()
 	eps := 0.05
-	for _, s := range []AggStrategy{AggIBarrierReduce, AggIReduce, AggBlocking} {
-		for _, pc := range []struct{ p, t int }{{2, 2}, {3, 1}} {
-			res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), pc.p, Config{
-				Config:   kadabra.Config{Eps: eps, Delta: 0.1, Seed: 6},
-				Threads:  pc.t,
-				Strategy: s,
-			})
-			if err != nil {
-				t.Fatalf("strategy %v p=%d t=%d: %v", s, pc.p, pc.t, err)
-			}
-			guaranteeCheck(t, g, res.Res, eps)
+	for _, pc := range []struct{ p, t int }{{2, 2}, {3, 1}} {
+		res, err := runFresh(context.Background(), kadabra.UndirectedWorkload(g), pc.p, Config{
+			Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 6},
+			Threads: pc.t,
+		})
+		if err != nil {
+			t.Fatalf("p=%d t=%d: %v", pc.p, pc.t, err)
 		}
+		guaranteeCheck(t, g, res.Res, eps)
 	}
 }
 
@@ -199,17 +196,6 @@ func TestAlgorithm2OverTCP(t *testing.T) {
 		}
 	}
 	guaranteeCheck(t, g, rootRes.Res, eps)
-}
-
-func TestAggStrategyString(t *testing.T) {
-	if AggIBarrierReduce.String() != "ibarrier+reduce" ||
-		AggIReduce.String() != "ireduce" ||
-		AggBlocking.String() != "blocking" {
-		t.Fatal("strategy names wrong")
-	}
-	if AggStrategy(99).String() == "" {
-		t.Fatal("unknown strategy has empty name")
-	}
 }
 
 func TestTerminationIsPrompt(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/mpi"
 )
 
-// The distributed dense-reference battery. With Threads=1, NoOverlap, and
-// the blocking aggregation strategy, every rank takes exactly n0 samples
+// The distributed dense-reference battery. With Threads=1 and NoOverlap
+// (the barrier poll samples nothing), every rank takes exactly n0 samples
 // per epoch regardless of scheduling or network timing and every sample a
 // kernel draws is reduced, so the whole wire pipeline (AppendWire →
 // ReduceMerge/MergeWire → FoldWire) can be checked end to end, over the
@@ -26,7 +26,6 @@ func deterministicCfg(seed uint64) Config {
 		Config:    kadabra.Config{Eps: 0.05, Delta: 0.1, Seed: seed},
 		Threads:   1,
 		NoOverlap: true,
-		Strategy:  AggBlocking,
 	}
 }
 

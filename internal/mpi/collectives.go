@@ -6,32 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Op combines a received buffer into an accumulator during reductions. The
-// buffers are guaranteed to have equal length; dst is mutated in place.
-type Op func(dst, src []byte)
-
-// SumInt64 interprets the buffers as little-endian int64 vectors and adds
-// src into dst elementwise. It is the reduction operator for the sampling
-// state frames (tau and the c-tilde vector are int64 counters).
-func SumInt64(dst, src []byte) {
-	for i := 0; i+8 <= len(src); i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:]) + binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], v)
-	}
-}
-
-// MaxInt64 takes the elementwise maximum; used by tools that aggregate
-// per-process statistics.
-func MaxInt64(dst, src []byte) {
-	for i := 0; i+8 <= len(src); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		if b > a {
-			binary.LittleEndian.PutUint64(dst[i:], uint64(b))
-		}
-	}
-}
-
 // collective tag layout: tags at and above userTagLimit are reserved.
 // Each collective instance owns a window of 8 tags ("phases").
 const collSeqWindow = 1 << 20
@@ -60,9 +34,11 @@ func (c *Comm) Barrier() error {
 
 // IBarrier is the non-blocking barrier of paper §IV-F: the returned Request
 // completes once all processes have entered the barrier, while the caller
-// keeps sampling. Combined with a blocking Reduce it forms the paper's
-// preferred aggregation strategy. On a one-rank communicator it returns
-// completed, as do IBcast and IReduceMerge: no goroutine is started.
+// keeps sampling. Polled to completion and followed by a blocking
+// ReduceMerge, it is the one aggregation the engine runs (paper §IV-F: "we
+// first perform a non-blocking barrier followed by a blocking MPI_Reduce").
+// On a one-rank communicator it returns completed, as does IBcast: no
+// goroutine is started.
 func (c *Comm) IBarrier() *Request {
 	seq := c.nextCollSeq()
 	if c.Size() == 1 {
@@ -160,44 +136,17 @@ func (c *Comm) bcastWithSeq(root int, data []byte, seq uint64) ([]byte, error) {
 	return data, nil
 }
 
-// mergeOp adapts a fixed-length Op to the variable-length MergeOp
-// contract, enforcing the equal-length requirement.
-func (op Op) mergeOp() MergeOp {
-	return func(acc, src []byte) ([]byte, error) {
-		if len(src) != len(acc) {
-			return nil, fmt.Errorf("buffer length mismatch: %d vs %d", len(src), len(acc))
-		}
-		op(acc, src)
-		return acc, nil
-	}
-}
-
-// Reduce combines every process's data with op along a binomial tree; the
-// result lands on root (other ranks receive nil). All buffers must have the
-// same length.
-func (c *Comm) Reduce(root int, data []byte, op Op) ([]byte, error) {
-	return c.ReduceMerge(root, data, op.mergeOp())
-}
-
-// IReduce is the non-blocking reduction of paper Alg. 1 line 10 / Alg. 2
-// line 20. The input is snapshotted synchronously, so the caller may keep
-// mutating its buffer immediately (the paper's algorithms snapshot
-// explicitly anyway; copying here makes misuse harmless).
-func (c *Comm) IReduce(root int, data []byte, op Op) *Request {
-	return c.IReduceMerge(root, data, op.mergeOp())
-}
-
 // MergeOp combines two buffers of a variable-length reduction: it merges
 // src into acc and returns the merged encoding, which may alias (and
-// mutate) either input or be freshly allocated. Unlike Op, the buffers need
-// not have equal lengths — this is what lets sparse-encoded state frames
+// mutate) either input or be freshly allocated. The buffers need not have
+// equal lengths — this is what lets sparse-encoded state frames
 // flow through a reduction tree, with the operator free to re-encode (e.g.
 // densify) as the partial aggregates grow.
 type MergeOp func(acc, src []byte) ([]byte, error)
 
 // ReduceMerge combines every process's variable-length buffer with op along
-// a binomial tree; the result lands on root (other ranks receive nil).
-// Reduce/IReduce are thin equal-length adapters over this pair.
+// a binomial tree; the result lands on root (other ranks receive nil). It
+// is the blocking reduction of paper §IV-F's IBarrier + Reduce aggregation.
 func (c *Comm) ReduceMerge(root int, data []byte, op MergeOp) ([]byte, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
@@ -205,26 +154,6 @@ func (c *Comm) ReduceMerge(root int, data []byte, op MergeOp) ([]byte, error) {
 	acc := make([]byte, len(data))
 	copy(acc, data)
 	return c.reduceMergeWithSeq(root, acc, op, c.nextCollSeq())
-}
-
-// IReduceMerge is the non-blocking ReduceMerge. The input is snapshotted
-// synchronously, so the caller may keep reusing its buffer immediately.
-func (c *Comm) IReduceMerge(root int, data []byte, op MergeOp) *Request {
-	if err := c.checkRank(root); err != nil {
-		return completedRequest(nil, err)
-	}
-	seq := c.nextCollSeq()
-	acc := make([]byte, len(data))
-	copy(acc, data)
-	if c.Size() == 1 {
-		return completedRequest(acc, nil)
-	}
-	req := newRequest()
-	go func() {
-		res, err := c.reduceMergeWithSeq(root, acc, op, seq)
-		req.complete(res, err)
-	}()
-	return req
 }
 
 // reduceMergeWithSeq implements the binomial-tree reduction. acc is owned
@@ -253,17 +182,6 @@ func (c *Comm) reduceMergeWithSeq(root int, acc []byte, op MergeOp, seq uint64) 
 		}
 	}
 	return acc, nil
-}
-
-// Allreduce reduces to rank 0 and broadcasts the result to everyone. Both
-// halves are ordinary collectives, so the sequence numbers stay aligned
-// across ranks.
-func (c *Comm) Allreduce(data []byte, op Op) ([]byte, error) {
-	res, err := c.Reduce(0, data, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.Bcast(0, res)
 }
 
 // Gather collects every process's buffer at root, indexed by rank; other
@@ -355,15 +273,4 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		glob: glob,
 		gen:  c.eng.generation(),
 	}, nil
-}
-
-// Dup returns a communicator with the same membership but a fresh context,
-// so traffic on the two never interferes. Dup is collective (all members
-// must call it in matching order) but requires no communication.
-func (c *Comm) Dup() *Comm {
-	seq := atomic.AddUint64(&c.splitSeq, 1)
-	ctx := mix64(mix64(c.ctx+seq) ^ 0xd0d0d0d0)
-	glob := make([]int, len(c.glob))
-	copy(glob, c.glob)
-	return &Comm{eng: c.eng, ctx: ctx, rank: c.rank, glob: glob, gen: c.eng.generation()}
 }

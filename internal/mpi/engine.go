@@ -237,8 +237,9 @@ func (r *Request) complete(data []byte, err error) {
 }
 
 // Test reports whether the operation has completed, without blocking. This
-// is what lets the sampling loop interleave work with communication
-// ("while IREDUCE is not done do sample", paper Alg. 1/2).
+// is what lets the sampling loop interleave work with communication (paper
+// Alg. 1/2: "while IREDUCE is not done do sample"; the engine polls its
+// IBarrier and IBcast this way).
 //
 // Test is also the progress call, as MPI_Test is: when the operation is not
 // complete it yields the processor once before returning false, so the

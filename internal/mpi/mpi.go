@@ -3,11 +3,13 @@
 //
 //   - processes with ranks, grouped into communicators;
 //   - tagged, ordered point-to-point messages (blocking and non-blocking);
-//   - collective operations — Barrier, Bcast, Reduce, Allreduce, Gather —
-//     with non-blocking variants (IBarrier, IBcast, IReduce) whose progress
-//     overlaps the caller's computation (paper §IV: "we can overlap
-//     communication and computation simply by using the non-blocking
-//     variant");
+//   - collective operations — Barrier, Bcast, the variable-length merge
+//     reduction ReduceMerge, Gather — and the non-blocking IBarrier and
+//     IBcast, whose progress overlaps the caller's computation (paper §IV:
+//     "we can overlap communication and computation simply by using the
+//     non-blocking variant"); the engine aggregates each epoch with an
+//     IBarrier polled while it samples, then a blocking ReduceMerge, the
+//     combination paper §IV-F found fastest;
 //   - communicator splitting (Split), which the paper uses to build the
 //     node-local and global communicators of its hierarchical aggregation
 //     (§IV-E).
@@ -16,12 +18,12 @@
 // MPICH), so the package implements the machinery directly: a per-process
 // matching engine pairs incoming messages with posted receives by
 // (communicator context, source, tag); collectives are built from
-// point-to-point messages using binomial trees (Bcast, Reduce) and the
+// point-to-point messages using binomial trees (Bcast, ReduceMerge) and the
 // dissemination algorithm (Barrier), the same algorithm families MPI
 // implementations use.
 //
 // Two transports exist: an in-process transport where each "process" is a
-// goroutine group (used by the shared-cluster harness and tests — the
+// goroutine group (used by the in-process backends and tests — the
 // analogue of MPI's shared-memory device), and a TCP transport connecting
 // genuinely separate OS processes or hosts (see tcp.go).
 //
@@ -85,7 +87,7 @@ type Comm struct {
 	ctx  uint64
 	rank int   // this process's rank within the communicator
 	glob []int // comm rank -> world rank
-	// splitSeq numbers the Split/Dup calls on this communicator so every
+	// splitSeq numbers the Split calls on this communicator so every
 	// member derives the same child context deterministically.
 	splitSeq uint64
 	// collSeq numbers collective operations so concurrent collectives on

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -227,13 +228,26 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 	}
 }
 
+// sumInt64 is the MergeOp these tests reduce with: it adds src into acc,
+// both little-endian int64 vectors of equal length.
+func sumInt64(acc, src []byte) ([]byte, error) {
+	if len(src) != len(acc) {
+		return nil, fmt.Errorf("buffer length mismatch: %d vs %d", len(src), len(acc))
+	}
+	for i := 0; i+8 <= len(src); i += 8 {
+		v := binary.LittleEndian.Uint64(acc[i:]) + binary.LittleEndian.Uint64(src[i:])
+		binary.LittleEndian.PutUint64(acc[i:], v)
+	}
+	return acc, nil
+}
+
 func TestReduceSumAllSizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 6, 9, 16} {
 		for root := 0; root < p; root += 3 {
 			err := RunLocal(p, func(c *Comm) error {
 				vec := []int64{int64(c.Rank()), 1, int64(c.Rank() * c.Rank())}
 				buf := EncodeInt64s(nil, vec)
-				res, err := c.Reduce(root, buf, SumInt64)
+				res, err := c.ReduceMerge(root, buf, sumInt64)
 				if err != nil {
 					return err
 				}
@@ -262,61 +276,23 @@ func TestReduceSumAllSizes(t *testing.T) {
 	}
 }
 
-func TestIReduceOverlapAndSnapshot(t *testing.T) {
-	err := RunLocal(4, func(c *Comm) error {
-		vec := []int64{int64(c.Rank() + 1)}
-		buf := EncodeInt64s(nil, vec)
-		req := c.IReduce(0, buf, SumInt64)
-		// Mutate the buffer immediately: IReduce must have snapshotted.
-		buf[0] = 0xFF
-		res, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			got := make([]int64, 1)
-			DecodeInt64s(got, res)
-			if got[0] != 1+2+3+4 {
-				return fmt.Errorf("ireduce got %d, want 10", got[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxInt64Op(t *testing.T) {
-	err := RunLocal(5, func(c *Comm) error {
-		buf := EncodeInt64s(nil, []int64{int64(c.Rank()), -int64(c.Rank())})
-		res, err := c.Reduce(0, buf, MaxInt64)
-		if err != nil || c.Rank() != 0 {
-			return err
-		}
-		got := make([]int64, 2)
-		DecodeInt64s(got, res)
-		if got[0] != 4 || got[1] != 0 {
-			return fmt.Errorf("max got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduce(t *testing.T) {
+// TestReduceThenBcast: a reduction to rank 0 followed by a broadcast of
+// its result reaches every rank, the sequence numbers of the two
+// collectives staying aligned — rank 0 folds, then broadcasts, each epoch.
+func TestReduceThenBcast(t *testing.T) {
 	err := RunLocal(6, func(c *Comm) error {
 		buf := EncodeInt64s(nil, []int64{1})
-		res, err := c.Allreduce(buf, SumInt64)
+		res, err := c.ReduceMerge(0, buf, sumInt64)
 		if err != nil {
+			return err
+		}
+		if res, err = c.Bcast(0, res); err != nil {
 			return err
 		}
 		got := make([]int64, 1)
 		DecodeInt64s(got, res)
 		if got[0] != 6 {
-			return fmt.Errorf("rank %d: allreduce got %d", c.Rank(), got[0])
+			return fmt.Errorf("rank %d: reduce then bcast got %d", c.Rank(), got[0])
 		}
 		return nil
 	})
@@ -392,7 +368,6 @@ func TestOneRankNonBlockingCollectives(t *testing.T) {
 		}{
 			{"IBarrier", c.IBarrier, nil},
 			{"IBcast", func() *Request { return c.IBcast(0, in) }, in},
-			{"IReduceMerge", func() *Request { return c.IReduceMerge(0, in, Op(SumInt64).mergeOp()) }, in},
 		} {
 			before := runtime.NumGoroutine()
 			req := op.call()
@@ -433,8 +408,8 @@ func TestSplitByParity(t *testing.T) {
 		}
 		// The subcommunicator must be fully functional.
 		buf := EncodeInt64s(nil, []int64{int64(c.Rank())})
-		res, err := sub.Allreduce(buf, SumInt64)
-		if err != nil {
+		res, err := sub.ReduceMerge(0, buf, sumInt64)
+		if err != nil || sub.Rank() != 0 {
 			return err
 		}
 		got := make([]int64, 1)
@@ -444,7 +419,7 @@ func TestSplitByParity(t *testing.T) {
 			wantSum = 1 + 3 + 5
 		}
 		if got[0] != wantSum {
-			return fmt.Errorf("split allreduce got %d want %d", got[0], wantSum)
+			return fmt.Errorf("split reduce got %d want %d", got[0], wantSum)
 		}
 		return nil
 	})
@@ -510,22 +485,6 @@ func TestSplitContextIsolation(t *testing.T) {
 	}
 }
 
-func TestDup(t *testing.T) {
-	err := RunLocal(3, func(c *Comm) error {
-		d := c.Dup()
-		if d.Size() != c.Size() || d.Rank() != c.Rank() {
-			return fmt.Errorf("dup changed shape")
-		}
-		if d.ctx == c.ctx {
-			return fmt.Errorf("dup shares context")
-		}
-		return d.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHierarchicalSplitLikePaper(t *testing.T) {
 	// Paper §IV-E: split world into per-node local comms, plus a global comm
 	// of node leaders. 8 ranks, 2 per "node".
@@ -546,12 +505,12 @@ func TestHierarchicalSplitLikePaper(t *testing.T) {
 		}
 		// Local aggregation then global aggregation, as in the paper.
 		buf := EncodeInt64s(nil, []int64{1})
-		lres, err := local.Reduce(0, buf, SumInt64)
+		lres, err := local.ReduceMerge(0, buf, sumInt64)
 		if err != nil {
 			return err
 		}
 		if local.Rank() == 0 {
-			gres, err := global.Reduce(0, lres, SumInt64)
+			gres, err := global.ReduceMerge(0, lres, sumInt64)
 			if err != nil {
 				return err
 			}
@@ -587,7 +546,7 @@ func TestReduceRandomVectorsProperty(t *testing.T) {
 		ok := true
 		err := RunLocal(p, func(c *Comm) error {
 			buf := EncodeInt64s(nil, inputs[c.Rank()])
-			res, err := c.Reduce(0, buf, SumInt64)
+			res, err := c.ReduceMerge(0, buf, sumInt64)
 			if err != nil {
 				return err
 			}
@@ -610,18 +569,23 @@ func TestReduceRandomVectorsProperty(t *testing.T) {
 }
 
 func TestConcurrentCollectiveAndSampling(t *testing.T) {
-	// Emulates Alg. 1's structure: every rank starts an IReduce, keeps
-	// "sampling" (incrementing a local counter) until done, repeatedly.
+	// The engine's epoch (paper §IV-F): every rank enters a non-blocking
+	// barrier, keeps "sampling" (incrementing a local counter) until it
+	// completes, runs the blocking reduction, then waits on the termination
+	// broadcast, repeatedly.
 	const rounds = 20
 	err := RunLocal(4, func(c *Comm) error {
 		total := int64(0)
 		for round := 0; round < rounds; round++ {
-			buf := EncodeInt64s(nil, []int64{1, int64(round)})
-			req := c.IReduce(0, buf, SumInt64)
+			req := c.IBarrier()
 			for !req.Test() {
 				total++ // overlapped work
 			}
-			res, err := req.Wait()
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			buf := EncodeInt64s(nil, []int64{1, int64(round)})
+			res, err := c.ReduceMerge(0, buf, sumInt64)
 			if err != nil {
 				return err
 			}
@@ -675,7 +639,7 @@ func BenchmarkReduceLocal8x4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		err := RunLocal(8, func(c *Comm) error {
 			buf := EncodeInt64s(nil, vec)
-			_, err := c.Reduce(0, buf, SumInt64)
+			_, err := c.ReduceMerge(0, buf, sumInt64)
 			return err
 		})
 		if err != nil {

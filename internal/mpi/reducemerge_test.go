@@ -54,34 +54,6 @@ func TestReduceMergeVariableLengths(t *testing.T) {
 	}
 }
 
-func TestIReduceMergeSnapshotAndOverlap(t *testing.T) {
-	err := RunLocal(4, func(c *Comm) error {
-		buf := []byte{byte('0' + c.Rank())}
-		req := c.IReduceMerge(0, buf, concatMerge)
-		// Mutate the buffer immediately: IReduceMerge must have snapshotted.
-		buf[0] = 'X'
-		res, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			got := string(res)
-			for r := 0; r < 4; r++ {
-				if !strings.Contains(got, string(rune('0'+r))) {
-					return fmt.Errorf("rank %d contribution missing in %q", r, got)
-				}
-			}
-			if strings.Contains(got, "X") {
-				return fmt.Errorf("mutated buffer leaked into reduction: %q", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReduceMergeOpError(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		bad := func(acc, src []byte) ([]byte, error) {

@@ -314,16 +314,39 @@ func (tt *tcpTransport) readLoop(peer int, tc *tcpConn) {
 			tc.markBye()
 			continue
 		}
-		n := binary.LittleEndian.Uint32(hdr[16:])
-		if n > 0 {
-			env.data = make([]byte, n)
+		if n := binary.LittleEndian.Uint32(hdr[16:]); n > 0 {
 			conn.SetReadDeadline(time.Now().Add(tt.opts.LivenessTimeout))
-			if _, err := io.ReadFull(conn, env.data); err != nil {
+			var err error
+			if env.data, err = readPayload(conn, int(n)); err != nil {
 				die(err)
 				return
 			}
 		}
 		tt.eng.deliver(env)
+	}
+}
+
+// readChunk is the largest buffer a frame payload starts reading into.
+const readChunk = 1 << 20
+
+// readPayload reads an n-byte frame payload. n comes off the wire
+// unchecked, so the buffer starts at min(n, readChunk) and doubles only
+// once full, never holding more than twice the bytes that have arrived: a
+// frame below readChunk costs one allocation, and a header claiming
+// gigabytes from a peer that then stops costs one chunk.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readChunk))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(buf); got == n {
+			return buf, nil
+		}
+		next := make([]byte, min(n, 2*got))
+		copy(next, buf)
+		buf = next
 	}
 }
 

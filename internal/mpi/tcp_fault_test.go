@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,27 @@ func shortLiveness() TCPOptions {
 		DialTimeout:       2 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
 		LivenessTimeout:   500 * time.Millisecond,
+	}
+}
+
+// helloAsRank1 is a hand-driven rank 1 of a two-rank world: it dials rank
+// 0 at addr until the listener is up or timeout passes, and says hello.
+// It reports the error and returns nil if it never connects.
+func helloAsRank1(t *testing.T, addr string, timeout time.Duration) net.Conn {
+	deadline := time.Now().Add(timeout)
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			var hello [4]byte
+			binary.LittleEndian.PutUint32(hello[:], 1)
+			conn.Write(hello[:])
+			return conn
+		}
+		if time.Now().After(deadline) {
+			t.Error(err)
+			return nil
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -35,26 +57,10 @@ func TestTCPSilentPeerDetected(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var conn net.Conn
-		var err error
-		deadline := time.Now().Add(opts.DialTimeout)
-		for {
-			conn, err = net.Dial("tcp", addrs[0])
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Error(err)
-				close(silent)
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
+		if conn := helloAsRank1(t, addrs[0], opts.DialTimeout); conn != nil {
+			<-silent
+			conn.Close()
 		}
-		var hello [4]byte
-		binary.LittleEndian.PutUint32(hello[:], 1)
-		conn.Write(hello[:])
-		<-silent
-		conn.Close()
 	}()
 
 	comm, world, err := ConnectTCPOpts(0, addrs, opts)
@@ -81,6 +87,56 @@ func TestTCPSilentPeerDetected(t *testing.T) {
 	}
 	close(silent)
 	wg.Wait()
+}
+
+// TestTCPOversizedFrameHeaderBounded: a frame's length comes off the wire
+// unchecked, so a peer past the unauthenticated hello that claims a 4 GiB
+// payload and then drops must cost the rank a death notice and about one
+// read chunk of memory, not a 4 GiB allocation.
+func TestTCPOversizedFrameHeaderBounded(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	opts := shortLiveness()
+
+	// The "peer": says hello as rank 1, then, once told, sends a header
+	// claiming 0xFFFFFFFF payload bytes and a few of them, and hangs up.
+	send := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn := helloAsRank1(t, addrs[0], opts.DialTimeout)
+		if conn == nil {
+			return
+		}
+		defer conn.Close()
+		<-send
+		frame := make([]byte, tcpFrameHeader+100)
+		binary.LittleEndian.PutUint32(frame[8:], 1)
+		binary.LittleEndian.PutUint32(frame[12:], 7)
+		binary.LittleEndian.PutUint32(frame[16:], 0xFFFFFFFF)
+		conn.Write(frame)
+	}()
+
+	comm, world, err := ConnectTCPOpts(0, addrs, opts)
+	if err != nil {
+		close(send)
+		wg.Wait()
+		t.Fatal(err)
+	}
+	defer world.Abort()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	close(send)
+	_, rerr := comm.Recv(1, 7)
+	runtime.ReadMemStats(&after)
+	wg.Wait()
+	if rd, ok := AsRankDead(rerr); !ok || rd.Rank != 1 {
+		t.Fatalf("want ErrRankDead{1} from the peer that dropped mid-frame, got %v", rerr)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("a 4 GiB frame header from a peer that sent 100 bytes allocated %d MiB", grew>>20)
+	}
 }
 
 // TestTCPAbortDuringReduce pins the liveness-timeout-concurrent-with-

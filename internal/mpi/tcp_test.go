@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -105,20 +106,40 @@ func TestTCPLargeMessage(t *testing.T) {
 	})
 }
 
+// TestReadPayloadChunked: payloads below, at and past the read chunk come
+// back whole, and a stream that ends short is an error.
+func TestReadPayloadChunked(t *testing.T) {
+	for _, n := range []int{1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 5} {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i * 13)
+		}
+		got, err := readPayload(bytes.NewReader(src), n)
+		if err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("n=%d: err %v, payload intact %v", n, err, bytes.Equal(got, src))
+		}
+		if _, err := readPayload(bytes.NewReader(src[:n-1]), n); err == nil {
+			t.Fatalf("n=%d: a payload one byte short was accepted", n)
+		}
+	}
+}
+
 func TestTCPCollectives(t *testing.T) {
 	runTCP(t, 4, func(c *Comm) error {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		buf := EncodeInt64s(nil, []int64{int64(c.Rank() + 1)})
-		res, err := c.Allreduce(buf, SumInt64)
+		res, err := c.ReduceMerge(1, buf, sumInt64)
 		if err != nil {
 			return err
 		}
-		got := make([]int64, 1)
-		DecodeInt64s(got, res)
-		if got[0] != 10 {
-			return fmt.Errorf("allreduce got %d", got[0])
+		if c.Rank() == 1 {
+			got := make([]int64, 1)
+			DecodeInt64s(got, res)
+			if got[0] != 10 {
+				return fmt.Errorf("reduce got %d", got[0])
+			}
 		}
 		out, err := c.Bcast(2, []byte{byte(42 + c.Rank())})
 		if err != nil {
@@ -138,29 +159,34 @@ func TestTCPSplitAndHierarchy(t *testing.T) {
 			return err
 		}
 		buf := EncodeInt64s(nil, []int64{1})
-		res, err := local.Allreduce(buf, SumInt64)
-		if err != nil {
+		res, err := local.ReduceMerge(0, buf, sumInt64)
+		if err != nil || local.Rank() != 0 {
 			return err
 		}
 		got := make([]int64, 1)
 		DecodeInt64s(got, res)
 		if got[0] != 2 {
-			return fmt.Errorf("local allreduce got %d", got[0])
+			return fmt.Errorf("local reduce got %d", got[0])
 		}
 		return nil
 	})
 }
 
-func TestTCPIReduceOverlap(t *testing.T) {
+// TestTCPBarrierOverlapThenReduce runs the engine's aggregation over real
+// sockets: poll a non-blocking barrier while working, then reduce.
+func TestTCPBarrierOverlapThenReduce(t *testing.T) {
 	runTCP(t, 3, func(c *Comm) error {
 		for round := 0; round < 5; round++ {
-			buf := EncodeInt64s(nil, []int64{int64(c.Rank()), 1})
-			req := c.IReduce(0, buf, SumInt64)
+			req := c.IBarrier()
 			spins := 0
 			for !req.Test() {
 				spins++
 			}
-			res, err := req.Wait()
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			buf := EncodeInt64s(nil, []int64{int64(c.Rank()), 1})
+			res, err := c.ReduceMerge(0, buf, sumInt64)
 			if err != nil {
 				return err
 			}

@@ -1,29 +1,11 @@
 // Package stats provides accuracy metrics comparing approximate against
-// exact betweenness, and small aggregate statistics (means, quantiles).
+// exact betweenness, and the arithmetic mean.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// GeomMean returns the geometric mean of xs; it panics on non-positive
-// inputs (speedups are strictly positive). The paper reports its headline
-// 7.4x and 16.1x numbers as geometric means over instances.
-func GeomMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeomMean of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeomMean needs positive values, got %v", x))
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
 
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) float64 {
@@ -35,41 +17,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two values.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	pos := q * float64(len(ys)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return ys[lo]
-	}
-	frac := pos - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac
 }
 
 // ErrorReport summarizes the deviation between an approximation and the
