@@ -9,8 +9,9 @@
 //
 // with functional options for the statistical parameters and the execution
 // backend. The backends are a closed set of four Executor values, all
-// running the paper's Algorithm 2: Sequential (reference) and SharedMemory
-// (epoch-based threads) on a one-rank in-process world, LocalMPI over
+// running the paper's Algorithm 2 on one check schedule: Sequential
+// (reference, one thread) and SharedMemory (epoch-based threads) on a
+// one-rank in-process world, LocalMPI over
 // in-process ranks (with its default of one sampling thread per rank, the
 // paper's Algorithm 1), and TCP as one rank of a genuinely distributed
 // world.
@@ -30,7 +31,9 @@
 // and certified vertex-diameter bound, and every backend runs all three.
 //
 // Estimation is anytime: after every epoch the run holds a valid
-// (eps', delta) guarantee that only tightens. NewEstimator exposes that
+// (eps', delta) guarantee that only tightens until tau passes omega, where
+// it becomes the target eps. WithTopK swaps the uniform guarantee for a
+// certified top-k ranking on every backend. NewEstimator exposes that
 // as a long-lived session — Run with sampling budgets (WithMaxSamples,
 // WithMaxDuration; an early stop reports the achieved guarantee in
 // Result.AchievedEps), Snapshot at any time, Refine toward a tighter eps
@@ -64,10 +67,10 @@ import (
 )
 
 // Snapshot is one consistent observation of an estimate, delivered to the
-// WithProgress callback after every epoch (or stopping check, for the
-// sequential backend) and returned by Estimator.Snapshot at any time. The
-// two sources share this one type, so a progress stream and a session poll
-// report the same honest quantities.
+// WithProgress callback after every stopping check (one per epoch) and
+// returned by Estimator.Snapshot at any time. The two sources share this one
+// type, so a progress stream and a session poll report the same honest
+// quantities.
 type Snapshot struct {
 	// Epoch is the 1-based index of the completed epoch.
 	Epoch int
@@ -76,7 +79,8 @@ type Snapshot struct {
 	// AchievedEps is the anytime guarantee currently held: with
 	// probability 1-delta, every estimate is within AchievedEps of the
 	// truth. It is 1 (vacuous) before calibration completes and tightens
-	// toward the target eps as sampling proceeds. (Delivering it costs an
+	// toward the target eps as sampling proceeds; past omega it is the
+	// target eps. (Delivering it costs an
 	// O(n) bound sweep per epoch, paid only while a progress callback is
 	// registered.)
 	AchievedEps float64
@@ -175,8 +179,8 @@ type Result struct {
 	Omega float64
 	// VertexDiameter is the value omega was computed from.
 	VertexDiameter int
-	// Epochs is the number of completed epochs (stopping checks, for the
-	// sequential backend).
+	// Epochs is the number of stopping checks made, the first right after
+	// the calibration batch; each closes an epoch.
 	Epochs int
 	// AchievedEps is the guarantee actually achieved: with probability
 	// 1-delta every estimate is within AchievedEps of the truth. It is at
@@ -196,15 +200,17 @@ type Result struct {
 	Distributed *DistStats
 
 	// Top is the top-k ranking when WithTopK was requested: certified by
-	// the KADABRA top-k stopping rule on the Sequential backend, derived
-	// from the final estimates elsewhere.
+	// the KADABRA top-k stopping rule on a session built with WithTopK,
+	// derived from the final estimates when WithTopK only came with a
+	// Refine or a restore of a uniform session.
 	Top []graph.Node
-	// Lower and Upper are per-vertex confidence bounds (Sequential
-	// backend with WithTopK only; valid simultaneously with probability
-	// 1-delta).
+	// Lower and Upper are per-vertex confidence bounds of a certified
+	// top-k session, on any backend (valid simultaneously with probability
+	// 1-delta; past omega they are the estimates -/+ eps, clamped to
+	// [0, 1]).
 	Lower, Upper []float64
-	// Separated reports whether a top-k run ended with a certified clean
-	// separation of the top set (Sequential backend with WithTopK only).
+	// Separated reports whether a certified top-k run ended with a clean
+	// separation of the top set.
 	Separated bool
 }
 

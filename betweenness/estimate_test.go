@@ -3,6 +3,7 @@ package betweenness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"sync"
@@ -212,28 +213,33 @@ func TestDeterminismHeapVsMapped(t *testing.T) {
 	}
 }
 
-// TestStopAtOmega pins the omega cap of the sequential schedule, on the
+// TestStopAtOmega pins the omega cap of the check schedule, on the
 // daemon-session benchmark's shape (R-MAT scale 12, eps 0.05), where the
-// adaptive rule never fires before tau reaches omega. The sequential run
-// must stop on the first tau >= omega, not at the next scheduled check a
-// whole CheckInterval later; the shared-memory run checks only at epoch
-// ends, so it stops at the first epoch end past omega.
+// adaptive rule never fires before tau reaches omega. At one thread —
+// Sequential, or SharedMemory with WithThreads(1), the same schedule — the
+// run must stop on the first tau >= omega, not at the next scheduled check
+// a whole epoch later; with two threads the other thread samples alongside
+// thread 0, so the run stops at the first epoch end past omega.
 func TestStopAtOmega(t *testing.T) {
 	g, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(12, 16, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, exec := range []Executor{Sequential(), SharedMemory()} {
+	for _, c := range []struct {
+		exec    Executor
+		threads int
+	}{{Sequential(), 2}, {SharedMemory(), 1}, {SharedMemory(), 2}} {
+		name := fmt.Sprintf("%s/T%d", c.exec.Name(), c.threads)
 		res, err := Estimate(context.Background(), Undirected(g),
-			WithEpsilon(0.05), WithSeed(1000), WithThreads(2), WithExecutor(exec))
+			WithEpsilon(0.05), WithSeed(1000), WithThreads(c.threads), WithExecutor(c.exec))
 		if err != nil {
-			t.Fatalf("%s: %v", exec.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !res.Converged || float64(res.Tau) < res.Omega {
-			t.Fatalf("%s: converged %v at tau %d, omega %.1f", exec.Name(), res.Converged, res.Tau, res.Omega)
+			t.Fatalf("%s: converged %v at tau %d, omega %.1f", name, res.Converged, res.Tau, res.Omega)
 		}
-		if want := int64(math.Ceil(res.Omega)); exec == Sequential() && res.Tau != want {
-			t.Fatalf("sequential: stopped at tau %d, want the first tau >= omega, %d", res.Tau, want)
+		if want := int64(math.Ceil(res.Omega)); (c.exec == Sequential() || c.threads == 1) && res.Tau != want {
+			t.Fatalf("%s: stopped at tau %d, want the first tau >= omega, %d", name, res.Tau, want)
 		}
 	}
 }
@@ -243,36 +249,22 @@ func TestTopK(t *testing.T) {
 	exact := Exact(g, 0)
 	want := TopKOf(exact, 3)
 
-	// Sequential backend: certified top-k stopping rule.
-	res, err := Estimate(context.Background(), Undirected(g),
-		WithEpsilon(0.02), WithSeed(5), WithTopK(3), WithExecutor(Sequential()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Top) != 3 {
-		t.Fatalf("certified top-k returned %d vertices, want 3", len(res.Top))
-	}
-	if res.Lower == nil || res.Upper == nil {
-		t.Error("certified top-k missing confidence bounds")
-	}
-	if res.Top[0] != want[0] {
-		t.Errorf("certified top-1 = %d, want %d", res.Top[0], want[0])
-	}
-
-	// Other backends derive Top from the final estimates.
-	res, err = Estimate(context.Background(), Undirected(g),
-		WithEpsilon(0.02), WithSeed(5), WithTopK(3), WithExecutor(SharedMemory()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Top) != 3 {
-		t.Fatalf("derived top-k returned %d vertices, want 3", len(res.Top))
-	}
-	if res.Lower != nil {
-		t.Error("derived top-k should not carry confidence bounds")
-	}
-	if res.Top[0] != want[0] {
-		t.Errorf("derived top-1 = %d, want %d", res.Top[0], want[0])
+	// Every backend stops by the certified top-k rule.
+	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
+		res, err := Estimate(context.Background(), Undirected(g),
+			WithEpsilon(0.02), WithSeed(5), WithTopK(3), WithThreads(2), WithExecutor(exec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Top) != 3 {
+			t.Fatalf("%s: certified top-k returned %d vertices, want 3", exec.Name(), len(res.Top))
+		}
+		if res.Lower == nil || res.Upper == nil {
+			t.Errorf("%s: certified top-k missing confidence bounds", exec.Name())
+		}
+		if res.Top[0] != want[0] {
+			t.Errorf("%s: certified top-1 = %d, want %d", exec.Name(), res.Top[0], want[0])
+		}
 	}
 }
 
@@ -439,6 +431,36 @@ func runTCPPair(t *testing.T, g *graph.Graph, ctxs [2]context.Context, progress 
 	}
 	wg.Wait()
 	return results, errs
+}
+
+// TestTCPTopKCertified: the certified top-k rule runs on a 2-rank TCP
+// world as on every other backend. On a star the centre separates from the
+// leaves, so rank 0's result must carry the bounds and the separation.
+func TestTCPTopKCertified(t *testing.T) {
+	edges := make([][2]graph.Node, 40)
+	for i := range edges {
+		edges[i] = [2]graph.Node{0, graph.Node(i + 1)}
+	}
+	star := graph.FromEdges(len(edges)+1, edges)
+	bg := context.Background()
+	results, errs := runTCPPair(t, star, [2]context.Context{bg, bg}, nil,
+		WithEpsilon(0.02), WithSeed(3), WithThreads(2), WithTopK(1))
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	res := results[0]
+	if res.Lower == nil || res.Upper == nil || !res.Separated {
+		t.Fatalf("rank 0: bounds %v/%v, separated %v; want a certified separation",
+			res.Lower != nil, res.Upper != nil, res.Separated)
+	}
+	if len(res.Top) != 1 || res.Top[0] != 0 {
+		t.Fatalf("rank 0: top %v, want the centre", res.Top)
+	}
+	if res.Lower[0] < res.Upper[1] {
+		t.Errorf("centre's lower bound %g below a leaf's upper bound %g", res.Lower[0], res.Upper[1])
+	}
 }
 
 // TestTCPRemoteCancellation cancels rank 1 of a TCP world mid-run, from

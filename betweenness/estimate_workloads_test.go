@@ -232,6 +232,65 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
+// TestTopKCoverage is the coverage smoke of the certified top-k rule, one
+// cell per workload x backend: over R seeds, the share of runs in which
+// some exact score falls outside its [Lower, Upper] must stay within delta
+// plus a 3-sigma binomial tolerance. R is 100, 20 under -short. The
+// LocalMPI cells are the ones that test the bounds past omega: two ranks of
+// two threads on a small machine can carry a run's last epoch to many
+// times omega, where f and g no longer hold and the bounds must be the
+// omega fallback's.
+func TestTopKCoverage(t *testing.T) {
+	lcc, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(7, 8, 21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg := graph.RandomDigraph(150, 900, 9)
+	wg := graph.RandomWeights(lcc, 10, 3)
+	const delta, eps, k = 0.1, 0.02, 3
+	runs := 100
+	if testing.Short() {
+		runs = 20
+	}
+	for _, w := range []struct {
+		name  string
+		w     Workload
+		exact []float64
+	}{
+		{"undirected", Undirected(lcc), Exact(lcc, 0)},
+		{"directed", Directed(dg), ExactDirected(dg, 0)},
+		{"weighted", Weighted(wg), ExactWeighted(wg, 0)},
+	} {
+		for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
+			t.Run(w.name+"/"+exec.Name(), func(t *testing.T) {
+				failed := 0
+				for seed := range uint64(runs) {
+					res, err := Estimate(context.Background(), w.w, WithEpsilon(eps), WithDelta(delta),
+						WithSeed(seed+1), WithTopK(k), WithThreads(2), WithExecutor(exec))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Lower == nil || res.Upper == nil || len(res.Top) != k {
+						t.Fatalf("seed %d: not a certified top-%d result (bounds %v, top %v)", seed+1, k, res.Lower != nil, res.Top)
+					}
+					for v, b := range w.exact {
+						if b < res.Lower[v]-1e-9 || b > res.Upper[v]+1e-9 {
+							failed++
+							break
+						}
+					}
+				}
+				share := float64(failed) / float64(runs)
+				tol := 3 * math.Sqrt(delta*(1-delta)/float64(runs))
+				t.Logf("%d of %d runs with an exact score outside its bounds", failed, runs)
+				if share > delta+tol {
+					t.Fatalf("%d of %d runs break the bounds: share %.3f > delta %g + %.3f", failed, runs, share, delta, tol)
+				}
+			})
+		}
+	}
+}
+
 // TestDirectedSeqVsShmParity pins the two executors against each other
 // directly: same omega (same diameter bound) and estimates within 2*eps.
 func TestDirectedSeqVsShmParity(t *testing.T) {
@@ -281,9 +340,10 @@ func TestDirectedDeterminism(t *testing.T) {
 	}
 }
 
-// TestWeightedTopKDerived: WithTopK on the weighted path fills Result.Top
-// from the final estimates and agrees with the exact top-1.
-func TestWeightedTopKDerived(t *testing.T) {
+// TestWeightedTopKCertified: WithTopK on the weighted path stops by the
+// certified top-k rule, fills Result.Top, carries the confidence bounds,
+// and agrees with the exact top-1.
+func TestWeightedTopKCertified(t *testing.T) {
 	g := weightedGrid(t, 6, 6, 7)
 	exact := ExactWeighted(g, 0)
 	want := TopKOf(exact, 3)
@@ -298,8 +358,8 @@ func TestWeightedTopKDerived(t *testing.T) {
 	if res.Top[0] != want[0] {
 		t.Errorf("top-1 = %d, want %d", res.Top[0], want[0])
 	}
-	if res.Lower != nil {
-		t.Error("derived top-k should not carry confidence bounds")
+	if res.Lower == nil || res.Upper == nil {
+		t.Error("certified top-k missing confidence bounds")
 	}
 }
 

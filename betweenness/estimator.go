@@ -15,8 +15,9 @@ import (
 // Estimator is a long-lived, resumable estimation session over one
 // workload: the anytime front door the adaptive-sampling algorithm has
 // deserved all along — after every epoch it holds a valid (eps', delta)
-// guarantee that only tightens, so a session can answer coarse-and-fast
-// now, keep refining later, and survive restarts in between.
+// guarantee that only tightens until tau passes omega, where it becomes the
+// target eps — so a session can answer coarse-and-fast now, keep refining
+// later, and survive restarts in between.
 //
 // NewEstimator validates the workload once, takes the workload's vertex
 // diameter (resolved by the first estimator on that Workload value), and
@@ -40,8 +41,9 @@ import (
 // Sequential and SharedMemory); a distributed session's state lives at
 // world rank 0 between the collective runs. Every backend stops within one
 // epoch of a WithMaxDuration deadline. One rule says what a resume
-// reproduces: a Sequential session resumes sample for sample
-// (bit-identical to never having stopped); every other resume is
+// reproduces: a one-thread session (Sequential, which is SharedMemory at
+// WithThreads(1)) resumes sample for sample (bit-identical to never having
+// stopped); every other resume is
 // statistically equivalent — a capture taken while threads or ranks were
 // drawing from their RNG streams continues on fresh ones, and the
 // guarantee depends on how many samples were drawn, never on which.
@@ -82,7 +84,6 @@ func newEstimator(w Workload, s settings, root *kadabra.EstimatorState) (*Estima
 		return nil, err
 	}
 	cfg := s.kadabraConfig() // its budgets are enforced per Run/Refine call, by advance
-	cfg.TopK = certifiedTopK(w, s)
 	if root != nil {
 		cfg = root.Config()
 		cfg.VertexDiameter = s.VertexDiameter // the other ranks' states skip phase 1 too
@@ -192,7 +193,7 @@ func (e *Estimator) storeLast(snap Snapshot) {
 // count never resets, so refining to a tighter eps strictly grows tau);
 // WithTopK sets or changes k — on a session that stops by the certified
 // top-k rule it re-targets the rule (sampling resumes until the new top
-// set is certified), elsewhere it re-derives the ranking from the existing
+// set is certified), on a uniform one it re-derives the ranking from the existing
 // samples; WithMaxSamples, WithMaxDuration, and WithProgress replace the
 // session's budget and progress stream. Options that would change the
 // session's statistical identity — seed, threads, executor, diameter knobs
@@ -285,7 +286,7 @@ func (e *Estimator) Snapshot() Snapshot {
 }
 
 // Backend names the executor the session runs on — for a restored session
-// the one its checkpoint recorded, whatever the options asked for.
+// the one its checkpoint's shape names (see RestoreEstimator).
 func (e *Estimator) Backend() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -336,9 +337,9 @@ func (e *Estimator) setCheckpointSink(sink func(payload []byte)) {
 // MPI backend the capture is served at world rank 0.
 //
 // The capture is the one Checkpoint would write, taken mid-run: bit-exact
-// on the Sequential backend; elsewhere the RNG streams are in use, so it
-// carries none and restores — same backend, threads and ranks — onto fresh
-// ones (statistically equivalent; see Estimator).
+// at one thread; elsewhere the RNG streams are in use, so it carries none
+// and restores — same backend, threads and ranks — onto fresh ones
+// (statistically equivalent; see Estimator).
 func (e *Estimator) RequestCheckpoint() {
 	// e.st is set once at construction and never replaced, so reading it
 	// without e.mu is safe — taking e.mu here would defeat the point (Run
@@ -394,8 +395,9 @@ func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte
 // re-binding it to w — a workload of the same kind over the same graph the
 // checkpoint was taken from (kind and vertex count are verified; the graph
 // itself is the caller's contract). The session resumes on the backend it
-// was checkpointed from — Sequential, SharedMemory with its threads, or
-// LocalMPI with its ranks and threads per rank — with the serialized
+// was checkpointed from — Sequential at one thread (or SharedMemory, when
+// WithExecutor names it), SharedMemory with its threads, or LocalMPI with
+// its ranks and threads per rank — with the serialized
 // statistical identity (eps, delta, seed, vertex diameter, stopping rule);
 // options supply what a checkpoint cannot carry — WithProgress,
 // WithMaxSamples, WithMaxDuration, WithDistCheckpoint, and WithExecutor
@@ -410,8 +412,8 @@ func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte
 // here only asks for a ranking of that many vertices. Checkpoints written
 // before the rule was recorded (format version 1) are the exception: there
 // WithTopK names the rule exactly as it does at NewEstimator, and their
-// mid-run captures of shared-memory and MPI sessions restore onto the
-// Sequential backend, as they always did.
+// mid-run captures of shared-memory and MPI sessions restore as one-thread
+// sessions, as they always did.
 //
 // The stream is untrusted: truncated, corrupted, or version-skewed bytes
 // return an error, never panic.
@@ -443,12 +445,14 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	if err != nil {
 		return nil, err
 	}
-	s, err := resolveSettings(opts)
+	s, err := resolveSettings(append([]Option{WithExecutor(Sequential())}, opts...))
 	if err != nil {
 		return nil, err
 	}
 	// The statistical identity and the backend's shape live in the
-	// checkpoint.
+	// checkpoint. A one-thread single-process state is both Sequential and
+	// SharedMemory at WithThreads(1): it keeps whichever of the two the
+	// caller names, Sequential when it names neither.
 	cfg := st.Config()
 	s.Epsilon, s.Delta, s.Seed = cfg.Eps, cfg.Delta, cfg.Seed
 	s.VertexDiameter = st.VertexDiameter()
@@ -457,7 +461,8 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	case st.Procs() > 0 && !tcp:
 		s.exec = LocalMPI(st.Procs())
 	case st.Procs() > 0:
-	case st.Threads() == 0:
+	case st.Threads() == 1 && s.exec == SharedMemory():
+	case st.Threads() == 1:
 		s.exec = Sequential()
 	default:
 		s.exec = SharedMemory()
@@ -465,7 +470,7 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	if !st.RuleRecorded() {
 		// Version 1: k is session configuration, not checkpoint content —
 		// the restorer names the stopping rule as NewEstimator's caller does.
-		if err := st.SetTopK(certifiedTopK(w, s)); err != nil {
+		if err := st.SetTopK(s.TopK); err != nil {
 			return nil, err
 		}
 	} else if cfg.TopK > 0 {

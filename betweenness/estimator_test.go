@@ -585,6 +585,94 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	}
 }
 
+// TestRestoreV2SequentialCheckpoint: the committed checkpoint a Sequential
+// session wrote while it still ran the separate sequential schedule
+// (payload v2, engine byte 0 and zero threads; testGraph-sized R-MAT with
+// Eps 0.03, Delta 0.1, Seed 11, budget-stopped at half its samples plus
+// 137) restores as the one-thread session, RNG stream included, and
+// finishes bit-identically to the session never having stopped.
+func TestRestoreV2SequentialCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/v2_seq_undirected.bck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(8, 8, 17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Estimate(context.Background(), Undirected(g),
+		WithEpsilon(0.03), WithDelta(0.1), WithSeed(11), WithExecutor(Sequential()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := RestoreEstimator(bytes.NewReader(data), Undirected(g))
+	if err != nil {
+		t.Fatalf("restoring the sequential checkpoint: %v", err)
+	}
+	if est.st.Threads() != 1 || est.st.Procs() != 0 || est.Backend() != "sequential" {
+		t.Fatalf("restored as %d threads, %d procs on %s; want the one-thread sequential session",
+			est.st.Threads(), est.st.Procs(), est.Backend())
+	}
+	if snap := est.Snapshot(); snap.Tau != want.Tau/2+137 {
+		t.Fatalf("checkpoint holds tau %d, want the budget stop at %d", snap.Tau, want.Tau/2+137)
+	}
+	got, err := est.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Tau != want.Tau || got.Epochs != want.Epochs || got.AchievedEps != want.AchievedEps ||
+		!reflect.DeepEqual(got.Estimates, want.Estimates) {
+		t.Fatalf("resume differs from the uninterrupted run: tau %d/%d epochs %d/%d achieved %g/%g",
+			got.Tau, want.Tau, got.Epochs, want.Epochs, got.AchievedEps, want.AchievedEps)
+	}
+}
+
+// TestOneThreadRestoreKeepsNamedBackend: a one-thread SharedMemory session
+// has the Sequential backend's shape, so its checkpoint restores as
+// Sequential unless the restorer names SharedMemory, and either way
+// resumes sample for sample.
+func TestOneThreadRestoreKeepsNamedBackend(t *testing.T) {
+	g := testGraph(t)
+	opts := []Option{WithEpsilon(0.05), WithSeed(3), WithThreads(1), WithExecutor(SharedMemory())}
+	want, err := Estimate(context.Background(), Undirected(g), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := NewEstimator(Undirected(g), append(opts, WithMaxSamples(want.Tau/2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := est.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts    []Option
+		backend string
+	}{
+		{nil, "sequential"},
+		{[]Option{WithExecutor(Sequential())}, "sequential"},
+		{[]Option{WithExecutor(SharedMemory())}, "shared-memory"},
+		{[]Option{WithExecutor(LocalMPI(2))}, "sequential"},
+	} {
+		restored, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Backend != tc.backend || got.Tau != want.Tau || !reflect.DeepEqual(got.Estimates, want.Estimates) {
+			t.Errorf("restored on %q (want %q): tau %d/%d, estimates equal %v", got.Backend, tc.backend,
+				got.Tau, want.Tau, reflect.DeepEqual(got.Estimates, want.Estimates))
+		}
+	}
+}
+
 // TestCheckpointRestoreRejectsMismatches: wrong workload kind, wrong graph
 // size, and corrupted envelopes fail loudly.
 func TestCheckpointRestoreRejectsMismatches(t *testing.T) {
@@ -732,8 +820,8 @@ func FuzzRestoreEstimator(f *testing.F) {
 
 	// One seed per payload shape the decoder knows. Version 1 (the engine
 	// payload without its procs and top-k fields, streams always carried)
-	// is partial re-laid-out, plus the committed parent-written file, which
-	// is over another graph and must be refused on its vertex count.
+	// is partial re-laid-out, plus the committed files, which are over
+	// another graph and must be refused on their vertex count.
 	v1 := append([]byte(nil), partial[:ckptHeaderLen]...)
 	v1 = append(v1, 1, 0)                                        // payload version
 	v1 = append(v1, partial[ckptHeaderLen+2:ckptHeaderLen+7]...) // engine, threads
@@ -743,12 +831,15 @@ func FuzzRestoreEstimator(f *testing.F) {
 		f.Fatalf("the version-1 seed does not restore: %v", err)
 	}
 	f.Add(v1)
-	committed, err := os.ReadFile("testdata/v1_seq_undirected.bck")
-	if err != nil {
-		f.Fatal(err)
+	for _, file := range []string{"testdata/v1_seq_undirected.bck", "testdata/v2_seq_undirected.bck"} {
+		committed, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(committed)
 	}
-	f.Add(committed)
-	// Version 2: sequential is `full` and `partial` above; a shared-memory
+	// Version 2: one thread is `full` and `partial` above, the deleted
+	// sequential schedule the second committed file; add a shared-memory
 	// capture taken mid-run (streams absent) and a distributed session.
 	var shmInRun []byte
 	shm, err := NewEstimator(Undirected(g), WithEpsilon(0.01), WithSeed(1), WithThreads(2), WithExecutor(SharedMemory()))

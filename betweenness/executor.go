@@ -14,7 +14,9 @@ import (
 
 // Executor selects the execution backend of a session: one of the four
 // values Sequential, SharedMemory, LocalMPI and TCP return. Every backend
-// runs every workload kind and owns its session's sampling state. The zero
+// runs every workload kind, owns its session's sampling state, follows the
+// one check schedule and stops by the certified top-k rule under WithTopK;
+// the backends differ only in the shape of the world. The zero
 // Executor is not a backend; WithExecutor rejects it. Executors are
 // comparable: two are equal exactly when they name the same backend of the
 // same shape.
@@ -70,12 +72,9 @@ func IsRankDeath(err error) bool {
 }
 
 // Sequential returns the single-threaded reference backend: Algorithm 2 on
-// a one-rank world with one thread, one RNG stream and an absolute check
-// schedule (tau0, then every CheckInterval samples, and omega), so a run is
-// deterministic under its seed and resumes bit-identically. It is the only
-// backend whose sessions stop by the certified top-k rule (see WithTopK;
-// undirected workload only — every other backend and workload derives the
-// ranking from the final estimates).
+// a one-rank world with one thread — the SharedMemory backend's schedule
+// at WithThreads(1), KADABRA's sequential loop — so a run is deterministic
+// under its seed and resumes bit-identically. It ignores WithThreads.
 func Sequential() Executor { return Executor{kind: backendSequential} }
 
 // SharedMemory returns the epoch-based shared-memory backend (the paper's
@@ -133,7 +132,7 @@ func (e Executor) bind(w kadabra.Workload, s settings, cfg kadabra.Config, root 
 		}
 	default: // Sequential, SharedMemory
 		if root == nil {
-			threads := 0 // the sequential schedule
+			threads := 1
 			if e.kind == backendSharedMemory {
 				if threads = s.Threads; threads <= 0 {
 					threads = runtime.GOMAXPROCS(0)
@@ -179,15 +178,4 @@ func (e Executor) advance(ctx context.Context, sts []*kadabra.EstimatorState, s 
 		return nil, err
 	}
 	return &cr.Stats, nil
-}
-
-// certifiedTopK is the one place that decides which sessions stop by the
-// certified top-k rule: WithTopK on the Sequential backend over an
-// undirected workload. It returns the k the engine should certify, or 0
-// for the uniform rule (the ranking is then derived from the estimates).
-func certifiedTopK(w Workload, s settings) int {
-	if s.exec == Sequential() && w.kind == WorkloadUndirected {
-		return s.TopK
-	}
-	return 0
 }

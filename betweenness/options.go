@@ -23,8 +23,8 @@ type settings struct {
 	// one per CPU core on the SharedMemory backend and one per rank on
 	// the MPI backends (where the ranks themselves provide parallelism).
 	Threads int
-	// TopK, when positive, asks for the k highest-betweenness vertices;
-	// see WithTopK for backend-dependent semantics.
+	// TopK, when positive, asks for the k highest-betweenness vertices,
+	// certified by the top-k stopping rule (see WithTopK).
 	TopK int
 	// RanksPerNode, when > 1, enables hierarchical aggregation (§IV-E)
 	// with the given group size (MPI backends).
@@ -59,6 +59,7 @@ func (s settings) kadabraConfig() kadabra.Config {
 		Eps:            s.Epsilon,
 		Delta:          s.Delta,
 		Seed:           s.Seed,
+		TopK:           s.TopK,
 		VertexDiameter: s.VertexDiameter,
 		MaxSamples:     s.MaxSamples,
 		MaxDuration:    s.MaxDuration,
@@ -122,8 +123,8 @@ func WithSeed(seed uint64) Option {
 
 // WithThreads sets the number of sampling threads per process. Zero (the
 // default) means one thread per CPU core on the SharedMemory backend and
-// one thread per rank on the MPI backends; the sequential backend ignores
-// it.
+// one thread per rank on the MPI backends; the Sequential backend is one
+// thread and ignores it.
 func WithThreads(threads int) Option {
 	return func(s *settings) error {
 		if threads < 0 {
@@ -135,17 +136,16 @@ func WithThreads(threads int) Option {
 }
 
 // WithTopK asks for the k highest-betweenness vertices, filling
-// Result.Top. On the Sequential backend over an undirected workload the
-// session stops by the KADABRA top-k rule instead of the uniform one: it
-// certifies the ranking (Result.Separated, Result.Lower/Upper) and usually
-// stops much earlier than a uniform estimate. It is an ordinary session in
-// every other respect — budgets, Snapshot, Refine (WithTopK there
-// re-targets the rule), Checkpoint; the rule and its k are part of the
-// checkpoint, so RestoreEstimator resumes under it without being told.
-// Every other backend and workload runs the uniform estimate and derives
-// Top from the scores. The rule is chosen when the session is built
-// (NewEstimator): WithTopK on a Refine or a restore of a uniform session
-// ranks, it never swaps the guarantee.
+// Result.Top. The session stops by the KADABRA top-k rule instead of the
+// uniform one, on every backend and workload: it certifies the ranking
+// (Result.Separated, Result.Lower/Upper) and usually stops much earlier
+// than a uniform estimate. It is an ordinary session in every other
+// respect — budgets, Snapshot, Refine (WithTopK there re-targets the
+// rule), Checkpoint; the rule and its k are part of the checkpoint, so
+// RestoreEstimator resumes under it without being told. The rule is chosen
+// when the session is built (NewEstimator): WithTopK on a Refine or a
+// restore of a uniform session ranks the estimates, it never swaps the
+// guarantee.
 func WithTopK(k int) Option {
 	return func(s *settings) error {
 		if k < 1 {
@@ -195,9 +195,10 @@ func WithVertexDiameter(vd int) Option {
 // WithMaxSamples sets an absolute sampling budget: the estimate stops once
 // the consistent sample count tau reaches n, even if the target eps has not
 // been reached. The result then carries Converged == false and reports the
-// guarantee the samples actually support in Result.AchievedEps. On the
-// sequential backend the stop lands on exactly n samples; the parallel
-// backends stop within one epoch of it. With an Estimator the budget
+// guarantee the samples actually support in Result.AchievedEps. At one
+// thread on one rank (Sequential, or WithThreads(1) on SharedMemory) the
+// stop lands on exactly n samples; more threads or ranks stop within one
+// epoch of it. With an Estimator the budget
 // applies to the session's total sample count, so a Run that stopped at the
 // budget resumes from it when Run or Refine is called with a larger one.
 func WithMaxSamples(n int64) Option {

@@ -4,8 +4,8 @@
 //
 // Backends (any backend runs any workload):
 //
-//	-backend seq   sequential KADABRA (-certify-top stops by the certified
-//	               top-k rule instead of the uniform one)
+//	-backend seq   sequential KADABRA: one thread on one rank, the same
+//	               samples as -backend shm -threads 1
 //	-backend shm   shared-memory epoch-based parallelization (the paper's
 //	               baseline, Ref. 24)
 //	-backend dist  epoch-based MPI parallelization (paper Algorithm 2) over
@@ -14,6 +14,10 @@
 //	-backend tcp   Algorithm 2 as one rank of a TCP world: requires -rank
 //	               and -hosts (comma-separated host:port list, one per
 //	               rank); start one OS process per rank
+//
+// With -certify-top, any backend stops by the certified top-k rule for
+// -top instead of the uniform eps rule and reports whether the top set
+// separated.
 //
 // Workloads (paper footnote 1; valid with every backend, including the
 // MPI and TCP ones — the workload-generic executor contract threads the
@@ -47,9 +51,10 @@
 //	                   discarded, and a completed run saves its final
 //	                   state for later refinement
 //	-resume PATH       continue a -checkpoint session on the backend that
-//	                   wrote it; the statistical identity (eps, delta,
-//	                   seed, threads, ranks, stopping rule) comes from
-//	                   the checkpoint, and explicitly passed -eps/-delta
+//	                   wrote it (a one-thread session resumes as seq, or
+//	                   as shm with -backend shm); the statistical identity
+//	                   (eps, delta, seed, threads, ranks, stopping rule)
+//	                   comes from the checkpoint, and explicitly passed -eps/-delta
 //	                   refine the resumed session toward the new target,
 //	                   reusing every prior sample. A tcp session resumes
 //	                   with -backend tcp -rank/-hosts on every rank (rank
@@ -117,7 +122,7 @@ func main() {
 		threads   = flag.Int("threads", 4, "sampling threads per process")
 		ranksPer  = flag.Int("ranks-per-node", 0, "enable hierarchical aggregation with this group size")
 		topK      = flag.Int("top", 10, "print the top-k vertices")
-		certify   = flag.Bool("certify-top", false, "-backend seq, undirected: stop by the certified top-k rule for -top instead of the uniform eps rule (budgets, -checkpoint and -resume work as usual; the rule is part of the checkpoint)")
+		certify   = flag.Bool("certify-top", false, "stop by the certified top-k rule for -top instead of the uniform eps rule, on any backend and workload (budgets, -checkpoint and -resume work as usual; the rule is part of the checkpoint)")
 		progress  = flag.Bool("progress", false, "print a progress line per epoch (epoch, tau, achieved eps, samples/s)")
 		rank      = flag.Int("rank", -1, "this process's rank (tcp mode)")
 		hosts     = flag.String("hosts", "", "comma-separated host:port per rank (tcp mode)")
@@ -186,9 +191,6 @@ func main() {
 		}))
 	}
 	if *certify {
-		if *backend != "seq" || *directed || *weighted {
-			fatal(fmt.Errorf("-certify-top requires -backend seq on an undirected unweighted graph (only that path certifies the ranking)"))
-		}
 		opts = append(opts, betweenness.WithTopK(*topK))
 	}
 
@@ -208,7 +210,11 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown backend %q", *backend))
 	}
-	opts = append(opts, betweenness.WithExecutor(exec))
+	if *resumePath == "" || explicit["backend"] {
+		// A checkpoint names its own backend; -backend on -resume picks tcp,
+		// or shm over seq for a one-thread session.
+		opts = append(opts, betweenness.WithExecutor(exec))
+	}
 
 	if *distCkpt < 0 {
 		fatal(fmt.Errorf("-dist-checkpoint-interval must be >= 0, got %d", *distCkpt))

@@ -108,10 +108,11 @@
 // (Refine/Checkpoint/repeated Run, live Snapshot) on all four backends —
 // one state machine (kadabra.EstimatorState) advanced by the one engine,
 // Algorithm 2: world rank 0 keeps the consistent state between runs, and
-// every engine stops within one epoch of a deadline. A checkpoint records engine,
-// threads, ranks and stopping rule (WithTopK on a sequential undirected
-// session swaps the uniform rule for the certified top-k one), so a session
-// resumes on the backend that wrote it. A sequential session resumed from a
+// every engine stops within one epoch of a deadline. Every state follows one
+// check schedule; Sequential is its one-thread shape. A checkpoint records
+// threads, ranks and stopping rule (WithTopK on any backend and workload
+// swaps the uniform rule for the certified top-k one), so a session
+// resumes on the backend that wrote it. A one-thread session resumed from a
 // checkpoint in a fresh process is bit-identical to the uninterrupted run;
 // every other resume is statistically equivalent (a capture whose RNG
 // streams were in use continues on streams re-derived from seed, tau and

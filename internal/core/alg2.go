@@ -41,7 +41,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	// and its own context in its calibration threads.
 	budget := cfg.NewBudget(time.Now())
 	n := st.N()
-	T := max(st.Threads(), 1) // the sequential state samples on one thread
+	T := st.Threads()
 	root := 0
 	defer st.Activate()()
 
@@ -167,7 +167,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	// taus are checked is the state's schedule (CheckDue).
 	var code int64
 	if comm.Rank() == root {
-		stop := !st.Calibrated() || st.Converged() || st.CheckDue() && st.Check() || budget.Exceeded(st.Tau())
+		stop := !st.Calibrated() || st.Converged() || st.CheckDue() && st.Check(n0) || budget.Exceeded(st.Tau())
 		code = stopCode(stop, ctx.Err(), remoteCancelled)
 	}
 	got, _, err := broadcastFrame(comm, root, code, nil, overlap)
@@ -194,7 +194,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 
 	for {
 		// One in-process epoch (Alg. 2 lines 12-18): thread 0's quota of
-		// samples (n0 on the epoch schedule), the forced transition
+		// samples (n0, or up to omega or the sample cap), the forced transition
 		// overlapped with sampling, and this process's frozen frames summed
 		// into eLoc in O(touched across the T frames). Encode them for the
 		// wire, gossiping this rank's context state with the reduction.
@@ -252,8 +252,7 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 				return nil, fmt.Errorf("core: epoch frame: %w", ferr)
 			}
 			ft.noteFold()
-			st.EndEpoch()
-			next = stopCode(st.CheckDue() && st.Check() || budget.Exceeded(st.Tau()), ctx.Err(), remoteCancelled)
+			next = stopCode(st.CheckDue() && st.Check(n0) || budget.Exceeded(st.Tau()), ctx.Err(), remoteCancelled)
 			if next == codeContinue {
 				if cfg.CheckpointInterval > 0 && st.Epochs()%cfg.CheckpointInterval == 0 {
 					st.RequestCheckpoint()

@@ -12,10 +12,10 @@
 // at once, so the epoch framework degenerates to the snapshot-and-reset of
 // Alg. 1 lines 7-8. The shared-memory engine of the paper's Ref. 24 is the
 // same loop on a one-rank world, whose collectives are plain copies that
-// complete at once; so is KADABRA's sequential loop, at one thread. What
-// tells the three apart is the session state's schedule — whether a check
-// is due, thread 0's quota per epoch, each worker's calibration share — never
-// the loop.
+// complete at once; so is KADABRA's sequential loop, at one thread. Nothing
+// tells the three apart but the world's shape: P ranks of T threads, one
+// check schedule in the session state (whether a check is due, thread 0's
+// quota per epoch, each worker's calibration share), one loop.
 //
 // Where the pseudocode lives (Alg. 2 line numbers; Alg. 1's in brackets):
 //

@@ -393,11 +393,16 @@ func (cal *Calibration) HaveToStop(counts []int64, tau int64) bool {
 // This is the quantity the adaptive loop drives below the target eps; the
 // paper's anytime property is exactly that eps' is a valid guarantee after
 // every epoch, so a budget-stopped run can report it honestly. Once tau has
-// reached omega the static VC bound caps eps' at the target eps. The sweep
-// is O(n); callers on hot paths should invoke it only when reporting.
+// reached omega the static VC bound caps eps' at the target eps, and past
+// ceil(omega) — where f and g, whose horizon is omega, no longer hold — it
+// is the target eps itself (pastOmega). The sweep is O(n); callers on hot
+// paths should invoke it only when reporting.
 func (cal *Calibration) AchievedEps(counts []int64, tau int64) float64 {
 	if tau <= 0 {
 		return 1
+	}
+	if cal.pastOmega(tau) {
+		return cal.Eps
 	}
 	if cal.logDL == nil {
 		cal.deriveCheckState(groupBudgets(cal.DeltaL))
@@ -420,6 +425,15 @@ func (cal *Calibration) AchievedEps(counts []int64, tau int64) float64 {
 		worst = 1
 	}
 	return worst
+}
+
+// pastOmega reports whether tau lies beyond the horizon of f and g: they
+// are derived for a run that stops by omega samples, so a state holding
+// more (a parallel run's last epoch can overshoot omega several times over)
+// has only the omega fallback's guarantee, eps. Up to ceil(omega), where a
+// one-thread run's last check lands, f and g stand.
+func (cal *Calibration) pastOmega(tau int64) bool {
+	return float64(tau) > math.Ceil(cal.Omega)
 }
 
 // vertexFails reports whether v currently violates either error bound.

@@ -43,7 +43,7 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 			g := tc.g
 			cfg := Config{Eps: tc.eps, Delta: 0.1, Seed: 17, EpochBase: tc.base}
 			w := UndirectedWorkload(g)
-			want, err := Run(context.Background(), w, 0, cfg)
+			want, err := Run(context.Background(), w, 1, cfg)
 			if err != nil || !want.Converged {
 				t.Fatalf("reference run: %v (converged %v)", err, want != nil && want.Converged)
 			}
@@ -164,7 +164,7 @@ func TestCheckpointRecordsEngineShape(t *testing.T) {
 		}
 		return st
 	}
-	for _, shape := range []struct{ procs, threads int }{{0, 0}, {0, 4}, {3, 2}} {
+	for _, shape := range []struct{ procs, threads int }{{0, 1}, {0, 4}, {3, 2}} {
 		src := build(shape.procs, shape.threads)
 		got, err := RestoreEstimatorState(src.AppendCheckpoint(nil), UndirectedWorkload(g))
 		if err != nil {
@@ -212,7 +212,7 @@ func v1Payload(t *testing.T) []byte {
 // across the version boundary.
 func TestRestoreV1Payload(t *testing.T) {
 	g := testGraph()
-	want, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
+	want, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRestoreV1Payload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restoring the version-1 payload: %v", err)
 	}
-	if st.Threads() != 0 || st.Procs() != 0 || st.RuleRecorded() || st.Config().TopK != 0 {
+	if st.Threads() != 1 || st.Procs() != 0 || st.RuleRecorded() || st.Config().TopK != 0 {
 		t.Fatalf("v1 payload restored as threads %d procs %d ruleRecorded %v k %d",
 			st.Threads(), st.Procs(), st.RuleRecorded(), st.Config().TopK)
 	}
@@ -251,7 +251,7 @@ func TestRestoreV1Payload(t *testing.T) {
 // rather than come back as some other session.
 func TestV2PayloadUnderV1LayoutRejected(t *testing.T) {
 	g := testGraph()
-	for _, shape := range []struct{ procs, threads int }{{0, 0}, {0, 2}, {2, 2}} {
+	for _, shape := range []struct{ procs, threads int }{{0, 1}, {0, 2}, {2, 2}} {
 		var st *EstimatorState
 		var err error
 		if shape.procs > 0 {
@@ -275,13 +275,16 @@ func TestV2PayloadUnderV1LayoutRejected(t *testing.T) {
 }
 
 // TestDenseByteIgnored: the byte that carried the deleted forced-dense knob
-// is still written, as 0, so the layout stays version 2. A payload written
-// while the knob existed may hold 1 there; it must restore to the very
-// state the byte-0 payload restores to and resume bit-identically.
+// and the word that carried the deleted check interval are still written,
+// as 0, so the layout stays version 2. A payload written while the knobs
+// existed holds other values there (1 for a forced-dense session, 1000 for
+// the default check interval); it must restore to the very state the
+// zeroed payload restores to and resume bit-identically.
 func TestDenseByteIgnored(t *testing.T) {
-	const denseByteOff = 2 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 8 // version ... EpochSkew
+	const checkIntervalOff = 2 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4 // version ... StartFactor
+	const denseByteOff = checkIntervalOff + 4 + 8 + 8          // ... EpochSkew
 	w := UndirectedWorkload(testGraph())
-	st, err := NewEstimatorState(w, 0, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
+	st, err := NewEstimatorState(w, 1, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,26 +292,28 @@ func TestDenseByteIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := st.AppendCheckpoint(nil)
-	if payload[denseByteOff] != 0 {
-		t.Fatalf("byte %d of a fresh payload is %d, want 0", denseByteOff, payload[denseByteOff])
+	if payload[denseByteOff] != 0 || binary.LittleEndian.Uint32(payload[checkIntervalOff:]) != 0 {
+		t.Fatalf("a fresh payload's deleted-knob fields are %d and %d, want 0",
+			payload[denseByteOff], binary.LittleEndian.Uint32(payload[checkIntervalOff:]))
 	}
 	flipped := bytes.Clone(payload)
 	flipped[denseByteOff] = 1
+	binary.LittleEndian.PutUint32(flipped[checkIntervalOff:], 1000)
 	var results [2]*Result
 	for i, p := range [][]byte{payload, flipped} {
 		restored, err := RestoreEstimatorState(p, w)
 		if err != nil {
-			t.Fatalf("dense byte %d: %v", p[denseByteOff], err)
+			t.Fatalf("payload %d: %v", i, err)
 		}
 		if !bytes.Equal(restored.AppendCheckpoint(nil), payload) {
-			t.Fatalf("dense byte %d: the restored state re-serializes to a different payload", p[denseByteOff])
+			t.Fatalf("payload %d: the restored state re-serializes to a different payload", i)
 		}
 		if err := advance(context.Background(), restored, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		results[i] = restored.Result()
 	}
-	resultsBitIdentical(t, results[0], results[1], "dense byte 0 vs 1")
+	resultsBitIdentical(t, results[0], results[1], "deleted-knob fields zeroed vs set")
 }
 
 // TestRestoredDerivedState: a session restored from a mid-run checkpoint
@@ -317,14 +322,14 @@ func TestDenseByteIgnored(t *testing.T) {
 func TestRestoredDerivedState(t *testing.T) {
 	for name, w := range testWorkloads(t) {
 		cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 11}
-		full, err := NewEstimatorState(w, 0, cfg)
+		full, err := NewEstimatorState(w, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := advance(context.Background(), full, Config{}); err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewEstimatorState(w, 0, cfg)
+		st, err := NewEstimatorState(w, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +359,7 @@ func TestRestoredDerivedState(t *testing.T) {
 // refused with an error — even though every budget lies in (0, 1).
 func TestRestoreRejectsInflatedBudget(t *testing.T) {
 	w := UndirectedWorkload(testGraph())
-	st, err := NewEstimatorState(w, 0, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
+	st, err := NewEstimatorState(w, 1, Config{Eps: 0.03, Delta: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestDirectedVertexDiameterIsUpperBound(t *testing.T) {
 func TestDirectedSequentialGuarantee(t *testing.T) {
 	g := stronglyConnectedDigraph(3, 150, 900)
 	eps := 0.03
-	res, err := Run(context.Background(), DirectedWorkload(g), 0, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := Run(context.Background(), DirectedWorkload(g), 1, Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestDirectedSequentialAsymmetry(t *testing.T) {
 	// undirected view would distribute differently. Just verify scores are
 	// sane and deterministic.
 	g := stronglyConnectedDigraph(5, 80, 80)
-	a, err := Run(context.Background(), DirectedWorkload(g), 0, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
+	a, err := Run(context.Background(), DirectedWorkload(g), 1, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), DirectedWorkload(g), 0, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
+	b, err := Run(context.Background(), DirectedWorkload(g), 1, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestDirectedSequentialAsymmetry(t *testing.T) {
 }
 
 func TestDirectedSequentialRejectsTiny(t *testing.T) {
-	if _, err := Run(context.Background(), DirectedWorkload(graph.FromArcs(1, nil)), 0, Config{}); err == nil {
+	if _, err := Run(context.Background(), DirectedWorkload(graph.FromArcs(1, nil)), 1, Config{}); err == nil {
 		t.Fatal("tiny digraph accepted")
 	}
 }

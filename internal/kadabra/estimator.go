@@ -25,12 +25,18 @@ import (
 // one-rank in-process world for the single-process states and on a world
 // of ranks for the states NewRankState builds. Every rank's state owns that
 // rank's samplers and streams, world rank 0's also the counts, the
-// calibration and the stopping rule. The state decides the one thing the
-// backends differ in — when to check and how many samples to take (CheckDue,
-// EpochQuota, CalibrationShare): threads == 0 is the sequential state, the
-// plain KADABRA loop on one RNG stream with an absolute check schedule,
-// deterministic and bit-exactly resumable; every other state follows the
-// epoch schedule of the paper's Ref. 24, checking after every epoch.
+// calibration and the stopping rule. Every state keeps one absolute check
+// schedule (CheckDue, EpochQuota): a check at the calibration batch, then
+// one epoch length n0 of thread 0's samples after each check, and one at
+// the first tau >= omega. At one thread on one rank that is KADABRA's
+// sequential loop, deterministic and bit-exactly resumable; with more
+// threads or ranks it is the epoch schedule of the paper's Ref. 24, where
+// the other workers sample alongside thread 0.
+//
+// The engine byte of a checkpoint names the session's shape. Payloads
+// written before the one-thread state replaced the sequential schedule may
+// carry engineSequential with zero threads: they restore as the one-thread
+// state.
 const (
 	engineSequential   = 0
 	engineSharedMemory = 1
@@ -48,22 +54,22 @@ const (
 type EstimatorState struct {
 	w       Workload
 	cfg     Config // defaults applied; Eps/Delta track Recalibrate
-	threads int    // sampling threads of this process; 0 = sequential schedule
+	threads int    // sampling threads of this process, at least 1
 	// procs > 0 marks rank `rank` of a procs-rank distributed session.
 	procs, rank int
 	vd          int
 	omega       float64
 
-	// streams are the per-thread RNG streams (one, sequentially); samplers
-	// wrap them, so checkpointing the stream states at a quiescent point
-	// captures the samplers exactly.
+	// streams are the per-thread RNG streams; samplers wrap them, so
+	// checkpointing the stream states at a quiescent point captures the
+	// samplers exactly.
 	streams  []*rng.Rand
 	samplers []Sampler
 
 	s            *epoch.StateFrame // accumulated consistent state
 	cal          *Calibration
 	calibrated   bool
-	nextCheck    int64 // sequential schedule: tau of the next scheduled stopping check
+	nextCheck    int64 // tau of the next scheduled stopping check
 	epochs       int
 	converged    bool
 	ruleRecorded bool // false only when restored from a version-1 payload
@@ -85,14 +91,15 @@ type EstimatorState struct {
 
 // NewEstimatorState validates the workload, runs the diameter phase once
 // (honouring cfg.VertexDiameter), derives omega, and sets up the RNG
-// streams and samplers of a single-process session, which core.Algorithm2
-// advances on a one-rank world. threads == 0 selects the sequential
-// schedule on one thread, threads >= 1 the epoch schedule on that many.
+// streams and samplers of a single-process session on threads sampling
+// threads, which core.Algorithm2 advances on a one-rank world. Thread 0
+// draws from the stream seeded by cfg.Seed, the others from streams split
+// off it, so one thread is KADABRA's sequential run under that seed.
 // cfg.TopK > 0 selects the certified top-k stopping rule and must be below
 // the vertex count.
 func NewEstimatorState(w Workload, threads int, cfg Config) (*EstimatorState, error) {
-	if threads < 0 {
-		return nil, fmt.Errorf("kadabra: estimator threads must be >= 0, got %d", threads)
+	if threads < 1 {
+		return nil, fmt.Errorf("kadabra: estimator threads must be >= 1, got %d", threads)
 	}
 	return newState(w, 0, 0, threads, cfg)
 }
@@ -121,16 +128,12 @@ func newState(w Workload, rank, procs, threads int, cfg Config) (*EstimatorState
 		st.vd, st.timings.Diameter = w.ResolveDiameter(cfg)
 		st.omega = Omega(st.vd, cfg.Eps, cfg.Delta)
 	}
-	switch {
-	case procs > 0:
+	if procs > 0 {
 		st.rekey(0)
-	case threads == 0:
+	} else {
 		st.streams = []*rng.Rand{rng.NewRand(cfg.Seed)}
-	default:
-		master := rng.NewRand(cfg.Seed)
-		st.streams = make([]*rng.Rand, threads)
-		for i := range st.streams {
-			st.streams[i] = master.Split()
+		for len(st.streams) < threads {
+			st.streams = append(st.streams, st.streams[0].Split())
 		}
 	}
 	st.buildSamplers()
@@ -176,8 +179,7 @@ func (st *EstimatorState) buildSamplers() {
 }
 
 // NewDriver builds the epoch framework and thread choreography over this
-// process's samplers (one thread on the sequential state) — one per run, so
-// between runs no goroutine exists.
+// process's samplers — one per run, so between runs no goroutine exists.
 func (st *EstimatorState) NewDriver() *epoch.Driver {
 	fw := epoch.New(len(st.samplers), st.w.n)
 	sample := make([]func(*epoch.StateFrame), len(st.samplers))
@@ -188,8 +190,7 @@ func (st *EstimatorState) NewDriver() *epoch.Driver {
 	return epoch.NewDriver(fw, sample)
 }
 
-// Threads returns the state's sampling-thread count (0 = sequential, which
-// samples on one thread).
+// Threads returns the state's sampling-thread count.
 func (st *EstimatorState) Threads() int { return st.threads }
 
 // Procs returns the world size of a distributed session (0 on the
@@ -202,7 +203,8 @@ func (st *EstimatorState) N() int     { return st.w.n }
 // Tau returns the consistent sample count accumulated so far.
 func (st *EstimatorState) Tau() int64 { return st.s.Tau }
 
-// Epochs returns the number of completed epochs (stopping checks).
+// Epochs returns the number of stopping checks made, one per completed
+// epoch.
 func (st *EstimatorState) Epochs() int { return st.epochs }
 
 // Omega returns the static maximal sample count for the current targets.
@@ -364,64 +366,45 @@ func (st *EstimatorState) haveToStop() bool {
 	return stop
 }
 
-// sequential reports whether the state runs the sequential schedule.
-func (st *EstimatorState) sequential() bool { return st.threads == 0 }
-
 // CheckDue reports whether the stopping rule is to be evaluated at the
-// current tau. The sequential state checks on an absolute schedule — at
-// tau0, then every CheckInterval samples, and at the first tau >= omega —
-// so a run stopped at any tau resumes on exactly the checks an
-// uninterrupted run makes; every other state checks after every epoch.
+// current tau. The schedule is absolute — at tau0, then n0 samples after
+// each check, and at the first tau >= omega — so a run stopped at any tau
+// resumes on exactly the checks an uninterrupted run makes. Once the other
+// threads and ranks sample alongside thread 0, every epoch's fold reaches
+// the next check, so a check follows every epoch.
 func (st *EstimatorState) CheckDue() bool {
-	return !st.sequential() || st.s.Tau >= st.nextCheck || float64(st.s.Tau) >= st.omega
+	return st.s.Tau >= st.nextCheck || float64(st.s.Tau) >= st.omega
 }
 
 // Check is the black-box stopping check of the paper's Algorithm 2, made on
 // the consistent state when CheckDue: it evaluates the rule (timed into
-// Timings.Check) and latches convergence. On the sequential schedule every
-// check closes an epoch and schedules the next one. Requires calibration.
-func (st *EstimatorState) Check() bool {
+// Timings.Check), latches convergence, schedules the next check n0 samples
+// on, and closes an epoch. Requires calibration.
+func (st *EstimatorState) Check(n0 int) bool {
 	cs := time.Now()
 	st.converged = st.haveToStop()
 	st.timings.Check += time.Since(cs)
-	if st.sequential() {
-		st.nextCheck = st.s.Tau + int64(st.cfg.CheckInterval)
-		st.closeEpoch()
-	}
-	return st.converged
-}
-
-// EndEpoch closes one aggregated epoch of the epoch schedule. The
-// sequential schedule counts its checks instead (see Check), so there it
-// does nothing.
-func (st *EstimatorState) EndEpoch() {
-	if !st.sequential() {
-		st.closeEpoch()
-	}
-}
-
-// closeEpoch advances the epoch counter and lets the progress hook, if any,
-// observe the consistent state.
-func (st *EstimatorState) closeEpoch() {
+	st.nextCheck = st.s.Tau + int64(n0)
 	st.epochs++
 	if st.cfg.OnEpoch != nil {
 		st.cfg.OnEpoch(st.Progress())
 	}
+	return st.converged
 }
 
 // EpochQuota is thread 0's sample count for the next epoch of a run whose
-// epoch length is n0. The sequential state samples up to its next scheduled
-// check, which omega caps, since the rule stops unconditionally there; every
-// other state takes n0. Either way the quota ends at the sample cap of b
-// where the counts live (rank 0), so small budgets stay small: a sequential
-// budget stop lands on the cap exactly, and elsewhere only the other
-// threads' share of one epoch overshoots it.
+// epoch length is n0. At rank 0, where the counts live, thread 0 samples up
+// to the next scheduled check, which omega caps, since the rule stops
+// unconditionally there, and so does the sample cap of b: small budgets
+// stay small, a one-thread budget stop lands on the cap exactly, and
+// elsewhere only the other threads' share of one epoch overshoots it. The
+// other ranks take n0.
 func (st *EstimatorState) EpochQuota(n0 int, b Budget) int {
-	end := st.s.Tau + int64(n0)
-	if st.sequential() {
-		end = min(st.nextCheck, int64(math.Ceil(st.omega)))
+	if st.rank != 0 {
+		return n0
 	}
-	if b.MaxSamples > 0 && st.rank == 0 {
+	end := min(st.nextCheck, int64(math.Ceil(st.omega)))
+	if b.MaxSamples > 0 {
 		end = min(end, b.MaxSamples)
 	}
 	return int(max(end-st.s.Tau, 0))
@@ -433,22 +416,16 @@ func (st *EstimatorState) tau0() int64 { return int64(st.omega)/int64(st.cfg.Sta
 
 // CalibrationShare is each of workers sampling threads' share of the
 // calibration batch a session holding tau samples still lacks: phase 2
-// samples toward tau0, or toward the sample cap of b when that is smaller.
-// The sequential state's one thread draws exactly what is missing; every
-// other state rounds the per-thread share up.
+// samples toward tau0, or toward the sample cap of b when that is smaller,
+// the per-thread share rounded up (one thread draws exactly what is
+// missing).
 func (st *EstimatorState) CalibrationShare(b Budget, tau int64, workers int) int {
 	target := st.tau0()
 	if b.MaxSamples > 0 {
 		target = min(target, b.MaxSamples)
 	}
-	switch missing := target - tau; {
-	case missing <= 0:
-		return 0
-	case st.sequential():
-		return int(missing)
-	default:
-		return int(missing)/workers + 1
-	}
+	missing := max(target-tau, 0)
+	return int((missing + int64(workers) - 1) / int64(workers))
 }
 
 // FinishCalibration is the last step of phase 2: a state holding the
@@ -463,7 +440,7 @@ func (st *EstimatorState) FinishCalibration(start time.Time) {
 }
 
 // calibrate derives the failure budgets from the current counts; the first
-// adaptive check of the sequential schedule fires immediately after.
+// adaptive check fires immediately after.
 func (st *EstimatorState) calibrate() {
 	st.cal = Calibrate(st.s.C, st.s.Tau, st.omega, st.cfg.Eps, st.cfg.Delta)
 	st.calibrated = true
@@ -564,16 +541,15 @@ const checkpointVersion = 2
 const (
 	maxCheckpointThreads = 1 << 14 // per session: threads, or procs x threads
 	maxStartFactor       = 1 << 20
-	maxCheckInterval     = 1 << 30
 )
 
 // ownsStreams reports whether the worker RNG streams are the serializing
-// goroutine's to read: always on the sequential state (the coordinator is
-// the sampler), between runs on the shared-memory state (mid-run its
-// workers draw from them), never in a distributed session (rank 0 does not
-// hold its peers', and every collective run re-keys them anyway: rekey).
+// goroutine's to read: always at one thread (the coordinator is the
+// sampler), between runs on a multi-threaded single-process state (mid-run
+// its workers draw from them), never in a distributed session (rank 0 does
+// not hold its peers', and every collective run re-keys them anyway: rekey).
 func (st *EstimatorState) ownsStreams() bool {
-	return st.procs == 0 && (st.threads == 0 || st.activeSince.IsZero())
+	return st.procs == 0 && (st.threads == 1 || st.activeSince.IsZero())
 }
 
 // AppendCheckpoint appends a versioned serialization of the session's
@@ -586,17 +562,15 @@ func (st *EstimatorState) ownsStreams() bool {
 // RestoreEstimatorState re-binds the state to a caller-supplied workload
 // over the same graph. Call it between runs, or on the coordinating
 // goroutine at an epoch boundary. Timings and the hooks are not serialized.
-// A sequential session resumes bit-identically to never having stopped; a
+// A one-thread session resumes bit-identically to never having stopped; a
 // capture whose streams were in use resumes on fresh ones, which is
 // statistically equivalent.
 func (st *EstimatorState) AppendCheckpoint(dst []byte) []byte {
 	cfg := st.cfg
 	dst = binary.LittleEndian.AppendUint16(dst, checkpointVersion)
-	engine := byte(engineSequential)
+	engine := byte(engineSharedMemory)
 	if st.procs > 0 {
 		engine = engineDistributed
-	} else if st.threads > 0 {
-		engine = engineSharedMemory
 	}
 	dst = append(dst, engine)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(st.threads))
@@ -606,7 +580,7 @@ func (st *EstimatorState) AppendCheckpoint(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.Delta))
 	dst = binary.LittleEndian.AppendUint64(dst, cfg.Seed)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(cfg.StartFactor))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(cfg.CheckInterval))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the deleted check interval; kept so the layout stays v2
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.EpochBase))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.EpochSkew))
 	dst = append(dst, 0) // the deleted forced-dense knob; kept so the layout stays v2
@@ -712,11 +686,11 @@ func unitInterval(name string, v float64) error {
 // be a workload over the same graph the checkpoint was taken from (the
 // vector length is verified; the caller vouches for the graph itself — a
 // different graph of equal size yields estimates without a guarantee). The
-// session comes back on the engine that wrote it — sequential, shared
-// memory with its threads, or world rank 0 of a procs x threads distributed
-// session (the caller builds the other ranks with NewRankState). The
-// payload is untrusted: truncated, corrupted, or version-skewed bytes
-// return an error, never panic.
+// session comes back in the shape that wrote it — a single process with its
+// threads (one, for a payload of the deleted sequential schedule), or world
+// rank 0 of a procs x threads distributed session (the caller builds the
+// other ranks with NewRankState). The payload is untrusted: truncated,
+// corrupted, or version-skewed bytes return an error, never panic.
 func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -738,7 +712,7 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 	cfg.Delta = r.f64()
 	cfg.Seed = r.u64()
 	cfg.StartFactor = int(r.u32())
-	cfg.CheckInterval = int(r.u32())
+	r.u32() // the deleted check interval: written as 0, ignored when read
 	cfg.EpochBase = r.f64()
 	cfg.EpochSkew = r.f64()
 	r.u8() // the deleted forced-dense knob: written as 0, ignored when read
@@ -759,7 +733,7 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 	var workers int
 	switch {
 	case engine == engineSequential && threads == 0 && procs == 0:
-		workers = 1
+		threads, workers = 1, 1
 	case engine == engineSequential:
 		return nil, fmt.Errorf("kadabra: sequential checkpoint with %d threads, %d processes", threads, procs)
 	case engine != engineSharedMemory && engine != engineDistributed:
@@ -772,7 +746,7 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 		// (A restorer builds procs x threads samplers: bound the product.)
 		return nil, fmt.Errorf("kadabra: checkpoint engine %d with process count %d out of range", engine, procs)
 	}
-	// Streams are all there or marked absent: the sequential engine and
+	// Streams are all there or marked absent: a sequential payload and
 	// version 1 always carry theirs, a distributed session never (workers
 	// is 0).
 	if absent := nstreams == 0 && version >= 2 && engine != engineSequential; nstreams != workers && !absent {
@@ -786,9 +760,6 @@ func RestoreEstimatorState(payload []byte, w Workload) (*EstimatorState, error) 
 	}
 	if cfg.StartFactor < 1 || cfg.StartFactor > maxStartFactor {
 		return nil, fmt.Errorf("kadabra: checkpoint start factor %d out of range", cfg.StartFactor)
-	}
-	if cfg.CheckInterval < 1 || cfg.CheckInterval > maxCheckInterval {
-		return nil, fmt.Errorf("kadabra: checkpoint check interval %d out of range", cfg.CheckInterval)
 	}
 	if !(cfg.EpochBase > 0) || cfg.EpochBase > 1e12 {
 		return nil, fmt.Errorf("kadabra: checkpoint epoch base %g out of range", cfg.EpochBase)

@@ -60,7 +60,7 @@ func checkBitIdenticalResume(t *testing.T, prefix string, g *graph.Graph, sparse
 	cfg := Config{Eps: 0.03, Delta: 0.1, Seed: 11}
 	w := UndirectedWorkload(g)
 
-	full, err := NewEstimatorState(w, 0, cfg)
+	full, err := NewEstimatorState(w, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func checkBitIdenticalResume(t *testing.T, prefix string, g *graph.Graph, sparse
 	}
 
 	// Interrupt at several points, including mid-calibration and
-	// off-CheckInterval-boundary taus.
+	// off-check-boundary taus.
 	for name, cuts := range map[string][]int64{
 		"sparse": sparse,
 		"dense":  {50, want.Tau / 3, want.Tau/2 + 137},
 	} {
 		t.Run(prefix+name, func(t *testing.T) {
 			for _, cut := range cuts {
-				st, err := NewEstimatorState(w, 0, cfg)
+				st, err := NewEstimatorState(w, 1, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +116,7 @@ func checkBitIdenticalResume(t *testing.T, prefix string, g *graph.Graph, sparse
 func TestEstimatorStateRepeatedRunsIdentical(t *testing.T) {
 	g := testGraph()
 	cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 3}
-	full, err := NewEstimatorState(UndirectedWorkload(g), 0, cfg)
+	full, err := NewEstimatorState(UndirectedWorkload(g), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEstimatorStateRepeatedRunsIdentical(t *testing.T) {
 	}
 	want := full.Result()
 
-	st, err := NewEstimatorState(UndirectedWorkload(g), 0, cfg)
+	st, err := NewEstimatorState(UndirectedWorkload(g), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEstimatorStateRepeatedRunsIdentical(t *testing.T) {
 // worker regardless of scheduling — an adaptive-phase epoch's size scales
 // with wall time on an oversubscribed box), checkpointed, restored, and
 // run to completion grows its sample count and still satisfies the
-// guarantee vs Brandes. Bit-identity is a sequential-only promise — the
+// guarantee vs Brandes. Bit-identity is a one-thread-only promise — the
 // epoch overlap is schedule-dependent.
 func TestEstimatorStateShmCheckpointResume(t *testing.T) {
 	g := testGraph()
@@ -195,7 +195,7 @@ func TestEstimatorStateShmCheckpointResume(t *testing.T) {
 // tighter guarantee.
 func TestEstimatorStateRecalibrateKeepsSamples(t *testing.T) {
 	g := testGraph()
-	st, err := NewEstimatorState(UndirectedWorkload(g), 0, Config{Eps: 0.1, Delta: 0.1, Seed: 5})
+	st, err := NewEstimatorState(UndirectedWorkload(g), 1, Config{Eps: 0.1, Delta: 0.1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestEstimatorStateRecalibrateKeepsSamples(t *testing.T) {
 }
 
 // TestEstimatorStateBudgets: the sample budget stops at exactly the cap
-// (sequential engine), the deadline budget returns promptly, and both
+// (one thread), the deadline budget returns promptly, and both
 // leave an honest achieved-eps behind.
 func TestEstimatorStateBudgets(t *testing.T) {
 	g := testGraph()
-	st, err := NewEstimatorState(UndirectedWorkload(g), 0, Config{Eps: 0.005, Delta: 0.1, Seed: 7})
+	st, err := NewEstimatorState(UndirectedWorkload(g), 1, Config{Eps: 0.005, Delta: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEstimatorStateBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Tau() != 2000 {
-		t.Fatalf("sequential sample budget stopped at tau %d, want exactly 2000", st.Tau())
+		t.Fatalf("one-thread sample budget stopped at tau %d, want exactly 2000", st.Tau())
 	}
 	res := st.Result()
 	if res.Converged {
@@ -270,7 +270,7 @@ func TestEstimatorStateBudgets(t *testing.T) {
 func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 	g := testGraph()
 	w := UndirectedWorkload(g)
-	st, err := NewEstimatorState(w, 0, Config{Eps: 0.05, Delta: 0.1, Seed: 1})
+	st, err := NewEstimatorState(w, 1, Config{Eps: 0.05, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 	// allocation sized by the corrupt field.
 	const engineOff, threadsOff, procsOff, topKOff, nstreamsOff = 2, 3, 7, 11, 86
 	if got := binary.LittleEndian.Uint32(valid[nstreamsOff:]); got != 1 {
-		t.Fatalf("layout drifted: stream count at offset %d reads %d, want the sequential engine's 1", nstreamsOff, got)
+		t.Fatalf("layout drifted: stream count at offset %d reads %d, want the one thread's 1", nstreamsOff, got)
 	}
 	dist, err := NewRankState(w, 0, 2, 2, Config{Seed: 1})
 	if err != nil {
@@ -322,10 +322,24 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 		binary.LittleEndian.PutUint32(out[off:], v)
 		return out
 	}
+	// A payload of the deleted sequential schedule — engine 0, 0 threads,
+	// one stream — restores as the one-thread state, streams and all.
+	sequential := patch(valid, threadsOff, 0)
+	sequential[engineOff] = EngineSequential
+	legacy, err := RestoreEstimatorState(sequential, w)
+	if err != nil {
+		t.Fatalf("sequential payload rejected: %v", err)
+	}
+	if legacy.Threads() != 1 || legacy.Procs() != 0 || legacy.Streams()[0].State() != st.Streams()[0].State() {
+		t.Fatalf("sequential payload restored as %d threads, %d procs (streams carried: %v)",
+			legacy.Threads(), legacy.Procs(), legacy.Streams()[0].State() == st.Streams()[0].State())
+	}
 	for name, bad := range map[string][]byte{
-		"sequential engine with processes":    patch(valid, procsOff, 2),
-		"sequential engine, streams absent":   patch(valid, nstreamsOff, 0),
-		"sequential engine, 2^31 streams":     patch(valid, nstreamsOff, 1<<31),
+		"sequential engine with threads":      patch(sequential, threadsOff, 1),
+		"sequential engine with processes":    patch(sequential, procsOff, 2),
+		"sequential engine, streams absent":   patch(sequential, nstreamsOff, 0),
+		"sequential engine, 2^31 streams":     patch(sequential, nstreamsOff, 1<<31),
+		"one thread, 2^31 streams":            patch(valid, nstreamsOff, 1<<31),
 		"top-k at the vertex count":           patch(valid, topKOff, uint32(w.N())),
 		"top-k 2^32-1":                        patch(valid, topKOff, math.MaxUint32),
 		"unknown engine":                      append(append([]byte(nil), valid[:engineOff]...), append([]byte{9}, valid[engineOff+1:]...)...),
@@ -345,21 +359,14 @@ func TestRestoreEstimatorStateRejectsGarbage(t *testing.T) {
 }
 
 // TestEpochDriverGoldenParity pins the shared-memory engine on epoch.Driver
-// to the hand-rolled worker/transition loop it replaced: the expected values
-// were recorded from that loop at commit b2bc129, just before its deletion
-// (threads = 1, where the run is schedule-independent; Eps 0.02, Delta 0.1).
-// The weighted rows were recorded again when the weighted sampler became
-// bidirectional (PR 22): the same seed now draws other, equally distributed
-// paths; the engine under test did not change, as the other six rows show.
-// They were recorded a third time when the weighted search began relaxing
-// each vertex's arcs in weight order, cut at mu: the path distribution is
-// the same, but when mu drops within a settle (so which vertices get
-// queued), the queue's tie order and which side goes next all changed.
-// They were recorded a fourth time when the weighted vertex-diameter bound
-// became certified: omega moved with it (VD 14-16, seed-dependent, to 25;
-// omega 8745 to 9995), which moves the check schedule and the stop.
-// The lattice row, a 16x16 road lattice the undirected workload samples
-// with the goal-directed kernel, was recorded when that kernel came in.
+// at one thread, where the run is schedule-independent (Eps 0.02, Delta
+// 0.1). One thread is KADABRA's sequential run, so the expected values are
+// exactly what the deleted sequential schedule returned for the same
+// configurations: they were re-pinned to it when that schedule became the
+// one-thread shape of this one (before, the one-thread epoch schedule
+// checked only after each epoch and ignored the omega cap). The weighted
+// rows carry the certified weighted vertex-diameter bound, the lattice
+// row (a 16x16 road lattice) the goal-directed kernel.
 func TestEpochDriverGoldenParity(t *testing.T) {
 	ws := testWorkloads(t)
 	for _, c := range []struct {
@@ -369,16 +376,16 @@ func TestEpochDriverGoldenParity(t *testing.T) {
 		epochs   int
 		btHash   uint64
 	}{
-		{"undirected", 1, 8076, 8, 0x3f0749e13fb0a72b},
-		{"undirected", 2, 7076, 7, 0x8ce904855a75463a},
-		{"undirected", 3, 7076, 7, 0x84d0e614c21570b2},
-		{"directed", 1, 7089, 7, 0x340dcaf0c32b7ee3},
-		{"directed", 2, 7089, 7, 0xf67c51074a558b02},
-		{"directed", 3, 7089, 7, 0x14d4e8cb75656860},
-		{"weighted", 1, 8101, 8, 0x23a975ebcbc52295},
-		{"weighted", 2, 9101, 9, 0xbf49488b27410539},
-		{"weighted", 3, 9101, 9, 0x849783c1149c2558},
-		{"lattice", 2, 9101, 9, 0xdd57c3bf71b0964e},
+		{"undirected", 1, 7075, 8, 0x98dbd56c69f8f9bb},
+		{"undirected", 2, 7075, 8, 0x5c4f30bc8239a23f},
+		{"undirected", 3, 7495, 9, 0x23cada77cdd7c00b},
+		{"directed", 1, 7088, 8, 0x301369ecae501fcc},
+		{"directed", 2, 7088, 8, 0x1fe1b916e34b6a58},
+		{"directed", 3, 7088, 8, 0xc5a945b6d8166bc0},
+		{"weighted", 1, 9100, 10, 0x3419e8a03501fb27},
+		{"weighted", 2, 9100, 10, 0x57747ac0036563fd},
+		{"weighted", 3, 8100, 9, 0x621b7e33b04cc16e},
+		{"lattice", 2, 9100, 10, 0x2cd89ba6a27b407d},
 	} {
 		res, err := Run(context.Background(), ws[c.workload], 1, Config{Eps: 0.02, Delta: 0.1, Seed: c.seed})
 		if err != nil {

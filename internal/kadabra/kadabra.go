@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Config collects the parameters of a KADABRA session, whichever schedule
-// it runs on (sequential, shared-memory, or the ranks of a distributed
-// session; internal/core's Algorithm2 advances all of them).
+// Config collects the parameters of a KADABRA session, whatever its shape
+// (one thread, several, or the ranks of a distributed session; all follow
+// one check schedule, and internal/core's Algorithm2 advances all of them).
 type Config struct {
 	// Eps is the absolute approximation error (paper: 0.001 for the main
 	// experiments; smaller values sharply increase running time).
@@ -19,27 +19,23 @@ type Config struct {
 	// StartFactor controls the number of calibration samples:
 	// tau0 = omega/StartFactor (default 100, as in the original code).
 	StartFactor int
-	// CheckInterval is the number of samples between stopping-condition
-	// checks on the sequential schedule (default 1000): its epochs end at
-	// tau0 + k*CheckInterval, or at omega. The other schedules check after
-	// every epoch (see EpochBase).
-	CheckInterval int
-	// EpochBase and EpochSkew set the epoch length of the epoch schedule:
+	// EpochBase and EpochSkew set the epoch length of the check schedule:
 	// thread 0 takes n0 = EpochBase / W^EpochSkew samples per epoch, where W
 	// is the total number of sampling threads (P*T in the distributed
-	// setting). The paper (§IV-D) decreases the epoch length as workers are
-	// added because every worker keeps sampling during the epoch; defaults
+	// setting), and the stopping rule is checked after each epoch: at tau0,
+	// then every n0 samples at one thread, and at the first tau >= omega.
+	// The paper (§IV-D) decreases the epoch length as workers are added
+	// because every worker keeps sampling during the epoch; defaults
 	// EpochBase=1000, EpochSkew=0.33.
 	EpochBase float64
 	EpochSkew float64
 	// VertexDiameter, when positive, skips the diameter phase and uses the
 	// given value (useful when the caller has computed it already).
 	VertexDiameter int
-	// OnEpoch, when non-nil, is invoked after every epoch (on the
-	// sequential schedule, every stopping check) with a consistent
-	// Progress observation. It runs on the coordinator thread between two
-	// epochs, so it must be cheap; it exists
-	// for progress reporting and convergence tracing. Registering it makes
+	// OnEpoch, when non-nil, is invoked after every stopping check with a
+	// consistent Progress observation. It runs on the coordinator thread
+	// between two epochs, so it must be cheap; it exists for progress
+	// reporting and convergence tracing. Registering it makes
 	// every epoch pay the O(n) achieved-eps sweep on top of the amortized
 	// O(1) stopping check.
 	OnEpoch func(Progress)
@@ -74,9 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.StartFactor == 0 {
 		c.StartFactor = 100
 	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = 1000
-	}
 	if c.EpochBase == 0 {
 		c.EpochBase = 1000
 	}
@@ -98,8 +91,8 @@ func (c Config) EpochLength(totalWorkers int) int {
 }
 
 // Progress is one consistent observation of a running estimate, delivered
-// to Config.OnEpoch after every epoch (every stopping check, on the
-// sequential schedule) and by the anytime estimator's Snapshot.
+// to Config.OnEpoch after every epoch (every stopping check) and by the
+// anytime estimator's Snapshot.
 type Progress struct {
 	// Epoch is the 1-based index of the completed epoch (stopping check).
 	Epoch int
@@ -108,7 +101,7 @@ type Progress struct {
 	// AchievedEps is the anytime guarantee currently held: with
 	// probability 1-delta, every estimate is within AchievedEps of the
 	// truth. It is 1 (vacuous) before calibration and tightens toward the
-	// target eps as sampling proceeds.
+	// target eps as sampling proceeds; past omega it is the target eps.
 	AchievedEps float64
 	// SamplesPerSec is the observed sampling throughput, averaged over the
 	// calibration and adaptive phases so far.
@@ -120,9 +113,9 @@ type Progress struct {
 // unbounded. A budget-stopped run leaves the state consistent and
 // resumable; the result reports the guarantee actually achieved.
 type Budget struct {
-	// MaxSamples, when positive, stops the run once tau reaches it. The
-	// sequential schedule stops at exactly this tau; the epoch schedule may
-	// overshoot by the other threads' share of one epoch (of one
+	// MaxSamples, when positive, stops the run once tau reaches it. One
+	// thread on one rank stops at exactly this tau; more threads or ranks
+	// may overshoot by the other threads' share of one epoch (of one
 	// calibration share per thread, in phase 2).
 	MaxSamples int64
 	// Deadline, when non-zero, stops the run once the wall clock passes
@@ -180,8 +173,8 @@ type Result struct {
 	Omega float64
 	// VertexDiameter is the value used for omega.
 	VertexDiameter int
-	// Epochs is the number of completed epochs (on the sequential
-	// schedule, the number of stopping checks).
+	// Epochs is the number of stopping checks made, the first right after
+	// the calibration batch; each closes an epoch.
 	Epochs int
 	// AchievedEps is the guarantee actually achieved: with probability
 	// 1-delta every estimate is within AchievedEps of the truth. It is at
@@ -196,7 +189,8 @@ type Result struct {
 	Timings Timings
 	// Lower and Upper are per-vertex confidence bounds, set under the
 	// top-k rule (Config.TopK) only: with probability 1-delta,
-	// Lower[v] <= b(v) <= Upper[v] for all v simultaneously.
+	// Lower[v] <= b(v) <= Upper[v] for all v simultaneously. Past omega
+	// they are btilde(v) -/+ eps, clamped to [0, 1].
 	Lower, Upper []float64
 	// Separated reports whether the top-k rule holds by a clean separation
 	// of the top set (true) rather than by the eps resolution limit, omega,

@@ -190,7 +190,7 @@ func testLattice() *graph.Graph {
 func TestSequentialGuarantee(t *testing.T) {
 	g := testGraph()
 	eps := 0.03
-	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,11 @@ func TestSequentialGuarantee(t *testing.T) {
 func TestSequentialDeterminism(t *testing.T) {
 	g := testGraph()
 	cfg := Config{Eps: 0.05, Delta: 0.1, Seed: 7}
-	a, err := Run(context.Background(), UndirectedWorkload(g), 0, cfg)
+	a, err := Run(context.Background(), UndirectedWorkload(g), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), UndirectedWorkload(g), 0, cfg)
+	b, err := Run(context.Background(), UndirectedWorkload(g), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,11 @@ func TestSequentialDeterminism(t *testing.T) {
 
 func TestSequentialStopsEarlierWithLooserEps(t *testing.T) {
 	g := testGraph()
-	tight, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.02, Delta: 0.1, Seed: 3})
+	tight, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.02, Delta: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.1, Delta: 0.1, Seed: 3})
+	loose, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.1, Delta: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSequentialStopsEarlierWithLooserEps(t *testing.T) {
 }
 
 func TestSequentialRejectsTinyGraph(t *testing.T) {
-	if _, err := Run(context.Background(), UndirectedWorkload(graph.NewBuilder(1).Build()), 0, Config{}); err == nil {
+	if _, err := Run(context.Background(), UndirectedWorkload(graph.NewBuilder(1).Build()), 1, Config{}); err == nil {
 		t.Fatal("singleton graph accepted")
 	}
 }
@@ -275,7 +275,7 @@ func TestSharedMemorySingleThread(t *testing.T) {
 
 func TestResultTopK(t *testing.T) {
 	g := testGraph()
-	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.03, Delta: 0.1, Seed: 9})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.03, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestResultTopK(t *testing.T) {
 
 func TestVertexDiameterOverrideSkipsPhase(t *testing.T) {
 	g := testGraph()
-	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.05, Delta: 0.1, Seed: 1, VertexDiameter: 12})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.05, Delta: 0.1, Seed: 1, VertexDiameter: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

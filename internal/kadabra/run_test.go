@@ -16,8 +16,9 @@ func advance(ctx context.Context, st *EstimatorState, b Config) error {
 	return err
 }
 
-// Run is a fresh single-process session over w run once (threads == 0: the
-// sequential schedule) under the cfg.MaxSamples / cfg.MaxDuration budget. It
+// Run is a fresh single-process session over w run once on threads
+// sampling threads (one: KADABRA's sequential run) under the
+// cfg.MaxSamples / cfg.MaxDuration budget. It
 // is what betweenness.NewEstimator + Run does for these backends.
 func Run(ctx context.Context, w Workload, threads int, cfg Config) (*Result, error) {
 	st, err := NewEstimatorState(w, threads, cfg)

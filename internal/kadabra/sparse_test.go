@@ -42,9 +42,9 @@ func (r refSampler) Sample() ([]graph.Node, bool) {
 	return internal, ok
 }
 
-// runAgainstDenseRef runs w on one kernel (the sequential engine, or the
-// epoch engine at one thread, where no drawn sample is left in an
-// unaggregated frame) and checks the result against the reference.
+// runAgainstDenseRef runs w on one kernel at one thread, where no drawn
+// sample is left in an unaggregated frame, and checks the result against
+// the reference.
 func runAgainstDenseRef(t *testing.T, name string, w Workload, threads int, cfg Config) {
 	t.Helper()
 	ref := &denseRef{c: make([]int64, w.N())}
@@ -81,12 +81,6 @@ func testWorkloads(t testing.TB) map[string]Workload {
 	}
 }
 
-func TestDenseSparseEquivalenceSequential(t *testing.T) {
-	for name, w := range testWorkloads(t) {
-		runAgainstDenseRef(t, name, w, 0, Config{Eps: 0.05, Delta: 0.1, Seed: 11})
-	}
-}
-
 // epochFrameDense reports whether one epoch of n0 samples of w takes a fresh
 // state frame past its density cut-over.
 func epochFrameDense(w Workload, n0 int) bool {
@@ -98,7 +92,8 @@ func epochFrameDense(w Workload, n0 int) bool {
 }
 
 // TestDenseSparseEquivalenceSharedMemory runs the epoch-based driver with a
-// single thread, where every drawn sample reaches the state (with more
+// single thread — KADABRA's sequential run — where every drawn sample
+// reaches the state (with more
 // threads the samples in flight at the stop are dropped, so runs are only
 // statistically comparable — that regime is covered by the race test below
 // and the parity batteries). Both branches of the epoch frames' Add/Reset
@@ -391,7 +386,7 @@ func calibrateReference(counts []int64, tau0 int64, eps, delta float64) ([]float
 // and returns the counts Calibrate saw.
 func calibrationCounts(t *testing.T, w Workload, cfg Config) ([]int64, int64) {
 	t.Helper()
-	st, err := NewEstimatorState(w, 0, cfg)
+	st, err := NewEstimatorState(w, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,8 @@ import "sort"
 // tau has reached omega.
 //
 // The scratch slices lower/upper (length n) are filled with the bounds as a
-// side effect, so callers can report them.
+// side effect, so callers can report them. Past omega (pastOmega) they are
+// the omega fallback's, btilde -/+ eps clamped to [0, 1].
 func (cal *Calibration) TopKHaveToStop(counts []int64, tau int64, k int, lower, upper []float64) (stop, separated bool) {
 	n := len(counts)
 	if tau <= 0 || k <= 0 || k >= n {
@@ -32,8 +33,13 @@ func (cal *Calibration) TopKHaveToStop(counts []int64, tau int64, k int, lower, 
 		cal.deriveCheckState(groupBudgets(cal.DeltaL))
 	}
 	ft := float64(tau)
+	past := cal.pastOmega(tau)
 	for v, c := range counts {
 		bt := float64(c) / ft
+		if past {
+			lower[v], upper[v] = max(bt-cal.Eps, 0), min(bt+cal.Eps, 1)
+			continue
+		}
 		lower[v] = bt - fBoundLog(bt, cal.logDL[v], cal.Omega, tau)
 		upper[v] = bt + gBoundLog(bt, cal.logDU[v], cal.Omega, tau)
 	}

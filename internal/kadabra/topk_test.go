@@ -38,10 +38,46 @@ func TestTopKHaveToStopBasics(t *testing.T) {
 	if stop, _ := cal.TopKHaveToStop(counts, 153, 4, lower, upper); stop {
 		t.Fatal("k=n stopped")
 	}
-	// tau >= omega: stop (fallback).
-	calSmall := Calibrate(counts, 153, 200, 0.01, 0.1)
+	// tau >= omega: stop (fallback), without separation while the
+	// fallback's b~ +/- eps intervals overlap.
+	calSmall := Calibrate(counts, 153, 200, 0.3, 0.1)
 	if stop, sep := calSmall.TopKHaveToStop(counts, 201, 1, lower, upper); !stop || sep {
 		t.Fatalf("omega fallback: stop=%v sep=%v", stop, sep)
+	}
+}
+
+// TestBoundsPastOmega: f and g are derived for runs that stop by omega
+// samples, so past ceil(omega) — where a parallel run's last epoch can
+// carry it — the only guarantee left is the omega fallback's: AchievedEps
+// is eps and the top-k bounds are b~ -/+ eps, clamped to [0, 1]. At
+// ceil(omega), where a one-thread run's last check lands, f and g stand.
+func TestBoundsPastOmega(t *testing.T) {
+	const eps, d = 0.05, 0.01
+	cal := &Calibration{
+		DeltaL: []float64{d, d, d, d},
+		DeltaU: []float64{d, d, d, d},
+		Omega:  1000.5,
+		Eps:    eps,
+	}
+	lower := make([]float64, 4)
+	upper := make([]float64, 4)
+	for _, tau := range []int64{1001, 1002, 4000, 100000} {
+		counts := []int64{tau, tau / 2, tau / 100, 0}
+		cal.TopKHaveToStop(counts, tau, 1, lower, upper)
+		past := tau > 1001 // ceil(omega)
+		if got := cal.AchievedEps(counts, tau); past && got != eps {
+			t.Errorf("tau %d past omega %.1f: AchievedEps %g, want eps %g", tau, cal.Omega, got, eps)
+		}
+		for v, c := range counts {
+			bt := float64(c) / float64(tau)
+			lo, up := max(bt-eps, 0), min(bt+eps, 1)
+			if !past {
+				lo, up = bt-FBound(bt, d, cal.Omega, tau), bt+GBound(bt, d, cal.Omega, tau)
+			}
+			if lower[v] != lo || upper[v] != up {
+				t.Errorf("tau %d, vertex %d: bounds [%g, %g], want [%g, %g]", tau, v, lower[v], upper[v], lo, up)
+			}
+		}
 	}
 }
 
@@ -64,7 +100,7 @@ func TestTopKStarGraph(t *testing.T) {
 	// Star graph: the center is the unique top-1 vertex by a huge margin;
 	// the top-k mode must find and certify it with very few samples.
 	g := starGraph(101)
-	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.01, Delta: 0.1, Seed: 1, TopK: 1})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.01, Delta: 0.1, Seed: 1, TopK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +111,7 @@ func TestTopKStarGraph(t *testing.T) {
 		t.Fatal("star center not separated")
 	}
 	// The separation stop must come far before the uniform-eps stop.
-	uniform, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.01, Delta: 0.1, Seed: 1})
+	uniform, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.01, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +124,7 @@ func TestTopKMatchesBrandes(t *testing.T) {
 	g := gen.RMAT(gen.Graph500(8, 8, 31))
 	g, _ = graph.LargestComponent(g)
 	k := 5
-	res, err := Run(context.Background(), UndirectedWorkload(g), 0, Config{Eps: 0.01, Delta: 0.1, Seed: 2, TopK: k})
+	res, err := Run(context.Background(), UndirectedWorkload(g), 1, Config{Eps: 0.01, Delta: 0.1, Seed: 2, TopK: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +157,16 @@ func TestTopKValidation(t *testing.T) {
 	g, _ = graph.LargestComponent(g)
 	w := UndirectedWorkload(g)
 	// k == 0 selects the uniform rule, so the lower out-of-range probe is -1.
-	if _, err := Run(context.Background(), w, 0, Config{TopK: -1}); err == nil {
+	if _, err := Run(context.Background(), w, 1, Config{TopK: -1}); err == nil {
 		t.Fatal("k=-1 accepted")
 	}
-	if _, err := Run(context.Background(), w, 0, Config{TopK: g.NumNodes()}); err == nil {
+	if _, err := Run(context.Background(), w, 1, Config{TopK: g.NumNodes()}); err == nil {
 		t.Fatal("k=n accepted")
 	}
-	if _, err := Run(context.Background(), UndirectedWorkload(graph.NewBuilder(1).Build()), 0, Config{TopK: 1}); err == nil {
+	if _, err := Run(context.Background(), UndirectedWorkload(graph.NewBuilder(1).Build()), 1, Config{TopK: 1}); err == nil {
 		t.Fatal("tiny graph accepted")
 	}
-	st, err := NewEstimatorState(w, 0, Config{})
+	st, err := NewEstimatorState(w, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +233,7 @@ func TestTopKGoldenParity(t *testing.T) {
 		{"rmat", 5, 3, 29979, 31, []graph.Node{0, 2, 16, 32, 59}, false, 0x655b610996bb27dd, 0xaa61f842de12db84, 0x1a6e5cf004f4d38, 0x3f8139f364492308},
 	} {
 		t.Run(fmt.Sprintf("%s/k%d/seed%d", c.graph, c.k, c.seed), func(t *testing.T) {
-			res, err := Run(context.Background(), UndirectedWorkload(graphs[c.graph]), 0,
+			res, err := Run(context.Background(), UndirectedWorkload(graphs[c.graph]), 1,
 				Config{Eps: 0.01, Delta: 0.1, Seed: c.seed, TopK: c.k})
 			if err != nil {
 				t.Fatal(err)

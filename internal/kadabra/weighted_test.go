@@ -158,7 +158,7 @@ func TestParallelWeightedMatchesSequential(t *testing.T) {
 func TestWeightedSequentialGuarantee(t *testing.T) {
 	g := connectedWeighted(11, 120, 500, 8)
 	eps := 0.03
-	res, err := Run(context.Background(), WeightedWorkload(g), 0, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := Run(context.Background(), WeightedWorkload(g), 1, Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestWeightedSequentialRejectsTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), WeightedWorkload(g), 0, Config{}); err == nil {
+	if _, err := Run(context.Background(), WeightedWorkload(g), 1, Config{}); err == nil {
 		t.Fatal("tiny weighted graph accepted")
 	}
 }

@@ -16,8 +16,8 @@ import (
 // SampleInto takes one sample with s and records it into sf: tau always
 // advances, and each internal vertex of a connected sample bumps its count
 // through the sparse frame API. This is the steady-state hot path of every
-// driver — sequential, shared-memory coordinator and workers, and the MPI
-// ranks in internal/core — hoisted to a plain function so the compiler
+// thread — the coordinator and the workers of every rank in
+// internal/core — hoisted to a plain function so the compiler
 // keeps it allocation-free (see TestSampleSteadyStateZeroAlloc).
 //
 //bc:hotpath

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +115,8 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	// Long runs for the background loop to checkpoint mid-flight: the seq
 	// capture is exact; the shm and dist ones are taken while the threads
 	// and ranks sample, and restore as the shm and dist sessions they were
-	// — under the uniform rule they were created with, whatever top_k says.
+	// — under the certified top-k rule they were created with, which their
+	// checkpoints record (top-3 separation on this graph takes ~0.6M samples).
 	// At eps 0.002 the shm run converged (~0.3 s, 2 threads on a Xeon) about
 	// when the slowest session took its first checkpoint, and a session
 	// that converged before the image leaves nothing to resume.
@@ -187,10 +189,12 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 		if tau := sessionTau(t, tsB.URL, long); tau <= restored {
 			t.Fatalf("resume of %s (%v) did not extend samples: %v -> %v (status %v)", long, longs[i], restored, tau, status)
 		}
-		// All converged by the uniform rule they were created with.
+		// All converged by the rule they were created with: top_k names the
+		// certified one, on every backend.
 		_, res := do(t, "GET", tsB.URL+"/sessions/"+long+"/result", nil)
-		if _, certified := res["separated"]; certified || res["achieved_eps"].(float64) > longEps {
-			t.Fatalf("session %s (%v) came back under the certified top-k rule: %v", long, longs[i], res)
+		_, certified := res["separated"]
+		if _, wantCertified := longs[i]["top_k"]; certified != wantCertified || !certified && res["achieved_eps"].(float64) > longEps {
+			t.Fatalf("session %s (%v) came back under the wrong rule (certified %v): %v", long, longs[i], certified, res)
 		}
 	}
 
@@ -701,6 +705,62 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 		if _, err := srv.buildSession("other", g, other, ckpt); err == nil || !strings.Contains(err.Error(), "local-mpi") {
 			t.Errorf("a dist checkpoint under %s metadata: err %v, want a refusal naming the backends", other.Backend, err)
 		}
+	}
+
+	// Its params carry top_k, which now names the certified rule: its
+	// uniform result must not be cached where a new certified session with
+	// the same params would be served it.
+	srv.mu.Lock()
+	srv.sessions[s.id] = s
+	srv.mu.Unlock()
+	do(t, "POST", ts.URL+"/sessions/"+s.id+"/run", nil)
+	if status := waitIdle(t, ts.URL, s.id); status["converged"] != true {
+		t.Fatalf("restored uniform top_k session did not converge: %v", status)
+	}
+	fresh := createSession(t, ts.URL, map[string]any{"graph": name, "eps": eps, "delta": 0.1, "seed": 1,
+		"threads": 1, "backend": "dist", "procs": 2, "top_k": 3})
+	do(t, "POST", ts.URL+"/sessions/"+fresh+"/run", nil)
+	if status := waitIdle(t, ts.URL, fresh); status["cached"] == true {
+		t.Fatalf("certified session served the restored uniform session's result from the cache: %v", status)
+	}
+	if _, res := do(t, "GET", ts.URL+"/sessions/"+fresh+"/result", nil); res["separated"] == nil {
+		t.Fatalf("certified dist session result has no separation: %v", res)
+	}
+}
+
+// TestOneThreadShmSessionRestores: an shm session that binds one thread —
+// asked for, or the default of one per core on a one-CPU host — has the
+// shape of the Sequential backend. Its checkpoint must come back after a
+// restart as the shm session it was, samples held, not be quarantined as
+// another backend's.
+func TestOneThreadShmSessionRestores(t *testing.T) {
+	for _, threads := range []int{1, 0} {
+		t.Run(fmt.Sprintf("threads%d", threads), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			dataDir := t.TempDir()
+			srvA, tsA := newTestServer(t, Config{DataDir: dataDir})
+			name := uploadGraph(t, tsA.URL, "g", testGraphBytes(t))
+			id := createSession(t, tsA.URL, map[string]any{"graph": name, "eps": 0.01, "seed": 1,
+				"backend": "shm", "threads": threads, "max_samples": 500})
+			do(t, "POST", tsA.URL+"/sessions/"+id+"/run", nil)
+			waitIdle(t, tsA.URL, id)
+			if err := srvA.Drain(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			tsA.Close()
+
+			_, tsB := newTestServer(t, Config{DataDir: dataDir})
+			if q := quarantineEntries(t, dataDir); len(q) != 0 {
+				t.Fatalf("one-thread shm session quarantined: %v", q)
+			}
+			code, status := do(t, "GET", tsB.URL+"/sessions/"+id, nil)
+			if code != http.StatusOK || status["backend"] != "shm" || status["degraded"] != nil {
+				t.Fatalf("after restart: status %d, %v; want the shm session back", code, status)
+			}
+			if tau := sessionTau(t, tsB.URL, id); tau != 500 {
+				t.Fatalf("restored tau %v, want the budget stop at 500", tau)
+			}
+		})
 	}
 }
 

@@ -420,10 +420,10 @@ func (srv *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		if body.Delta > 0 {
 			p.Delta = body.Delta
 		}
-		if body.TopK > 0 && (p.TopK > 0 || p.Backend != "seq") {
+		if body.TopK > 0 && p.TopK > 0 {
 			// Refine re-targets k on a certified session and only re-ranks
-			// a uniform one; recording top_k on a uniform seq session would
-			// make its params name the certified rule (see certified).
+			// a uniform one; recording top_k on a uniform session would
+			// make its params name the certified rule (see TopK).
 			p.TopK = body.TopK
 		}
 		if body.MaxSamples > 0 {

@@ -286,9 +286,9 @@ func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptP
 		// what is on disk already.
 		s.lastCkptTau = est.Snapshot().Tau
 		if exec, _ := p.executor(); est.Backend() != exec.Name() {
-			// Not this session's state (a version-1 capture of an shm or dist
-			// run, or a ladder rebuild's leftover): refuse it rather than
-			// run under a stale label.
+			// Not this session's state (a version-1 capture of a dist run,
+			// or a ladder rebuild's leftover): refuse it rather than run
+			// under a stale label.
 			err = fmt.Errorf("checkpoint holds a %s session, the session metadata names backend %q",
 				est.Backend(), p.Backend)
 		}

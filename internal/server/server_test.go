@@ -274,8 +274,8 @@ func TestResultCache(t *testing.T) {
 		t.Fatalf("different seed served from cache")
 	}
 
-	// top_k is identity only where it selects the stopping rule (seq over
-	// an undirected graph); on shm it ranks the same estimates.
+	// top_k is identity on every backend: it selects the certified top-k
+	// stopping rule.
 	shm := map[string]any{"graph": name, "eps": 0.1, "delta": 0.1, "seed": 11, "backend": "shm", "threads": 1}
 	fourth := createSession(t, ts.URL, shm)
 	do(t, "POST", ts.URL+"/sessions/"+fourth+"/run", nil)
@@ -283,8 +283,8 @@ func TestResultCache(t *testing.T) {
 	shm["top_k"] = 3
 	fifth := createSession(t, ts.URL, shm)
 	do(t, "POST", ts.URL+"/sessions/"+fifth+"/run", nil)
-	if status := waitIdle(t, ts.URL, fifth); status["cached"] != true {
-		t.Fatalf("shm query differing only in top_k missed the cache: %v", status)
+	if status := waitIdle(t, ts.URL, fifth); status["cached"] == true {
+		t.Fatalf("certified top-k shm query served a uniform result from the cache: %v", status)
 	}
 	params["top_k"] = 3
 	sixth := createSession(t, ts.URL, params)

@@ -37,8 +37,14 @@ type sessionParams struct {
 	Backend string `json:"backend,omitempty"`
 	// Procs is the in-process rank count of the dist backend.
 	Procs int `json:"procs,omitempty"`
-	// TopK on the seq backend over an undirected graph makes the session
-	// stop by the certified top-k rule (see betweenness.WithTopK).
+	// TopK makes the session stop by the certified top-k rule, on any
+	// backend and workload (see betweenness.WithTopK). A checkpoint records
+	// the rule itself; these params key the result cache, and are what a
+	// session that restarts without a checkpoint is rebuilt from — so only
+	// a certified session's params gain top_k. (An shm or dist session
+	// persisted before those backends certified may carry top_k over a
+	// uniform checkpoint; execute caches no result whose rule its key does
+	// not name.)
 	TopK int `json:"top_k,omitempty"`
 	// MaxSamples and MaxDuration are per-Run admission budgets.
 	MaxSamples  int64  `json:"max_samples,omitempty"`
@@ -78,17 +84,6 @@ func (p *sessionParams) normalize() error {
 		}
 	}
 	return nil
-}
-
-// certified reports whether the params describe a session that stops by the
-// certified top-k rule: created on the seq backend with top_k (the
-// estimator adds the undirected-graph condition itself). A checkpoint
-// records the rule itself; these params key the result cache, and are what
-// a session that restarts without a checkpoint is rebuilt from — so every
-// site that edits Backend or TopK must keep them equal to the rule the
-// estimator actually runs.
-func (p sessionParams) certified() bool {
-	return p.Backend == "seq" && p.TopK > 0
 }
 
 // executor builds the backend the params name. Params from POST /sessions
@@ -244,10 +239,9 @@ func (s *session) cacheKeyLocked() string {
 	b.WriteString(strconv.Itoa(p.Threads))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(p.Procs))
-	if p.certified() && s.g.kind == betweenness.WorkloadUndirected {
-		// k selects the stopping rule there (certified top-k runs stop far
-		// short of the uniform eps), so it is identity; everywhere else it
-		// only ranks the same estimates.
+	if p.TopK > 0 {
+		// k selects the stopping rule (certified top-k runs stop far short
+		// of the uniform eps), so it is identity.
 		b.WriteString("|k")
 		b.WriteString(strconv.Itoa(p.TopK))
 	}
@@ -334,9 +328,11 @@ func (s *session) execute(kind opKind, spec refineSpec) {
 	cancelWatchdog()
 	if err == nil && res != nil && res.Converged {
 		s.mu.Lock()
-		key := s.cacheKeyLocked()
+		key, certified := s.cacheKeyLocked(), s.params.TopK > 0
 		s.mu.Unlock()
-		s.srv.cache.put(key, res)
+		if certified == (res.Lower != nil) {
+			s.srv.cache.put(key, res)
+		}
 	}
 	// Persist the outcome before the session flips back to idle: this
 	// goroutine still owns the estimator exclusively (no new op can start
