@@ -29,7 +29,9 @@ type WGraph = igraph.WGraph
 // WeightedEdge is one weighted edge for FromWeightedEdges.
 type WeightedEdge = igraph.WeightedEdge
 
-// Builder accumulates edges and produces a deduplicated CSR graph.
+// Builder accumulates edges and produces a deduplicated CSR graph. An edge
+// costs 8 bytes until Build, which radix-sorts them and lays out every
+// neighbour list already ascending.
 type Builder = igraph.Builder
 
 // NewBuilder returns a Builder for a graph on n vertices.
@@ -41,7 +43,9 @@ func FromEdges(n int, edges [][2]Node) *Graph { return igraph.FromEdges(n, edges
 // FromArcs builds a directed graph on n vertices from an arc list.
 func FromArcs(n int, arcs [][2]Node) *Digraph { return igraph.FromArcs(n, arcs) }
 
-// FromWeightedEdges builds a weighted undirected graph on n vertices.
+// FromWeightedEdges builds a weighted undirected graph on n vertices, on
+// Builder's construction path. Self loops are dropped, a duplicated edge
+// keeps its minimum weight, and a zero weight is an error.
 func FromWeightedEdges(n int, edges []WeightedEdge) (*WGraph, error) {
 	return igraph.FromWeightedEdges(n, edges)
 }
@@ -55,8 +59,9 @@ func ConnectedComponents(g *Graph) (labels []int32, sizes []int) {
 // IsConnected reports whether g has a single connected component.
 func IsConnected(g *Graph) bool { return igraph.IsConnected(g) }
 
-// Subgraph returns the induced subgraph on keep (with compacted vertex
-// IDs) and the old-to-new ID mapping.
+// Subgraph returns the induced subgraph on keep and the old-to-new ID
+// mapping. The distinct IDs of keep are renumbered 0..k-1 in ascending
+// order (an ID listed twice is one vertex); an out-of-range ID panics.
 func Subgraph(g *Graph, keep []Node) (*Graph, map[Node]Node) {
 	return igraph.Subgraph(g, keep)
 }

@@ -222,6 +222,16 @@ func BenchmarkRMATScale14(b *testing.B) {
 	}
 }
 
+// BenchmarkLargestComponent reduces social-shm's input, R-MAT Graph500(16,
+// 16, 1), to its largest component: the graph.lcc_s layer of the benchmark.
+func BenchmarkLargestComponent(b *testing.B) {
+	g := RMAT(Graph500(16, 16, 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graph.LargestComponent(g)
+	}
+}
+
 func BenchmarkHyperbolic50k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Hyperbolic(HyperbolicParams{N: 50000, AvgDegree: 10, Gamma: 3, Seed: uint64(i)})

@@ -29,31 +29,47 @@ func StreamRMAT(p RMATParams, emit func(u, v graph.Node) error) error {
 	m := p.EdgeFactor * n
 	r := rng.NewRand(p.Seed)
 	d := 1 - p.A - p.B - p.C
+	// One edge's draws in one batch, in the order the level loop consumes
+	// them: with noise, four quadrant perturbations then the quadrant pick
+	// per level; without, the pick alone.
+	perLevel := 1
+	if p.Noise > 0 {
+		perLevel = 5
+	}
+	draws := make([]float64, perLevel*p.Scale)
 	for i := 0; i < m; i++ {
+		r.Float64s(draws)
 		u, v := 0, 0
-		for level := 0; level < p.Scale; level++ {
-			a, bb, c, dd := p.A, p.B, p.C, d
+		for level, f := 0, draws; level < p.Scale; level, f = level+1, f[perLevel:] {
+			a, bb, c := p.A, p.B, p.C
 			if p.Noise > 0 {
 				// Multiplicative noise, renormalized.
-				a *= 1 - p.Noise/2 + p.Noise*r.Float64()
-				bb *= 1 - p.Noise/2 + p.Noise*r.Float64()
-				c *= 1 - p.Noise/2 + p.Noise*r.Float64()
-				dd *= 1 - p.Noise/2 + p.Noise*r.Float64()
+				a *= 1 - p.Noise/2 + p.Noise*f[0]
+				bb *= 1 - p.Noise/2 + p.Noise*f[1]
+				c *= 1 - p.Noise/2 + p.Noise*f[2]
+				dd := d * (1 - p.Noise/2 + p.Noise*f[3])
 				s := a + bb + c + dd
 				a, bb, c = a/s, bb/s, c/s
 			}
-			x := r.Float64()
-			switch {
-			case x < a:
-				// upper-left quadrant: no bits set
-			case x < a+bb:
-				v |= 1 << level
-			case x < a+bb+c:
-				u |= 1 << level
-			default:
-				u |= 1 << level
-				v |= 1 << level
+			// The quadrant is the first of a, b, c, d whose cumulative
+			// probability exceeds x: b sets v's bit, c sets u's, d both.
+			// As 0/1 flags (which compile to conditional moves, not to
+			// branches on a random x): u's bit is x >= a+b, and v's bit,
+			// set in b and d, is the parity of the three thresholds passed.
+			x := f[perLevel-1]
+			ab := a + bb
+			var ga, gab, gabc int
+			if x >= a {
+				ga = 1
 			}
+			if x >= ab {
+				gab = 1
+			}
+			if x >= ab+c {
+				gabc = 1
+			}
+			u |= gab << level
+			v |= (ga ^ gab ^ gabc) << level
 		}
 		if err := emit(graph.Node(u), graph.Node(v)); err != nil {
 			return err

@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a canonical CSR Graph.
@@ -10,21 +11,34 @@ import (
 // paper's pipeline reads raw KONECT/SNAP edge lists ("all graphs were read
 // as undirected and unweighted").
 //
+// Each edge is held as one packed integer key u<<s | v with u < v, where s
+// is the bit length of n-1, so an edge costs 8 bytes and Build sorts plain
+// integers over their 2s significant bits with a radix sort: no comparison
+// sort, no per-list pass.
+//
 // Builder is not safe for concurrent use; generators that produce edges in
 // parallel should merge per-worker edge slices and call FromEdges.
 type Builder struct {
 	n     int
-	edges []edge
+	shift uint
+	keys  []uint64
 }
-
-type edge struct{ u, v Node }
 
 // NewBuilder returns a builder for a graph with n vertices (IDs 0..n-1).
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Builder{n: n}
+	return &Builder{n: n, shift: keyShift(n)}
+}
+
+// keyShift is the bit length of the largest vertex ID of an n-vertex graph:
+// the shift that packs an edge {u, v} into the key u<<shift | v.
+func keyShift(n int) uint {
+	if n <= 1 {
+		return 0
+	}
+	return uint(bits.Len64(uint64(n - 1)))
 }
 
 // AddEdge records the undirected edge {u, v}. Self loops are ignored.
@@ -39,66 +53,20 @@ func (b *Builder) AddEdge(u, v Node) {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges = append(b.edges, edge{u, v})
+	b.keys = append(b.keys, uint64(u)<<b.shift|uint64(v))
 }
 
 // NumPendingEdges reports how many edges (including duplicates) have been
 // added so far. Useful for generators that target an edge budget.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
+func (b *Builder) NumPendingEdges() int { return len(b.keys) }
 
-// Build produces the CSR graph, deduplicating edges.
+// Build produces the CSR graph, deduplicating edges. The builder keeps the
+// sorted, deduplicated keys, so more edges may be added and Build called
+// again.
 func (b *Builder) Build() *Graph {
-	// Sort canonical (u<v) edges, deduplicate, then count both directions.
-	// Round-tripped files and generator outputs frequently arrive already
-	// sorted, so check first: the O(m) sortedness scan skips the full
-	// O(m log m) re-sort on the load path.
-	less := func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	}
-	if !sort.SliceIsSorted(b.edges, less) {
-		sort.Slice(b.edges, less)
-	}
-	dedup := b.edges[:0]
-	var last edge = edge{InvalidNode, InvalidNode}
-	for _, e := range b.edges {
-		if e != last {
-			dedup = append(dedup, e)
-			last = e
-		}
-	}
-	b.edges = dedup
-
-	offsets := make([]uint64, b.n+1)
-	for _, e := range b.edges {
-		offsets[e.u+1]++
-		offsets[e.v+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	adj := make([]Node, offsets[b.n])
-	cursor := make([]uint64, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range b.edges {
-		adj[cursor[e.u]] = e.v
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		cursor[e.v]++
-	}
-	// Each neighbour list is filled in ascending order of the opposite
-	// endpoint only for the u side; the v side receives u values in sorted
-	// order of (u,v) pairs, which is ascending in u — so both sides come out
-	// sorted except interleaving between "as-u" and "as-v" roles. Sort each
-	// list to be safe; lists are short on average and this is build-time.
-	for v := 0; v < b.n; v++ {
-		s := adj[offsets[v]:offsets[v+1]]
-		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		}
-	}
+	sortKeys(b.keys, nil, 2*b.shift)
+	b.keys = slices.Compact(b.keys)
+	offsets, adj, _ := csr(b.n, b.shift, b.keys, nil)
 	return &Graph{Offsets: offsets, Adj: adj}
 }
 
@@ -106,30 +74,168 @@ func (b *Builder) Build() *Graph {
 // loops are removed. The input slice is not modified.
 func FromEdges(n int, edges [][2]Node) *Graph {
 	b := NewBuilder(n)
-	b.edges = make([]edge, 0, len(edges))
+	b.keys = make([]uint64, 0, len(edges))
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
 }
 
-// Subgraph returns the induced subgraph on keep (a set of vertex IDs),
-// together with the mapping oldID -> newID. Vertices are renumbered
-// 0..len(keep)-1 in ascending order of old ID.
-func Subgraph(g *Graph, keep []Node) (*Graph, map[Node]Node) {
-	sorted := append([]Node(nil), keep...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	remap := make(map[Node]Node, len(sorted))
-	for i, v := range sorted {
-		remap[v] = Node(i)
+// radixBits is the widest digit sortKeys uses: 2^11 counters stay in L1.
+const radixBits = 11
+
+// sortKeys sorts keys, each below 1<<keyBits, ascending in place, moving
+// vals (nil, or one value per key) along with them. It is a radix sort over
+// only those keyBits bits, in two stages:
+//
+//   - one in-place MSD pass (American flag sort) on the top digit splits
+//     the keys into up to 2^11 buckets, with no scratch;
+//   - stable LSD passes over the remaining bits finish each bucket, in
+//     cache, through one scratch buffer as long as the largest bucket.
+//
+// So the sort adds no second copy of the keys: for an R-MAT graph the
+// largest bucket holds a few percent of them, and only a single-bucket
+// input (a star) needs a full-length scratch. Input that is already sorted,
+// as a round-tripped edge list or a graph's own edges are, costs one scan.
+func sortKeys(keys []uint64, vals []uint32, keyBits uint) {
+	if slices.IsSorted(keys) {
+		return
 	}
-	b := NewBuilder(len(sorted))
-	for _, v := range sorted {
-		for _, w := range g.Neighbors(v) {
-			if nw, ok := remap[w]; ok && v < w {
-				b.AddEdge(remap[v], nw)
+	top := min(keyBits, radixBits)
+	rest := keyBits - top
+	next, end := make([]int, 1<<top), make([]int, 1<<top)
+	for _, k := range keys {
+		end[k>>rest]++
+	}
+	sum, largest := 0, 0
+	for d, c := range end {
+		next[d] = sum
+		sum += c
+		end[d] = sum
+		largest = max(largest, c)
+	}
+	// Fill bucket d slot by slot: lift the key out of its next slot and
+	// follow the cycle of displaced keys until one belongs in d.
+	for d := range next {
+		for i := next[d]; i < end[d]; i = next[d] {
+			k := keys[i]
+			var val uint32
+			if vals != nil {
+				val = vals[i]
 			}
+			for e := int(k >> rest); e != d; e = int(k >> rest) {
+				j := next[e]
+				next[e]++
+				keys[j], k = k, keys[j]
+				if vals != nil {
+					vals[j], val = val, vals[j]
+				}
+			}
+			keys[i] = k
+			if vals != nil {
+				vals[i] = val
+			}
+			next[d]++
 		}
 	}
-	return b.Build(), remap
+	if rest == 0 {
+		return
+	}
+	tk := make([]uint64, largest)
+	var tv []uint32
+	if vals != nil {
+		tv = make([]uint32, largest)
+	}
+	counts := make([]int, 1<<radixBits)
+	lo := 0
+	for _, hi := range end {
+		if hi-lo > 1 {
+			var bv []uint32
+			if vals != nil {
+				bv = vals[lo:hi]
+			}
+			sortBucket(keys[lo:hi], bv, tk, tv, rest, counts)
+		}
+		lo = hi
+	}
+}
+
+// sortBucket sorts keys (and vals, when non-nil) by their low keyBits bits
+// with stable LSD passes through the scratch tk/tv, leaving the result in
+// keys. Digits are about log2(len(keys)) bits wide, so a small bucket does
+// not pay for 2^11 counters per pass.
+func sortBucket(keys []uint64, vals []uint32, tk []uint64, tv []uint32, keyBits uint, counts []int) {
+	width := min(radixBits, uint(bits.Len(uint(len(keys)))))
+	passes := (keyBits + width - 1) / width
+	width = (keyBits + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	src, dst := keys, tk[:len(keys)]
+	sv, dv := vals, tv[:len(vals)]
+	for p := uint(0); p < passes; p++ {
+		shift := p * width
+		pos := counts[:1<<width]
+		clear(pos)
+		for _, k := range src {
+			pos[k>>shift&mask]++
+		}
+		if pos[src[0]>>shift&mask] == len(src) {
+			continue // every key has this digit: the pass would be a copy
+		}
+		sum := 0
+		for d, c := range pos {
+			pos[d] = sum
+			sum += c
+		}
+		for i, k := range src {
+			d := k >> shift & mask
+			dst[pos[d]] = k
+			if vals != nil {
+				dv[pos[d]] = sv[i]
+			}
+			pos[d]++
+		}
+		src, dst = dst, src
+		sv, dv = dv, sv
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+		copy(vals, sv)
+	}
+}
+
+// csr lays out sorted, duplicate-free edge keys (u<<shift | v, u < v) as
+// the CSR of an n-vertex undirected graph, with each arc carrying its
+// edge's weight when w is non-nil.
+//
+// Every neighbour list comes out ascending without a sort. The keys are
+// visited in ascending order, so for a vertex x all keys (u, x) with u < x
+// arrive before every key (x, v) with v > x: x first receives its lower
+// neighbours in ascending u, then its higher ones in ascending v.
+func csr(n int, shift uint, keys []uint64, w []uint32) (offsets []uint64, adj []Node, aw []uint32) {
+	// offsets[x+1] serves as x's write cursor and ends as x's end, which is
+	// x+1's start; counting x's degree into offsets[x+2] makes the prefix
+	// sum leave offsets[x+1] at x's start. One n+2 array, no cursor copy.
+	offsets = make([]uint64, n+2)
+	mask := uint64(1)<<shift - 1
+	for _, k := range keys {
+		offsets[k>>shift+2]++
+		offsets[k&mask+2]++
+	}
+	for x := 2; x <= n; x++ {
+		offsets[x] += offsets[x-1]
+	}
+	adj = make([]Node, 2*len(keys))
+	if w != nil {
+		aw = make([]uint32, len(adj))
+	}
+	for i, k := range keys {
+		u, v := k>>shift, k&mask
+		pu, pv := offsets[u+1], offsets[v+1]
+		adj[pu], adj[pv] = Node(v), Node(u)
+		if w != nil {
+			aw[pu], aw[pv] = w[i], w[i]
+		}
+		offsets[u+1], offsets[v+1] = pu+1, pv+1
+	}
+	return offsets[:n+1], adj, aw
 }

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Digraph is an immutable directed graph storing both the out-adjacency and
@@ -38,66 +38,44 @@ func (g *Digraph) Predecessors(v Node) []Node {
 }
 
 // FromArcs builds a digraph from a directed edge list, dropping self loops
-// and duplicate arcs.
+// and duplicate arcs. It takes Builder's path: each arc is one packed key
+// u<<s | v, radix-sorted, and both CSR halves come out sorted. The keys
+// ascend in (u, v), so u's successors arrive in ascending v, and v's
+// predecessors in ascending u.
 func FromArcs(n int, arcs [][2]Node) *Digraph {
+	shift := keyShift(n)
+	keys := make([]uint64, 0, len(arcs))
 	for _, a := range arcs {
 		if int(a[0]) >= n || int(a[1]) >= n {
 			panic(fmt.Sprintf("graph: arc (%d,%d) out of range for n=%d", a[0], a[1], n))
 		}
-	}
-	clean := make([][2]Node, 0, len(arcs))
-	for _, a := range arcs {
 		if a[0] != a[1] {
-			clean = append(clean, a)
+			keys = append(keys, uint64(a[0])<<shift|uint64(a[1]))
 		}
 	}
-	less := func(i, j int) bool {
-		if clean[i][0] != clean[j][0] {
-			return clean[i][0] < clean[j][0]
-		}
-		return clean[i][1] < clean[j][1]
-	}
-	// Round-tripped arc lists arrive sorted; skip the O(m log m) re-sort.
-	if !sort.SliceIsSorted(clean, less) {
-		sort.Slice(clean, less)
-	}
-	dedup := clean[:0]
-	last := [2]Node{InvalidNode, InvalidNode}
-	for _, a := range clean {
-		if a != last {
-			dedup = append(dedup, a)
-			last = a
-		}
-	}
+	sortKeys(keys, nil, 2*shift)
+	keys = slices.Compact(keys)
 	g := &Digraph{
 		OutOffsets: make([]uint64, n+1),
 		InOffsets:  make([]uint64, n+1),
-		OutAdj:     make([]Node, len(dedup)),
-		InAdj:      make([]Node, len(dedup)),
+		OutAdj:     make([]Node, len(keys)),
+		InAdj:      make([]Node, len(keys)),
 	}
-	for _, a := range dedup {
-		g.OutOffsets[a[0]+1]++
-		g.InOffsets[a[1]+1]++
+	mask := uint64(1)<<shift - 1
+	for _, k := range keys {
+		g.OutOffsets[k>>shift+1]++
+		g.InOffsets[k&mask+1]++
 	}
 	for v := 0; v < n; v++ {
 		g.OutOffsets[v+1] += g.OutOffsets[v]
 		g.InOffsets[v+1] += g.InOffsets[v]
 	}
-	outCur := make([]uint64, n)
-	inCur := make([]uint64, n)
-	copy(outCur, g.OutOffsets[:n])
-	copy(inCur, g.InOffsets[:n])
-	for _, a := range dedup {
-		g.OutAdj[outCur[a[0]]] = a[1]
-		outCur[a[0]]++
-		g.InAdj[inCur[a[1]]] = a[0]
-		inCur[a[1]]++
-	}
-	// Out lists are sorted by construction (arcs sorted by (src, dst)); in
-	// lists need sorting per vertex.
-	for v := 0; v < n; v++ {
-		s := g.InAdj[g.InOffsets[v]:g.InOffsets[v+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	in := slices.Clone(g.InOffsets[:n])
+	for i, k := range keys {
+		u, v := k>>shift, k&mask
+		g.OutAdj[i] = Node(v)
+		g.InAdj[in[v]] = Node(u)
+		in[v]++
 	}
 	return g
 }
@@ -223,33 +201,11 @@ func StronglyConnectedComponents(g *Digraph) (labels []int32, sizes []int) {
 // always meet (mirroring the undirected largest-component preprocessing of
 // §V-A).
 func LargestSCC(g *Digraph) (*Digraph, map[Node]Node) {
-	labels, sizes := StronglyConnectedComponents(g)
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
-		}
-	}
-	keep := make([]Node, 0, sizes[best])
-	for v, l := range labels {
-		if l == int32(best) {
-			keep = append(keep, Node(v))
-		}
-	}
-	sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-	remap := make(map[Node]Node, len(keep))
-	for i, v := range keep {
-		remap[v] = Node(i)
-	}
-	var arcs [][2]Node
-	for _, v := range keep {
-		for _, w := range g.Successors(v) {
-			if nw, ok := remap[w]; ok {
-				arcs = append(arcs, [2]Node{remap[v], nw})
-			}
-		}
-	}
-	return FromArcs(len(keep), arcs), remap
+	kept := largestLabel(StronglyConnectedComponents(g))
+	newID, remap := renumber(g.NumNodes(), kept)
+	outOffsets, outAdj, _ := induce(g.OutOffsets, g.OutAdj, nil, kept, newID)
+	inOffsets, inAdj, _ := induce(g.InOffsets, g.InAdj, nil, kept, newID)
+	return &Digraph{OutOffsets: outOffsets, OutAdj: outAdj, InOffsets: inOffsets, InAdj: inAdj}, remap
 }
 
 // Underlying returns the undirected graph obtained by forgetting arc

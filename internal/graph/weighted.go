@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // WGraph is an immutable undirected graph with positive integer edge
 // weights in CSR form, supporting the weighted variant of the sampling
@@ -43,9 +40,13 @@ func (g *WGraph) Neighbors(v Node) ([]Node, []uint32) {
 // FromWeightedEdges builds a weighted CSR graph. Self loops are dropped;
 // duplicate edges keep the minimum weight; zero weights are rejected
 // (Dijkstra requires positive weights, and zero-weight edges would make
-// "shortest path" degenerate).
+// "shortest path" degenerate). It takes Builder's path: packed keys,
+// radix-sorted with the weights carried along, laid out with every
+// neighbour list already ascending.
 func FromWeightedEdges(n int, edges []WeightedEdge) (*WGraph, error) {
-	canon := make([]WeightedEdge, 0, len(edges))
+	shift := keyShift(n)
+	keys := make([]uint64, 0, len(edges))
+	ws := make([]uint32, 0, len(edges))
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
@@ -59,107 +60,38 @@ func FromWeightedEdges(n int, edges []WeightedEdge) (*WGraph, error) {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		canon = append(canon, e)
+		keys = append(keys, uint64(e.U)<<shift|uint64(e.V))
+		ws = append(ws, e.W)
 	}
-	less := func(i, j int) bool {
-		if canon[i].U != canon[j].U {
-			return canon[i].U < canon[j].U
+	sortKeys(keys, ws, 2*shift)
+	j := 0
+	for i, k := range keys {
+		if j > 0 && keys[j-1] == k {
+			ws[j-1] = min(ws[j-1], ws[i])
+			continue
 		}
-		if canon[i].V != canon[j].V {
-			return canon[i].V < canon[j].V
-		}
-		return canon[i].W < canon[j].W
+		keys[j], ws[j] = k, ws[i]
+		j++
 	}
-	// Round-tripped edge lists arrive sorted; skip the O(m log m) re-sort.
-	if !sort.SliceIsSorted(canon, less) {
-		sort.Slice(canon, less)
-	}
-	dedup := canon[:0]
-	for _, e := range canon {
-		if len(dedup) > 0 && dedup[len(dedup)-1].U == e.U && dedup[len(dedup)-1].V == e.V {
-			continue // keep the minimum weight (sorted ascending)
-		}
-		dedup = append(dedup, e)
-	}
-
-	g := &WGraph{Offsets: make([]uint64, n+1)}
-	for _, e := range dedup {
-		g.Offsets[e.U+1]++
-		g.Offsets[e.V+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	g.Adj = make([]Node, g.Offsets[n])
-	g.W = make([]uint32, g.Offsets[n])
-	cur := make([]uint64, n)
-	copy(cur, g.Offsets[:n])
-	for _, e := range dedup {
-		g.Adj[cur[e.U]], g.W[cur[e.U]] = e.V, e.W
-		cur[e.U]++
-		g.Adj[cur[e.V]], g.W[cur[e.V]] = e.U, e.W
-		cur[e.V]++
-	}
-	// Sort each neighbour list (weights move with their endpoints).
-	for v := 0; v < n; v++ {
-		lo, hi := int(g.Offsets[v]), int(g.Offsets[v+1])
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		sort.Slice(idx, func(i, j int) bool { return g.Adj[idx[i]] < g.Adj[idx[j]] })
-		adj := make([]Node, hi-lo)
-		w := make([]uint32, hi-lo)
-		for i, src := range idx {
-			adj[i], w[i] = g.Adj[src], g.W[src]
-		}
-		copy(g.Adj[lo:hi], adj)
-		copy(g.W[lo:hi], w)
-	}
-	return g, nil
+	offsets, adj, w := csr(n, shift, keys[:j], ws[:j])
+	return &WGraph{Offsets: offsets, Adj: adj, W: w}, nil
 }
 
 // LargestComponentW returns the induced weighted subgraph on the largest
 // connected component of g (weights carried over), with the old->new vertex
 // mapping — the weighted analogue of LargestComponent, mirroring the
 // paper's §V-A preprocessing for the weighted estimation path. As there, a
-// nil map means the graph was already connected and is returned as-is.
+// nil map means the graph was already connected and is returned as-is;
+// otherwise the kept vertices are renumbered in ascending old-ID order and
+// their arcs and weights copied straight across.
 func LargestComponentW(g *WGraph) (*WGraph, map[Node]Node) {
-	labels, sizes := ConnectedComponents(g.Unweighted())
-	if len(sizes) <= 1 {
+	kept := largestComponent(g.Unweighted())
+	if kept == nil {
 		return g, nil
 	}
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
-		}
-	}
-	remap := make(map[Node]Node, sizes[best])
-	for v, l := range labels {
-		if l == int32(best) {
-			remap[Node(v)] = Node(len(remap))
-		}
-	}
-	var edges []WeightedEdge
-	for v := 0; v < g.NumNodes(); v++ {
-		nv, ok := remap[Node(v)]
-		if !ok {
-			continue
-		}
-		adj, ws := g.Neighbors(Node(v))
-		for i, u := range adj {
-			if Node(v) < u {
-				edges = append(edges, WeightedEdge{U: nv, V: remap[u], W: ws[i]})
-			}
-		}
-	}
-	sub, err := FromWeightedEdges(len(remap), edges)
-	if err != nil {
-		// The edges come from a valid WGraph: in range, positive weights.
-		panic("graph: LargestComponentW: " + err.Error())
-	}
-	return sub, remap
+	newID, remap := renumber(g.NumNodes(), kept)
+	offsets, adj, w := induce(g.Offsets, g.Adj, g.W, kept, newID)
+	return &WGraph{Offsets: offsets, Adj: adj, W: w}, remap
 }
 
 // Unweighted returns the underlying topology with weights forgotten.

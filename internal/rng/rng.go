@@ -15,6 +15,7 @@ package rng
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // SplitMix64 is a tiny 64-bit generator used to seed other generators and to
@@ -81,21 +82,21 @@ func FromState(s [4]uint64) (*Rand, error) {
 	return &Rand{s: s}, nil
 }
 
-func rotl(x uint64, k uint) uint64 {
-	return (x << k) | (x >> (64 - k))
+// step is one xoshiro256++ step: the output drawn from state (s0..s3) and
+// the state after it. Uint64 and Float64s share it, so a batch and single
+// draws are the same stream by construction.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s0+s3, 23) + s0
+	s2 ^= s0
+	s3 ^= s1
+	return out, s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)
 }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[0]+r.s[3], 23) + r.s[0]
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Uint32 returns the next 32 random bits.
@@ -119,36 +120,36 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n called with n == 0")
 	}
 	// Lemire's method on the high 64 bits of a 128-bit product.
-	v := r.Uint64()
-	hi, lo := mul64(v, n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
 }
 
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
+// Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
+// The 53-bit value converts through int64, one instruction, where a uint64
+// conversion needs a sign test; both are exact.
+func (r *Rand) Float64() float64 {
+	return float64(int64(r.Uint64()>>11)) / (1 << 53)
 }
 
-// Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+// Float64s fills dst with the values that len(dst) successive Float64 calls
+// would return, leaving r where those calls would. The state stays in
+// registers for the whole batch, which is what a generator drawing several
+// values per item (R-MAT draws five per recursion level) would otherwise
+// load and store per value.
+func (r *Rand) Float64s(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var out uint64
+	for i := range dst {
+		out, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		dst[i] = float64(int64(out>>11)) / (1 << 53)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1,

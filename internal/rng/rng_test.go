@@ -214,3 +214,52 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal("all-zero state accepted")
 	}
 }
+
+// TestUint64nPinned pins Uint64n's values for seed 1, recorded before it
+// switched to math/bits.Mul64: the 128-bit product, the rejection
+// threshold and the number of draws must not change, or every sampler's
+// stream would.
+func TestUint64nPinned(t *testing.T) {
+	r := NewRand(1)
+	var got []uint64
+	for _, n := range []uint64{1, 2, 3, 10, 1000003, 1 << 40, 1<<63 + 12345, ^uint64(0)} {
+		got = append(got, r.Uint64n(n), r.Uint64n(n))
+	}
+	want := []uint64{0x0, 0x0, 0x0, 0x1, 0x0, 0x1, 0x9, 0x5, 0x1795a, 0x20c96,
+		0xeb9e0ef9dc, 0x57efaedd9f, 0x32819d2777283b2b, 0xb74a29f6aa548ad,
+		0x28065aa8f428a8ba, 0x8ea047165f041da1}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("draw %d: Uint64n = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	if v := r.Uint64(); v != 0x791032d9a4f72ef3 {
+		t.Fatalf("stream position after the draws: %#x, want 0x791032d9a4f72ef3", v)
+	}
+	var h uint64
+	for i := 0; i < 100000; i++ {
+		h = h*31 + r.Uint64n(uint64(i)+1)
+	}
+	if h != 0x1ddff59dc34214ff {
+		t.Fatalf("hash of 100000 draws = %#x, want 0x1ddff59dc34214ff", h)
+	}
+}
+
+// TestFloat64sMatchesFloat64: a batch is exactly the values (and leaves
+// exactly the state) of as many successive Float64 calls, for every batch
+// length including zero.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	a, b := NewRand(9), NewRand(9)
+	buf := make([]float64, 70)
+	for n := 0; n <= len(buf); n++ {
+		a.Float64s(buf[:n])
+		for i, got := range buf[:n] {
+			if want := b.Float64(); got != want {
+				t.Fatalf("batch %d, value %d: Float64s %v, Float64 %v", n, i, got, want)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("batch %d: state %x, want %x", n, a.State(), b.State())
+		}
+	}
+}

@@ -10,11 +10,11 @@
 #   2. run one session to convergence (persists its result to the
 #      disk-backed cache as a side effect)
 #   3. start a long (tight-epsilon) session, wait until the background
-#      checkpointer has written its envelope, then kill -9 the daemon
-#   4. restart on the same data directory, assert /readyz turns ready,
-#      nothing was quarantined, and the long session resumed from the
-#      periodic checkpoint: tau > 0 and no further ahead than the moment
-#      of the kill (at most one interval of sampling lost)
+#      checkpointer has written its envelope, freeze the daemon (SIGSTOP),
+#      read tau out of the envelope on disk, then kill -9 the daemon
+#   4. restart on the same data directory, assert /readyz turns ready and
+#      the long session resumed from exactly that periodic checkpoint: its
+#      tau equals the tau persisted when the daemon was frozen
 #   5. run the resumed session to convergence
 #   6. do 3-5 again with a "backend":"dist" session: it must come back as
 #      the dist session it was — status backend "dist", tau intact, no
@@ -74,6 +74,48 @@ print(json.dumps(v) if isinstance(v, (dict, list)) else v)
 EOF
 }
 
+# ckpt_tau FILE -> prints tau from a session checkpoint (the BCSE envelope of
+# betweenness.Checkpoint around the kadabra v2 payload). Every layout field
+# it relies on is checked (magic, both versions, CRC, the frame's vertex
+# count against the payload's), so a layout change fails here loudly rather
+# than yielding a wrong tau.
+ckpt_tau() {
+    python3 - "$1" <<'EOF'
+import struct, sys, zlib
+b = open(sys.argv[1], "rb").read()
+def fail(why):
+    sys.exit("checkpoint %s: %s" % (sys.argv[1], why))
+if len(b) < 12 or b[:4] != b"BCSE":
+    fail("not a BCSE envelope")
+if zlib.crc32(b[:-4]) != struct.unpack("<I", b[-4:])[0]:
+    fail("CRC mismatch")
+if struct.unpack_from("<H", b, 4)[0] != 1:
+    fail("envelope version is not 1")
+# kadabra payload v2: version, engine, threads, procs, top-k, eps, delta,
+# seed, start factor, (u32), epoch base, epoch skew, (u8), vertex diameter,
+# n, next check, epochs, calibrated, converged.
+head = "<HBIIIddQIIddBIIQIBB"
+f = struct.unpack_from(head, b, 8)
+if f[0] != 2:
+    fail("payload version is not 2")
+n = f[14]
+p = 8 + struct.calcsize(head)
+streams = struct.unpack_from("<I", b, p)[0]
+p += 4 + 32 * streams + 4 + 1  # streams, frame length prefix, frame flags
+fn, shift = 0, 0
+while True:
+    c = b[p]
+    p += 1
+    fn |= (c & 0x7F) << shift
+    shift += 7
+    if c < 0x80:
+        break
+if fn != n:
+    fail("frame holds %d vertices, payload says %d" % (fn, n))
+print(struct.unpack_from("<q", b, p)[0])
+EOF
+}
+
 wait_idle() {
     for _ in $(seq 1 600); do
         curl -fsS "$base/sessions/$1" > "$work/status.json"
@@ -99,9 +141,10 @@ wait_idle "$s1"
 [ "$(jget "$work/status.json" converged)" = "True" ] || { echo "session $s1 did not converge" >&2; exit 1; }
 echo "   converged: tau=$(jget "$work/status.json" snapshot tau)"
 
-# crash_pass BACKEND BODY: start a long session, SIGKILL the daemon once the
-# periodic checkpointer has its envelope on disk, restart, and require the
-# session back on BACKEND with its samples, then run it to convergence.
+# crash_pass BACKEND BODY: start a long session, freeze and SIGKILL the
+# daemon once the periodic checkpointer has its envelope on disk, restart,
+# and require the session back on BACKEND with exactly the persisted
+# samples, then run it to convergence.
 crash_pass() {
     local backend="$1" body="$2"
     echo "== long $backend session, SIGKILL mid-run"
@@ -110,23 +153,27 @@ crash_pass() {
     curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
     # Wait for the periodic checkpointer: the envelope must exist and the run
     # must have real samples before the plug is pulled.
-    local ckpt_tau=0
+    local run_tau=0
     for _ in $(seq 1 600); do
         curl -fsS "$base/sessions/$s2" > "$work/status.json"
-        ckpt_tau="$(jget "$work/status.json" snapshot tau)"
-        if [ -f "$data/sessions/$s2.bck" ] && [ "$ckpt_tau" -ge 500 ] 2>/dev/null; then break; fi
+        run_tau="$(jget "$work/status.json" snapshot tau)"
+        if [ -f "$data/sessions/$s2.bck" ] && [ "$run_tau" -ge 500 ] 2>/dev/null; then break; fi
         sleep 0.05
     done
     [ -f "$data/sessions/$s2.bck" ] || { echo "periodic checkpointer never wrote $s2.bck" >&2; cat "$log" >&2; exit 1; }
     [ "$(jget "$work/status.json" state)" != "idle" ] || { echo "session $s2 finished before the kill; tighten its eps" >&2; exit 1; }
-    # Read tau one last time right before the kill: the checkpoint on disk can
-    # be no further ahead than this (sampling only moves forward).
-    curl -fsS "$base/sessions/$s2" > "$work/status.json"
-    local kill_tau; kill_tau="$(jget "$work/status.json" snapshot tau)"
+    # Freeze the daemon, then read what it persisted. A status read followed
+    # by a kill leaves a window in which a periodic checkpoint can land, so
+    # the tau on disk could pass the tau read. A stopped process cannot
+    # rename another envelope into place (a capture it was writing stays a
+    # .tmp file, which the restart quarantines), so the envelope on disk is
+    # exactly what the restart must resume from.
+    kill -STOP "$(cat "$pidfile")"
+    local persisted_tau; persisted_tau="$(ckpt_tau "$data/sessions/$s2.bck")"
     kill -9 "$(cat "$pidfile")"
     wait "$(cat "$pidfile")" 2>/dev/null || true
     rm -f "$pidfile"
-    echo "   killed -9 at tau=$kill_tau (checkpoint existed at tau>=$ckpt_tau)"
+    echo "   froze at tau=$persisted_tau persisted, then killed -9"
 
     echo "== restart on the crashed data directory"
     start_daemon
@@ -136,10 +183,10 @@ crash_pass() {
     curl -fsS "$base/sessions/$s2" > "$work/status.json"
     local resumed_tau; resumed_tau="$(jget "$work/status.json" snapshot tau)"
     [ "$resumed_tau" -gt 0 ] || { echo "SIGKILL lost all samples (tau=$resumed_tau)" >&2; cat "$log" >&2; exit 1; }
-    [ "$resumed_tau" -le "$kill_tau" ] || { echo "resumed tau $resumed_tau ahead of kill point $kill_tau" >&2; exit 1; }
+    [ "$resumed_tau" -eq "$persisted_tau" ] || { echo "resumed tau $resumed_tau, but the checkpoint persisted at the kill holds tau $persisted_tau" >&2; exit 1; }
     [ "$(jget "$work/status.json" backend)" = "$backend" ] || { echo "session came back on another backend:" >&2; cat "$work/status.json" >&2; exit 1; }
     if grep -q '"degraded"' "$work/status.json"; then echo "session came back degraded:" >&2; cat "$work/status.json" >&2; exit 1; fi
-    echo "   resumed on $backend from the periodic checkpoint with tau=$resumed_tau (kill point $kill_tau)"
+    echo "   resumed on $backend from the periodic checkpoint with tau=$resumed_tau"
 
     echo "== resumed session runs to convergence"
     curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
