@@ -23,13 +23,12 @@ var shapes = []shape{
 	{5000, 200000}, {70000, 5000}, {1 << 17, 60000},
 }
 
-// refCSR lays out a set of canonical edges (u < v) as a CSR the obvious way:
-// per-vertex lists, each sorted.
-func refCSR(n int, edges map[[2]Node]uint32) (offsets []uint64, adj []Node, w []uint32) {
+// refCSR lays out weighted pairs (x, y) as a CSR the obvious way: x's list
+// holds every y, sorted, with the pair's weight alongside.
+func refCSR(n int, pairs map[[2]Node]uint32) (offsets []uint64, adj []Node, w []uint32) {
 	lists := make([][][2]uint32, n) // (neighbour, weight)
-	for e, wt := range edges {
-		lists[e[0]] = append(lists[e[0]], [2]uint32{e[1], wt})
-		lists[e[1]] = append(lists[e[1]], [2]uint32{e[0], wt})
+	for p, wt := range pairs {
+		lists[p[0]] = append(lists[p[0]], [2]uint32{p[1], wt})
 	}
 	offsets = make([]uint64, n+1)
 	adj, w = []Node{}, []uint32{}
@@ -41,6 +40,16 @@ func refCSR(n int, edges map[[2]Node]uint32) (offsets []uint64, adj []Node, w []
 		offsets[v+1] = uint64(len(adj))
 	}
 	return offsets, adj, w
+}
+
+// both returns each undirected edge {u, v} of edges as the pairs (u, v)
+// and (v, u).
+func both(edges map[[2]Node]uint32) map[[2]Node]uint32 {
+	pairs := make(map[[2]Node]uint32, 2*len(edges))
+	for e, w := range edges {
+		pairs[e], pairs[[2]Node{e[1], e[0]}] = w, w
+	}
+	return pairs
 }
 
 func randomMultigraph(r *rng.Rand, s shape, star bool) []WeightedEdge {
@@ -111,14 +120,14 @@ func TestConstructionMatchesReference(t *testing.T) {
 				}
 
 				g := FromEdges(s.n, plain)
-				wantOff, wantAdj, _ := refCSR(s.n, unit)
+				wantOff, wantAdj, _ := refCSR(s.n, both(unit))
 				sameCSR(t, "FromEdges", g.Offsets, wantOff, g.Adj, wantAdj)
 
 				wg, err := FromWeightedEdges(s.n, wedges)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantOff, wantAdj, wantW := refCSR(s.n, minW)
+				wantOff, wantAdj, wantW := refCSR(s.n, both(minW))
 				sameCSR(t, "FromWeightedEdges", wg.Offsets, wantOff, wg.Adj, wantAdj)
 				if !slices.Equal(wg.W, wantW) {
 					t.Fatal("FromWeightedEdges: weights differ from the reference (duplicates keep the minimum)")
@@ -162,7 +171,7 @@ func TestConstructionMatchesReference(t *testing.T) {
 						t.Fatalf("Subgraph: remap[%d] = %d, want %d", v, remap[v], nv)
 					}
 				}
-				wantOff, wantAdj, _ = refCSR(len(distinct), subEdges)
+				wantOff, wantAdj, _ = refCSR(len(distinct), both(subEdges))
 				sameCSR(t, "Subgraph", sub.Offsets, wantOff, sub.Adj, wantAdj)
 				if err := sub.Validate(); err != nil {
 					t.Fatal(err)
@@ -197,7 +206,7 @@ func TestLargestComponentWMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	wantOff, wantAdj, wantW := refCSR(len(kept), want)
+	wantOff, wantAdj, wantW := refCSR(len(kept), both(want))
 	sameCSR(t, "LargestComponentW", sub.Offsets, wantOff, sub.Adj, wantAdj)
 	if !slices.Equal(sub.W, wantW) {
 		t.Fatal("LargestComponentW: weights differ from the reference")
@@ -213,24 +222,9 @@ func refDigraph(n int, arcs map[[2]Node]bool) *Digraph {
 	for a := range arcs {
 		out[a], in[[2]Node{a[1], a[0]}] = 1, 1
 	}
-	oOff, oAdj := refLists(n, out)
-	iOff, iAdj := refLists(n, in)
+	oOff, oAdj, _ := refCSR(n, out)
+	iOff, iAdj, _ := refCSR(n, in)
 	return &Digraph{OutOffsets: oOff, OutAdj: oAdj, InOffsets: iOff, InAdj: iAdj}
-}
-
-// refLists lays out directed pairs (x, y) as x's sorted list of y.
-func refLists(n int, pairs map[[2]Node]uint32) ([]uint64, []Node) {
-	lists := make([][]Node, n)
-	for p := range pairs {
-		lists[p[0]] = append(lists[p[0]], p[1])
-	}
-	offsets, adj := make([]uint64, n+1), []Node{}
-	for v, l := range lists {
-		slices.Sort(l)
-		adj = append(adj, l...)
-		offsets[v+1] = uint64(len(adj))
-	}
-	return offsets, adj
 }
 
 func TestDirectedConstructionMatchesReference(t *testing.T) {
