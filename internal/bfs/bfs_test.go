@@ -178,7 +178,7 @@ func TestSamplePathValidity(t *testing.T) {
 	r := rng.NewRand(1)
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(r, 20+r.Intn(60))
-		checkPathValidity(t, r, g, NewSampler(g, rng.NewRand(uint64(trial))), 30)
+		checkPathValidity(t, r, g, NewSampler(g, NewHubs(g), rng.NewRand(uint64(trial))), 30)
 		checkPathValidity(t, r, g, NewGoalSampler(g, NewLandmarks(g), rng.NewRand(uint64(trial))), 30)
 	}
 }
@@ -189,14 +189,14 @@ func TestDirectedSamplePathValidity(t *testing.T) {
 		n := 15 + r.Intn(50)
 		g := randomDigraph(uint64(trial), n, 4*n)
 		out, _ := views(g)
-		checkPathValidity(t, r, out, NewDirectedSampler(g, rng.NewRand(uint64(trial)+99)), 25)
+		checkPathValidity(t, r, out, NewDirectedSampler(g, NewDirectedHubs(g), rng.NewRand(uint64(trial)+99)), 25)
 	}
 }
 
 func TestDirectedSamplerRespectsDirection(t *testing.T) {
 	// 0->1->2 with no back arcs: 2 cannot reach 0.
 	g := graph.FromArcs(3, [][2]graph.Node{{0, 1}, {1, 2}})
-	sp := NewDirectedSampler(g, rng.NewRand(1))
+	sp := NewDirectedSampler(g, NewDirectedHubs(g), rng.NewRand(1))
 	if internal, ok := sp.SamplePath(0, 2); !ok || len(internal) != 1 || internal[0] != 1 {
 		t.Fatalf("forward path wrong: %v ok=%v", internal, ok)
 	}
@@ -284,7 +284,7 @@ func TestSamplerUniformity(t *testing.T) {
 		n := 12 + r.Intn(10)
 		g := randomGraph(r, n)
 		s, tt := graph.Node(r.Intn(n)), graph.Node(r.Intn(n))
-		checkUniformity(t, g, g, NewSampler(g, rng.NewRand(uint64(trial)*7+11)), s, tt)
+		checkUniformity(t, g, g, NewSampler(g, NewHubs(g), rng.NewRand(uint64(trial)*7+11)), s, tt)
 	}
 }
 
@@ -295,13 +295,13 @@ func TestDirectedSamplerUniformity(t *testing.T) {
 		g := randomDigraph(uint64(trial)+40, n, 4*n)
 		out, in := views(g)
 		s, tt := graph.Node(r.Intn(n)), graph.Node(r.Intn(n))
-		checkUniformity(t, out, in, NewDirectedSampler(g, rng.NewRand(uint64(trial)*3+1)), s, tt)
+		checkUniformity(t, out, in, NewDirectedSampler(g, NewDirectedHubs(g), rng.NewRand(uint64(trial)*3+1)), s, tt)
 	}
 }
 
 func TestSamplePairDistribution(t *testing.T) {
 	g := pathGraph(5)
-	sp := NewSampler(g, rng.NewRand(9))
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(9))
 	counts := map[[2]graph.Node]int{}
 	const iters = 20000
 	for i := 0; i < iters; i++ {
@@ -321,7 +321,7 @@ func TestSamplePairDistribution(t *testing.T) {
 
 func TestSamplerAdjacentPair(t *testing.T) {
 	g := pathGraph(2)
-	sp := NewSampler(g, rng.NewRand(1))
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
 	internal, ok := sp.SamplePath(0, 1)
 	if !ok || len(internal) != 0 {
 		t.Fatalf("adjacent pair: ok=%v internal=%v", ok, internal)
@@ -330,7 +330,7 @@ func TestSamplerAdjacentPair(t *testing.T) {
 
 func TestSamplerSameVertex(t *testing.T) {
 	g := pathGraph(3)
-	sp := NewSampler(g, rng.NewRand(1))
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
 	if _, ok := sp.SamplePath(1, 1); ok {
 		t.Fatal("s==t must not produce a path")
 	}
@@ -338,7 +338,7 @@ func TestSamplerSameVertex(t *testing.T) {
 
 func TestSamplerDistance(t *testing.T) {
 	g := pathGraph(8)
-	sp := NewSampler(g, rng.NewRand(1))
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
 	if d := sp.Distance(0, 7); d != 7 {
 		t.Fatalf("Distance = %d, want 7", d)
 	}
@@ -348,7 +348,8 @@ func TestSamplerDistance(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if d := NewSampler(b.Build(), rng.NewRand(1)).Distance(0, 3); d != Unreached {
+	split := b.Build()
+	if d := NewSampler(split, NewHubs(split), rng.NewRand(1)).Distance(0, 3); d != Unreached {
 		t.Fatalf("disconnected Distance = %d, want Unreached", d)
 	}
 }
@@ -357,7 +358,7 @@ func TestSamplerStampReuseManyCalls(t *testing.T) {
 	// Many consecutive samples on one sampler must stay valid (stamp logic).
 	g := gen.RMAT(gen.Graph500(8, 8, 5))
 	g, _ = graph.LargestComponent(g)
-	sp := NewSampler(g, rng.NewRand(4))
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(4))
 	for i := 0; i < 5000; i++ {
 		internal, ok := sp.Sample()
 		if ok && len(internal) > 0 {
@@ -375,7 +376,7 @@ func BenchmarkBidirSampleRMAT(b *testing.B) {
 	for _, scale := range []int{12, 16} {
 		g := rmatLCC(scale)
 		b.Run(fmt.Sprintf("scale%d", scale), func(b *testing.B) {
-			sp := NewSampler(g, rng.NewRand(1))
+			sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sp.Sample()
@@ -387,7 +388,7 @@ func BenchmarkBidirSampleRMAT(b *testing.B) {
 func BenchmarkBidirSampleRoad(b *testing.B) {
 	g := gen.Road(gen.RoadParams{Rows: 300, Cols: 300, DeleteProb: 0.1, DiagonalProb: 0.05, Seed: 2})
 	g, _ = graph.LargestComponent(g)
-	sp := NewSampler(g, rng.NewRand(1))
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.Sample()
@@ -397,7 +398,7 @@ func BenchmarkBidirSampleRoad(b *testing.B) {
 func BenchmarkDirectedSample(b *testing.B) {
 	g := randomDigraph(1, 20000, 200000)
 	g, _ = graph.LargestSCC(g)
-	sp := NewDirectedSampler(g, rng.NewRand(1))
+	sp := NewDirectedSampler(g, NewDirectedHubs(g), rng.NewRand(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.Sample()

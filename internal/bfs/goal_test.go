@@ -197,7 +197,7 @@ func BenchmarkGoalSampleRoad(b *testing.B) {
 		{"diag300", diag300, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var sp interface{ Sample() ([]graph.Node, bool) } = NewSampler(c.g, rng.NewRand(1))
+			var sp interface{ Sample() ([]graph.Node, bool) } = NewSampler(c.g, NewHubs(c.g), rng.NewRand(1))
 			if c.goal {
 				sp = NewGoalSampler(c.g, NewLandmarks(c.g), rng.NewRand(1))
 			}

@@ -13,109 +13,128 @@ import (
 
 // oracle is the meeting round as it was before the frontier-pair probe:
 // every round expands a full level, and the walk scans the meeting vertex's
-// adjacency list at every step. It runs on a Sampler's state, so the
-// comparison below is kernel against kernel on the same graph and seed.
-type oracle struct{ sp *Sampler }
+// adjacency list at every step. It keeps its own per-side arrays and calls
+// no kernel code, so the comparison below is kernel against an independent
+// reference on the same graph and seed, and no change to the kernel's
+// layout or helpers can reach the reference.
+type oracle struct {
+	fwd, bwd       *graph.Graph
+	rng            *rng.Rand
+	stampS, stampT []uint32
+	distS, distT   []uint32
+	sigS, sigT     []float64
+	cur            uint32
+	frontS, frontT []graph.Node
+	meet, path     []graph.Node
+}
 
-func (o oracle) sample() ([]graph.Node, bool) {
-	s, t := o.sp.SamplePair()
+func newOracle(fwd, bwd *graph.Graph, seed uint64) *oracle {
+	n := fwd.NumNodes()
+	return &oracle{
+		fwd: fwd, bwd: bwd, rng: rng.NewRand(seed),
+		stampS: make([]uint32, n), stampT: make([]uint32, n),
+		distS: make([]uint32, n), distT: make([]uint32, n),
+		sigS: make([]float64, n), sigT: make([]float64, n),
+	}
+}
+
+// sample draws the pair as Sampler.SamplePair does (s uniform, t uniform
+// among the rest) and then its path.
+func (o *oracle) sample() ([]graph.Node, bool) {
+	n := o.fwd.NumNodes()
+	s := graph.Node(o.rng.Intn(n))
+	t := graph.Node(o.rng.Intn(n - 1))
+	if t >= s {
+		t++
+	}
 	return o.samplePath(s, t)
 }
 
-func (o oracle) samplePath(s, t graph.Node) ([]graph.Node, bool) {
-	sp := o.sp
-	if s == t {
+// start stamps s and t as the roots of a new search and reports whether
+// both have an arc to follow.
+func (o *oracle) start(s, t graph.Node) bool {
+	o.cur++
+	if o.cur == 0 {
+		clear(o.stampS)
+		clear(o.stampT)
+		o.cur = 1
+	}
+	cur := o.cur
+	o.stampS[s], o.distS[s], o.sigS[s] = cur, 0, 1
+	o.stampT[t], o.distT[t], o.sigT[t] = cur, 0, 1
+	o.frontS = append(o.frontS[:0], s)
+	o.frontT = append(o.frontT[:0], t)
+	return o.fwd.Degree(s) > 0 && o.bwd.Degree(t) > 0
+}
+
+func (o *oracle) samplePath(s, t graph.Node) ([]graph.Node, bool) {
+	if s == t || !o.start(s, t) {
 		return nil, false
 	}
-	sp.cur++
-	if sp.cur == 0 {
-		for i := range sp.stampS {
-			sp.stampS[i] = 0
-			sp.stampT[i] = 0
+	cost := func(g *graph.Graph, front []graph.Node) (c int) {
+		for _, v := range front {
+			c += g.Degree(v)
 		}
-		sp.cur = 1
-	}
-	cur := sp.cur
-	sp.stampS[s], sp.distS[s], sp.sigS[s] = cur, 0, 1
-	sp.stampT[t], sp.distT[t], sp.sigT[t] = cur, 0, 1
-	sp.frontS = append(sp.frontS[:0], s)
-	sp.frontT = append(sp.frontT[:0], t)
-	if sp.fwd.Degree(s) == 0 || sp.bwd.Degree(t) == 0 {
-		return nil, false
+		return c
 	}
 	for {
-		expandS := frontierCost(sp.fwd, sp.frontS) <= frontierCost(sp.bwd, sp.frontT)
+		expandS := cost(o.fwd, o.frontS) <= cost(o.bwd, o.frontT)
 		if o.expand(expandS) {
 			break
 		}
-		if (expandS && len(sp.frontS) == 0) || (!expandS && len(sp.frontT) == 0) {
+		if (expandS && len(o.frontS) == 0) || (!expandS && len(o.frontT) == 0) {
 			return nil, false
 		}
 	}
 	total := 0.0
-	for _, x := range sp.meet {
-		total += sp.sigS[x] * sp.sigT[x]
+	for _, x := range o.meet {
+		total += o.sigS[x] * o.sigT[x]
 	}
-	pick := sp.rng.Float64() * total
-	x := sp.meet[len(sp.meet)-1]
-	for _, cand := range sp.meet {
-		w := sp.sigS[cand] * sp.sigT[cand]
+	pick := o.rng.Float64() * total
+	x := o.meet[len(o.meet)-1]
+	for _, cand := range o.meet {
+		w := o.sigS[cand] * o.sigT[cand]
 		if pick < w {
 			x = cand
 			break
 		}
 		pick -= w
 	}
-	sp.path = sp.path[:0]
+	o.path = o.path[:0]
 	o.walk(x, s, true)
-	for i, j := 0, len(sp.path)-1; i < j; i, j = i+1, j-1 {
-		sp.path[i], sp.path[j] = sp.path[j], sp.path[i]
-	}
+	slices.Reverse(o.path)
 	if x != s && x != t {
-		sp.path = append(sp.path, x)
+		o.path = append(o.path, x)
 	}
 	o.walk(x, t, false)
-	return sp.path, true
+	return o.path, true
 }
 
-func (o oracle) expand(sSide bool) bool {
-	sp := o.sp
-	var g *graph.Graph
-	var front *[]graph.Node
-	var stamp, otherStamp, dist, otherDist []uint32
-	var sig []float64
-	if sSide {
-		g, front = sp.fwd, &sp.frontS
-		stamp, otherStamp = sp.stampS, sp.stampT
-		dist, otherDist = sp.distS, sp.distT
-		sig = sp.sigS
-	} else {
-		g, front = sp.bwd, &sp.frontT
-		stamp, otherStamp = sp.stampT, sp.stampS
-		dist, otherDist = sp.distT, sp.distS
-		sig = sp.sigT
+func (o *oracle) expand(sSide bool) bool {
+	g, front := o.fwd, &o.frontS
+	stamp, otherStamp, dist, otherDist, sig := o.stampS, o.stampT, o.distS, o.distT, o.sigS
+	if !sSide {
+		g, front = o.bwd, &o.frontT
+		stamp, otherStamp, dist, otherDist, sig = o.stampT, o.stampS, o.distT, o.distS, o.sigT
 	}
-	cur := sp.cur
-	next := sp.nextF[:0]
-	sp.meet = sp.meet[:0]
+	cur := o.cur
+	var next []graph.Node
+	o.meet = o.meet[:0]
 	bestMeet := Unreached
 	for _, u := range *front {
-		du := dist[u]
-		su := sig[u]
+		du, su := dist[u], sig[u]
 		for _, w := range g.Neighbors(u) {
 			if stamp[w] != cur {
-				stamp[w] = cur
-				dist[w] = du + 1
-				sig[w] = su
+				stamp[w], dist[w], sig[w] = cur, du+1, su
 				next = append(next, w)
 				if otherStamp[w] == cur {
 					d := du + 1 + otherDist[w]
 					if d < bestMeet {
 						bestMeet = d
-						sp.meet = sp.meet[:0]
+						o.meet = o.meet[:0]
 					}
 					if d == bestMeet {
-						sp.meet = append(sp.meet, w)
+						o.meet = append(o.meet, w)
 					}
 				}
 			} else if dist[w] == du+1 {
@@ -123,26 +142,20 @@ func (o oracle) expand(sSide bool) bool {
 			}
 		}
 	}
-	sp.nextF = (*front)[:0]
 	*front = next
-	return len(sp.meet) > 0
+	return len(o.meet) > 0
 }
 
-func (o oracle) walk(x, target graph.Node, toS bool) {
-	sp := o.sp
-	var g *graph.Graph
-	var stamp, dist []uint32
-	var sig []float64
+func (o *oracle) walk(x, target graph.Node, toS bool) {
+	g, stamp, dist, sig := o.fwd, o.stampT, o.distT, o.sigT
 	if toS {
-		g, stamp, dist, sig = sp.bwd, sp.stampS, sp.distS, sp.sigS
-	} else {
-		g, stamp, dist, sig = sp.fwd, sp.stampT, sp.distT, sp.sigT
+		g, stamp, dist, sig = o.bwd, o.stampS, o.distS, o.sigS
 	}
-	cur := sp.cur
+	cur := o.cur
 	v := x
 	for dist[v] > 0 {
 		dv := dist[v]
-		pick := sp.rng.Float64() * sig[v]
+		pick := o.rng.Float64() * sig[v]
 		var chosen graph.Node
 		found := false
 		for _, u := range g.Neighbors(v) {
@@ -168,7 +181,7 @@ func (o oracle) walk(x, target graph.Node, toS bool) {
 		}
 		v = chosen
 		if dist[v] > 0 {
-			sp.path = append(sp.path, v)
+			o.path = append(o.path, v)
 		}
 	}
 	if v != target {
@@ -185,14 +198,15 @@ func oracleSamples() int {
 	return 100_000
 }
 
-// checkOracle draws oracleSamples samples from got and from an oracle over
-// the same views and seed, both starting at stamp cur, and requires the same
-// pairs and the same paths, sample for sample.
-func checkOracle(t *testing.T, fwd, bwd *graph.Graph, seed uint64, cur uint32) {
+// checkOracle draws oracleSamples samples from a sampler over the views
+// fwd and bwd, with hub matrix h, and from an oracle over the same views and
+// seed, both starting at stamp cur, and requires the same pairs and the
+// same paths, sample for sample.
+func checkOracle(t *testing.T, fwd, bwd *graph.Graph, h *Hubs, seed uint64, cur uint32) {
 	t.Helper()
-	got := newSampler(fwd, bwd, rng.NewRand(seed))
-	ref := oracle{newSampler(fwd, bwd, rng.NewRand(seed))}
-	got.cur, ref.sp.cur = cur, cur
+	got := newSampler(fwd, bwd, h, rng.NewRand(seed))
+	ref := newOracle(fwd, bwd, seed)
+	got.cur, ref.cur = cur, cur
 	for i := range oracleSamples() {
 		want, wantOK := ref.sample()
 		path, ok := got.Sample()
@@ -218,22 +232,22 @@ func TestProbeMatchesOracle(t *testing.T) {
 	for _, scale := range []int{10, 12, 16} {
 		g := rmatLCC(scale)
 		t.Run(fmt.Sprintf("rmat%d", scale), func(t *testing.T) {
-			checkOracle(t, g, g, uint64(scale), 0)
+			checkOracle(t, g, g, NewHubs(g), uint64(scale), 0)
 		})
 	}
 	t.Run("road", func(t *testing.T) {
 		g, _ := graph.LargestComponent(gen.Road(gen.RoadParams{Rows: 40, Cols: 40, DeleteProb: 0.1, Seed: 3}))
-		checkOracle(t, g, g, 5, 0)
+		checkOracle(t, g, g, NewHubs(g), 5, 0)
 	})
 	t.Run("randomDigraph", func(t *testing.T) {
 		g, _ := graph.LargestSCC(randomDigraph(11, 3000, 12000))
 		out, in := views(g)
-		checkOracle(t, out, in, 7, 0)
+		checkOracle(t, out, in, NewDirectedHubs(g), 7, 0)
 	})
 	t.Run("rmatDigraph", func(t *testing.T) {
 		g, _ := graph.LargestSCC(mixedOrientation(rmatLCC(12), 9))
 		out, in := views(g)
-		checkOracle(t, out, in, 8, 0)
+		checkOracle(t, out, in, NewDirectedHubs(g), 8, 0)
 	})
 }
 
@@ -241,7 +255,7 @@ func TestProbeMatchesOracle(t *testing.T) {
 // stamp counter's wrap, so the run crosses the clear-and-restart path.
 func TestProbeMatchesOracleAcrossStampWrap(t *testing.T) {
 	g := rmatLCC(10)
-	checkOracle(t, g, g, 3, math.MaxUint32-uint32(oracleSamples()/2))
+	checkOracle(t, g, g, NewHubs(g), 3, math.MaxUint32-uint32(oracleSamples()/2))
 }
 
 // mixedOrientation turns each edge of g into one arc of either direction or
@@ -288,20 +302,17 @@ func twoHubs() *graph.Graph {
 // the round finds; then checks the sampler's path frequencies on the pair.
 func TestProbeTakesTheMeetingRound(t *testing.T) {
 	g := twoHubs()
-	start := func(sp *Sampler) {
-		sp.cur++
-		sp.stampS[0], sp.distS[0], sp.sigS[0] = sp.cur, 0, 1
-		sp.stampT[1], sp.distT[1], sp.sigT[1] = sp.cur, 0, 1
-		sp.frontS = append(sp.frontS[:0], 0)
-		sp.frontT = append(sp.frontT[:0], 1)
-		if sp.expand(true) || sp.expand(false) {
-			t.Fatal("balls met before the third round")
-		}
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
+	sp.cur++
+	sp.vs[0][0] = half{stamp: sp.cur, sig: 1}
+	sp.vs[1][1] = half{stamp: sp.cur, sig: 1}
+	sp.frontS = append(sp.frontS[:0], 0)
+	sp.frontT = append(sp.frontT[:0], 1)
+	ref := newOracle(g, g, 1)
+	ref.start(0, 1)
+	if sp.expand(true) || sp.expand(false) || ref.expand(true) || ref.expand(false) {
+		t.Fatal("balls met before the third round")
 	}
-	sp := NewSampler(g, rng.NewRand(1))
-	ref := oracle{NewSampler(g, rng.NewRand(1))}
-	start(sp)
-	start(ref.sp)
 
 	costS, costT := frontierCost(g, sp.frontS), frontierCost(g, sp.frontT)
 	if pairs := uint64(len(sp.frontS) * len(sp.frontT)); pairs*probeCost >= min(costS, costT) {
@@ -314,17 +325,17 @@ func TestProbeTakesTheMeetingRound(t *testing.T) {
 	if !ref.expand(expandS) {
 		t.Fatal("oracle expansion missed the meeting round")
 	}
-	if !slices.Equal(sp.meet, ref.sp.meet) {
-		t.Fatalf("probe meets %v, expansion %v", sp.meet, ref.sp.meet)
+	if !slices.Equal(sp.meet, ref.meet) {
+		t.Fatalf("probe meets %v, expansion %v", sp.meet, ref.meet)
 	}
 	for _, x := range sp.meet {
-		if sp.sigS[x] != ref.sp.sigS[x] || sp.distS[x] != ref.sp.distS[x] {
+		if got := sp.vs[x][0]; got.sig != ref.sigS[x] || got.dist != ref.distS[x] {
 			t.Fatalf("meeting vertex %d: probe sigma %v dist %d, expansion %v dist %d",
-				x, sp.sigS[x], sp.distS[x], ref.sp.sigS[x], ref.sp.distS[x])
+				x, got.sig, got.dist, ref.sigS[x], ref.distS[x])
 		}
 	}
 
-	checkUniformity(t, g, g, NewSampler(g, rng.NewRand(2)), 0, 1)
+	checkUniformity(t, g, g, NewSampler(g, NewHubs(g), rng.NewRand(2)), 0, 1)
 }
 
 // TestUnsortedAdjacencyDegrades: on a symmetric CSR whose neighbour lists
@@ -343,7 +354,7 @@ func TestUnsortedAdjacencyDegrades(t *testing.T) {
 	for s := range dist {
 		dist[s] = slices.Clone(b.Run(graph.Node(s)))
 	}
-	sp := NewSampler(rev, rng.NewRand(4))
+	sp := NewSampler(rev, NewHubs(rev), rng.NewRand(4))
 	for i := 0; i < 20_000; i++ {
 		s, tt := sp.SamplePair()
 		internal, ok := sp.SamplePath(s, tt)

@@ -30,10 +30,12 @@ import (
 // stamp thousands of vertices only to keep the few that meet. So before a
 // round expands, when |frontS| * |frontT| * probeCost is below the cheaper
 // side's frontier cost, the round probes instead: it finds each expanding
-// vertex's arcs into the other frontier (a scan of a short list, a binary
-// search per frontier pair otherwise) and stamps only those. Every meeting
-// vertex lies in the other frontier, so a probe with hits has found the
-// whole meeting set; one without hits wrote nothing, and the round expands.
+// vertex's arcs into the other frontier (a scan of a short list, an arc
+// test per frontier pair otherwise) and stamps only those. An arc test
+// between two of the graph's highest-degree vertices reads one bit of the
+// shared Hubs matrix; any other is a binary search. Every meeting vertex
+// lies in the other frontier, so a probe with hits has found the whole
+// meeting set; one without hits wrote nothing, and the round expands.
 // After a probe, the walk's first step on the probed side reads its
 // candidates off the frontier when that is cheaper than scanning the meeting
 // vertex's arcs, and at distance 1 the predecessor is the endpoint itself.
@@ -43,9 +45,10 @@ import (
 // order with the same sigma sums, the walk sees its candidates in ascending
 // order either way, and it draws the same random numbers. This makes sorted,
 // duplicate-free neighbour lists (graph.Graph's invariant) load-bearing: on
-// unsorted lists a binary search can miss an arc, so the walk falls back to
-// scanning whenever the frontier yields no candidate. Every path is then
-// still a shortest path, but the path distribution may differ.
+// unsorted lists a binary search can miss an arc (the matrix cannot), so the
+// walk falls back to scanning whenever the frontier yields no candidate.
+// Every path is then still a shortest path, but the path distribution may
+// differ.
 //
 // On an undirected graph of high diameter the two balls have radius about
 // d(s,t)/2 and hold several times the s-t shortest-path DAG, so
@@ -54,20 +57,22 @@ import (
 // 2·⌈log2 n⌉ (balls grow polynomially, as on a lattice, not exponentially,
 // as on a small world), it builds NumLandmarks = 4 landmarks once and every
 // sampler is the goal kernel. Below the threshold, and on digraphs, this
-// kernel runs. Per-thread memory is 32 bytes per vertex (stamp, distance
-// and path count per side).
+// kernel runs. Per-thread memory is 32 bytes per vertex: one record holds
+// both balls' stamp, distance and path count, so expand, probe and walk touch
+// half a cache line per vertex. The Hubs matrix, 4n + K²/8 bytes, is built
+// once per graph and shared.
 //
 // A Sampler is not safe for concurrent use; each sampling thread owns one.
-// The backing graph is shared and read-only.
+// The backing graph and its Hubs are shared and read-only.
 type Sampler struct {
 	fwd, bwd *graph.Graph
+	hubs     *Hubs
 	rng      *rng.Rand
 
-	// Per-side BFS state, validity gated by stamp to avoid O(|V|) clears.
-	stampS, stampT []uint32
-	distS, distT   []uint32
-	sigS, sigT     []float64
-	cur            uint32
+	// Per-vertex BFS state of both balls, s at index 0 and t at 1, validity
+	// gated by stamp to avoid O(|V|) clears.
+	vs  [][2]half
+	cur uint32
 
 	frontS, frontT []graph.Node
 	nextF          []graph.Node
@@ -76,36 +81,43 @@ type Sampler struct {
 	hits           []graph.Node // probe and preds scratch
 }
 
+// half is one ball's state at a vertex, valid while stamp is the sampler's
+// current stamp.
+type half struct {
+	stamp, dist uint32
+	sig         float64
+}
+
 // probeCost prices one frontier pair of a probe in scanned arcs: a binary
 // search and its cache misses.
 const probeCost = 8
 
-// NewSampler creates a sampler over the undirected graph g using the given
-// private RNG.
-func NewSampler(g *graph.Graph, r *rng.Rand) *Sampler {
-	return newSampler(g, g, r)
+// NewSampler creates a sampler over the undirected graph g, whose hub matrix
+// h (NewHubs(g)) it shares, using the given private RNG.
+func NewSampler(g *graph.Graph, h *Hubs, r *rng.Rand) *Sampler {
+	return newSampler(g, g, h, r)
 }
 
-// NewDirectedSampler creates a sampler over the digraph g: shortest s->t
-// paths follow arc directions.
-func NewDirectedSampler(g *graph.Digraph, r *rng.Rand) *Sampler {
+// NewDirectedSampler creates a sampler over the digraph g, whose hub matrix
+// h (NewDirectedHubs(g)) it shares: shortest s->t paths follow arc
+// directions.
+func NewDirectedSampler(g *graph.Digraph, h *Hubs, r *rng.Rand) *Sampler {
 	return newSampler(
 		&graph.Graph{Offsets: g.OutOffsets, Adj: g.OutAdj},
-		&graph.Graph{Offsets: g.InOffsets, Adj: g.InAdj}, r)
+		&graph.Graph{Offsets: g.InOffsets, Adj: g.InAdj}, h, r)
 }
 
-func newSampler(fwd, bwd *graph.Graph, r *rng.Rand) *Sampler {
+func newSampler(fwd, bwd *graph.Graph, h *Hubs, r *rng.Rand) *Sampler {
 	n := fwd.NumNodes()
+	if len(h.row) != n {
+		panic("bfs: hub matrix built for another graph")
+	}
 	return &Sampler{
 		fwd:    fwd,
 		bwd:    bwd,
+		hubs:   h,
 		rng:    r,
-		stampS: make([]uint32, n),
-		stampT: make([]uint32, n),
-		distS:  make([]uint32, n),
-		distT:  make([]uint32, n),
-		sigS:   make([]float64, n),
-		sigT:   make([]float64, n),
+		vs:     make([][2]half, n),
 		frontS: make([]graph.Node, 0, 256),
 		frontT: make([]graph.Node, 0, 256),
 		nextF:  make([]graph.Node, 0, 256),
@@ -158,15 +170,14 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	}
 	sp.cur++
 	if sp.cur == 0 { // stamp wrapped: invalidate everything once
-		for i := range sp.stampS {
-			sp.stampS[i] = 0
-			sp.stampT[i] = 0
+		for i := range sp.vs {
+			sp.vs[i][0].stamp, sp.vs[i][1].stamp = 0, 0
 		}
 		sp.cur = 1
 	}
 	cur := sp.cur
-	sp.stampS[s], sp.distS[s], sp.sigS[s] = cur, 0, 1
-	sp.stampT[t], sp.distT[t], sp.sigT[t] = cur, 0, 1
+	sp.vs[s][0] = half{stamp: cur, sig: 1}
+	sp.vs[t][1] = half{stamp: cur, sig: 1}
 	sp.frontS = append(sp.frontS[:0], s)
 	sp.frontT = append(sp.frontT[:0], t)
 	if sp.fwd.Degree(s) == 0 || sp.bwd.Degree(t) == 0 {
@@ -201,16 +212,16 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 		}
 	}
 
-	// sp.meet holds the meeting vertices x with distS[x]+distT[x] == D.
+	// sp.meet holds the meeting vertices x whose two distances sum to D.
 	// Total path count and weighted meeting-vertex selection.
 	total := 0.0
 	for _, x := range sp.meet {
-		total += sp.sigS[x] * sp.sigT[x]
+		total += sp.vs[x][0].sig * sp.vs[x][1].sig
 	}
 	pick := sp.rng.Float64() * total
 	x := sp.meet[len(sp.meet)-1]
 	for _, cand := range sp.meet {
-		w := sp.sigS[cand] * sp.sigT[cand]
+		w := sp.vs[cand][0].sig * sp.vs[cand][1].sig
 		if pick < w {
 			x = cand
 			break
@@ -244,40 +255,38 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 //
 //bc:hotpath
 func (sp *Sampler) probe(sSide bool) bool {
-	g, gt := sp.fwd, sp.bwd
+	g, gt, me := sp.fwd, sp.bwd, 0
 	front, other := sp.frontS, sp.frontT
-	stamp, otherStamp, dist, sig := sp.stampS, sp.stampT, sp.distS, sp.sigS
 	if !sSide {
-		g, gt = sp.bwd, sp.fwd
+		g, gt, me = sp.bwd, sp.fwd, 1
 		front, other = sp.frontT, sp.frontS
-		stamp, otherStamp, dist, sig = sp.stampT, sp.stampS, sp.distT, sp.sigT
 	}
-	cur := sp.cur
+	vs, you, cur := sp.vs, me^1, sp.cur
 	sp.meet = sp.meet[:0]
 	for _, u := range front {
 		hits := sp.hits[:0]
 		if adj := g.Neighbors(u); len(adj) <= len(other)*probeCost {
 			for _, w := range adj {
-				if otherStamp[w] == cur {
+				if vs[w][you].stamp == cur {
 					hits = append(hits, w)
 				}
 			}
 		} else {
 			for _, w := range other {
-				if arc(g, gt, u, w) {
+				if sp.hubs.arc(g, gt, !sSide, u, w) {
 					hits = append(hits, w)
 				}
 			}
 			slices.Sort(hits) // expand meets them in adjacency order
 		}
 		sp.hits = hits
-		du, su := dist[u], sig[u]
+		du, su := vs[u][me].dist, vs[u][me].sig
 		for _, w := range hits {
-			if stamp[w] != cur {
-				stamp[w], dist[w], sig[w] = cur, du+1, su
+			if h := &vs[w][me]; h.stamp != cur {
+				*h = half{stamp: cur, dist: du + 1, sig: su}
 				sp.meet = append(sp.meet, w)
 			} else {
-				sig[w] += su
+				h.sig += su
 			}
 		}
 	}
@@ -285,32 +294,20 @@ func (sp *Sampler) probe(sSide bool) bool {
 }
 
 // preds returns the vertices of front with an arc into x along g (gt is its
-// transpose), ascending: the order a scan of x's sorted list meets them.
+// transpose, back says g is the bwd view), ascending: the order a scan of x's
+// sorted list meets them.
 //
 //bc:hotpath
-func (sp *Sampler) preds(g, gt *graph.Graph, front []graph.Node, x graph.Node) []graph.Node {
+func (sp *Sampler) preds(g, gt *graph.Graph, back bool, front []graph.Node, x graph.Node) []graph.Node {
 	hits := sp.hits[:0]
 	for _, u := range front {
-		if arc(g, gt, u, x) {
+		if sp.hubs.arc(g, gt, back, u, x) {
 			hits = append(hits, u)
 		}
 	}
 	slices.Sort(hits)
 	sp.hits = hits
 	return hits
-}
-
-// arc reports whether u->w is an arc of g, whose transpose is gt, by binary
-// search in the shorter of u's list in g and w's list in gt.
-//
-//bc:hotpath
-func arc(g, gt *graph.Graph, u, w graph.Node) bool {
-	adj, key := g.Neighbors(u), w
-	if in := gt.Neighbors(w); len(in) < len(adj) {
-		adj, key = in, u
-	}
-	_, ok := slices.BinarySearch(adj, key)
-	return ok
 }
 
 // frontierCost estimates the work to expand a frontier: the sum of its
@@ -340,36 +337,23 @@ func frontierCost(g *graph.Graph, front []graph.Node) uint64 {
 //
 //bc:hotpath
 func (sp *Sampler) expand(sSide bool) bool {
-	var g *graph.Graph
-	var front *[]graph.Node
-	var stamp, otherStamp, dist, otherDist []uint32
-	var sig []float64
-	if sSide {
-		g, front = sp.fwd, &sp.frontS
-		stamp, otherStamp = sp.stampS, sp.stampT
-		dist, otherDist = sp.distS, sp.distT
-		sig = sp.sigS
-	} else {
-		g, front = sp.bwd, &sp.frontT
-		stamp, otherStamp = sp.stampT, sp.stampS
-		dist, otherDist = sp.distT, sp.distS
-		sig = sp.sigT
+	g, front, me := sp.fwd, &sp.frontS, 0
+	if !sSide {
+		g, front, me = sp.bwd, &sp.frontT, 1
 	}
-	cur := sp.cur
+	vs, you, cur := sp.vs, me^1, sp.cur
 	next := sp.nextF[:0]
 	sp.meet = sp.meet[:0]
 	bestMeet := Unreached
 	for _, u := range *front {
-		du := dist[u]
-		su := sig[u]
+		du, su := vs[u][me].dist, vs[u][me].sig
 		for _, w := range g.Neighbors(u) {
-			if stamp[w] != cur {
-				stamp[w] = cur
-				dist[w] = du + 1
-				sig[w] = su
+			r := &vs[w]
+			if r[me].stamp != cur {
+				r[me] = half{stamp: cur, dist: du + 1, sig: su}
 				next = append(next, w)
-				if otherStamp[w] == cur {
-					d := du + 1 + otherDist[w]
+				if r[you].stamp == cur {
+					d := du + 1 + r[you].dist
 					if d < bestMeet {
 						bestMeet = d
 						sp.meet = sp.meet[:0]
@@ -378,8 +362,8 @@ func (sp *Sampler) expand(sSide bool) bool {
 						sp.meet = append(sp.meet, w)
 					}
 				}
-			} else if dist[w] == du+1 {
-				sig[w] += su
+			} else if r[me].dist == du+1 {
+				r[me].sig += su
 			}
 		}
 	}
@@ -397,16 +381,14 @@ func (sp *Sampler) expand(sSide bool) bool {
 //
 //bc:hotpath
 func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
-	g, gt := sp.bwd, sp.fwd
-	stamp, dist, sig, front := sp.stampS, sp.distS, sp.sigS, sp.frontS
+	g, gt, front, me := sp.bwd, sp.fwd, sp.frontS, 0
 	if !toS {
-		g, gt = sp.fwd, sp.bwd
-		stamp, dist, sig, front = sp.stampT, sp.distT, sp.sigT, sp.frontT
+		g, gt, front, me = sp.fwd, sp.bwd, sp.frontT, 1
 	}
-	cur := sp.cur
+	vs, cur := sp.vs, sp.cur
 	v := x
-	for dist[v] > 0 {
-		dv := dist[v]
+	for vs[v][me].dist > 0 {
+		dv := vs[v][me].dist
 		if dv == 1 {
 			// The one vertex at distance 0 is the endpoint; the scan would
 			// pick it whatever it drew, so draw and skip the scan.
@@ -416,10 +398,10 @@ func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
 		}
 		// Choose a predecessor u (dist[u] == dv-1) with probability
 		// sigma[u]/sigma[v]. sigma[v] equals the sum over predecessors.
-		pick := sp.rng.Float64() * sig[v]
+		pick := sp.rng.Float64() * vs[v][me].sig
 		cands := g.Neighbors(v)
 		if probed && len(front)*probeCost < len(cands) {
-			if p := sp.preds(gt, g, front, v); len(p) > 0 {
+			if p := sp.preds(gt, g, !toS, front, v); len(p) > 0 {
 				cands = p
 			}
 		}
@@ -427,19 +409,19 @@ func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
 		var chosen graph.Node
 		found := false
 		for _, u := range cands {
-			if stamp[u] == cur && dist[u] == dv-1 {
-				if pick < sig[u] {
+			if h := &vs[u][me]; h.stamp == cur && h.dist == dv-1 {
+				if pick < h.sig {
 					chosen = u
 					found = true
 					break
 				}
-				pick -= sig[u]
+				pick -= h.sig
 			}
 		}
 		if !found {
 			// Floating-point slack: fall back to the last valid predecessor.
 			for _, u := range cands {
-				if stamp[u] == cur && dist[u] == dv-1 {
+				if h := &vs[u][me]; h.stamp == cur && h.dist == dv-1 {
 					chosen = u
 					found = true
 				}
@@ -449,7 +431,7 @@ func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
 			}
 		}
 		v = chosen
-		if dist[v] > 0 {
+		if vs[v][me].dist > 0 {
 			sp.path = append(sp.path, v)
 		}
 	}

@@ -539,7 +539,8 @@ func TestWeightedUnitWeightsMatchBFS(t *testing.T) {
 		n := 30 + int(seed)*5
 		wg := randomWeighted(seed+200, n, 3*n, 1)
 		ws := NewWeightedSampler(SortArcsByWeight(wg), rng.NewRand(seed))
-		sp := NewSampler(wg.Unweighted(), rng.NewRand(seed))
+		ug := wg.Unweighted()
+		sp := NewSampler(ug, NewHubs(ug), rng.NewRand(seed))
 		for s := 0; s < n; s++ {
 			for tt := 0; tt < n; tt++ {
 				if s == tt {
@@ -555,9 +556,9 @@ func TestWeightedUnitWeightsMatchBFS(t *testing.T) {
 				x := sp.meet[0]
 				want := 0.0
 				for _, m := range sp.meet {
-					want += sp.sigS[m] * sp.sigT[m]
+					want += sp.vs[m][0].sig * sp.vs[m][1].sig
 				}
-				if d := uint64(sp.distS[x] + sp.distT[x]); ws.mu != d {
+				if d := uint64(sp.vs[x][0].dist + sp.vs[x][1].dist); ws.mu != d {
 					t.Fatalf("seed %d pair (%d,%d): distance %d, bfs %d", seed, s, tt, ws.mu, d)
 				}
 				if got := ws.crossing(); got != want {

@@ -3,7 +3,6 @@ package kadabra
 import (
 	"sync/atomic"
 
-	"repro/internal/bfs"
 	"repro/internal/epoch"
 	"repro/internal/rng"
 )
@@ -35,13 +34,13 @@ func (c *Calibration) DerivedState() (logDL, logDU []float64, order []uint32) {
 	return c.logDL, c.logDU, c.order
 }
 
-// CountKernelResolutions counts how often an undirected workload's kernel
-// memo, shared by all copies of w, resolves its kernel. Call it before w's
-// first sampler.
+// CountKernelResolutions counts how often an unweighted workload's kernel
+// memo, shared by all copies of w, resolves its kernel data. Call it before
+// w's first sampler.
 func CountKernelResolutions(w Workload) *atomic.Int32 {
 	var n atomic.Int32
 	inner := w.kernel.resolve
-	w.kernel.resolve = func() *bfs.Landmarks {
+	w.kernel.resolve = func() kernelData {
 		n.Add(1)
 		return inner()
 	}

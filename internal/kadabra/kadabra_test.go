@@ -356,19 +356,23 @@ func TestResolveDiameterOnce(t *testing.T) {
 	}
 }
 
-// TestResolveKernelOnce races the first resolution of an undirected
-// workload's sampling kernel across copies of the value (a WrapSampler copy
-// among them, run under -race): the double sweep and the landmarks run
-// once, and every sampler is the goal kernel on the lattice and the
-// bidirectional BFS on R-MAT.
+// TestResolveKernelOnce races the first resolution of an unweighted
+// workload's kernel data across copies of the value (a WrapSampler copy
+// among them, run under -race): the double sweep and the landmarks, or the
+// hub matrix, are built once, and every sampler is the goal kernel on the
+// lattice and the bidirectional BFS on R-MAT and on a digraph.
 func TestResolveKernelOnce(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		g    *graph.Graph
+		w    Workload
 		goal bool
-	}{{"lattice", testLattice(), true}, {"rmat", testGraph(), false}} {
+	}{
+		{"lattice", UndirectedWorkload(testLattice()), true},
+		{"rmat", UndirectedWorkload(testGraph()), false},
+		{"digraph", DirectedWorkload(stronglyConnectedDigraph(5, 200, 600)), false},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			w := UndirectedWorkload(c.g)
+			w := c.w
 			calls := CountKernelResolutions(w)
 			copies := []Workload{w, w, w, w.WrapSampler(func(s Sampler) Sampler { return s })}
 			samplers := make([]Sampler, len(copies))

@@ -53,7 +53,7 @@ type Sampler interface {
 // an independent-sampler factory, and the graph's phase-1 vertex-diameter
 // bound. Construct one with UndirectedWorkload, DirectedWorkload, or
 // WeightedWorkload; the zero value is not runnable. Copies share one
-// diameter memo (and an undirected workload's kernel memo), so build a
+// diameter memo (and an unweighted workload's kernel memo), so build a
 // workload once per graph and reuse it.
 type Workload struct {
 	// n is the number of vertices.
@@ -64,8 +64,8 @@ type Workload struct {
 	// diameter memoizes the vertex-diameter bound, a deterministic
 	// property of the graph.
 	diameter *diameterMemo
-	// kernel memoizes an undirected workload's choice of sampling kernel,
-	// the one newSampler reads; nil on the other workloads.
+	// kernel memoizes an unweighted workload's per-graph kernel data, the
+	// data newSampler reads; nil on the weighted workload.
 	kernel *kernelMemo
 }
 
@@ -138,36 +138,52 @@ func (w Workload) WrapSampler(wrap func(Sampler) Sampler) Workload {
 // read-only (bfs.NumLandmarks says why four). They settle about 1.2x the
 // s-t shortest-path DAG on a lattice.
 // Otherwise it is the balanced bidirectional BFS (bfs.Sampler), which on a
-// small world meets after a few levels. On the benchmark's 120x120 lattice
-// the bound is 238 against 28, on R-MAT 2^16 it is 7 against 32. The
-// choice is a seed-free function of the graph, so every rank, a restored
-// checkpoint and a cached workload make the same one.
+// small world meets after a few levels, and the same first call builds the
+// graph's hub matrix (bfs.Hubs), 4n + K²/8 bytes shared read-only, K =
+// min(n, ⌊√(8m)⌋): 889 KiB of matrix on R-MAT 2^16, at most m bytes on any
+// graph. On the benchmark's 120x120 lattice the bound is 238 against 28, on
+// R-MAT 2^16 it is 7 against 32. The choice is a seed-free function of the
+// graph, so every rank, a restored checkpoint and a cached workload make the
+// same one.
 func UndirectedWorkload(g *graph.Graph) Workload {
-	k := &kernelMemo{resolve: func() *bfs.Landmarks { return goalLandmarks(g) }}
+	k := &kernelMemo{resolve: func() kernelData {
+		if lm := goalLandmarks(g); lm != nil {
+			return kernelData{lm: lm}
+		}
+		return kernelData{hubs: bfs.NewHubs(g)}
+	}}
 	return Workload{
 		n: g.NumNodes(),
 		newSampler: func(r *rng.Rand) Sampler {
-			if lm := k.landmarks(); lm != nil {
-				return bfs.NewGoalSampler(g, lm, r)
+			d := k.data()
+			if d.lm != nil {
+				return bfs.NewGoalSampler(g, d.lm, r)
 			}
-			return bfs.NewSampler(g, r)
+			return bfs.NewSampler(g, d.hubs, r)
 		},
 		diameter: &diameterMemo{resolve: func() int { return diameter.VertexDiameter(g) }},
 		kernel:   k,
 	}
 }
 
-// kernelMemo resolves an undirected workload's kernel on first use: the
-// goal kernel's landmarks, or nil for the bidirectional BFS.
-type kernelMemo struct {
-	once    sync.Once
-	resolve func() *bfs.Landmarks
-	lm      *bfs.Landmarks
+// kernelData is the read-only per-graph data an unweighted workload's
+// samplers share: the goal kernel's landmarks, or else the bidirectional
+// BFS's hub matrix.
+type kernelData struct {
+	lm   *bfs.Landmarks
+	hubs *bfs.Hubs
 }
 
-func (k *kernelMemo) landmarks() *bfs.Landmarks {
-	k.once.Do(func() { k.lm = k.resolve() })
-	return k.lm
+// kernelMemo resolves an unweighted workload's kernel data on first use.
+type kernelMemo struct {
+	once    sync.Once
+	resolve func() kernelData
+	d       kernelData
+}
+
+func (k *kernelMemo) data() kernelData {
+	k.once.Do(func() { k.d = k.resolve() })
+	return k.d
 }
 
 // goalLandmarks returns the goal kernel's landmarks when g's double-sweep
@@ -186,14 +202,18 @@ func goalLandmarks(g *graph.Graph) *bfs.Landmarks {
 
 // DirectedWorkload swaps in the bidirectional sampler over out-arcs and the
 // stored transpose. The digraph must be strongly connected (graph.LargestSCC)
-// for the vertex-diameter bound to be valid.
+// for the vertex-diameter bound to be valid. The first sampler any copy
+// builds also builds the digraph's hub matrix (bfs.Hubs), 4n + K²/8 bytes
+// shared read-only by every sampler, K = min(n, ⌊√(8m)⌋) over its m arcs.
 func DirectedWorkload(g *graph.Digraph) Workload {
+	k := &kernelMemo{resolve: func() kernelData { return kernelData{hubs: bfs.NewDirectedHubs(g)} }}
 	return Workload{
 		n: g.NumNodes(),
 		newSampler: func(r *rng.Rand) Sampler {
-			return bfs.NewDirectedSampler(g, r)
+			return bfs.NewDirectedSampler(g, k.data().hubs, r)
 		},
 		diameter: &diameterMemo{resolve: func() int { return DirectedVertexDiameter(g) }},
+		kernel:   k,
 	}
 }
 

@@ -333,8 +333,12 @@ const readChunk = 1 << 20
 // unchecked, so the buffer starts at min(n, readChunk) and doubles only
 // once full, never holding more than twice the bytes that have arrived: a
 // frame below readChunk costs one allocation, and a header claiming
-// gigabytes from a peer that then stops costs one chunk.
+// gigabytes from a peer that then stops costs one chunk. A negative n (a
+// length past MaxInt32 where int is 32 bits) is an error.
 func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("mpi: frame length %d", n)
+	}
 	buf := make([]byte, min(n, readChunk))
 	got := 0
 	for {

@@ -124,6 +124,32 @@ func TestReadPayloadChunked(t *testing.T) {
 	}
 }
 
+// FuzzReadPayload: whatever length a frame header claims and whatever
+// bytes follow it, readPayload returns exactly the first n bytes or an
+// error, and never panics. TestReadPayloadChunked covers payloads past the
+// read chunk, which would make every mutation here megabytes long.
+func FuzzReadPayload(f *testing.F) {
+	f.Add(0, []byte{})
+	f.Add(3, []byte("abc"))
+	f.Add(2, []byte("abc"))
+	f.Add(4, []byte("abc"))
+	f.Add(-1, []byte("abc"))
+	f.Add(1<<40, []byte("abc"))
+	f.Fuzz(func(t *testing.T, n int, data []byte) {
+		got, err := readPayload(bytes.NewReader(data), n)
+		switch {
+		case n < 0 || n > len(data):
+			if err == nil {
+				t.Fatalf("n=%d over %d bytes: returned %d bytes and no error", n, len(data), len(got))
+			}
+		case err != nil:
+			t.Fatalf("n=%d over %d bytes: %v", n, len(data), err)
+		case !bytes.Equal(got, data[:n]):
+			t.Fatalf("n=%d over %d bytes: returned %d bytes, not the first n", n, len(data), len(got))
+		}
+	})
+}
+
 func TestTCPCollectives(t *testing.T) {
 	runTCP(t, 4, func(c *Comm) error {
 		if err := c.Barrier(); err != nil {
