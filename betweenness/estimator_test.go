@@ -841,8 +841,13 @@ func FuzzRestoreEstimator(f *testing.F) {
 	// Version 2: one thread is `full` and `partial` above, the deleted
 	// sequential schedule the second committed file; add a shared-memory
 	// capture taken mid-run (streams absent) and a distributed session.
+	// The capture is taken at the end of the first epoch that does not stop
+	// the run, so that run must have one whatever the load: at eps 0.001 no
+	// check passes before omega (~2M samples on this graph), and the sample
+	// cap, 10x the calibration batch, is many ~9k-sample epochs away.
 	var shmInRun []byte
-	shm, err := NewEstimator(Undirected(g), WithEpsilon(0.01), WithSeed(1), WithThreads(2), WithExecutor(SharedMemory()))
+	shm, err := NewEstimator(Undirected(g), WithEpsilon(0.001), WithSeed(1), WithThreads(2),
+		WithMaxSamples(200_000), WithExecutor(SharedMemory()))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -6,14 +6,16 @@
 // Usage:
 //
 //	betweennessd [-addr :8372] [-data DIR] [-max-runs N] [-cache-size N]
-//	             [-checkpoint-interval D] [-run-timeout D] [-cache-disk-bytes N]
+//	             [-checkpoint-interval D] [-run-timeout D]
 //
-// With -data, state survives restarts — unclean ones included: graphs,
-// session metadata, and converged results persist as they are produced,
-// running sessions are checkpointed every -checkpoint-interval (so a
-// SIGKILL loses at most one interval of sampling; a SIGTERM/SIGINT drain
-// loses none), and startup quarantines rather than trips over files torn
-// by a crash. The daemon listens before it rehydrates: /healthz is live
+// With -data, state survives restarts — unclean ones included: graphs
+// persist at upload, and each session is one record (params, status and
+// samples) rewritten whole at creation and at the end of every run or
+// refine; running sessions are checkpointed into it every
+// -checkpoint-interval (so a SIGKILL loses at most one interval of
+// sampling; a SIGTERM/SIGINT drain loses none). A restart re-seeds the
+// result cache from the converged sessions, and quarantines rather than
+// trips over files torn by a crash. The daemon listens before it rehydrates: /healthz is live
 // immediately and /readyz turns 200 once recovery finishes.
 package main
 
@@ -38,7 +40,6 @@ func main() {
 	dataDir := flag.String("data", "", "persistence directory (empty: in-memory only, nothing survives restarts)")
 	maxRuns := flag.Int("max-runs", 2, "maximum concurrent estimator runs (admission control)")
 	cacheSize := flag.Int("cache-size", 128, "result cache capacity in entries (negative disables)")
-	cacheDiskBytes := flag.Int64("cache-disk-bytes", 0, "result cache disk-tier budget in bytes (0: default 256 MiB, negative disables)")
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "periodic checkpoint cadence for running sessions (0: default 30s, negative disables)")
 	runTimeout := flag.Duration("run-timeout", 0, "server-side watchdog per run/refine; expired runs are interrupted, sessions stay resumable (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight runs on shutdown")
@@ -71,7 +72,6 @@ func main() {
 		DataDir:            *dataDir,
 		MaxConcurrentRuns:  *maxRuns,
 		CacheSize:          *cacheSize,
-		CacheDiskBytes:     *cacheDiskBytes,
 		CheckpointInterval: *ckptInterval,
 		RunTimeout:         *runTimeout,
 		Logf:               logger.Printf,

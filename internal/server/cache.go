@@ -7,19 +7,17 @@ import (
 	"repro/betweenness"
 )
 
-// resultCache is a two-tier cache of converged estimation results, keyed by
-// the full statistical identity of a run: graph digest, workload kind, eps,
+// resultCache is an LRU cache of converged estimation results, keyed by the
+// full statistical identity of a run: graph digest, workload kind, eps,
 // delta, seed, threads, and backend. Two sessions with equal keys would
 // sample identically, so serving the second from the cache is free and
 // exact — this is what makes repeated identical queries O(1) for the
 // daemon. Only converged results are cached (a budget-stopped result is a
 // resumable session state, not an answer).
 //
-// The memory tier is a plain LRU of cap entries. When a data dir is
-// configured, every put also spills the entry to disk (diskcache.go), the
-// disk tier is bounded by maxDiskBytes with LRU eviction, and a restart
-// rehydrates from it — so a converged result survives even a SIGKILL, and
-// a memory-evicted entry is quietly re-admitted from disk on the next hit.
+// The cache lives in memory only. With a data dir, a restart re-seeds it
+// from the converged sessions' records (see rehydrateResult), so an answer
+// survives a crash as long as its session does.
 //
 // Cached *betweenness.Result values are shared read-only across sessions;
 // handlers must copy anything they hand to a caller for mutation.
@@ -29,14 +27,6 @@ type resultCache struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 
-	// The disk tier: dir is the spill directory ("" disables), disk maps
-	// key -> entry file size, diskBytes their sum, bounded by maxDiskBytes.
-	dir          string
-	maxDiskBytes int64
-	disk         map[string]int64
-	diskBytes    int64
-	logf         func(format string, args ...any)
-
 	hits, misses int64
 }
 
@@ -45,37 +35,21 @@ type cacheEntry struct {
 	res *betweenness.Result
 }
 
-// newResultCache builds the cache. dir and maxDiskBytes configure the disk
-// tier; dir == "" or maxDiskBytes <= 0 keeps the cache memory-only.
-func newResultCache(capacity int, dir string, maxDiskBytes int64, logf func(string, ...any)) *resultCache {
-	if maxDiskBytes <= 0 {
-		dir = ""
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// newResultCache builds a cache of capacity entries (<= 0 caches nothing).
+func newResultCache(capacity int) *resultCache {
 	return &resultCache{
-		cap:          capacity,
-		entries:      make(map[string]*list.Element),
-		order:        list.New(),
-		dir:          dir,
-		maxDiskBytes: maxDiskBytes,
-		disk:         make(map[string]int64),
-		logf:         logf,
+		cap:     capacity,
+		entries: make(map[string]*list.Element),
+		order:   list.New(),
 	}
 }
 
-// get returns the cached result for key, refreshing its recency. A memory
-// miss falls through to the disk tier.
+// get returns the cached result for key, refreshing its recency.
 func (c *resultCache) get(key string) (*betweenness.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		if res, ok := c.loadFromDiskLocked(key); ok {
-			c.hits++
-			return res, true
-		}
 		c.misses++
 		return nil, false
 	}
@@ -84,24 +58,14 @@ func (c *resultCache) get(key string) (*betweenness.Result, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// put inserts (or refreshes) a result in both tiers, evicting the least
-// recently used entries past each tier's capacity.
+// put inserts (or refreshes) a result, evicting the least recently used
+// entries past the capacity.
 func (c *resultCache) put(key string, res *betweenness.Result) {
 	if c.cap <= 0 || res == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(key, res)
-	c.spillLocked(key, res)
-}
-
-// insertLocked is the memory-tier insert: add or refresh, then evict past
-// cap. Callers hold c.mu.
-func (c *resultCache) insertLocked(key string, res *betweenness.Result) {
-	if c.cap <= 0 {
-		return
-	}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(el)
@@ -112,28 +76,12 @@ func (c *resultCache) insertLocked(key string, res *betweenness.Result) {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		// The disk twin, if any, stays: memory eviction is about RAM, and
-		// the disk tier has its own byte budget.
 	}
-}
-
-// drop removes key from both tiers (session deletion does not need this —
-// cache entries are keyed by statistical identity, not session — but the
-// recovery path uses it when an entry goes bad at runtime).
-func (c *resultCache) drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		delete(c.entries, key)
-	}
-	c.dropDiskLocked(key)
 }
 
 // stats returns the counters for the /stats endpoint.
-func (c *resultCache) stats() (entries int, hits, misses int64, diskEntries int, diskBytes int64) {
+func (c *resultCache) stats() (entries int, hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	diskEntries, diskBytes = c.diskStatsLocked()
-	return c.order.Len(), c.hits, c.misses, diskEntries, diskBytes
+	return c.order.Len(), c.hits, c.misses
 }

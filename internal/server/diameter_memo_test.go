@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -247,9 +245,8 @@ func TestRestoreCheckpointFromBeforeMemo(t *testing.T) {
 	if err := old.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dataDir, "sessions", id+".bck"), ckpt.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	meta, _ := readRecord(t, dataDir, id)
+	writeRecord(t, dataDir, meta, ckpt.Bytes())
 
 	srvB, tsB := newTestServer(t, Config{DataDir: dataDir})
 	if got := sessionTau(t, tsB.URL, id); got != 400 {

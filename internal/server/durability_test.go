@@ -31,7 +31,7 @@ import (
 // including one that vanishes between the directory listing and the lstat
 // because the live daemon renamed it into place meanwhile, as any backup of
 // a live data dir sees.
-func copyDataDir(t *testing.T, src string) string {
+func copyDataDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
@@ -91,12 +91,39 @@ func quarantineEntries(t *testing.T, dataDir string) []string {
 	return names
 }
 
+// readRecord decodes a session's record on disk.
+func readRecord(t *testing.T, dataDir, id string) (sessionMeta, []byte) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dataDir, "sessions", id+".bck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, state, err := decodeRecord(data)
+	if err != nil {
+		t.Fatalf("session %s: %v", id, err)
+	}
+	return meta, state
+}
+
+// writeRecord replaces a session's record on disk, as a crash or another
+// build might have left it.
+func writeRecord(t *testing.T, dataDir string, meta sessionMeta, state []byte) {
+	t.Helper()
+	head, err := encodeRecordHead(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "sessions", meta.ID+".bck"), append(head, state...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPeriodicCheckpointDuringRun is the SIGKILL acceptance scenario
 // in-process: a converged result and a long run checkpointed by the
 // background loop survive a crash image taken mid-run — the restarted
-// daemon serves the converged result from the rehydrated cache and resumes
-// the interrupted session with at most one checkpoint interval of sampling
-// lost. Pinned by the CI race job: the in-run capture (engine-side flag
+// daemon serves the converged result from the cache its session's record
+// re-seeds and resumes the interrupted session with at most one checkpoint
+// interval of sampling lost. Pinned by the CI race job: the in-run capture (engine-side flag
 // service, sink write) runs concurrently with sampling and status reads.
 func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	dataDir := t.TempDir()
@@ -104,7 +131,7 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	srvA, tsA := newTestServer(t, Config{DataDir: dataDir, CheckpointInterval: 25 * time.Millisecond, MaxConcurrentRuns: 3})
 	name := uploadGraph(t, tsA.URL, "web", testGraphBytes(t))
 
-	// A quick converged run fills both cache tiers.
+	// A quick converged run: its record holds the converged state.
 	warmParams := map[string]any{"graph": name, "eps": 0.1, "delta": 0.1, "seed": 9}
 	warm := createSession(t, tsA.URL, warmParams)
 	do(t, "POST", tsA.URL+"/sessions/"+warm+"/run", nil)
@@ -116,15 +143,16 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	// capture is exact; the shm and dist ones are taken while the threads
 	// and ranks sample, and restore as the shm and dist sessions they were
 	// — under the certified top-k rule they were created with, which their
-	// checkpoints record (top-3 separation on this graph takes ~0.6M samples).
-	// At eps 0.002 the shm run converged (~0.3 s, 2 threads on a Xeon) about
-	// when the slowest session took its first checkpoint, and a session
-	// that converged before the image leaves nothing to resume.
+	// checkpoints record. A session that converged before the image leaves
+	// nothing to resume: top-3 separation on this graph takes ~0.6M samples,
+	// which the shm run drew (~0.2 s, 2 threads on a Xeon) before the seq
+	// run's calibration ended and its first capture landed. Top-5 separation
+	// is not reached before omega, ~3M samples.
 	const longEps = 0.001
 	longs := []map[string]any{
 		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1},
-		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "shm", "threads": 2, "top_k": 3},
-		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "dist", "procs": 2, "threads": 2, "top_k": 3},
+		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "shm", "threads": 2, "top_k": 5},
+		{"graph": name, "eps": longEps, "delta": 0.1, "seed": 1, "backend": "dist", "procs": 2, "threads": 2, "top_k": 5},
 	}
 	ids := make([]string, len(longs))
 	for i, params := range longs {
@@ -133,9 +161,9 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for _, long := range ids {
-		ckptPath := filepath.Join(dataDir, "sessions", long+".bck")
 		for {
-			if _, err := os.Stat(ckptPath); err == nil && sessionTau(t, tsA.URL, long) > 0 {
+			// The record exists from creation; wait for one that holds a state.
+			if _, state := readRecord(t, dataDir, long); state != nil && sessionTau(t, tsA.URL, long) > 0 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -199,7 +227,7 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	}
 
 	// The converged result survived the crash: an identical query on the
-	// restarted daemon is a cache hit served from the disk tier.
+	// restarted daemon is a cache hit, re-seeded from the warm session.
 	repeat := createSession(t, tsB.URL, warmParams)
 	do(t, "POST", tsB.URL+"/sessions/"+repeat+"/run", nil)
 	if status := waitIdle(t, tsB.URL, repeat); status["cached"] != true {
@@ -208,44 +236,23 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	_ = srvB
 }
 
-// setPersistedBackend rewrites the backend name in a session's metadata
-// file, as an older or newer daemon build would have left it.
+// setPersistedBackend rewrites the backend name in a session's record, as
+// a newer daemon build would have left it.
 func setPersistedBackend(t *testing.T, dataDir, id, backend string) {
 	t.Helper()
-	path := filepath.Join(dataDir, "sessions", id+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta map[string]any
-	if err := json.Unmarshal(data, &meta); err != nil {
-		t.Fatal(err)
-	}
-	meta["params"].(map[string]any)["backend"] = backend
-	if data, err = json.Marshal(meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	meta, state := readRecord(t, dataDir, id)
+	meta.Params.Backend = backend
+	writeRecord(t, dataDir, meta, state)
 }
 
 // TestAlg1SessionRekeyedAtLoad: a data dir written when the daemon still
 // had an alg1 backend (Algorithm 2 at one thread per rank, which is dist's
 // default) must come back as a dist session — not be dropped, and not run
-// on some other engine under the old label — with the re-keyed metadata on
+// on some other engine under the old label — with the re-keyed record on
 // disk, so the second restart finds nothing left to translate.
 func TestAlg1SessionRekeyedAtLoad(t *testing.T) {
-	dataDir := t.TempDir()
-	srvA, tsA := newTestServer(t, Config{DataDir: dataDir})
-	name := uploadGraph(t, tsA.URL, "g", testGraphBytes(t))
-	id := createSession(t, tsA.URL, map[string]any{"graph": name, "eps": 0.1, "seed": 5, "backend": "dist", "procs": 2})
-	if err := srvA.Drain(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	tsA.Close()
-	setPersistedBackend(t, dataDir, id, "alg1")
-
+	dataDir := copyDataDir(t, legacyDir)
+	const id = "s4" // persisted as alg1
 	srvB, tsB := newTestServer(t, Config{DataDir: dataDir})
 	if q := quarantineEntries(t, dataDir); len(q) != 0 {
 		t.Fatalf("alg1 session quarantined instead of re-keyed: %v", q)
@@ -255,7 +262,7 @@ func TestAlg1SessionRekeyedAtLoad(t *testing.T) {
 	}
 	// The translation is for persisted state only: the API no longer
 	// accepts the name.
-	body, _ := json.Marshal(map[string]any{"graph": name, "backend": "alg1"})
+	body, _ := json.Marshal(map[string]any{"graph": "g", "backend": "alg1"})
 	if code, resp := do(t, "POST", tsB.URL+"/sessions", body); code != http.StatusBadRequest {
 		t.Fatalf("POST /sessions with backend alg1: status %d, %v; want 400", code, resp)
 	}
@@ -267,13 +274,13 @@ func TestAlg1SessionRekeyedAtLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	tsB.Close()
-	metaPath := filepath.Join(dataDir, "sessions", id+".json")
-	persisted, err := os.ReadFile(metaPath)
+	recordPath := filepath.Join(dataDir, "sessions", id+".bck")
+	persisted, err := os.ReadFile(recordPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(persisted), "alg1") {
-		t.Fatalf("re-keyed metadata not persisted: %s", persisted)
+	if bytes.Contains(persisted, []byte("alg1")) {
+		t.Fatalf("re-keyed record not persisted: %q", persisted)
 	}
 
 	_, tsC := newTestServer(t, Config{DataDir: dataDir})
@@ -281,27 +288,29 @@ func TestAlg1SessionRekeyedAtLoad(t *testing.T) {
 		status["backend"] != "dist" || status["converged"] != true {
 		t.Fatalf("re-keyed session after the second restart: status %d, %v", code, status)
 	}
-	if again, err := os.ReadFile(metaPath); err != nil || !bytes.Equal(again, persisted) {
-		t.Fatalf("second restart rewrote the metadata (%v):\n%s\n%s", err, persisted, again)
+	if again, err := os.ReadFile(recordPath); err != nil || !bytes.Equal(again, persisted) {
+		t.Fatalf("second restart rewrote the record (%v)", err)
 	}
 }
 
 // TestCorruptionQuarantine seeds a data dir with every class of damage an
-// unclean death can leave — truncated checkpoint envelope, bit-rotted CRC,
-// zero-byte metadata, stale tmp file, corrupt cache entry — and asserts
-// startup succeeds with each file quarantined and the damaged session
-// served fresh.
+// unclean death can leave — a record whose state is truncated or
+// bit-rotted, a zero-byte record, a record whose section fails its CRC, a
+// stale tmp file — and asserts startup succeeds with each file quarantined:
+// a damaged state serves its session fresh, a damaged section loses the
+// session.
 func TestCorruptionQuarantine(t *testing.T) {
 	cases := []struct {
 		name string
-		// damage mutates the healthy data dir; id is the checkpointed session.
+		// damage mutates the healthy data dir; id is the checkpointed session,
+		// whose record holds the daemon section, then the state.
 		damage func(t *testing.T, dataDir, id string)
 		// sessionFresh: the session must come back with zero samples.
 		sessionFresh bool
 		// sessionGone: the whole session was quarantined (404 after restart).
 		sessionGone bool
 		// ckptReason, when set, must be the logged reason for quarantining
-		// the session's checkpoint.
+		// the session's record.
 		ckptReason string
 	}{
 		{
@@ -336,7 +345,22 @@ func TestCorruptionQuarantine(t *testing.T) {
 		{
 			name: "zero-byte session metadata",
 			damage: func(t *testing.T, dataDir, id string) {
-				if err := os.WriteFile(filepath.Join(dataDir, "sessions", id+".json"), nil, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dataDir, "sessions", id+".bck"), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			sessionGone: true,
+		},
+		{
+			name: "session metadata bad CRC",
+			damage: func(t *testing.T, dataDir, id string) {
+				path := filepath.Join(dataDir, "sessions", id+".bck")
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[recordHeaderLen+2] ^= 0xff // inside the JSON section
+				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -345,21 +369,20 @@ func TestCorruptionQuarantine(t *testing.T) {
 		{
 			// A backend name this build cannot construct must not come
 			// back as a sequential session under the stale label, and the
-			// intact checkpoint next to it must not be blamed for it.
+			// intact state in the record must not be blamed for it.
 			name: "unknown backend in session metadata",
 			damage: func(t *testing.T, dataDir, id string) {
 				setPersistedBackend(t, dataDir, id, "mystery")
 			},
 			sessionGone: true,
-			ckptReason:  "checkpoint for quarantined session metadata",
+			ckptReason:  `unknown backend "mystery"`,
 		},
 		{
 			name: "unknown backend in session metadata, no checkpoint",
 			damage: func(t *testing.T, dataDir, id string) {
-				setPersistedBackend(t, dataDir, id, "mystery")
-				if err := os.Remove(filepath.Join(dataDir, "sessions", id+".bck")); err != nil {
-					t.Fatal(err)
-				}
+				meta, _ := readRecord(t, dataDir, id)
+				meta.Params.Backend = "mystery"
+				writeRecord(t, dataDir, meta, nil)
 			},
 			sessionGone: true,
 		},
@@ -368,24 +391,6 @@ func TestCorruptionQuarantine(t *testing.T) {
 			damage: func(t *testing.T, dataDir, id string) {
 				err := os.WriteFile(filepath.Join(dataDir, "sessions", id+".bck.tmp"), []byte("torn"), 0o644)
 				if err != nil {
-					t.Fatal(err)
-				}
-			},
-		},
-		{
-			name: "corrupt cache entry",
-			damage: func(t *testing.T, dataDir, id string) {
-				entries, err := os.ReadDir(filepath.Join(dataDir, "cache"))
-				if err != nil || len(entries) == 0 {
-					t.Fatalf("no cache entries to corrupt: %v", err)
-				}
-				path := filepath.Join(dataDir, "cache", entries[0].Name())
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[len(data)-1] ^= 0xff
-				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -474,8 +479,9 @@ func TestCorruptionQuarantine(t *testing.T) {
 
 // TestCrashPointLeavesTmpQuarantined drives the injectable crash hook: die
 // after the durable tmp write, before the rename. The write must fail with
-// the simulated crash, the target file must be untouched, and the restart
-// must quarantine the orphaned tmp file.
+// the simulated crash, the target record must be untouched — the old one,
+// byte for byte, never a mix — and the restart must quarantine the
+// orphaned tmp file.
 func TestCrashPointLeavesTmpQuarantined(t *testing.T) {
 	dataDir := t.TempDir()
 	srvA, err := New(Config{DataDir: dataDir})
@@ -488,8 +494,13 @@ func TestCrashPointLeavesTmpQuarantined(t *testing.T) {
 	do(t, "POST", tsA.URL+"/sessions/"+id+"/run", nil)
 	waitIdle(t, tsA.URL, id)
 	tsA.Close()
+	ckptPath := filepath.Join(dataDir, "sessions", id+".bck")
+	committed, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Arm the crash for the next checkpoint write of this session.
+	// Arm the crash for the next record write of this session.
 	crashBeforeRename = func(path string) bool {
 		return filepath.Base(path) == id+".bck"
 	}
@@ -504,12 +515,11 @@ func TestCrashPointLeavesTmpQuarantined(t *testing.T) {
 	if _, err := os.Stat(tmpPath); err != nil {
 		t.Fatalf("simulated crash left no tmp file: %v", err)
 	}
-	// The run's completion already checkpointed (checkpointAfterOp), so the
-	// target file holds that earlier, complete envelope — a crash between
-	// tmp write and rename never tears the target.
-	ckptPath := filepath.Join(dataDir, "sessions", id+".bck")
-	if _, err := os.Stat(ckptPath); err != nil {
-		t.Fatalf("crash before rename damaged the committed checkpoint: %v", err)
+	// The run's completion already wrote the record (finish), so the target
+	// file holds that earlier, complete record — a crash between tmp write
+	// and rename never tears the target.
+	if now, err := os.ReadFile(ckptPath); err != nil || !bytes.Equal(now, committed) {
+		t.Fatalf("crash before rename changed the committed record (%v)", err)
 	}
 
 	srvB, err := New(Config{DataDir: dataDir})
@@ -672,19 +682,14 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 	if payload == nil {
 		t.Fatal("distributed run emitted no checkpoint; tighten eps")
 	}
-	ckpt := filepath.Join(t.TempDir(), "dist.bck")
-	if err := os.WriteFile(ckpt, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	p := sessionParams{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Threads: 1, Backend: "dist", Procs: 2, TopK: 3}
-	s, err := srv.buildSession("restored", g, p, ckpt)
+	s, err := srv.buildSession("restored", g, p, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.currentParams(); got != p || s.degraded != "" || s.lastCkptTau == 0 {
+	if got, tau := s.currentParams(), s.estimator().Snapshot().Tau; got != p || s.degraded != "" || tau == 0 {
 		t.Fatalf("restored dist session params %+v, degraded %q, tau %d; want it back as created, samples held",
-			got, s.degraded, s.lastCkptTau)
+			got, s.degraded, tau)
 	}
 	res, err := s.estimator().Run(context.Background())
 	if err != nil {
@@ -702,7 +707,7 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 		{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Backend: "seq"},
 		{Graph: name, Eps: eps, Delta: 0.1, Seed: 1, Backend: "shm", Threads: 1},
 	} {
-		if _, err := srv.buildSession("other", g, other, ckpt); err == nil || !strings.Contains(err.Error(), "local-mpi") {
+		if _, err := srv.buildSession("other", g, other, payload); err == nil || !strings.Contains(err.Error(), "local-mpi") {
 			t.Errorf("a dist checkpoint under %s metadata: err %v, want a refusal naming the backends", other.Backend, err)
 		}
 	}
@@ -840,86 +845,5 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 	if code, _ := do(t, "GET", ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz during drain: %d, want 200 (liveness is unconditional)", code)
-	}
-}
-
-// TestDiskCacheEviction pins the disk tier's byte budget: spilling past it
-// evicts oldest-first, and the survivors rehydrate.
-func TestDiskCacheEviction(t *testing.T) {
-	dir := t.TempDir()
-	mkRes := func(seed int) *betweenness.Result {
-		return &betweenness.Result{
-			Estimates: make([]float64, 512),
-			Tau:       int64(seed),
-			Converged: true,
-			Backend:   "sequential",
-		}
-	}
-	oneSize := func() int64 {
-		data, err := encodeCacheEntry("probe", mkRes(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(len(data))
-	}()
-
-	c := newResultCache(8, dir, 3*oneSize+oneSize/2, nil)
-	for i := 0; i < 5; i++ {
-		c.put(fmt.Sprintf("key-%d", i), mkRes(i))
-	}
-	_, _, _, diskEntries, diskBytes := c.stats()
-	if diskEntries != 3 || diskBytes > 3*oneSize+oneSize/2 {
-		t.Fatalf("disk tier not bounded: %d entries, %d bytes (budget %d)", diskEntries, diskBytes, 3*oneSize+oneSize/2)
-	}
-	// The newest entries survived.
-	for i := 2; i < 5; i++ {
-		if _, ok := c.get(fmt.Sprintf("key-%d", i)); !ok {
-			t.Errorf("recent key-%d evicted", i)
-		}
-	}
-
-	// A fresh cache rehydrates the survivors from disk alone.
-	c2 := newResultCache(8, dir, 10*oneSize, nil)
-	c2.rehydrate(func(path, reason string) { t.Fatalf("healthy entry quarantined: %s (%s)", path, reason) })
-	for i := 2; i < 5; i++ {
-		res, ok := c2.get(fmt.Sprintf("key-%d", i))
-		if !ok || res.Tau != int64(i) {
-			t.Errorf("key-%d did not rehydrate (ok=%v)", i, ok)
-		}
-	}
-}
-
-// TestCacheEntryRoundTrip pins the BCRE envelope: encode/decode is
-// lossless and every corruption fails loudly.
-func TestCacheEntryRoundTrip(t *testing.T) {
-	res := &betweenness.Result{
-		Estimates:   []float64{0.25, 0.5, 0},
-		Tau:         1234,
-		AchievedEps: 0.01,
-		Converged:   true,
-		Backend:     "sequential",
-	}
-	data, err := encodeCacheEntry("some|key", res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, got, err := decodeCacheEntry(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "some|key" || got.Tau != 1234 || len(got.Estimates) != 3 || got.Estimates[1] != 0.5 {
-		t.Fatalf("round trip lost data: %q, %+v", key, got)
-	}
-	for _, mutate := range []func([]byte) []byte{
-		func(b []byte) []byte { return b[:len(b)/2] },                             // truncation
-		func(b []byte) []byte { b[len(b)/2] ^= 1; return b },                      // bit rot
-		func(b []byte) []byte { b[0] = 'X'; return b },                            // bad magic
-		func(b []byte) []byte { return nil },                                      // empty
-		func(b []byte) []byte { return append([]byte("BCRE\x09\x00"), b[6:]...) }, // version skew
-	} {
-		bad := mutate(append([]byte(nil), data...))
-		if _, _, err := decodeCacheEntry(bad); err == nil {
-			t.Error("corrupted entry decoded without error")
-		}
 	}
 }

@@ -74,7 +74,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	srv.mu.Lock()
 	nGraphs, nSessions, draining := len(srv.graphs), len(srv.sessions), srv.draining
 	srv.mu.Unlock()
-	entries, hits, misses, diskEntries, diskBytes := srv.cache.stats()
+	entries, hits, misses := srv.cache.stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graphs":      nGraphs,
 		"sessions":    nSessions,
@@ -82,11 +82,9 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"active_runs": len(srv.slots),
 		"run_slots":   cap(srv.slots),
 		"cache": map[string]any{
-			"entries":      entries,
-			"hits":         hits,
-			"misses":       misses,
-			"disk_entries": diskEntries,
-			"disk_bytes":   diskBytes,
+			"entries": entries,
+			"hits":    hits,
+			"misses":  misses,
 		},
 		"checkpoint_interval": srv.cfg.CheckpointInterval.String(),
 		"quarantined_files":   atomic.LoadInt64(&srv.quarantined),
@@ -278,10 +276,15 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 	// Estimator construction validates options, and the first session on a
 	// graph resolves its vertex diameter; do it outside srv.mu.
-	s, err := srv.buildSession(id, g, p, "")
+	s, err := srv.buildSession(id, g, p, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
+	}
+	// Persisted before it is registered, so no operation's write can race
+	// this one.
+	if err := srv.persistSession(s, nil); err != nil {
+		srv.cfg.Logf("warning: persisting session %s: %v", id, err)
 	}
 
 	srv.mu.Lock()
@@ -289,9 +292,6 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	g.refs++
 	srv.mu.Unlock()
 
-	if err := srv.persistSessionMeta(s, false); err != nil {
-		srv.cfg.Logf("warning: persisting session %s meta: %v", id, err)
-	}
 	srv.cfg.Logf("created session %s on graph %q (%s, eps=%g)", id, g.name, p.Backend, p.Eps)
 	writeJSON(w, http.StatusCreated, srv.sessionJSON(s))
 }

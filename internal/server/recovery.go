@@ -14,8 +14,8 @@ import (
 // contract is that damage NEVER keeps the daemon down: every damaged file
 // is quarantined — renamed into <data>/quarantine/ with a logged reason —
 // and the object it belonged to is served fresh (a session restarts from
-// zero samples, a cache entry is recomputed on demand). Only
-// filesystem-level failures (the data dir itself unreadable) abort startup.
+// zero samples). Only filesystem-level failures (the data dir itself
+// unreadable) abort startup.
 //
 // Quarantined files are kept, not deleted: they are the post-mortem
 // evidence of whatever corrupted them, and an operator can inspect or
@@ -74,10 +74,20 @@ func (srv *Server) sweepStaleTmp(dir string) {
 
 // recoveryScan runs the full crash-consistency pass before the registries
 // rehydrate: sweep interrupted writes out of every state directory, then
-// let loadGraphs/loadSessions/cache.rehydrate verify what remains. Called
-// from New with a data dir configured.
+// let loadGraphs/loadSessions verify what remains. A cache/ dir is the
+// result-cache spill of an older build: derived data, which the converged
+// sessions re-seed, so it just goes. Called from New with a data dir
+// configured.
 func (srv *Server) recoveryScan() {
 	srv.sweepStaleTmp(srv.graphsDir())
 	srv.sweepStaleTmp(srv.sessionsDir())
-	srv.sweepStaleTmp(srv.cacheDir())
+	dir := filepath.Join(srv.cfg.DataDir, "cache")
+	if _, err := os.Stat(dir); err != nil {
+		return
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		srv.cfg.Logf("warning: removing obsolete result-cache dir: %v", err)
+		return
+	}
+	srv.cfg.Logf("removed obsolete result-cache dir %s", dir)
 }

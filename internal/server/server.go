@@ -16,20 +16,21 @@
 // Production concerns are first-class, and the durability story holds
 // under unclean death, not just SIGTERM:
 //
-//   - A two-tier LRU result cache keyed by (graph digest, workload, eps,
-//     delta, seed, backend) makes repeated identical queries free; with a
-//     data dir, converged entries spill to disk (bounded by
-//     CacheDiskBytes) and rehydrate on restart.
-//   - Every run and refine checkpoints its session synchronously at
-//     completion, and a background loop (CheckpointInterval) captures
-//     in-flight runs at consistent epoch boundaries — so a SIGKILL or OOM
-//     kill loses at most one interval of sampling, and Drain (wired to
-//     SIGTERM in cmd/betweennessd) remains the clean path: cancel runs,
-//     checkpoint everything, exit.
+//   - With a data dir, each session is one durable record,
+//     sessions/<id>.bck: its params, status and degradation note beside
+//     its estimator state (store.go). Every run and refine rewrites it in
+//     one write at completion, and a background loop (CheckpointInterval)
+//     captures in-flight runs at consistent epoch boundaries — so a
+//     SIGKILL or OOM kill loses at most one interval of sampling, and
+//     Drain (wired to SIGTERM in cmd/betweennessd) remains the clean path:
+//     cancel runs, checkpoint everything, exit.
+//   - An LRU result cache keyed by (graph digest, workload, eps, delta,
+//     seed, backend) makes repeated identical queries free. It lives in
+//     memory; a restart re-seeds it from the converged sessions' records.
 //   - Startup is crash-consistent: a recovery scan sweeps interrupted
-//     writes aside, rehydration CRC-verifies checkpoints and cache
-//     entries, and damage is quarantined under <data>/quarantine/ (the
-//     session restarts fresh) instead of keeping the daemon down.
+//     writes aside, rehydration CRC-verifies the records, and damage is
+//     quarantined under <data>/quarantine/ (the session restarts fresh)
+//     instead of keeping the daemon down.
 //   - Runs are watchdogged (RunTimeout) — expiry interrupts the run and
 //     keeps the session resumable — and distributed-backend runs that die
 //     of rank death retry with exponential backoff on a shrunken world,
@@ -45,10 +46,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,21 +59,17 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// DataDir is the persistence root (graphs, session metadata,
-	// checkpoints, the cache's disk tier, quarantined files). Empty runs
-	// the server fully in memory: usable, but nothing survives a restart.
+	// DataDir is the persistence root (graphs, session records,
+	// quarantined files). Empty runs the server fully in memory: usable,
+	// but nothing survives a restart.
 	DataDir string
 	// MaxConcurrentRuns bounds the number of estimator runs sampling at
 	// once — the admission-control knob. Queued operations wait for a
 	// slot. Default 2.
 	MaxConcurrentRuns int
-	// CacheSize is the result-cache capacity in entries (memory tier).
-	// Default 128; negative disables caching entirely.
+	// CacheSize is the result-cache capacity in entries. Default 128;
+	// negative disables caching entirely.
 	CacheSize int
-	// CacheDiskBytes bounds the result cache's disk tier under
-	// DataDir/cache. Default 256 MiB; negative disables spilling (the
-	// cache then lives and dies with the process).
-	CacheDiskBytes int64
 	// CheckpointInterval is the cadence of the periodic background
 	// checkpointer: how much sampling an unclean death (SIGKILL, OOM kill,
 	// power loss) can cost a running session. Default 30s; negative
@@ -124,16 +121,13 @@ type Server struct {
 // state, rehydrates it: the recovery scan quarantines files torn by an
 // unclean death, graphs and sessions reload (checkpointed sessions resume
 // their sampling state; a session with a damaged checkpoint is served
-// fresh), and the result cache reloads its disk tier.
+// fresh), and converged sessions re-seed the result cache.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrentRuns <= 0 {
 		cfg.MaxConcurrentRuns = 2
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 128
-	}
-	if cfg.CacheDiskBytes == 0 {
-		cfg.CacheDiskBytes = 256 << 20
 	}
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = 30 * time.Second
@@ -157,12 +151,8 @@ func New(cfg Config) (*Server, error) {
 		runCtx:      runCtx,
 		cancelRuns:  cancel,
 		slots:       make(chan struct{}, cfg.MaxConcurrentRuns),
+		cache:       newResultCache(cfg.CacheSize),
 	}
-	cacheDir := ""
-	if cfg.DataDir != "" {
-		cacheDir = srv.cacheDir()
-	}
-	srv.cache = newResultCache(cfg.CacheSize, cacheDir, cfg.CacheDiskBytes, cfg.Logf)
 	if cfg.DataDir != "" {
 		srv.recoveryScan()
 		if err := srv.loadGraphs(); err != nil {
@@ -173,11 +163,10 @@ func New(cfg Config) (*Server, error) {
 			cancel()
 			return nil, fmt.Errorf("server: rehydrating sessions: %w", err)
 		}
-		srv.cache.rehydrate(srv.quarantine)
-		cacheEntries, _, _, diskEntries, _ := srv.cache.stats()
-		if n := len(srv.sessions); n > 0 || len(srv.graphs) > 0 || diskEntries > 0 {
-			cfg.Logf("rehydrated %d graph(s), %d session(s), %d cached result(s) (%d on disk) from %s",
-				len(srv.graphs), n, cacheEntries, diskEntries, cfg.DataDir)
+		if n := len(srv.sessions); n > 0 || len(srv.graphs) > 0 {
+			cacheEntries, _, _ := srv.cache.stats()
+			cfg.Logf("rehydrated %d graph(s), %d session(s), %d cached result(s) from %s",
+				len(srv.graphs), n, cacheEntries, cfg.DataDir)
 		}
 		if q := atomic.LoadInt64(&srv.quarantined); q > 0 {
 			cfg.Logf("recovery: quarantined %d damaged file(s) under %s", q, srv.quarantineDir())
@@ -206,10 +195,10 @@ func (srv *Server) Ready() bool {
 
 // checkpointLoop is the periodic background checkpointer: every
 // CheckpointInterval it requests an in-run capture from every running
-// session. Idle sessions need nothing — every operation checkpoints
-// synchronously at completion (checkpointAfterOp), so idle state is
-// already durable; the loop's job is bounding what a SIGKILL can take
-// from a run in flight.
+// session. Idle sessions need nothing — every operation persists its
+// session synchronously at completion (finish), so idle state is already
+// durable; the loop's job is bounding what a SIGKILL can take from a run
+// in flight.
 func (srv *Server) checkpointLoop() {
 	defer srv.wg.Done()
 	ticker := time.NewTicker(srv.cfg.CheckpointInterval)
@@ -267,10 +256,10 @@ func (srv *Server) wireCheckpointSink(s *session, est *betweenness.Estimator) {
 	})
 }
 
-// buildSession constructs (or restores, when ckptPath is non-empty) the
+// buildSession constructs (or restores, when state is non-empty) the
 // estimator behind a session. Callers register the returned session and
 // take the graph reference themselves.
-func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptPath string) (*session, error) {
+func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, state []byte) (*session, error) {
 	s := &session{id: id, srv: srv, g: g, params: p, state: stateIdle}
 	s.runCtx, s.cancel = context.WithCancel(srv.runCtx)
 	opts, err := p.options(s.progress)
@@ -278,17 +267,14 @@ func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptP
 		return nil, err
 	}
 	var est *betweenness.Estimator
-	if ckptPath == "" {
+	if state == nil {
 		est, err = betweenness.NewEstimator(g.workload(), opts...)
-	} else if est, err = restoreFromFile(ckptPath, g.workload(), opts); err == nil {
+	} else if est, err = betweenness.RestoreEstimator(bytes.NewReader(state), g.workload(), opts...); err == nil {
 		// The checkpoint brings its own backend shape and stopping rule; the
-		// options add what it cannot carry. The restored tau is exactly
-		// what is on disk already.
-		s.lastCkptTau = est.Snapshot().Tau
+		// options add what it cannot carry.
 		if exec, _ := p.executor(); est.Backend() != exec.Name() {
-			// Not this session's state (a version-1 capture of a dist run,
-			// or a ladder rebuild's leftover): refuse it rather than run
-			// under a stale label.
+			// Not this session's state (a version-1 capture of a dist
+			// run): refuse it rather than run under a stale label.
 			err = fmt.Errorf("checkpoint holds a %s session, the session metadata names backend %q",
 				est.Backend(), p.Backend)
 		}
@@ -304,10 +290,10 @@ func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, ckptP
 // Drain performs the graceful-shutdown sequence: refuse new operations
 // (readiness drops with it), cancel every in-flight run (the estimators
 // keep their accumulated samples — that is the session contract), wait for
-// the run goroutines, then checkpoint every resumable session so a
-// restarted daemon resumes instead of resampling. It returns the first
-// checkpointing error but keeps going so one bad session cannot sink the
-// others' state; ctx bounds the wait for in-flight runs.
+// the run goroutines, then rewrite every session's record so a restarted
+// daemon resumes instead of resampling. It returns the first write error
+// but keeps going so one bad session cannot sink the others' state; ctx
+// bounds the wait for in-flight runs.
 func (srv *Server) Drain(ctx context.Context) error {
 	srv.mu.Lock()
 	if srv.draining {
@@ -338,31 +324,13 @@ func (srv *Server) Drain(ctx context.Context) error {
 	srv.mu.Unlock()
 
 	var firstErr error
-	saved := 0
 	for _, s := range sessions {
-		hasCkpt, err := srv.checkpointSession(s)
-		if err == nil {
-			err = srv.persistSessionMeta(s, hasCkpt)
-		}
-		if err != nil && firstErr == nil {
+		if err := srv.persistSession(s, nil); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("server: checkpointing session %s: %w", s.id, err)
 		}
-		if hasCkpt {
-			saved++
-		}
 	}
-	srv.cfg.Logf("drained: %d/%d session(s) checkpointed", saved, len(sessions))
+	srv.cfg.Logf("drained: %d session(s) persisted", len(sessions))
 	return firstErr
-}
-
-// restoreFromFile opens a checkpoint and rebinds it to the workload.
-func restoreFromFile(path string, w betweenness.Workload, opts []betweenness.Option) (*betweenness.Estimator, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return betweenness.RestoreEstimator(f, w, opts...)
 }
 
 // allocSessionID reserves the next generated session id. Callers hold

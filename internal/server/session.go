@@ -43,8 +43,8 @@ type sessionParams struct {
 	// session that restarts without a checkpoint is rebuilt from — so only
 	// a certified session's params gain top_k. (An shm or dist session
 	// persisted before those backends certified may carry top_k over a
-	// uniform checkpoint; execute caches no result whose rule its key does
-	// not name.)
+	// uniform checkpoint; cacheResult caches no result whose rule its key
+	// does not name.)
 	TopK int `json:"top_k,omitempty"`
 	// MaxSamples and MaxDuration are per-Run admission budgets.
 	MaxSamples  int64  `json:"max_samples,omitempty"`
@@ -172,10 +172,12 @@ type session struct {
 	// shared-memory backend after rank deaths, or a restart found its
 	// checkpoint unusable and began again from zero samples.
 	degraded string
-	// lastCkptTau is the sample count of the last persisted checkpoint,
-	// used to skip no-op checkpoint writes.
-	lastCkptTau int64
-	subs        map[chan []byte]struct{}
+	// saved and savedTau are what the session's record on disk holds (-1:
+	// an in-run capture's tau), used to skip no-op writes at the end of an
+	// operation.
+	saved    sessionMeta
+	savedTau int64
+	subs     map[chan []byte]struct{}
 }
 
 // estimator returns the session's current estimator. The pointer is stable
@@ -187,11 +189,9 @@ func (s *session) estimator() *betweenness.Estimator {
 	return s.est
 }
 
-// noteCheckpoint records the sample count just persisted.
-func (s *session) noteCheckpoint(tau int64) {
-	s.mu.Lock()
-	s.lastCkptTau = tau
-	s.mu.Unlock()
+// metaLocked is the session's record section. Callers hold s.mu.
+func (s *session) metaLocked() sessionMeta {
+	return sessionMeta{ID: s.id, Params: s.params, Converged: s.converged, Cached: s.cached, Degraded: s.degraded}
 }
 
 // currentParams returns a copy of the session params.
@@ -264,6 +264,9 @@ func (s *session) start(kind opKind, spec refineSpec) error {
 		return errBusy
 	}
 	s.state = stateQueued
+	// The outcome flags describe the state the session holds, which this
+	// operation is about to change.
+	s.converged, s.cached = false, false
 	s.runErr = ""
 	s.interrupted = false
 	s.interruptReason = ""
@@ -275,7 +278,7 @@ func (s *session) start(kind opKind, spec refineSpec) error {
 
 // execute is the run goroutine: cache fast path, worker-slot admission,
 // the estimator call (watchdogged, with distributed-failure recovery),
-// then checkpoint/result/cache/state bookkeeping.
+// then cache/result/record/state bookkeeping.
 func (s *session) execute(kind opKind, spec refineSpec) {
 	defer s.srv.wg.Done()
 
@@ -326,20 +329,25 @@ func (s *session) execute(kind opKind, spec refineSpec) {
 		res, err = s.runRecovering(ctx)
 	}
 	cancelWatchdog()
-	if err == nil && res != nil && res.Converged {
-		s.mu.Lock()
-		key, certified := s.cacheKeyLocked(), s.params.TopK > 0
-		s.mu.Unlock()
-		if certified == (res.Lower != nil) {
-			s.srv.cache.put(key, res)
-		}
+	if err == nil {
+		s.cacheResult(res)
 	}
-	// Persist the outcome before the session flips back to idle: this
-	// goroutine still owns the estimator exclusively (no new op can start
-	// while state is "running"), so the checkpoint races nothing, and an
-	// unclean death any time after it loses none of this operation's work.
-	s.srv.checkpointAfterOp(s)
 	s.finish(res, err, false)
+}
+
+// cacheResult admits a converged result to the cache under the session's
+// key, unless the result's stopping rule is not the one the key names (see
+// sessionParams.TopK).
+func (s *session) cacheResult(res *betweenness.Result) {
+	if res == nil || !res.Converged {
+		return
+	}
+	s.mu.Lock()
+	key, certified := s.cacheKeyLocked(), s.params.TopK > 0
+	s.mu.Unlock()
+	if certified == (res.Lower != nil) {
+		s.srv.cache.put(key, res)
+	}
 }
 
 // Recovery-ladder tuning: first retry after distRetryBase, doubling per
@@ -409,9 +417,9 @@ func shrinkOrDegrade(p sessionParams) (next sessionParams, note string, ok bool)
 // params. It runs on the op goroutine while the session is formally
 // running, so no other operation can observe the swap mid-flight. The
 // ladder still restarts fresh: the failed estimator's rank-0 state holds
-// every sample folded before the death, and the swap abandons them (and
-// the checkpoint on disk, which describes the abandoned shape) — carrying
-// that state down the ladder is a ROADMAP follow-up.
+// every sample folded before the death, and the swap abandons them (the
+// session's record is rewritten without a state) — carrying that state
+// down the ladder is a ROADMAP follow-up.
 func (s *session) rebuild(p sessionParams) error {
 	opts, err := p.options(s.progress)
 	if err != nil {
@@ -422,14 +430,12 @@ func (s *session) rebuild(p sessionParams) error {
 		return err
 	}
 	s.srv.wireCheckpointSink(s, est)
-	s.srv.removeSessionCheckpoint(s.id)
 	s.mu.Lock()
 	s.params = p
 	s.est = est
-	s.lastCkptTau = 0
 	s.mu.Unlock()
-	if err := s.srv.persistSessionMeta(s, false); err != nil {
-		s.srv.cfg.Logf("warning: persisting session %s meta: %v", s.id, err)
+	if err := s.srv.persistSession(s, nil); err != nil {
+		s.srv.cfg.Logf("warning: persisting session %s: %v", s.id, err)
 	}
 	return nil
 }
@@ -451,14 +457,16 @@ func (s *session) setState(state string) {
 	s.broadcastLocked("state", map[string]string{"state": state})
 }
 
-// finish records the outcome of an operation and returns the session to
-// idle. A cancellation or watchdog expiry is not a failure: the estimator's
-// contract keeps the state consistent and resumable, so the session simply
-// reports interrupted with its samples retained.
+// finish records the outcome of an operation, persists it with the
+// samples in one record write, and returns the session to idle. The write
+// comes before the flip: this goroutine still owns the estimator
+// exclusively (no new op can start while the session is busy), so it races
+// nothing, and an unclean death any time after it loses none of this
+// operation's work. A cancellation or watchdog expiry is not a failure: the
+// estimator's contract keeps the state consistent and resumable, so the
+// session simply reports interrupted with its samples retained.
 func (s *session) finish(res *betweenness.Result, err error, fromCache bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.state = stateIdle
 	switch {
 	case err == nil:
 		s.result = res
@@ -475,6 +483,11 @@ func (s *session) finish(res *betweenness.Result, err error, fromCache bool) {
 	default:
 		s.runErr = err.Error()
 	}
+	s.mu.Unlock()
+	s.srv.persistAfterOp(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.state = stateIdle
 	s.broadcastLocked("state", map[string]string{"state": stateIdle})
 	switch {
 	case err == nil:

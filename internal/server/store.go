@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,18 +25,38 @@ import (
 //	graphs/<name>.graph    canonical graph bytes (BCSR v2 for undirected —
 //	                       served back to sessions by mmap — arc list /
 //	                       weighted edge list for the others)
-//	sessions/<id>.json     session metadata (params + outcome flags)
-//	sessions/<id>.bck      estimator checkpoint (the versioned BCSE
-//	                       envelope from betweenness.Checkpoint)
-//	cache/<hash>.bcr       spilled result-cache entries (see diskcache.go)
+//	sessions/<id>.bck      the session record: its daemon section (params,
+//	                       outcome flags, degradation note) and, once it has
+//	                       samples, its estimator state
 //	quarantine/            damaged files set aside by the recovery scan
 //
-// Graphs persist at registration; session metadata persists at creation,
-// refine, and degradation; checkpoints are written at the end of every run
-// or refine, every CheckpointInterval during a run (via the estimator's
-// in-run capture hook), and by Drain. The startup recovery scan
-// (recovery.go) CRC-verifies what it finds and quarantines damage instead
-// of failing, so a daemon that died uncleanly always comes back up.
+// Graphs persist at registration. A session's record is rewritten whole,
+// in one write, at creation, at the end of every run or refine that changed
+// it, every CheckpointInterval during a run (via the estimator's in-run
+// capture hook), when the recovery ladder rebuilds the session, and by
+// Drain — so what a session reports and the samples it holds never
+// disagree on disk. The startup recovery scan (recovery.go) CRC-verifies
+// what it finds and quarantines damage instead of failing, so a daemon
+// that died uncleanly always comes back up.
+//
+// A session record is
+//
+//	"BCDS" magic · u16 version · u32 section length · JSON sessionMeta ·
+//	CRC-32 (IEEE) of everything before it · state
+//
+// where the state is the versioned BCSE envelope of betweenness.Checkpoint
+// (or an in-run capture of one), absent while the session has no samples.
+// The section's CRC and the envelope's own let the halves fail apart: a
+// damaged section quarantines the session, a damaged or foreign state only
+// costs it its samples.
+const (
+	recordMagic     = "BCDS" // betweenness daemon session
+	recordVersion   = 1
+	recordHeaderLen = 4 + 2 + 4
+	// maxRecordSection bounds the section length the decoder accepts
+	// before it allocates; a sessionMeta is a few hundred bytes.
+	maxRecordSection = 1 << 20
+)
 
 type graphMeta struct {
 	Name    string `json:"name"`
@@ -44,27 +67,74 @@ type graphMeta struct {
 	Reduced bool   `json:"reduced"`
 }
 
+// sessionMeta is a record's daemon section (and, before records, the whole
+// of sessions/<id>.json).
 type sessionMeta struct {
 	ID     string        `json:"id"`
 	Params sessionParams `json:"params"`
-	// Converged/Cached describe the last completed operation, so a
-	// restarted daemon reports the same session status it went down with.
+	// Converged/Cached describe the last operation, so a restarted daemon
+	// reports the session status it went down with. Converged is only ever
+	// written beside the converged state itself.
 	Converged bool `json:"converged"`
 	Cached    bool `json:"cached"`
-	// HasCheckpoint marks that a .bck file holds the estimator state.
-	// Informational: rehydration trusts the file itself (see
-	// checkpointPathFor), since a crash can land between the checkpoint
-	// write and this flag's.
-	HasCheckpoint bool `json:"has_checkpoint"`
 	// Degraded carries the session's degradation note (a dist world that
 	// shrank or fell back to shm, a checkpoint restored cross-engine)
 	// across restarts.
 	Degraded string `json:"degraded,omitempty"`
 }
 
+// encodeRecordHead seals meta into a record's daemon section; the state,
+// if any, follows it.
+func encodeRecordHead(meta sessionMeta) ([]byte, error) {
+	section, err := json.Marshal(meta)
+	if err != nil {
+		return nil, err
+	}
+	if len(section) > maxRecordSection {
+		return nil, fmt.Errorf("session %s: record section of %d bytes exceeds %d", meta.ID, len(section), maxRecordSection)
+	}
+	head := make([]byte, 0, recordHeaderLen+len(section)+4)
+	head = append(head, recordMagic...)
+	head = binary.LittleEndian.AppendUint16(head, recordVersion)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(section)))
+	head = append(head, section...)
+	return binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head)), nil
+}
+
+// decodeRecord verifies a session record's daemon section and splits off
+// its state (nil when the session had no samples; the restore that reads
+// it verifies it). The bytes are untrusted — a torn write, a bad disk — so
+// every failure is an error, and the caller quarantines.
+func decodeRecord(data []byte) (sessionMeta, []byte, error) {
+	var meta sessionMeta
+	if len(data) < recordHeaderLen+4 {
+		return meta, nil, fmt.Errorf("session record too short (%d bytes)", len(data))
+	}
+	if string(data[:4]) != recordMagic {
+		return meta, nil, errors.New("not a session record (bad magic)")
+	}
+	if v := binary.LittleEndian.Uint16(data[4:]); v != recordVersion {
+		return meta, nil, fmt.Errorf("unsupported session record version %d (want %d)", v, recordVersion)
+	}
+	n := binary.LittleEndian.Uint32(data[6:])
+	if n > maxRecordSection || int(n) > len(data)-recordHeaderLen-4 {
+		return meta, nil, fmt.Errorf("session record section length %d out of range", n)
+	}
+	end := recordHeaderLen + int(n)
+	if crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end:]) {
+		return meta, nil, errors.New("session record checksum mismatch (truncated or corrupted)")
+	}
+	if err := json.Unmarshal(data[recordHeaderLen:end], &meta); err != nil {
+		return meta, nil, fmt.Errorf("unreadable session record section: %w", err)
+	}
+	if state := data[end+4:]; len(state) > 0 {
+		return meta, state, nil
+	}
+	return meta, nil, nil
+}
+
 func (srv *Server) graphsDir() string   { return filepath.Join(srv.cfg.DataDir, "graphs") }
 func (srv *Server) sessionsDir() string { return filepath.Join(srv.cfg.DataDir, "sessions") }
-func (srv *Server) cacheDir() string    { return filepath.Join(srv.cfg.DataDir, "cache") }
 
 // errSimulatedCrash is returned by the test-only crash-injection hook.
 var errSimulatedCrash = errors.New("server: simulated crash between tmp write and rename")
@@ -195,50 +265,48 @@ func (srv *Server) dropGraphFiles(name string) {
 	os.Remove(filepath.Join(srv.graphsDir(), name+".json"))
 }
 
-// persistSessionMeta writes the session's metadata file. Callers must not
-// hold s.mu. No-op without a data dir.
-func (srv *Server) persistSessionMeta(s *session, hasCkpt bool) error {
+// persistSession writes the session's record in one writeAtomic: its
+// daemon section, then its state — payload when the in-run sink captured
+// one, else the estimator's own checkpoint once it holds samples (callers
+// guarantee no operation is running then), else none. No-op without a
+// data dir.
+func (srv *Server) persistSession(s *session, payload []byte) error {
 	if srv.cfg.DataDir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(srv.sessionsDir(), 0o755); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	meta := sessionMeta{
-		ID:            s.id,
-		Params:        s.params,
-		Converged:     s.converged,
-		Cached:        s.cached,
-		HasCheckpoint: hasCkpt,
-		Degraded:      s.degraded,
-	}
-	s.mu.Unlock()
-	return writeJSONAtomic(filepath.Join(srv.sessionsDir(), s.id+".json"), meta)
-}
-
-// checkpointSession writes the estimator state next to the metadata,
-// returning whether a checkpoint was produced (sample-less sessions
-// produce none, by design). Call only while the estimator is quiescent —
-// between operations, or from the goroutine that just finished one.
-func (srv *Server) checkpointSession(s *session) (bool, error) {
 	est := s.estimator()
-	if srv.cfg.DataDir == "" {
-		return false, nil
+	tau := int64(-1) // unknown: an in-run capture is not the snapshot's tau
+	if payload == nil {
+		tau = est.Snapshot().Tau
 	}
-	snap := est.Snapshot()
-	if snap.Tau == 0 {
-		return false, nil // nothing sampled yet; a fresh session is cheaper than a checkpoint
+	s.mu.Lock()
+	meta := s.metaLocked()
+	s.mu.Unlock()
+	head, err := encodeRecordHead(meta)
+	if err != nil {
+		return err
 	}
-	if err := os.MkdirAll(srv.sessionsDir(), 0o755); err != nil {
-		return false, err
+	err = writeAtomic(filepath.Join(srv.sessionsDir(), s.id+".bck"), func(w io.Writer) error {
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		switch {
+		case payload != nil:
+			_, err = w.Write(payload)
+		case tau > 0:
+			err = est.Checkpoint(w)
+		}
+		return err
+	})
+	if err == nil {
+		s.mu.Lock()
+		s.saved, s.savedTau = meta, tau
+		s.mu.Unlock()
 	}
-	path := filepath.Join(srv.sessionsDir(), s.id+".bck")
-	if err := writeAtomic(path, est.Checkpoint); err != nil {
-		return false, err
-	}
-	s.noteCheckpoint(snap.Tau)
-	return true, nil
+	return err
 }
 
 // writeSessionCheckpoint persists a sealed checkpoint payload captured
@@ -248,66 +316,38 @@ func (srv *Server) checkpointSession(s *session) (bool, error) {
 // the filesystem and go. Failures are logged, never fatal: a missed
 // periodic checkpoint degrades the durability window, not the run.
 func (srv *Server) writeSessionCheckpoint(s *session, payload []byte) {
-	if srv.cfg.DataDir == "" || !srv.sessionLive(s) {
+	if !srv.sessionLive(s) {
 		return
 	}
-	if err := os.MkdirAll(srv.sessionsDir(), 0o755); err != nil {
+	if err := srv.persistSession(s, payload); err != nil {
 		srv.cfg.Logf("warning: in-run checkpoint for %s: %v", s.id, err)
-		return
-	}
-	path := filepath.Join(srv.sessionsDir(), s.id+".bck")
-	if err := writeFileAtomic(path, payload); err != nil {
-		srv.cfg.Logf("warning: in-run checkpoint for %s: %v", s.id, err)
-		return
-	}
-	// The progress hook keeps the last observation fresh per epoch, so this
-	// tau tracks what the payload holds closely enough to dedupe no-op
-	// checkpoints at the end of the run.
-	s.noteCheckpoint(s.estimator().Snapshot().Tau)
-	if err := srv.persistSessionMeta(s, true); err != nil {
-		srv.cfg.Logf("warning: persisting session %s meta: %v", s.id, err)
 	}
 }
 
-// checkpointAfterOp persists the estimator state at the end of a run or
-// refine. It runs on the op goroutine after the estimate returned but
-// before the session flips back to idle, so it still owns the estimator
-// exclusively — no lock juggling with a new op — and an unclean death any
-// time after it loses nothing of the completed operation. No-op when
-// nothing new was sampled (cache-hit completions, failed admissions).
-func (srv *Server) checkpointAfterOp(s *session) {
+// persistAfterOp writes the session's record at the end of a run or
+// refine, outcome flags included. It runs on the op goroutine before the
+// session flips back to idle, so it still owns the estimator exclusively —
+// no lock juggling with a new op — and an unclean death any time after it
+// loses nothing of the completed operation. No-op when the operation
+// changed neither the samples nor the section (a failed admission).
+func (srv *Server) persistAfterOp(s *session) {
 	if srv.cfg.DataDir == "" || !srv.sessionLive(s) {
 		return
 	}
 	tau := s.estimator().Snapshot().Tau
 	s.mu.Lock()
-	last := s.lastCkptTau
+	unchanged := s.metaLocked() == s.saved && tau == s.savedTau
 	s.mu.Unlock()
-	if tau == 0 || tau == last {
+	if unchanged {
 		return
 	}
-	hasCkpt, err := srv.checkpointSession(s)
-	if err == nil {
-		err = srv.persistSessionMeta(s, hasCkpt)
-	}
-	if err != nil {
-		srv.cfg.Logf("warning: checkpointing session %s: %v", s.id, err)
+	if err := srv.persistSession(s, nil); err != nil {
+		srv.cfg.Logf("warning: persisting session %s: %v", s.id, err)
 	}
 }
 
-// dropSessionFiles removes a deleted session's files (best effort).
+// dropSessionFiles removes a deleted session's record (best effort).
 func (srv *Server) dropSessionFiles(id string) {
-	if srv.cfg.DataDir == "" {
-		return
-	}
-	os.Remove(filepath.Join(srv.sessionsDir(), id+".json"))
-	srv.removeSessionCheckpoint(id)
-}
-
-// removeSessionCheckpoint removes a session's checkpoint (best effort): the
-// session is gone, or its estimator was rebuilt and the file describes the
-// one it replaced.
-func (srv *Server) removeSessionCheckpoint(id string) {
 	if srv.cfg.DataDir != "" {
 		os.Remove(filepath.Join(srv.sessionsDir(), id+".bck"))
 	}
@@ -385,89 +425,38 @@ func (srv *Server) loadGraphEntry(metaPath string) (*graphEntry, error) {
 	return g, nil
 }
 
-// loadSessions rehydrates sessions: checkpointed ones resume their exact
-// sampling state via RestoreEstimator; the rest are recreated fresh (same
-// identity, zero samples). A torn or corrupt checkpoint is quarantined and
-// its session served fresh; unreadable metadata, or metadata naming a
-// backend this build cannot construct, quarantines the whole session.
-// Startup only fails on filesystem-level errors.
+// loadSessions rehydrates sessions from their records, after migrating a
+// data dir written before records: a record with a state resumes its exact
+// sampling state via RestoreEstimator, one without is recreated fresh (same
+// identity, zero samples). Startup only fails on filesystem-level errors.
 func (srv *Server) loadSessions() error {
 	entries, err := os.ReadDir(srv.sessionsDir())
 	if os.IsNotExist(err) {
 		return nil
+	}
+	if err == nil {
+		err = srv.migrateLegacySessions(entries)
+	}
+	if err == nil {
+		entries, err = os.ReadDir(srv.sessionsDir())
 	}
 	if err != nil {
 		return err
 	}
 	maxID := 0
 	for _, de := range entries {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
+		if de.IsDir() || filepath.Ext(de.Name()) != ".bck" {
 			continue
 		}
-		metaPath := filepath.Join(srv.sessionsDir(), de.Name())
-		id := strings.TrimSuffix(de.Name(), ".json")
-		quarantineSession := func(reason string) {
-			srv.quarantine(metaPath, reason)
-			srv.quarantine(filepath.Join(srv.sessionsDir(), id+".bck"),
-				"checkpoint for quarantined session metadata")
-		}
-		data, err := os.ReadFile(metaPath)
+		path := filepath.Join(srv.sessionsDir(), de.Name())
+		s, err := srv.loadSession(path)
 		if err != nil {
-			quarantineSession(err.Error())
+			srv.quarantine(path, err.Error())
 			continue
-		}
-		var meta sessionMeta
-		if err := json.Unmarshal(data, &meta); err != nil {
-			quarantineSession(fmt.Sprintf("unreadable session metadata: %v", err))
-			continue
-		}
-		// Sessions persisted under the removed alg1 backend name ran
-		// Algorithm 2 at one sampling thread per rank, which is what dist
-		// runs unless threads says otherwise: re-key them, once.
-		rekeyed := meta.Params.Backend == "alg1"
-		if rekeyed {
-			meta.Params.Backend = "dist"
-		}
-		// Checked here, not left to buildSession: there the error would be
-		// read as a damaged checkpoint and an intact one set aside for it.
-		if _, err := meta.Params.executor(); err != nil {
-			quarantineSession(err.Error())
-			continue
-		}
-		g, ok := srv.graphs[meta.Params.Graph]
-		if !ok {
-			quarantineSession(fmt.Sprintf("references unknown graph %q (missing or quarantined)", meta.Params.Graph))
-			continue
-		}
-		ckptPath := srv.checkpointPathFor(meta.ID)
-		s, err := srv.buildSession(meta.ID, g, meta.Params, ckptPath)
-		if err != nil && ckptPath != "" {
-			// The checkpoint is torn, corrupt, or version-skewed: set it
-			// aside and serve the session fresh — identity intact, the
-			// damaged samples lost, startup unharmed.
-			srv.quarantine(ckptPath, err.Error())
-			s, err = srv.buildSession(meta.ID, g, meta.Params, "")
-			if err == nil {
-				s.degraded = "checkpoint quarantined at startup; session restarted fresh"
-			}
-		}
-		if err != nil {
-			quarantineSession(fmt.Sprintf("restoring session: %v", err))
-			continue
-		}
-		s.converged = meta.Converged
-		s.cached = meta.Cached
-		if meta.Degraded != "" && s.degraded == "" {
-			s.degraded = meta.Degraded
 		}
 		srv.sessions[s.id] = s
-		g.refs++
-		if rekeyed {
-			if err := srv.persistSessionMeta(s, srv.checkpointPathFor(s.id) != ""); err != nil {
-				srv.cfg.Logf("warning: persisting re-keyed session %s meta: %v", s.id, err)
-			}
-		}
-		if n, ok := sessionNumber(meta.ID); ok && n > maxID {
+		s.g.refs++
+		if n, ok := sessionNumber(s.id); ok && n > maxID {
 			maxID = n
 		}
 	}
@@ -477,16 +466,114 @@ func (srv *Server) loadSessions() error {
 	return nil
 }
 
-// checkpointPathFor returns the on-disk checkpoint to restore from, or ""
-// when the session restarts fresh. It trusts the file, not the metadata
-// flag: an in-run checkpoint and its metadata update are two separate
-// writes, and a crash between them must not hide a good checkpoint.
-func (srv *Server) checkpointPathFor(id string) string {
-	path := filepath.Join(srv.sessionsDir(), id+".bck")
-	if _, err := os.Stat(path); err != nil {
-		return ""
+// loadSession restores one session from its record. A damaged section, or
+// one naming a backend this build cannot construct or a graph that is gone,
+// is an error: the caller quarantines the record and the session with it.
+// A torn, corrupt or foreign state sets the record aside here and serves
+// the session fresh, under a new record that says so.
+func (srv *Server) loadSession(path string) (*session, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return path
+	meta, state, err := decodeRecord(data)
+	if err != nil {
+		return nil, err
+	}
+	if id := strings.TrimSuffix(filepath.Base(path), ".bck"); meta.ID != id {
+		return nil, fmt.Errorf("record of session %q filed as %s", meta.ID, id)
+	}
+	// Checked here, not left to buildSession: there the error would be
+	// read as a damaged state and an intact one set aside for it.
+	if _, err := meta.Params.executor(); err != nil {
+		return nil, err
+	}
+	g, ok := srv.graphs[meta.Params.Graph]
+	if !ok {
+		return nil, fmt.Errorf("references unknown graph %q (missing or quarantined)", meta.Params.Graph)
+	}
+	s, err := srv.buildSession(meta.ID, g, meta.Params, state)
+	if err != nil && state != nil {
+		srv.quarantine(path, err.Error())
+		if s, err = srv.buildSession(meta.ID, g, meta.Params, nil); err == nil {
+			s.degraded = "checkpoint quarantined at startup; session restarted fresh"
+			if err := srv.persistSession(s, nil); err != nil {
+				srv.cfg.Logf("warning: persisting session %s: %v", s.id, err)
+			}
+			return s, nil
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("restoring session: %w", err)
+	}
+	s.converged, s.cached, s.degraded = meta.Converged, meta.Cached, meta.Degraded
+	s.saved, s.savedTau = meta, s.est.Snapshot().Tau
+	if meta.Converged && state != nil {
+		srv.rehydrateResult(s)
+	}
+	return s, nil
+}
+
+// rehydrateResult re-seeds the result cache from a restored converged
+// session: Run on a converged state returns its result without sampling.
+// So a converged answer survives a crash as long as its session does.
+func (srv *Server) rehydrateResult(s *session) {
+	res, err := s.est.Run(srv.runCtx)
+	if err != nil {
+		srv.cfg.Logf("warning: session %s: rehydrating its result: %v", s.id, err)
+		return
+	}
+	s.result = res
+	s.cacheResult(res)
+}
+
+// migrateLegacySessions rewrites the sessions of a data dir written before
+// session records — sessions/<id>.json (params and flags) beside a bare
+// BCSE checkpoint sessions/<id>.bck once the session had samples — as one
+// record each, then removes the .json. A crash between the two steps
+// leaves a .json beside the record it already became, which the next start
+// just removes: the two kinds of .bck differ in their magic. Sessions
+// persisted under the removed alg1 backend name ran Algorithm 2 at one
+// sampling thread per rank, which is what dist runs unless threads says
+// otherwise: they are re-keyed here, the one place the name can appear.
+func (srv *Server) migrateLegacySessions(entries []os.DirEntry) error {
+	for _, de := range entries {
+		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
+			continue
+		}
+		metaPath := filepath.Join(srv.sessionsDir(), de.Name())
+		path := strings.TrimSuffix(metaPath, ".json") + ".bck"
+		state, err := os.ReadFile(path)
+		if err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		if bytes.HasPrefix(state, []byte(recordMagic)) {
+			os.Remove(metaPath)
+			continue
+		}
+		var meta sessionMeta
+		var head []byte
+		data, err := os.ReadFile(metaPath)
+		if err == nil {
+			err = json.Unmarshal(data, &meta)
+		}
+		if meta.Params.Backend == "alg1" {
+			meta.Params.Backend = "dist"
+		}
+		if err == nil {
+			head, err = encodeRecordHead(meta)
+		}
+		if err != nil {
+			srv.quarantine(metaPath, fmt.Sprintf("unreadable session metadata: %v", err))
+			srv.quarantine(path, "checkpoint for quarantined session metadata")
+			continue
+		}
+		if err := writeFileAtomic(path, append(head, state...)); err != nil {
+			return fmt.Errorf("migrating session %s: %w", meta.ID, err)
+		}
+		os.Remove(metaPath)
+	}
+	return nil
 }
 
 // sessionNumber parses the numeric part of a generated "s<N>" id.

@@ -7,11 +7,12 @@
 #
 #   1. build the daemon, generate a graph, start with a short
 #      -checkpoint-interval on a data directory
-#   2. run one session to convergence (persists its result to the
-#      disk-backed cache as a side effect)
+#   2. run one session to convergence (its record on disk holds the
+#      converged state)
 #   3. start a long (tight-epsilon) session, wait until the background
-#      checkpointer has written its envelope, freeze the daemon (SIGSTOP),
-#      read tau out of the envelope on disk, then kill -9 the daemon
+#      checkpointer has written a state into its record, freeze the daemon
+#      (SIGSTOP), read tau out of the record on disk, then kill -9 the
+#      daemon
 #   4. restart on the same data directory, assert /readyz turns ready and
 #      the long session resumed from exactly that periodic checkpoint: its
 #      tau equals the tau persisted when the daemon was frozen
@@ -19,8 +20,8 @@
 #   6. do 3-5 again with a "backend":"dist" session: it must come back as
 #      the dist session it was — status backend "dist", tau intact, no
 #      "degraded" field — and run to convergence as such
-#   7. repeat the step-2 query and assert it is served from the
-#      rehydrated result cache without resampling
+#   7. repeat the step-2 query and assert it is served from the result
+#      cache, which the restart re-seeded from the step-2 session's record
 #
 # Usage: scripts/crash_smoke.sh [workdir]
 set -euo pipefail
@@ -74,17 +75,32 @@ print(json.dumps(v) if isinstance(v, (dict, list)) else v)
 EOF
 }
 
-# ckpt_tau FILE -> prints tau from a session checkpoint (the BCSE envelope of
-# betweenness.Checkpoint around the kadabra v2 payload). Every layout field
-# it relies on is checked (magic, both versions, CRC, the frame's vertex
-# count against the payload's), so a layout change fails here loudly rather
-# than yielding a wrong tau.
+# ckpt_tau FILE -> prints tau from a session record: the "BCDS" daemon
+# section (magic, u16 version, u32 length, JSON, CRC-32), then the state,
+# the BCSE envelope of betweenness.Checkpoint around the kadabra v2
+# payload. Every layout field it relies on is checked (both magics, all
+# three versions, both CRCs, the frame's vertex count against the
+# payload's), so a layout change fails here loudly rather than yielding a
+# wrong tau. A record without a state (a session that has not sampled, or
+# has not been captured yet) fails too.
 ckpt_tau() {
     python3 - "$1" <<'EOF'
 import struct, sys, zlib
 b = open(sys.argv[1], "rb").read()
 def fail(why):
-    sys.exit("checkpoint %s: %s" % (sys.argv[1], why))
+    sys.exit("record %s: %s" % (sys.argv[1], why))
+if len(b) < 14 or b[:4] != b"BCDS":
+    fail("not a session record")
+if struct.unpack_from("<H", b, 4)[0] != 1:
+    fail("record version is not 1")
+end = 10 + struct.unpack_from("<I", b, 6)[0]
+if end + 4 > len(b):
+    fail("section length out of range")
+if zlib.crc32(b[:end]) != struct.unpack_from("<I", b, end)[0]:
+    fail("section CRC mismatch")
+b = b[end + 4:]
+if not b:
+    fail("no state yet")
 if len(b) < 12 or b[:4] != b"BCSE":
     fail("not a BCSE envelope")
 if zlib.crc32(b[:-4]) != struct.unpack("<I", b[-4:])[0]:
@@ -133,7 +149,7 @@ start_daemon
 echo "== upload graph"
 curl -fsS -X POST --data-binary "@$work/g.txt" "$base/graphs?name=crash" >/dev/null
 
-echo "== session to convergence (seeds the durable result cache)"
+echo "== session to convergence (its record re-seeds the result cache after a crash)"
 curl -fsS -X POST -d '{"graph":"crash","eps":0.05,"delta":0.1,"seed":7}' "$base/sessions" > "$work/s1.json"
 s1="$(jget "$work/s1.json" id)"
 curl -fsS -X POST "$base/sessions/$s1/run" >/dev/null
@@ -142,7 +158,7 @@ wait_idle "$s1"
 echo "   converged: tau=$(jget "$work/status.json" snapshot tau)"
 
 # crash_pass BACKEND BODY: start a long session, freeze and SIGKILL the
-# daemon once the periodic checkpointer has its envelope on disk, restart,
+# daemon once the periodic checkpointer has put a state in its record, restart,
 # and require the session back on BACKEND with exactly the persisted
 # samples, then run it to convergence.
 crash_pass() {
@@ -151,22 +167,24 @@ crash_pass() {
     curl -fsS -X POST -d "$body" "$base/sessions" > "$work/s2.json"
     local s2; s2="$(jget "$work/s2.json" id)"
     curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
-    # Wait for the periodic checkpointer: the envelope must exist and the run
-    # must have real samples before the plug is pulled.
-    local run_tau=0
+    # Wait for the periodic checkpointer: the record exists from creation, so
+    # wait for one that holds a state, and for the run to have real samples,
+    # before the plug is pulled.
+    local run_tau=0 captured=no
     for _ in $(seq 1 600); do
         curl -fsS "$base/sessions/$s2" > "$work/status.json"
         run_tau="$(jget "$work/status.json" snapshot tau)"
-        if [ -f "$data/sessions/$s2.bck" ] && [ "$run_tau" -ge 500 ] 2>/dev/null; then break; fi
+        if ckpt_tau "$data/sessions/$s2.bck" >/dev/null 2>&1; then captured=yes; fi
+        if [ "$captured" = yes ] && [ "$run_tau" -ge 500 ] 2>/dev/null; then break; fi
         sleep 0.05
     done
-    [ -f "$data/sessions/$s2.bck" ] || { echo "periodic checkpointer never wrote $s2.bck" >&2; cat "$log" >&2; exit 1; }
+    [ "$captured" = yes ] || { echo "periodic checkpointer never put a state in $s2.bck" >&2; cat "$log" >&2; exit 1; }
     [ "$(jget "$work/status.json" state)" != "idle" ] || { echo "session $s2 finished before the kill; tighten its eps" >&2; exit 1; }
     # Freeze the daemon, then read what it persisted. A status read followed
     # by a kill leaves a window in which a periodic checkpoint can land, so
     # the tau on disk could pass the tau read. A stopped process cannot
-    # rename another envelope into place (a capture it was writing stays a
-    # .tmp file, which the restart quarantines), so the envelope on disk is
+    # rename another record into place (a capture it was writing stays a
+    # .tmp file, which the restart quarantines), so the record on disk is
     # exactly what the restart must resume from.
     kill -STOP "$(cat "$pidfile")"
     local persisted_tau; persisted_tau="$(ckpt_tau "$data/sessions/$s2.bck")"
@@ -209,7 +227,7 @@ curl -fsS -X POST -d '{"graph":"crash","eps":0.05,"delta":0.1,"seed":7}' "$base/
 s3="$(jget "$work/s3.json" id)"
 curl -fsS -X POST "$base/sessions/$s3/run" >/dev/null
 wait_idle "$s3"
-[ "$(jget "$work/status.json" cached)" = "True" ] || { echo "pre-kill result not served from the durable cache" >&2; exit 1; }
+[ "$(jget "$work/status.json" cached)" = "True" ] || { echo "pre-kill result not re-seeded from its session's record" >&2; exit 1; }
 echo "   cache hit confirmed across the crash"
 
 echo "== all crash smoke checks passed"
