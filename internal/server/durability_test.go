@@ -359,7 +359,13 @@ func TestCorruptionQuarantine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				data[recordHeaderLen+2] ^= 0xff // inside the JSON section
+				// Still valid JSON naming a valid session, so only the CRC
+				// tells the damage apart.
+				at := bytes.Index(data, []byte(`"seed":3`))
+				if at < 0 {
+					t.Fatal("no seed in the record section")
+				}
+				data[at+len(`"seed":`)] = '4'
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}

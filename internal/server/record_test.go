@@ -306,6 +306,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(head)
 	f.Add(withState)
 	f.Add(withState[:len(withState)/2])
+	f.Add(head[:len(head)-2]) // cut inside the section's CRC
 	flipped := append([]byte(nil), withState...)
 	flipped[recordHeaderLen] ^= 1
 	f.Add(flipped)
