@@ -16,8 +16,9 @@ import (
 // resumable session state, not an answer).
 //
 // The cache lives in memory only. With a data dir, a restart re-seeds it
-// from the converged sessions' records (see rehydrateResult), so an answer
-// survives a crash as long as its session does.
+// from the records of sessions whose own state converged (see
+// rehydrateResult), so an answer survives a crash as long as its session
+// does.
 //
 // Cached *betweenness.Result values are shared read-only across sessions;
 // handlers must copy anything they hand to a caller for mutation.

@@ -73,18 +73,16 @@ func dirContents(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// countRecordWrites arms the crash hook as a counter of writeAtomic calls
-// on session records, per file name, until the test ends. Callers stop
-// every server goroutine that may write before the test returns.
-func countRecordWrites(t *testing.T) func(name string) int {
+// countWrites arms the crash hook as a counter of every writeAtomic call,
+// per file name, until the test ends; the name "" reads the total. Callers
+// stop every server goroutine that may write before the test returns.
+func countWrites(t *testing.T) func(name string) int {
 	var mu sync.Mutex
 	writes := map[string]int{}
 	crashBeforeRename = func(path string) bool {
-		if filepath.Base(filepath.Dir(path)) == "sessions" {
-			mu.Lock()
-			writes[filepath.Base(path)]++
-			mu.Unlock()
-		}
+		mu.Lock()
+		writes[filepath.Base(path)]++
+		mu.Unlock()
 		return false
 	}
 	t.Cleanup(func() { crashBeforeRename = nil })
@@ -128,7 +126,21 @@ func TestLegacyDataDirMigrates(t *testing.T) {
 	}
 	migrated := copyDataDir(t, dataDir)
 
-	// s1's converged answer is a cache hit for an identical new session.
+	// No migrated record claims a converged state: the old layout could
+	// pair a converged flag with a later capture, so the start did not run
+	// any of them. Running s1 returns its converged answer without
+	// sampling, and the answer is then a cache hit for an identical new
+	// session.
+	for _, want := range legacySessions {
+		if meta, _ := readRecord(t, dataDir, want.id); meta.StateConverged {
+			t.Fatalf("migrated session %s claims a converged state", want.id)
+		}
+	}
+	do(t, "POST", tsA.URL+"/sessions/s1/run", nil)
+	if status := waitIdle(t, tsA.URL, "s1"); status["converged"] != true || status["cached"] != false ||
+		status["snapshot"].(map[string]any)["tau"].(float64) != legacySessions[0].tau {
+		t.Fatalf("legacy converged session s1 run again: %v", status)
+	}
 	repeat := createSession(t, tsA.URL, map[string]any{"graph": "g", "eps": 0.1, "delta": 0.1, "seed": 3})
 	do(t, "POST", tsA.URL+"/sessions/"+repeat+"/run", nil)
 	if status := waitIdle(t, tsA.URL, repeat); status["cached"] != true {
@@ -138,13 +150,13 @@ func TestLegacyDataDirMigrates(t *testing.T) {
 	srvA.wg.Wait()
 
 	before := dirContents(t, dataDir)
-	writes := countRecordWrites(t)
+	writes := countWrites(t)
 	srvB, tsB := newTestServer(t, Config{DataDir: dataDir})
 	checkLegacySessions(t, tsB.URL)
 	srvB.cancelRuns()
 	srvB.wg.Wait()
 	if n := writes(""); n != 0 {
-		t.Errorf("second start made %d record writes", n)
+		t.Errorf("second start made %d writes", n)
 	}
 	after := dirContents(t, dataDir)
 	for path, data := range before {
@@ -235,11 +247,66 @@ func TestOutcomeFlagsSurviveCrash(t *testing.T) {
 	}
 }
 
-// TestOneRecordWritePerEvent counts writeAtomic calls on session records:
-// creating a session and running it to convergence is two (creation, end
-// of run), and one in-run capture is one.
+// TestCacheHitRestartDoesNotSample: a session interrupted with partial
+// samples and then completed from the cache reports converged and cached,
+// but its record does not claim a converged state, so a restart from a
+// crash image serves it at the tau it had without sampling, while the
+// session whose own state converged re-seeds the cache.
+func TestCacheHitRestartDoesNotSample(t *testing.T) {
+	dataDir := t.TempDir()
+	srvA, tsA := newTestServer(t, Config{DataDir: dataDir})
+	name := uploadGraph(t, tsA.URL, "g", testGraphBytes(t))
+	params := map[string]any{"graph": name, "eps": 0.005, "delta": 0.1, "seed": 3}
+	partial := createSession(t, tsA.URL, params)
+	do(t, "POST", tsA.URL+"/sessions/"+partial+"/run", nil)
+	deadline := time.Now().Add(30 * time.Second)
+	for sessionTau(t, tsA.URL, partial) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never sampled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srvA.mu.Lock()
+	srvA.sessions[partial].cancel() // as a DELETE would, keeping the session
+	srvA.mu.Unlock()
+	status := waitIdle(t, tsA.URL, partial)
+	tau := status["snapshot"].(map[string]any)["tau"].(float64)
+	if status["interrupted"] != true || status["converged"] == true {
+		t.Fatalf("cancelled session: %v; want interrupted with partial samples", status)
+	}
+	full := createSession(t, tsA.URL, params)
+	do(t, "POST", tsA.URL+"/sessions/"+full+"/run", nil)
+	if status := waitIdle(t, tsA.URL, full); status["converged"] != true {
+		t.Fatalf("run did not converge: %v", status)
+	}
+	// The cache is consulted before admission, so the cancelled session
+	// still completes.
+	do(t, "POST", tsA.URL+"/sessions/"+partial+"/run", nil)
+	if status := waitIdle(t, tsA.URL, partial); status["cached"] != true || sessionTau(t, tsA.URL, partial) != tau {
+		t.Fatalf("partial session not served from the cache at tau %v: %v", tau, status)
+	}
+	if meta, state := readRecord(t, dataDir, partial); !meta.Converged || !meta.Cached || meta.StateConverged || state == nil {
+		t.Fatalf("cache-hit record %+v with %d state bytes; want converged, cached, partial state", meta, len(state))
+	}
+	crashDir := copyDataDir(t, dataDir)
+	srvA.cancelRuns()
+	srvA.wg.Wait()
+
+	srvB, tsB := newTestServer(t, Config{DataDir: crashDir})
+	_, st := do(t, "GET", tsB.URL+"/sessions/"+partial, nil)
+	if st["converged"] != true || st["cached"] != true || st["snapshot"].(map[string]any)["tau"].(float64) != tau {
+		t.Fatalf("cache-hit session after the crash: %v; want converged and cached at tau %v", st, tau)
+	}
+	if n, _, _ := srvB.cache.stats(); n != 1 {
+		t.Fatalf("restart cached %d results, want the converged session's one", n)
+	}
+}
+
+// TestOneRecordWritePerEvent counts writeAtomic calls under sessions/ and
+// everywhere else in the data dir: creating a session and running it to
+// convergence is two (creation, end of run), and one in-run capture is one.
 func TestOneRecordWritePerEvent(t *testing.T) {
-	writes := countRecordWrites(t)
+	writes := countWrites(t)
 	dataDir := t.TempDir()
 	// The loop never ticks; the capture below is requested by hand.
 	srv, ts := newTestServer(t, Config{DataDir: dataDir, CheckpointInterval: time.Hour})
@@ -248,13 +315,14 @@ func TestOneRecordWritePerEvent(t *testing.T) {
 		srv.wg.Wait()
 	}()
 	name := uploadGraph(t, ts.URL, "g", testGraphBytes(t))
+	start := writes("")
 	id := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.1, "seed": 3})
 	do(t, "POST", ts.URL+"/sessions/"+id+"/run", nil)
 	if status := waitIdle(t, ts.URL, id); status["converged"] != true {
 		t.Fatalf("run did not converge: %v", status)
 	}
-	if n := writes(id + ".bck"); n > 2 {
-		t.Errorf("create and one converged run: %d record writes, want at most 2", n)
+	if n := writes("") - start; n > 2 {
+		t.Errorf("create and one converged run: %d writes, want at most 2", n)
 	}
 
 	long := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.0005, "seed": 1})
@@ -266,7 +334,7 @@ func TestOneRecordWritePerEvent(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	before := writes(long + ".bck")
+	before := writes("")
 	srv.mu.Lock()
 	s := srv.sessions[long]
 	srv.mu.Unlock()
@@ -281,12 +349,12 @@ func TestOneRecordWritePerEvent(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond) // room for any write that follows it
-	n := writes(long + ".bck")
+	n := writes("")
 	if _, status := do(t, "GET", ts.URL+"/sessions/"+long, nil); status["state"] != stateRunning {
 		t.Fatalf("long session stopped during the count: %v", status)
 	}
 	if n-before != 1 {
-		t.Errorf("one in-run capture: %d record writes, want 1", n-before)
+		t.Errorf("one in-run capture: %d writes, want 1", n-before)
 	}
 }
 

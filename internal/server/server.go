@@ -26,7 +26,8 @@
 //     cancel runs, checkpoint everything, exit.
 //   - An LRU result cache keyed by (graph digest, workload, eps, delta,
 //     seed, backend) makes repeated identical queries free. It lives in
-//     memory; a restart re-seeds it from the converged sessions' records.
+//     memory; a restart re-seeds it, without sampling, from the records
+//     of sessions whose own state converged.
 //   - Startup is crash-consistent: a recovery scan sweeps interrupted
 //     writes aside, rehydration CRC-verifies the records, and damage is
 //     quarantined under <data>/quarantine/ (the session restarts fresh)

@@ -167,6 +167,10 @@ type session struct {
 	// interruptReason says which.
 	interrupted     bool
 	interruptReason string
+	// stateConverged says est holds a converged state: its own last
+	// completed operation converged and nothing has sampled since (see
+	// sessionMeta.StateConverged).
+	stateConverged bool
 	// degraded, when non-empty, records that the session no longer runs
 	// exactly as requested: a distributed world shrank or fell back to the
 	// shared-memory backend after rank deaths, or a restart found its
@@ -191,7 +195,8 @@ func (s *session) estimator() *betweenness.Estimator {
 
 // metaLocked is the session's record section. Callers hold s.mu.
 func (s *session) metaLocked() sessionMeta {
-	return sessionMeta{ID: s.id, Params: s.params, Converged: s.converged, Cached: s.cached, Degraded: s.degraded}
+	return sessionMeta{ID: s.id, Params: s.params, Converged: s.converged, Cached: s.cached,
+		StateConverged: s.stateConverged, Degraded: s.degraded}
 }
 
 // currentParams returns a copy of the session params.
@@ -265,8 +270,12 @@ func (s *session) start(kind opKind, spec refineSpec) error {
 	}
 	s.state = stateQueued
 	// The outcome flags describe the state the session holds, which this
-	// operation is about to change.
+	// operation is about to change. A Run leaves a converged state as it
+	// is; a refine retargets it.
 	s.converged, s.cached = false, false
+	if kind == opRefine {
+		s.stateConverged = false
+	}
 	s.runErr = ""
 	s.interrupted = false
 	s.interruptReason = ""
@@ -433,6 +442,7 @@ func (s *session) rebuild(p sessionParams) error {
 	s.mu.Lock()
 	s.params = p
 	s.est = est
+	s.stateConverged = false
 	s.mu.Unlock()
 	if err := s.srv.persistSession(s, nil); err != nil {
 		s.srv.cfg.Logf("warning: persisting session %s: %v", s.id, err)
@@ -472,6 +482,9 @@ func (s *session) finish(res *betweenness.Result, err error, fromCache bool) {
 		s.result = res
 		s.cached = fromCache
 		s.converged = res != nil && res.Converged
+		if !fromCache {
+			s.stateConverged = s.converged
+		}
 	case errors.Is(err, context.DeadlineExceeded):
 		s.interrupted = true
 		s.interruptReason = fmt.Sprintf(

@@ -73,10 +73,16 @@ type sessionMeta struct {
 	ID     string        `json:"id"`
 	Params sessionParams `json:"params"`
 	// Converged/Cached describe the last operation, so a restarted daemon
-	// reports the session status it went down with. Converged is only ever
-	// written beside the converged state itself.
+	// reports the session status it went down with.
 	Converged bool `json:"converged"`
 	Cached    bool `json:"cached"`
+	// StateConverged says the state beside this section is converged: the
+	// session's own estimator returned a converged result from it and has
+	// not sampled since, so a Run returns that result without sampling.
+	// Converged does not say so: a cache-hit completion converges a session
+	// whose own samples may be partial, and a record migrated from the old
+	// layout may pair a converged flag with a later, partial capture.
+	StateConverged bool `json:"state_converged,omitempty"`
 	// Degraded carries the session's degradation note (a dist world that
 	// shrank or fell back to shm, a checkpoint restored cross-engine)
 	// across restarts.
@@ -507,16 +513,18 @@ func (srv *Server) loadSession(path string) (*session, error) {
 		return nil, fmt.Errorf("restoring session: %w", err)
 	}
 	s.converged, s.cached, s.degraded = meta.Converged, meta.Cached, meta.Degraded
+	s.stateConverged = meta.StateConverged && state != nil
 	s.saved, s.savedTau = meta, s.est.Snapshot().Tau
-	if meta.Converged && state != nil {
+	if s.stateConverged {
 		srv.rehydrateResult(s)
 	}
 	return s, nil
 }
 
-// rehydrateResult re-seeds the result cache from a restored converged
-// session: Run on a converged state returns its result without sampling.
-// So a converged answer survives a crash as long as its session does.
+// rehydrateResult re-seeds the result cache from a restored session whose
+// state is converged: Run on such a state returns its result without
+// sampling. So a converged answer survives a crash as long as its session
+// does.
 func (srv *Server) rehydrateResult(s *session) {
 	res, err := s.est.Run(srv.runCtx)
 	if err != nil {
@@ -532,7 +540,11 @@ func (srv *Server) rehydrateResult(s *session) {
 // BCSE checkpoint sessions/<id>.bck once the session had samples — as one
 // record each, then removes the .json. A crash between the two steps
 // leaves a .json beside the record it already became, which the next start
-// just removes: the two kinds of .bck differ in their magic. Sessions
+// just removes: the two kinds of .bck differ in their magic. A migrated
+// record never claims a converged state (an in-run capture of a later
+// refine may have replaced the one a converged flag was written for), so
+// its answer returns to the result cache at its session's next Run, which
+// samples only if the state needs it. Sessions
 // persisted under the removed alg1 backend name ran Algorithm 2 at one
 // sampling thread per rank, which is what dist runs unless threads says
 // otherwise: they are re-keyed here, the one place the name can appear.

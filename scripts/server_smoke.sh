@@ -6,9 +6,9 @@
 #   2. upload the graph (format sniffed server-side, no flags)
 #   3. run one session to convergence and read its top-k result
 #   4. start a long (tight-epsilon) session, SIGTERM the daemon mid-run,
-#      and assert the drain checkpointed it
+#      and assert the drain put its state in the session's record
 #   5. restart on the same data directory, assert the session resumed
-#      with its samples intact, run it to convergence
+#      at exactly the drained tau, run it to convergence
 #   6. refine the session to a tighter epsilon and assert tau grew
 #      (refine reuses samples, never resets)
 #   7. repeat the step-3 query in a fresh session and assert it is
@@ -112,14 +112,18 @@ done
 kill -TERM "$(cat "$pidfile")"
 wait "$(cat "$pidfile")" 2>/dev/null || true
 rm -f "$pidfile"
-[ -f "$data/sessions/$s2.bck" ] || { echo "no checkpoint for $s2 after SIGTERM" >&2; cat "$log" >&2; exit 1; }
-echo "   checkpointed at tau>=$tau"
+# The record exists from creation; the drain must have put the session's
+# state in it.
+drained_tau="$(python3 scripts/record_tau.py "$data/sessions/$s2.bck")" \
+    || { echo "no state in $s2's record after SIGTERM" >&2; cat "$log" >&2; exit 1; }
+[ "$drained_tau" -ge "$tau" ] || { echo "drain persisted tau=$drained_tau, below the $tau sampled" >&2; exit 1; }
+echo "   checkpointed at tau=$drained_tau"
 
 echo "== restart and resume"
 start_daemon
 curl -fsS "$base/sessions/$s2" > "$work/status.json"
 resumed_tau="$(jget "$work/status.json" snapshot tau)"
-[ "$resumed_tau" -ge 500 ] || { echo "restart lost samples (tau=$resumed_tau)" >&2; exit 1; }
+[ "$resumed_tau" -eq "$drained_tau" ] || { echo "restart resumed tau=$resumed_tau, the drain persisted $drained_tau" >&2; exit 1; }
 echo "   resumed with tau=$resumed_tau"
 curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
 wait_idle "$s2"
