@@ -49,7 +49,7 @@ func main() {
 		weighted = flag.Bool("weighted", false, "assign uniform weights in [1, -maxw] and write a weighted edge list")
 		maxW     = flag.Uint64("maxw", 10, "with -weighted: maximum edge weight")
 		stream   = flag.Bool("stream", false, "stream edges to the output in bounded memory (rmat/er/road; .bcsr output goes through the out-of-core converter)")
-		connect  = flag.Bool("connect", false, "with -stream: add a spanning chain (i, i+1) so the output is connected")
+		connect  = flag.Bool("connect", false, "with -stream: add a spanning binary tree, edges (i, (i-1)/2), so the output is connected at low diameter")
 		mem      = flag.String("mem", "256MiB", "with -stream to .bcsr: converter sort-buffer budget")
 		compress = flag.Bool("compress", false, "with -stream to .bcsr: varint/delta-compress adjacency")
 		memstats = flag.Bool("memstats", false, "print heap and resident-set stats before exiting (how the ingest smoke test verifies -mem bounds the converter)")
@@ -186,10 +186,15 @@ func streamGen(kind, out string, p streamParams) error {
 			return err
 		}
 		if p.connect {
-			// A spanning chain guarantees one component, so downstream
-			// largest-component extraction is the identity (no copy).
-			for i := 0; i+1 < numNodes; i++ {
-				if err := emit(graph.Node(i), graph.Node(i+1)); err != nil {
+			// A spanning tree guarantees one component, so downstream
+			// largest-component extraction is the identity (no copy). The
+			// heap-shaped tree joins every vertex to vertex 0 within
+			// floor(log2 n) edges, so the output's diameter is at most
+			// 2·floor(log2 n) whatever the generator emitted: an R-MAT
+			// graph stays a low-diameter input, where a chain (i, i+1)
+			// made it hundreds of hops wide.
+			for i := 1; i < numNodes; i++ {
+				if err := emit(graph.Node(i), graph.Node((i-1)/2)); err != nil {
 					return err
 				}
 			}

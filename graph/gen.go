@@ -18,7 +18,8 @@ func Graph500(scale, edgeFactor int, seed uint64) RMATParams {
 }
 
 // RMAT generates a recursive-matrix random graph (heavy-tailed degrees,
-// small diameter — the paper's social-network proxy).
+// small diameter — the paper's social-network proxy). Generation uses
+// every CPU; the graph is byte-identical for any GOMAXPROCS.
 func RMAT(p RMATParams) *Graph { return gen.RMAT(p) }
 
 // HyperbolicParams parameterizes the random hyperbolic generator.
@@ -42,9 +43,11 @@ func ErdosRenyi(n, m int, seed uint64) *Graph { return gen.ErdosRenyi(n, m, seed
 // vertex attaches k edges.
 func BarabasiAlbert(n, k int, seed uint64) *Graph { return gen.BarabasiAlbert(n, k, seed) }
 
-// StreamRMAT emits the exact edge sequence RMAT consumes — self loops
-// and duplicates included — through a callback, so huge instances stream
-// into the out-of-core converter without being materialized.
+// StreamRMAT emits the edge sequence RMAT builds its graph from — self
+// loops and duplicates included — through a callback, so huge instances
+// stream into the out-of-core converter without being materialized. It
+// generates on every CPU and emits in stream order from a few buffers per
+// CPU: the sequence is the same for any GOMAXPROCS.
 func StreamRMAT(p RMATParams, emit func(u, v Node) error) error {
 	return gen.StreamRMAT(p, emit)
 }

@@ -19,6 +19,7 @@ package gen
 
 import (
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/graph"
@@ -52,16 +53,107 @@ func Graph500(scale, edgeFactor int, seed uint64) RMATParams {
 
 // RMAT generates an R-MAT graph. Self loops and duplicate edges are removed
 // by the builder, so the realized edge count is slightly below
-// EdgeFactor * 2^Scale, as with the real Graph500 kernel. The edge
-// sequence comes from StreamRMAT, so the materialized and streamed paths
-// produce identical graphs by construction.
+// EdgeFactor * 2^Scale, as with the real Graph500 kernel.
+//
+// Generation uses every CPU: the edges split into GOMAXPROCS contiguous
+// chunks, each worker jumps its own copy of the seeded stream to its
+// chunk's first draw and writes its edges into its own range of the
+// Builder, and Build's sort makes the chunks' order irrelevant. The graph
+// is byte-identical for any GOMAXPROCS, and to building from StreamRMAT's
+// serial edge sequence; a graph under rmatMinChunk edges per worker is
+// generated on fewer workers, down to one.
 func RMAT(p RMATParams) *graph.Graph {
+	return rmat(p, min(runtime.GOMAXPROCS(0), p.numEdges()/rmatMinChunk))
+}
+
+// rmatMinChunk is the fewest edges worth a worker of their own: a few
+// milliseconds of generation, against microseconds to jump and start it.
+const rmatMinChunk = 1 << 13
+
+// rmat is RMAT on workers goroutines.
+func rmat(p RMATParams, workers int) *graph.Graph {
+	m := p.numEdges()
+	b := graph.NewBuilder(1 << p.Scale)
+	graph.AddConcurrently(b, m, workers, func(lo, hi int, s *graph.EdgeSink) {
+		e, r := newRMATEdges(p), rng.NewRand(p.Seed)
+		r.Jump(uint64(lo) * e.drawsPerEdge())
+		for range hi - lo {
+			s.AddEdge(e.next(r))
+		}
+	})
+	return b.Build()
+}
+
+// numEdges is the raw edge count EdgeFactor * 2^Scale. It panics on a
+// scale outside [0, 30].
+func (p RMATParams) numEdges() int {
 	if p.Scale < 0 || p.Scale > 30 {
 		panic("gen: RMAT scale out of range [0, 30]")
 	}
-	b := graph.NewBuilder(1 << p.Scale)
-	StreamRMAT(p, func(u, v graph.Node) error { b.AddEdge(u, v); return nil })
-	return b.Build()
+	return p.EdgeFactor << p.Scale
+}
+
+// rmatEdges draws R-MAT edges from a generator. Every edge takes the same
+// number of draws, in the order the level loop consumes them: with noise,
+// four quadrant perturbations then the quadrant pick per level; without,
+// the pick alone. So edge i starts at draw i·drawsPerEdge of the seeded
+// stream, which is where a worker starting at edge i jumps to.
+type rmatEdges struct {
+	p        RMATParams
+	d        float64 // D = 1-A-B-C
+	perLevel int
+	draws    []float64 // one edge's draws
+}
+
+func newRMATEdges(p RMATParams) *rmatEdges {
+	perLevel := 1
+	if p.Noise > 0 {
+		perLevel = 5
+	}
+	return &rmatEdges{p: p, d: 1 - p.A - p.B - p.C, perLevel: perLevel, draws: make([]float64, perLevel*p.Scale)}
+}
+
+func (e *rmatEdges) drawsPerEdge() uint64 { return uint64(len(e.draws)) }
+
+// next draws one edge from r.
+//
+//bc:hotpath
+func (e *rmatEdges) next(r *rng.Rand) (graph.Node, graph.Node) {
+	p, perLevel := &e.p, e.perLevel
+	r.Float64s(e.draws)
+	u, v := 0, 0
+	for level, f := 0, e.draws; level < p.Scale; level, f = level+1, f[perLevel:] {
+		a, bb, c := p.A, p.B, p.C
+		if p.Noise > 0 {
+			// Multiplicative noise, renormalized.
+			a *= 1 - p.Noise/2 + p.Noise*f[0]
+			bb *= 1 - p.Noise/2 + p.Noise*f[1]
+			c *= 1 - p.Noise/2 + p.Noise*f[2]
+			dd := e.d * (1 - p.Noise/2 + p.Noise*f[3])
+			s := a + bb + c + dd
+			a, bb, c = a/s, bb/s, c/s
+		}
+		// The quadrant is the first of a, b, c, d whose cumulative
+		// probability exceeds x: b sets v's bit, c sets u's, d both.
+		// As 0/1 flags (which compile to conditional moves, not to
+		// branches on a random x): u's bit is x >= a+b, and v's bit,
+		// set in b and d, is the parity of the three thresholds passed.
+		x := f[perLevel-1]
+		ab := a + bb
+		var ga, gab, gabc int
+		if x >= a {
+			ga = 1
+		}
+		if x >= ab {
+			gab = 1
+		}
+		if x >= ab+c {
+			gabc = 1
+		}
+		u |= gab << level
+		v |= (ga ^ gab ^ gabc) << level
+	}
+	return graph.Node(u), graph.Node(v)
 }
 
 // ErdosRenyi generates G(n, m): m edges sampled uniformly (with rejection of

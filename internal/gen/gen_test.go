@@ -222,6 +222,19 @@ func BenchmarkRMATScale14(b *testing.B) {
 	}
 }
 
+// BenchmarkRMAT16 generates social-shm's input, R-MAT Graph500(16, 16, 1):
+// the gen.generate_s layer of the benchmark. ns/edge is per raw edge
+// drawn; run it with -cpu 1,2 to see the generation's parallel speedup.
+func BenchmarkRMAT16(b *testing.B) {
+	p := Graph500(16, 16, 1)
+	ops := 0
+	for b.Loop() {
+		RMAT(p)
+		ops++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*p.numEdges()), "ns/edge")
+}
+
 // BenchmarkLargestComponent reduces social-shm's input, R-MAT Graph500(16,
 // 16, 1), to its largest component: the graph.lcc_s layer of the benchmark.
 func BenchmarkLargestComponent(b *testing.B) {

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"runtime"
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -11,7 +14,9 @@ import (
 // can flow straight into the out-of-core converter (internal/bigio)
 // without the O(edges) slice a Builder accumulates. The materializing
 // generators are thin wrappers over these, which is what keeps the two
-// paths identical by construction.
+// paths identical by construction; RMAT, which fills its Builder from
+// several workers, shares StreamRMAT's per-edge draw (rmatEdges) and the
+// jump to each worker's first edge instead.
 //
 // Only generators whose state is O(1)-per-edge stream: R-MAT, G(n, m),
 // and the road lattice. Barabási–Albert needs the full endpoint history
@@ -21,59 +26,80 @@ import (
 // StreamRMAT generates the R-MAT edge stream: EdgeFactor * 2^Scale raw
 // edges (self loops and duplicates included — downstream consumers drop
 // them, exactly as the Builder does for RMAT).
+//
+// Generation uses every CPU: workers produce chunks of the stream at once,
+// each from its own generator jumped to the chunk's first draw, and the
+// chunks are emitted in stream order from a bounded set of buffers, so
+// memory stays O(GOMAXPROCS × chunk) whatever the edge count. The sequence
+// emit sees is the serial one, edge for edge, for any GOMAXPROCS.
 func StreamRMAT(p RMATParams, emit func(u, v graph.Node) error) error {
-	if p.Scale < 0 || p.Scale > 30 {
-		panic("gen: RMAT scale out of range [0, 30]")
-	}
-	n := 1 << p.Scale
-	m := p.EdgeFactor * n
-	r := rng.NewRand(p.Seed)
-	d := 1 - p.A - p.B - p.C
-	// One edge's draws in one batch, in the order the level loop consumes
-	// them: with noise, four quadrant perturbations then the quadrant pick
-	// per level; without, the pick alone.
-	perLevel := 1
-	if p.Noise > 0 {
-		perLevel = 5
-	}
-	draws := make([]float64, perLevel*p.Scale)
-	for i := 0; i < m; i++ {
-		r.Float64s(draws)
-		u, v := 0, 0
-		for level, f := 0, draws; level < p.Scale; level, f = level+1, f[perLevel:] {
-			a, bb, c := p.A, p.B, p.C
-			if p.Noise > 0 {
-				// Multiplicative noise, renormalized.
-				a *= 1 - p.Noise/2 + p.Noise*f[0]
-				bb *= 1 - p.Noise/2 + p.Noise*f[1]
-				c *= 1 - p.Noise/2 + p.Noise*f[2]
-				dd := d * (1 - p.Noise/2 + p.Noise*f[3])
-				s := a + bb + c + dd
-				a, bb, c = a/s, bb/s, c/s
+	m := p.numEdges()
+	return streamRMAT(p, min(runtime.GOMAXPROCS(0), (m+streamChunk-1)/streamChunk), streamChunk, emit)
+}
+
+// streamChunk is the edges a StreamRMAT worker generates per buffer:
+// 512 KiB of pairs and tens of milliseconds of work, against a jump of
+// microseconds.
+const streamChunk = 1 << 16
+
+// streamRMAT is StreamRMAT on workers goroutines with chunk-edge buffers;
+// one worker generates inline.
+func streamRMAT(p RMATParams, workers, chunk int, emit func(u, v graph.Node) error) error {
+	m := p.numEdges()
+	if workers <= 1 {
+		e, r := newRMATEdges(p), rng.NewRand(p.Seed)
+		for range m {
+			if err := emit(e.next(r)); err != nil {
+				return err
 			}
-			// The quadrant is the first of a, b, c, d whose cumulative
-			// probability exceeds x: b sets v's bit, c sets u's, d both.
-			// As 0/1 flags (which compile to conditional moves, not to
-			// branches on a random x): u's bit is x >= a+b, and v's bit,
-			// set in b and d, is the parity of the three thresholds passed.
-			x := f[perLevel-1]
-			ab := a + bb
-			var ga, gab, gabc int
-			if x >= a {
-				ga = 1
-			}
-			if x >= ab {
-				gab = 1
-			}
-			if x >= ab+c {
-				gabc = 1
-			}
-			u |= gab << level
-			v |= (ga ^ gab ^ gabc) << level
 		}
-		if err := emit(graph.Node(u), graph.Node(v)); err != nil {
-			return err
+		return nil
+	}
+	// Worker w generates chunks w, w+workers, ... into its two buffers and
+	// hands each over on full[w]; the caller's loop takes the chunks in
+	// order and returns each buffer on free[w]. Both channels hold two, a
+	// worker's every buffer, so no send on them blocks.
+	chunks := (m + chunk - 1) / chunk
+	full := make([]chan [][2]graph.Node, workers)
+	free := make([]chan [][2]graph.Node, workers)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done)
+	for w := range workers {
+		full[w], free[w] = make(chan [][2]graph.Node, 2), make(chan [][2]graph.Node, 2)
+		free[w] <- make([][2]graph.Node, 0, chunk)
+		free[w] <- make([][2]graph.Node, 0, chunk)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, r := newRMATEdges(p), rng.NewRand(p.Seed)
+			at := 0 // the edge r draws next
+			for c := w; c < chunks; c += workers {
+				var buf [][2]graph.Node
+				select {
+				case buf = <-free[w]:
+				case <-done:
+					return
+				}
+				r.Jump(uint64(c*chunk-at) * e.drawsPerEdge())
+				buf = buf[:0]
+				for at = c * chunk; at < min(m, (c+1)*chunk); at++ {
+					u, v := e.next(r)
+					buf = append(buf, [2]graph.Node{u, v})
+				}
+				full[w] <- buf
+			}
+		}()
+	}
+	for c := range chunks {
+		buf := <-full[c%workers]
+		for _, uv := range buf {
+			if err := emit(uv[0], uv[1]); err != nil {
+				return err
+			}
 		}
+		free[c%workers] <- buf
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Builder accumulates undirected edges and produces a canonical CSR Graph.
@@ -16,8 +17,9 @@ import (
 // integers over their 2s significant bits with a radix sort: no comparison
 // sort, no per-list pass.
 //
-// Builder is not safe for concurrent use; generators that produce edges in
-// parallel should merge per-worker edge slices and call FromEdges.
+// Builder is not safe for concurrent use; a generator that produces edges
+// in parallel adds them through AddConcurrently, which gives each worker
+// its own range of the key array.
 type Builder struct {
 	n     int
 	shift uint
@@ -44,16 +46,78 @@ func keyShift(n int) uint {
 // AddEdge records the undirected edge {u, v}. Self loops are ignored.
 // It panics if either endpoint is out of range.
 func (b *Builder) AddEdge(u, v Node) {
-	if int(u) >= b.n || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", u, v, b.n))
+	if k, ok := edgeKey(u, v, b.n, b.shift); ok {
+		b.keys = append(b.keys, k)
 	}
-	if u == v {
-		return
+}
+
+// edgeKey packs {u, v} as u<<shift | v with u < v, reporting false for a
+// self loop. It panics if either endpoint is out of range for n vertices.
+func edgeKey(u, v Node, n int, shift uint) (uint64, bool) {
+	if int(u) >= n || int(v) >= n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", u, v, n))
 	}
 	if u > v {
 		u, v = v, u
 	}
-	b.keys = append(b.keys, uint64(u)<<b.shift|uint64(v))
+	return uint64(u)<<shift | uint64(v), u != v
+}
+
+// EdgeSink is one worker's share of a Builder's key array, handed out by
+// AddConcurrently. Its AddEdge is Builder.AddEdge, range check and
+// self-loop drop included, into a range no other worker writes.
+type EdgeSink struct {
+	keys  []uint64 // the kept edges; cap is the worker's whole range
+	n     int
+	shift uint
+	_     [64]byte // a worker writes len(keys) per edge: no two sinks share a cache line
+}
+
+// AddEdge records the undirected edge {u, v}, as Builder.AddEdge does. It
+// panics if the worker adds more edges than its range holds.
+func (s *EdgeSink) AddEdge(u, v Node) {
+	k, ok := edgeKey(u, v, s.n, s.shift)
+	if !ok {
+		return
+	}
+	if len(s.keys) == cap(s.keys) {
+		panic("graph: EdgeSink holds no more edges than its range")
+	}
+	s.keys = append(s.keys, k)
+}
+
+// AddConcurrently adds up to m edges to b from workers goroutines. It
+// splits the edge indexes [0, m) into workers contiguous chunks and calls
+// produce(lo, hi, s) for each chunk on a goroutine of its own; produce adds
+// at most hi-lo edges to s, which writes them straight into the chunk's
+// range of b's key array. The ranges are then compacted, closing the gaps
+// that dropped self loops leave. Build sorts the keys, so the graph is the
+// one that adding the same edges with AddEdge in any order gives: the
+// worker count changes the time, never the result.
+func AddConcurrently(b *Builder, m, workers int, produce func(lo, hi int, s *EdgeSink)) {
+	if m <= 0 {
+		return
+	}
+	workers = max(1, min(workers, m))
+	base := len(b.keys)
+	b.keys = slices.Grow(b.keys, m)[:base+m]
+	sinks := make([]EdgeSink, workers)
+	var wg sync.WaitGroup
+	for w := range sinks {
+		lo, hi := m*w/workers, m*(w+1)/workers
+		sinks[w] = EdgeSink{keys: b.keys[base+lo : base+lo : base+hi], n: b.n, shift: b.shift}
+		wg.Add(1)
+		go func(s *EdgeSink) {
+			defer wg.Done()
+			produce(lo, hi, s)
+		}(&sinks[w])
+	}
+	wg.Wait()
+	end := base
+	for _, s := range sinks {
+		end += copy(b.keys[end:], s.keys)
+	}
+	b.keys = b.keys[:end]
 }
 
 // NumPendingEdges reports how many edges (including duplicates) have been

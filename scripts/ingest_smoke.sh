@@ -4,21 +4,34 @@
 #
 #   1. graphgen -stream generates an ~100M-edge RMAT graph straight into
 #      a BCSR v2 file through the out-of-core converter (-connect adds a
-#      spanning chain so the graph is one component and the downstream
-#      largest-component step is the no-copy identity). The generator's
+#      spanning binary tree, edges (i, (i-1)/2), so the graph is one
+#      component, the downstream largest-component step is the no-copy
+#      identity, and the diameter stays at most 2·log2 n). The generator's
 #      heap is asserted against the -mem sort budget: converter memory
-#      must be bounded by -mem, not by the edge count.
+#      must be bounded by -mem (plus the parallel R-MAT stream's few
+#      chunk buffers), not by the edge count.
 #   2. graphinfo -quick opens the file by mmap and must report an open
 #      latency under SMOKE_OPEN_MS_MAX (default 100ms) with zero-copy
 #      adjacency — the O(1) open criterion.
-#   3. bcapprox runs a budgeted estimate on the mapped graph; its Go heap
-#      (heap-sys) must stay under SMOKE_HEAP_MIB_MAX, which is sized to
-#      fit the O(n) estimator state (~815 MiB observed at scale 23) but
-#      NOT an additional heap copy of the ~456 MiB adjacency — a
-#      regression that quietly rematerializes the graph trips it. The
-#      kernel-side peak (rss-peak) is bounded too, more loosely, since it
-#      legitimately includes the page-cache-backed mapped pages the BFS
-#      touches.
+#   3. bcapprox runs a budgeted estimate on the mapped graph. Its vertex
+#      diameter must be at most 2·log2 n, the small-world side of the
+#      kernel choice, so the bidirectional BFS and its hub matrix run.
+#      Its Go heap (heap-sys) must stay under SMOKE_HEAP_MIB_MAX, by
+#      default derived from the state a one-thread sequential estimate
+#      holds on n vertices and m edges (bytes):
+#        sampler     32n         one bfs.Sampler record per vertex
+#        hub matrix  4n + K²/8   bfs.Hubs, K = ⌊√(8m)⌋
+#        estimator   84n         five count frames of 8n (the accumulated
+#                                state, the epoch driver's two, the epoch
+#                                loop's and calibration's), the calibration
+#                                (failure budgets 16n, their logs 16n,
+#                                sweep order 4n) and the estimates (8n)
+#      plus half a heap copy of the adjacency, (8(n+1) + 8m)/2, for the
+#      diameter phase's transient BFS arrays and the collector's headroom.
+#      A regression that quietly rematerializes the graph adds a whole
+#      copy and trips it. The kernel-side peak (rss-peak) is bounded too,
+#      more loosely, since it legitimately includes the page-cache-backed
+#      mapped pages the BFS touches.
 #
 # Usage: scripts/ingest_smoke.sh
 # Environment (all optional):
@@ -27,7 +40,8 @@
 #   SMOKE_MIN_EDGES           generated-edge floor (default 95000000)
 #   SMOKE_OPEN_MS_MAX         mmap open latency bound (default 100)
 #   SMOKE_GEN_HEAP_MIB_MAX    graphgen heap-sys bound (default 1024)
-#   SMOKE_HEAP_MIB_MAX        bcapprox heap-sys bound (default 1024)
+#   SMOKE_HEAP_MIB_MAX        bcapprox heap-sys bound (default: derived
+#                             from n and m as in step 3)
 #   SMOKE_RSS_MIB_MAX         bcapprox rss-peak bound (default 4096)
 #   SMOKE_SAMPLES             bcapprox sample budget (default 32)
 #   SMOKE_DIR                 scratch dir (default mktemp -d; NOT cleaned
@@ -41,7 +55,6 @@ mem="${SMOKE_MEM:-256MiB}"
 min_edges="${SMOKE_MIN_EDGES:-95000000}"
 open_ms_max="${SMOKE_OPEN_MS_MAX:-100}"
 gen_heap_max="${SMOKE_GEN_HEAP_MIB_MAX:-1024}"
-heap_max="${SMOKE_HEAP_MIB_MAX:-1024}"
 rss_max="${SMOKE_RSS_MIB_MAX:-4096}"
 samples="${SMOKE_SAMPLES:-32}"
 
@@ -65,8 +78,14 @@ mem_mib() {
     awk -v key="$2" '$1 == "mem" && $2 == key":" { printf "%d", $3 }' "$1"
 }
 
-# assert_le LABEL VALUE BOUND
+# assert_le LABEL VALUE BOUND (a missing or non-integer VALUE fails)
 assert_le() {
+    case "$2" in
+    '' | *[!0-9]*)
+        echo "FAIL: $1 = '$2' is not a count" >&2
+        exit 1
+        ;;
+    esac
     if [ "$2" -gt "$3" ]; then
         echo "FAIL: $1 = $2 exceeds bound $3" >&2
         exit 1
@@ -112,6 +131,15 @@ assert_le "mmap open ms" "$open_ms" "$open_ms_max"
 echo "== 3. budgeted estimate off the mapping (max-samples=$samples) =="
 "$work/bcapprox" -graph "$big" -backend seq -threads 1 \
     -max-samples "$samples" -eps 0.05 -top 5 -memstats | tee "$work/est.out"
+
+assert_le "vertex diameter (2·log2 n: the bidirectional kernel runs)" \
+    "$(sed -n 's/.*vertex-diameter=\([0-9]*\).*/\1/p' "$work/est.out")" "$((2 * scale))"
+heap_max="${SMOKE_HEAP_MIB_MAX:-$(awk -v n=$((1 << scale)) -v m="$edges" 'BEGIN {
+    k = int(sqrt(8 * m)); while (k * k > 8 * m) k--
+    state = 32 * n + 4 * n + k * k / 8 + 84 * n
+    adjacency = 8 * (n + 1) + 8 * m
+    printf "%d", (state + adjacency / 2) / 1048576
+}')}"
 
 assert_le "bcapprox heap-sys MiB (no adjacency heap copy)" \
     "$(mem_mib "$work/est.out" heap-sys)" "$heap_max"
