@@ -180,6 +180,16 @@ func TestLandmarksFarthestPoints(t *testing.T) {
 	}
 }
 
+// TestGoalSampleDigest pins the goal kernel's sample stream on road-shm's
+// lattice (120², generator seed 1): the sampleDigest of 10^5 samples from
+// NewGoalSampler(..., rng.NewRand(5)).
+func TestGoalSampleDigest(t *testing.T) {
+	g := roadLCC(120, 120, 0, 1)
+	if got, want := sampleDigest(NewGoalSampler(g, NewLandmarks(g), rng.NewRand(5)), 100_000), uint64(0x1680e7f5674a643e); got != want {
+		t.Fatalf("digest %016x, want %016x", got, want)
+	}
+}
+
 // BenchmarkGoalSampleRoad runs the goal kernel on road-shm's lattice (120²,
 // generator seed 1) and on BenchmarkBidirSampleRoad's 300² lattice with
 // diagonals; "bidir-road-shm" is the bidirectional kernel on the first, for

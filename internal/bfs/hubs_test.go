@@ -119,11 +119,30 @@ func TestHubsMatchBinarySearch(t *testing.T) {
 	})
 }
 
-// TestSampleDigest pins the production sample stream: 10^5 samples from
-// NewSampler(rmatLCC(scale), ..., rng.NewRand(5)), hashed with FNV-64a (each
-// internal vertex as 4 little-endian bytes, 0x09 for an unreachable pair,
-// 0x07 after every sample). The values are the expand-and-binary-search
-// kernel's, before the hub matrix and the packed per-vertex record.
+// sampleDigest hashes count samples of sp with FNV-64a: each internal
+// vertex as 4 little-endian bytes, 0x09 for an unreachable pair, 0x07 after
+// every sample. Equal digests mean the same sample stream, bit for bit.
+func sampleDigest(sp interface{ Sample() ([]graph.Node, bool) }, count int) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for range count {
+		internal, ok := sp.Sample()
+		for _, v := range internal {
+			binary.LittleEndian.PutUint32(b[:], v)
+			h.Write(b[:])
+		}
+		if !ok {
+			h.Write([]byte{0x09})
+		}
+		h.Write([]byte{0x07})
+	}
+	return h.Sum64()
+}
+
+// TestSampleDigest pins the production sample stream: the sampleDigest of
+// 10^5 samples from NewSampler(rmatLCC(scale), ..., rng.NewRand(5)). The
+// values are the expand-and-binary-search kernel's, before the hub matrix
+// and the packed per-vertex record.
 func TestSampleDigest(t *testing.T) {
 	for _, c := range []struct {
 		scale int
@@ -131,21 +150,7 @@ func TestSampleDigest(t *testing.T) {
 	}{{12, 0x741a93e5a9153a8a}, {16, 0x4009c0f0f0994a96}} {
 		t.Run(fmt.Sprintf("rmat%d", c.scale), func(t *testing.T) {
 			g := rmatLCC(c.scale)
-			sp := NewSampler(g, NewHubs(g), rng.NewRand(5))
-			h := fnv.New64a()
-			var b [4]byte
-			for range 100_000 {
-				internal, ok := sp.Sample()
-				for _, v := range internal {
-					binary.LittleEndian.PutUint32(b[:], v)
-					h.Write(b[:])
-				}
-				if !ok {
-					h.Write([]byte{0x09})
-				}
-				h.Write([]byte{0x07})
-			}
-			if got := h.Sum64(); got != c.want {
+			if got := sampleDigest(NewSampler(g, NewHubs(g), rng.NewRand(5)), 100_000); got != c.want {
 				t.Fatalf("digest %016x, want %016x", got, c.want)
 			}
 		})

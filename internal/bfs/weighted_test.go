@@ -600,6 +600,32 @@ func TestWeightedHugeWeights(t *testing.T) {
 	}
 }
 
+// TestWeightedSampleDigest pins the weighted sample stream: the
+// sampleDigest of 10^5 samples from NewWeightedSampler(..., rng.NewRand(5))
+// on weighted-seq's shape (the R-MAT 2^11 LCC, weights 1..10), the hub-heavy
+// R-MAT with tied weights, the star with heavy chords and a uniform random
+// graph. The values are those of the kernel that read the far side's label
+// for every scanned arc.
+func TestWeightedSampleDigest(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.WGraph
+		want uint64
+	}{
+		{"rmat11", gen.RandomWeights(rmatLCC(11), 10, 1), 0x4123b0e064916eae},
+		{"hub rmat weights 1..3", hubRMAT(3), 0x666326304d7dc65f},
+		{"star with heavy chords", weightedStar(60, 4), 0x75b1b12e9bf49875},
+		{"uniform", randomWeighted(1, 2000, 12000, 100), 0x2fceace717d1a307},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ws := NewWeightedSampler(SortArcsByWeight(c.g), rng.NewRand(5))
+			if got := sampleDigest(ws, 100_000); got != c.want {
+				t.Fatalf("digest %016x, want %016x", got, c.want)
+			}
+		})
+	}
+}
+
 // BenchmarkWeightedSample times one sample on a uniform random graph (low
 // degree, weights 1..100) and on the weighted-seq benchmark workload's shape:
 // the R-MAT 2^11 LCC with weights 1..10, whose hubs hold most of the arcs.
