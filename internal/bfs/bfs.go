@@ -27,12 +27,13 @@ type BFS struct {
 	queue []graph.Node
 }
 
-// New returns a BFS workspace for g.
+// New returns a BFS workspace for g. The queue holds each vertex at most
+// once, so it is sized to |V| here and Run never grows it.
 func New(g *graph.Graph) *BFS {
 	return &BFS{
 		g:     g,
 		dist:  make([]uint32, g.NumNodes()),
-		queue: make([]graph.Node, 0, 1024),
+		queue: make([]graph.Node, 0, g.NumNodes()),
 	}
 }
 

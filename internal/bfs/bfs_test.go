@@ -84,6 +84,30 @@ func TestBFSMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBFSRunDoesNotAllocate: a workspace's first Run over a graph that
+// reaches thousands of vertices allocates nothing; New sized everything.
+// Each measured Run gets a fresh workspace.
+func TestBFSRunDoesNotAllocate(t *testing.T) {
+	const runs = 10
+	for _, g := range []*graph.Graph{pathGraph(5000), rmatLCC(12)} {
+		fresh := make([]*BFS, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range fresh {
+			fresh[i] = New(g)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			fresh[next].Run(0)
+			next++
+		})
+		if allocs != 0 {
+			t.Fatalf("first Run over %d vertices made %v allocations, want 0", g.NumNodes(), allocs)
+		}
+		if b := fresh[runs]; b.NumReached() != g.NumNodes() {
+			t.Fatalf("reached %d of %d vertices", b.NumReached(), g.NumNodes())
+		}
+	}
+}
+
 func TestBFSDisconnected(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)

@@ -184,9 +184,10 @@ func TestLandmarksFarthestPoints(t *testing.T) {
 // lattice (120², generator seed 1): the sampleDigest of 10^5 samples from
 // NewGoalSampler(..., rng.NewRand(5)).
 func TestGoalSampleDigest(t *testing.T) {
+	const want = 0x1680e7f5674a643e
 	g := roadLCC(120, 120, 0, 1)
-	if got, want := sampleDigest(NewGoalSampler(g, NewLandmarks(g), rng.NewRand(5)), 100_000), uint64(0x1680e7f5674a643e); got != want {
-		t.Fatalf("digest %016x, want %016x", got, want)
+	if got := sampleDigest(NewGoalSampler(g, NewLandmarks(g), rng.NewRand(5)), 100_000); got != want {
+		t.Fatalf("digest %016x, want %016x", got, uint64(want))
 	}
 }
 

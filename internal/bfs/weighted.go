@@ -118,6 +118,15 @@ func (a *ArcsByWeight) Eccentricity(source graph.Node) (ecc, second uint64, fart
 // d(u)+w == mu is still scanned: it is how the arc into the other root,
 // whose label is 0, attains mu and is recorded as a crossing arc.
 //
+// Of the arcs below the cut, most end at a vertex v the other side has not
+// settled while d(u)+w plus the other head's key exceeds mu. Such an arc is
+// skipped on one bit of the other side's settled set, without reading v's
+// labels: it cannot queue v (that needs v's remaining distance, at least
+// the other head's key, within mu), and it cannot lower mu, since any
+// tentative label the other side holds is at least its head's key. The
+// skipped arcs still count as scanned work, so which side goes next, and
+// hence every sample, is as if each arc were read in full.
+//
 // Total path weights must stay below 2^63. A WeightedSampler is not safe
 // for concurrent use; each sampling thread owns one. The view is shared and
 // read-only.
@@ -136,12 +145,12 @@ type WeightedSampler struct {
 }
 
 // wlabel is one side's per-vertex search state, valid when stamp matches
-// the sampler's current round.
+// the sampler's current round; dist and sig are final once the side's
+// settled bit of the vertex is set.
 type wlabel struct {
 	dist  uint64
 	sig   float64
 	stamp uint32
-	done  bool // settled: dist and sig are final
 }
 
 // wside is one Dijkstra ball. Its head is the live queue entry of minimum
@@ -154,7 +163,16 @@ type wside struct {
 	head    graph.Node
 	headKey uint64 // wInf once the queue has drained
 	work    uint64 // arcs scanned this round
+	// settled has bit v set iff the side settled v this round; order lists
+	// those vertices, so that start clears only their words.
+	settled []uint64
+	order   []graph.Node
 }
+
+// isSettled reports whether the side settled v this round.
+//
+//bc:hotpath
+func (sd *wside) isSettled(v graph.Node) bool { return sd.settled[v>>6]&(1<<(v&63)) != 0 }
 
 type crossArc struct{ u, v graph.Node }
 
@@ -166,15 +184,18 @@ func NewWeightedSampler(arcs *ArcsByWeight, r *rng.Rand) *WeightedSampler {
 	ws := &WeightedSampler{
 		arcs:  arcs,
 		rng:   r,
-		fwd:   wside{lab: make([]wlabel, n)},
-		bwd:   wside{lab: make([]wlabel, n)},
 		cross: make([]crossArc, 0, 256),
 		path:  make([]graph.Node, 0, 64),
 	}
-	// A search rarely queues more than n entries a side; up to 64 KiB a
-	// side, reserve them now rather than regrow on the rare large search.
-	ws.fwd.q.Grow(min(n, 4096))
-	ws.bwd.q.Grow(min(n, 4096))
+	for _, sd := range []*wside{&ws.fwd, &ws.bwd} {
+		sd.lab = make([]wlabel, n)
+		sd.settled = make([]uint64, (n+63)/64)
+		// A search rarely queues or settles more than n entries a side;
+		// up to 4096, reserve them now rather than regrow on the rare
+		// large search.
+		sd.q.Grow(min(n, 4096))
+		sd.order = make([]graph.Node, 0, min(n, 4096))
+	}
 	return ws
 }
 
@@ -292,31 +313,41 @@ func (ws *WeightedSampler) search(s, t graph.Node) bool {
 //
 //bc:hotpath
 func (sd *wside) start(root graph.Node, cur uint32) {
+	for _, v := range sd.order {
+		sd.settled[v>>6] = 0
+	}
+	sd.order = sd.order[:0]
 	sd.q.Reset()
 	sd.lab[root] = wlabel{dist: 0, sig: 1, stamp: cur}
 	sd.head, sd.headKey = root, 0
 	sd.work = 0
 }
 
-// settle makes sd's head final, relaxes its arcs up to the first one past
-// mu and advances the head. Each arc first offers d(head)+w+d_other(v) to
-// mu if v carries the other side's label — a tentative label is still the
-// weight of a real path — and is recorded as a crossing candidate when it
-// attains mu and v is settled there: of an arc's two relaxations only the
-// later one sees the far end settled, so no arc is recorded twice. A label
-// is queued only if v can still lie on a shortest s-t path: nd must stay
-// below mu, and nd plus v's remaining distance — exact if the other side
-// settled v, else at least the other head's key — within it. The vertices
-// this drops are on no shortest path, so neither are their successors
-// through them, and every count the crossing arcs use is unaffected.
+// settle makes sd's head final, relaxes its arcs up to the first one past mu
+// and advances the head. An arc whose far end v the other side has not
+// settled, and whose nd plus the other head's key exceeds mu, is skipped
+// unread: the checks below would come to nothing on it (see
+// WeightedSampler). The test is written as headKey > mu-nd, which cannot
+// overflow because nd <= mu; a drained other side has headKey wInf and every
+// one of its labelled vertices settled. Any other arc first offers
+// d(head)+w+d_other(v) to mu if v carries the other side's label — a
+// tentative label is still the weight of a real path — and is recorded as a
+// crossing candidate when it attains mu and v is settled there: of an arc's
+// two relaxations only the later one sees the far end settled, so no arc is
+// recorded twice. A label is queued only if v can still lie on a shortest
+// s-t path: nd must stay below mu, and nd plus v's remaining distance —
+// exact if the other side settled v, else at least the other head's key —
+// within it. The vertices this drops are on no shortest path, so neither are
+// their successors through them, and every count the crossing arcs use is
+// unaffected.
 //
 //bc:hotpath
 func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
 	cur := ws.cur
 	u := sd.head
-	lu := &sd.lab[u]
-	lu.done = true
-	du, su := lu.dist, lu.sig
+	sd.settled[u>>6] |= 1 << (u & 63)
+	sd.order = append(sd.order, u)
+	du, su := sd.lab[u].dist, sd.lab[u].sig
 	arcs := ws.arcs.of(u)
 	i := 0
 	for ; i < len(arcs); i++ {
@@ -325,6 +356,10 @@ func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
 			break // arcs are lightest first and mu only falls: the rest are past it too
 		}
 		v := graph.Node(uint32(arcs[i]))
+		vDone := other.isSettled(v)
+		if !vDone && other.headKey > ws.mu-nd {
+			continue
+		}
 		rest := other.headKey // lower bound on v's distance to the other root
 		if ov := &other.lab[v]; ov.stamp == cur {
 			if cand := nd + ov.dist; cand <= ws.mu {
@@ -332,7 +367,7 @@ func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
 					ws.mu = cand
 					ws.cross = ws.cross[:0]
 				}
-				if ov.done {
+				if vDone {
 					if forward {
 						ws.cross = append(ws.cross, crossArc{u, v})
 					} else {
@@ -340,7 +375,7 @@ func (ws *WeightedSampler) settle(sd, other *wside, forward bool) {
 					}
 				}
 			}
-			if ov.done {
+			if vDone {
 				rest = ov.dist
 			}
 		}

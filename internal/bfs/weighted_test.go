@@ -334,11 +334,9 @@ func TestWeightedCutScansFewerArcs(t *testing.T) {
 		ws.Sample()
 		scanned += ws.fwd.work + ws.bwd.work
 		for _, sd := range []*wside{&ws.fwd, &ws.bwd} {
-			for v, l := range sd.lab {
-				if l.stamp == ws.cur && l.done {
-					settledDeg += uint64(g.Degree(graph.Node(v)))
-					settles++
-				}
+			for _, v := range sd.order {
+				settledDeg += uint64(g.Degree(v))
+				settles++
 			}
 		}
 	}
@@ -515,7 +513,7 @@ func TestWeightedStampWrapClearsBothSides(t *testing.T) {
 	// Every vertex carries, on both sides, a settled distance-0 label from a
 	// round the counter will reach again after wrapping.
 	for v := 0; v < n; v++ {
-		stale := wlabel{dist: 0, sig: 5, stamp: uint32(v%7) + 1, done: true}
+		stale := wlabel{dist: 0, sig: 5, stamp: uint32(v%7) + 1}
 		ws.fwd.lab[v], ws.bwd.lab[v] = stale, stale
 	}
 	ws.cur = math.MaxUint32

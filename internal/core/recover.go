@@ -138,7 +138,7 @@ func newFTState(comm *mpi.Comm, st *kadabra.EstimatorState) *ftState {
 		comm:      comm,
 		origSize:  comm.Size(),
 		worldRank: comm.SelfWorldRank(),
-		emptyWire: epoch.AppendWire(nil, epoch.NewStateFrame(st.N()), false),
+		emptyWire: epoch.AppendEmptyWire(nil, st.N()),
 	}
 }
 

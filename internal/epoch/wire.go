@@ -81,6 +81,16 @@ func AppendWire(dst []byte, sf *StateFrame, cancelled bool) []byte {
 	return dst
 }
 
+// AppendEmptyWire appends the encoding of a fresh frame of length n (tau 0,
+// nothing touched) to dst: what AppendWire writes for NewStateFrame(n),
+// without allocating the n-vector.
+func AppendEmptyWire(dst []byte, n int) []byte {
+	dst = append(dst, wireFlagSparse)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.LittleEndian.AppendUint64(dst, 0)
+	return binary.LittleEndian.AppendUint32(dst, 0)
+}
+
 // wireHeader is the decoded fixed part of a frame.
 type wireHeader struct {
 	sparse    bool

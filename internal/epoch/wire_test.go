@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/rng"
@@ -98,6 +99,18 @@ func TestWireEmptyFrame(t *testing.T) {
 	for _, c := range counts {
 		if c != 0 {
 			t.Fatal("nonzero count from empty frame")
+		}
+	}
+}
+
+// TestAppendEmptyWireMatchesFreshFrame: AppendEmptyWire writes the bytes
+// AppendWire writes for a fresh frame, for lengths whose uvarint takes one
+// to four bytes, and after whatever dst already holds.
+func TestAppendEmptyWireMatchesFreshFrame(t *testing.T) {
+	for _, n := range []int{0, 1, 50, 127, 128, 16383, 16384, 1 << 21} {
+		want := AppendWire([]byte{0xAB}, NewStateFrame(n), false)
+		if got := AppendEmptyWire([]byte{0xAB}, n); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: %x, want %x", n, got, want)
 		}
 	}
 }
