@@ -4,14 +4,14 @@
 //
 // Inputs: text edge lists (SNAP/KONECT style, IDs densely renumbered in
 // order of first appearance — identical to the in-memory loader) and
-// BCSR v1 binaries (upgraded in place of re-parsing text). The output is
+// BCSR v1 binaries (upgraded in place of re-parsing text). A BCSR v2 file
+// is already the output format, so it is refused as input. The output is
 // written under a temporary name and renamed into place after fsync, so
 // an interrupted conversion never leaves a torn file.
 //
 // Examples:
 //
 //	graphconv -in web.txt -out web.bcsr -mem 256MiB
-//	graphconv -in web.txt -out web.bcsr -mem 1GiB -compress
 //	graphconv -in old-v1.bcsr -out new-v2.bcsr   # v1 -> v2 upgrade
 //	graphconv -in web.bcsr -verify               # full structural audit
 package main
@@ -20,33 +20,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/graph"
+	"repro/internal/memprof"
 )
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input graph: text edge list or BCSR v1/v2 (format sniffed)")
-		out      = flag.String("out", "", "output BCSR v2 path")
-		mem      = flag.String("mem", "256MiB", "edge sort buffer budget (suffixes KiB, MiB, GiB)")
-		compress = flag.Bool("compress", false, "varint/delta-compress adjacency (smaller file, open decodes to heap)")
-		block    = flag.Int("block", 0, "compressed block granularity in vertices (default 4096)")
-		tmpdir   = flag.String("tmp", "", "scratch directory for sorted runs (default: output directory)")
-		fanIn    = flag.Int("fan-in", 0, "max runs merged per pass (default 64)")
-		verify   = flag.Bool("verify", false, "with -out: re-open and fully validate the result; without: just validate -in")
-		quiet    = flag.Bool("q", false, "suppress progress output")
+		in     = flag.String("in", "", "input graph: text edge list or BCSR v1 (format sniffed); with -verify alone, BCSR v2")
+		out    = flag.String("out", "", "output BCSR v2 path")
+		mem    = flag.String("mem", "256MiB", "edge sort buffer budget (suffixes KiB, MiB, GiB)")
+		tmpdir = flag.String("tmp", "", "scratch directory for sorted runs (default: output directory)")
+		fanIn  = flag.Int("fan-in", 0, "max runs merged per pass (default 64)")
+		verify = flag.Bool("verify", false, "with -out: re-open and fully validate the result; without: just validate -in")
+		quiet  = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
 
 	if *in == "" {
 		fail(fmt.Errorf("need -in FILE"))
 	}
-	memBytes, err := parseSize(*mem)
+	memBytes, err := memprof.ParseSize(*mem)
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("-mem: %w", err))
 	}
 
 	if *out == "" {
@@ -60,11 +57,9 @@ func main() {
 	}
 
 	opts := graph.ConvertOptions{
-		MemBytes:   memBytes,
-		Compress:   *compress,
-		BlockVerts: *block,
-		TmpDir:     *tmpdir,
-		MaxFanIn:   *fanIn,
+		MemBytes: memBytes,
+		TmpDir:   *tmpdir,
+		MaxFanIn: *fanIn,
 	}
 	if !*quiet {
 		opts.Logf = func(format string, args ...any) {
@@ -92,14 +87,12 @@ func main() {
 
 // convert routes by the sniffed input format: text edge lists stream
 // through the external sorter; a BCSR v1 file is heap-loaded once and
-// rewritten (its CSR is already deduplicated and sorted); a BCSR v2 file
-// is re-encoded via the mapping (useful to add or strip compression).
+// rewritten (its CSR is already deduplicated and sorted).
 func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, error) {
 	format, err := graph.DetectFormatFile(in)
 	if err != nil {
 		return nil, err
 	}
-	wopts := graph.WriteOptions{Compress: opts.Compress, BlockVerts: opts.BlockVerts}
 	switch format {
 	case graph.FormatBCSR:
 		f, err := os.Open(in)
@@ -111,20 +104,12 @@ func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, er
 		if err != nil {
 			return nil, err
 		}
-		if err := graph.WriteBCSR2File(out, g, wopts); err != nil {
+		if err := graph.WriteBCSR2File(out, g, graph.WriteOptions{}); err != nil {
 			return nil, err
 		}
 		return statsFor(g, out)
 	case graph.FormatBCSR2:
-		m, err := graph.OpenMapped(in)
-		if err != nil {
-			return nil, err
-		}
-		defer m.Close()
-		if err := graph.WriteBCSR2File(out, m.Graph(), wopts); err != nil {
-			return nil, err
-		}
-		return statsFor(m.Graph(), out)
+		return nil, fmt.Errorf("%s is already BCSR v2; convert from its source edge list instead", in)
 	case graph.FormatEdgeList, graph.FormatUnknown:
 		// Headerless two-column text sniffs as FormatEdgeList; an
 		// unknown head still gets a chance as text so odd comment styles
@@ -136,7 +121,7 @@ func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, er
 		defer f.Close()
 		return graph.ConvertEdgeList(f, out, opts)
 	default:
-		return nil, fmt.Errorf("graphconv: cannot convert %s input (undirected graphs only)", format)
+		return nil, fmt.Errorf("cannot convert %s input (undirected graphs only)", format)
 	}
 }
 
@@ -169,40 +154,6 @@ func verifyFile(path string) error {
 	fmt.Printf("%s: valid BCSR v2, %d nodes, %d edges (opened in %v, zero-copy: %v)\n",
 		path, g.NumNodes(), g.NumEdges(), openIn.Round(time.Microsecond), m.ZeroCopy())
 	return nil
-}
-
-// sizeSuffixes maps size suffixes to multipliers, longest-first so "MiB"
-// wins over "B".
-var sizeSuffixes = []struct {
-	suffix string
-	mult   int64
-}{
-	{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30},
-	{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30},
-	{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30}, {"B", 1},
-}
-
-// parseSize parses a byte size with optional binary suffix: "262144",
-// "256KiB", "256MiB", "1GiB" (also tolerating "256M"-style shorthand).
-func parseSize(s string) (int64, error) {
-	t := strings.TrimSpace(s)
-	mult := int64(1)
-	for _, c := range sizeSuffixes {
-		if strings.HasSuffix(t, c.suffix) && len(t) > len(c.suffix) {
-			t = strings.TrimSuffix(t, c.suffix)
-			mult = c.mult
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("graphconv: bad size %q", s)
-	}
-	n := int64(v * float64(mult))
-	if n <= 0 {
-		return 0, fmt.Errorf("graphconv: size %q must be positive", s)
-	}
-	return n, nil
 }
 
 func fail(err error) {

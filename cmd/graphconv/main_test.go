@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/graph"
@@ -42,5 +43,21 @@ func TestConvertBCSRv1(t *testing.T) {
 	defer m.Close()
 	if got := m.Graph(); !slices.Equal(got.Offsets, g.Offsets) || !slices.Equal(got.Adj, g.Adj) {
 		t.Error("the v2 file does not hold the v1 file's CSR")
+	}
+}
+
+// A BCSR v2 file is already the output format: graphconv refuses it as
+// input instead of copying it.
+func TestConvertRefusesBCSR2(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "g.bcsr"), filepath.Join(dir, "copy.bcsr")
+	if err := graph.SaveFile(in, graph.RMAT(graph.Graph500(6, 8, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := convert(in, out, graph.ConvertOptions{}); err == nil || !strings.Contains(err.Error(), "already BCSR v2") {
+		t.Fatalf("convert(v2) error = %v, want one saying the input is already BCSR v2", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("refused conversion left output at %s", out)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,7 +50,6 @@ func main() {
 		stream   = flag.Bool("stream", false, "stream edges to the output in bounded memory (rmat/er/road; .bcsr output goes through the out-of-core converter)")
 		connect  = flag.Bool("connect", false, "with -stream: add a spanning binary tree, edges (i, (i-1)/2), so the output is connected at low diameter")
 		mem      = flag.String("mem", "256MiB", "with -stream to .bcsr: converter sort-buffer budget")
-		compress = flag.Bool("compress", false, "with -stream to .bcsr: varint/delta-compress adjacency")
 		memstats = flag.Bool("memstats", false, "print heap and resident-set stats before exiting (how the ingest smoke test verifies -mem bounds the converter)")
 	)
 	flag.Parse()
@@ -74,7 +72,7 @@ func main() {
 		}
 		if err := streamGen(*kind, *out, streamParams{
 			scale: *scale, ef: *ef, n: *n, m: *m, rows: *rows, cols: *cols,
-			seed: *seed, connect: *connect, mem: *mem, compress: *compress,
+			seed: *seed, connect: *connect, mem: *mem,
 		}); err != nil {
 			fatal(err)
 		}
@@ -152,7 +150,6 @@ type streamParams struct {
 	seed                        uint64
 	connect                     bool
 	mem                         string
-	compress                    bool
 }
 
 // streamGen writes the generator's edge stream directly to the output in
@@ -203,14 +200,13 @@ func streamGen(kind, out string, p streamParams) error {
 	}
 
 	if strings.HasSuffix(out, ".bcsr") {
-		memBytes, err := parseSize(p.mem)
+		memBytes, err := memprof.ParseSize(p.mem)
 		if err != nil {
-			return err
+			return fmt.Errorf("-mem: %w", err)
 		}
 		c, err := graph.NewConverter(out, graph.ConvertOptions{
 			MemBytes: memBytes,
 			NumNodes: numNodes,
-			Compress: p.compress,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			},
@@ -248,37 +244,4 @@ func streamGen(kind, out string, p streamParams) error {
 		return err
 	}
 	return f.Close()
-}
-
-// sizeSuffixes maps size suffixes to multipliers, longest-first so "MiB"
-// wins over "B".
-var sizeSuffixes = []struct {
-	suffix string
-	mult   int64
-}{
-	{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30},
-	{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30},
-	{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30}, {"B", 1},
-}
-
-// parseSize parses a byte size with optional binary suffix ("256MiB").
-func parseSize(s string) (int64, error) {
-	t := strings.TrimSpace(s)
-	mult := int64(1)
-	for _, c := range sizeSuffixes {
-		if strings.HasSuffix(t, c.suffix) && len(t) > len(c.suffix) {
-			t = strings.TrimSuffix(t, c.suffix)
-			mult = c.mult
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	n := int64(v * float64(mult))
-	if n <= 0 {
-		return 0, fmt.Errorf("size %q must be positive", s)
-	}
-	return n, nil
 }

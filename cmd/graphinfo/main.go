@@ -84,8 +84,7 @@ func describeFile(path string, withDiameter, quick bool) error {
 		}
 		defer m.Close()
 		fmt.Printf("opened in: %v (mmap)\n", time.Since(start).Round(time.Microsecond))
-		fmt.Printf("file: %.1f MiB, compressed: %v, zero-copy: %v\n",
-			float64(m.FileSize())/(1<<20), m.Compressed(), m.ZeroCopy())
+		fmt.Printf("file: %.1f MiB, zero-copy: %v\n", float64(m.FileSize())/(1<<20), m.ZeroCopy())
 		describe(m.Graph(), withDiameter, quick)
 	default:
 		// Edge lists, BCSR v1 binaries, and the unknown fallback all go

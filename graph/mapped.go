@@ -16,7 +16,9 @@ import (
 // automatically unmapped if the handle leaks.
 type Mapped = bigio.Mapped
 
-// WriteOptions configures BCSR v2 serialization.
+// WriteOptions configures BCSR v2 serialization. BCSR v2 has one layout,
+// so it is empty; WriteBCSR2 and WriteBCSR2File keep the parameter so
+// existing callers compile.
 type WriteOptions = bigio.WriteOptions
 
 // ConvertOptions configures a streaming edge-list conversion.
@@ -30,8 +32,8 @@ type ConvertStats = bigio.ConvertStats
 type Converter = bigio.Converter
 
 // OpenMapped memory-maps the BCSR v2 file at path in O(1): no adjacency
-// is read (or copied to the heap) at open for uncompressed files; pages
-// fault in lazily as the graph is traversed. Close the handle when done,
+// is read (or copied to the heap) at open; pages fault in lazily as the
+// graph is traversed. Close the handle when done,
 // or let it leak — a runtime cleanup unmaps it either way.
 func OpenMapped(path string) (*Mapped, error) { return bigio.Open(path) }
 

@@ -65,29 +65,20 @@ func BenchmarkIngestConvert(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestOpen measures the O(1)-in-edges mmap open (header parse
-// plus offsets monotonicity scan); the compressed variant pays the full
-// adjacency decode, bounding what -compress trades for smaller files.
+// BenchmarkIngestOpen measures the O(1)-in-edges mmap open: a header
+// parse plus the offsets monotonicity scan.
 func BenchmarkIngestOpen(b *testing.B) {
-	g := benchBuild(benchNodes, benchEdgeN)
-	for _, c := range []struct {
-		name     string
-		compress bool
-	}{{"raw", false}, {"compressed", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "bench.bcsr")
-			if err := WriteFile(path, g, WriteOptions{Compress: c.compress}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := Open(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Close()
-			}
-		})
+	path := filepath.Join(b.TempDir(), "bench.bcsr")
+	if err := WriteFile(path, benchBuild(benchNodes, benchEdgeN), WriteOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
 	}
 }
 

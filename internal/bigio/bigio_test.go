@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,34 +45,22 @@ func sameGraph(t *testing.T, got, want *graph.Graph) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts WriteOptions
-	}{
-		{"raw", WriteOptions{}},
-		{"compressed", WriteOptions{Compress: true}},
-		{"compressed-small-blocks", WriteOptions{Compress: true, BlockVerts: 7}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph(t, 500, 3000, 1)
-			path := filepath.Join(t.TempDir(), "g.bcsr")
-			if err := WriteFile(path, g, tc.opts); err != nil {
-				t.Fatalf("WriteFile: %v", err)
-			}
-			m, err := Open(path)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			defer m.Close()
-			if m.Compressed() != tc.opts.Compress {
-				t.Errorf("Compressed() = %v, want %v", m.Compressed(), tc.opts.Compress)
-			}
-			sameGraph(t, m.Graph(), g)
-			if err := m.Validate(); err != nil {
-				t.Errorf("Validate: %v", err)
-			}
-		})
-	}
+	t.Run("raw", func(t *testing.T) {
+		g := testGraph(t, 500, 3000, 1)
+		path := filepath.Join(t.TempDir(), "g.bcsr")
+		if err := WriteFile(path, g, WriteOptions{}); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		m, err := Open(path)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer m.Close()
+		sameGraph(t, m.Graph(), g)
+		if err := m.Validate(); err != nil {
+			t.Errorf("Validate: %v", err)
+		}
+	})
 }
 
 func TestRoundTripEdgeCases(t *testing.T) {
@@ -83,24 +73,18 @@ func TestRoundTripEdgeCases(t *testing.T) {
 		{"one-edge", graph.FromEdges(2, [][2]graph.Node{{0, 1}})},
 		{"tail-isolated", graph.FromEdges(9, [][2]graph.Node{{0, 1}, {1, 2}})},
 	} {
-		for _, compress := range []bool{false, true} {
-			name := tc.name
-			if compress {
-				name += "-compressed"
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.bcsr")
+			if err := WriteFile(path, tc.g, WriteOptions{}); err != nil {
+				t.Fatalf("WriteFile: %v", err)
 			}
-			t.Run(name, func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "g.bcsr")
-				if err := WriteFile(path, tc.g, WriteOptions{Compress: compress}); err != nil {
-					t.Fatalf("WriteFile: %v", err)
-				}
-				m, err := Open(path)
-				if err != nil {
-					t.Fatalf("Open: %v", err)
-				}
-				defer m.Close()
-				sameGraph(t, m.Graph(), tc.g)
-			})
-		}
+			m, err := Open(path)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer m.Close()
+			sameGraph(t, m.Graph(), tc.g)
+		})
 	}
 }
 
@@ -116,20 +100,7 @@ func TestZeroCopy(t *testing.T) {
 	}
 	defer m.Close()
 	if mmapSupported && hostLittleEndian && !m.ZeroCopy() {
-		t.Error("uncompressed open on an mmap-capable little-endian host should be zero-copy")
-	}
-	// Compressed files decode to the heap, never zero-copy.
-	cpath := filepath.Join(t.TempDir(), "c.bcsr")
-	if err := WriteFile(cpath, g, WriteOptions{Compress: true}); err != nil {
-		t.Fatal(err)
-	}
-	mc, err := Open(cpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-	if mc.ZeroCopy() {
-		t.Error("compressed open must not claim zero-copy")
+		t.Error("open on an mmap-capable little-endian host should be zero-copy")
 	}
 }
 
@@ -258,11 +229,56 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		b[32] = 0x10 // offsets offset 4096 -> 4112... not page aligned
 		return rewriteCRC(b)
 	})
+	check("compressed-flag", func(b []byte) []byte { b[24] |= 1; return rewriteCRC(b) })
+	check("unknown-flag", func(b []byte) []byte { b[24] |= 2; return rewriteCRC(b) })
+	check("reserved-header-bytes", func(b []byte) []byte { b[80] = 1; return rewriteCRC(b) })
 	check("nonmonotone-offsets", func(b []byte) []byte {
 		// Swap two offset words in the offsets section.
 		copy(b[pageSize+8:pageSize+16], []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 		return b
 	})
+}
+
+// TestCompressedFlagRejected: a file of the retired compressed variant
+// (flag bit 0, valid CRC) fails at the header with a FormatError naming
+// the fix, before any section is touched — Open and FromBytes allocate
+// nothing the size of its adjacency.
+func TestCompressedFlagRejected(t *testing.T) {
+	g := testGraph(t, 2000, 40000, 6)
+	var buf bytes.Buffer
+	if err := Write(&buf, g, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	image := compressedFlagImage(buf.Bytes())
+	path := filepath.Join(t.TempDir(), "old.bcsr")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	adjBytes := uint64(len(g.Adj)) * 4
+	for name, open := range map[string]func() error{
+		"Open":      func() error { _, err := Open(path); return err },
+		"FromBytes": func() error { _, err := FromBytes(image); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := open()
+		runtime.ReadMemStats(&after)
+		var fe *FormatError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "graphconv") {
+			t.Errorf("%s: error %v, want a FormatError naming graphconv", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= adjBytes/4 {
+			t.Errorf("%s allocated %d bytes rejecting a file with %d bytes of adjacency", name, alloc, adjBytes)
+		}
+	}
+}
+
+// compressedFlagImage returns a copy of a valid BCSR v2 image with flag
+// bit 0 — the retired compressed variant's — set and the CRC fixed.
+func compressedFlagImage(valid []byte) []byte {
+	b := slices.Clone(valid)
+	b[24] |= 1
+	return rewriteCRC(b)
 }
 
 // rewriteCRC recomputes the header CRC after a deliberate header edit, so

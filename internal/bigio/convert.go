@@ -3,29 +3,32 @@ package bigio
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
 
 	"repro/internal/graph"
+	"repro/internal/memprof"
 )
 
 // ConvertOptions configures a streaming conversion.
 type ConvertOptions struct {
 	// MemBytes budgets the edge sort buffer. Each buffered entry costs
 	// 8 bytes (an edge adds two), so the buffer holds MemBytes/8
-	// entries; peak converter memory is this buffer plus the merge
-	// readers plus one (numNodes+1)-entry offsets array — independent
-	// of how many edges stream through. Default 256 MiB. Tiny values
-	// (down to one edge) are honored: they just spill more runs and
-	// force multi-pass merging.
+	// entries; peak converter memory is this buffer, the radix sort's
+	// scratch, the merge readers and one (numNodes+1)-entry offsets
+	// array — independent of how many edges stream through. The scratch
+	// is at most the largest bucket of the sort's top digit (graph.SortKeys):
+	// a few percent of the buffer on R-MAT, half of it for a star, whose
+	// every arc in one direction shares a source. Default 256 MiB; a
+	// budget above the machine's physical memory is an error. Tiny values
+	// (down to one edge) are honored: they just spill more runs and force
+	// multi-pass merging.
 	MemBytes int64
 	// NumNodes fixes the vertex count; vertices in [maxSeen+1, NumNodes)
 	// are isolated. Zero means infer maxSeen+1 from the edges.
 	NumNodes int
-	// Compress and BlockVerts are as in WriteOptions.
-	Compress   bool
-	BlockVerts int
 	// TmpDir holds the sorted runs and the output's .tmp file; defaults
 	// to the output file's directory so the final rename stays on one
 	// filesystem.
@@ -37,16 +40,11 @@ type ConvertOptions struct {
 	Logf func(format string, args ...any)
 }
 
-func (o *ConvertOptions) bufEntries() int {
-	mem := o.MemBytes
-	if mem <= 0 {
-		mem = 256 << 20
+func (o *ConvertOptions) memBytes() int64 {
+	if o.MemBytes <= 0 {
+		return 256 << 20
 	}
-	n := int(mem / 8)
-	if n < 2 {
-		n = 2 // one edge, both directions: the pathological minimum
-	}
-	return n
+	return o.MemBytes
 }
 
 func (o *ConvertOptions) fanIn() int {
@@ -95,8 +93,14 @@ type Converter struct {
 	finished  bool
 }
 
-// NewConverter prepares a conversion writing to out.
+// NewConverter prepares a conversion writing to out. It allocates the
+// whole sort buffer, so a MemBytes the machine cannot hold fails here,
+// before any scratch exists.
 func NewConverter(out string, opts ConvertOptions) (*Converter, error) {
+	mem := opts.memBytes()
+	if phys := memprof.PhysicalMemory(); phys > 0 && uint64(mem) > phys {
+		return nil, fmt.Errorf("bigio: sort buffer of %d MiB exceeds this machine's %d MiB of memory", mem>>20, phys>>20)
+	}
 	base := opts.TmpDir
 	if base == "" {
 		base = filepath.Dir(out)
@@ -109,7 +113,7 @@ func NewConverter(out string, opts ConvertOptions) (*Converter, error) {
 		out:    out,
 		opts:   opts,
 		tmpDir: tmpDir,
-		buf:    make([]uint64, 0, opts.bufEntries()),
+		buf:    make([]uint64, 0, max(mem/8, 2)), // 2: one edge, both directions
 	}, nil
 }
 
@@ -147,7 +151,7 @@ func (c *Converter) spill() error {
 		return nil
 	}
 	c.seq++
-	path, err := writeRun(c.tmpDir, c.seq, c.buf)
+	path, err := writeRun(c.tmpDir, c.seq, c.buf, 32+uint(bits.Len64(c.maxNode)))
 	if err != nil {
 		return err
 	}
@@ -200,13 +204,11 @@ func (c *Converter) Finish() (*ConvertStats, error) {
 	}
 
 	tmpOut := filepath.Join(c.tmpDir, "out.bcsr")
-	w, err := newStreamBCSRWriter(tmpOut, n, WriteOptions{Compress: c.opts.Compress, BlockVerts: c.opts.BlockVerts})
+	w, err := newStreamBCSRWriter(tmpOut, n)
 	if err != nil {
 		return nil, err
 	}
-	err = mergeRuns(c.runs, func(packed uint64) error {
-		return w.add(graph.Node(packed>>32), graph.Node(packed&0xffffffff))
-	})
+	err = mergeRuns(c.runs, w.add)
 	c.runs = nil
 	if err != nil {
 		w.abort()

@@ -10,59 +10,63 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/memprof"
 )
 
 // TestConverterBitIdentical is the property test the format hinges on:
 // for the same edge list, the streaming converter's file is byte-for-byte
 // what Write produces from the in-memory Builder — across sort-buffer
 // sizes from comfortable down to the pathological one-edge buffer that
-// spills a run per edge and forces multi-pass merging.
+// spills a run per edge and forces multi-pass merging. Besides a random
+// multigraph, two inputs steer the runs' radix sort (graph.SortKeys): a
+// star puts half of every run in its hub's top-digit bucket, so the sort
+// needs its largest scratch, and a path streamed in order arrives sorted
+// and takes the sort's already-sorted exit.
 func TestConverterBitIdentical(t *testing.T) {
 	const n, m = 300, 2000
 	rng := rand.New(rand.NewSource(42))
-	type e struct{ u, v graph.Node }
-	edges := make([]e, 0, m)
+	var random, star, path [][2]graph.Node
 	for i := 0; i < m; i++ {
-		edges = append(edges, e{graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n))})
+		random = append(random, [2]graph.Node{graph.Node(rng.Intn(n)), graph.Node(rng.Intn(n))})
 	}
 	// Duplicates, reversed duplicates, and self loops, all of which the
 	// Builder drops and the merge must drop identically.
-	edges = append(edges, edges[:50]...)
+	random = append(random, random[:50]...)
 	for i := 0; i < 30; i++ {
-		edges = append(edges, e{edges[i].v, edges[i].u})
+		random = append(random, [2]graph.Node{random[i][1], random[i][0]})
 	}
 	for i := 0; i < 10; i++ {
-		edges = append(edges, e{graph.Node(i), graph.Node(i)})
+		random = append(random, [2]graph.Node{graph.Node(i), graph.Node(i)})
+	}
+	for v := 1; v < n; v++ {
+		star = append(star, [2]graph.Node{0, graph.Node(v)})
+		path = append(path, [2]graph.Node{graph.Node(v - 1), graph.Node(v)})
 	}
 
-	pairs := make([][2]graph.Node, len(edges))
-	for i, ed := range edges {
-		pairs[i] = [2]graph.Node{ed.u, ed.v}
-	}
-	want := graph.FromEdges(n, pairs)
-
-	for _, compress := range []bool{false, true} {
+	for _, input := range []struct {
+		name  string
+		edges [][2]graph.Node
+	}{{"random", random}, {"star", star}, {"sorted", path}} {
+		want := graph.FromEdges(n, input.edges)
 		var ref bytes.Buffer
-		if err := Write(&ref, want, WriteOptions{Compress: compress}); err != nil {
+		if err := Write(&ref, want, WriteOptions{}); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 		// 16 bytes = 2 packed entries = exactly one edge per run.
 		for _, memBytes := range []int64{16, 64, 4 << 10, 0 /* default */} {
-			name := fmt.Sprintf("compress=%v/mem=%d", compress, memBytes)
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/mem=%d", input.name, memBytes), func(t *testing.T) {
 				out := filepath.Join(t.TempDir(), "out.bcsr")
 				c, err := NewConverter(out, ConvertOptions{
 					MemBytes: memBytes,
 					NumNodes: n,
-					Compress: compress,
 					MaxFanIn: 4, // force multi-pass merges at small buffers
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer c.Close()
-				for _, ed := range edges {
-					if err := c.AddEdge(ed.u, ed.v); err != nil {
+				for _, e := range input.edges {
+					if err := c.AddEdge(e[0], e[1]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -168,6 +172,20 @@ func TestConverterErrors(t *testing.T) {
 		_, err := ConvertEdgeList(strings.NewReader("1 two\n"), filepath.Join(dir, "c.bcsr"), ConvertOptions{})
 		if err == nil {
 			t.Fatal("ConvertEdgeList accepted a non-numeric field")
+		}
+	})
+	t.Run("oversized-budget", func(t *testing.T) {
+		phys := memprof.PhysicalMemory()
+		if phys == 0 {
+			t.Skip("physical memory unknown on this platform")
+		}
+		tmp := t.TempDir()
+		_, err := NewConverter(filepath.Join(tmp, "big.bcsr"), ConvertOptions{MemBytes: int64(phys) + 1})
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("NewConverter with a budget above physical memory: error %v", err)
+		}
+		if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+			t.Errorf("rejected conversion left %d entries in its directory", len(entries))
 		}
 	})
 	t.Run("no-torn-output", func(t *testing.T) {

@@ -16,11 +16,12 @@
 //     CRC-32 over the header bytes so a torn or bit-rotted header errors
 //     instead of mapping garbage;
 //   - an offsets section of (n+1) little-endian 64-bit values;
-//   - an adjacency section of 32-bit vertex IDs, either raw or
-//     varint/delta-compressed in blocks of a fixed vertex count (the same
-//     technique as the sparse epoch wire frames in internal/epoch);
-//   - for compressed files, a block index of byte boundaries so blocks
-//     decode independently (and in parallel at open).
+//   - an adjacency section of 2m little-endian 32-bit vertex IDs.
+//
+// There is one layout. A compressed variant (flag bit 0) existed once; it
+// decoded its whole adjacency onto the heap at open, which defeats the
+// mapped path, so it was removed and such files are refused with a
+// FormatError that says to re-convert the source with graphconv.
 //
 // Every section starts on a 4096-byte page boundary. That is what makes
 // the zero-copy open sound: the mmap base is page-aligned, so the offsets
@@ -31,9 +32,7 @@
 // # Mapped graphs
 //
 // Open maps a BCSR v2 file and serves a *graph.Graph whose Offsets/Adj
-// slices alias the mapping directly (uncompressed files) or a one-shot
-// heap decode (compressed files — smaller on disk, but decoded at open).
-// The Mapped handle owns the mapping: Close unmaps it, and a runtime
+// slices alias the mapping directly. The Mapped handle owns the mapping: Close unmaps it, and a runtime
 // cleanup unmaps it when the handle and its Graph become unreachable, so
 // a forgotten Close leaks nothing. The returned Graph keeps the handle
 // alive (it points into it); the mapped slices must be treated as strictly
@@ -45,14 +44,15 @@
 //
 // Converter builds a BCSR v2 file from an edge stream without ever
 // holding the edge list in RAM: edges are packed into a bounded sort
-// buffer (the -mem budget), spilled as sorted runs, and k-way merged
+// buffer (the -mem budget), radix-sorted with the in-memory Builder's
+// sort (graph.SortKeys), spilled as runs, and k-way merged
 // (multi-pass when the fan-in would exceed MaxFanIn) straight into the
 // output sections; duplicate edges and self loops drop out of the merge
 // exactly as the in-memory Builder drops them, so the converter's output
 // is bit-identical to Builder output on the same edge list. The file is
 // written tmp -> fsync -> rename -> dir-fsync (the internal/server
 // writeAtomic discipline), so a crash mid-conversion never leaves a torn
-// output in place. Peak memory is the sort buffer plus O(V) bookkeeping
-// (the dense-ID table for text inputs and one offsets array), independent
-// of the edge count.
+// output in place. Peak memory is the sort buffer and its sort scratch
+// plus O(V) bookkeeping (the dense-ID table for text inputs and one
+// offsets array), independent of the edge count.
 package bigio

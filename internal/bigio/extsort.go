@@ -9,12 +9,16 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+
+	"repro/internal/graph"
 )
 
 // External sort of packed directed pairs. An undirected edge {u, v}
 // becomes the two uint64 values u<<32|v and v<<32|u; sorting that packed
 // form ascending is exactly CSR order (source major, neighbor minor), so
-// the merged stream feeds the BCSR writer directly. Runs are flat
+// the merged stream feeds the BCSR writer directly. The shift is a fixed
+// 32, not the Builder's bit length of n-1: an edge-list conversion learns
+// n only at Finish, after the runs are written. Runs are flat
 // little-endian uint64 files, sorted and deduplicated; the k-way merge
 // deduplicates globally, which is what drops parallel edges the same way
 // the in-memory Builder does.
@@ -29,9 +33,10 @@ const DefaultMaxFanIn = 64
 const runBatch = 8192
 
 // writeRun sorts and deduplicates buf in place, writes it as a run file
-// in dir, and returns the file's path. buf is clobbered.
-func writeRun(dir string, seq int, buf []uint64) (string, error) {
-	slices.Sort(buf)
+// in dir, and returns the file's path. buf is clobbered. Every key is
+// below 1<<keyBits, so the Builder's radix sort only reads those bits.
+func writeRun(dir string, seq int, buf []uint64, keyBits uint) (string, error) {
+	graph.SortKeys(buf, nil, keyBits)
 	buf = slices.Compact(buf)
 	path := filepath.Join(dir, fmt.Sprintf("run-%06d", seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)

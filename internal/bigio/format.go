@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -15,25 +16,22 @@ import (
 //	     0     8  magic ("BCSR" tag << 32 | version 2; graph.BCSRMagic(2))
 //	     8     8  numNodes (n)
 //	    16     8  numAdj (directed adjacency entries = 2*edges)
-//	    24     8  flags (bit 0: adjacency section is varint/delta compressed)
+//	    24     8  flags, must be zero
 //	    32     8  offsets section file offset
 //	    40     8  offsets section byte length ((n+1) * 8)
 //	    48     8  adjacency section file offset
-//	    56     8  adjacency section byte length
-//	    64     8  block index section file offset (0 when uncompressed)
-//	    72     8  block index section byte length
-//	    80     8  blockVerts (vertices per compressed block; 0 uncompressed)
-//	    88     4  reserved, must be zero
+//	    56     8  adjacency section byte length (numAdj * 4)
+//	    64    28  reserved, must be zero
 //	    92     4  CRC-32 (IEEE) of header bytes [0, 92)
 //
 // Every section offset is a multiple of pageSize and sections appear in
 // header order without overlap. The offsets section holds (n+1) uint64
-// CSR offsets. Uncompressed, the adjacency section holds numAdj uint32
-// vertex IDs. Compressed, it holds one varint group per vertex — the
-// first neighbor as an absolute uvarint, then successive gaps minus one
-// (neighbors are strictly increasing) — and the block index section holds
-// (numBlocks+1) uint64 byte boundaries into the adjacency section, where
-// numBlocks = ceil(n / blockVerts), so blocks decode independently.
+// CSR offsets and the adjacency section numAdj uint32 vertex IDs.
+//
+// Flag bit 0 once marked a varint/delta-compressed adjacency section with
+// a block index in bytes 64-87. That variant decoded its whole adjacency
+// onto the heap at open, so it is gone: such a file fails to open with a
+// FormatError telling the user to re-convert its source with graphconv.
 
 const (
 	// headerSize is the byte length of the fixed BCSR v2 header.
@@ -43,23 +41,11 @@ const (
 	// []uint64 / []uint32 reinterpretation of mapped sections aligned.
 	pageSize = 4096
 
-	// flagCompressed marks a varint/delta-compressed adjacency section.
-	flagCompressed = uint64(1) << 0
-	// knownFlags masks the flag bits this build understands; any other
-	// set bit is a future feature this reader would silently misread,
-	// so parse rejects it.
-	knownFlags = flagCompressed
-
 	// maxPlausible bounds node and adjacency counts (2^40 ≈ 10^12), the
 	// same sanity ceiling ReadBinary applies: large enough for any real
 	// graph, small enough that a corrupt header cannot demand an
 	// exabyte allocation.
 	maxPlausible = uint64(1) << 40
-
-	// DefaultBlockVerts is the compressed-block granularity used when a
-	// writer does not choose one: small enough to bound per-block decode
-	// state, large enough that the block index stays ~0.1% of the file.
-	DefaultBlockVerts = 4096
 )
 
 // magic2 is the BCSR v2 magic word.
@@ -83,26 +69,12 @@ func (e *FormatError) Error() string {
 
 // header is the parsed fixed header.
 type header struct {
-	numNodes   uint64
-	numAdj     uint64
-	flags      uint64
-	offOff     uint64 // offsets section
-	offLen     uint64
-	adjOff     uint64 // adjacency section
-	adjLen     uint64
-	blkOff     uint64 // block index section (compressed only)
-	blkLen     uint64
-	blockVerts uint64
-}
-
-func (h *header) compressed() bool { return h.flags&flagCompressed != 0 }
-
-// numBlocks returns the compressed block count, ceil(n / blockVerts).
-func (h *header) numBlocks() uint64 {
-	if h.blockVerts == 0 {
-		return 0
-	}
-	return (h.numNodes + h.blockVerts - 1) / h.blockVerts
+	numNodes uint64
+	numAdj   uint64
+	offOff   uint64 // offsets section
+	offLen   uint64
+	adjOff   uint64 // adjacency section
+	adjLen   uint64
 }
 
 // marshal encodes h into a headerSize-byte slice, computing the CRC.
@@ -112,24 +84,20 @@ func (h *header) marshal() []byte {
 	le.PutUint64(buf[0:], magic2)
 	le.PutUint64(buf[8:], h.numNodes)
 	le.PutUint64(buf[16:], h.numAdj)
-	le.PutUint64(buf[24:], h.flags)
 	le.PutUint64(buf[32:], h.offOff)
 	le.PutUint64(buf[40:], h.offLen)
 	le.PutUint64(buf[48:], h.adjOff)
 	le.PutUint64(buf[56:], h.adjLen)
-	le.PutUint64(buf[64:], h.blkOff)
-	le.PutUint64(buf[72:], h.blkLen)
-	le.PutUint64(buf[80:], h.blockVerts)
-	// buf[88:92] reserved, zero.
+	// buf[24:32] (flags) and buf[64:92] (reserved) stay zero.
 	le.PutUint32(buf[92:], crc32.ChecksumIEEE(buf[:92]))
 	return buf
 }
 
 // parseHeader decodes and validates the fixed header against the file
 // size. It checks, in order: length, magic (reporting version skew as
-// *graph.BCSRVersionError), CRC, unknown flags, plausibility of counts,
-// and that every section lies page-aligned and in-bounds with exactly the
-// length its contents require.
+// *graph.BCSRVersionError), CRC, flags and reserved bytes, plausibility of
+// counts, and that both sections lie page-aligned and in-bounds with
+// exactly the length their contents require.
 func parseHeader(buf []byte, fileSize int64) (*header, error) {
 	if len(buf) < headerSize {
 		return nil, &FormatError{Detail: fmt.Sprintf("file too short for header: %d bytes", len(buf))}
@@ -148,30 +116,28 @@ func parseHeader(buf []byte, fileSize int64) (*header, error) {
 	if got, want := crc32.ChecksumIEEE(buf[:92]), le.Uint32(buf[92:]); got != want {
 		return nil, &FormatError{Detail: fmt.Sprintf("header CRC mismatch: computed %#x, stored %#x", got, want)}
 	}
-	h := &header{
-		numNodes:   le.Uint64(buf[8:]),
-		numAdj:     le.Uint64(buf[16:]),
-		flags:      le.Uint64(buf[24:]),
-		offOff:     le.Uint64(buf[32:]),
-		offLen:     le.Uint64(buf[40:]),
-		adjOff:     le.Uint64(buf[48:]),
-		adjLen:     le.Uint64(buf[56:]),
-		blkOff:     le.Uint64(buf[64:]),
-		blkLen:     le.Uint64(buf[72:]),
-		blockVerts: le.Uint64(buf[80:]),
+	if flags := le.Uint64(buf[24:]); flags&1 != 0 {
+		return nil, &FormatError{Detail: "compressed adjacency is no longer supported; re-convert the source graph with graphconv"}
+	} else if flags != 0 {
+		return nil, &FormatError{Detail: fmt.Sprintf("unknown flag bits %#x", flags)}
 	}
-	if le.Uint32(buf[88:]) != 0 {
+	if slices.ContainsFunc(buf[64:92], func(b byte) bool { return b != 0 }) {
 		return nil, &FormatError{Detail: "reserved header bytes not zero"}
 	}
-	if unknown := h.flags &^ knownFlags; unknown != 0 {
-		return nil, &FormatError{Detail: fmt.Sprintf("unknown flag bits %#x", unknown)}
+	h := &header{
+		numNodes: le.Uint64(buf[8:]),
+		numAdj:   le.Uint64(buf[16:]),
+		offOff:   le.Uint64(buf[32:]),
+		offLen:   le.Uint64(buf[40:]),
+		adjOff:   le.Uint64(buf[48:]),
+		adjLen:   le.Uint64(buf[56:]),
 	}
 	if h.numNodes > maxPlausible || h.numAdj > maxPlausible {
 		return nil, &FormatError{Detail: fmt.Sprintf("implausible sizes n=%d adj=%d", h.numNodes, h.numAdj)}
 	}
 
 	size := uint64(fileSize)
-	section := func(name string, off, length, want uint64, exact bool) error {
+	section := func(name string, off, length, want uint64) error {
 		if off%pageSize != 0 {
 			return &FormatError{Detail: fmt.Sprintf("%s section offset %d not page-aligned", name, off)}
 		}
@@ -181,41 +147,17 @@ func parseHeader(buf []byte, fileSize int64) (*header, error) {
 		if off > size || length > size-off {
 			return &FormatError{Detail: fmt.Sprintf("%s section [%d, +%d) exceeds file size %d", name, off, length, size)}
 		}
-		if exact && length != want {
+		if length != want {
 			return &FormatError{Detail: fmt.Sprintf("%s section length %d, want %d", name, length, want)}
-		}
-		if !exact && length < want {
-			return &FormatError{Detail: fmt.Sprintf("%s section length %d, want at least %d", name, length, want)}
 		}
 		return nil
 	}
 
-	if err := section("offsets", h.offOff, h.offLen, (h.numNodes+1)*8, true); err != nil {
+	if err := section("offsets", h.offOff, h.offLen, (h.numNodes+1)*8); err != nil {
 		return nil, err
 	}
-	if h.compressed() {
-		if h.blockVerts == 0 {
-			return nil, &FormatError{Detail: "compressed file with zero blockVerts"}
-		}
-		// Each adjacency entry costs at least one varint byte, so a
-		// compressed section shorter than numAdj cannot be real. This
-		// also bounds the decode allocation by the section length.
-		if h.numAdj > h.adjLen && h.numAdj > 0 {
-			return nil, &FormatError{Detail: fmt.Sprintf("compressed adjacency %d bytes cannot hold %d entries", h.adjLen, h.numAdj)}
-		}
-		if err := section("adjacency", h.adjOff, h.adjLen, 0, false); err != nil {
-			return nil, err
-		}
-		if err := section("block index", h.blkOff, h.blkLen, (h.numBlocks()+1)*8, true); err != nil {
-			return nil, err
-		}
-	} else {
-		if h.blockVerts != 0 || h.blkOff != 0 || h.blkLen != 0 {
-			return nil, &FormatError{Detail: "uncompressed file with block index fields set"}
-		}
-		if err := section("adjacency", h.adjOff, h.adjLen, h.numAdj*4, true); err != nil {
-			return nil, err
-		}
+	if err := section("adjacency", h.adjOff, h.adjLen, h.numAdj*4); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
@@ -230,16 +172,8 @@ func (h *header) layout() uint64 {
 	h.offLen = (h.numNodes + 1) * 8
 	pos = pageCeil(pos + h.offLen)
 	h.adjOff = pos
-	if h.compressed() {
-		pos = pageCeil(pos + h.adjLen)
-		h.blkOff = pos
-		h.blkLen = (h.numBlocks() + 1) * 8
-		pos = pageCeil(pos + h.blkLen)
-	} else {
-		h.adjLen = h.numAdj * 4
-		pos = pageCeil(pos + h.adjLen)
-	}
-	return pos
+	h.adjLen = h.numAdj * 4
+	return pageCeil(pos + h.adjLen)
 }
 
 func pageCeil(n uint64) uint64 {

@@ -14,20 +14,32 @@ import (
 // error — it must never panic, fault, or over-allocate, whatever the
 // header claims. Successful opens must serve a traversable graph.
 func FuzzOpen(f *testing.F) {
-	g := graph.FromEdges(6, [][2]graph.Node{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}})
-	for _, opts := range []WriteOptions{{}, {Compress: true}, {Compress: true, BlockVerts: 2}} {
+	image := func(g *graph.Graph) []byte {
 		var buf bytes.Buffer
-		if err := Write(&buf, g, opts); err != nil {
+		if err := Write(&buf, g, WriteOptions{}); err != nil {
 			f.Fatal(err)
 		}
-		valid := buf.Bytes()
-		f.Add(valid)
-		f.Add(valid[:headerSize])
-		f.Add(valid[:len(valid)/2])
-		flipped := bytes.Clone(valid)
-		flipped[pageSize+3] ^= 0xff
-		f.Add(flipped)
+		return buf.Bytes()
 	}
+	valid := image(graph.FromEdges(6, [][2]graph.Node{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}}))
+	edit := func(mutate func(b []byte)) []byte {
+		b := bytes.Clone(valid)
+		mutate(b)
+		return b
+	}
+	f.Add(valid)
+	f.Add(valid[:headerSize])
+	f.Add(valid[:len(valid)/2])
+	f.Add(edit(func(b []byte) { b[pageSize+3] ^= 0xff }))
+	// Header edits with the CRC fixed up, so the checks behind it run.
+	f.Add(compressedFlagImage(valid))
+	f.Add(edit(func(b []byte) { b[24] |= 2; rewriteCRC(b) })) // unknown flag
+	f.Add(edit(func(b []byte) { b[72] = 1; rewriteCRC(b) }))  // reserved byte
+	f.Add(edit(func(b []byte) { b[16]++; rewriteCRC(b) }))    // numAdj off by one
+	f.Add(edit(func(b []byte) { b[40] += 8; rewriteCRC(b) })) // offsets length
+	f.Add(edit(func(b []byte) { b[0] = 1; rewriteCRC(b) }))   // BCSR v1 magic
+	f.Add(image(graph.FromEdges(0, nil)))
+	f.Add(image(graph.FromEdges(10, nil)))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, headerSize))
 

@@ -10,10 +10,8 @@ import (
 )
 
 // Mapped is an open, memory-mapped BCSR v2 graph. The Graph it serves
-// aliases the mapping (uncompressed files: both sections; compressed
-// files: the offsets section, with adjacency decoded to the heap once at
-// open), so the mapping must outlive every use of the Graph — which it
-// does automatically: the Graph points into the Mapped, keeping it
+// aliases both sections of the mapping, so the mapping must outlive
+// every use of the Graph — which it does automatically: the Graph points into the Mapped, keeping it
 // reachable, and a runtime cleanup unmaps the file if both become
 // unreachable without Close having been called.
 //
@@ -28,25 +26,21 @@ type Mapped struct {
 	path string
 	size int64
 
-	compressed bool
-	heapAdj    bool // adjacency decoded to heap (compressed or big-endian host)
-
 	mu      sync.Mutex
 	closed  bool
 	cleanup runtime.Cleanup
 }
 
 // Open maps the BCSR v2 file at path. The open is O(1) in the graph size
-// for uncompressed files — a header parse, a monotonicity scan of the
-// offsets section (O(numNodes), a few milliseconds per hundred million
-// vertices), and no adjacency access at all; pages fault in lazily as
-// the graph is traversed. Compressed files pay one adjacency decode into
-// the heap at open.
+// — a header parse, a monotonicity scan of the offsets section
+// (O(numNodes), a few milliseconds per hundred million vertices), and no
+// adjacency access at all; pages fault in lazily as the graph is
+// traversed.
 //
 // Corrupt files — truncated, bit-flipped, implausibly sized — return a
-// *FormatError; BCSR files of another version return a
-// *graph.BCSRVersionError. Adjacency values of uncompressed files are
-// not scanned at open (that would fault in the whole file); the offsets
+// *FormatError, as does a file of the retired compressed variant; BCSR
+// files of another version return a *graph.BCSRVersionError. Adjacency
+// values are not scanned at open (that would fault in the whole file); the offsets
 // monotonicity check is what makes every Neighbors slicing operation
 // in-bounds, and Validate runs the full O(E) structural check on demand.
 func Open(path string) (*Mapped, error) {
@@ -80,14 +74,14 @@ func Open(path string) (*Mapped, error) {
 		}
 	}()
 
-	g, compressed, heapAdj, err := decodeBCSR2(data, size)
+	g, err := decodeBCSR2(data, size)
 	if err != nil {
 		if fe, isFmt := err.(*FormatError); isFmt {
 			fe.Path = path
 		}
 		return nil, err
 	}
-	m.g, m.compressed, m.heapAdj = g, compressed, heapAdj
+	m.g = g
 	// Unmap on collection if the caller forgets Close. The argument is a
 	// copy of the slice header (its backing memory is the mapping, not
 	// the heap), so the cleanup keeps nothing alive.
@@ -97,33 +91,18 @@ func Open(path string) (*Mapped, error) {
 }
 
 // decodeBCSR2 builds the graph views over a BCSR v2 byte buffer — a
-// mapping (Open) or an in-memory upload (FromBytes). Uncompressed
-// sections are served as views over data; compressed adjacency decodes
-// to a fresh heap slice.
-func decodeBCSR2(data []byte, size int64) (g graph.Graph, compressed, heapAdj bool, err error) {
+// mapping (Open) or an in-memory upload (FromBytes). Both sections are
+// served as views over data.
+func decodeBCSR2(data []byte, size int64) (graph.Graph, error) {
 	h, err := parseHeader(data[:headerSize], size)
 	if err != nil {
-		return g, false, false, err
+		return graph.Graph{}, err
 	}
-	compressed = h.compressed()
-
 	offsets := sectionUint64(data[h.offOff : h.offOff+h.offLen])
 	if err := checkOffsets(offsets, h.numAdj); err != nil {
-		return g, compressed, false, &FormatError{Detail: err.Error()}
+		return graph.Graph{}, &FormatError{Detail: err.Error()}
 	}
-
-	var adj []graph.Node
-	if compressed {
-		adj, err = decodeAdj(data, h, offsets)
-		if err != nil {
-			return g, compressed, true, &FormatError{Detail: err.Error()}
-		}
-		heapAdj = true
-	} else {
-		adj = sectionNodes(data[h.adjOff : h.adjOff+h.adjLen])
-		heapAdj = !hostLittleEndian
-	}
-	return graph.Graph{Offsets: offsets, Adj: adj}, compressed, heapAdj, nil
+	return graph.Graph{Offsets: offsets, Adj: sectionNodes(data[h.adjOff : h.adjOff+h.adjLen])}, nil
 }
 
 // FromBytes decodes a BCSR v2 image held in memory — an HTTP upload
@@ -134,7 +113,7 @@ func FromBytes(data []byte) (*graph.Graph, error) {
 	if len(data) < headerSize {
 		return nil, &FormatError{Detail: fmt.Sprintf("file too short for header: %d bytes", len(data))}
 	}
-	g, _, _, err := decodeBCSR2(data, int64(len(data)))
+	g, err := decodeBCSR2(data, int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -160,59 +139,6 @@ func checkOffsets(offsets []uint64, numAdj uint64) error {
 	return nil
 }
 
-// decodeAdj decodes a compressed adjacency section into a heap slice,
-// blocks in parallel. parseHeader has already bounded numAdj by the
-// section length, so the allocation is at most the file size in entries.
-func decodeAdj(data []byte, h *header, offsets []uint64) ([]graph.Node, error) {
-	adjSec := data[h.adjOff : h.adjOff+h.adjLen]
-	blkIdx := sectionUint64(data[h.blkOff : h.blkOff+h.blkLen])
-	nb := h.numBlocks()
-	// Block boundaries must be monotone within the adjacency section and
-	// agree with the offsets at both ends.
-	if blkIdx[0] != 0 || blkIdx[nb] != h.adjLen {
-		return nil, fmt.Errorf("block index spans [%d, %d], want [0, %d]", blkIdx[0], blkIdx[nb], h.adjLen)
-	}
-	for b := uint64(0); b < nb; b++ {
-		if blkIdx[b] > blkIdx[b+1] {
-			return nil, fmt.Errorf("non-monotone block index at block %d", b)
-		}
-	}
-
-	out := make([]graph.Node, h.numAdj)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > int(nb) && nb > 0 {
-		workers = int(nb)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := uint64(w); b < nb; b += uint64(workers) {
-				first := b * h.blockVerts
-				last := min(first+h.blockVerts, h.numNodes)
-				blk := adjSec[blkIdx[b]:blkIdx[b+1]]
-				dst := out[offsets[first]:offsets[last]]
-				if err := decodeAdjBlock(blk, offsets, first, last, h.numNodes, dst); err != nil {
-					errs[w] = fmt.Errorf("block %d: %w", b, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Graph returns the mapped graph. The pointer aliases the Mapped handle
 // (keeping the mapping alive for as long as the Graph is reachable) and
 // is valid until Close.
@@ -224,15 +150,10 @@ func (m *Mapped) Path() string { return m.path }
 // FileSize returns the on-disk size of the mapped file in bytes.
 func (m *Mapped) FileSize() int64 { return m.size }
 
-// Compressed reports whether the file stores varint/delta-compressed
-// adjacency (in which case the adjacency was decoded to the heap at
-// open, trading resident-set zero-copy for a smaller file).
-func (m *Mapped) Compressed() bool { return m.compressed }
-
 // ZeroCopy reports whether the served adjacency aliases the mapping
-// directly (true for uncompressed files on a little-endian mmap-capable
-// platform) rather than a heap decode.
-func (m *Mapped) ZeroCopy() bool { return !m.heapAdj && mmapSupported }
+// directly (true on a little-endian mmap-capable platform) rather than a
+// heap copy.
+func (m *Mapped) ZeroCopy() bool { return hostLittleEndian && mmapSupported }
 
 // Validate runs the full structural validation of the mapped graph —
 // sorted adjacency, no self loops or duplicates, symmetric edges,

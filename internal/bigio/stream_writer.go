@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-
-	"repro/internal/graph"
 )
 
 // streamBCSRWriter writes a BCSR v2 file from a sorted (source-major,
@@ -18,110 +16,73 @@ import (
 // same order, same padding, with pre-section gaps materialized by
 // Truncate (zeros) instead of explicit writes.
 type streamBCSRWriter struct {
-	f    *os.File
-	bw   *bufio.Writer
-	h    *header
-	n    uint64
-	opts WriteOptions
+	f  *os.File
+	bw *bufio.Writer
+	h  *header
+	n  uint64
 
 	offsets []uint64
-	cur     uint64 // vertex whose adjacency group is open
+	cur     uint64 // vertex whose adjacency list is open
 	count   uint64 // adjacency entries written
-	started bool   // an entry for cur has been written (varint state)
-	prev    uint64 // previous neighbor of cur (varint delta state)
-
-	// compressed-path state
-	adjBytes uint64
-	blkIdx   []uint64
-	varBuf   []byte
+	last    uint64 // the previous arc, packed u<<32|v
 }
 
-func newStreamBCSRWriter(path string, n int, opts WriteOptions) (*streamBCSRWriter, error) {
+func newStreamBCSRWriter(path string, n int) (*streamBCSRWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	h := &header{numNodes: uint64(n)}
-	if opts.Compress {
-		h.flags |= flagCompressed
-		h.blockVerts = opts.blockVerts()
-	}
 	// The adjacency section's position depends only on n, so it is known
 	// now; seek there and stream. Header and offsets are backpatched in
 	// finish, and the skipped prefix reads as zeros (sparse or truncated
 	// in), matching Write's explicit zero padding byte for byte.
-	h.offOff = pageSize
-	h.offLen = (h.numNodes + 1) * 8
-	h.adjOff = pageCeil(h.offOff + h.offLen)
+	h.layout()
 	if _, err := f.Seek(int64(h.adjOff), 0); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w := &streamBCSRWriter{
+	return &streamBCSRWriter{
 		f:       f,
 		bw:      bufio.NewWriterSize(f, 1<<20),
 		h:       h,
 		n:       uint64(n),
-		opts:    opts,
 		offsets: make([]uint64, uint64(n)+1),
-	}
-	if opts.Compress {
-		w.blkIdx = append(w.blkIdx, 0)
-		w.varBuf = make([]byte, 0, 64)
-	}
-	return w, nil
+	}, nil
 }
 
-// advanceTo closes the adjacency groups of every vertex before u.
+// advanceTo closes the adjacency lists of every vertex before u.
 func (w *streamBCSRWriter) advanceTo(u uint64) {
 	for w.cur < u {
 		w.offsets[w.cur+1] = w.count
 		w.cur++
-		w.started = false
-		if w.opts.Compress && w.cur%w.h.blockVerts == 0 {
-			w.blkIdx = append(w.blkIdx, w.adjBytes)
-		}
 	}
 }
 
-// add appends neighbor v to vertex u's adjacency. Calls must arrive in
-// strictly increasing (u, v) order with u, v < n and u != v.
-func (w *streamBCSRWriter) add(u, v graph.Node) error {
-	uu, vv := uint64(u), uint64(v)
-	if uu >= w.n || vv >= w.n {
+// add appends the arc packed as u<<32|v: neighbor v to vertex u's
+// adjacency. Calls must arrive in strictly increasing order with u, v < n.
+func (w *streamBCSRWriter) add(packed uint64) error {
+	u, v := packed>>32, packed&0xffffffff
+	if u >= w.n || v >= w.n {
 		return fmt.Errorf("bigio: edge (%d, %d) out of range for %d nodes", u, v, w.n)
 	}
-	if uu < w.cur || (uu == w.cur && w.started && vv <= w.prev) {
+	if w.count > 0 && packed <= w.last {
 		return fmt.Errorf("bigio: adjacency stream not sorted at (%d, %d)", u, v)
 	}
-	w.advanceTo(uu)
-	if w.opts.Compress {
-		w.varBuf = w.varBuf[:0]
-		if !w.started {
-			w.varBuf = binary.AppendUvarint(w.varBuf, vv)
-		} else {
-			w.varBuf = binary.AppendUvarint(w.varBuf, vv-w.prev-1)
-		}
-		if _, err := w.bw.Write(w.varBuf); err != nil {
-			return err
-		}
-		w.adjBytes += uint64(len(w.varBuf))
-	} else {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		if _, err := w.bw.Write(b[:]); err != nil {
-			return err
-		}
+	w.last = packed
+	w.advanceTo(u)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(v))
+	if _, err := w.bw.Write(b[:]); err != nil {
+		return err
 	}
-	w.started = true
-	w.prev = vv
 	w.count++
 	return nil
 }
 
-// finish closes the remaining groups, writes the block index, backpatches
-// offsets and header, fsyncs, and closes the file. It returns the final
-// size and the adjacency entry count.
+// finish closes the remaining lists, backpatches offsets and header,
+// fsyncs, and closes the file. It returns the final size and the
+// adjacency entry count.
 func (w *streamBCSRWriter) finish() (int64, uint64, error) {
 	w.advanceTo(w.n)
 	if err := w.bw.Flush(); err != nil {
@@ -131,37 +92,8 @@ func (w *streamBCSRWriter) finish() (int64, uint64, error) {
 
 	h := w.h
 	h.numAdj = w.count
-	if w.opts.Compress {
-		h.adjLen = w.adjBytes
-		if w.n%h.blockVerts != 0 {
-			w.blkIdx = append(w.blkIdx, w.adjBytes)
-		}
-		h.blkOff = pageCeil(h.adjOff + h.adjLen)
-		h.blkLen = uint64(len(w.blkIdx)) * 8
-		if _, err := w.f.Seek(int64(h.blkOff), 0); err != nil {
-			w.abort()
-			return 0, 0, err
-		}
-		bw := bufio.NewWriterSize(w.f, 1<<20)
-		if err := writeUint64s(bw, w.blkIdx); err != nil {
-			w.abort()
-			return 0, 0, err
-		}
-		if err := bw.Flush(); err != nil {
-			w.abort()
-			return 0, 0, err
-		}
-	} else {
-		h.adjLen = w.count * 4
-	}
-	// Recompute the canonical layout and cross-check the positions we
-	// streamed against; then extend to the padded total (zeros).
-	streamed := *h
 	total := h.layout()
-	if h.offOff != streamed.offOff || h.adjOff != streamed.adjOff || h.blkOff != streamed.blkOff {
-		w.abort()
-		return 0, 0, fmt.Errorf("bigio: internal: streamed section layout diverged")
-	}
+	// Extend to the padded total (zeros).
 	if err := w.f.Truncate(int64(total)); err != nil {
 		w.abort()
 		return 0, 0, err

@@ -11,40 +11,19 @@ import (
 	"repro/internal/graph"
 )
 
-// WriteOptions configures BCSR v2 serialization.
-type WriteOptions struct {
-	// Compress enables varint/delta adjacency compression. The file
-	// shrinks (≈1 byte per entry on power-law graphs versus 4 raw) but
-	// opens by decoding the adjacency into the heap instead of zero-copy.
-	Compress bool
-	// BlockVerts is the compressed-block granularity in vertices;
-	// DefaultBlockVerts when zero. Ignored without Compress.
-	BlockVerts int
-}
-
-func (o WriteOptions) blockVerts() uint64 {
-	if o.BlockVerts > 0 {
-		return uint64(o.BlockVerts)
-	}
-	return DefaultBlockVerts
-}
+// WriteOptions configures BCSR v2 serialization. BCSR v2 has one layout,
+// so there is nothing to configure; the type stays so that callers'
+// WriteOptions{} arguments keep compiling.
+type WriteOptions struct{}
 
 // Write serializes g as BCSR v2 to w. The output is byte-identical to
-// what the streaming Converter produces for the same graph and options —
-// the property the converter tests pin — and is written strictly
+// what the streaming Converter produces for the same graph — the
+// property the converter tests pin — and is written strictly
 // sequentially, so it composes with the server's atomic-write discipline.
-func Write(w io.Writer, g *graph.Graph, opts WriteOptions) error {
+func Write(w io.Writer, g *graph.Graph, _ WriteOptions) error {
 	h := &header{
 		numNodes: uint64(g.NumNodes()),
 		numAdj:   uint64(len(g.Adj)),
-	}
-	var adjBuf []byte
-	var blkIdx []uint64
-	if opts.Compress {
-		h.flags |= flagCompressed
-		h.blockVerts = opts.blockVerts()
-		adjBuf, blkIdx = compressAdj(g, h.blockVerts)
-		h.adjLen = uint64(len(adjBuf))
 	}
 	total := h.layout()
 
@@ -75,28 +54,14 @@ func Write(w io.Writer, g *graph.Graph, opts WriteOptions) error {
 	if err := pad(h.adjOff); err != nil {
 		return err
 	}
-	if opts.Compress {
-		if _, err := bw.Write(adjBuf); err != nil {
+	var b [4]byte
+	for _, v := range g.Adj {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		if _, err := bw.Write(b[:]); err != nil {
 			return err
 		}
-		pos += h.adjLen
-		if err := pad(h.blkOff); err != nil {
-			return err
-		}
-		if err := writeUint64s(bw, blkIdx); err != nil {
-			return err
-		}
-		pos += h.blkLen
-	} else {
-		var b [4]byte
-		for _, v := range g.Adj {
-			binary.LittleEndian.PutUint32(b[:], uint32(v))
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
-		}
-		pos += h.adjLen
 	}
+	pos += h.adjLen
 	if err := pad(total); err != nil {
 		return err
 	}
@@ -131,24 +96,6 @@ func WriteFile(path string, g *graph.Graph, opts WriteOptions) error {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
-}
-
-// compressAdj encodes g's adjacency as varint/delta blocks, returning the
-// encoded bytes and the (numBlocks+1)-entry block index.
-func compressAdj(g *graph.Graph, blockVerts uint64) ([]byte, []uint64) {
-	n := uint64(g.NumNodes())
-	buf := make([]byte, 0, len(g.Adj)) // ~1 byte/entry on typical graphs
-	blkIdx := []uint64{0}
-	for v := uint64(0); v < n; v++ {
-		buf = appendAdjGroup(buf, g.Neighbors(graph.Node(v)))
-		if (v+1)%blockVerts == 0 {
-			blkIdx = append(blkIdx, uint64(len(buf)))
-		}
-	}
-	if n%blockVerts != 0 {
-		blkIdx = append(blkIdx, uint64(len(buf)))
-	}
-	return buf, blkIdx
 }
 
 // zeroPage backs section padding writes.

@@ -128,7 +128,7 @@ func (b *Builder) NumPendingEdges() int { return len(b.keys) }
 // sorted, deduplicated keys, so more edges may be added and Build called
 // again.
 func (b *Builder) Build() *Graph {
-	sortKeys(b.keys, nil, 2*b.shift)
+	SortKeys(b.keys, nil, 2*b.shift)
 	b.keys = slices.Compact(b.keys)
 	offsets, adj, _ := csr(b.n, b.shift, b.keys, nil)
 	return &Graph{Offsets: offsets, Adj: adj}
@@ -145,10 +145,10 @@ func FromEdges(n int, edges [][2]Node) *Graph {
 	return b.Build()
 }
 
-// radixBits is the widest digit sortKeys uses: 2^11 counters stay in L1.
+// radixBits is the widest digit SortKeys uses: 2^11 counters stay in L1.
 const radixBits = 11
 
-// sortKeys sorts keys, each below 1<<keyBits, ascending in place, moving
+// SortKeys sorts keys, each below 1<<keyBits, ascending in place, moving
 // vals (nil, or one value per key) along with them. It is a radix sort over
 // only those keyBits bits, in two stages:
 //
@@ -161,7 +161,10 @@ const radixBits = 11
 // largest bucket holds a few percent of them, and only a single-bucket
 // input (a star) needs a full-length scratch. Input that is already sorted,
 // as a round-tripped edge list or a graph's own edges are, costs one scan.
-func sortKeys(keys []uint64, vals []uint32, keyBits uint) {
+//
+// Every construction path sorts with it: the Builders here, and the runs
+// of internal/bigio's out-of-core converter.
+func SortKeys(keys []uint64, vals []uint32, keyBits uint) {
 	if slices.IsSorted(keys) {
 		return
 	}

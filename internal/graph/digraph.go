@@ -53,7 +53,7 @@ func FromArcs(n int, arcs [][2]Node) *Digraph {
 			keys = append(keys, uint64(a[0])<<shift|uint64(a[1]))
 		}
 	}
-	sortKeys(keys, nil, 2*shift)
+	SortKeys(keys, nil, 2*shift)
 	keys = slices.Compact(keys)
 	g := &Digraph{
 		OutOffsets: make([]uint64, n+1),

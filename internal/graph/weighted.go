@@ -63,7 +63,7 @@ func FromWeightedEdges(n int, edges []WeightedEdge) (*WGraph, error) {
 		keys = append(keys, uint64(e.U)<<shift|uint64(e.V))
 		ws = append(ws, e.W)
 	}
-	sortKeys(keys, ws, 2*shift)
+	SortKeys(keys, ws, 2*shift)
 	j := 0
 	for i, k := range keys {
 		if j > 0 && keys[j-1] == k {

@@ -8,10 +8,15 @@
 // pages actually touched) in VmRSS but never in the heap — while a loader
 // that copies the graph shows up in both. The ingest smoke test bounds
 // HeapSys to catch regressions that silently rematerialize the graph.
+//
+// The package also holds the ingest tools' side of a memory budget:
+// ParseSize reads a -mem flag, and PhysicalMemory is what a budget must
+// fit in.
 package memprof
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -36,9 +41,14 @@ func Read() Stats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s := Stats{HeapAlloc: ms.HeapAlloc, HeapSys: ms.HeapSys, TotalAlloc: ms.TotalAlloc}
-	s.VmHWM, s.VmRSS = procStatus()
+	v := procKiB("/proc/self/status", "VmHWM", "VmRSS")
+	s.VmHWM, s.VmRSS = v[0], v[1]
 	return s
 }
+
+// PhysicalMemory returns the machine's memory in bytes (MemTotal of
+// /proc/meminfo), or 0 where that is unknown.
+func PhysicalMemory() uint64 { return procKiB("/proc/meminfo", "MemTotal")[0] }
 
 // Report writes the snapshot in the "key: value" shape the ingest smoke
 // script greps, one stat per line, sizes in MiB.
@@ -55,26 +65,26 @@ func (s Stats) Report(w io.Writer) {
 	}
 }
 
-// procStatus pulls VmHWM and VmRSS (in bytes) out of /proc/self/status.
-// Returns zeros anywhere the file does not exist or does not parse —
-// callers treat 0 as "unknown".
-func procStatus() (hwm, rss uint64) {
-	f, err := os.Open("/proc/self/status")
+// procKiB reads the "Key:   12345 kB" lines named by keys out of a /proc
+// file, in bytes. A key the file lacks, or a file that does not exist or
+// parse, reads 0: callers treat 0 as "unknown".
+func procKiB(path string, keys ...string) []uint64 {
+	vals := make([]uint64, len(keys))
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0
+		return vals
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "VmHWM:"):
-			hwm = parseKiBLine(line)
-		case strings.HasPrefix(line, "VmRSS:"):
-			rss = parseKiBLine(line)
+		for i, k := range keys {
+			if strings.HasPrefix(line, k+":") {
+				vals[i] = parseKiBLine(line)
+			}
 		}
 	}
-	return hwm, rss
+	return vals
 }
 
 // parseKiBLine parses a "VmXXX:   12345 kB" status line into bytes.
@@ -88,4 +98,42 @@ func parseKiBLine(line string) uint64 {
 		return 0
 	}
 	return v << 10
+}
+
+// sizeSuffixes maps size suffixes to multipliers, longest-first so "MiB"
+// wins over "B".
+var sizeSuffixes = []struct {
+	suffix string
+	mult   float64
+}{
+	{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30},
+	{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30},
+	{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30}, {"B", 1},
+}
+
+// ParseSize parses a byte size with an optional binary suffix: "262144",
+// "256KiB", "256MiB", "1.5GiB", also "256M"-style shorthand. The size
+// must be positive and below 2^63 bytes.
+func ParseSize(s string) (int64, error) {
+	t := strings.TrimSpace(s)
+	mult := 1.0
+	for _, c := range sizeSuffixes {
+		if strings.HasSuffix(t, c.suffix) && len(t) > len(c.suffix) {
+			t = strings.TrimSuffix(t, c.suffix)
+			mult = c.mult
+			break
+		}
+	}
+	v, err := strconv.ParseFloat(t, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) { // out of range reads ±Inf or 0
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	switch n := v * mult; {
+	case n >= 1<<63:
+		return 0, fmt.Errorf("size %q is too large", s)
+	case !(n >= 1): // NaN too
+		return 0, fmt.Errorf("size %q must be positive", s)
+	default:
+		return int64(n), nil
+	}
 }

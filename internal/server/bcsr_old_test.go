@@ -3,16 +3,20 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/graph"
+	"repro/internal/bigio"
 )
 
 // v1Image returns the upload graph in the BCSR v1 layout (header, offsets,
@@ -42,6 +46,53 @@ func TestUploadBCSRv1Refused(t *testing.T) {
 	}
 	if msg, _ := resp["error"].(string); !strings.Contains(msg, "graphconv") {
 		t.Errorf("v1 upload error %q does not name graphconv", msg)
+	}
+}
+
+// A BCSR v2 file of the retired compressed variant (flag bit 0, valid CRC)
+// is refused at its header on every way in — the mapped opener, the byte
+// decoder, graph.LoadFile and a daemon upload — with the re-convert fix,
+// and the three loaders allocate nothing the size of its adjacency.
+func TestCompressedBCSRRefused(t *testing.T) {
+	g := graph.RMAT(graph.Graph500(14, 8, 1)) // 1 MiB of adjacency, against 64 KiB of format sniffing
+	var buf bytes.Buffer
+	if err := graph.WriteBCSR2(&buf, g, graph.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	image := buf.Bytes()
+	image[24] |= 1 // flags: compressed
+	binary.LittleEndian.PutUint32(image[92:], crc32.ChecksumIEEE(image[:92]))
+	path := filepath.Join(t.TempDir(), "old.bcsr")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	adjBytes := uint64(len(g.Adj)) * 4
+	for name, load := range map[string]func() error{
+		"bigio.Open":      func() error { _, err := bigio.Open(path); return err },
+		"bigio.FromBytes": func() error { _, err := bigio.FromBytes(image); return err },
+		"graph.LoadFile":  func() error { _, err := graph.LoadFile(path); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load()
+		runtime.ReadMemStats(&after)
+		var fe *bigio.FormatError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "graphconv") {
+			t.Errorf("%s: error %v, want a FormatError naming graphconv", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= adjBytes/4 {
+			t.Errorf("%s allocated %d bytes rejecting a file with %d bytes of adjacency", name, alloc, adjBytes)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{})
+	code, resp := do(t, "POST", ts.URL+"/graphs?name=old", image)
+	if code != http.StatusBadRequest {
+		t.Fatalf("compressed upload: status %d, want 400 (resp %v)", code, resp)
+	}
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, "graphconv") {
+		t.Errorf("compressed upload error %q does not name graphconv", msg)
 	}
 }
 
