@@ -33,8 +33,8 @@ type Converter = bigio.Converter
 
 // OpenMapped memory-maps the BCSR v2 file at path in O(1): no adjacency
 // is read (or copied to the heap) at open; pages fault in lazily as the
-// graph is traversed. Close the handle when done,
-// or let it leak — a runtime cleanup unmaps it either way.
+// graph is traversed. Close the handle when done, or let it leak — a
+// runtime cleanup unmaps it either way.
 func OpenMapped(path string) (*Mapped, error) { return bigio.Open(path) }
 
 // ReadBCSR2 decodes a BCSR v2 stream entirely in memory — the upload

@@ -8,9 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -237,48 +235,6 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		copy(b[pageSize+8:pageSize+16], []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 		return b
 	})
-}
-
-// TestCompressedFlagRejected: a file of the retired compressed variant
-// (flag bit 0, valid CRC) fails at the header with a FormatError naming
-// the fix, before any section is touched — Open and FromBytes allocate
-// nothing the size of its adjacency.
-func TestCompressedFlagRejected(t *testing.T) {
-	g := testGraph(t, 2000, 40000, 6)
-	var buf bytes.Buffer
-	if err := Write(&buf, g, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	image := compressedFlagImage(buf.Bytes())
-	path := filepath.Join(t.TempDir(), "old.bcsr")
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	adjBytes := uint64(len(g.Adj)) * 4
-	for name, open := range map[string]func() error{
-		"Open":      func() error { _, err := Open(path); return err },
-		"FromBytes": func() error { _, err := FromBytes(image); return err },
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := open()
-		runtime.ReadMemStats(&after)
-		var fe *FormatError
-		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "graphconv") {
-			t.Errorf("%s: error %v, want a FormatError naming graphconv", name, err)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= adjBytes/4 {
-			t.Errorf("%s allocated %d bytes rejecting a file with %d bytes of adjacency", name, alloc, adjBytes)
-		}
-	}
-}
-
-// compressedFlagImage returns a copy of a valid BCSR v2 image with flag
-// bit 0 — the retired compressed variant's — set and the CRC fixed.
-func compressedFlagImage(valid []byte) []byte {
-	b := slices.Clone(valid)
-	b[24] |= 1
-	return rewriteCRC(b)
 }
 
 // rewriteCRC recomputes the header CRC after a deliberate header edit, so

@@ -18,10 +18,10 @@
 //   - an offsets section of (n+1) little-endian 64-bit values;
 //   - an adjacency section of 2m little-endian 32-bit vertex IDs.
 //
-// There is one layout. A compressed variant (flag bit 0) existed once; it
-// decoded its whole adjacency onto the heap at open, which defeats the
-// mapped path, so it was removed and such files are refused with a
-// FormatError that says to re-convert the source with graphconv.
+// There is one layout, served straight from the mapping. A file with flag
+// bit 0 set, the removed compressed variant whose adjacency had to be
+// decoded onto the heap at open, is refused with a FormatError that says
+// to re-convert the source with graphconv.
 //
 // Every section starts on a 4096-byte page boundary. That is what makes
 // the zero-copy open sound: the mmap base is page-aligned, so the offsets

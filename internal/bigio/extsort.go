@@ -64,13 +64,15 @@ func writeRun(dir string, seq int, buf []uint64, keyBits uint) (string, error) {
 	return path, nil
 }
 
-// runReader streams one run file in batches.
+// runReader streams one run file in batches. The batch is a field, not a
+// local of refill: a local array handed to io.ReadFull escapes to the
+// heap, one allocation per refill.
 type runReader struct {
 	f     *os.File
 	br    *bufio.Reader
-	batch [runBatch]uint64
-	pos   int
-	n     int
+	batch [8 * runBatch]byte
+	pos   int // byte offset of the next value in batch
+	n     int // bytes in batch
 	cur   uint64
 	err   error
 }
@@ -92,14 +94,13 @@ func (r *runReader) next() bool {
 			return false
 		}
 	}
-	r.cur = r.batch[r.pos]
-	r.pos++
+	r.cur = binary.LittleEndian.Uint64(r.batch[r.pos:])
+	r.pos += 8
 	return true
 }
 
 func (r *runReader) refill() bool {
-	var raw [8 * runBatch]byte
-	n, err := io.ReadFull(r.br, raw[:])
+	n, err := io.ReadFull(r.br, r.batch[:])
 	if n%8 != 0 {
 		r.err = fmt.Errorf("bigio: run %s: truncated value", r.f.Name())
 		return false
@@ -111,10 +112,7 @@ func (r *runReader) refill() bool {
 	if n == 0 {
 		return false
 	}
-	for i := 0; i < n/8; i++ {
-		r.batch[i] = binary.LittleEndian.Uint64(raw[i*8:])
-	}
-	r.pos, r.n = 0, n/8
+	r.pos, r.n = 0, n
 	return true
 }
 

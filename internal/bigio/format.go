@@ -28,10 +28,9 @@ import (
 // header order without overlap. The offsets section holds (n+1) uint64
 // CSR offsets and the adjacency section numAdj uint32 vertex IDs.
 //
-// Flag bit 0 once marked a varint/delta-compressed adjacency section with
-// a block index in bytes 64-87. That variant decoded its whole adjacency
-// onto the heap at open, so it is gone: such a file fails to open with a
-// FormatError telling the user to re-convert its source with graphconv.
+// Flag bit 0 marks the removed compressed variant (varint adjacency, a
+// block index in bytes 64-87); parseHeader refuses it with the re-convert
+// fix rather than as an unknown flag.
 
 const (
 	// headerSize is the byte length of the fixed BCSR v2 header.

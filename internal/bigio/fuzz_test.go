@@ -32,7 +32,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(edit(func(b []byte) { b[pageSize+3] ^= 0xff }))
 	// Header edits with the CRC fixed up, so the checks behind it run.
-	f.Add(compressedFlagImage(valid))
+	f.Add(edit(func(b []byte) { b[24] |= 1; rewriteCRC(b) })) // the removed compressed variant
 	f.Add(edit(func(b []byte) { b[24] |= 2; rewriteCRC(b) })) // unknown flag
 	f.Add(edit(func(b []byte) { b[72] = 1; rewriteCRC(b) }))  // reserved byte
 	f.Add(edit(func(b []byte) { b[16]++; rewriteCRC(b) }))    // numAdj off by one

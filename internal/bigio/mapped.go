@@ -11,9 +11,9 @@ import (
 
 // Mapped is an open, memory-mapped BCSR v2 graph. The Graph it serves
 // aliases both sections of the mapping, so the mapping must outlive
-// every use of the Graph — which it does automatically: the Graph points into the Mapped, keeping it
-// reachable, and a runtime cleanup unmaps the file if both become
-// unreachable without Close having been called.
+// every use of the Graph — which it does automatically: the Graph points
+// into the Mapped, keeping it reachable, and a runtime cleanup unmaps the
+// file if both become unreachable without Close having been called.
 //
 // The mapped slices are read-only views of the file. Mutating them is
 // undefined (a fault on unix, silent corruption elsewhere), and they must
@@ -38,11 +38,12 @@ type Mapped struct {
 // traversed.
 //
 // Corrupt files — truncated, bit-flipped, implausibly sized — return a
-// *FormatError, as does a file of the retired compressed variant; BCSR
+// *FormatError, as does a file of the removed compressed variant; BCSR
 // files of another version return a *graph.BCSRVersionError. Adjacency
-// values are not scanned at open (that would fault in the whole file); the offsets
-// monotonicity check is what makes every Neighbors slicing operation
-// in-bounds, and Validate runs the full O(E) structural check on demand.
+// values are not scanned at open (that would fault in the whole file);
+// the offsets monotonicity check is what makes every Neighbors slicing
+// operation in-bounds, and Validate runs the full O(E) structural check
+// on demand.
 func Open(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {

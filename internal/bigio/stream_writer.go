@@ -71,9 +71,9 @@ func (w *streamBCSRWriter) add(packed uint64) error {
 	}
 	w.last = packed
 	w.advanceTo(u)
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(v))
-	if _, err := w.bw.Write(b[:]); err != nil {
+	// Append into bufio's free space: a local [4]byte handed to Write
+	// escapes, one heap allocation per adjacency entry.
+	if _, err := w.bw.Write(binary.LittleEndian.AppendUint32(w.bw.AvailableBuffer(), uint32(v))); err != nil {
 		return err
 	}
 	w.count++
