@@ -157,6 +157,44 @@ func TestSampleDigest(t *testing.T) {
 	}
 }
 
+// TestComponentsSampleDigest pins the stream on a graph of several
+// components, so it holds unreachable pairs, balls that die on either side
+// and isolated vertices: the sampleDigest of 10^5 samples from
+// NewSampler(severalComponents(), ..., rng.NewRand(5)). The value is the
+// expand-and-probe kernel's, before the meeting mark.
+func TestComponentsSampleDigest(t *testing.T) {
+	const want uint64 = 0x9c8310ee75b80668
+	g := severalComponents()
+	if got := sampleDigest(NewSampler(g, NewHubs(g), rng.NewRand(5)), 100_000); got != want {
+		t.Fatalf("digest %016x, want %016x", got, want)
+	}
+}
+
+// TestDirectedSampleDigest pins the directed stream: the sampleDigest of 10^5
+// samples from NewDirectedSampler(g, ..., rng.NewRand(5)) on
+// BenchmarkDirectedSample's digraph, the largest SCC of a uniform random
+// digraph, and on a hub-heavy digraph that is not strongly connected, so its
+// stream holds unreachable pairs. The values are the expand-and-probe
+// kernel's, before the meeting mark.
+func TestDirectedSampleDigest(t *testing.T) {
+	scc, _ := graph.LargestSCC(randomDigraph(1, 20000, 200000))
+	for _, c := range []struct {
+		name string
+		g    *graph.Digraph
+		want uint64
+	}{
+		{"scc", scc, 0x7f30a91dccf3af5e},
+		{"notStronglyConnected", mixedOrientation(rmatLCC(12), 9), 0x063613b7161bd503},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := sampleDigest(NewDirectedSampler(c.g, NewDirectedHubs(c.g), rng.NewRand(5)), 100_000)
+			if got != c.want {
+				t.Fatalf("digest %016x, want %016x", got, c.want)
+			}
+		})
+	}
+}
+
 // BenchmarkNewHubs builds the hub matrix of the benchmark workloads' R-MAT
 // graphs, once per graph in a workload's first sampler: scale 12 is
 // small-tcp2's and daemon-session's, scale 16 social-shm's.

@@ -226,8 +226,11 @@ func rmatLCC(scale int) *graph.Graph {
 // TestProbeMatchesOracle: the probing kernel returns the pre-probe kernel's
 // exact samples on the inputs whose shapes matter — power-law graphs from
 // the small-tcp2/daemon size to the social-shm size, a high-diameter
-// lattice, and digraphs, one of them hub-heavy with arcs of mixed
-// orientation.
+// lattice, a hub frontier meeting a small other frontier (starsOfStars,
+// where three samples in four meet that way), a high-diameter lattice of
+// degree 8 whose rounds scan 8 arcs per vertex of the other frontier
+// without meeting (kingLattice), and digraphs, one of them hub-heavy with
+// arcs of mixed orientation.
 func TestProbeMatchesOracle(t *testing.T) {
 	for _, scale := range []int{10, 12, 16} {
 		g := rmatLCC(scale)
@@ -238,6 +241,14 @@ func TestProbeMatchesOracle(t *testing.T) {
 	t.Run("road", func(t *testing.T) {
 		g, _ := graph.LargestComponent(gen.Road(gen.RoadParams{Rows: 40, Cols: 40, DeleteProb: 0.1, Seed: 3}))
 		checkOracle(t, g, g, NewHubs(g), 5, 0)
+	})
+	t.Run("starsOfStars", func(t *testing.T) {
+		g := starsOfStars(1, 16, 20, 4)
+		checkOracle(t, g, g, NewHubs(g), 9, 0)
+	})
+	t.Run("kingLattice", func(t *testing.T) {
+		g := kingLattice(40)
+		checkOracle(t, g, g, NewHubs(g), 10, 0)
 	})
 	t.Run("randomDigraph", func(t *testing.T) {
 		g, _ := graph.LargestSCC(randomDigraph(11, 3000, 12000))
@@ -274,6 +285,67 @@ func mixedOrientation(g *graph.Graph, seed uint64) *graph.Digraph {
 		}
 	})
 	return graph.FromArcs(g.NumNodes(), arcs)
+}
+
+// starsOfStars is a clique of k hubs, each the centre of mid middles, each
+// middle the centre of leaves pendant leaves and joined to one more hub,
+// drawn at random. Between two leaves under different hubs the balls meet
+// where one side's frontier of hubs and leaves scans the hubs' lists, and
+// the other frontier is a middle's few hubs and leaves.
+func starsOfStars(seed uint64, k, mid, leaves int) *graph.Graph {
+	r := rng.NewRand(seed)
+	b := graph.NewBuilder(k + k*mid*(1+leaves))
+	for i := range k {
+		for j := i + 1; j < k; j++ {
+			b.AddEdge(graph.Node(i), graph.Node(j))
+		}
+	}
+	leaf := graph.Node(k + k*mid)
+	for h := range k {
+		for m := range mid {
+			v := graph.Node(k + h*mid + m)
+			b.AddEdge(graph.Node(h), v)
+			b.AddEdge(graph.Node(r.Intn(k)), v)
+			for range leaves {
+				b.AddEdge(v, leaf)
+				leaf++
+			}
+		}
+	}
+	return b.Build()
+}
+
+// kingLattice is the side×side grid with each cell's eight neighbours (a
+// king's moves): degree 8 inside, diameter side-1.
+func kingLattice(side int) *graph.Graph {
+	b := graph.NewBuilder(side * side)
+	for i := range side {
+		for j := range side {
+			for _, d := range [][2]int{{0, 1}, {1, -1}, {1, 0}, {1, 1}} {
+				if i2, j2 := i+d[0], j+d[1]; i2 < side && j2 >= 0 && j2 < side {
+					b.AddEdge(graph.Node(i*side+j), graph.Node(i2*side+j2))
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
+// severalComponents is the disjoint union of an R-MAT component, a
+// stars-of-stars, a king lattice, a path and isolated vertices.
+func severalComponents() *graph.Graph {
+	parts := []*graph.Graph{rmatLCC(10), starsOfStars(2, 8, 10, 3), kingLattice(12), pathGraph(30), graph.NewBuilder(20).Build()}
+	n := 0
+	for _, p := range parts {
+		n += p.NumNodes()
+	}
+	b := graph.NewBuilder(n)
+	base := graph.Node(0)
+	for _, p := range parts {
+		p.ForEdges(func(u, v graph.Node) { b.AddEdge(base+u, base+v) })
+		base += graph.Node(p.NumNodes())
+	}
+	return b.Build()
 }
 
 // twoHubs is s=0 and t=1 at distance 3: s's neighbours a1..a3 (2..4) and
