@@ -226,11 +226,12 @@ func rmatLCC(scale int) *graph.Graph {
 // TestProbeMatchesOracle: the probing kernel returns the pre-probe kernel's
 // exact samples on the inputs whose shapes matter — power-law graphs from
 // the small-tcp2/daemon size to the social-shm size, a high-diameter
-// lattice, a hub frontier meeting a small other frontier (starsOfStars,
-// where three samples in four meet that way), a high-diameter lattice of
-// degree 8 whose rounds scan 8 arcs per vertex of the other frontier
-// without meeting (kingLattice), and digraphs, one of them hub-heavy with
-// arcs of mixed orientation.
+// lattice, a hub frontier meeting a small other frontier (starsOfStars:
+// three samples in four meet where the probe's gate opens but a probe rule
+// of frontier pairs would not have), a high-diameter lattice of degree 8
+// whose samples open the gate about three times each without meeting
+// (kingLattice), and digraphs, one of them hub-heavy with arcs of mixed
+// orientation.
 func TestProbeMatchesOracle(t *testing.T) {
 	for _, scale := range []int{10, 12, 16} {
 		g := rmatLCC(scale)
@@ -369,7 +370,7 @@ func twoHubs() *graph.Graph {
 }
 
 // TestProbeTakesTheMeetingRound drives the two-hub graph's first two rounds
-// by hand, checks that the cost rule then prefers the probe, and that the
+// by hand, checks that the gate then opens for the probe, and that the
 // probe finds the meeting set, in order and with the sigmas, that expanding
 // the round finds; then checks the sampler's path frequencies on the pair.
 func TestProbeTakesTheMeetingRound(t *testing.T) {
@@ -387,10 +388,14 @@ func TestProbeTakesTheMeetingRound(t *testing.T) {
 	}
 
 	costS, costT := frontierCost(g, sp.frontS), frontierCost(g, sp.frontT)
-	if pairs := uint64(len(sp.frontS) * len(sp.frontT)); pairs*probeCost >= min(costS, costT) {
-		t.Fatalf("cost rule skips the probe: %d pairs, costs %d/%d", pairs, costS, costT)
-	}
 	expandS := costS <= costT
+	cost, other := costS, len(sp.frontT)
+	if !expandS {
+		cost, other = costT, len(sp.frontS)
+	}
+	if cost < uint64(other)*meetGate {
+		t.Fatalf("gate skips the probe: cost %d against %d vertices of the other frontier", cost, other)
+	}
 	if !sp.probe(expandS) {
 		t.Fatal("probe missed the meeting round")
 	}
@@ -408,6 +413,47 @@ func TestProbeTakesTheMeetingRound(t *testing.T) {
 	}
 
 	checkUniformity(t, g, g, NewSampler(g, NewHubs(g), rng.NewRand(2)), 0, 1)
+}
+
+// TestProbeMissWritesNothing drives the king lattice by hand from two
+// interior cells 9 moves apart until the gate opens on a round that cannot
+// meet, and checks that the probe stamps no vertex and leaves no mark
+// behind.
+func TestProbeMissWritesNothing(t *testing.T) {
+	const side = 20
+	g := kingLattice(side)
+	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
+	s, tt := graph.Node(5*side+5), graph.Node(14*side+14)
+	sp.cur++
+	sp.vs[s][0] = half{stamp: sp.cur, sig: 1}
+	sp.vs[tt][1] = half{stamp: sp.cur, sig: 1}
+	sp.frontS = append(sp.frontS[:0], s)
+	sp.frontT = append(sp.frontT[:0], tt)
+	for round := 0; ; round++ {
+		costS, costT := frontierCost(g, sp.frontS), frontierCost(g, sp.frontT)
+		expandS := costS <= costT
+		other := len(sp.frontT)
+		if !expandS {
+			other = len(sp.frontS)
+		}
+		if min(costS, costT) < uint64(other)*meetGate {
+			if sp.expand(expandS) {
+				t.Fatal("balls met before the gate opened")
+			}
+			continue
+		}
+		before := slices.Clone(sp.vs)
+		if sp.probe(expandS) {
+			t.Fatalf("probe met at round %d, 9 moves apart", round)
+		}
+		if !slices.Equal(before, sp.vs) {
+			t.Fatal("a probe without hits stamped vertices")
+		}
+		if i := slices.IndexFunc(sp.mark, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("probe left marks in word %d", i)
+		}
+		return
+	}
 }
 
 // TestUnsortedAdjacencyDegrades: on a symmetric CSR whose neighbour lists

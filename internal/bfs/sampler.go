@@ -28,17 +28,27 @@ import (
 // Most samples on a low-diameter graph end with two small frontiers next to
 // each other, one of them holding a hub, and expanding that round would
 // stamp thousands of vertices only to keep the few that meet. So before a
-// round expands, when |frontS| * |frontT| * probeCost is below the cheaper
-// side's frontier cost, the round probes instead: it finds each expanding
-// vertex's arcs into the other frontier (a scan of a short list, an arc
-// test per frontier pair otherwise) and stamps only those. An arc test
-// between two of the graph's highest-degree vertices reads one bit of the
-// shared Hubs matrix; any other is a binary search. Every meeting vertex
-// lies in the other frontier, so a probe with hits has found the whole
-// meeting set; one without hits wrote nothing, and the round expands.
-// After a probe, the walk's first step on the probed side reads its
-// candidates off the frontier when that is cheaper than scanning the meeting
-// vertex's arcs, and at distance 1 the predecessor is the endpoint itself.
+// round expands, when it would scan at least meetGate arcs per vertex of the
+// other frontier, the round probes instead: it marks the other frontier in a
+// per-sampler set of n bits, finds each expanding vertex's arcs into the
+// marked vertices (a scan of its list against the marks, or an arc test per
+// marked vertex when the list is longer than probeCost arcs per marked
+// vertex) and stamps only those. An arc test between two of the graph's
+// highest-degree vertices reads one bit of the shared Hubs matrix; any other
+// is a binary search. Every meeting vertex lies in the other frontier, so a
+// probe with hits has found the whole meeting set; one without hits wrote
+// nothing but the marks, which it clears in O(|other frontier|), and the
+// round expands. This is the bottom-up step of direction-optimizing BFS
+// (Beamer, Asanović & Patterson, SC 2012), which also tests frontier
+// membership on a bitmap, not on per-vertex state.
+//
+// Each side builds its next level in a spare buffer of its own, which then
+// holds the side's previous level. So when the balls meet, each side still
+// has the level below the meeting vertex x: its previous level, or its
+// frontier on the side whose probe found the meeting. The walk's first step
+// on either side reads x's predecessors off that level when |level| *
+// probeCost is below x's degree, instead of scanning x's list, typically a
+// hub's; at distance 1 the predecessor is the endpoint itself.
 //
 // The output is sample-for-sample identical to expanding every round. Sorted
 // adjacency lists make the probe discover meeting vertices in expand's
@@ -57,10 +67,11 @@ import (
 // 2·⌈log2 n⌉ (balls grow polynomially, as on a lattice, not exponentially,
 // as on a small world), it builds NumLandmarks = 4 landmarks once and every
 // sampler is the goal kernel. Below the threshold, and on digraphs, this
-// kernel runs. Per-thread memory is 32 bytes per vertex: one record holds
-// both balls' stamp, distance and path count, so expand, probe and walk touch
-// half a cache line per vertex. The Hubs matrix, 4n + K²/8 bytes, is built
-// once per graph and shared.
+// kernel runs. Per-thread memory is 32n + n/8 bytes: one 32-byte record
+// per vertex holds both balls' stamp, distance and path count, so expand,
+// probe and walk touch half a cache line per vertex, and the mark is one bit
+// per vertex. Four frontier buffers grow to the search's size. The Hubs
+// matrix, 4n + K²/8 bytes, is built once per graph and shared.
 //
 // A Sampler is not safe for concurrent use; each sampling thread owns one.
 // The backing graph and its Hubs are shared and read-only.
@@ -74,8 +85,11 @@ type Sampler struct {
 	vs  [][2]half
 	cur uint32
 
+	// Each side's frontier and the buffer its next level is built in,
+	// which after a round holds the side's previous level.
 	frontS, frontT []graph.Node
-	nextF          []graph.Node
+	spareS, spareT []graph.Node
+	mark           []uint64 // one bit per vertex, set on the other frontier by probe
 	meet           []graph.Node
 	path           []graph.Node
 	hits           []graph.Node // probe and preds scratch
@@ -91,6 +105,11 @@ type half struct {
 // probeCost prices one frontier pair of a probe in scanned arcs: a binary
 // search and its cache misses.
 const probeCost = 8
+
+// meetGate is the arcs a round must scan per vertex of the other frontier
+// before it probes: below it, marking the other frontier and clearing it
+// again cost too large a share of a round that may not meet.
+const meetGate = 8
 
 // NewSampler creates a sampler over the undirected graph g, whose hub matrix
 // h (NewHubs(g)) it shares, using the given private RNG.
@@ -120,7 +139,9 @@ func newSampler(fwd, bwd *graph.Graph, h *Hubs, r *rng.Rand) *Sampler {
 		vs:     make([][2]half, n),
 		frontS: make([]graph.Node, 0, 256),
 		frontT: make([]graph.Node, 0, 256),
-		nextF:  make([]graph.Node, 0, 256),
+		spareS: make([]graph.Node, 0, 256),
+		spareT: make([]graph.Node, 0, 256),
+		mark:   make([]uint64, (n+63)/64),
 		meet:   make([]graph.Node, 0, 64),
 		path:   make([]graph.Node, 0, 64),
 		hits:   make([]graph.Node, 0, 64),
@@ -180,23 +201,27 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	sp.vs[t][1] = half{stamp: cur, sig: 1}
 	sp.frontS = append(sp.frontS[:0], s)
 	sp.frontT = append(sp.frontT[:0], t)
+	sp.spareS, sp.spareT = sp.spareS[:0], sp.spareT[:0]
 	if sp.fwd.Degree(s) == 0 || sp.bwd.Degree(t) == 0 {
 		return nil, false
 	}
 
-	// Expand the cheaper side until the balls meet or a side dies; probe for
-	// the meeting first when the frontier pairs are cheaper than expanding.
+	// Expand the cheaper side until the balls meet or a side dies; probe
+	// for the meeting first when the round scans enough arcs per vertex of
+	// the other frontier.
 	costS, costT := frontierCost(sp.fwd, sp.frontS), frontierCost(sp.bwd, sp.frontT)
-	probed := false
+	met := false // a probe found the meeting set
 	var expandS bool
 	for {
 		expandS = costS <= costT
-		pairs := uint64(len(sp.frontS)) * uint64(len(sp.frontT))
-		if pairs*probeCost < min(costS, costT) && sp.probe(expandS) {
-			probed = true
-			break
+		cost, other := costS, len(sp.frontT)
+		if !expandS {
+			cost, other = costT, len(sp.frontS)
 		}
-		if sp.expand(expandS) {
+		if cost >= uint64(other)*meetGate {
+			met = sp.probe(expandS)
+		}
+		if met || sp.expand(expandS) {
 			break
 		}
 		if expandS {
@@ -230,9 +255,17 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	}
 
 	// Walk from x back to s and forward to t, sampling predecessors
-	// proportionally to their path counts; collect internal vertices.
+	// proportionally to their path counts; collect internal vertices. The
+	// level below x on each side is that side's previous frontier, or, on
+	// the side whose probe found the meeting, its frontier.
+	lowS, lowT := sp.spareS, sp.spareT
+	if met && expandS {
+		lowS = sp.frontS
+	} else if met {
+		lowT = sp.frontT
+	}
 	sp.path = sp.path[:0]
-	sp.walk(x, s, true, probed && expandS)
+	sp.walk(x, s, true, lowS)
 	// reverse the s-side prefix so the path reads s..t (order irrelevant for
 	// counting, but useful for tests that validate the path).
 	for i, j := 0, len(sp.path)-1; i < j; i, j = i+1, j-1 {
@@ -241,17 +274,21 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 	if x != s && x != t {
 		sp.path = append(sp.path, x)
 	}
-	sp.walk(x, t, false, probed && !expandS)
+	sp.walk(x, t, false, lowT)
 	return sp.path, true
 }
 
-// probe is expand restricted to the meeting vertices: for each vertex u of
-// the expanding frontier, in frontier order, it finds u's arcs into the
-// other frontier and stamps, counts and collects their far ends exactly as
-// expand would. It returns true when it found the meeting set; otherwise it
-// has written nothing. A vertex of the other ball adjacent to the expanding
-// frontier always sits in the other frontier (else the balls would already
-// have met), so a scan of u's list can test the other stamp.
+// probe is expand restricted to the meeting vertices: it marks the other
+// frontier in sp.mark, then for each vertex u of the expanding frontier, in
+// frontier order, finds u's arcs into the marked vertices and stamps, counts
+// and collects their far ends exactly as expand would. A vertex of the other
+// ball adjacent to the expanding frontier always sits in the other frontier
+// (else the balls would already have met), so the marked far ends are the
+// ones expand would find met. u's arcs are a scan of its list against the
+// mark, or, when the list is longer than probeCost arcs per marked vertex,
+// an arc test per marked vertex. It returns true when it found the meeting
+// set; otherwise it has written nothing. Either way it clears the marks in
+// O(|other frontier|).
 //
 //bc:hotpath
 func (sp *Sampler) probe(sSide bool) bool {
@@ -261,13 +298,16 @@ func (sp *Sampler) probe(sSide bool) bool {
 		g, gt, me = sp.bwd, sp.fwd, 1
 		front, other = sp.frontT, sp.frontS
 	}
-	vs, you, cur := sp.vs, me^1, sp.cur
+	mark, vs, cur := sp.mark, sp.vs, sp.cur
+	for _, v := range other {
+		mark[v/64] |= 1 << (v % 64)
+	}
 	sp.meet = sp.meet[:0]
 	for _, u := range front {
 		hits := sp.hits[:0]
 		if adj := g.Neighbors(u); len(adj) <= len(other)*probeCost {
 			for _, w := range adj {
-				if vs[w][you].stamp == cur {
+				if mark[w/64]&(1<<(w%64)) != 0 {
 					hits = append(hits, w)
 				}
 			}
@@ -289,6 +329,9 @@ func (sp *Sampler) probe(sSide bool) bool {
 				h.sig += su
 			}
 		}
+	}
+	for _, v := range other {
+		mark[v/64] = 0
 	}
 	return len(sp.meet) > 0
 }
@@ -337,12 +380,12 @@ func frontierCost(g *graph.Graph, front []graph.Node) uint64 {
 //
 //bc:hotpath
 func (sp *Sampler) expand(sSide bool) bool {
-	g, front, me := sp.fwd, &sp.frontS, 0
+	g, front, spare, me := sp.fwd, &sp.frontS, &sp.spareS, 0
 	if !sSide {
-		g, front, me = sp.bwd, &sp.frontT, 1
+		g, front, spare, me = sp.bwd, &sp.frontT, &sp.spareT, 1
 	}
 	vs, you, cur := sp.vs, me^1, sp.cur
-	next := sp.nextF[:0]
+	next := (*spare)[:0]
 	sp.meet = sp.meet[:0]
 	bestMeet := Unreached
 	for _, u := range *front {
@@ -367,7 +410,7 @@ func (sp *Sampler) expand(sSide bool) bool {
 			}
 		}
 	}
-	sp.nextF = (*front)[:0]
+	*spare = *front
 	*front = next
 	return len(sp.meet) > 0
 }
@@ -376,14 +419,15 @@ func (sp *Sampler) expand(sSide bool) bool {
 // side, appending internal vertices to sp.path. When toS is true it walks the
 // s side (appending before x conceptually; caller reverses), otherwise the t
 // side. Predecessors are read from the opposite view of the one the side was
-// grown along (see Sampler). When probed, this side's meeting round was a
-// probe and its frontier still holds x's predecessors.
+// grown along (see Sampler). low is this side's level below x, which holds
+// x's predecessors: the first step reads them off it when that is cheaper
+// than scanning x's arcs.
 //
 //bc:hotpath
-func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
-	g, gt, front, me := sp.bwd, sp.fwd, sp.frontS, 0
+func (sp *Sampler) walk(x, target graph.Node, toS bool, low []graph.Node) {
+	g, gt, me := sp.bwd, sp.fwd, 0
 	if !toS {
-		g, gt, front, me = sp.fwd, sp.bwd, sp.frontT, 1
+		g, gt, me = sp.fwd, sp.bwd, 1
 	}
 	vs, cur := sp.vs, sp.cur
 	v := x
@@ -400,12 +444,12 @@ func (sp *Sampler) walk(x, target graph.Node, toS, probed bool) {
 		// sigma[u]/sigma[v]. sigma[v] equals the sum over predecessors.
 		pick := sp.rng.Float64() * vs[v][me].sig
 		cands := g.Neighbors(v)
-		if probed && len(front)*probeCost < len(cands) {
-			if p := sp.preds(gt, g, !toS, front, v); len(p) > 0 {
+		if len(low)*probeCost < len(cands) {
+			if p := sp.preds(gt, g, !toS, low, v); len(p) > 0 {
 				cands = p
 			}
 		}
-		probed = false
+		low = nil
 		var chosen graph.Node
 		found := false
 		for _, u := range cands {
