@@ -9,11 +9,11 @@ import (
 	"repro/internal/graph"
 )
 
-// FuzzOpen feeds arbitrary bytes to the mapped opener. The contract under
-// test: Open either succeeds on a structurally valid file or returns an
-// error — it must never panic, fault, or over-allocate, whatever the
-// header claims. Successful opens must serve a traversable graph.
-func FuzzOpen(f *testing.F) {
+// addImageSeeds seeds a BCSR v2 decoder fuzzer: a valid image, its
+// truncations, a corrupted adjacency byte, header edits with the CRC fixed
+// up so the checks behind it run, the empty and the edgeless graph, and
+// bytes that are no image at all.
+func addImageSeeds(f *testing.F) {
 	image := func(g *graph.Graph) []byte {
 		var buf bytes.Buffer
 		if err := Write(&buf, g, WriteOptions{}); err != nil {
@@ -31,7 +31,6 @@ func FuzzOpen(f *testing.F) {
 	f.Add(valid[:headerSize])
 	f.Add(valid[:len(valid)/2])
 	f.Add(edit(func(b []byte) { b[pageSize+3] ^= 0xff }))
-	// Header edits with the CRC fixed up, so the checks behind it run.
 	f.Add(edit(func(b []byte) { b[24] |= 1; rewriteCRC(b) })) // the removed compressed variant
 	f.Add(edit(func(b []byte) { b[24] |= 2; rewriteCRC(b) })) // unknown flag
 	f.Add(edit(func(b []byte) { b[72] = 1; rewriteCRC(b) }))  // reserved byte
@@ -42,7 +41,22 @@ func FuzzOpen(f *testing.F) {
 	f.Add(image(graph.FromEdges(10, nil)))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, headerSize))
+}
 
+// traverse slices every adjacency list of an accepted graph: the offsets
+// monotonicity check must bound every Neighbors call.
+func traverse(g *graph.Graph) {
+	for v := 0; v < g.NumNodes(); v++ {
+		_ = g.Neighbors(graph.Node(v))
+	}
+}
+
+// FuzzOpen feeds arbitrary bytes to the mapped opener. The contract under
+// test: Open either succeeds on a structurally valid file or returns an
+// error — it must never panic, fault, or over-allocate, whatever the
+// header claims. Successful opens must serve a traversable graph.
+func FuzzOpen(f *testing.F) {
+	addImageSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.bcsr")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -53,12 +67,21 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer m.Close()
-		// An accepted file must serve safely sliceable adjacency: the
-		// offsets monotonicity check bounds every Neighbors call.
-		mg := m.Graph()
-		for v := 0; v < mg.NumNodes(); v++ {
-			_ = mg.Neighbors(graph.Node(v))
+		traverse(m.Graph())
+	})
+}
+
+// FuzzFromBytes is FuzzOpen's contract over the in-memory decoder, the
+// daemon's upload path: the same header and offsets checks without a file
+// or a mapping per input, so it runs many times more inputs a second.
+func FuzzFromBytes(f *testing.F) {
+	addImageSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := FromBytes(data)
+		if err != nil {
+			return
 		}
+		traverse(g)
 	})
 }
 
