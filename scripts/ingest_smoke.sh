@@ -9,7 +9,27 @@
 #      identity, and the diameter stays at most 2·log2 n). The generator's
 #      heap is asserted against the -mem sort budget: converter memory
 #      must be bounded by -mem (plus the parallel R-MAT stream's few
-#      chunk buffers), not by the edge count.
+#      chunk buffers), not by the edge count. Its heap-sys must stay
+#      under SMOKE_GEN_HEAP_MIB_MAX, by default derived from the -mem
+#      budget M, n = 2^scale vertices, E = ef·n + n - 1 streamed edges
+#      (the R-MAT stream and the -connect tree) and P = GOMAXPROCS
+#      (bytes; R = ⌈16E/M⌉ sorted runs of M/8 arcs, two arcs an edge):
+#        sort buffer    M
+#        radix scratch  R · 0.76^11 · M  one per spill, at most the run's
+#                                        largest top-digit bucket: the arcs
+#                                        leaving 2^-11 of the IDs, (a+b)^11
+#                                        of them on Graph500 R-MAT
+#        run writers    R · 1 MiB        one bufio.Writer per spill
+#        merge readers  1 MiB + 64 KiB   per run read, over every merge
+#                                        pass (one pass while R <= 64)
+#        BCSR writer    8(n+1) + 2 MiB   offsets and two bufio.Writers
+#        stream         P · 1 MiB        2P chunks of 2^16 8-byte edges
+#      The collector's allowance: with GOGC=100 the runtime collects only
+#      once the heap doubles its live size, which the sort buffer alone
+#      puts above all the rest, so each spill's scratch and writer are
+#      summed as if never collected; then 1/8 of the sum for heap-sys's
+#      rounding (the page allocator grows the heap in 4 MiB chunks) and
+#      partly used spans.
 #   2. graphinfo -quick opens the file by mmap and must report an open
 #      latency under SMOKE_OPEN_MS_MAX (default 100ms) with zero-copy
 #      adjacency — the O(1) open criterion.
@@ -19,7 +39,8 @@
 #      Its Go heap (heap-sys) must stay under SMOKE_HEAP_MIB_MAX, by
 #      default derived from the state a one-thread sequential estimate
 #      holds on n vertices and m edges (bytes):
-#        sampler     32n         one bfs.Sampler record per vertex
+#        sampler     32n + n/8   one bfs.Sampler record and one
+#                                frontier-mark bit per vertex
 #        hub matrix  4n + K²/8   bfs.Hubs, K = ⌊√(8m)⌋
 #        estimator   84n         five count frames of 8n (the accumulated
 #                                state, the epoch driver's two, the epoch
@@ -39,7 +60,9 @@
 #   SMOKE_MEM                 converter sort budget (default 256MiB)
 #   SMOKE_MIN_EDGES           generated-edge floor (default 95000000)
 #   SMOKE_OPEN_MS_MAX         mmap open latency bound (default 100)
-#   SMOKE_GEN_HEAP_MIB_MAX    graphgen heap-sys bound (default 1024)
+#   SMOKE_GEN_HEAP_MIB_MAX    graphgen heap-sys bound (default: derived
+#                             from SMOKE_MEM, the size and GOMAXPROCS as
+#                             in step 1)
 #   SMOKE_HEAP_MIB_MAX        bcapprox heap-sys bound (default: derived
 #                             from n and m as in step 3)
 #   SMOKE_RSS_MIB_MAX         bcapprox rss-peak bound (default 4096)
@@ -54,7 +77,6 @@ ef="${SMOKE_EF:-13}"
 mem="${SMOKE_MEM:-256MiB}"
 min_edges="${SMOKE_MIN_EDGES:-95000000}"
 open_ms_max="${SMOKE_OPEN_MS_MAX:-100}"
-gen_heap_max="${SMOKE_GEN_HEAP_MIB_MAX:-1024}"
 rss_max="${SMOKE_RSS_MIB_MAX:-4096}"
 samples="${SMOKE_SAMPLES:-32}"
 
@@ -103,6 +125,25 @@ if [ -z "$edges" ] || [ "$edges" -lt "$min_edges" ]; then
     exit 1
 fi
 echo "ok: $edges edges (floor $min_edges)"
+gen_heap_max="${SMOKE_GEN_HEAP_MIB_MAX:-$(awk -v scale="$scale" -v ef="$ef" \
+    -v mem="$mem" -v procs="${GOMAXPROCS:-$(nproc)}" 'BEGIN {
+    mib = 1048576
+    # -mem as graphgen parses it (memprof.ParseSize): a number with an
+    # optional binary suffix.
+    m = mem + 0
+    if (mem ~ /(G|GB|GiB)$/) m *= 1024 * mib
+    else if (mem ~ /(M|MB|MiB)$/) m *= mib
+    else if (mem ~ /(K|KB|KiB)$/) m *= 1024
+    n = 2 ^ scale
+    e = ef * n + n - 1
+    runs = int((16 * e + m - 1) / m)
+    spills = runs * (0.76 ^ 11 * m + mib)
+    readers = 0
+    for (r = runs; r > 64; r = int((r + 63) / 64)) readers += r + int((r + 63) / 64) # a pass and its writers
+    readers += r
+    sum = m + spills + readers * (mib + 65536) + 8 * (n + 1) + 2 * mib + procs * mib
+    printf "%d", sum * 9 / 8 / mib
+}')}"
 assert_le "graphgen heap-sys MiB (converter bounded by -mem)" \
     "$(mem_mib "$work/gen.out" heap-sys)" "$gen_heap_max"
 
@@ -136,7 +177,7 @@ assert_le "vertex diameter (2·log2 n: the bidirectional kernel runs)" \
     "$(sed -n 's/.*vertex-diameter=\([0-9]*\).*/\1/p' "$work/est.out")" "$((2 * scale))"
 heap_max="${SMOKE_HEAP_MIB_MAX:-$(awk -v n=$((1 << scale)) -v m="$edges" 'BEGIN {
     k = int(sqrt(8 * m)); while (k * k > 8 * m) k--
-    state = 32 * n + 4 * n + k * k / 8 + 84 * n
+    state = 32 * n + n / 8 + 4 * n + k * k / 8 + 84 * n
     adjacency = 8 * (n + 1) + 8 * m
     printf "%d", (state + adjacency / 2) / 1048576
 }')}"
