@@ -32,7 +32,7 @@ import (
 // other frontier, the round probes instead: it marks the other frontier in a
 // per-sampler set of n bits, finds each expanding vertex's arcs into the
 // marked vertices (a scan of its list against the marks, or an arc test per
-// marked vertex when the list is longer than probeCost arcs per marked
+// marked vertex when the list is longer than 2·probeCost arcs per marked
 // vertex) and stamps only those. An arc test between two of the graph's
 // highest-degree vertices reads one bit of the shared Hubs matrix; any other
 // is a binary search. Every meeting vertex lies in the other frontier, so a
@@ -285,7 +285,7 @@ func (sp *Sampler) SamplePath(s, t graph.Node) (internal []graph.Node, ok bool) 
 // ball adjacent to the expanding frontier always sits in the other frontier
 // (else the balls would already have met), so the marked far ends are the
 // ones expand would find met. u's arcs are a scan of its list against the
-// mark, or, when the list is longer than probeCost arcs per marked vertex,
+// mark, or, when the list is longer than 2·probeCost arcs per marked vertex,
 // an arc test per marked vertex. It returns true when it found the meeting
 // set; otherwise it has written nothing. Either way it clears the marks in
 // O(|other frontier|).
@@ -305,7 +305,9 @@ func (sp *Sampler) probe(sSide bool) bool {
 	sp.meet = sp.meet[:0]
 	for _, u := range front {
 		hits := sp.hits[:0]
-		if adj := g.Neighbors(u); len(adj) <= len(other)*probeCost {
+		// An arc test costs probeCost arcs of a scan that tests stamps,
+		// and about twice as many of one that tests marks.
+		if adj := g.Neighbors(u); len(adj) <= 2*len(other)*probeCost {
 			for _, w := range adj {
 				if mark[w/64]&(1<<(w%64)) != 0 {
 					hits = append(hits, w)
