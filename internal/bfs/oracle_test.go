@@ -227,9 +227,10 @@ func rmatLCC(scale int) *graph.Graph {
 // exact samples on the inputs whose shapes matter — power-law graphs from
 // the small-tcp2/daemon size to the social-shm size, a high-diameter
 // lattice, a hub frontier meeting a small other frontier (starsOfStars:
-// three samples in four meet where the probe's gate opens but a probe rule
-// of frontier pairs would not have), a high-diameter lattice of degree 8
-// whose samples open the gate about three times each without meeting
+// three samples in four meet in a probe of two frontiers with more than
+// cost/probeCost vertex pairs, a round only the gate on the other
+// frontier's size lets probe), a high-diameter lattice of degree 8
+// whose samples probe about three times each without meeting
 // (kingLattice), and digraphs, one of them hub-heavy with arcs of mixed
 // orientation.
 func TestProbeMatchesOracle(t *testing.T) {
