@@ -140,33 +140,28 @@ func sampleDigest(sp interface{ Sample() ([]graph.Node, bool) }, count int) uint
 }
 
 // TestSampleDigest pins the production sample stream: the sampleDigest of
-// 10^5 samples from NewSampler(rmatLCC(scale), ..., rng.NewRand(5)). The
+// 10^5 samples from NewSampler(g, ..., rng.NewRand(5)) on rmatLCC(scale)
+// and on a graph of several components, whose stream holds unreachable
+// pairs, balls that die on either side and isolated vertices. The R-MAT
 // values are the expand-and-binary-search kernel's, before the hub matrix
-// and the packed per-vertex record.
+// and the packed per-vertex record; the components value is the
+// expand-and-probe kernel's, before the meeting mark.
 func TestSampleDigest(t *testing.T) {
 	for _, c := range []struct {
-		scale int
+		name  string
+		graph func() *graph.Graph
 		want  uint64
-	}{{12, 0x741a93e5a9153a8a}, {16, 0x4009c0f0f0994a96}} {
-		t.Run(fmt.Sprintf("rmat%d", c.scale), func(t *testing.T) {
-			g := rmatLCC(c.scale)
+	}{
+		{"rmat12", func() *graph.Graph { return rmatLCC(12) }, 0x741a93e5a9153a8a},
+		{"rmat16", func() *graph.Graph { return rmatLCC(16) }, 0x4009c0f0f0994a96},
+		{"components", severalComponents, 0x9c8310ee75b80668},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.graph()
 			if got := sampleDigest(NewSampler(g, NewHubs(g), rng.NewRand(5)), 100_000); got != c.want {
 				t.Fatalf("digest %016x, want %016x", got, c.want)
 			}
 		})
-	}
-}
-
-// TestComponentsSampleDigest pins the stream on a graph of several
-// components, so it holds unreachable pairs, balls that die on either side
-// and isolated vertices: the sampleDigest of 10^5 samples from
-// NewSampler(severalComponents(), ..., rng.NewRand(5)). The value is the
-// expand-and-probe kernel's, before the meeting mark.
-func TestComponentsSampleDigest(t *testing.T) {
-	const want uint64 = 0x9c8310ee75b80668
-	g := severalComponents()
-	if got := sampleDigest(NewSampler(g, NewHubs(g), rng.NewRand(5)), 100_000); got != want {
-		t.Fatalf("digest %016x, want %016x", got, want)
 	}
 }
 

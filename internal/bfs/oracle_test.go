@@ -226,13 +226,9 @@ func rmatLCC(scale int) *graph.Graph {
 // TestProbeMatchesOracle: the probing kernel returns the pre-probe kernel's
 // exact samples on the inputs whose shapes matter — power-law graphs from
 // the small-tcp2/daemon size to the social-shm size, a high-diameter
-// lattice, a hub frontier meeting a small other frontier (starsOfStars:
-// three samples in four meet in a probe of two frontiers with more than
-// cost/probeCost vertex pairs, a round only the gate on the other
-// frontier's size lets probe), a high-diameter lattice of degree 8
-// whose samples probe about three times each without meeting
-// (kingLattice), and digraphs, one of them hub-heavy with arcs of mixed
-// orientation.
+// lattice, a hub frontier meeting a small other frontier (starsOfStars), a
+// high-diameter lattice of degree 8 whose probes mostly miss (kingLattice),
+// and digraphs, one of them hub-heavy with arcs of mixed orientation.
 func TestProbeMatchesOracle(t *testing.T) {
 	for _, scale := range []int{10, 12, 16} {
 		g := rmatLCC(scale)
@@ -291,9 +287,7 @@ func mixedOrientation(g *graph.Graph, seed uint64) *graph.Digraph {
 
 // starsOfStars is a clique of k hubs, each the centre of mid middles, each
 // middle the centre of leaves pendant leaves and joined to one more hub,
-// drawn at random. Between two leaves under different hubs the balls meet
-// where one side's frontier of hubs and leaves scans the hubs' lists, and
-// the other frontier is a middle's few hubs and leaves.
+// drawn at random.
 func starsOfStars(seed uint64, k, mid, leaves int) *graph.Graph {
 	r := rng.NewRand(seed)
 	b := graph.NewBuilder(k + k*mid*(1+leaves))
