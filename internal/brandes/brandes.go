@@ -12,224 +12,167 @@
 //	b(x) = 1/(n(n-1)) * sum over ordered pairs s != t of sigma_st(x)/sigma_st
 //
 // which is exactly the quantity the KADABRA estimator converges to.
+//
+// All three graph kinds run one source-parallel driver (workers take
+// sources off an atomic counter and sum into private score vectors, the
+// scheme of Madduri et al. cited by the paper) over one of two forward
+// searches: a BFS over a CSR out-view, which serves undirected graphs and
+// digraphs alike, and a Dijkstra on a radix heap (pq.Monotone) for weighted
+// graphs, which pulls sigma(v) from v's settled predecessors when v settles
+// and so needs no DecreaseKey. Each search records the source's
+// shortest-path DAG as it goes: per vertex in settle order its DAG
+// neighbours (the successors a BFS scan finds, or the predecessors a
+// Dijkstra settle finds), 4 bytes per DAG arc, and where that group ends, 4
+// bytes per vertex. One backward pass walks the record in reverse settle
+// order to accumulate the dependencies; it re-tests no distance and needs
+// no transpose.
+//
+// The record takes at most one entry per arc a search scans, so it is
+// sized by the arcs of the view and never grows, whatever the CSR holds.
+// Besides its 8n-byte partial scores, a worker holds 28n + 4a bytes for a
+// BFS kind, a the arcs it scans (2m for an undirected graph of m edges; it
+// was 24n when the backward pass rescanned every arc), and 32n + 24m for
+// the weighted kind (the radix heap's slab holds at most m+1 entries of 16
+// bytes; the DecreaseKey heap it replaces took 46n).
 package brandes
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
 // Exact computes normalized betweenness for every vertex sequentially.
-func Exact(g *graph.Graph) []float64 {
-	n := g.NumNodes()
-	scores := make([]float64, n)
-	w := newWorkspace(n)
-	for s := 0; s < n; s++ {
-		w.accumulate(g, graph.Node(s), scores)
-	}
-	normalize(scores, n)
-	return scores
-}
+func Exact(g *graph.Graph) []float64 { return Parallel(g, 1) }
 
 // Parallel computes normalized betweenness using the given number of worker
-// goroutines (<=0 means GOMAXPROCS). Sources are distributed dynamically;
-// each worker accumulates into a private score vector and the vectors are
-// summed at the end, the standard source-parallel scheme of Madduri et al.
-// cited by the paper (§II).
+// goroutines (<=0 means GOMAXPROCS).
 func Parallel(g *graph.Graph, workers int) []float64 {
+	return run(g.NumNodes(), workers, len(g.Adj), func() forward { return newBFS(g.Offsets, g.Adj) })
+}
+
+// ExactDirected computes normalized directed betweenness, the same formula
+// with sigma counting shortest *directed* s->t paths: the BFS expands along
+// out-arcs only.
+func ExactDirected(g *graph.Digraph) []float64 { return ParallelDirected(g, 1) }
+
+// ParallelDirected is the source-parallel variant of ExactDirected.
+func ParallelDirected(g *graph.Digraph, workers int) []float64 {
+	return run(g.NumNodes(), workers, g.NumArcs(), func() forward { return newBFS(g.OutOffsets, g.OutAdj) })
+}
+
+// ExactWeighted computes normalized betweenness on a positively weighted
+// undirected graph: Brandes' algorithm with Dijkstra searches instead of
+// BFS. Path counts follow minimum total weight; integer weights keep the
+// equality tests exact.
+func ExactWeighted(g *graph.WGraph) []float64 { return ParallelWeighted(g, 1) }
+
+// ParallelWeighted is the source-parallel variant of ExactWeighted.
+func ParallelWeighted(g *graph.WGraph, workers int) []float64 {
+	return run(g.NumNodes(), workers, len(g.Adj), func() forward { return newDijkstra(g) })
+}
+
+// run is the one driver: min(workers, n) goroutines (<=0 means GOMAXPROCS)
+// take sources off a shared counter, each with its own forward search, DAG
+// record and partial score vector, and the partials are summed and
+// normalized at the end. arcs is the number of arcs a search scans.
+func run(n, workers, arcs int, newForward func() forward) []float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := g.NumNodes()
-	if workers > n {
-		workers = n
+	workers = max(min(workers, n), 1)
+	if arcs >= math.MaxUint32 { // the record's group ends are 32-bit
+		panic("brandes: graph too large for exact betweenness")
 	}
-	if workers <= 1 {
-		return Exact(g)
-	}
-	var next int64
+	var next atomic.Int64
 	partials := make([][]float64, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	cursor := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		v := next
-		next++
-		return int(v)
+	work := func(i int) {
+		f, d, scores := newForward(), newDAG(n, arcs), make([]float64, n)
+		for s := next.Add(1) - 1; s < int64(n); s = next.Add(1) - 1 {
+			f.search(graph.Node(s), d)
+			d.accumulate(scores)
+		}
+		partials[i] = scores
 	}
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for i := range workers {
 		wg.Add(1)
-		go func(idx int) {
+		go func() {
 			defer wg.Done()
-			ws := newWorkspace(n)
-			scores := make([]float64, n)
-			for {
-				s := cursor()
-				if s >= n {
-					break
-				}
-				ws.accumulate(g, graph.Node(s), scores)
-			}
-			partials[idx] = scores
-		}(w)
+			work(i)
+		}()
 	}
 	wg.Wait()
-	scores := make([]float64, n)
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
+	scores := partials[0]
+	for _, p := range partials[1:] {
 		for i, v := range p {
 			scores[i] += v
 		}
 	}
-	normalize(scores, n)
+	if n >= 2 {
+		inv := 1 / (float64(n) * float64(n-1))
+		for i := range scores {
+			scores[i] *= inv
+		}
+	}
 	return scores
-}
-
-func normalize(scores []float64, n int) {
-	if n < 2 {
-		return
-	}
-	inv := 1 / (float64(n) * float64(n-1))
-	for i := range scores {
-		scores[i] *= inv
-	}
-}
-
-// workspace holds the per-source BFS and accumulation state of Brandes'
-// algorithm, reused across sources.
-type workspace struct {
-	dist  []int32
-	sigma []float64
-	delta []float64
-	order []graph.Node
-}
-
-func newWorkspace(n int) *workspace {
-	return &workspace{
-		dist:  make([]int32, n),
-		sigma: make([]float64, n),
-		delta: make([]float64, n),
-		order: make([]graph.Node, 0, n),
-	}
-}
-
-// accumulate runs one augmented BFS from s and adds the (unnormalized,
-// ordered-pair) dependencies to scores. This is the textbook Brandes
-// recursion: delta(v) = sum over successors w of sigma(v)/sigma(w) * (1 + delta(w)),
-// evaluated bottom-up over the BFS DAG; each source contributes
-// delta_s(v) = sum over t of sigma_st(v)/sigma_st.
-func (w *workspace) accumulate(g *graph.Graph, s graph.Node, scores []float64) {
-	n := g.NumNodes()
-	for i := 0; i < n; i++ {
-		w.dist[i] = -1
-		w.sigma[i] = 0
-		w.delta[i] = 0
-	}
-	w.order = w.order[:0]
-	w.dist[s] = 0
-	w.sigma[s] = 1
-	w.order = append(w.order, s)
-	for head := 0; head < len(w.order); head++ {
-		v := w.order[head]
-		dv := w.dist[v]
-		sv := w.sigma[v]
-		for _, u := range g.Neighbors(v) {
-			if w.dist[u] < 0 {
-				w.dist[u] = dv + 1
-				w.order = append(w.order, u)
-			}
-			if w.dist[u] == dv+1 {
-				w.sigma[u] += sv
-			}
-		}
-	}
-	// Dependency accumulation in reverse BFS order.
-	for i := len(w.order) - 1; i > 0; i-- {
-		v := w.order[i]
-		coeff := (1 + w.delta[v]) / w.sigma[v]
-		dv := w.dist[v]
-		for _, u := range g.Neighbors(v) {
-			if w.dist[u] == dv-1 {
-				w.delta[u] += w.sigma[u] * coeff
-			}
-		}
-		scores[v] += w.delta[v]
-	}
 }
 
 // TopK returns the indices of the k highest-scoring vertices in descending
 // score order (ties broken by vertex ID). It is the helper behind the
 // "identify the most central vertices" use case the paper's introduction
 // motivates (finding the few vertices with betweenness above eps).
+//
+// It keeps the best k seen so far in a heap whose root is the worst of
+// them, so it takes O(n log k) time and allocates only the k-element result.
 func TopK(scores []float64, k int) []graph.Node {
-	n := len(scores)
-	if k > n {
-		k = n
+	k = max(min(k, len(scores)), 0)
+	// before reports whether a ranks ahead of b.
+	before := func(a, b graph.Node) bool {
+		return scores[a] > scores[b] || (scores[a] == scores[b] && a < b)
 	}
-	idx := make([]graph.Node, n)
-	for i := range idx {
-		idx[i] = graph.Node(i)
-	}
-	// Partial selection sort is fine for small k; use full sort otherwise.
-	if k < 64 {
-		for i := 0; i < k; i++ {
-			best := i
-			for j := i + 1; j < n; j++ {
-				if scores[idx[j]] > scores[idx[best]] ||
-					(scores[idx[j]] == scores[idx[best]] && idx[j] < idx[best]) {
-					best = j
-				}
-			}
-			idx[i], idx[best] = idx[best], idx[i]
-		}
-		return idx[:k]
-	}
-	sortByScore(idx, scores)
-	return idx[:k]
-}
-
-func sortByScore(idx []graph.Node, scores []float64) {
-	// Simple heapsort to avoid pulling in sort for a hot path; n log n.
-	less := func(a, b graph.Node) bool {
-		if scores[a] != scores[b] {
-			return scores[a] > scores[b]
-		}
-		return a < b
-	}
-	var down func(i, n int)
-	down = func(i, n int) {
+	top := make([]graph.Node, 0, k)
+	down := func(i int) {
 		for {
-			l := 2*i + 1
-			if l >= n {
+			j := 2*i + 1
+			if j >= len(top) {
 				return
 			}
-			j := l
-			if r := l + 1; r < n && less(idx[r], idx[l]) {
+			if r := j + 1; r < len(top) && before(top[j], top[r]) {
 				j = r
 			}
-			if !less(idx[j], idx[i]) {
+			if !before(top[i], top[j]) {
 				return
 			}
-			idx[i], idx[j] = idx[j], idx[i]
+			top[i], top[j] = top[j], top[i]
 			i = j
 		}
 	}
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		down(i, n)
+	for i := range scores {
+		v := graph.Node(i)
+		switch {
+		case len(top) < k:
+			top = append(top, v)
+			for j := len(top) - 1; j > 0 && before(top[(j-1)/2], top[j]); j = (j - 1) / 2 {
+				top[j], top[(j-1)/2] = top[(j-1)/2], top[j]
+			}
+		case k > 0 && before(v, top[0]):
+			top[0] = v
+			down(0)
+		}
 	}
-	for i := n - 1; i > 0; i-- {
-		idx[0], idx[i] = idx[i], idx[0]
-		down(0, i)
-	}
-	// heapsort with "less = greater-score-first" yields ascending by that
-	// comparator reversed; reverse to get descending scores first.
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		idx[i], idx[j] = idx[j], idx[i]
-	}
+	slices.SortFunc(top, func(a, b graph.Node) int {
+		switch {
+		case a == b:
+			return 0
+		case before(a, b):
+			return -1
+		}
+		return 1
+	})
+	return top
 }

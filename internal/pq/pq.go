@@ -1,10 +1,11 @@
-// Package pq provides the two priority queues behind the weighted
-// (Dijkstra-based) shortest-path machinery, both keyed by uint64 priorities
-// over uint32 items. Heap is an indexed binary min-heap whose DecreaseKey is
-// O(log n) via the position index, which plain container/heap cannot offer
-// without an extra map; the exact Brandes reference uses it. Monotone is a
-// radix heap for callers whose keys never fall below the last one popped;
-// the sampling kernel uses one per search direction.
+// Package pq provides two priority queues keyed by uint64 priorities over
+// uint32 items. Monotone is a radix heap for callers whose keys never fall
+// below the last one popped: the weighted sampling kernel uses one per
+// search direction, and the exact Brandes reference one per worker. Heap is
+// an indexed binary min-heap whose DecreaseKey is O(log n) via the position
+// index, which plain container/heap cannot offer without an extra map. No
+// search uses it any more; its last caller is the benchmark's
+// pq.pushpop_ns probe, and it goes once that probe times Monotone instead.
 package pq
 
 // Heap is an indexed min-heap. Items are vertex IDs in [0, n); each item
