@@ -99,6 +99,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -445,14 +446,40 @@ func writeCheckpoint(est *betweenness.Estimator, path string) error {
 	return writeBlob(path, buf.Bytes())
 }
 
-// writeBlob atomically replaces path with the given bytes (temp file plus
-// rename): a sealed checkpoint, from Checkpoint or from the periodic sink.
+// writeBlob atomically and durably replaces path with the given bytes: a
+// sealed checkpoint, from Checkpoint or from the periodic sink. The temp
+// file is fsynced before the rename and the directory after it, so a
+// machine crash leaves the old checkpoint or the new one; a failed write
+// removes the temp file.
 func writeBlob(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func fatal(err error) {

@@ -120,10 +120,6 @@ func AddConcurrently(b *Builder, m, workers int, produce func(lo, hi int, s *Edg
 	b.keys = b.keys[:end]
 }
 
-// NumPendingEdges reports how many edges (including duplicates) have been
-// added so far. Useful for generators that target an edge budget.
-func (b *Builder) NumPendingEdges() int { return len(b.keys) }
-
 // Build produces the CSR graph, deduplicating edges. The builder keeps the
 // sorted, deduplicated keys, so more edges may be added and Build called
 // again.

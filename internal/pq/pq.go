@@ -42,9 +42,6 @@ func (h *Heap) Reset() {
 // Contains reports whether item is queued.
 func (h *Heap) Contains(item uint32) bool { return h.pos[item] >= 0 }
 
-// Priority returns the current priority of a queued item.
-func (h *Heap) Priority(item uint32) uint64 { return h.prio[item] }
-
 // Push inserts item with the given priority; it panics if already present.
 func (h *Heap) Push(item uint32, priority uint64) {
 	if h.pos[item] >= 0 {

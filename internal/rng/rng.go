@@ -24,7 +24,6 @@ package rng
 
 import (
 	"errors"
-	"math"
 	"math/bits"
 )
 
@@ -160,30 +159,6 @@ func (r *Rand) Float64s(dst []float64) {
 		dst[i] = float64(int64(out>>11)) / (1 << 53)
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1,
-// via inversion. Useful for synthetic timing models.
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	// Guard against log(0).
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -math.Log(1 - u)
-}
-
-// NormFloat64 returns a standard normally distributed float64 using the
-// Marsaglia polar method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Perm fills p with a uniform random permutation of [0, len(p)).

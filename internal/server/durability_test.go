@@ -586,77 +586,6 @@ func TestWatchdogInterruptsRun(t *testing.T) {
 	}
 }
 
-// TestShrinkOrDegrade pins the degradation ladder arithmetic.
-func TestShrinkOrDegrade(t *testing.T) {
-	p := sessionParams{Backend: "dist", Procs: 4}
-	p, note, ok := shrinkOrDegrade(p)
-	if !ok || p.Procs != 3 || p.Backend != "dist" || !strings.Contains(note, "3 ranks") {
-		t.Fatalf("shrink from 4: %+v, %q, %v", p, note, ok)
-	}
-	p, _, ok = shrinkOrDegrade(p)
-	if !ok || p.Procs != 2 {
-		t.Fatalf("shrink from 3: %+v", p)
-	}
-	p, note, ok = shrinkOrDegrade(p)
-	if !ok || p.Backend != "shm" || p.Procs != 0 || !strings.Contains(note, "shared-memory") {
-		t.Fatalf("degrade from 2: %+v, %q", p, note)
-	}
-	if _, _, ok := shrinkOrDegrade(p); ok {
-		t.Fatal("shm params reported degradable")
-	}
-	if _, _, ok := shrinkOrDegrade(sessionParams{Backend: "seq"}); ok {
-		t.Fatal("seq params reported degradable")
-	}
-}
-
-// TestDistDeathClassification pins what the recovery ladder treats as a
-// retryable distributed fatality.
-func TestDistDeathClassification(t *testing.T) {
-	if !isDistDeath(fmt.Errorf("run: %w", betweenness.ErrCoordinatorLost)) {
-		t.Error("wrapped coordinator loss not classified as dist death")
-	}
-	if isDistDeath(errors.New("plain failure")) {
-		t.Error("plain error classified as dist death")
-	}
-	if isDistDeath(context.Canceled) {
-		t.Error("cancellation classified as dist death")
-	}
-}
-
-// TestDistRecoveryRebuild drives the ladder's rebuild step directly: a
-// dist session rebuilt onto shm params runs to convergence on the new
-// backend, with the swap surfaced in the session status.
-func TestDistRecoveryRebuild(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	name := uploadGraph(t, ts.URL, "g", testGraphBytes(t))
-	id := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.1, "seed": 5, "backend": "dist", "procs": 2})
-
-	srv.mu.Lock()
-	s := srv.sessions[id]
-	srv.mu.Unlock()
-
-	p, note, ok := shrinkOrDegrade(s.currentParams())
-	if !ok {
-		t.Fatal("dist session not degradable")
-	}
-	s.noteDegraded(note)
-	if err := s.rebuild(p); err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
-
-	do(t, "POST", ts.URL+"/sessions/"+id+"/run", nil)
-	status := waitIdle(t, ts.URL, id)
-	if status["converged"] != true {
-		t.Fatalf("rebuilt session did not converge: %v", status)
-	}
-	if status["backend"] != "shm" {
-		t.Fatalf("rebuilt session backend = %v, want shm", status["backend"])
-	}
-	if deg, _ := status["degraded"].(string); !strings.Contains(deg, "shared-memory") {
-		t.Fatalf("degradation not surfaced: %v", status)
-	}
-}
-
 // TestDistCheckpointRestoresUniform restores a distributed checkpoint of a
 // session that names top_k: it comes back as the dist session it was —
 // same backend, same params, no degraded note — under the uniform rule it
@@ -693,11 +622,11 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, tau := s.currentParams(), s.estimator().Snapshot().Tau; got != p || s.degraded != "" || tau == 0 {
+	if got, tau := s.params, s.est.Snapshot().Tau; got != p || s.degraded != "" || tau == 0 {
 		t.Fatalf("restored dist session params %+v, degraded %q, tau %d; want it back as created, samples held",
 			got, s.degraded, tau)
 	}
-	res, err := s.estimator().Run(context.Background())
+	res, err := s.est.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func (srv *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 // snapshot (live mid-run to within one epoch — the progress hook keeps it
 // fresh).
 func (srv *Server) sessionJSON(s *session) map[string]any {
-	snap := s.estimator().Snapshot()
+	snap := s.est.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := map[string]any{
@@ -537,7 +537,7 @@ func (srv *Server) handleSessionEstimates(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	snap := s.estimator().Snapshot()
+	snap := s.est.Snapshot()
 	if snap.Estimates == nil {
 		writeError(w, http.StatusConflict, errors.New("no estimates yet: run the session first"))
 		return

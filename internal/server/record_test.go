@@ -20,7 +20,8 @@ import (
 //	s3 seq, no samples
 //	s4 dist, converged, checkpointed, its metadata naming the removed alg1
 //	   backend
-//	s5 a dist session the rank-death ladder rebuilt onto shm, no samples
+//	s5 a dist session an older build's rank-death ladder rebuilt onto
+//	   shm, no samples
 const legacyDir = "testdata/legacy"
 
 // legacySessions is what the daemon that wrote legacyDir loaded from it.
@@ -338,7 +339,7 @@ func TestOneRecordWritePerEvent(t *testing.T) {
 	srv.mu.Lock()
 	s := srv.sessions[long]
 	srv.mu.Unlock()
-	s.estimator().RequestCheckpoint()
+	s.est.RequestCheckpoint()
 	for {
 		if _, state := readRecord(t, dataDir, long); state != nil {
 			break

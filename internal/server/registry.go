@@ -32,8 +32,8 @@ type graphEntry struct {
 	// und is an atomic pointer because it is the one graph field rewritten
 	// after registration: persistGraph swaps the upload's heap CSR for the
 	// mmap of the persisted BCSR v2 file, while sessions may concurrently
-	// read it (buildSession, rebuild) without holding srv.mu. Both values
-	// are immutable, so the pointer swap is the only synchronization needed.
+	// read it (buildSession) without holding srv.mu. Both values are
+	// immutable, so the pointer swap is the only synchronization needed.
 	und atomic.Pointer[graph.Graph]
 	dig *graph.Digraph
 	wgt *graph.WGraph

@@ -32,11 +32,8 @@
 //     writes aside, rehydration CRC-verifies the records, and damage is
 //     quarantined under <data>/quarantine/ (the session restarts fresh)
 //     instead of keeping the daemon down.
-//   - Runs are watchdogged (RunTimeout) — expiry interrupts the run and
-//     keeps the session resumable — and distributed-backend runs that die
-//     of rank death retry with exponential backoff on a shrunken world,
-//     then degrade to the shared-memory backend, with the degradation
-//     surfaced in session status rather than a bare 500.
+//   - Runs are watchdogged (RunTimeout): expiry interrupts the run and
+//     keeps the session resumable.
 //   - Undirected uploads persist as BCSR v2 and are served by mmap: once
 //     the graph file is durable, the registry entry swaps its heap CSR
 //     for a mapping of the persisted bytes (graph.OpenMapped), so every
@@ -231,7 +228,7 @@ func (srv *Server) checkpointPass() {
 		running := s.state == stateRunning
 		s.mu.Unlock()
 		if running {
-			s.estimator().RequestCheckpoint()
+			s.est.RequestCheckpoint()
 		}
 	}
 }

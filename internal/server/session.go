@@ -151,11 +151,11 @@ type session struct {
 	runCtx context.Context
 	cancel context.CancelFunc
 
-	mu sync.Mutex
-	// est is replaced only by the distributed-failure recovery ladder
-	// (rebuild), which runs on the op goroutine while the session is
-	// formally running — everyone else reads it through estimator().
-	est       *betweenness.Estimator
+	// est is fixed at buildSession. Its methods are safe for concurrent
+	// use, so it is read without s.mu.
+	est *betweenness.Estimator
+
+	mu        sync.Mutex
 	params    sessionParams
 	state     string
 	result    *betweenness.Result
@@ -171,10 +171,10 @@ type session struct {
 	// completed operation converged and nothing has sampled since (see
 	// sessionMeta.StateConverged).
 	stateConverged bool
-	// degraded, when non-empty, records that the session no longer runs
-	// exactly as requested: a distributed world shrank or fell back to the
-	// shared-memory backend after rank deaths, or a restart found its
-	// checkpoint unusable and began again from zero samples.
+	// degraded, when non-empty, records that a restart found the
+	// session's checkpoint unusable and began again from zero samples (a
+	// record written by an older build may carry another note; it is
+	// kept as read).
 	degraded string
 	// saved and savedTau are what the session's record on disk holds (-1:
 	// an in-run capture's tau), used to skip no-op writes at the end of an
@@ -184,26 +184,10 @@ type session struct {
 	subs     map[chan []byte]struct{}
 }
 
-// estimator returns the session's current estimator. The pointer is stable
-// for the duration of any one operation; it changes only when the recovery
-// ladder rebuilds the session between attempts.
-func (s *session) estimator() *betweenness.Estimator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.est
-}
-
 // metaLocked is the session's record section. Callers hold s.mu.
 func (s *session) metaLocked() sessionMeta {
 	return sessionMeta{ID: s.id, Params: s.params, Converged: s.converged, Cached: s.cached,
 		StateConverged: s.stateConverged, Degraded: s.degraded}
-}
-
-// currentParams returns a copy of the session params.
-func (s *session) currentParams() sessionParams {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.params
 }
 
 // refineSpec carries a validated refine request from the handler to the
@@ -286,8 +270,8 @@ func (s *session) start(kind opKind, spec refineSpec) error {
 }
 
 // execute is the run goroutine: cache fast path, worker-slot admission,
-// the estimator call (watchdogged, with distributed-failure recovery),
-// then cache/result/record/state bookkeeping.
+// the watchdogged estimator call, then cache/result/record/state
+// bookkeeping.
 func (s *session) execute(kind opKind, spec refineSpec) {
 	defer s.srv.wg.Done()
 
@@ -328,14 +312,14 @@ func (s *session) execute(kind opKind, spec refineSpec) {
 	var err error
 	switch kind {
 	case opRefine:
-		res, err = s.estimator().Refine(ctx, spec.opts...)
+		res, err = s.est.Refine(ctx, spec.opts...)
 		if err == nil && spec.apply != nil {
 			s.mu.Lock()
 			spec.apply(&s.params)
 			s.mu.Unlock()
 		}
 	default:
-		res, err = s.runRecovering(ctx)
+		res, err = s.est.Run(ctx)
 	}
 	cancelWatchdog()
 	if err == nil {
@@ -357,106 +341,6 @@ func (s *session) cacheResult(res *betweenness.Result) {
 	if certified == (res.Lower != nil) {
 		s.srv.cache.put(key, res)
 	}
-}
-
-// Recovery-ladder tuning: first retry after distRetryBase, doubling per
-// attempt, at most distRetryAttempts rebuilds (enough to walk procs down
-// and land on shm for typical worlds).
-const (
-	distRetryBase     = 250 * time.Millisecond
-	distRetryAttempts = 4
-)
-
-// runRecovering executes a Run, and — for the distributed backends — walks
-// the degradation ladder when the run dies of a rank death the in-run
-// shrink-and-recalibrate recovery could not absorb: retry with exponential
-// backoff on a world one rank smaller, and once the world is minimal,
-// degrade to the shared-memory backend. Each step is recorded in the
-// session's degraded note and surfaced in its status instead of a bare
-// run error.
-func (s *session) runRecovering(ctx context.Context) (*betweenness.Result, error) {
-	res, err := s.estimator().Run(ctx)
-	backoff := distRetryBase
-	for attempt := 0; attempt < distRetryAttempts; attempt++ {
-		if err == nil || !isDistDeath(err) || ctx.Err() != nil {
-			return res, err
-		}
-		p, note, ok := shrinkOrDegrade(s.currentParams())
-		if !ok {
-			return res, err
-		}
-		s.noteDegraded(fmt.Sprintf("%s after %v", note, err))
-		if rerr := s.rebuild(p); rerr != nil {
-			return nil, fmt.Errorf("%v; rebuilding session to retry: %w", err, rerr)
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		backoff *= 2
-		res, err = s.estimator().Run(ctx)
-	}
-	return res, err
-}
-
-// isDistDeath reports whether err is a distributed-run fatality worth
-// retrying on a reconfigured backend.
-func isDistDeath(err error) bool {
-	return betweenness.IsRankDeath(err) || errors.Is(err, betweenness.ErrCoordinatorLost)
-}
-
-// shrinkOrDegrade computes the next rung of the degradation ladder for
-// params whose run just died of a rank death: shrink the world by one rank
-// while more than two remain, then fall back to the shared-memory backend.
-// ok is false when the params are not degradable (already single-process).
-func shrinkOrDegrade(p sessionParams) (next sessionParams, note string, ok bool) {
-	if p.Backend != "dist" {
-		return p, "", false
-	}
-	if p.Procs > 2 {
-		p.Procs--
-		return p, fmt.Sprintf("retrying on a shrunken world of %d ranks", p.Procs), true
-	}
-	p.Backend, p.Procs = "shm", 0
-	return p, "degraded from the distributed backend to shared-memory", true
-}
-
-// rebuild replaces the session's estimator with one built for the new
-// params. It runs on the op goroutine while the session is formally
-// running, so no other operation can observe the swap mid-flight. The
-// ladder still restarts fresh: the failed estimator's rank-0 state holds
-// every sample folded before the death, and the swap abandons them (the
-// session's record is rewritten without a state) — carrying that state
-// down the ladder is a ROADMAP follow-up.
-func (s *session) rebuild(p sessionParams) error {
-	opts, err := p.options(s.progress)
-	if err != nil {
-		return err
-	}
-	est, err := betweenness.NewEstimator(s.g.workload(), opts...)
-	if err != nil {
-		return err
-	}
-	s.srv.wireCheckpointSink(s, est)
-	s.mu.Lock()
-	s.params = p
-	s.est = est
-	s.stateConverged = false
-	s.mu.Unlock()
-	if err := s.srv.persistSession(s, nil); err != nil {
-		s.srv.cfg.Logf("warning: persisting session %s: %v", s.id, err)
-	}
-	return nil
-}
-
-// noteDegraded records (and broadcasts) a degradation step.
-func (s *session) noteDegraded(note string) {
-	s.srv.cfg.Logf("session %s: %s", s.id, note)
-	s.mu.Lock()
-	s.degraded = note
-	s.broadcastLocked("degraded", map[string]string{"degraded": note})
-	s.mu.Unlock()
 }
 
 // setState transitions the op state and notifies subscribers.

@@ -33,11 +33,10 @@ import (
 // Graphs persist at registration. A session's record is rewritten whole,
 // in one write, at creation, at the end of every run or refine that changed
 // it, every CheckpointInterval during a run (via the estimator's in-run
-// capture hook), when the recovery ladder rebuilds the session, and by
-// Drain — so what a session reports and the samples it holds never
-// disagree on disk. The startup recovery scan (recovery.go) CRC-verifies
-// what it finds and quarantines damage instead of failing, so a daemon
-// that died uncleanly always comes back up.
+// capture hook), and by Drain — so what a session reports and the samples
+// it holds never disagree on disk. The startup recovery scan (recovery.go)
+// CRC-verifies what it finds and quarantines damage instead of failing, so
+// a daemon that died uncleanly always comes back up.
 //
 // A session record is
 //
@@ -83,9 +82,8 @@ type sessionMeta struct {
 	// whose own samples may be partial, and a record migrated from the old
 	// layout may pair a converged flag with a later, partial capture.
 	StateConverged bool `json:"state_converged,omitempty"`
-	// Degraded carries the session's degradation note (a dist world that
-	// shrank or fell back to shm, a checkpoint restored cross-engine)
-	// across restarts.
+	// Degraded carries the session's degradation note (a checkpoint
+	// quarantined at startup) across restarts.
 	Degraded string `json:"degraded,omitempty"`
 }
 
@@ -283,10 +281,9 @@ func (srv *Server) persistSession(s *session, payload []byte) error {
 	if err := os.MkdirAll(srv.sessionsDir(), 0o755); err != nil {
 		return err
 	}
-	est := s.estimator()
 	tau := int64(-1) // unknown: an in-run capture is not the snapshot's tau
 	if payload == nil {
-		tau = est.Snapshot().Tau
+		tau = s.est.Snapshot().Tau
 	}
 	s.mu.Lock()
 	meta := s.metaLocked()
@@ -303,7 +300,7 @@ func (srv *Server) persistSession(s *session, payload []byte) error {
 		case payload != nil:
 			_, err = w.Write(payload)
 		case tau > 0:
-			err = est.Checkpoint(w)
+			err = s.est.Checkpoint(w)
 		}
 		return err
 	})
@@ -340,7 +337,7 @@ func (srv *Server) persistAfterOp(s *session) {
 	if srv.cfg.DataDir == "" || !srv.sessionLive(s) {
 		return
 	}
-	tau := s.estimator().Snapshot().Tau
+	tau := s.est.Snapshot().Tau
 	s.mu.Lock()
 	unchanged := s.metaLocked() == s.saved && tau == s.savedTau
 	s.mu.Unlock()
