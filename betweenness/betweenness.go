@@ -23,7 +23,7 @@
 // rank stops the whole world; the other ranks return ErrRemoteCancelled.
 // The diameter phase is the one non-interruptible stretch; a Workload runs
 // it once, on its first estimate, and every later estimate on the same
-// Workload value reuses the bound (WithVertexDiameter skips it outright).
+// Workload value reuses the bound.
 //
 // Directed and weighted graphs are first-class workloads (the paper's
 // footnote 1): the Undirected, Directed, and Weighted constructors produce

@@ -21,8 +21,7 @@ import (
 // resolution and before the backend starts. Cancelling ctx stops the
 // sampling loops within one epoch and returns ctx.Err(). The diameter
 // phase (phase 1) is not interruptible; it runs once per Workload value,
-// so reuse the Workload across estimates, or skip the phase with
-// WithVertexDiameter.
+// so reuse the Workload across estimates.
 //
 // Estimate is one NewEstimator followed by one Run. Keep the Estimator
 // instead when you want to refine, poll, budget incrementally, or

@@ -65,7 +65,6 @@ func TestOptionValidation(t *testing.T) {
 		"threads negative":  WithThreads(-1),
 		"topk zero":         WithTopK(0),
 		"hierarchical zero": WithHierarchical(0),
-		"vd zero":           WithVertexDiameter(0),
 		"zero executor":     WithExecutor(Executor{}),
 	}
 	for name, opt := range bad {

@@ -364,45 +364,39 @@ func TestWeightedTopKCertified(t *testing.T) {
 }
 
 // TestDiameterPhaseKnobs pins the phase-1 plumbing through the workload
-// abstraction: a Workload resolves its bound once, so a second estimate on
-// the same value skips the phase, and the explicit vertex-diameter override
-// bypasses the phase on the directed and weighted paths.
+// abstraction: on every workload kind a Workload resolves its bound once,
+// so a second estimate on the same value skips the phase and reuses the
+// bound.
 func TestDiameterPhaseKnobs(t *testing.T) {
 	g := testGraph(t)
-	w := Undirected(g)
 	const eps = 0.05
-	for run := range 2 {
-		res, err := Estimate(context.Background(), w,
-			WithEpsilon(eps), WithSeed(3+uint64(run)), WithExecutor(Sequential()))
-		if err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		name string
+		w    Workload
+		exec Executor
+	}{
+		{"undirected", Undirected(g), Sequential()},
+		{"directed", Directed(directedCycle(30)), Sequential()},
+		{"weighted", Weighted(weightedGrid(t, 4, 4, 3)), SharedMemory()},
+	}
+	for _, c := range cases {
+		var first int
+		for run := range 2 {
+			res, err := Estimate(context.Background(), c.w,
+				WithEpsilon(eps), WithSeed(3+uint64(run)), WithExecutor(c.exec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = res.VertexDiameter
+			} else if res.Timings.Diameter != 0 || res.VertexDiameter != first {
+				t.Errorf("%s: run %d on the same workload ran the diameter phase again (%v, vd %d -> %d)",
+					c.name, run, res.Timings.Diameter, first, res.VertexDiameter)
+			}
 		}
-		if want := graph.VertexDiameter(g); res.VertexDiameter != want {
-			t.Errorf("run %d: vd = %d, want the exact %d", run, res.VertexDiameter, want)
+		if c.name == "undirected" && first != graph.VertexDiameter(g) {
+			t.Errorf("undirected: vd = %d, want the exact %d", first, graph.VertexDiameter(g))
 		}
-		if run > 0 && res.Timings.Diameter != 0 {
-			t.Errorf("run %d on the same workload ran the diameter phase again (%v)", run, res.Timings.Diameter)
-		}
-	}
-
-	dg := directedCycle(30)
-	dres, err := Estimate(context.Background(), Directed(dg),
-		WithEpsilon(eps), WithSeed(3), WithVertexDiameter(31), WithExecutor(Sequential()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.VertexDiameter != 31 {
-		t.Errorf("directed vertex-diameter override ignored: got %d, want 31", dres.VertexDiameter)
-	}
-
-	wg := weightedGrid(t, 4, 4, 3)
-	wres, err := Estimate(context.Background(), Weighted(wg),
-		WithEpsilon(eps), WithSeed(3), WithVertexDiameter(9), WithExecutor(SharedMemory()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.VertexDiameter != 9 {
-		t.Errorf("weighted vertex-diameter override ignored: got %d, want 9", wres.VertexDiameter)
 	}
 }
 

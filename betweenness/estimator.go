@@ -258,8 +258,6 @@ func (e *Estimator) refineGuard(ns settings) error {
 		return reject("seed")
 	case ns.Threads != old.Threads:
 		return reject("thread count")
-	case ns.VertexDiameter != old.VertexDiameter:
-		return reject("vertex diameter")
 	case ns.exec != old.exec:
 		return reject("executor")
 	}

@@ -54,22 +54,10 @@ var ErrRemoteCancelled = core.ErrRemoteCancelled
 // ErrCoordinatorLost reports that a distributed run's world rank 0 died —
 // the one failure the in-run shrink-and-recalibrate recovery cannot absorb —
 // or gave the run up on another rank's death before the sampling epochs.
-// Test with errors.Is. Callers holding a distributed checkpoint (see
-// WithDistCheckpoint) can resume from it; otherwise the run must restart,
-// ideally on a smaller world or a single-process backend.
+// Test with errors.Is. The one recovery path is a WithDistCheckpoint
+// capture: RestoreEstimator resumes it on a world of the same shape.
+// Without one, the run starts over.
 var ErrCoordinatorLost = core.ErrCoordinatorLost
-
-// IsRankDeath reports whether err was caused by the death of an MPI/TCP
-// rank (a crashed process, a silent peer past its liveness timeout, or a
-// connection torn mid-operation). Most rank deaths are absorbed in-run by
-// the shrink-and-recalibrate recovery; one that surfaces from Run means the
-// world could not reconfigure around it — like ErrCoordinatorLost, the
-// caller's options are retrying on a smaller world or degrading to a
-// single-process backend.
-func IsRankDeath(err error) bool {
-	_, ok := mpi.AsRankDead(err)
-	return ok
-}
 
 // Sequential returns the single-threaded reference backend: Algorithm 2 on
 // a one-rank world with one thread — the SharedMemory backend's schedule

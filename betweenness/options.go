@@ -32,7 +32,7 @@ type settings struct {
 	// Progress, when non-nil, receives a Snapshot after every epoch.
 	Progress func(Snapshot)
 	// VertexDiameter, when positive, skips the diameter phase and uses
-	// the given value.
+	// the given value: a restored session's recorded bound.
 	VertexDiameter int
 	// MaxSamples, when positive, is an absolute sampling budget: the run
 	// stops once tau reaches it, reporting the achieved guarantee (see
@@ -176,18 +176,6 @@ func WithHierarchical(ranksPerNode int) Option {
 func WithProgress(fn func(Snapshot)) Option {
 	return func(s *settings) error {
 		s.Progress = fn
-		return nil
-	}
-}
-
-// WithVertexDiameter skips the diameter phase and uses the given value —
-// useful when the caller has already computed it.
-func WithVertexDiameter(vd int) Option {
-	return func(s *settings) error {
-		if vd < 1 {
-			return fmt.Errorf("betweenness: vertex diameter must be >= 1, got %d", vd)
-		}
-		s.VertexDiameter = vd
 		return nil
 	}
 }

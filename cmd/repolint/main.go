@@ -1,10 +1,16 @@
 // Repolint runs the repo's custom static-analysis suite (internal/analysis):
-// epochframe, hotpathalloc, rankdead, ctxleak, layerimport.
+// ctxleak, deadexport, epochframe, hotpathalloc, layerimport, mmapsafe,
+// rankdead.
 //
 // Two modes share one binary:
 //
 //	repolint ./...              # standalone: load, analyze, print findings
 //	go vet -vettool=repolint .  # unitchecker: driven by the go command
+//
+// The vet protocol hands the tool one package at a time, so deadexport,
+// which needs the whole module (and the nested bench/ module, which the
+// standalone loader adds), runs only standalone over ./.... Every analyzer
+// always runs: there is no switch to turn one off.
 //
 // Standalone mode exits 0 on a clean tree, 1 with findings (one per line,
 // "file:line:col: message (analyzer)"), 2 on a load or internal error —
@@ -36,11 +42,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	printPath := flag.Bool("print-path", false, "print the path of this executable (for go vet -vettool=$(...))")
 	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
-	enabled := make(map[string]*bool, len(all))
-	for _, a := range all {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+doc)
-	}
 	flag.Parse()
 
 	if *printFlags {
@@ -56,16 +57,9 @@ func main() {
 		return
 	}
 
-	var run []*framework.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			run = append(run, a)
-		}
-	}
-
 	args := flag.Args()
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVet(args[0], run, *jsonOut)
+		runVet(args[0], all, *jsonOut)
 		return
 	}
 	if len(args) == 0 {
@@ -76,7 +70,7 @@ func main() {
 		log.Println(err)
 		os.Exit(2)
 	}
-	findings, err := framework.Analyze(units, run)
+	findings, err := framework.Analyze(units, all)
 	if err != nil {
 		log.Println(err)
 		os.Exit(2)

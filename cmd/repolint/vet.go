@@ -86,8 +86,16 @@ func runVet(cfgFile string, analyzers []*framework.Analyzer, jsonOut bool) {
 		os.Exit(0)
 	}
 
+	// A module-wide analyzer would see one unit and none of its callers,
+	// so only the per-unit analyzers run under the vet protocol.
+	var perUnit []*framework.Analyzer
+	for _, a := range analyzers {
+		if a.Run != nil {
+			perUnit = append(perUnit, a)
+		}
+	}
 	unit := &framework.Unit{ID: cfg.ID, Fset: fset, Files: files, Pkg: pkg, Info: info}
-	findings, err := framework.Analyze([]*framework.Unit{unit}, analyzers)
+	findings, err := framework.Analyze([]*framework.Unit{unit}, perUnit)
 	if err != nil {
 		log.Fatal(err)
 	}

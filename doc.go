@@ -78,7 +78,7 @@
 // so the goroutine that runs the collective and the TCP readers advance
 // after every sample the poller takes, not once per scheduler quantum.
 // The contract for any code written against internal/mpi: poll with Test;
-// it yields; never spin on Request.Done() with a default case.
+// it yields.
 //
 // # Anytime estimation sessions
 //

@@ -1,11 +1,13 @@
 // Package analysis assembles the repolint suite: the repo-specific
 // analyzers that machine-enforce invariants which previously existed only
 // as prose in CHANGES.md and as indirect test coverage. cmd/repolint runs
-// the suite standalone or as a `go vet -vettool`; TestTreeIsClean keeps
-// the tree itself at zero diagnostics.
+// the suite standalone or as a `go vet -vettool` (deadexport standalone
+// only); TestTreeIsClean keeps the tree itself at zero diagnostics, and
+// TestAPISurface holds the public packages to api/*.txt.
 //
 // See each analyzer package for the invariant it guards:
 //
+//	deadexport   — exported names of internal packages have a non-test caller
 //	epochframe   — StateFrame.C is read-only outside internal/epoch
 //	hotpathalloc — //bc:hotpath functions stay allocation-free
 //	rankdead     — MPI errors are matched typed, transport errors handled
@@ -17,6 +19,7 @@ package analysis
 
 import (
 	"repro/internal/analysis/ctxleak"
+	"repro/internal/analysis/deadexport"
 	"repro/internal/analysis/epochframe"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/hotpathalloc"
@@ -29,6 +32,7 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		ctxleak.Analyzer,
+		deadexport.Analyzer,
 		epochframe.Analyzer,
 		hotpathalloc.Analyzer,
 		layerimport.Analyzer,

@@ -39,71 +39,63 @@ import (
 )
 
 // Run loads each pkgpath from dir/src and applies a to it, comparing
-// diagnostics against the packages' want comments.
+// diagnostics against the packages' want comments. A module-wide analyzer
+// sees all the listed packages at once.
 func Run(t *testing.T, dir string, a *framework.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld := &loader{
 		root: filepath.Join(dir, "src"),
 		fset: token.NewFileSet(),
-		pkgs: make(map[string]*srcPkg),
+		pkgs: make(map[string]*framework.Unit),
 	}
+	var units []*framework.Unit
 	for _, path := range pkgpaths {
-		p, err := ld.loadSource(path)
+		u, err := ld.loadSource(path)
 		if err != nil {
 			t.Fatalf("loading %s: %v", path, err)
 		}
-		checkPkg(t, a, ld.fset, p)
+		units = append(units, u)
 	}
-}
+	findings, err := framework.Analyze(units, []*framework.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-func checkPkg(t *testing.T, a *framework.Analyzer, fset *token.FileSet, p *srcPkg) {
-	t.Helper()
 	type key struct {
 		file string
 		line int
 	}
-	var diags []framework.Diagnostic
-	pass := &framework.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     p.files,
-		Pkg:       p.pkg,
-		TypesInfo: p.info,
-		Report:    func(d framework.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s on %s: %v", a.Name, p.pkg.Path(), err)
-	}
-
 	wants := make(map[key][]*regexp.Regexp)
-	for _, f := range p.files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				res, err := parseWants(c.Text)
-				if err != nil {
-					t.Fatalf("%s: %v", fset.Position(c.Pos()), err)
-				}
-				if len(res) > 0 {
-					k := key{fset.Position(c.Pos()).Filename, fset.Position(c.Pos()).Line}
-					wants[k] = append(wants[k], res...)
+	for _, u := range units {
+		for _, f := range u.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					res, err := parseWants(c.Text)
+					if err != nil {
+						t.Fatalf("%s: %v", ld.fset.Position(c.Pos()), err)
+					}
+					if len(res) > 0 {
+						posn := ld.fset.Position(c.Pos())
+						k := key{posn.Filename, posn.Line}
+						wants[k] = append(wants[k], res...)
+					}
 				}
 			}
 		}
 	}
 
-	for _, d := range diags {
-		posn := fset.Position(d.Pos)
-		k := key{posn.Filename, posn.Line}
+	for _, f := range findings {
+		k := key{f.Pos.Filename, f.Pos.Line}
 		matched := false
 		for i, re := range wants[k] {
-			if re != nil && re.MatchString(d.Message) {
+			if re != nil && re.MatchString(f.Message) {
 				wants[k][i] = nil // consume
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", posn, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", f.Pos, f.Message)
 		}
 	}
 	var keys []key
@@ -152,21 +144,14 @@ func parseWants(comment string) ([]*regexp.Regexp, error) {
 	return res, nil
 }
 
-// srcPkg is a testdata package type-checked from source.
-type srcPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
 type loader struct {
 	root string // testdata/src
 	fset *token.FileSet
-	pkgs map[string]*srcPkg
+	pkgs map[string]*framework.Unit
 	gc   types.Importer
 }
 
-func (ld *loader) loadSource(path string) (*srcPkg, error) {
+func (ld *loader) loadSource(path string) (*framework.Unit, error) {
 	if p, ok := ld.pkgs[path]; ok {
 		if p == nil {
 			return nil, fmt.Errorf("import cycle through %s", path)
@@ -203,9 +188,9 @@ func (ld *loader) loadSource(path string) (*srcPkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", path, err)
 	}
-	p := &srcPkg{pkg: pkg, files: files, info: info}
-	ld.pkgs[path] = p
-	return p, nil
+	u := &framework.Unit{ID: path, Fset: ld.fset, Files: files, Pkg: pkg, Info: info}
+	ld.pkgs[path] = u
+	return u, nil
 }
 
 // importPkg resolves an import from a testdata package: testdata source
@@ -215,11 +200,11 @@ func (ld *loader) importPkg(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if _, err := os.Stat(filepath.Join(ld.root, filepath.FromSlash(path))); err == nil {
-		p, err := ld.loadSource(path)
+		u, err := ld.loadSource(path)
 		if err != nil {
 			return nil, err
 		}
-		return p.pkg, nil
+		return u.Pkg, nil
 	}
 	if ld.gc == nil {
 		ld.gc = importer.ForCompiler(ld.fset, "gc", exportLookup)

@@ -86,13 +86,3 @@ func (p *Pass) SuppressedAt(f *ast.File, pos token.Pos, name string) bool {
 	}
 	return false
 }
-
-// FileOf returns the *ast.File of the pass containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}

@@ -8,7 +8,9 @@
 // names and shapes so each analyzer's Run function would port to the real
 // framework by changing one import. Only the subset the repolint suite
 // needs is implemented: no facts, no analyzer dependencies, no suggested
-// fixes.
+// fixes. One addition has no x/tools counterpart: a module-wide analyzer
+// (RunModule), for a verdict on a declaration that depends on every
+// package that could refer to it.
 package framework
 
 import (
@@ -20,12 +22,34 @@ import (
 )
 
 // An Analyzer describes one static-analysis pass: a stable name (used in
-// diagnostics and enable/disable flags), human-readable documentation, and
-// a Run function invoked once per type-checked compilation unit.
+// diagnostics), human-readable documentation, and either a Run function
+// invoked once per type-checked compilation unit or a RunModule function
+// invoked once with every loaded unit.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) (interface{}, error)
+
+	// RunModule, set instead of Run, sees all units at once. It judges
+	// the units it is given, so it is meaningful over the whole module
+	// (./...) only, and it does not run under the go vet protocol, which
+	// hands the tool one unit at a time.
+	RunModule func(*ModulePass) error
+}
+
+// A ModulePass provides every loaded unit to a module-wide analyzer. The
+// units share Fset; Caller units (from a module nested below the loaded
+// one) are there for their references only and are never reported on.
+type ModulePass struct {
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	Units    []*Unit
+	Report   func(Diagnostic)
+}
+
+// Reportf reports a formatted diagnostic at pos.
+func (p *ModulePass) Reportf(pos token.Pos, format string, args ...interface{}) {
+	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // A Pass provides one compilation unit to an analyzer: the parsed files,
@@ -45,10 +69,8 @@ type Pass struct {
 
 // A Diagnostic is one finding at a source position.
 type Diagnostic struct {
-	Pos      token.Pos
-	End      token.Pos
-	Category string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // Reportf reports a formatted diagnostic at pos.

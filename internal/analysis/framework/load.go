@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,13 +26,17 @@ type Unit struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	// Caller marks a unit of a module nested below the loaded one (bench/,
+	// which imports this module through a replace directive): only
+	// module-wide analyzers see it, and only as a source of references.
+	Caller bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
@@ -53,11 +58,33 @@ type listPkg struct {
 //
 // For a package with in-package tests only the test-augmented variant is
 // returned (its file set is a superset of the plain package's), so every
-// file is analyzed exactly once.
+// file is analyzed exactly once. Every package of each module nested below
+// dir follows as a Caller unit. All units share one FileSet.
 func Load(dir string, patterns ...string) ([]*Unit, error) {
+	fset := token.NewFileSet()
+	units, err := loadModule(fset, dir, patterns, false)
+	if err != nil {
+		return nil, err
+	}
+	nested, err := nestedModules(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range nested {
+		callers, err := loadModule(fset, m, []string{"./..."}, true)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, callers...)
+	}
+	return units, nil
+}
+
+// loadModule loads the packages of patterns in the module at dir.
+func loadModule(fset *token.FileSet, dir string, patterns []string, caller bool) ([]*Unit, error) {
 	cmd := exec.Command("go", append([]string{
 		"list", "-test", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,CgoFiles,ForTest,Standard,DepOnly,ImportMap,Module",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,ForTest,Standard,DepOnly,ImportMap,Module",
 		"--"}, patterns...)...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -92,7 +119,6 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
 	var units []*Unit
 	for _, p := range pkgs {
 		switch {
@@ -111,9 +137,29 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 		if err != nil {
 			return nil, err
 		}
+		u.Caller = caller
 		units = append(units, u)
 	}
 	return units, nil
+}
+
+// nestedModules returns the directories below dir that hold a go.mod of
+// their own, skipping testdata and the directories the go command ignores.
+func nestedModules(dir string) ([]string, error) {
+	var mods []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == dir {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			mods = append(mods, path)
+		}
+		return nil
+	})
+	return mods, err
 }
 
 func typecheck(fset *token.FileSet, p *listPkg, exports map[string]string) (*Unit, error) {

@@ -363,17 +363,17 @@ func TestSamplerSameVertex(t *testing.T) {
 func TestSamplerDistance(t *testing.T) {
 	g := pathGraph(8)
 	sp := NewSampler(g, NewHubs(g), rng.NewRand(1))
-	if d := sp.Distance(0, 7); d != 7 {
+	if d := distance(sp, 0, 7); d != 7 {
 		t.Fatalf("Distance = %d, want 7", d)
 	}
-	if d := sp.Distance(3, 3); d != 0 {
+	if d := distance(sp, 3, 3); d != 0 {
 		t.Fatalf("Distance(v,v) = %d, want 0", d)
 	}
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	split := b.Build()
-	if d := NewSampler(split, NewHubs(split), rng.NewRand(1)).Distance(0, 3); d != Unreached {
+	if d := distance(NewSampler(split, NewHubs(split), rng.NewRand(1)), 0, 3); d != Unreached {
 		t.Fatalf("disconnected Distance = %d, want Unreached", d)
 	}
 }
@@ -427,4 +427,17 @@ func BenchmarkDirectedSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp.Sample()
 	}
+}
+
+// distance returns the shortest-path distance between s and t computed
+// with the sampler's bidirectional search, or Unreached if disconnected.
+func distance(sp *Sampler, s, t graph.Node) uint32 {
+	if s == t {
+		return 0
+	}
+	internal, ok := sp.SamplePath(s, t)
+	if !ok {
+		return Unreached
+	}
+	return uint32(len(internal)) + 1
 }

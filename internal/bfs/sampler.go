@@ -485,17 +485,3 @@ func (sp *Sampler) walk(x, target graph.Node, toS bool, low []graph.Node) {
 		panic("bfs: path walk did not reach endpoint")
 	}
 }
-
-// Distance returns the shortest-path distance between s and t computed with
-// the same bidirectional machinery, or Unreached if disconnected. Intended
-// for tests and tools; sampling code uses SamplePath directly.
-func (sp *Sampler) Distance(s, t graph.Node) uint32 {
-	if s == t {
-		return 0
-	}
-	internal, ok := sp.SamplePath(s, t)
-	if !ok {
-		return Unreached
-	}
-	return uint32(len(internal)) + 1
-}

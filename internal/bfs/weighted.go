@@ -437,13 +437,3 @@ func (ws *WeightedSampler) walk(sd *wside, x graph.Node) {
 		x = chosen
 	}
 }
-
-// Distance returns the minimum path weight between s and t, or MaxUint64 if
-// disconnected. For tests and tools.
-func (ws *WeightedSampler) Distance(s, t graph.Node) uint64 {
-	if s == t {
-		return 0
-	}
-	ws.search(s, t)
-	return ws.mu
-}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/pq"
 	"repro/internal/rng"
 )
 
@@ -65,7 +64,7 @@ func TestWeightedDistanceMatchesBellmanFord(t *testing.T) {
 		ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(seed))
 		ref := refWeightedDistances(g, 0)
 		for v := 1; v < n; v++ {
-			got := ws.Distance(0, graph.Node(v))
+			got := weightedDistance(ws, 0, graph.Node(v))
 			want := ref[v]
 			if want >= math.MaxUint64/2 {
 				want = math.MaxUint64
@@ -171,35 +170,40 @@ func TestWeightedSamplerPrefersLightPath(t *testing.T) {
 }
 
 // refDijkstra is the independent reference the bidirectional sampler is
-// held to: a plain unidirectional Dijkstra from s over a binary heap with
-// DecreaseKey, returning every vertex's distance (wInf if unreachable) and
-// shortest-path count.
+// held to: a plain unidirectional Dijkstra from s that settles the nearest
+// unsettled vertex by a linear scan, returning every vertex's distance
+// (wInf if unreachable) and shortest-path count.
 func refDijkstra(g *graph.WGraph, s graph.Node) (dist []uint64, sig []float64) {
 	n := g.NumNodes()
 	dist = make([]uint64, n)
 	sig = make([]float64, n)
+	settled := make([]bool, n)
 	for i := range dist {
 		dist[i] = wInf
 	}
-	h := pq.New(n)
 	dist[s], sig[s] = 0, 1
-	h.Push(uint32(s), 0)
-	for h.Len() > 0 {
-		item, d := h.Pop()
-		v := graph.Node(item)
-		adj, wts := g.Neighbors(v)
+	for {
+		v := -1
+		for u, d := range dist {
+			if !settled[u] && d != wInf && (v < 0 || d < dist[v]) {
+				v = u
+			}
+		}
+		if v < 0 {
+			return dist, sig
+		}
+		settled[v] = true
+		adj, wts := g.Neighbors(graph.Node(v))
 		for i, u := range adj {
-			nd := d + uint64(wts[i])
+			nd := dist[v] + uint64(wts[i])
 			switch {
 			case nd < dist[u]:
 				dist[u], sig[u] = nd, sig[v]
-				h.PushOrDecrease(uint32(u), nd)
 			case nd == dist[u]:
 				sig[u] += sig[v]
 			}
 		}
 	}
-	return dist, sig
 }
 
 // checkAllPairs asserts that the sampler's distance and path count agree
@@ -495,7 +499,7 @@ func TestWeightedDisconnectedPairThenNextSample(t *testing.T) {
 			if internal, ok := ws.SamplePath(pair[0], pair[1]); ok {
 				t.Fatalf("pair %v across components sampled %v", pair, internal)
 			}
-			if d := ws.Distance(pair[0], pair[1]); d != math.MaxUint64 {
+			if d := weightedDistance(ws, pair[0], pair[1]); d != math.MaxUint64 {
 				t.Fatalf("pair %v across components at distance %d", pair, d)
 			}
 		}
@@ -582,7 +586,7 @@ func TestWeightedHugeWeights(t *testing.T) {
 	}
 	ws := NewWeightedSampler(SortArcsByWeight(g), rng.NewRand(1))
 	checkAllPairs(t, "MaxUint32 cycle", g, ws)
-	if d := ws.Distance(0, 2); d != 2*uint64(big) {
+	if d := weightedDistance(ws, 0, 2); d != 2*uint64(big) {
 		t.Fatalf("distance over two MaxUint32 edges = %d, want %d", d, 2*uint64(big))
 	}
 	seen := map[graph.Node]int{}
@@ -643,4 +647,14 @@ func BenchmarkWeightedSample(b *testing.B) {
 			}
 		})
 	}
+}
+
+// weightedDistance returns the minimum path weight between s and t, or
+// MaxUint64 if disconnected.
+func weightedDistance(ws *WeightedSampler, s, t graph.Node) uint64 {
+	if s == t {
+		return 0
+	}
+	ws.search(s, t)
+	return ws.mu
 }

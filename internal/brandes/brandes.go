@@ -46,32 +46,23 @@ import (
 	"repro/internal/graph"
 )
 
-// Exact computes normalized betweenness for every vertex sequentially.
-func Exact(g *graph.Graph) []float64 { return Parallel(g, 1) }
-
-// Parallel computes normalized betweenness using the given number of worker
-// goroutines (<=0 means GOMAXPROCS).
+// Parallel computes normalized betweenness for every vertex using the given
+// number of worker goroutines (<=0 means GOMAXPROCS).
 func Parallel(g *graph.Graph, workers int) []float64 {
 	return run(g.NumNodes(), workers, len(g.Adj), func() forward { return newBFS(g.Offsets, g.Adj) })
 }
 
-// ExactDirected computes normalized directed betweenness, the same formula
-// with sigma counting shortest *directed* s->t paths: the BFS expands along
-// out-arcs only.
-func ExactDirected(g *graph.Digraph) []float64 { return ParallelDirected(g, 1) }
-
-// ParallelDirected is the source-parallel variant of ExactDirected.
+// ParallelDirected computes normalized directed betweenness, the same
+// formula with sigma counting shortest *directed* s->t paths: the BFS
+// expands along out-arcs only.
 func ParallelDirected(g *graph.Digraph, workers int) []float64 {
 	return run(g.NumNodes(), workers, g.NumArcs(), func() forward { return newBFS(g.OutOffsets, g.OutAdj) })
 }
 
-// ExactWeighted computes normalized betweenness on a positively weighted
-// undirected graph: Brandes' algorithm with Dijkstra searches instead of
-// BFS. Path counts follow minimum total weight; integer weights keep the
-// equality tests exact.
-func ExactWeighted(g *graph.WGraph) []float64 { return ParallelWeighted(g, 1) }
-
-// ParallelWeighted is the source-parallel variant of ExactWeighted.
+// ParallelWeighted computes normalized betweenness on a positively
+// weighted undirected graph: Brandes' algorithm with Dijkstra searches
+// instead of BFS. Path counts follow minimum total weight; integer weights
+// keep the equality tests exact.
 func ParallelWeighted(g *graph.WGraph, workers int) []float64 {
 	return run(g.NumNodes(), workers, len(g.Adj), func() forward { return newDijkstra(g) })
 }

@@ -145,7 +145,7 @@ func TestExactOnPath(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		b.AddEdge(graph.Node(i), graph.Node(i+1))
 	}
-	scores := Exact(b.Build())
+	scores := Parallel(b.Build(), 1)
 	for i := 0; i < n; i++ {
 		want := 2 * float64(i) * float64(n-1-i) / (float64(n) * float64(n-1))
 		if math.Abs(scores[i]-want) > 1e-12 {
@@ -163,7 +163,7 @@ func TestExactOnStar(t *testing.T) {
 	for i := 1; i < n; i++ {
 		b.AddEdge(0, graph.Node(i))
 	}
-	scores := Exact(b.Build())
+	scores := Parallel(b.Build(), 1)
 	want := float64(k*(k-1)) / (float64(n) * float64(n-1))
 	if math.Abs(scores[0]-want) > 1e-12 {
 		t.Fatalf("star center %v, want %v", scores[0], want)
@@ -183,7 +183,7 @@ func TestExactOnClique(t *testing.T) {
 			b.AddEdge(graph.Node(i), graph.Node(j))
 		}
 	}
-	scores := Exact(b.Build())
+	scores := Parallel(b.Build(), 1)
 	for i, s := range scores {
 		if s != 0 {
 			t.Fatalf("clique vertex %d has betweenness %v, want 0", i, s)
@@ -196,7 +196,7 @@ func TestExactMatchesNaive(t *testing.T) {
 		n := int(nRaw%20) + 3
 		m := int(mRaw % 60)
 		g := randomGraph(seed, n, m)
-		return allMatch(naive(n, arcsOf(g)), Exact(g), func(w int) []float64 { return Parallel(g, w) })
+		return allMatch(naive(n, arcsOf(g)), Parallel(g, 1), func(w int) []float64 { return Parallel(g, w) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestDirectedMatchesNaive(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%14) + 1
 		g := randomDigraph(seed, n, int(mRaw)%(4*n))
-		return allMatch(naive(n, arcsOfDigraph(g)), ExactDirected(g), func(w int) []float64 { return ParallelDirected(g, w) })
+		return allMatch(naive(n, arcsOfDigraph(g)), ParallelDirected(g, 1), func(w int) []float64 { return ParallelDirected(g, w) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestWeightedMatchesNaive(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%14) + 1
 		g := randomWeighted(seed, n, int(mRaw)%(3*n))
-		return allMatch(naive(n, arcsOfWeighted(g)), ExactWeighted(g), func(w int) []float64 { return ParallelWeighted(g, w) })
+		return allMatch(naive(n, arcsOfWeighted(g)), ParallelWeighted(g, 1), func(w int) []float64 { return ParallelWeighted(g, w) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -293,17 +293,17 @@ func TestTinyGraphsEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !allMatch(c.want, Exact(g), func(w int) []float64 { return Parallel(g, w) }) ||
+		if !allMatch(c.want, Parallel(g, 1), func(w int) []float64 { return Parallel(g, w) }) ||
 			!almostEqual(c.want, naive(c.n, arcsOf(g)), 1e-12) {
-			t.Errorf("undirected n=%d: %v, want %v", c.n, Exact(g), c.want)
+			t.Errorf("undirected n=%d: %v, want %v", c.n, Parallel(g, 1), c.want)
 		}
-		if !allMatch(c.wantD, ExactDirected(dg), func(w int) []float64 { return ParallelDirected(dg, w) }) ||
+		if !allMatch(c.wantD, ParallelDirected(dg, 1), func(w int) []float64 { return ParallelDirected(dg, w) }) ||
 			!almostEqual(c.wantD, naive(c.n, arcsOfDigraph(dg)), 1e-12) {
-			t.Errorf("directed n=%d: %v, want %v", c.n, ExactDirected(dg), c.wantD)
+			t.Errorf("directed n=%d: %v, want %v", c.n, ParallelDirected(dg, 1), c.wantD)
 		}
-		if !allMatch(c.want, ExactWeighted(wg), func(w int) []float64 { return ParallelWeighted(wg, w) }) ||
+		if !allMatch(c.want, ParallelWeighted(wg, 1), func(w int) []float64 { return ParallelWeighted(wg, w) }) ||
 			!almostEqual(c.want, naive(c.n, arcsOfWeighted(wg)), 1e-12) {
-			t.Errorf("weighted n=%d: %v, want %v", c.n, ExactWeighted(wg), c.want)
+			t.Errorf("weighted n=%d: %v, want %v", c.n, ParallelWeighted(wg, 1), c.want)
 		}
 	}
 }
@@ -317,8 +317,8 @@ func TestUnvalidatedCSR(t *testing.T) {
 		Offsets: []uint64{0, 2, 3, 4, 4},
 		Adj:     []graph.Node{1, 1, 2, 3},
 	}
-	if want := naive(4, arcsOf(g)); !allMatch(want, Exact(g), func(w int) []float64 { return Parallel(g, w) }) {
-		t.Fatalf("got %v, want %v", Exact(g), want)
+	if want := naive(4, arcsOf(g)); !allMatch(want, Parallel(g, 1), func(w int) []float64 { return Parallel(g, w) }) {
+		t.Fatalf("got %v, want %v", Parallel(g, 1), want)
 	}
 }
 
@@ -357,7 +357,7 @@ func TestSourcesAllocateNothing(t *testing.T) {
 func TestParallelMatchesExact(t *testing.T) {
 	g := gen.RMAT(gen.Graph500(9, 8, 3))
 	g, _ = graph.LargestComponent(g)
-	seq := Exact(g)
+	seq := Parallel(g, 1)
 	for _, workers := range []int{2, 4, 8} {
 		par := Parallel(g, workers)
 		if !almostEqual(seq, par, 1e-9) {
@@ -368,7 +368,7 @@ func TestParallelMatchesExact(t *testing.T) {
 
 func TestParallelSingleWorkerAndTinyGraph(t *testing.T) {
 	g := randomGraph(1, 5, 10)
-	if !almostEqual(Parallel(g, 1), Exact(g), 1e-12) {
+	if !almostEqual(Parallel(g, 1), Parallel(g, 1), 1e-12) {
 		t.Fatal("workers=1 deviates")
 	}
 	if got := Parallel(graph.NewBuilder(1).Build(), 4); len(got) != 1 || got[0] != 0 {
@@ -385,7 +385,7 @@ func TestScoresSumInvariant(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%40) + 3
 		g := randomGraph(seed, n, int(mRaw%120))
-		for _, s := range Exact(g) {
+		for _, s := range Parallel(g, 1) {
 			if s < 0 || s > 1 || math.IsNaN(s) {
 				return false
 			}
@@ -453,7 +453,7 @@ func BenchmarkExactRMAT11(b *testing.B) {
 	g, _ = graph.LargestComponent(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Exact(g)
+		Parallel(g, 1)
 	}
 }
 
@@ -471,7 +471,7 @@ func BenchmarkExactWeightedRMAT11(b *testing.B) {
 	wg := gen.RandomWeights(g, 10, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExactWeighted(wg)
+		ParallelWeighted(wg, 1)
 	}
 }
 
@@ -479,6 +479,6 @@ func BenchmarkExactDirectedRandom(b *testing.B) {
 	g := gen.RandomDigraph(2048, 16384, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExactDirected(g)
+		ParallelDirected(g, 1)
 	}
 }

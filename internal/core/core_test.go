@@ -20,7 +20,7 @@ func testGraph() *graph.Graph {
 
 func guaranteeCheck(t *testing.T, g *graph.Graph, res *kadabra.Result, eps float64) {
 	t.Helper()
-	exact := brandes.Exact(g)
+	exact := brandes.Parallel(g, 1)
 	worst := 0.0
 	for v := range exact {
 		if d := math.Abs(exact[v] - res.Betweenness[v]); d > worst {
@@ -302,7 +302,7 @@ func maxAbsErr(exact, got []float64) float64 {
 
 func TestDistributedDirectedWorkload(t *testing.T) {
 	dg := testDigraph()
-	exact := brandes.ExactDirected(dg)
+	exact := brandes.ParallelDirected(dg, 1)
 	const eps = 0.05
 	res, err := runFresh(context.Background(), kadabra.DirectedWorkload(dg), 2, Config{
 		Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 31},
@@ -318,7 +318,7 @@ func TestDistributedDirectedWorkload(t *testing.T) {
 
 func TestDistributedWeightedWorkload(t *testing.T) {
 	wg := testWGraph(t)
-	exact := brandes.ExactWeighted(wg)
+	exact := brandes.ParallelWeighted(wg, 1)
 	const eps = 0.05
 	res, err := runFresh(context.Background(), kadabra.WeightedWorkload(wg), 2, Config{
 		Config:  kadabra.Config{Eps: eps, Delta: 0.1, Seed: 32},

@@ -28,7 +28,7 @@ func faultCfg(seed uint64) Config {
 // through the per-rank hook first, and reports every rank's outcome.
 func runWorld(t *testing.T, w *mpi.World, cfg Config, sts []*kadabra.EstimatorState, perRank func(rank int, st *kadabra.EstimatorState)) ([]*Result, []error) {
 	t.Helper()
-	procs := w.Size()
+	procs := w.Comm(0).Size()
 	if sts == nil {
 		var err error
 		if sts, err = NewStates(kadabra.UndirectedWorkload(testGraph()), procs, cfg); err != nil {

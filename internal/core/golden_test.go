@@ -103,7 +103,7 @@ func (c countingSampler) Sample() ([]graph.Node, bool) {
 // a budget stop that does not claim convergence.
 func TestCalibrationHonoursStop(t *testing.T) {
 	var drawn atomic.Int64
-	w := kadabra.UndirectedWorkload(testGraph()).WrapSampler(func(s kadabra.Sampler) kadabra.Sampler {
+	w := wrapSamplers(kadabra.UndirectedWorkload(testGraph()), func(s kadabra.Sampler) kadabra.Sampler {
 		return countingSampler{inner: s, n: &drawn}
 	})
 	const vd, eps, delta = 8, 0.01, 0.1

@@ -37,7 +37,7 @@ func TestSecondRunDrawsNewPaths(t *testing.T) {
 	const procs, prefix = 2, 12
 	var mu sync.Mutex
 	var logs []*[]string // one per kernel, in world-rank order (NewStates builds them in order)
-	w := kadabra.UndirectedWorkload(testGraph()).WrapSampler(func(s kadabra.Sampler) kadabra.Sampler {
+	w := wrapSamplers(kadabra.UndirectedWorkload(testGraph()), func(s kadabra.Sampler) kadabra.Sampler {
 		log := new([]string)
 		logs = append(logs, log)
 		return recordingSampler{inner: s, mu: &mu, log: log}
@@ -117,7 +117,7 @@ func TestResumeAfterCalibrationCutShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tau0 := int64(sts[0].Omega())/100 + 1 // omega/StartFactor, the default 100
+	tau0 := int64(kadabra.Omega(sts[0].VertexDiameter(), cfg.Eps, cfg.Delta))/100 + 1 // omega/StartFactor, the default 100
 	if sts[0].Calibrated() || res.Res.Converged || res.Res.AchievedEps != 1 || res.Res.Tau < 50 || res.Res.Tau >= tau0 {
 		t.Fatalf("budget 50 < tau0 %d: calibrated=%v converged=%v achieved eps %g tau %d",
 			tau0, sts[0].Calibrated(), res.Res.Converged, res.Res.AchievedEps, res.Res.Tau)

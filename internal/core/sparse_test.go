@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kadabra"
 	"repro/internal/mpi"
+	"repro/internal/rng"
 )
 
 // The distributed dense-reference battery. With Threads=1 and NoOverlap
@@ -67,7 +68,7 @@ func denseRefBattery(t *testing.T, seed uint64, run func(kadabra.Workload, Confi
 			cfg.EpochBase = 16
 		}
 		ref := &denseRef{c: make([]int64, w.N())}
-		res := run(w.WrapSampler(func(s kadabra.Sampler) kadabra.Sampler { return refSampler{s, ref} }), cfg)
+		res := run(wrapSamplers(w, func(s kadabra.Sampler) kadabra.Sampler { return refSampler{s, ref} }), cfg)
 		if res == nil || res.Res == nil || res.Stats.Epochs == 0 {
 			t.Fatalf("%s: no rank-0 result, or no epoch ran", name)
 		}
@@ -207,4 +208,11 @@ func TestSparseWireBytesTCP100k(t *testing.T) {
 	}
 	t.Logf("n=%d: %d B/rank-epoch sparse vs %d B dense (%.1fx smaller), %d epochs",
 		n, perEpoch, denseBytes, float64(denseBytes)/float64(perEpoch), res.Stats.Epochs)
+}
+
+// wrapSamplers returns a copy of w whose samplers wrap decorates.
+func wrapSamplers(w kadabra.Workload, wrap func(kadabra.Sampler) kadabra.Sampler) kadabra.Workload {
+	inner := w.NewSampler
+	w.NewSampler = func(r *rng.Rand) kadabra.Sampler { return wrap(inner(r)) }
+	return w
 }

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,61 +15,74 @@ import (
 	"repro/internal/mpi"
 )
 
-// killOverTCP runs a 3-rank TCP world on 127.0.0.1 and hard-kills rank 2
-// mid-run (TCPWorld.Abort: connections torn down with no goodbye — the
-// in-process stand-in for SIGKILL). The kill is triggered from rank 0's
-// epoch hook, so it always lands inside the adaptive loop. Returns rank
-// 0's result and the per-rank errors.
+// victimEnv carries the world's addresses to the child process that plays
+// the killed rank; its presence makes a kill test run as that rank.
+const victimEnv = "BC_TCP_KILL_VICTIM"
+
+// killOverTCP runs a 3-rank TCP world on 127.0.0.1 and SIGKILLs rank 2
+// mid-run. Rank 2 is a child process, this test binary re-running the
+// calling test with victimEnv set, so its connections die as a crashed
+// process's do: torn down by the kernel with no goodbye. The kill is
+// triggered from rank 0's epoch hook, so it always lands inside the
+// adaptive loop. Returns rank 0's result and the per-rank errors, rank 2's
+// being its exit status.
 func killOverTCP(t *testing.T, w kadabra.Workload, cfg Config) (*Result, []error) {
 	t.Helper()
 	const procs = 3
-	addrs := freeAddrs(t, procs)
 	opts := mpi.TCPOptions{
 		DialTimeout:       10 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
 		LivenessTimeout:   time.Second,
 	}
+	if addrs := os.Getenv(victimEnv); addrs != "" {
+		comm, _, err := mpi.ConnectTCPOpts(2, strings.Split(addrs, ","), opts)
+		if err == nil {
+			_, err = algorithm2Fresh(context.Background(), w, comm, cfg)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0) // the run ended before the kill
+	}
 
-	kill := make(chan struct{})
+	addrs := freeAddrs(t, procs)
+	victim := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+	victim.Env = append(os.Environ(), victimEnv+"="+strings.Join(addrs, ","))
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { victim.Process.Kill() })
 	var killOnce sync.Once
+	kill := func() { killOnce.Do(func() { victim.Process.Kill() }) }
+
 	var rootRes *Result
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
-	for r := 0; r < procs; r++ {
-		wg.Add(1)
+	wg.Add(procs)
+	go func() {
+		defer wg.Done()
+		errs[2] = victim.Wait()
+	}()
+	for r := 0; r < 2; r++ {
 		go func(r int) {
 			defer wg.Done()
 			comm, world, err := mpi.ConnectTCPOpts(r, addrs, opts)
 			if err != nil {
 				errs[r] = err
-				killOnce.Do(func() { close(kill) })
+				kill()
 				return
 			}
+			defer world.Close()
 			rcfg := cfg
-			switch r {
-			case 0:
+			if r == 0 {
 				rcfg.Config.OnEpoch = func(p kadabra.Progress) {
 					if p.Epoch == 2 {
-						killOnce.Do(func() { close(kill) })
+						kill()
 					}
 				}
-				defer world.Close()
-			case 2:
-				// The victim's abort runs on a watcher goroutine, exactly
-				// like an external SIGKILL interrupting a busy process.
-				go func() {
-					<-kill
-					world.Abort()
-				}()
-			default:
-				defer world.Close()
 			}
-			res, err := func() (*Result, error) {
-				if r == 2 {
-					defer killOnce.Do(func() { close(kill) }) // run ended before the kill
-				}
-				return algorithm2Fresh(context.Background(), w, comm, rcfg)
-			}()
+			res, err := algorithm2Fresh(context.Background(), w, comm, rcfg)
 			errs[r] = err
 			if r == 0 && err == nil {
 				rootRes = res
@@ -113,19 +130,19 @@ func TestKillRankOverTCPUndirected(t *testing.T) {
 	g := testGraph()
 	cfg := faultCfg(21)
 	res, errs := killOverTCP(t, kadabra.UndirectedWorkload(g), cfg)
-	checkTCPKill(t, res, errs, brandes.Exact(g), cfg.Eps)
+	checkTCPKill(t, res, errs, brandes.Parallel(g, 1), cfg.Eps)
 }
 
 func TestKillRankOverTCPDirected(t *testing.T) {
 	dg := testDigraph()
 	cfg := faultCfg(22)
 	res, errs := killOverTCP(t, kadabra.DirectedWorkload(dg), cfg)
-	checkTCPKill(t, res, errs, brandes.ExactDirected(dg), cfg.Eps)
+	checkTCPKill(t, res, errs, brandes.ParallelDirected(dg, 1), cfg.Eps)
 }
 
 func TestKillRankOverTCPWeighted(t *testing.T) {
 	wg := testWGraph(t)
 	cfg := faultCfg(23)
 	res, errs := killOverTCP(t, kadabra.WeightedWorkload(wg), cfg)
-	checkTCPKill(t, res, errs, brandes.ExactWeighted(wg), cfg.Eps)
+	checkTCPKill(t, res, errs, brandes.ParallelWeighted(wg, 1), cfg.Eps)
 }

@@ -52,19 +52,20 @@ func Omega(vertexDiameter int, eps, delta float64) float64 {
 	return universalC / (eps * eps) * (logDiam + 1 + math.Log(2/delta))
 }
 
-// FBound is the upper error bound function f(btilde, deltaL, omega, tau) of
+// fBound is the upper error bound function f(btilde, deltaL, omega, tau) of
 // §III-A: with probability at least 1-deltaL, b(x) >= btilde(x) - f. It is
 // the empirical-Bernstein-style bound of the KADABRA paper; the returned
 // value is clamped to btilde (the error can never exceed the estimate
-// itself, since b >= 0).
-func FBound(btilde float64, deltaL, omega float64, tau int64) float64 {
+// itself, since b >= 0). The stopping check runs fBoundLog; fBound is the
+// reference the tests hold it to.
+func fBound(btilde float64, deltaL, omega float64, tau int64) float64 {
 	if tau <= 0 {
 		return btilde
 	}
 	return fBoundLog(btilde, math.Log(1/deltaL), omega, tau)
 }
 
-// fBoundLog is FBound with log(1/deltaL) precomputed — the stopping check
+// fBoundLog is fBound with log(1/deltaL) precomputed — the stopping check
 // evaluates the bounds once per vertex per epoch, and the log is the single
 // most expensive term, so Calibrate caches it per vertex.
 //
@@ -79,17 +80,17 @@ func fBoundLog(btilde, logD, omega float64, tau int64) float64 {
 	return min(errChern, btilde)
 }
 
-// GBound is the lower error bound function g(btilde, deltaU, omega, tau):
+// gBound is the lower error bound function g(btilde, deltaU, omega, tau):
 // with probability at least 1-deltaU, b(x) <= btilde(x) + g. Clamped to
-// 1 - btilde.
-func GBound(btilde float64, deltaU, omega float64, tau int64) float64 {
+// 1 - btilde. Like fBound, it is the tests' reference for gBoundLog.
+func gBound(btilde float64, deltaU, omega float64, tau int64) float64 {
 	if tau <= 0 {
 		return 1 - btilde
 	}
 	return gBoundLog(btilde, math.Log(1/deltaU), omega, tau)
 }
 
-// gBoundLog is GBound with log(1/deltaU) precomputed, clamped like
+// gBoundLog is gBound with log(1/deltaU) precomputed, clamped like
 // fBoundLog.
 func gBoundLog(btilde, logD, omega float64, tau int64) float64 {
 	ft := float64(tau)

@@ -64,7 +64,7 @@ func TestDirectedSequentialGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := brandes.ExactDirected(g)
+	exact := brandes.ParallelDirected(g, 1)
 	worst := 0.0
 	for v := range exact {
 		if d := math.Abs(exact[v] - res.Betweenness[v]); d > worst {
@@ -120,8 +120,8 @@ func TestDirectedBrandesMatchesUndirectedOnSymmetricGraph(t *testing.T) {
 	}
 	dg := graph.FromArcs(n, arcs)
 	ug := graph.FromEdges(n, edges)
-	dScores := brandes.ExactDirected(dg)
-	uScores := brandes.Exact(ug)
+	dScores := brandes.ParallelDirected(dg, 1)
+	uScores := brandes.Parallel(ug, 1)
 	for v := range dScores {
 		if math.Abs(dScores[v]-uScores[v]) > 1e-9 {
 			t.Fatalf("vertex %d: directed %f vs undirected %f", v, dScores[v], uScores[v])
@@ -131,7 +131,7 @@ func TestDirectedBrandesMatchesUndirectedOnSymmetricGraph(t *testing.T) {
 
 func TestParallelDirectedMatchesSequential(t *testing.T) {
 	g := stronglyConnectedDigraph(13, 200, 1200)
-	seq := brandes.ExactDirected(g)
+	seq := brandes.ParallelDirected(g, 1)
 	par := brandes.ParallelDirected(g, 4)
 	for v := range seq {
 		if math.Abs(seq[v]-par[v]) > 1e-9 {

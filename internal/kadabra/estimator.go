@@ -207,9 +207,6 @@ func (st *EstimatorState) Tau() int64 { return st.s.Tau }
 // epoch.
 func (st *EstimatorState) Epochs() int { return st.epochs }
 
-// Omega returns the static maximal sample count for the current targets.
-func (st *EstimatorState) Omega() float64 { return st.omega }
-
 // VertexDiameter returns the cached phase-1 bound.
 func (st *EstimatorState) VertexDiameter() int { return st.vd }
 

@@ -16,6 +16,16 @@ const (
 	EngineSharedMemory = engineSharedMemory
 )
 
+// FBound and GBound are the reference bound functions the tests hold
+// fBoundLog and gBoundLog to.
+var (
+	FBound = fBound
+	GBound = gBound
+)
+
+// Omega returns the static maximal sample count for the current targets.
+func (st *EstimatorState) Omega() float64 { return st.omega }
+
 // Frame returns the accumulated state frame.
 func (st *EstimatorState) Frame() *epoch.StateFrame { return st.s }
 
@@ -32,6 +42,13 @@ func (st *EstimatorState) Streams() []*rng.Rand { return st.streams }
 // precomputes for the amortized check.
 func (c *Calibration) DerivedState() (logDL, logDU []float64, order []uint32) {
 	return c.logDL, c.logDU, c.order
+}
+
+// WrapSampler returns a copy of w whose samplers wrap decorates.
+func (w Workload) WrapSampler(wrap func(Sampler) Sampler) Workload {
+	inner := w.NewSampler
+	w.NewSampler = func(r *rng.Rand) Sampler { return wrap(inner(r)) }
+	return w
 }
 
 // CountKernelResolutions counts how often an unweighted workload's kernel

@@ -158,11 +158,6 @@ type Timings struct {
 	Check      time.Duration // stopping-condition evaluation
 }
 
-// Total returns the end-to-end duration.
-func (t Timings) Total() time.Duration {
-	return t.Diameter + t.Calibration + t.Sampling
-}
-
 // Result is the output of a KADABRA session.
 type Result struct {
 	// Betweenness holds btilde(x) = ctilde(x)/tau for every vertex.

@@ -162,7 +162,7 @@ func TestEpochLengthShrinksWithWorkers(t *testing.T) {
 // guaranteeCheck validates the (eps, delta) guarantee against Brandes.
 func guaranteeCheck(t *testing.T, g *graph.Graph, res *Result, eps float64) {
 	t.Helper()
-	exact := brandes.Exact(g)
+	exact := brandes.Parallel(g, 1)
 	worst := 0.0
 	for v := range exact {
 		if d := math.Abs(exact[v] - res.Betweenness[v]); d > worst {
@@ -290,7 +290,7 @@ func TestResultTopK(t *testing.T) {
 	}
 	// The approximate top-1 should be the exact top-1 for eps well below the
 	// top score gap on this graph.
-	exactTop := brandes.TopK(brandes.Exact(g), 3)
+	exactTop := brandes.TopK(brandes.Parallel(g, 1), 3)
 	found := false
 	for _, v := range top[:3] {
 		if v == exactTop[0] {

@@ -22,7 +22,7 @@ import (
 // change, never an algorithmic one.
 
 // denseRef is the reference accumulator; wrap it around a workload's
-// kernels with Workload.WrapSampler.
+// kernels with WrapSampler.
 type denseRef struct {
 	tau int64
 	c   []int64

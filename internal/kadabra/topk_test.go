@@ -128,7 +128,7 @@ func TestTopKMatchesBrandes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := brandes.TopK(brandes.Exact(g), k)
+	exact := brandes.TopK(brandes.Parallel(g, 1), k)
 	// With separation, the exact top-1 must be in our certified top set
 	// (ties within eps may permute lower ranks).
 	found := false
@@ -143,7 +143,7 @@ func TestTopKMatchesBrandes(t *testing.T) {
 	}
 	// Confidence bounds must bracket the exact scores (holds w.p. 0.9; the
 	// run is deterministic via the seed, so this is a stable check).
-	exactScores := brandes.Exact(g)
+	exactScores := brandes.Parallel(g, 1)
 	for v := range exactScores {
 		if exactScores[v] < res.Lower[v]-1e-9 || exactScores[v] > res.Upper[v]+1e-9 {
 			t.Fatalf("vertex %d: exact %f outside [%f, %f]",

@@ -122,7 +122,7 @@ func TestWeightedBrandesMatchesNaive(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		n := 10 + int(seed)*2
 		g := connectedWeighted(seed, n, 2*n, 5)
-		got := brandes.ExactWeighted(g)
+		got := brandes.ParallelWeighted(g, 1)
 		want := naiveWeighted(g)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-9 {
@@ -135,8 +135,8 @@ func TestWeightedBrandesMatchesNaive(t *testing.T) {
 func TestWeightedBrandesReducesToUnweighted(t *testing.T) {
 	// All weights 1: weighted Brandes must equal unweighted Brandes.
 	g := connectedWeighted(7, 60, 120, 1)
-	w := brandes.ExactWeighted(g)
-	u := brandes.Exact(g.Unweighted())
+	w := brandes.ParallelWeighted(g, 1)
+	u := brandes.Parallel(g.Unweighted(), 1)
 	for v := range w {
 		if math.Abs(w[v]-u[v]) > 1e-9 {
 			t.Fatalf("vertex %d: weighted %f vs unweighted %f", v, w[v], u[v])
@@ -146,7 +146,7 @@ func TestWeightedBrandesReducesToUnweighted(t *testing.T) {
 
 func TestParallelWeightedMatchesSequential(t *testing.T) {
 	g := connectedWeighted(9, 150, 600, 10)
-	seq := brandes.ExactWeighted(g)
+	seq := brandes.ParallelWeighted(g, 1)
 	par := brandes.ParallelWeighted(g, 4)
 	for v := range seq {
 		if math.Abs(seq[v]-par[v]) > 1e-9 {
@@ -162,7 +162,7 @@ func TestWeightedSequentialGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := brandes.ExactWeighted(g)
+	exact := brandes.ParallelWeighted(g, 1)
 	worst := 0.0
 	for v := range exact {
 		if d := math.Abs(exact[v] - res.Betweenness[v]); d > worst {

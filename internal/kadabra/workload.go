@@ -56,16 +56,19 @@ type Sampler interface {
 // diameter memo (and an unweighted workload's kernel memo), so build a
 // workload once per graph and reuse it.
 type Workload struct {
+	// NewSampler builds an independent sampling kernel over the graph with
+	// its own RNG stream; each sampling thread gets one. A copy of the
+	// workload may decorate it (the tests count and record draws that
+	// way); a decorator must keep the sampling distribution for the
+	// (eps, delta) guarantee to carry over.
+	NewSampler func(r *rng.Rand) Sampler
 	// n is the number of vertices.
 	n int
-	// newSampler builds an independent sampling kernel over the graph; each
-	// sampling thread gets its own kernel with a split RNG stream.
-	newSampler func(r *rng.Rand) Sampler
 	// diameter memoizes the vertex-diameter bound, a deterministic
 	// property of the graph.
 	diameter *diameterMemo
 	// kernel memoizes an unweighted workload's per-graph kernel data, the
-	// data newSampler reads; nil on the weighted workload.
+	// data NewSampler reads; nil on the weighted workload.
 	kernel *kernelMemo
 }
 
@@ -78,9 +81,6 @@ type diameterMemo struct {
 
 // N returns the number of vertices of the underlying graph.
 func (w Workload) N() int { return w.n }
-
-// NewSampler builds an independent sampling kernel with its own RNG stream.
-func (w Workload) NewSampler(r *rng.Rand) Sampler { return w.newSampler(r) }
 
 // ResolveDiameter returns the workload's vertex-diameter bound (or the
 // cfg.VertexDiameter override) and the time this call spent computing it:
@@ -103,24 +103,13 @@ func (w Workload) ResolveDiameter(cfg Config) (int, time.Duration) {
 // Validate rejects workloads the estimator cannot run: the zero Workload
 // and graphs with fewer than two vertices.
 func (w Workload) Validate() error {
-	if w.newSampler == nil || w.diameter == nil {
+	if w.NewSampler == nil || w.diameter == nil {
 		return fmt.Errorf("kadabra: zero workload (use a workload constructor)")
 	}
 	if w.n < 2 {
 		return fmt.Errorf("kadabra: need at least 2 vertices, got %d", w.n)
 	}
 	return nil
-}
-
-// WrapSampler returns a copy of the workload whose samplers are wrapped by
-// wrap. It is an instrumentation seam — the fault-injection tests use it to
-// count exactly how many samples each kernel drew and compare against the
-// folded tau. The wrapper must preserve the sampling distribution for the
-// (eps, delta) guarantee to carry over.
-func (w Workload) WrapSampler(wrap func(Sampler) Sampler) Workload {
-	inner := w.newSampler
-	w.newSampler = func(r *rng.Rand) Sampler { return wrap(inner(r)) }
-	return w
 }
 
 // UndirectedWorkload wraps the paper's standard scenario, unweighted
@@ -154,7 +143,7 @@ func UndirectedWorkload(g *graph.Graph) Workload {
 	}}
 	return Workload{
 		n: g.NumNodes(),
-		newSampler: func(r *rng.Rand) Sampler {
+		NewSampler: func(r *rng.Rand) Sampler {
 			d := k.data()
 			if d.lm != nil {
 				return bfs.NewGoalSampler(g, d.lm, r)
@@ -209,7 +198,7 @@ func DirectedWorkload(g *graph.Digraph) Workload {
 	k := &kernelMemo{resolve: func() kernelData { return kernelData{hubs: bfs.NewDirectedHubs(g)} }}
 	return Workload{
 		n: g.NumNodes(),
-		newSampler: func(r *rng.Rand) Sampler {
+		NewSampler: func(r *rng.Rand) Sampler {
 			return bfs.NewDirectedSampler(g, k.data().hubs, r)
 		},
 		diameter: &diameterMemo{resolve: func() int { return DirectedVertexDiameter(g) }},
@@ -224,7 +213,7 @@ func WeightedWorkload(g *graph.WGraph) Workload {
 	arcs := bfs.SortArcsByWeight(g)
 	return Workload{
 		n: g.NumNodes(),
-		newSampler: func(r *rng.Rand) Sampler {
+		NewSampler: func(r *rng.Rand) Sampler {
 			return bfs.NewWeightedSampler(arcs, r)
 		},
 		diameter: &diameterMemo{resolve: func() int { return WeightedVertexDiameter(arcs) }},

@@ -264,11 +264,6 @@ func (r *Request) Wait() ([]byte, error) {
 	return r.data, r.err
 }
 
-// Done exposes the completion channel for callers that block in a select
-// alongside other events. Do not poll it with a default case: such a loop
-// never yields; poll with Test.
-func (r *Request) Done() <-chan struct{} { return r.done }
-
 // completedRequest returns an already-completed request, used by collectives
 // on single-member communicators.
 func completedRequest(data []byte, err error) *Request {

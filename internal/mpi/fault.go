@@ -57,7 +57,7 @@ func AsRankDead(err error) (ErrRankDead, bool) {
 // operations — the in-process analogue of the process being gone.
 var ErrKilled = errors.New("mpi: rank killed by fault injection")
 
-// errAborted is the cause recorded by TCPWorld.Abort for the aborting
+// errAborted is the cause recorded by tcpTransport.abort for the aborting
 // process's own operations.
 var errAborted = errors.New("mpi: world aborted")
 

@@ -87,9 +87,6 @@ func NewLocalWorld(p int) *World {
 // Comm returns the world communicator of rank i.
 func (w *World) Comm(i int) *Comm { return w.comms[i] }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.comms) }
-
 // SetFaultHook installs (or, with nil, clears) the fault-injection hook
 // applied to every subsequent frame.
 func (w *World) SetFaultHook(h FaultHook) {

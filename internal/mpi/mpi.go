@@ -35,8 +35,7 @@
 // the processor once and returns false, so a loop that samples between
 // polls hands its P to the collective after every sample, where a loop
 // that never blocks would hold it for a scheduler quantum (10 ms) per
-// message hop. Never spin on Request.Done() with a default case: that loop
-// does not yield. What Test cannot do is poll the network: while no P is
+// message hop. What Test cannot do is poll the network: while no P is
 // idle the Go runtime looks at the sockets only from its monitor thread, at
 // most every 10 ms, so a TCP hop into a fully busy process costs
 // milliseconds where an idle one takes microseconds.
@@ -104,9 +103,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of processes in the communicator.
 func (c *Comm) Size() int { return len(c.glob) }
-
-// WorldRank returns the world rank of the given comm rank.
-func (c *Comm) WorldRank(r int) int { return c.glob[r] }
 
 func (c *Comm) checkRank(r int) error {
 	if r < 0 || r >= len(c.glob) {

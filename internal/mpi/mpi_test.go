@@ -16,9 +16,9 @@ import (
 func TestSendRecvBasic(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 7, []byte("hello"))
+			return c.send(1, 7, []byte("hello"))
 		}
-		data, err := c.Recv(0, 7)
+		data, err := c.recv(0, 7)
 		if err != nil {
 			return err
 		}
@@ -38,13 +38,13 @@ func TestSendBufferReuse(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []byte{1, 2, 3}
-			if err := c.Send(1, 0, buf); err != nil {
+			if err := c.send(1, 0, buf); err != nil {
 				return err
 			}
 			buf[0] = 99
 			return nil
 		}
-		data, err := c.Recv(0, 0)
+		data, err := c.recv(0, 0)
 		if err != nil {
 			return err
 		}
@@ -63,14 +63,14 @@ func TestMessageOrderingPerTag(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < N; i++ {
-				if err := c.Send(1, 5, []byte{byte(i)}); err != nil {
+				if err := c.send(1, 5, []byte{byte(i)}); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for i := 0; i < N; i++ {
-			data, err := c.Recv(0, 5)
+			data, err := c.recv(0, 5)
 			if err != nil {
 				return err
 			}
@@ -88,17 +88,17 @@ func TestMessageOrderingPerTag(t *testing.T) {
 func TestTagsDoNotCrossMatch(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 1, []byte("a")); err != nil {
+			if err := c.send(1, 1, []byte("a")); err != nil {
 				return err
 			}
-			return c.Send(1, 2, []byte("b"))
+			return c.send(1, 2, []byte("b"))
 		}
 		// Receive tag 2 first even though tag 1 was sent first.
-		b, err := c.Recv(0, 2)
+		b, err := c.recv(0, 2)
 		if err != nil {
 			return err
 		}
-		a, err := c.Recv(0, 1)
+		a, err := c.recv(0, 1)
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func TestIrecvBeforeSend(t *testing.T) {
 			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
-		return c.Send(1, 3, []byte("x"))
+		return c.send(1, 3, []byte("x"))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +141,16 @@ func TestIrecvBeforeSend(t *testing.T) {
 
 func TestInvalidArgs(t *testing.T) {
 	err := RunLocal(1, func(c *Comm) error {
-		if err := c.Send(5, 0, nil); err == nil {
+		if err := c.send(5, 0, nil); err == nil {
 			return fmt.Errorf("out-of-range rank accepted")
 		}
-		if err := c.Send(0, -1, nil); err == nil {
+		if err := c.send(0, -1, nil); err == nil {
 			return fmt.Errorf("negative tag accepted")
 		}
-		if err := c.Send(0, userTagLimit, nil); err == nil {
+		if err := c.send(0, userTagLimit, nil); err == nil {
 			return fmt.Errorf("reserved tag accepted")
 		}
-		if _, err := c.Recv(9, 0); err == nil {
+		if _, err := c.recv(9, 0); err == nil {
 			return fmt.Errorf("out-of-range recv accepted")
 		}
 		return nil
@@ -398,7 +398,7 @@ func TestSplitByParity(t *testing.T) {
 		if sub.Size() != 3 {
 			return fmt.Errorf("sub size %d", sub.Size())
 		}
-		if sub.WorldRank(sub.Rank()) != c.Rank() {
+		if sub.glob[sub.Rank()] != c.Rank() {
 			return fmt.Errorf("world rank mapping broken")
 		}
 		// Ranks must be ordered by key (= parent rank here).
@@ -460,18 +460,18 @@ func TestSplitContextIsolation(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			if err := sub.Send(1, 9, []byte("sub")); err != nil {
+			if err := sub.send(1, 9, []byte("sub")); err != nil {
 				return err
 			}
-			return c.Send(1, 9, []byte("parent"))
+			return c.send(1, 9, []byte("parent"))
 		}
 		// Receive on parent first; must get the parent message even though
 		// the sub message arrived first.
-		p, err := c.Recv(0, 9)
+		p, err := c.recv(0, 9)
 		if err != nil {
 			return err
 		}
-		s, err := sub.Recv(0, 9)
+		s, err := sub.recv(0, 9)
 		if err != nil {
 			return err
 		}

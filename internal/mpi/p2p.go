@@ -2,10 +2,10 @@ package mpi
 
 import "fmt"
 
-// Send delivers data to dst (a comm rank) with the given tag. The data slice
+// send delivers data to dst (a comm rank) with the given tag. The data slice
 // is copied before handoff, so the caller may reuse it immediately —
 // matching MPI_Send's buffer semantics.
-func (c *Comm) Send(dst, tag int, data []byte) error {
+func (c *Comm) send(dst, tag int, data []byte) error {
 	if err := c.checkRank(dst); err != nil {
 		return err
 	}
@@ -48,9 +48,9 @@ func (c *Comm) irecvRaw(src int, tag int32) *Request {
 	return req
 }
 
-// Recv blocks until a message from src with the given tag arrives and
+// recv blocks until a message from src with the given tag arrives and
 // returns its payload.
-func (c *Comm) Recv(src, tag int) ([]byte, error) {
+func (c *Comm) recv(src, tag int) ([]byte, error) {
 	req, err := c.Irecv(src, tag)
 	if err != nil {
 		return nil, err

@@ -355,21 +355,15 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 }
 
 // TCPWorld is this rank's handle on a TCP mesh. Close performs a graceful
-// shutdown (goodbye handshake with every peer); Abort tears the
-// connections down with no goodbye, so peers observe this rank as dead
-// within their detection window — the fault-injection hook for
-// kill-a-rank tests and emergency exits.
+// shutdown (goodbye handshake with every peer). A rank that dies instead
+// (a killed process) leaves no goodbye, and its peers declare it dead
+// within their detection window.
 type TCPWorld struct {
 	tt *tcpTransport
 }
 
 // Close shuts the mesh down gracefully. Safe to call more than once.
 func (w *TCPWorld) Close() error { return w.tt.close() }
-
-// Abort hard-closes every connection without a goodbye and poisons the
-// local engine. Peers detect the reset (or, under a partition, the
-// heartbeat silence) and declare this rank dead.
-func (w *TCPWorld) Abort() { w.tt.abort() }
 
 // ConnectTCP joins a TCP world with default liveness options. addrs lists
 // the listen address of every rank, in rank order; rank is this process's

@@ -68,10 +68,10 @@ func TestTCPSilentPeerDetected(t *testing.T) {
 		close(silent)
 		t.Fatal(err)
 	}
-	defer world.Abort()
+	defer world.tt.abort()
 
 	start := time.Now()
-	_, rerr := comm.Recv(1, 7)
+	_, rerr := comm.recv(1, 7)
 	detect := time.Since(start)
 	if rerr == nil {
 		t.Fatal("receive from a silent peer succeeded")
@@ -123,12 +123,12 @@ func TestTCPOversizedFrameHeaderBounded(t *testing.T) {
 		wg.Wait()
 		t.Fatal(err)
 	}
-	defer world.Abort()
+	defer world.tt.abort()
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	close(send)
-	_, rerr := comm.Recv(1, 7)
+	_, rerr := comm.recv(1, 7)
 	runtime.ReadMemStats(&after)
 	wg.Wait()
 	if rd, ok := AsRankDead(rerr); !ok || rd.Rank != 1 {
@@ -182,11 +182,11 @@ func TestTCPAbortDuringReduce(t *testing.T) {
 						return
 					}
 				}
-				world.Abort()
+				world.tt.abort()
 				errs[r] = ErrKilled
 				return
 			}
-			defer world.Abort()
+			defer world.tt.abort()
 			for {
 				if _, err := comm.ReduceMerge(0, []byte{1, 2, 3}, merge); err != nil {
 					errs[r] = err
@@ -231,7 +231,7 @@ func TestTCPGracefulCloseStaysClean(t *testing.T) {
 			}
 			if err := comm.Barrier(); err != nil {
 				errs[r] = err
-				world.Abort()
+				world.tt.abort()
 				return
 			}
 			// Sit past several heartbeat intervals to prove the idle mesh
@@ -239,7 +239,7 @@ func TestTCPGracefulCloseStaysClean(t *testing.T) {
 			time.Sleep(4 * opts.HeartbeatInterval)
 			if err := comm.Barrier(); err != nil {
 				errs[r] = err
-				world.Abort()
+				world.tt.abort()
 				return
 			}
 			errs[r] = world.Close()
@@ -319,7 +319,7 @@ func TestTCPFailureInjection(t *testing.T) {
 		// out at the test level — instead, close abruptly the whole
 		// process-side by closing the listener-side conn through closer
 		// AFTER sending one message so the peer is mid-protocol.
-		_ = comm.Send(1, 1, []byte("x")) // mid-protocol crash follows; the send's fate is irrelevant
+		_ = comm.send(1, 1, []byte("x")) // mid-protocol crash follows; the send's fate is irrelevant
 		closer.Close()                   // graceful close sends goodbye...
 		done <- result{nil}
 	}()
@@ -330,7 +330,7 @@ func TestTCPFailureInjection(t *testing.T) {
 			return
 		}
 		defer closer.Close()
-		if _, err := comm.Recv(0, 1); err != nil {
+		if _, err := comm.recv(0, 1); err != nil {
 			done <- result{fmt.Errorf("first recv failed: %w", err)}
 			return
 		}
@@ -344,7 +344,7 @@ func TestTCPFailureInjection(t *testing.T) {
 			return
 		}
 		select {
-		case <-req.Done():
+		case <-req.done:
 			_, werr := req.Wait()
 			done <- result{fmt.Errorf("unexpected completion: %v", werr)}
 		case <-time.After(200 * time.Millisecond):
@@ -385,13 +385,13 @@ func TestTCPAbruptDisconnect(t *testing.T) {
 			return
 		}
 		defer closer.Close()
-		_, rerr := comm.Recv(0, 7) // must fail, not hang
+		_, rerr := comm.recv(0, 7) // must fail, not hang
 		if rerr == nil {
 			errs <- fmt.Errorf("recv succeeded after peer crash")
 			return
 		}
 		// Subsequent operations must fail fast too.
-		if _, rerr := comm.Recv(0, 8); rerr == nil {
+		if _, rerr := comm.recv(0, 8); rerr == nil {
 			errs <- fmt.Errorf("post-crash recv succeeded")
 			return
 		}

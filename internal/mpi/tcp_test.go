@@ -67,9 +67,9 @@ func runTCP(t *testing.T, p int, fn func(c *Comm) error) {
 func TestTCPSendRecv(t *testing.T) {
 	runTCP(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 4, []byte("over the wire"))
+			return c.send(1, 4, []byte("over the wire"))
 		}
-		data, err := c.Recv(0, 4)
+		data, err := c.recv(0, 4)
 		if err != nil {
 			return err
 		}
@@ -88,9 +88,9 @@ func TestTCPLargeMessage(t *testing.T) {
 			for i := range buf {
 				buf[i] = byte(i * 7)
 			}
-			return c.Send(1, 0, buf)
+			return c.send(1, 0, buf)
 		}
-		data, err := c.Recv(0, 0)
+		data, err := c.recv(0, 0)
 		if err != nil {
 			return err
 		}

@@ -2,10 +2,9 @@
 // uint32 items. Monotone is a radix heap for callers whose keys never fall
 // below the last one popped: the weighted sampling kernel uses one per
 // search direction, and the exact Brandes reference one per worker. Heap is
-// an indexed binary min-heap whose DecreaseKey is O(log n) via the position
-// index, which plain container/heap cannot offer without an extra map. No
-// search uses it any more; its last caller is the benchmark's
-// pq.pushpop_ns probe, and it goes once that probe times Monotone instead.
+// a binary min-heap over items that are each queued at most once. No search
+// uses it any more; its last caller is the benchmark's pq.pushpop_ns probe,
+// and it goes once that probe times Monotone instead.
 package pq
 
 // Heap is an indexed min-heap. Items are vertex IDs in [0, n); each item
@@ -31,17 +30,6 @@ func New(n int) *Heap {
 // Len returns the number of queued items.
 func (h *Heap) Len() int { return len(h.items) }
 
-// Reset empties the heap in O(len) (only touching queued items).
-func (h *Heap) Reset() {
-	for _, it := range h.items {
-		h.pos[it] = -1
-	}
-	h.items = h.items[:0]
-}
-
-// Contains reports whether item is queued.
-func (h *Heap) Contains(item uint32) bool { return h.pos[item] >= 0 }
-
 // Push inserts item with the given priority; it panics if already present.
 func (h *Heap) Push(item uint32, priority uint64) {
 	if h.pos[item] >= 0 {
@@ -51,34 +39,6 @@ func (h *Heap) Push(item uint32, priority uint64) {
 	h.pos[item] = int32(len(h.items))
 	h.items = append(h.items, item)
 	h.up(len(h.items) - 1)
-}
-
-// DecreaseKey lowers the priority of a queued item; it panics if the item
-// is absent or the new priority is larger.
-func (h *Heap) DecreaseKey(item uint32, priority uint64) {
-	i := h.pos[item]
-	if i < 0 {
-		panic("pq: item absent")
-	}
-	if priority > h.prio[item] {
-		panic("pq: DecreaseKey would increase priority")
-	}
-	h.prio[item] = priority
-	h.up(int(i))
-}
-
-// PushOrDecrease inserts the item or lowers its priority, reporting whether
-// the stored priority changed (the Dijkstra relaxation helper).
-func (h *Heap) PushOrDecrease(item uint32, priority uint64) bool {
-	if h.pos[item] < 0 {
-		h.Push(item, priority)
-		return true
-	}
-	if priority < h.prio[item] {
-		h.DecreaseKey(item, priority)
-		return true
-	}
-	return false
 }
 
 // Pop removes and returns the minimum-priority item; it panics when empty.

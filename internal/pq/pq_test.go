@@ -33,38 +33,10 @@ func TestHeapSortProperty(t *testing.T) {
 	}
 }
 
-func TestDecreaseKey(t *testing.T) {
-	h := New(4)
-	h.Push(0, 50)
-	h.Push(1, 40)
-	h.Push(2, 30)
-	h.DecreaseKey(0, 10)
-	if item, p := h.Pop(); item != 0 || p != 10 {
-		t.Fatalf("got (%d, %d), want (0, 10)", item, p)
-	}
-	if !h.PushOrDecrease(1, 5) {
-		t.Fatal("PushOrDecrease did not decrease")
-	}
-	if h.PushOrDecrease(1, 100) {
-		t.Fatal("PushOrDecrease increased priority")
-	}
-	if item, p := h.Pop(); item != 1 || p != 5 {
-		t.Fatalf("got (%d, %d), want (1, 5)", item, p)
-	}
-	if h.PushOrDecrease(3, 7) != true {
-		t.Fatal("PushOrDecrease did not insert")
-	}
-	if !h.Contains(3) || h.Contains(0) {
-		t.Fatal("Contains wrong")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(1).Pop() },
 		func() { h := New(1); h.Push(0, 1); h.Push(0, 2) },
-		func() { New(1).DecreaseKey(0, 1) },
-		func() { h := New(1); h.Push(0, 1); h.DecreaseKey(0, 5) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -75,20 +47,6 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New(5)
-	h.Push(1, 10)
-	h.Push(3, 5)
-	h.Reset()
-	if h.Len() != 0 || h.Contains(1) || h.Contains(3) {
-		t.Fatal("Reset incomplete")
-	}
-	h.Push(1, 7) // must not panic after reset
-	if item, p := h.Pop(); item != 1 || p != 7 {
-		t.Fatalf("post-reset pop got (%d, %d)", item, p)
 	}
 }
 

@@ -108,11 +108,6 @@ func (r *Rand) Uint64() uint64 {
 	return out
 }
 
-// Uint32 returns the next 32 random bits.
-func (r *Rand) Uint32() uint32 {
-	return uint32(r.Uint64() >> 32)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // It uses Lemire's multiply-shift rejection method, which avoids the modulo
 // bias of the naive approach and the division of the classic one.

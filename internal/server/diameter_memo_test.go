@@ -207,9 +207,9 @@ func TestVertexDiameterSurvivesMappedSwap(t *testing.T) {
 
 // A checkpoint written before the memo moved into the workload comes from an
 // estimator that resolved the diameter itself, and a daemon of that time
-// passed the bound to every session through WithVertexDiameter. Either way
-// the checkpoint must restore, resume, and still accept a refine: the
-// restored identity is the checkpoint's.
+// passed the bound to every session through the since-removed
+// WithVertexDiameter option. Either way the checkpoint must restore, resume,
+// and still accept a refine: the restored identity is the checkpoint's.
 func TestRestoreCheckpointFromBeforeMemo(t *testing.T) {
 	dataDir := t.TempDir()
 	upload := testGraphBytes(t)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kadabra"
 	"repro/internal/mpi"
+	"repro/internal/rng"
 )
 
 func testGraph() *graph.Graph {
@@ -59,14 +60,15 @@ func maxErr(exact, got []float64) float64 {
 func countingWorkload(w kadabra.Workload) (kadabra.Workload, func() (total int64)) {
 	var mu sync.Mutex
 	var counters []*atomic.Int64
-	cw := w.WrapSampler(func(s kadabra.Sampler) kadabra.Sampler {
+	inner := w.NewSampler
+	w.NewSampler = func(r *rng.Rand) kadabra.Sampler {
 		c := &atomic.Int64{}
 		mu.Lock()
 		counters = append(counters, c)
 		mu.Unlock()
-		return &countingSampler{inner: s, n: c}
-	})
-	return cw, func() int64 {
+		return &countingSampler{inner: inner(r), n: c}
+	}
+	return w, func() int64 {
 		mu.Lock()
 		defer mu.Unlock()
 		var total int64
@@ -121,7 +123,7 @@ func checkFaultReport(t *testing.T, rep *FaultReport, procs, killed int) {
 // tau never exceeds what the samplers drew (no double-counted salvage).
 func TestKillGrid(t *testing.T) {
 	g := testGraph()
-	exact := brandes.Exact(g)
+	exact := brandes.Parallel(g, 1)
 	const procs = 3
 	for _, r := range []int{1, 2} {
 		for _, e := range []int{1, 3} {
@@ -154,7 +156,7 @@ func TestKillGrid(t *testing.T) {
 func TestKillGridWorkloads(t *testing.T) {
 	t.Run("directed", func(t *testing.T) {
 		dg := testDigraph()
-		exactD := brandes.ExactDirected(dg)
+		exactD := brandes.ParallelDirected(dg, 1)
 		cfg := faultCfg(41)
 		rep, err := RunFaulty(context.Background(), kadabra.DirectedWorkload(dg), 3, cfg, FaultPlan{
 			KillRank: 1, KillEpoch: 2,
@@ -170,7 +172,7 @@ func TestKillGridWorkloads(t *testing.T) {
 
 	t.Run("weighted", func(t *testing.T) {
 		wg := testWGraph(t)
-		exactW := brandes.ExactWeighted(wg)
+		exactW := brandes.ParallelWeighted(wg, 1)
 		cfg := faultCfg(42)
 		rep, err := RunFaulty(context.Background(), kadabra.WeightedWorkload(wg), 3, cfg, FaultPlan{
 			KillRank: 2, KillEpoch: 2,
