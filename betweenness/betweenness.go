@@ -8,10 +8,10 @@
 //	        betweenness.WithExecutor(betweenness.SharedMemory()))
 //
 // with functional options for the statistical parameters and the execution
-// backend. The backends are a closed set of four Executor values, all
-// running the paper's Algorithm 2 on one check schedule: Sequential
-// (reference, one thread) and SharedMemory (epoch-based threads) on a
-// one-rank in-process world, LocalMPI over
+// backend. The backends are a closed set of three, all running the paper's
+// Algorithm 2 on one check schedule: SharedMemory (epoch-based threads) on
+// a one-rank in-process world, with Sequential as its one-thread reference
+// shape, LocalMPI over
 // in-process ranks (with its default of one sampling thread per rank, the
 // paper's Algorithm 1), and TCP as one rank of a genuinely distributed
 // world.

@@ -49,8 +49,8 @@ func TestDefaults(t *testing.T) {
 	if s.Seed != 1 {
 		t.Errorf("default seed = %d, want 1", s.Seed)
 	}
-	if name := s.exec.Name(); name != "shared-memory" {
-		t.Errorf("default executor = %q, want shared-memory", name)
+	if s.exec != SharedMemory() {
+		t.Errorf("default executor = %+v, want SharedMemory()", s.exec)
 	}
 }
 
@@ -106,19 +106,19 @@ func TestBackendsAgreeWithExact(t *testing.T) {
 			WithThreads(2),
 			WithExecutor(exec))
 		if err != nil {
-			t.Fatalf("%s: %v", exec.Name(), err)
+			t.Fatalf("%s: %v", label(exec), err)
 		}
 		if res.Backend != exec.Name() {
 			t.Errorf("backend label = %q, want %q", res.Backend, exec.Name())
 		}
 		if len(res.Estimates) != g.NumNodes() {
-			t.Fatalf("%s: %d estimates for %d vertices", exec.Name(), len(res.Estimates), g.NumNodes())
+			t.Fatalf("%s: %d estimates for %d vertices", label(exec), len(res.Estimates), g.NumNodes())
 		}
 		rep := Compare(exact, res.Estimates, eps)
 		if rep.MaxAbs > eps {
-			t.Errorf("%s: max abs error %.4f exceeds eps %.4f", exec.Name(), rep.MaxAbs, eps)
+			t.Errorf("%s: max abs error %.4f exceeds eps %.4f", label(exec), rep.MaxAbs, eps)
 		}
-		results[exec.Name()] = res
+		results[label(exec)] = res
 	}
 
 	// Direct seq-vs-shm parity: identical omega (same diameter phase) and
@@ -228,7 +228,7 @@ func TestStopAtOmega(t *testing.T) {
 		exec    Executor
 		threads int
 	}{{Sequential(), 2}, {SharedMemory(), 1}, {SharedMemory(), 2}} {
-		name := fmt.Sprintf("%s/T%d", c.exec.Name(), c.threads)
+		name := fmt.Sprintf("%s/T%d", label(c.exec), c.threads)
 		res, err := Estimate(context.Background(), Undirected(g),
 			WithEpsilon(0.05), WithSeed(1000), WithThreads(c.threads), WithExecutor(c.exec))
 		if err != nil {
@@ -256,13 +256,13 @@ func TestTopK(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Top) != 3 {
-			t.Fatalf("%s: certified top-k returned %d vertices, want 3", exec.Name(), len(res.Top))
+			t.Fatalf("%s: certified top-k returned %d vertices, want 3", label(exec), len(res.Top))
 		}
 		if res.Lower == nil || res.Upper == nil {
-			t.Errorf("%s: certified top-k missing confidence bounds", exec.Name())
+			t.Errorf("%s: certified top-k missing confidence bounds", label(exec))
 		}
 		if res.Top[0] != want[0] {
-			t.Errorf("%s: certified top-1 = %d, want %d", exec.Name(), res.Top[0], want[0])
+			t.Errorf("%s: certified top-1 = %d, want %d", label(exec), res.Top[0], want[0])
 		}
 	}
 }
@@ -274,7 +274,7 @@ func TestContextCancelledBeforeStart(t *testing.T) {
 	for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
 		_, err := Estimate(ctx, Undirected(g), WithEpsilon(0.05), WithExecutor(exec))
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)
+			t.Errorf("%s: cancelled ctx returned %v, want context.Canceled", label(exec), err)
 		}
 	}
 }

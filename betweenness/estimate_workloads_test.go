@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestDirectedParityAgainstExact(t *testing.T) {
 		exact := ExactDirected(tc.g, 0)
 		for _, exec := range execs {
 			for _, seed := range seeds {
-				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, exec.Name(), seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, label(exec), seed), func(t *testing.T) {
 					res, err := Estimate(context.Background(), Directed(tc.g),
 						WithEpsilon(eps), WithDelta(0.1), WithSeed(seed), WithThreads(2),
 						WithExecutor(exec))
@@ -144,7 +145,7 @@ func TestWeightedParityAgainstExact(t *testing.T) {
 		exact := ExactWeighted(tc.g, 0)
 		for _, exec := range execs {
 			for _, seed := range seeds {
-				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, exec.Name(), seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", tc.name, label(exec), seed), func(t *testing.T) {
 					res, err := Estimate(context.Background(), Weighted(tc.g),
 						WithEpsilon(eps), WithDelta(0.1), WithSeed(seed), WithThreads(2),
 						WithExecutor(exec))
@@ -262,7 +263,7 @@ func TestTopKCoverage(t *testing.T) {
 		{"weighted", Weighted(wg), ExactWeighted(wg, 0)},
 	} {
 		for _, exec := range []Executor{Sequential(), SharedMemory(), LocalMPI(2)} {
-			t.Run(w.name+"/"+exec.Name(), func(t *testing.T) {
+			t.Run(w.name+"/"+label(exec), func(t *testing.T) {
 				failed := 0
 				for seed := range uint64(runs) {
 					res, err := Estimate(context.Background(), w.w, WithEpsilon(eps), WithDelta(delta),
@@ -291,30 +292,53 @@ func TestTopKCoverage(t *testing.T) {
 	}
 }
 
-// TestDirectedSeqVsShmParity pins the two executors against each other
-// directly: same omega (same diameter bound) and estimates within 2*eps.
-func TestDirectedSeqVsShmParity(t *testing.T) {
-	g := graph.RandomDigraph(150, 900, 9)
+// TestSeqVsShmParity pins Sequential against SharedMemory on every
+// workload kind. Sequential is SharedMemory pinned at one thread, so it
+// returns SharedMemory at WithThreads(1) bit for bit, under the same
+// Backend; at two threads the two share omega (the same diameter bound)
+// and their estimates lie within 2*eps of each other.
+func TestSeqVsShmParity(t *testing.T) {
+	lcc, _, err := graph.LargestComponent(graph.RMAT(graph.Graph500(7, 8, 21)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const eps = 0.04
-	run := func(exec Executor) *Result {
-		res, err := Estimate(context.Background(), Directed(g),
-			WithEpsilon(eps), WithSeed(13), WithThreads(2), WithExecutor(exec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, shm := run(Sequential()), run(SharedMemory())
-	if seq.Omega != shm.Omega {
-		t.Errorf("omega differs: seq %.0f vs shm %.0f", seq.Omega, shm.Omega)
-	}
-	if seq.VertexDiameter != shm.VertexDiameter {
-		t.Errorf("vertex diameter differs: %d vs %d", seq.VertexDiameter, shm.VertexDiameter)
-	}
-	for v := range seq.Estimates {
-		if d := math.Abs(seq.Estimates[v] - shm.Estimates[v]); d > 2*eps {
-			t.Fatalf("vertex %d: |seq-shm| = %.4f > 2*eps", v, d)
-		}
+	for _, tc := range []struct {
+		name string
+		w    Workload
+	}{
+		{"undirected", Undirected(lcc)},
+		{"directed", Directed(graph.RandomDigraph(150, 900, 9))},
+		{"weighted", Weighted(graph.RandomWeights(lcc, 10, 3))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(exec Executor, threads int) *Result {
+				res, err := Estimate(context.Background(), tc.w,
+					WithEpsilon(eps), WithSeed(13), WithThreads(threads), WithExecutor(exec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			seq, one, shm := run(Sequential(), 2), run(SharedMemory(), 1), run(SharedMemory(), 2)
+			if seq.Backend != one.Backend || seq.Tau != one.Tau || seq.Epochs != one.Epochs ||
+				!reflect.DeepEqual(seq.Estimates, one.Estimates) {
+				t.Errorf("Sequential vs SharedMemory at one thread: backend %q/%q tau %d/%d epochs %d/%d, estimates equal %v",
+					seq.Backend, one.Backend, seq.Tau, one.Tau, seq.Epochs, one.Epochs,
+					reflect.DeepEqual(seq.Estimates, one.Estimates))
+			}
+			if seq.Omega != shm.Omega {
+				t.Errorf("omega differs: seq %.0f vs shm %.0f", seq.Omega, shm.Omega)
+			}
+			if seq.VertexDiameter != shm.VertexDiameter {
+				t.Errorf("vertex diameter differs: %d vs %d", seq.VertexDiameter, shm.VertexDiameter)
+			}
+			for v := range seq.Estimates {
+				if d := math.Abs(seq.Estimates[v] - shm.Estimates[v]); d > 2*eps {
+					t.Fatalf("vertex %d: |seq-shm| = %.4f > 2*eps", v, d)
+				}
+			}
+		})
 	}
 }
 
@@ -451,21 +475,21 @@ func TestDirectedWeightedBackendDispatch(t *testing.T) {
 	dres, err := Estimate(context.Background(), Directed(dg),
 		WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
 	if err != nil {
-		t.Fatalf("%s: directed Estimate: %v", exec.Name(), err)
+		t.Fatalf("%s: directed Estimate: %v", label(exec), err)
 	}
 	if rep := Compare(dexact, dres.Estimates, eps); rep.MaxAbs > eps {
-		t.Errorf("%s directed: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, dres.Tau)
+		t.Errorf("%s directed: max abs error %.4f exceeds eps (tau=%d)", label(exec), rep.MaxAbs, dres.Tau)
 	}
 	if dres.Distributed == nil {
-		t.Errorf("%s directed: missing distributed stats", exec.Name())
+		t.Errorf("%s directed: missing distributed stats", label(exec))
 	}
 	wres, err := Estimate(context.Background(), Weighted(wg),
 		WithEpsilon(eps), WithSeed(3), WithThreads(2), WithExecutor(exec))
 	if err != nil {
-		t.Fatalf("%s: weighted Estimate: %v", exec.Name(), err)
+		t.Fatalf("%s: weighted Estimate: %v", label(exec), err)
 	}
 	if rep := Compare(wexact, wres.Estimates, eps); rep.MaxAbs > eps {
-		t.Errorf("%s weighted: max abs error %.4f exceeds eps (tau=%d)", exec.Name(), rep.MaxAbs, wres.Tau)
+		t.Errorf("%s weighted: max abs error %.4f exceeds eps (tau=%d)", label(exec), rep.MaxAbs, wres.Tau)
 	}
 	// Invalid options must fail on these workloads exactly as on the
 	// undirected one.
@@ -486,10 +510,10 @@ func TestDirectedWeightedContextCancelledBeforeStart(t *testing.T) {
 	wg := weightedGrid(t, 8, 8, 5)
 	for _, exec := range []Executor{Sequential(), SharedMemory()} {
 		if _, err := Estimate(ctx, Directed(dg), WithEpsilon(0.05), WithExecutor(exec)); !errors.Is(err, context.Canceled) {
-			t.Errorf("directed/%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)
+			t.Errorf("directed/%s: cancelled ctx returned %v, want context.Canceled", label(exec), err)
 		}
 		if _, err := Estimate(ctx, Weighted(wg), WithEpsilon(0.05), WithExecutor(exec)); !errors.Is(err, context.Canceled) {
-			t.Errorf("weighted/%s: cancelled ctx returned %v, want context.Canceled", exec.Name(), err)
+			t.Errorf("weighted/%s: cancelled ctx returned %v, want context.Canceled", label(exec), err)
 		}
 	}
 }
@@ -500,7 +524,7 @@ func TestDirectedWeightedContextCancelledBeforeStart(t *testing.T) {
 func TestCancellationStopsDirectedEstimate(t *testing.T) {
 	g := graph.RandomDigraph(3000, 24000, 6)
 	for _, exec := range []Executor{Sequential(), SharedMemory()} {
-		t.Run(exec.Name(), func(t *testing.T) {
+		t.Run(label(exec), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var once sync.Once
@@ -543,7 +567,7 @@ func TestCancellationStopsWeightedEstimate(t *testing.T) {
 	}
 	g := graph.RandomWeights(lcc, 10, 8)
 	for _, exec := range []Executor{Sequential(), SharedMemory()} {
-		t.Run(exec.Name(), func(t *testing.T) {
+		t.Run(label(exec), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var once sync.Once
@@ -607,10 +631,10 @@ func TestDirectRunEnforcesValidation(t *testing.T) {
 	}
 	for _, exec := range allBackends() {
 		if _, err := NewEstimator(Directed(path), WithExecutor(exec)); err == nil {
-			t.Errorf("%s: accepted a non-strongly-connected digraph", exec.Name())
+			t.Errorf("%s: accepted a non-strongly-connected digraph", label(exec))
 		}
 		if _, err := NewEstimator(Weighted(disc), WithExecutor(exec)); err == nil {
-			t.Errorf("%s: accepted a disconnected weighted graph", exec.Name())
+			t.Errorf("%s: accepted a disconnected weighted graph", label(exec))
 		}
 	}
 }

@@ -36,9 +36,9 @@ import (
 //     a run interrupted mid-sampling resumes in a fresh process where it
 //     stopped, on the backend it ran on.
 //
-// This holds on all four backends — one state machine advanced by one
+// This holds on every backend — one state machine advanced by one
 // engine, the paper's Algorithm 2 (on a one-rank in-process world for
-// Sequential and SharedMemory); a distributed session's state lives at
+// SharedMemory and Sequential); a distributed session's state lives at
 // world rank 0 between the collective runs. Every backend stops within one
 // epoch of a WithMaxDuration deadline. One rule says what a resume
 // reproduces: a one-thread session (Sequential, which is SharedMemory at
@@ -358,7 +358,7 @@ const (
 // Checkpoint writes a versioned serialization of the session — backend
 // shape (engine, threads, ranks), stopping rule, per-vertex counts,
 // calibration budgets, epoch counters, the statistical targets, and the RNG
-// streams where the session holds them (Sequential, SharedMemory) — to w,
+// streams where the session holds them (single-process sessions) — to w,
 // so RestoreEstimator can resume it in a fresh process. The graph is not
 // serialized; the restorer supplies the same workload. Call it between
 // runs, after a budget stop, or after a cancelled Run (the completed work
@@ -393,9 +393,9 @@ func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte
 // re-binding it to w — a workload of the same kind over the same graph the
 // checkpoint was taken from (kind and vertex count are verified; the graph
 // itself is the caller's contract). The session resumes on the backend it
-// was checkpointed from — Sequential at one thread (or SharedMemory, when
-// WithExecutor names it), SharedMemory with its threads, or LocalMPI with
-// its ranks and threads per rank — with the serialized
+// was checkpointed from — SharedMemory with its threads (one, for a
+// Sequential session), or LocalMPI with its ranks and threads per rank —
+// with the serialized
 // statistical identity (eps, delta, seed, vertex diameter, stopping rule);
 // options supply what a checkpoint cannot carry — WithProgress,
 // WithMaxSamples, WithMaxDuration, WithDistCheckpoint, and WithExecutor
@@ -443,27 +443,23 @@ func RestoreEstimator(r io.Reader, w Workload, opts ...Option) (*Estimator, erro
 	if err != nil {
 		return nil, err
 	}
-	s, err := resolveSettings(append([]Option{WithExecutor(Sequential())}, opts...))
+	s, err := resolveSettings(opts)
 	if err != nil {
 		return nil, err
 	}
 	// The statistical identity and the backend's shape live in the
-	// checkpoint. A one-thread single-process state is both Sequential and
-	// SharedMemory at WithThreads(1): it keeps whichever of the two the
-	// caller names, Sequential when it names neither.
+	// checkpoint: a single-process state resumes on SharedMemory at its
+	// threads, a distributed one on its ranks (or as this rank of a TCP
+	// world).
 	cfg := st.Config()
 	s.Epsilon, s.Delta, s.Seed = cfg.Eps, cfg.Delta, cfg.Seed
 	s.VertexDiameter = st.VertexDiameter()
 	s.Threads = st.Threads()
-	switch tcp := s.exec.kind == backendTCP; {
-	case st.Procs() > 0 && !tcp:
-		s.exec = LocalMPI(st.Procs())
-	case st.Procs() > 0:
-	case st.Threads() == 1 && s.exec == SharedMemory():
-	case st.Threads() == 1:
-		s.exec = Sequential()
-	default:
+	switch {
+	case st.Procs() == 0:
 		s.exec = SharedMemory()
+	case s.exec.kind != backendTCP:
+		s.exec = LocalMPI(st.Procs())
 	}
 	if !st.RuleRecorded() {
 		// Version 1: k is session configuration, not checkpoint content —

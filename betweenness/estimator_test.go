@@ -228,7 +228,7 @@ func TestRefineParityBattery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, exec := range []Executor{Sequential(), SharedMemory()} {
-			t.Run(fmt.Sprintf("%s/%s", tc.name, exec.Name()), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, label(exec)), func(t *testing.T) {
 				est, err := NewEstimator(tc.w,
 					WithEpsilon(coarse), WithSeed(7), WithThreads(2), WithExecutor(exec))
 				if err != nil {
@@ -256,7 +256,7 @@ func TestRefineParityBattery(t *testing.T) {
 				// epoch on an oversubscribed box can overshoot far enough
 				// that the fine target is already met — growth is then
 				// legitimately zero, but never negative (asserted above).
-				if exec.Name() == "sequential" && refined.Tau == first.Tau {
+				if exec == Sequential() && refined.Tau == first.Tau {
 					t.Fatalf("refine did not grow the sample count: %d", refined.Tau)
 				}
 				if !refined.Converged {
@@ -566,7 +566,7 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Backend != "sequential" || got.Tau != want.Tau || got.Epochs != want.Epochs ||
+	if got.Backend != "shared-memory" || got.Tau != want.Tau || got.Epochs != want.Epochs ||
 		got.AchievedEps != want.AchievedEps || !reflect.DeepEqual(got.Estimates, want.Estimates) {
 		t.Fatalf("v1 resume on %s differs from the uninterrupted run: tau %d/%d epochs %d/%d achieved %g/%g",
 			got.Backend, got.Tau, want.Tau, got.Epochs, want.Epochs, got.AchievedEps, want.AchievedEps)
@@ -609,8 +609,8 @@ func TestRestoreV2SequentialCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restoring the sequential checkpoint: %v", err)
 	}
-	if est.st.Threads() != 1 || est.st.Procs() != 0 || est.Backend() != "sequential" {
-		t.Fatalf("restored as %d threads, %d procs on %s; want the one-thread sequential session",
+	if est.st.Threads() != 1 || est.st.Procs() != 0 || est.Backend() != "shared-memory" {
+		t.Fatalf("restored as %d threads, %d procs on %s; want the one-thread shared-memory session",
 			est.st.Threads(), est.st.Procs(), est.Backend())
 	}
 	if snap := est.Snapshot(); snap.Tau != want.Tau/2+137 {
@@ -627,11 +627,11 @@ func TestRestoreV2SequentialCheckpoint(t *testing.T) {
 	}
 }
 
-// TestOneThreadRestoreKeepsNamedBackend: a one-thread SharedMemory session
-// has the Sequential backend's shape, so its checkpoint restores as
-// Sequential unless the restorer names SharedMemory, and either way
+// TestOneThreadRestoreRunsSharedMemory: a one-thread SharedMemory session
+// has the Sequential backend's shape, so its checkpoint restores on
+// SharedMemory at one thread whichever executor the restorer names, and
 // resumes sample for sample.
-func TestOneThreadRestoreKeepsNamedBackend(t *testing.T) {
+func TestOneThreadRestoreRunsSharedMemory(t *testing.T) {
 	g := testGraph(t)
 	opts := []Option{WithEpsilon(0.05), WithSeed(3), WithThreads(1), WithExecutor(SharedMemory())}
 	want, err := Estimate(context.Background(), Undirected(g), opts...)
@@ -653,10 +653,10 @@ func TestOneThreadRestoreKeepsNamedBackend(t *testing.T) {
 		opts    []Option
 		backend string
 	}{
-		{nil, "sequential"},
-		{[]Option{WithExecutor(Sequential())}, "sequential"},
+		{nil, "shared-memory"},
+		{[]Option{WithExecutor(Sequential())}, "shared-memory"},
 		{[]Option{WithExecutor(SharedMemory())}, "shared-memory"},
-		{[]Option{WithExecutor(LocalMPI(2))}, "sequential"},
+		{[]Option{WithExecutor(LocalMPI(2))}, "shared-memory"},
 	} {
 		restored, err := RestoreEstimator(bytes.NewReader(buf.Bytes()), Undirected(g), tc.opts...)
 		if err != nil {
@@ -724,17 +724,17 @@ func TestEveryBackendCheckpointableAndRefinable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !est.Checkpointable() {
-			t.Errorf("%s session claims not to be checkpointable", exec.Name())
+			t.Errorf("%s session claims not to be checkpointable", label(exec))
 		}
 		est.RequestCheckpoint()
 		if err := est.Checkpoint(&bytes.Buffer{}); err != nil {
-			t.Errorf("Checkpoint on %s returned %v", exec.Name(), err)
+			t.Errorf("Checkpoint on %s returned %v", label(exec), err)
 		}
 		if exec.Name() == "tcp" {
 			continue // a one-rank "world" of one unroutable host: nothing to run
 		}
 		if res, err := est.Refine(context.Background(), WithEpsilon(0.04)); err != nil || !res.Converged {
-			t.Errorf("Refine on %s: result %+v, err %v", exec.Name(), res, err)
+			t.Errorf("Refine on %s: result %+v, err %v", label(exec), res, err)
 		}
 	}
 

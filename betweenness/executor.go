@@ -1,6 +1,7 @@
 package betweenness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -12,8 +13,9 @@ import (
 	"repro/internal/mpi"
 )
 
-// Executor selects the execution backend of a session: one of the four
-// values Sequential, SharedMemory, LocalMPI and TCP return. Every backend
+// Executor selects the execution backend of a session: one of the values
+// Sequential, SharedMemory, LocalMPI and TCP return. There are three
+// backends — Sequential is SharedMemory pinned at one thread. Every backend
 // runs every workload kind, owns its session's sampling state, follows the
 // one check schedule and stops by the certified top-k rule under WithTopK;
 // the backends differ only in the shape of the world. The zero
@@ -21,23 +23,23 @@ import (
 // comparable: two are equal exactly when they name the same backend of the
 // same shape.
 type Executor struct {
-	kind  backendKind
-	procs int    // LocalMPI: in-process ranks
-	rank  int    // TCP: this process's rank
-	hosts string // TCP: comma-joined host:port per rank, so Executor stays comparable
+	kind    backendKind
+	threads int    // SharedMemory: the pinned thread count (Sequential: 1); zero follows WithThreads
+	procs   int    // LocalMPI: in-process ranks
+	rank    int    // TCP: this process's rank
+	hosts   string // TCP: comma-joined host:port per rank, so Executor stays comparable
 }
 
 type backendKind uint8
 
 const (
 	_ backendKind = iota // the zero Executor
-	backendSequential
 	backendSharedMemory
 	backendLocalMPI
 	backendTCP
 )
 
-var backendNames = [...]string{"", "sequential", "shared-memory", "local-mpi", "tcp"}
+var backendNames = [...]string{"", "shared-memory", "local-mpi", "tcp"}
 
 // tcpDialTimeout bounds how long a TCP rank waits for its world to connect.
 const tcpDialTimeout = 30 * time.Second
@@ -59,11 +61,11 @@ var ErrRemoteCancelled = core.ErrRemoteCancelled
 // Without one, the run starts over.
 var ErrCoordinatorLost = core.ErrCoordinatorLost
 
-// Sequential returns the single-threaded reference backend: Algorithm 2 on
-// a one-rank world with one thread — the SharedMemory backend's schedule
-// at WithThreads(1), KADABRA's sequential loop — so a run is deterministic
-// under its seed and resumes bit-identically. It ignores WithThreads.
-func Sequential() Executor { return Executor{kind: backendSequential} }
+// Sequential returns the single-threaded reference backend: SharedMemory
+// pinned at one thread, which is KADABRA's sequential loop, so a run is
+// deterministic under its seed and resumes bit-identically. It ignores
+// WithThreads, and its Name is SharedMemory's.
+func Sequential() Executor { return Executor{kind: backendSharedMemory, threads: 1} }
 
 // SharedMemory returns the epoch-based shared-memory backend (the paper's
 // state-of-the-art competitor, its Ref. 24, which is Algorithm 2 on a
@@ -118,14 +120,9 @@ func (e Executor) bind(w kadabra.Workload, s settings, cfg kadabra.Config, root 
 				return nil, fmt.Errorf("betweenness: tcp: %w", err)
 			}
 		}
-	default: // Sequential, SharedMemory
+	default: // SharedMemory
 		if root == nil {
-			threads := 1
-			if e.kind == backendSharedMemory {
-				if threads = s.Threads; threads <= 0 {
-					threads = runtime.GOMAXPROCS(0)
-				}
-			}
+			threads := cmp.Or(e.threads, s.Threads, runtime.GOMAXPROCS(0))
 			if root, err = kadabra.NewEstimatorState(w, threads, cfg); err != nil {
 				return nil, err
 			}

@@ -123,8 +123,8 @@ func WithSeed(seed uint64) Option {
 
 // WithThreads sets the number of sampling threads per process. Zero (the
 // default) means one thread per CPU core on the SharedMemory backend and
-// one thread per rank on the MPI backends; the Sequential backend is one
-// thread and ignores it.
+// one thread per rank on the MPI backends; Sequential, SharedMemory pinned
+// at one thread, ignores it.
 func WithThreads(threads int) Option {
 	return func(s *settings) error {
 		if threads < 0 {

@@ -52,7 +52,7 @@ func TestZeroWorkloadRejected(t *testing.T) {
 	}
 	for _, exec := range allBackends() {
 		if _, err := NewEstimator(Workload{}, WithExecutor(exec)); err == nil {
-			t.Errorf("%s: NewEstimator accepted the zero workload", exec.Name())
+			t.Errorf("%s: NewEstimator accepted the zero workload", label(exec))
 		}
 	}
 }
@@ -61,6 +61,15 @@ func TestZeroWorkloadRejected(t *testing.T) {
 // unroutable: sessions on it may be built, never run.
 func allBackends() []Executor {
 	return []Executor{Sequential(), SharedMemory(), LocalMPI(2), TCP(0, []string{"127.0.0.1:1"})}
+}
+
+// label names exec in test names and messages. Sequential keeps a label of
+// its own, although its Name is SharedMemory's.
+func label(exec Executor) string {
+	if exec == Sequential() {
+		return "sequential"
+	}
+	return exec.Name()
 }
 
 // --- TCP directed & weighted parity -----------------------------------------

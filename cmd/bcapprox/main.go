@@ -4,8 +4,8 @@
 //
 // Backends (any backend runs any workload):
 //
-//	-backend seq   sequential KADABRA: one thread on one rank, the same
-//	               samples as -backend shm -threads 1
+//	-backend seq   sequential KADABRA: -backend shm pinned at one thread
+//	               (it ignores -threads)
 //	-backend shm   shared-memory epoch-based parallelization (the paper's
 //	               baseline, Ref. 24)
 //	-backend dist  epoch-based MPI parallelization (paper Algorithm 2) over
@@ -51,8 +51,9 @@
 //	                   discarded, and a completed run saves its final
 //	                   state for later refinement
 //	-resume PATH       continue a -checkpoint session on the backend that
-//	                   wrote it (a one-thread session resumes as seq, or
-//	                   as shm with -backend shm); the statistical identity
+//	                   wrote it (a single-process session on shm at its
+//	                   threads, a dist session on its ranks); the
+//	                   statistical identity
 //	                   (eps, delta, seed, threads, ranks, stopping rule)
 //	                   comes from the checkpoint, and explicitly passed -eps/-delta
 //	                   refine the resumed session toward the new target,
@@ -91,20 +92,20 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/betweenness"
 	"repro/graph"
+	"repro/internal/bigio"
 	"repro/internal/memprof"
 )
 
@@ -131,7 +132,7 @@ func main() {
 		maxSamples = flag.Int64("max-samples", 0, "stop after this many samples and report the achieved guarantee (0 = until eps)")
 		maxDur     = flag.Duration("max-duration", 0, "stop after this much wall clock and report the achieved guarantee (0 = until eps)")
 		ckptPath   = flag.String("checkpoint", "", "persist the session here, on Ctrl-C and on completion (tcp: rank 0's copy holds the samples), and every -dist-checkpoint-interval epochs in between")
-		resumePath = flag.String("resume", "", "resume a -checkpoint session on the backend that wrote it (tcp: pass -backend tcp again); explicit -eps/-delta refine it")
+		resumePath = flag.String("resume", "", "resume a -checkpoint session on the backend that wrote it, with its threads and ranks (tcp: pass -backend tcp again); explicit -eps/-delta refine it")
 		distCkpt   = flag.Int("dist-checkpoint-interval", 0, "dist/tcp: also write the session to -checkpoint every N epochs while it runs (0 = off)")
 		memstats   = flag.Bool("memstats", false, "print heap and resident-set stats before exiting (the ingest smoke test's RSS bound)")
 	)
@@ -211,11 +212,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown backend %q", *backend))
 	}
-	if *resumePath == "" || explicit["backend"] {
-		// A checkpoint names its own backend; -backend on -resume picks tcp,
-		// or shm over seq for a one-thread session.
-		opts = append(opts, betweenness.WithExecutor(exec))
-	}
+	opts = append(opts, betweenness.WithExecutor(exec))
 
 	if *distCkpt < 0 {
 		fatal(fmt.Errorf("-dist-checkpoint-interval must be >= 0, got %d", *distCkpt))
@@ -437,49 +434,19 @@ func restoreSession(path string, w betweenness.Workload, opts []betweenness.Opti
 	return betweenness.RestoreEstimator(f, w, opts...)
 }
 
-// writeCheckpoint persists the session to path.
+// writeCheckpoint durably replaces path with the session's checkpoint: a
+// machine crash leaves the old checkpoint or the new one.
 func writeCheckpoint(est *betweenness.Estimator, path string) error {
-	var buf bytes.Buffer
-	if err := est.Checkpoint(&buf); err != nil {
-		return err
-	}
-	return writeBlob(path, buf.Bytes())
+	return bigio.WriteAtomic(path, est.Checkpoint, nil)
 }
 
-// writeBlob atomically and durably replaces path with the given bytes: a
-// sealed checkpoint, from Checkpoint or from the periodic sink. The temp
-// file is fsynced before the rename and the directory after it, so a
-// machine crash leaves the old checkpoint or the new one; a failed write
-// removes the temp file.
+// writeBlob durably replaces path with a sealed checkpoint from the
+// periodic sink, as writeCheckpoint does.
 func writeBlob(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return bigio.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	}, nil)
 }
 
 func fatal(err error) {

@@ -8,8 +8,8 @@
 //     values (Undirected, Directed, Weighted — the paper's footnote-1
 //     scenarios) run through one front door,
 //     betweenness.Estimate(ctx, w, opts...), or held as a session
-//     (NewEstimator). The execution backend is one of four closed
-//     Executor values (Sequential, SharedMemory, LocalMPI, TCP), and each
+//     (NewEstimator). The execution backend is one of three: SharedMemory
+//     (Sequential is its one-thread shape), LocalMPI and TCP, and each
 //     runs all three workloads. Exact Brandes ground truth (Exact,
 //     ExactDirected, ExactWeighted) and accuracy reports round out the
 //     package.
@@ -105,11 +105,11 @@
 // MPI/TCP ones, where rank 0 folds the budget stop into the termination
 // broadcast — and an early-stopped Result reports Converged == false with
 // the honestly achieved guarantee in AchievedEps. Sessions are resumable
-// (Refine/Checkpoint/repeated Run, live Snapshot) on all four backends —
+// (Refine/Checkpoint/repeated Run, live Snapshot) on every backend —
 // one state machine (kadabra.EstimatorState) advanced by the one engine,
 // Algorithm 2: world rank 0 keeps the consistent state between runs, and
 // every engine stops within one epoch of a deadline. Every state follows one
-// check schedule; Sequential is its one-thread shape. A checkpoint records
+// check schedule; Sequential is SharedMemory pinned at one thread. A checkpoint records
 // threads, ranks and stopping rule (WithTopK on any backend and workload
 // swaps the uniform rule for the certified top-k one), so a session
 // resumes on the backend that wrote it. A one-thread session resumed from a
@@ -155,10 +155,11 @@
 // The invariants the sections above rely on — allocation-free sampling
 // kernels, the sparse-frame write protocol, typed fault handling, threaded
 // cancellation, the public-API layering, and the mapped-graph memory
-// discipline — are machine-enforced by a repo-specific analyzer suite
-// under internal/analysis (epochframe, hotpathalloc, rankdead, ctxleak,
-// layerimport, mmapsafe), built and run by CI over
-// the whole tree via cmd/repolint, a `go vet -vettool` multichecker.
+// discipline, and exported names that earn a caller — are machine-enforced
+// by a repo-specific analyzer suite under internal/analysis (ctxleak,
+// deadexport, epochframe, hotpathalloc, layerimport, mmapsafe, rankdead),
+// built and run once by CI over the whole tree, test files included, via
+// `repolint ./...` (cmd/repolint).
 // Hot functions are annotated //bc:hotpath; a deliberate root context is
 // justified in place with //bc:ctxok <reason>. Run scripts/lint.sh (or
 // `go run ./cmd/repolint ./...`) locally; the tree must come out clean.

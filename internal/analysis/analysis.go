@@ -1,8 +1,8 @@
 // Package analysis assembles the repolint suite: the repo-specific
 // analyzers that machine-enforce invariants which previously existed only
 // as prose in CHANGES.md and as indirect test coverage. cmd/repolint runs
-// the suite standalone or as a `go vet -vettool` (deadexport standalone
-// only); TestTreeIsClean keeps the tree itself at zero diagnostics, and
+// the suite over ./...; TestTreeIsClean keeps the tree itself at zero
+// diagnostics, and
 // TestAPISurface holds the public packages to api/*.txt.
 //
 // See each analyzer package for the invariant it guards:

@@ -32,8 +32,7 @@ type Analyzer struct {
 
 	// RunModule, set instead of Run, sees all units at once. It judges
 	// the units it is given, so it is meaningful over the whole module
-	// (./...) only, and it does not run under the go vet protocol, which
-	// hands the tool one unit at a time.
+	// (./...) only.
 	RunModule func(*ModulePass) error
 }
 

@@ -180,7 +180,7 @@ func typecheck(fset *token.FileSet, p *listPkg, exports map[string]string) (*Uni
 		goVersion = "go" + p.Module.GoVersion
 	}
 	conf := &types.Config{
-		Importer:  ExportImporter(fset, p.ImportMap, exports),
+		Importer:  exportImporter(fset, p.ImportMap, exports),
 		GoVersion: goVersion,
 	}
 	info := NewTypesInfo()
@@ -211,13 +211,11 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// ExportImporter builds a compilation-unit importer: source import paths
+// exportImporter builds a compilation-unit importer: source import paths
 // resolve through the unit's ImportMap (vendoring, "pkg [pkg.test]"
 // variants) and the resulting canonical path is loaded from compiler
-// export data, the same scheme go vet's unitchecker uses. cmd/repolint
-// reuses it for the vet-cfg protocol, where the maps come from the cfg
-// file instead of go list.
-func ExportImporter(fset *token.FileSet, importMap map[string]string, exports map[string]string) types.Importer {
+// export data, the same scheme go vet's unitchecker uses.
+func exportImporter(fset *token.FileSet, importMap map[string]string, exports map[string]string) types.Importer {
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {

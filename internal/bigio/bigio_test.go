@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -242,4 +243,73 @@ func TestOpenRejectsCorruption(t *testing.T) {
 func rewriteCRC(b []byte) []byte {
 	binary.LittleEndian.PutUint32(b[92:], crc32.ChecksumIEEE(b[:92]))
 	return b
+}
+
+// TestWriteAtomic: a completed write replaces the file with mode 0644; a
+// failed write, fsync or rename keeps the old bytes and leaves no temp
+// file; a beforeRename error leaves the complete temp file behind, as a
+// crash between the fsync and the rename would.
+func TestWriteAtomic(t *testing.T) {
+	errWrite, errHook := errors.New("write failed"), errors.New("crash")
+	payload := func(w io.Writer) error { _, err := w.Write([]byte("new")); return err }
+	for _, tc := range []struct {
+		name     string
+		write    func(io.Writer) error
+		hook     func() error
+		occupied bool // a non-empty directory stands at the path, so the rename fails
+		want     string
+		tmp      string
+	}{
+		{name: "ok", write: payload, want: "new"},
+		{name: "write error", write: func(w io.Writer) error { payload(w); return errWrite }, want: "old"},
+		// Closing the file under the helper makes its fsync fail.
+		{name: "fsync error", write: func(w io.Writer) error { payload(w); return w.(*os.File).Close() }, want: "old"},
+		{name: "rename error", write: payload, occupied: true},
+		{name: "crash before rename", write: payload, hook: func() error { return errHook }, want: "old", tmp: "new"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "f")
+			if tc.occupied {
+				if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := os.WriteFile(path, []byte("old"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			err := WriteAtomic(path, tc.write, tc.hook)
+			if (err == nil) != (tc.name == "ok") || tc.hook != nil && !errors.Is(err, errHook) {
+				t.Fatalf("WriteAtomic returned %v", err)
+			}
+			if !tc.occupied {
+				if got, _ := os.ReadFile(path); string(got) != tc.want {
+					t.Errorf("file holds %q, want %q", got, tc.want)
+				}
+			}
+			if tc.name == "ok" {
+				if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644&^umask(t) {
+					t.Errorf("file mode %v (%v), want 0644 under the umask", fi.Mode().Perm(), err)
+				}
+			}
+			got, err := os.ReadFile(path + ".tmp")
+			switch {
+			case tc.tmp == "" && !errors.Is(err, os.ErrNotExist):
+				t.Errorf("temp file left behind: %q, %v", got, err)
+			case tc.tmp != "" && string(got) != tc.tmp:
+				t.Errorf("temp file holds %q (%v), want the complete %q", got, err, tc.tmp)
+			}
+		})
+	}
+}
+
+// umask reads the process umask from a file created with mode 0777.
+func umask(t *testing.T) os.FileMode {
+	path := filepath.Join(t.TempDir(), "probe")
+	if err := os.WriteFile(path, nil, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0o777 &^ fi.Mode().Perm()
 }

@@ -221,6 +221,8 @@ func (c *Converter) Finish() (*ConvertStats, error) {
 	stats.Edges = adjEntries / 2
 	stats.BytesOut = size
 
+	// The writer seeks and calls WriteAt, so it renames by itself rather
+	// than through WriteAtomic.
 	if err := os.Rename(tmpOut, c.out); err != nil {
 		return nil, err
 	}

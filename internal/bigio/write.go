@@ -3,7 +3,6 @@ package bigio
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -68,28 +67,42 @@ func Write(w io.Writer, g *graph.Graph, _ WriteOptions) error {
 	return bw.Flush()
 }
 
-// WriteFile writes g as BCSR v2 at path with the tmp -> fsync -> rename
-// -> dir-fsync discipline: a crash mid-write never leaves a torn file at
-// path.
+// WriteFile writes g as BCSR v2 at path through WriteAtomic: a crash
+// mid-write never leaves a torn file at path.
 func WriteFile(path string, g *graph.Graph, opts WriteOptions) error {
+	return WriteAtomic(path, func(w io.Writer) error { return Write(w, g, opts) }, nil)
+}
+
+// WriteAtomic durably replaces path with what write streams into it: it
+// writes path+".tmp" (mode 0644), fsyncs and closes it, renames it over
+// path and fsyncs the directory, so a crash at any point leaves path
+// holding its old bytes or its new bytes in full, never a torn mix. A
+// failed write, fsync, close or rename removes the temp file.
+//
+// beforeRename, when non-nil, runs between the durable temp-file write and
+// the rename. An error from it stops the write there and is returned,
+// leaving the complete temp file behind, as a crash at that point would.
+func WriteAtomic(path string, write func(io.Writer) error, beforeRename func() error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, g, opts); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if beforeRename != nil {
+		if err := beforeRename(); err != nil {
+			return err
+		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
@@ -113,16 +126,17 @@ func writeUint64s(bw *bufio.Writer, vals []uint64) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a preceding rename is durable — the same
-// discipline internal/server's writeAtomic applies to its store.
+// syncDir fsyncs a directory so a rename into it is durable: until the
+// directory entry is on disk, a power loss can resurrect the old file or
+// lose the new one.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("bigio: fsync %s: %w", dir, err)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }

@@ -374,7 +374,7 @@ func TestCorruptionQuarantine(t *testing.T) {
 		},
 		{
 			// A backend name this build cannot construct must not come
-			// back as a sequential session under the stale label, and the
+			// back as a seq session under the stale label, and the
 			// intact state in the record must not be blamed for it.
 			name: "unknown backend in session metadata",
 			damage: func(t *testing.T, dataDir, id string) {
@@ -669,19 +669,22 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 }
 
 // TestOneThreadShmSessionRestores: an shm session that binds one thread —
-// asked for, or the default of one per core on a one-CPU host — has the
-// shape of the Sequential backend. Its checkpoint must come back after a
-// restart as the shm session it was, samples held, not be quarantined as
-// another backend's.
+// asked for, or the default of one per core on a one-CPU host — and a seq
+// session, which is shm at one thread, restore after a restart as the
+// session they were: samples held, status backend as typed, not
+// quarantined as another backend's.
 func TestOneThreadShmSessionRestores(t *testing.T) {
-	for _, threads := range []int{1, 0} {
-		t.Run(fmt.Sprintf("threads%d", threads), func(t *testing.T) {
+	for _, tc := range []struct {
+		name, backend string
+		threads       int
+	}{{"threads1", "shm", 1}, {"threads0", "shm", 0}, {"seq", "seq", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			dataDir := t.TempDir()
 			srvA, tsA := newTestServer(t, Config{DataDir: dataDir})
 			name := uploadGraph(t, tsA.URL, "g", testGraphBytes(t))
 			id := createSession(t, tsA.URL, map[string]any{"graph": name, "eps": 0.01, "seed": 1,
-				"backend": "shm", "threads": threads, "max_samples": 500})
+				"backend": tc.backend, "threads": tc.threads, "max_samples": 500})
 			do(t, "POST", tsA.URL+"/sessions/"+id+"/run", nil)
 			waitIdle(t, tsA.URL, id)
 			if err := srvA.Drain(t.Context()); err != nil {
@@ -694,8 +697,8 @@ func TestOneThreadShmSessionRestores(t *testing.T) {
 				t.Fatalf("one-thread shm session quarantined: %v", q)
 			}
 			code, status := do(t, "GET", tsB.URL+"/sessions/"+id, nil)
-			if code != http.StatusOK || status["backend"] != "shm" || status["degraded"] != nil {
-				t.Fatalf("after restart: status %d, %v; want the shm session back", code, status)
+			if code != http.StatusOK || status["backend"] != tc.backend || status["degraded"] != nil {
+				t.Fatalf("after restart: status %d, %v; want the %s session back", code, status, tc.backend)
 			}
 			if tau := sessionTau(t, tsB.URL, id); tau != 500 {
 				t.Fatalf("restored tau %v, want the budget stop at 500", tau)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -274,22 +275,35 @@ func TestResultCache(t *testing.T) {
 		t.Fatalf("different seed served from cache")
 	}
 
-	// top_k is identity on every backend: it selects the certified top-k
-	// stopping rule.
+	// seq is shm at one thread: the two share one cache entry.
 	shm := map[string]any{"graph": name, "eps": 0.1, "delta": 0.1, "seed": 11, "backend": "shm", "threads": 1}
 	fourth := createSession(t, ts.URL, shm)
 	do(t, "POST", ts.URL+"/sessions/"+fourth+"/run", nil)
-	waitIdle(t, ts.URL, fourth)
+	if status := waitIdle(t, ts.URL, fourth); status["cached"] != true || status["backend"] != "shm" {
+		t.Fatalf("one-thread shm query not served the seq session's entry: %v", status)
+	}
+	_, resD := do(t, "GET", ts.URL+"/sessions/"+fourth+"/result?estimates=1", nil)
+	if d := resD["estimates"].([]any); !reflect.DeepEqual(a, d) {
+		t.Fatalf("one-thread shm session's estimates differ from the seq session's")
+	}
+
+	// top_k is identity on every backend: it selects the certified top-k
+	// stopping rule.
 	shm["top_k"] = 3
 	fifth := createSession(t, ts.URL, shm)
 	do(t, "POST", ts.URL+"/sessions/"+fifth+"/run", nil)
 	if status := waitIdle(t, ts.URL, fifth); status["cached"] == true {
 		t.Fatalf("certified top-k shm query served a uniform result from the cache: %v", status)
 	}
+	// The certified seq query shares the certified one-thread shm entry,
+	// never the uniform one.
 	params["top_k"] = 3
 	sixth := createSession(t, ts.URL, params)
 	do(t, "POST", ts.URL+"/sessions/"+sixth+"/run", nil)
-	if status := waitIdle(t, ts.URL, sixth); status["cached"] == true {
+	if status := waitIdle(t, ts.URL, sixth); status["cached"] != true {
+		t.Fatalf("certified top-k seq query missed the certified one-thread shm entry: %v", status)
+	}
+	if _, res := do(t, "GET", ts.URL+"/sessions/"+sixth+"/result", nil); res["separated"] == nil {
 		t.Fatalf("certified top-k seq query served a uniform result from the cache")
 	}
 

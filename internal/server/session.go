@@ -33,7 +33,8 @@ type sessionParams struct {
 	// Threads is the sampling thread count (shm backend; 0 = one per core).
 	Threads int `json:"threads,omitempty"`
 	// Backend is seq | shm | dist (default seq: resumable and the fastest
-	// below the shared-memory epoch overhead on small graphs).
+	// below the shared-memory epoch overhead on small graphs). seq is the
+	// spelling of shm at one thread, kept as typed (see engine).
 	Backend string `json:"backend,omitempty"`
 	// Procs is the in-process rank count of the dist backend.
 	Procs int `json:"procs,omitempty"`
@@ -86,14 +87,21 @@ func (p *sessionParams) normalize() error {
 	return nil
 }
 
+// engine is the backend and thread count the session runs on: seq is shm
+// at one thread, so the two share one executor and one cache key.
+func (p sessionParams) engine() (backend string, threads int) {
+	if p.Backend == "seq" {
+		return "shm", 1
+	}
+	return p.Backend, p.Threads
+}
+
 // executor builds the backend the params name. Params from POST /sessions
 // went through normalize; persisted ones did not, so a name this build
 // does not know is an error here (loadSessions quarantines the session)
 // rather than a silent run on some other engine under the stale label.
 func (p sessionParams) executor() (betweenness.Executor, error) {
-	switch p.Backend {
-	case "seq":
-		return betweenness.Sequential(), nil
+	switch backend, _ := p.engine(); backend {
 	case "shm":
 		return betweenness.SharedMemory(), nil
 	case "dist":
@@ -119,8 +127,8 @@ func (p sessionParams) options(progress func(betweenness.Snapshot)) ([]betweenne
 		betweenness.WithExecutor(exec),
 		betweenness.WithProgress(progress),
 	}
-	if p.Threads > 0 {
-		opts = append(opts, betweenness.WithThreads(p.Threads))
+	if _, threads := p.engine(); threads > 0 {
+		opts = append(opts, betweenness.WithThreads(threads))
 	}
 	if p.TopK > 0 {
 		opts = append(opts, betweenness.WithTopK(p.TopK))
@@ -212,6 +220,7 @@ const (
 // Callers hold s.mu.
 func (s *session) cacheKeyLocked() string {
 	p := s.params
+	backend, threads := p.engine()
 	var b strings.Builder
 	b.WriteString(s.g.digest)
 	b.WriteByte('|')
@@ -223,9 +232,9 @@ func (s *session) cacheKeyLocked() string {
 	b.WriteByte('|')
 	b.WriteString(strconv.FormatUint(p.Seed, 10))
 	b.WriteByte('|')
-	b.WriteString(p.Backend)
+	b.WriteString(backend)
 	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(p.Threads))
+	b.WriteString(strconv.Itoa(threads))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(p.Procs))
 	if p.TopK > 0 {

@@ -14,6 +14,7 @@ import (
 
 	"repro/betweenness"
 	"repro/graph"
+	"repro/internal/bigio"
 )
 
 // On-disk layout under Config.DataDir (everything written atomically via
@@ -149,51 +150,16 @@ var errSimulatedCrash = errors.New("server: simulated crash between tmp write an
 // produces. Test-only; see TestCrashPointLeavesTmpQuarantined.
 var crashBeforeRename func(path string) bool
 
-// writeAtomic streams content to path via a same-directory temp file,
-// fsyncs it, renames it into place, and fsyncs the directory — the rename
-// is not durable until the directory entry is, so skipping the last step
-// would let a power loss resurrect the old file or lose the new one. A
-// failed or interrupted attempt leaves at most a *.tmp file, which the
-// startup recovery scan quarantines.
+// writeAtomic durably replaces path with what write streams, through
+// bigio.WriteAtomic. A failed or interrupted attempt leaves at most a
+// *.tmp file, which the startup recovery scan quarantines.
 func writeAtomic(path string, write func(w io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if crashBeforeRename != nil && crashBeforeRename(path) {
-		return errSimulatedCrash
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a just-completed rename survives power
-// loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return bigio.WriteAtomic(path, write, func() error {
+		if crashBeforeRename != nil && crashBeforeRename(path) {
+			return errSimulatedCrash
+		}
+		return nil
+	})
 }
 
 // writeFileAtomic writes data to path via writeAtomic.
@@ -202,14 +168,6 @@ func writeFileAtomic(path string, data []byte) error {
 		_, err := w.Write(data)
 		return err
 	})
-}
-
-func writeJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data)
 }
 
 // persistGraph writes the graph's canonical bytes and metadata. No-op
@@ -250,14 +208,18 @@ func (srv *Server) persistGraph(g *graphEntry) error {
 			srv.cfg.Logf("warning: mapping persisted graph %q: %v", g.name, err)
 		}
 	}
-	return writeJSONAtomic(filepath.Join(srv.graphsDir(), g.name+".json"), graphMeta{
+	meta, err := json.MarshalIndent(graphMeta{
 		Name:    g.name,
 		Kind:    kindString(g.kind),
 		Digest:  g.digest,
 		Nodes:   g.nodes,
 		Edges:   g.edges,
 		Reduced: g.reduced,
-	})
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(filepath.Join(srv.graphsDir(), g.name+".json"), meta)
 }
 
 // dropGraphFiles removes a deleted graph's files (best effort).
