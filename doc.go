@@ -74,11 +74,14 @@
 //
 // Algorithm 2's thread 0 samples "while IBARRIER / IBCAST is not done".
 // In internal/mpi the poll is Request.Test, and Test is the progress
-// call: when the operation is not complete it yields the processor once,
-// so the goroutine that runs the collective and the TCP readers advance
-// after every sample the poller takes, not once per scheduler quantum.
-// The contract for any code written against internal/mpi: poll with Test;
-// it yields.
+// call, as MPI_Test is: it takes the collective through every round whose
+// message has arrived, on a TCP rank it first reads the frames that have
+// reached its sockets, and when the operation is not
+// complete it yields the processor once. So communication advances after
+// every sample the poller takes, not when the runtime gets round to a
+// reader goroutine. The contract for any code written against
+// internal/mpi: poll with Test or block in Wait; a non-blocking
+// collective advances only inside them.
 //
 // # Anytime estimation sessions
 //

@@ -102,7 +102,8 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	// non-blocking communication: drv.Sample takes one sample in thread 0's
 	// *current* frame, which during a wait is already the next epoch's
 	// (Alg. 2 lines 21/27); NoOverlap runs nothing. Either way the poll
-	// itself (mpi.Request.Test) yields the processor.
+	// itself (mpi.Request.Test) advances the communication and yields the
+	// processor.
 	drv.Start()
 	overlap := drv.Sample
 	if cfg.NoOverlap {

@@ -14,17 +14,18 @@ import (
 )
 
 // TestOverlappedBarrierLatencyTCP pins what the poll loops in aggregate and
-// broadcastFrame rely on: mpi.Request.Test yields, so an overlapped barrier
-// costs a few samples plus the network's own latency even when every P is
-// busy sampling (two ranks, one thread each, two Ps). On a 2-CPU Xeon that
-// is 1.4-2.5 ms per barrier on this input, 4.5-6.5 ms under the race
-// detector, and 4-17 ms while a CPU-bound process shares the two cores. A
-// poll loop that does not yield pays a scheduler quantum per message hop:
-// 19-39 ms per barrier (median 29), 38-66 ms under that load; the bound
-// sits between. eps is small enough for a run to span tens of epochs: at
-// eps 0.01 a run took 2-3, its first barriers (the slowest) set the
-// average, and a non-yielding loop finished in one overlapped epoch and
-// passed.
+// broadcastFrame rely on: mpi.Request.Test makes progress and yields, so an
+// overlapped barrier costs a few samples plus the network's own latency
+// even when every P is busy sampling (two ranks, one thread each, two Ps).
+// On a 2-CPU Xeon that is 21-221 us per barrier on this input (median 31),
+// 0.2-0.6 ms under the race detector; 0.7-1.6 ms when only the
+// connections' reader goroutines delivered frames, and 4-17 ms then while
+// a CPU-bound process shared the two cores. A poll loop that does not
+// yield pays a scheduler quantum per message hop: 19-39 ms per barrier
+// (median 29), 38-66 ms under that load; the bound sits between. eps is
+// small enough for a run to span tens of epochs: at eps 0.01 a run took
+// 2-3, its first barriers (the slowest) set the average, and a
+// non-yielding loop finished in one overlapped epoch and passed.
 func TestOverlappedBarrierLatencyTCP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, _ := graph.LargestComponent(gen.RMAT(gen.Graph500(10, 16, 17)))

@@ -28,7 +28,7 @@ func absRank(rel, root, size int) int { return (rel + root) % size }
 // It uses the dissemination algorithm: ceil(log2 P) rounds in which process
 // r signals r+2^k and waits for r-2^k.
 func (c *Comm) Barrier() error {
-	_, err := c.barrierWithSeq(c.nextCollSeq())
+	_, err := c.IBarrier().Wait()
 	return err
 }
 
@@ -37,52 +37,67 @@ func (c *Comm) Barrier() error {
 // keeps sampling. Polled to completion and followed by a blocking
 // ReduceMerge, it is the one aggregation the engine runs (paper §IV-F: "we
 // first perform a non-blocking barrier followed by a blocking MPI_Reduce").
-// On a one-rank communicator it returns completed, as does IBcast: no
-// goroutine is started.
+// The first round's signal leaves now; each later round leaves when a
+// Test or Wait finds the previous round's signal arrived. On a one-rank
+// communicator it returns completed, as does IBcast.
 func (c *Comm) IBarrier() *Request {
 	seq := c.nextCollSeq()
 	if c.Size() == 1 {
 		return completedRequest(nil, nil)
 	}
-	req := newRequest()
-	go func() {
-		_, err := c.barrierWithSeq(seq)
-		req.complete(nil, err)
-	}()
-	return req
+	b := &ibarrier{c: c, seq: seq, dist: 1}
+	b.req = Request{done: make(chan struct{}), eng: c.eng, coll: b}
+	b.step()
+	return &b.req
 }
 
-func (c *Comm) barrierWithSeq(seq uint64) ([]byte, error) {
-	size := c.Size()
-	if size == 1 {
-		return nil, nil
-	}
-	var phase int32
-	for dist := 1; dist < size; dist *= 2 {
-		to := (c.rank + dist) % size
-		from := (c.rank - dist + size) % size
-		if err := c.sendRaw(to, collTag(seq, phase), nil); err != nil {
-			return nil, err
+// ibarrier is a dissemination barrier in flight: in the round at distance
+// dist, the signal to rank+dist has left and recv waits for the one from
+// rank-dist.
+type ibarrier struct {
+	req   Request
+	c     *Comm
+	seq   uint64
+	dist  int
+	phase int32
+	recv  *Request
+}
+
+func (b *ibarrier) step() *Request {
+	c, size := b.c, b.c.Size()
+	for ; b.dist < size; b.dist *= 2 {
+		from, tag := (c.rank-b.dist+size)%size, collTag(b.seq, b.phase)
+		if b.recv == nil {
+			if err := c.sendRaw((c.rank+b.dist)%size, tag, nil); err != nil {
+				b.req.complete(nil, err)
+				return nil
+			}
+			b.recv = c.irecvRaw(from, tag)
 		}
-		if _, err := c.recvRaw(from, collTag(seq, phase)); err != nil {
-			return nil, err
+		if !b.recv.isDone() {
+			return b.recv
 		}
-		phase++
+		if err := b.recv.err; err != nil {
+			b.req.complete(nil, recvErr(from, tag, err))
+			return nil
+		}
+		b.recv = nil
+		b.phase++
 	}
-	return nil, nil
+	b.req.complete(nil, nil)
+	return nil
 }
 
 // Bcast broadcasts data from root to all processes along a binomial tree and
 // returns the payload on every process (root included).
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	return c.bcastWithSeq(root, data, c.nextCollSeq())
+	return c.IBcast(root, data).Wait()
 }
 
 // IBcast is the non-blocking broadcast used to distribute the termination
-// flag (paper Alg. 1 line 16 / Alg. 2 line 26).
+// flag (paper Alg. 1 line 16 / Alg. 2 line 26). It runs along a binomial
+// tree: a rank forwards the payload to its children when a Test or Wait
+// finds it arrived from its parent (the root forwards at once).
 func (c *Comm) IBcast(root int, data []byte) *Request {
 	if err := c.checkRank(root); err != nil {
 		return completedRequest(nil, err)
@@ -90,50 +105,61 @@ func (c *Comm) IBcast(root int, data []byte) *Request {
 	seq := c.nextCollSeq()
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	if c.Size() == 1 {
-		return completedRequest(buf, nil)
-	}
-	req := newRequest()
-	go func() {
-		res, err := c.bcastWithSeq(root, buf, seq)
-		req.complete(res, err)
-	}()
-	return req
-}
-
-func (c *Comm) bcastWithSeq(root int, data []byte, seq uint64) ([]byte, error) {
 	size := c.Size()
 	if size == 1 {
-		return data, nil
+		return completedRequest(buf, nil)
 	}
-	rel := relRank(c.rank, root, size)
-	tag := collTag(seq, 0)
-	// Receive from parent (the rank that differs in my lowest set bit).
-	mask := 1
-	for mask < size {
-		if rel&mask != 0 {
-			parent := absRank(rel^mask, root, size)
-			buf, err := c.recvRaw(parent, tag)
-			if err != nil {
-				return nil, err
-			}
-			data = buf
+	b := &ibcast{c: c, root: root, rel: relRank(c.rank, root, size), tag: collTag(seq, 0), buf: buf, mask: 1}
+	b.req = Request{done: make(chan struct{}), eng: c.eng, coll: b}
+	// The parent is the rank that differs in my lowest set bit; the root
+	// has none, and its mask ends past the tree.
+	for ; b.mask < size; b.mask <<= 1 {
+		if b.rel&b.mask != 0 {
+			b.parent = absRank(b.rel^b.mask, root, size)
+			b.recv = c.irecvRaw(b.parent, b.tag)
 			break
 		}
-		mask <<= 1
 	}
-	// Forward to children below the level I received at.
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < size && rel&mask == 0 && rel < rel+mask {
-			child := absRank(rel|mask, root, size)
-			if err := c.sendRaw(child, tag, data); err != nil {
-				return nil, err
+	b.step()
+	return &b.req
+}
+
+// ibcast is a binomial-tree broadcast in flight: recv, unless this rank is
+// the root, waits for the payload from the parent; the children sit below
+// mask.
+type ibcast struct {
+	req          Request
+	c            *Comm
+	root, rel    int
+	parent, mask int
+	tag          int32
+	buf          []byte
+	recv         *Request
+}
+
+func (b *ibcast) step() *Request {
+	if b.recv != nil {
+		if !b.recv.isDone() {
+			return b.recv
+		}
+		if b.recv.err != nil {
+			b.req.complete(nil, recvErr(b.parent, b.tag, b.recv.err))
+			return nil
+		}
+		b.buf = b.recv.data
+	}
+	// Forward to the children below the level the payload came in at.
+	size := b.c.Size()
+	for m := b.mask >> 1; m > 0; m >>= 1 {
+		if b.rel+m < size && b.rel&m == 0 {
+			if err := b.c.sendRaw(absRank(b.rel|m, b.root, size), b.tag, b.buf); err != nil {
+				b.req.complete(nil, err)
+				return nil
 			}
 		}
-		mask >>= 1
 	}
-	return data, nil
+	b.req.complete(b.buf, nil)
+	return nil
 }
 
 // MergeOp combines two buffers of a variable-length reduction: it merges

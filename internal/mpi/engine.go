@@ -3,6 +3,7 @@ package mpi
 import (
 	"runtime"
 	"sync"
+	"time"
 )
 
 // engine is the per-process message-matching engine. Incoming envelopes are
@@ -26,6 +27,12 @@ type engine struct {
 	dead      map[int]error
 	gen       uint64
 	lastDeath error
+
+	// progress, when set, moves frames that have already reached this
+	// process from the transport into the engine; Request.Test and
+	// Request.Wait call it on the goroutine that polls or waits. Only the
+	// TCP transport sets it, before the world is handed out.
+	progress func()
 }
 
 type matchKey struct {
@@ -218,16 +225,36 @@ func (e *engine) fail(err error) {
 }
 
 // Request represents an in-flight non-blocking operation. It is completed
-// exactly once; Wait blocks for completion, Test polls without blocking and
-// yields (see Test).
+// exactly once; Wait blocks for completion, Test polls without blocking.
+// Both are progress calls, as MPI_Test and MPI_Wait are: they move what
+// the transport has received into the engine (TCP on unix) and advance a
+// non-blocking collective, on the calling goroutine.
 type Request struct {
 	done chan struct{}
 	data []byte
 	err  error
+	// eng is the engine whose progress hook Test and Wait call; nil for a
+	// request completed at creation.
+	eng *engine
+	// coll is the non-blocking collective this request completes; nil for
+	// a receive.
+	coll collective
 }
 
-func newRequest() *Request {
-	return &Request{done: make(chan struct{})}
+// collective is a non-blocking collective in flight. step advances it past
+// every receive that has completed, sending what each round sends, and
+// returns the receive it now waits for, or nil once it has completed its
+// request. Only the goroutine that owns the request calls it (through
+// Test and Wait), so a collective moves exactly when its owner polls or
+// waits, as MPI's do without a progress thread, and needs no goroutine of
+// its own.
+type collective interface {
+	step() *Request
+}
+
+// newRequest returns a pending request on e.
+func (e *engine) newRequest() *Request {
+	return &Request{done: make(chan struct{}), eng: e}
 }
 
 func (r *Request) complete(data []byte, err error) {
@@ -236,38 +263,85 @@ func (r *Request) complete(data []byte, err error) {
 	close(r.done)
 }
 
+func (r *Request) isDone() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// poll makes one round of progress without blocking and reports whether
+// the operation has completed.
+func (r *Request) poll() bool {
+	if r.isDone() {
+		return true
+	}
+	if r.eng != nil && r.eng.progress != nil {
+		r.eng.progress()
+	}
+	if r.coll != nil && !r.isDone() {
+		r.coll.step()
+	}
+	return r.isDone()
+}
+
 // Test reports whether the operation has completed, without blocking. This
 // is what lets the sampling loop interleave work with communication (paper
 // Alg. 1/2: "while IREDUCE is not done do sample"; the engine polls its
 // IBarrier and IBcast this way).
 //
-// Test is also the progress call, as MPI_Test is: when the operation is not
-// complete it yields the processor once before returning false, so the
-// goroutine running the collective and the transport's reader goroutines
-// get the polling P between two units of the caller's work. A poll loop
-// that never blocks would otherwise starve them until the runtime preempts
-// it, one scheduler quantum (10 ms) per message hop.
+// Test is the progress call, as MPI_Test is. On a TCP world it first
+// reads the frames that have reached its sockets (at most once per
+// pollEvery), so a delivery needs no other goroutine to be scheduled;
+// a non-blocking collective then takes every round its receives allow.
+// When the operation is still not complete, Test yields the processor once
+// before returning false, so the ranks of an in-process world get the
+// polling P between two units of the caller's work: a poll loop that never
+// blocks would otherwise hold it until the runtime preempts it, one
+// scheduler quantum (10 ms) per message hop.
 func (r *Request) Test() bool {
-	select {
-	case <-r.done:
+	if r.poll() {
 		return true
-	default:
-		runtime.Gosched()
-		return false
 	}
+	runtime.Gosched()
+	return false
 }
 
+// spinFor bounds how long Wait polls with progress before it parks: a
+// frame already on its way arrives within it, and a wait it does not end
+// (a peer still computing) costs one spin.
+const spinFor = 200 * time.Microsecond
+
 // Wait blocks until the operation completes and returns its payload (for
-// receives and data-bearing collectives) and error.
+// receives and data-bearing collectives) and error. On a TCP world it
+// first polls with progress, yielding between polls, for up to spinFor,
+// then parks until a frame arrives through the connection's reader.
 func (r *Request) Wait() ([]byte, error) {
-	<-r.done
-	return r.data, r.err
+	if r.eng != nil && r.eng.progress != nil {
+		for start := time.Now(); !r.poll() && time.Since(start) < spinFor; {
+			runtime.Gosched()
+		}
+	}
+	for {
+		w := r
+		if r.coll != nil && !r.isDone() {
+			if s := r.coll.step(); s != nil {
+				w = s
+			}
+		}
+		<-w.done
+		if w == r {
+			return r.data, r.err
+		}
+	}
 }
 
 // completedRequest returns an already-completed request, used by collectives
 // on single-member communicators.
 func completedRequest(data []byte, err error) *Request {
-	r := newRequest()
+	r := &Request{done: make(chan struct{})}
 	r.complete(data, err)
 	return r
 }

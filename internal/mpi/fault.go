@@ -105,7 +105,7 @@ func (c *Comm) RecoverySend(dstWorld, tag int, data []byte) error {
 // death notifications, which is what lets the handshake make progress
 // while everything else is being revoked.
 func (c *Comm) RecoveryRecv(srcWorld, tag int) *Request {
-	req := newRequest()
+	req := c.eng.newRequest()
 	c.eng.postRecovery(srcWorld, int32(tag), req)
 	return req
 }

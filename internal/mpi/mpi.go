@@ -27,24 +27,23 @@
 // analogue of MPI's shared-memory device), and a TCP transport connecting
 // genuinely separate OS processes or hosts (see tcp.go).
 //
-// Progress. A non-blocking collective runs on an internal goroutine and
-// the TCP transport reads each connection on one; they advance only when
-// they get a processor. The caller's side of that contract is
-// Request.Test, the one place this package (and internal/core above it)
-// yields: poll with Test — when the operation is not complete it yields
-// the processor once and returns false, so a loop that samples between
-// polls hands its P to the collective after every sample, where a loop
-// that never blocks would hold it for a scheduler quantum (10 ms) per
-// message hop. What Test cannot do is poll the network: while no P is
-// idle the Go runtime looks at the sockets only from its monitor thread, at
-// most every 10 ms, so a TCP hop into a fully busy process costs
-// milliseconds where an idle one takes microseconds.
+// Progress. Nothing advances a non-blocking operation behind its owner's
+// back, as in an MPI without a progress thread: Request.Test and
+// Request.Wait are the progress calls (MPI_Test, MPI_Wait). A
+// non-blocking collective (IBarrier, IBcast) has no goroutine; each Test
+// or Wait takes it through every round whose message has arrived. On a TCP
+// world they also read, without blocking, every connection's socket (unix; elsewhere the connection's reader goroutine is
+// the only reader), so a frame reaches the engine on the poll after it
+// arrives: when every P is busy sampling, a reader goroutine woken by the
+// Go runtime's network poller would wait for the runtime's monitor thread,
+// up to 10 ms, and then for a P. Test yields the processor once when the
+// operation is not complete, so the ranks of an in-process world share
+// one P; Wait polls for a short window before it parks.
 //
-// Like MPI with MPI_THREAD_FUNNELED (the paper's setting, §IV-F), a Comm
-// may be used from multiple goroutines of one process only through the
-// library's own internals (non-blocking operations run on internal
-// goroutines); user code should funnel its MPI calls through one goroutine
-// per process.
+// Like MPI with MPI_THREAD_FUNNELED (the paper's setting, §IV-F), user
+// code should funnel a process's MPI calls through one goroutine: a
+// non-blocking collective's Request in particular is advanced by the
+// Test and Wait calls of the goroutine that started it.
 package mpi
 
 import (

@@ -43,7 +43,7 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 }
 
 func (c *Comm) irecvRaw(src int, tag int32) *Request {
-	req := newRequest()
+	req := c.eng.newRequest()
 	c.eng.post(matchKey{c.ctx, int32(src), tag}, c.gen, req)
 	return req
 }
@@ -61,7 +61,12 @@ func (c *Comm) recv(src, tag int) ([]byte, error) {
 func (c *Comm) recvRaw(src int, tag int32) ([]byte, error) {
 	data, err := c.irecvRaw(src, tag).Wait()
 	if err != nil {
-		return nil, fmt.Errorf("mpi: recv from %d tag %d: %w", src, tag, err)
+		return nil, recvErr(src, tag, err)
 	}
 	return data, nil
+}
+
+// recvErr reports a failed receive from comm rank src.
+func recvErr(src int, tag int32, err error) error {
+	return fmt.Errorf("mpi: recv from %d tag %d: %w", src, tag, err)
 }

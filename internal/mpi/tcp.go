@@ -2,18 +2,30 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 )
 
 // tcpTransport connects ranks across OS processes (or hosts) with a full
 // mesh of TCP connections, one per unordered rank pair. Frames are
 // length-prefixed: {ctx u64, src i32, tag i32, len u32, payload}. A
-// per-connection write lock serializes concurrent senders; a reader
-// goroutine per connection feeds the local matching engine.
+// per-connection write lock serializes concurrent senders.
+//
+// Receiving: each connection has one frame parser, fed by whichever
+// goroutine reads the socket. A reader goroutine per connection waits for
+// bytes and keeps liveness, EOF and goodbye. On unix the goroutine that
+// polls or waits on a request reads too (see tcp_unix.go): Request.Test
+// and Request.Wait drain, without blocking, every connection's socket, so a frame reaches the engine on the next poll
+// instead of after the runtime has scheduled the reader, which takes a
+// free processor or the runtime's network poll (up to 10 ms) while every
+// processor samples.
 //
 // Liveness: a background goroutine sends a heartbeat frame on every
 // connection each HeartbeatInterval, and every read and write carries a
@@ -27,6 +39,11 @@ type tcpTransport struct {
 	eng   *engine
 	opts  TCPOptions
 
+	// born and polled throttle the pollers' reads (see progress): polled
+	// is when the last one began, in nanoseconds since born.
+	born   time.Time
+	polled atomic.Int64
+
 	stopHB chan struct{} // closes to stop the heartbeat goroutine
 
 	mu      sync.Mutex
@@ -35,7 +52,8 @@ type tcpTransport struct {
 }
 
 type tcpConn struct {
-	c net.Conn
+	c  net.Conn
+	rc syscall.RawConn
 	// wm serializes writers and guards the scratch a frame is assembled in
 	// (vec, sliced from iov, points at hdr and the payload): header and
 	// payload leave in one vectored write, so a frame is one segment under
@@ -44,8 +62,24 @@ type tcpConn struct {
 	hdr [tcpFrameHeader]byte
 	iov [2][]byte
 	vec net.Buffers
-	// goodbye is set when the peer announced a graceful shutdown. Only the
-	// connection's readLoop goroutine writes it before sawBye is closed.
+	// rm serializes the goroutines that read the socket (the readLoop and
+	// the pollers) and guards the receive state below.
+	rm sync.Mutex
+	in frameReader
+	// rx counts the bytes read, lastRx is when the last of them arrived,
+	// and rxErr is the error that ended the stream (io.EOF included); once
+	// set nothing reads the socket again.
+	rx     uint64
+	lastRx time.Time
+	rxErr  error
+	// drainFD drains the socket given its descriptor, for a poller, and
+	// waitFD for the readLoop, reporting whether bytes arrived since seen
+	// or the stream ended. Bound once so neither allocates (unix only, see
+	// tcp_unix.go).
+	drainFD func(fd uintptr)
+	waitFD  func(fd uintptr) bool
+	seen    uint64
+	// goodbye is set when the peer announced a graceful shutdown.
 	goodbye bool
 	// sawBye is closed once the peer's goodbye arrived or the readLoop
 	// exited; graceful close waits on it so no socket is torn down while
@@ -56,6 +90,22 @@ type tcpConn struct {
 	// departed is the timer armed at the peer's goodbye (see readLoop);
 	// guarded by tcpTransport.mu and stopped when the transport closes.
 	departed *time.Timer
+}
+
+func newTCPConn(conn net.Conn) (*tcpConn, error) {
+	tc := &tcpConn{c: conn, sawBye: make(chan struct{})}
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return nil, fmt.Errorf("mpi: %T has no file descriptor", conn)
+	}
+	var err error
+	if tc.rc, err = sc.SyscallConn(); err != nil {
+		return nil, fmt.Errorf("mpi: %w", err)
+	}
+	if t, ok := conn.(*net.TCPConn); ok {
+		t.SetNoDelay(true)
+	}
+	return tc, nil
 }
 
 func (tc *tcpConn) markBye() { tc.sawByeOnce.Do(func() { close(tc.sawBye) }) }
@@ -100,14 +150,15 @@ func (o TCPOptions) withDefaults() TCPOptions {
 }
 
 // dialBackoff is the pause after failed dial attempt number attempt (from
-// 0) with left remaining until the dial deadline: 1 ms doubling to a 50 ms
+// 0) with left remaining until the dial deadline: 50 us doubling to a 50 ms
 // cap, never past the deadline. Ranks started together miss each other by
-// well under a millisecond, so the first retries must be cheap; the cap
-// keeps a rank that waits seconds for a late peer from spinning.
+// well under a millisecond (a dialer that runs before its peer listens is
+// refused at once), so the first retries must be cheap; the cap keeps a
+// rank that waits seconds for a late peer from spinning.
 func dialBackoff(attempt int, left time.Duration) time.Duration {
 	d := 50 * time.Millisecond
-	if attempt < 6 { // 1 ms << 6 is already past the cap
-		d = time.Millisecond << attempt
+	if attempt < 10 { // 50 us << 10 is already past the cap
+		d = 50 * time.Microsecond << attempt
 	}
 	return min(d, left)
 }
@@ -258,100 +309,184 @@ func (tt *tcpTransport) abort() {
 	tt.eng.fail(errAborted)
 }
 
-// readLoop pumps frames from one peer into the engine until the connection
-// dies. A connection lost without a goodbye frame — reset, EOF, or
+// readLoop waits for frames from one peer until the connection dies. It
+// reads through await, which parses what it reads; a poller may have read
+// the bytes first, and then only their arrival refreshes the liveness
+// deadline. A connection lost without a goodbye frame — reset, EOF, or
 // liveness deadline — declares the peer dead; a goodbye-then-EOF is a
 // graceful departure, treated as a (deferred) death only if this process
 // is still running a liveness window later, so a peer that exits the run
 // early cannot hang the survivors either.
 func (tt *tcpTransport) readLoop(peer int, tc *tcpConn) {
-	conn := tc.c
-	hdr := make([]byte, tcpFrameHeader)
-	die := func(err error) {
-		tc.markBye()
-		if tt.isClosed() {
-			return
-		}
-		if tc.goodbye {
-			return // deferred timer armed at goodbye time handles it
-		}
-		tt.eng.notifyDeath(peer, fmt.Errorf("connection lost: %w", err))
-		conn.Close()
-	}
 	// During mesh formation the peers may lag by up to the dial timeout
 	// before their first heartbeat; afterwards, silence past the liveness
 	// timeout is death.
-	deadline := tt.opts.DialTimeout + tt.opts.LivenessTimeout
+	window := tt.opts.DialTimeout + tt.opts.LivenessTimeout
 	for {
-		conn.SetReadDeadline(time.Now().Add(deadline))
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			die(err)
+		tc.c.SetReadDeadline(time.Now().Add(window))
+		err := tt.await(peer, tc)
+		if err == nil {
+			window = tt.opts.LivenessTimeout
+			continue
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// Pollers may have read what arrived meanwhile.
+			tc.rm.Lock()
+			quiet := time.Since(tc.lastRx)
+			tc.rm.Unlock()
+			if quiet < tt.opts.LivenessTimeout {
+				window = tt.opts.LivenessTimeout - quiet
+				continue
+			}
+		}
+		tc.markBye()
+		tc.rm.Lock()
+		goodbye := tc.goodbye
+		tc.rm.Unlock()
+		// After a goodbye the deferred timer armed in take handles it.
+		if !tt.isClosed() && !goodbye {
+			tt.eng.notifyDeath(peer, fmt.Errorf("connection lost: %w", err))
+			tc.c.Close()
+		}
+		return
+	}
+}
+
+// received parses the n bytes just read into tc.in.space() and acts on
+// every frame they complete. Callers hold tc.rm.
+func (tt *tcpTransport) received(peer int, tc *tcpConn, n int) {
+	tc.in.filled(n)
+	tc.rx += uint64(n)
+	tc.lastRx = time.Now()
+	for {
+		env, ok, err := tc.in.next()
+		if err != nil {
+			tc.rxErr = err
 			return
 		}
-		deadline = tt.opts.LivenessTimeout
-		env := envelope{
-			ctx: binary.LittleEndian.Uint64(hdr[0:]),
-			src: int32(binary.LittleEndian.Uint32(hdr[8:])),
-			tag: int32(binary.LittleEndian.Uint32(hdr[12:])),
+		if !ok {
+			return
 		}
-		if env.tag == heartbeatTag {
-			continue
+		tt.take(peer, tc, env)
+	}
+}
+
+// take acts on one frame from peer: a heartbeat only proves the peer
+// alive, a goodbye arms its departure, data goes to the engine. Callers
+// hold tc.rm.
+func (tt *tcpTransport) take(peer int, tc *tcpConn, env envelope) {
+	switch env.tag {
+	case heartbeatTag:
+	case goodbyeTag:
+		tc.goodbye = true
+		// The peer finished its run. If this process is still working a
+		// liveness window later, the departure is for all purposes a
+		// death: collectives involving the peer can never complete.
+		tt.mu.Lock()
+		if !tt.closed && tc.departed == nil {
+			tc.departed = time.AfterFunc(tt.opts.LivenessTimeout, func() {
+				if !tt.isClosed() {
+					tt.eng.notifyDeath(peer, fmt.Errorf("peer departed"))
+				}
+			})
 		}
-		if env.tag == goodbyeTag {
-			tc.goodbye = true
-			// The peer finished its run. If this process is still working
-			// a liveness window later, the departure is for all purposes a
-			// death: collectives involving the peer can never complete.
-			tt.mu.Lock()
-			if !tt.closed && tc.departed == nil {
-				tc.departed = time.AfterFunc(tt.opts.LivenessTimeout, func() {
-					if !tt.isClosed() {
-						tt.eng.notifyDeath(peer, fmt.Errorf("peer departed"))
-					}
-				})
-			}
-			tt.mu.Unlock()
-			tc.markBye()
-			continue
-		}
-		if n := binary.LittleEndian.Uint32(hdr[16:]); n > 0 {
-			conn.SetReadDeadline(time.Now().Add(tt.opts.LivenessTimeout))
-			var err error
-			if env.data, err = readPayload(conn, int(n)); err != nil {
-				die(err)
-				return
-			}
-		}
+		tt.mu.Unlock()
+		tc.markBye()
+	default:
 		tt.eng.deliver(env)
 	}
 }
 
-// readChunk is the largest buffer a frame payload starts reading into.
+// rxBuf is the size of a connection's receive buffer: frames that fit are
+// parsed in place, as many per read as arrived.
+const rxBuf = 16 << 10
+
+// readChunk is the largest buffer a frame payload too long for the
+// receive buffer starts in.
 const readChunk = 1 << 20
 
-// readPayload reads an n-byte frame payload. n comes off the wire
-// unchecked, so the buffer starts at min(n, readChunk) and doubles only
-// once full, never holding more than twice the bytes that have arrived: a
-// frame below readChunk costs one allocation, and a header claiming
-// gigabytes from a peer that then stops costs one chunk. A negative n (a
-// length past MaxInt32 where int is 32 bits) is an error.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("mpi: frame length %d", n)
-	}
-	buf := make([]byte, min(n, readChunk))
-	got := 0
-	for {
-		if _, err := io.ReadFull(r, buf[got:]); err != nil {
-			return nil, err
+// frameReader reassembles frames from a connection's byte stream, however
+// its reads split it: a read lands in space(), filled records it, and next
+// returns the frames it completed. A payload too long for the receive
+// buffer is read into one of its own that starts at min(n, readChunk) and
+// doubles only once full, never holding more than twice the bytes that
+// have arrived: n comes off the wire unchecked, so a header claiming
+// gigabytes from a peer that then stops costs one chunk.
+type frameReader struct {
+	buf  []byte // buf[r:w] is read and not yet parsed
+	r, w int
+	env  envelope // header of the long payload in progress
+	body []byte   // the long payload, body[:got] arrived, want in all
+	got  int
+	want int
+}
+
+// space returns where the next read should land; never empty.
+func (f *frameReader) space() []byte {
+	if f.body != nil {
+		if f.got == len(f.body) {
+			next := make([]byte, min(f.want, 2*f.got))
+			copy(next, f.body)
+			f.body = next
 		}
-		if got = len(buf); got == n {
-			return buf, nil
-		}
-		next := make([]byte, min(n, 2*got))
-		copy(next, buf)
-		buf = next
+		return f.body[f.got:]
 	}
+	if f.buf == nil {
+		f.buf = make([]byte, rxBuf)
+	}
+	return f.buf[f.w:]
+}
+
+// filled records n bytes read into space().
+func (f *frameReader) filled(n int) {
+	if f.body != nil {
+		f.got += n
+	} else {
+		f.w += n
+	}
+}
+
+// next returns the next frame the bytes read so far complete; ok is false
+// when they complete none. Call it until then before reading again.
+func (f *frameReader) next() (env envelope, ok bool, err error) {
+	if f.body != nil {
+		if f.got < f.want {
+			return envelope{}, false, nil
+		}
+		env, env.data = f.env, f.body
+		f.env, f.body = envelope{}, nil
+		return env, true, nil
+	}
+	avail := f.buf[f.r:f.w]
+	if len(avail) >= tcpFrameHeader {
+		env = envelope{
+			ctx: binary.LittleEndian.Uint64(avail[0:]),
+			src: int32(binary.LittleEndian.Uint32(avail[8:])),
+			tag: int32(binary.LittleEndian.Uint32(avail[12:])),
+		}
+		n := int(binary.LittleEndian.Uint32(avail[16:]))
+		switch {
+		case n < 0: // a length past MaxInt32 where int is 32 bits
+			return envelope{}, false, fmt.Errorf("mpi: frame length %d", n)
+		case len(avail)-tcpFrameHeader >= n:
+			if n > 0 {
+				env.data = make([]byte, n)
+				copy(env.data, avail[tcpFrameHeader:])
+			}
+			f.r += tcpFrameHeader + n
+			return env, true, nil
+		case tcpFrameHeader+n > len(f.buf):
+			f.env, f.want = env, n
+			f.body = make([]byte, min(n, readChunk))
+			f.got = copy(f.body, avail[tcpFrameHeader:])
+			f.r, f.w = 0, 0
+			return envelope{}, false, nil
+		}
+	}
+	// The frame in progress fits the buffer: move it to the front.
+	f.w = copy(f.buf, avail)
+	f.r = 0
+	return envelope{}, false, nil
 }
 
 // TCPWorld is this rank's handle on a TCP mesh. Close performs a graceful
@@ -392,6 +527,7 @@ func ConnectTCPOpts(rank int, addrs []string, opts TCPOptions) (*Comm, *TCPWorld
 		conns:  make([]*tcpConn, p),
 		eng:    eng,
 		opts:   opts,
+		born:   time.Now(),
 		stopHB: make(chan struct{}),
 	}
 	eng.tr = tt
@@ -443,11 +579,14 @@ func ConnectTCPOpts(rank int, addrs []string, opts TCPOptions) (*Comm, *TCPWorld
 				conn.Close()
 				return
 			}
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
+			tc, terr := newTCPConn(conn)
+			if terr != nil {
+				setErr(terr)
+				conn.Close()
+				return
 			}
 			mu.Lock()
-			tt.conns[peer] = &tcpConn{c: conn, sawBye: make(chan struct{})}
+			tt.conns[peer] = tc
 			mu.Unlock()
 		}(peer)
 	}
@@ -477,11 +616,14 @@ func ConnectTCPOpts(rank int, addrs []string, opts TCPOptions) (*Comm, *TCPWorld
 				conn.Close()
 				return
 			}
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
+			tc, terr := newTCPConn(conn)
+			if terr != nil {
+				setErr(terr)
+				conn.Close()
+				return
 			}
 			mu.Lock()
-			tt.conns[peer] = &tcpConn{c: conn, sawBye: make(chan struct{})}
+			tt.conns[peer] = tc
 			mu.Unlock()
 		}
 	}()
@@ -489,6 +631,9 @@ func ConnectTCPOpts(rank int, addrs []string, opts TCPOptions) (*Comm, *TCPWorld
 	if firstErr != nil {
 		tt.close()
 		return nil, nil, firstErr
+	}
+	if p > 1 {
+		tt.startProgress()
 	}
 	tt.mu.Lock()
 	tt.started = true

@@ -2,10 +2,14 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -106,28 +110,105 @@ func TestTCPLargeMessage(t *testing.T) {
 	})
 }
 
-// TestReadPayloadChunked: payloads below, at and past the read chunk come
-// back whole, and a stream that ends short is an error.
+// readFrame reads one frame from r through a frameReader, which sees the
+// stream split wherever r's reads split it; a stream that ends mid-frame
+// is io.ErrUnexpectedEOF.
+func readFrame(r io.Reader) (envelope, error) {
+	var f frameReader
+	for {
+		if env, ok, err := f.next(); ok || err != nil {
+			return env, err
+		}
+		n, err := r.Read(f.space())
+		f.filled(n)
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return envelope{}, err
+		}
+	}
+}
+
+// frameBytes encodes a frame header claiming n payload bytes, then data.
+func frameBytes(n uint32, data []byte) []byte {
+	b := make([]byte, tcpFrameHeader, tcpFrameHeader+len(data))
+	binary.LittleEndian.PutUint32(b[12:], 7)
+	binary.LittleEndian.PutUint32(b[16:], n)
+	return append(b, data...)
+}
+
+// TestReadPayloadChunked: payloads below, at and past the receive buffer
+// and the read chunk come back whole, read whole or a byte at a time, and
+// a stream that ends short is an error.
 func TestReadPayloadChunked(t *testing.T) {
-	for _, n := range []int{1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 5} {
+	for _, n := range []int{1, rxBuf - tcpFrameHeader, rxBuf - tcpFrameHeader + 1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 5} {
 		src := make([]byte, n)
 		for i := range src {
 			src[i] = byte(i * 13)
 		}
-		got, err := readPayload(bytes.NewReader(src), n)
-		if err != nil || !bytes.Equal(got, src) {
-			t.Fatalf("n=%d: err %v, payload intact %v", n, err, bytes.Equal(got, src))
+		stream := frameBytes(uint32(n), src)
+		readers := []io.Reader{bytes.NewReader(stream)}
+		if n < 2*rxBuf {
+			readers = append(readers, iotest.OneByteReader(bytes.NewReader(stream)))
 		}
-		if _, err := readPayload(bytes.NewReader(src[:n-1]), n); err == nil {
+		for _, r := range readers {
+			env, err := readFrame(r)
+			if err != nil || env.tag != 7 || !bytes.Equal(env.data, src) {
+				t.Fatalf("n=%d: err %v, tag %d, payload intact %v", n, err, env.tag, bytes.Equal(env.data, src))
+			}
+		}
+		if _, err := readFrame(bytes.NewReader(stream[:len(stream)-1])); err == nil {
 			t.Fatalf("n=%d: a payload one byte short was accepted", n)
 		}
 	}
 }
 
-// FuzzReadPayload: whatever length a frame header claims and whatever
-// bytes follow it, readPayload returns exactly the first n bytes or an
-// error, and never panics. TestReadPayloadChunked covers payloads past the
-// read chunk, which would make every mutation here megabytes long.
+// TestFrameReaderSplitsStream: back-to-back frames of mixed sizes come
+// back in order whatever sizes the reads have.
+func TestFrameReaderSplitsStream(t *testing.T) {
+	var stream []byte
+	var want [][]byte
+	for i, n := range []int{0, 5, rxBuf, 0, 3, 2*rxBuf + 7, 1} {
+		p := bytes.Repeat([]byte{byte(i + 1)}, n)
+		want = append(want, p)
+		stream = append(stream, frameBytes(uint32(n), p)...)
+	}
+	for _, step := range []int{1, 7, 4096, rxBuf + 3, len(stream)} {
+		var f frameReader
+		var got [][]byte
+		for off := 0; off < len(stream); {
+			space := f.space()
+			n := copy(space, stream[off:min(off+step, len(stream))])
+			off += n
+			f.filled(n)
+			for {
+				env, ok, err := f.next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got = append(got, env.data)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d frames, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("step %d: frame %d has %d bytes, want %d", step, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+}
+
+// FuzzReadPayload: whatever length a frame header claims (n, as the wire's
+// uint32) and whatever bytes follow it, the frame reader returns exactly
+// the first n bytes or an error, and never panics. TestReadPayloadChunked
+// covers payloads past the read chunk, which would make every mutation
+// here megabytes long.
 func FuzzReadPayload(f *testing.F) {
 	f.Add(0, []byte{})
 	f.Add(3, []byte("abc"))
@@ -136,16 +217,17 @@ func FuzzReadPayload(f *testing.F) {
 	f.Add(-1, []byte("abc"))
 	f.Add(1<<40, []byte("abc"))
 	f.Fuzz(func(t *testing.T, n int, data []byte) {
-		got, err := readPayload(bytes.NewReader(data), n)
+		claimed := int(uint32(n))
+		env, err := readFrame(bytes.NewReader(frameBytes(uint32(n), data)))
 		switch {
-		case n < 0 || n > len(data):
+		case claimed > len(data):
 			if err == nil {
-				t.Fatalf("n=%d over %d bytes: returned %d bytes and no error", n, len(data), len(got))
+				t.Fatalf("n=%d over %d bytes: returned %d bytes and no error", claimed, len(data), len(env.data))
 			}
 		case err != nil:
-			t.Fatalf("n=%d over %d bytes: %v", n, len(data), err)
-		case !bytes.Equal(got, data[:n]):
-			t.Fatalf("n=%d over %d bytes: returned %d bytes, not the first n", n, len(data), len(got))
+			t.Fatalf("n=%d over %d bytes: %v", claimed, len(data), err)
+		case !bytes.Equal(env.data, data[:claimed]):
+			t.Fatalf("n=%d over %d bytes: returned %d bytes, not the first n", claimed, len(data), len(env.data))
 		}
 	})
 }
@@ -275,22 +357,23 @@ func TestTCPConnectTimeout(t *testing.T) {
 }
 
 func TestDialBackoff(t *testing.T) {
-	const ms = time.Millisecond
+	const us, ms = time.Microsecond, time.Millisecond
 	for _, tc := range []struct {
 		attempt    int
 		left, want time.Duration
 	}{
-		{0, time.Second, 1 * ms},
-		{1, time.Second, 2 * ms},
-		{2, time.Second, 4 * ms},
-		{3, time.Second, 8 * ms},
-		{4, time.Second, 16 * ms},
-		{5, time.Second, 32 * ms},
-		{6, time.Second, 50 * ms},
-		{7, time.Second, 50 * ms},
+		{0, time.Second, 50 * us},
+		{1, time.Second, 100 * us},
+		{2, time.Second, 200 * us},
+		{5, time.Second, 1600 * us},
+		{8, time.Second, 12800 * us},
+		{9, time.Second, 25600 * us},
+		{10, time.Second, 50 * ms},
+		{11, time.Second, 50 * ms},
 		{1000, time.Second, 50 * ms}, // no shift overflow on a long wait
-		{0, 300 * time.Microsecond, 300 * time.Microsecond},
-		{5, 10 * ms, 10 * ms},
+		{0, 30 * us, 30 * us},
+		{5, ms, ms},
+		{9, 10 * ms, 10 * ms},
 		{40, 7 * ms, 7 * ms},
 	} {
 		if got := dialBackoff(tc.attempt, tc.left); got != tc.want {
