@@ -50,9 +50,9 @@
 // (eps, delta) guarantee; at most the dead rank's in-flight epoch is
 // lost. Result.Distributed reports the accounting (RanksStarted,
 // RanksLost, Recoveries). The one unabsorbable failure is the death of
-// rank 0, the coordinator; WithDistCheckpoint bounds its cost to one
-// checkpoint interval by shipping a periodic checkpoint to every rank,
-// from which RestoreEstimator restarts the session as distributed.
+// rank 0, the coordinator; WithCheckpointEvery bounds its cost to one
+// capture interval by shipping rank 0's in-run capture to every rank, from
+// which RestoreEstimator restarts the session as distributed.
 //
 // Exact ground truth (Brandes' algorithm) and accuracy reports are
 // available via Exact, ExactDirected, ExactWeighted, and Compare.
@@ -157,8 +157,8 @@ type DistStats struct {
 	// (their folded samples are kept; at most their in-flight epoch is
 	// lost). Recoveries counts the recovery rounds that committed.
 	RanksStarted, RanksFinished, RanksLost, Recoveries int
-	// Checkpoints is the number of periodic distributed checkpoints this
-	// rank received (see WithDistCheckpoint).
+	// Checkpoints is the number of in-run captures this rank received
+	// (see WithCheckpointEvery); it counts them with or without a sink.
 	Checkpoints int
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestDistSessionKeepsSamples is the contract of a distributed session on
@@ -128,18 +129,16 @@ func TestDistSessionKeepsSamples(t *testing.T) {
 func TestShmInRunCaptureRestoresAsShm(t *testing.T) {
 	g := testGraph(t)
 	const threads = 3
+	var capture []byte
 	est, err := NewEstimator(Undirected(g), WithEpsilon(0.01), WithSeed(5), WithThreads(threads),
-		WithExecutor(SharedMemory()))
+		WithExecutor(SharedMemory()), WithCheckpointEvery(time.Nanosecond, func(p []byte) {
+			if capture == nil {
+				capture = append([]byte(nil), p...)
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var capture []byte
-	est.SetCheckpointSink(func(p []byte) {
-		if capture == nil {
-			capture = append([]byte(nil), p...)
-		}
-	})
-	est.RequestCheckpoint()
 	want, err := est.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

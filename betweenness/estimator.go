@@ -94,9 +94,7 @@ func newEstimator(w Workload, s settings, root *kadabra.EstimatorState) (*Estima
 	}
 	e := &Estimator{w: w, s: s, sts: sts, st: sts[0]}
 	e.wireProgress()
-	if s.DistCheckpoint != nil {
-		e.setCheckpointSink(s.DistCheckpoint)
-	}
+	e.wireCheckpoint()
 	e.observeState()
 	return e, nil
 }
@@ -111,6 +109,29 @@ func (e *Estimator) wireProgress() {
 	}
 	e.st.SetOnEpoch(func(kp kadabra.Progress) {
 		e.deliver(fromProgress(kp))
+	})
+}
+
+// wireCheckpoint registers the WithCheckpointEvery sink on the session's
+// state, sealing each in-run capture into the BCSE envelope. At world rank
+// 0, which holds the samples, it first refreshes the observation Snapshot
+// serves mid-run from the captured state (unchanged until the next fold),
+// so Snapshot never reads behind a persisted capture: one O(n) Progress
+// per capture. Callers hold e.mu.
+func (e *Estimator) wireCheckpoint() {
+	sink := e.s.CheckpointSink
+	if sink == nil {
+		e.st.SetOnCheckpoint(nil)
+		return
+	}
+	kind := e.w.kind
+	e.st.SetOnCheckpoint(func(payload []byte) {
+		if e.st.Rank() == 0 {
+			e.observeState()
+		}
+		sink(sealCheckpoint(kind, func(dst []byte) []byte {
+			return append(dst, payload...)
+		}))
 	})
 }
 
@@ -194,8 +215,9 @@ func (e *Estimator) storeLast(snap Snapshot) {
 // WithTopK sets or changes k — on a session that stops by the certified
 // top-k rule it re-targets the rule (sampling resumes until the new top
 // set is certified), on a uniform one it re-derives the ranking from the existing
-// samples; WithMaxSamples, WithMaxDuration, and WithProgress replace the
-// session's budget and progress stream. Options that would change the
+// samples; WithMaxSamples, WithMaxDuration, WithProgress and
+// WithCheckpointEvery replace the session's budget, progress stream and
+// in-run capture (interval and sink). Options that would change the
 // session's statistical identity — seed, threads, executor, diameter knobs
 // — are rejected: start a new Estimator for those.
 //
@@ -243,6 +265,7 @@ func (e *Estimator) Refine(ctx context.Context, opts ...Option) (*Result, error)
 	}
 	e.s = ns
 	e.wireProgress()
+	e.wireCheckpoint()
 	return e.runLocked(ctx)
 }
 
@@ -268,9 +291,9 @@ func (e *Estimator) refineGuard(ns settings) error {
 // achieved eps, sample count, and throughput, in the same type the
 // WithProgress stream delivers. Called between runs it reads the state
 // directly (and materializes Estimates); called during an active Run it
-// returns the latest per-epoch observation without blocking — fresh to
-// within one epoch when a progress callback is registered, otherwise the
-// state as of the run's start.
+// returns the latest observation without blocking — fresh to within one
+// epoch when a progress callback is registered, otherwise the state as of
+// the run's start or its latest WithCheckpointEvery capture.
 func (e *Estimator) Snapshot() Snapshot {
 	if e.mu.TryLock() {
 		defer e.mu.Unlock()
@@ -294,56 +317,6 @@ func (e *Estimator) Backend() string {
 // Checkpointable reports whether Checkpoint can serialize this session. It
 // always can: every backend's session owns its state.
 func (e *Estimator) Checkpointable() bool { return true }
-
-// SetCheckpointSink registers sink to receive sealed checkpoint envelopes
-// captured during a Run (see RequestCheckpoint and WithDistCheckpoint). Each
-// payload is a complete BCSE envelope — exactly what Checkpoint writes — so
-// the sink can persist it as-is and RestoreEstimator will accept it. The
-// sink runs on the engine's coordinating goroutine at an epoch boundary,
-// pausing the run for its duration: hand the bytes off quickly (an atomic
-// file write is fine; a network round-trip is not). It is called once per
-// process and capture (a LocalMPI world delivers at rank 0 only; every rank
-// of a TCP world receives rank 0's capture). Call it before the first Run;
-// a nil sink unregisters.
-func (e *Estimator) SetCheckpointSink(sink func(payload []byte)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.setCheckpointSink(sink)
-}
-
-func (e *Estimator) setCheckpointSink(sink func(payload []byte)) {
-	if sink == nil {
-		e.st.SetOnCheckpoint(nil)
-		return
-	}
-	kind := e.w.kind
-	e.st.SetOnCheckpoint(func(payload []byte) {
-		sink(sealCheckpoint(kind, func(dst []byte) []byte {
-			return append(dst, payload...)
-		}))
-	})
-}
-
-// RequestCheckpoint arms a one-shot asynchronous capture of the session's
-// resumable state: at the next consistent epoch boundary of an active Run,
-// the engine seals a checkpoint envelope and hands it to the
-// SetCheckpointSink sink. Unlike Checkpoint it never blocks on a running
-// estimate — this is the hook a periodic checkpointer uses so an unclean
-// death (SIGKILL, OOM) loses at most one interval of sampling. A request
-// made while the session is idle stays armed for the next Run; requests are
-// not queued (several before a boundary collapse into one capture). On an
-// MPI backend the capture is served at world rank 0.
-//
-// The capture is the one Checkpoint would write, taken mid-run: bit-exact
-// at one thread; elsewhere the RNG streams are in use, so it carries none
-// and restores — same backend, threads and ranks — onto fresh ones
-// (statistically equivalent; see Estimator).
-func (e *Estimator) RequestCheckpoint() {
-	// e.st is set once at construction and never replaced, so reading it
-	// without e.mu is safe — taking e.mu here would defeat the point (Run
-	// holds it for the duration of the estimate).
-	e.st.RequestCheckpoint()
-}
 
 // The checkpoint envelope: magic, format version, workload kind, then the
 // engine payload, closed by a CRC-32 (IEEE) of everything before it so
@@ -398,7 +371,7 @@ func sealCheckpoint(kind WorkloadKind, appendPayload func([]byte) []byte) []byte
 // with the serialized
 // statistical identity (eps, delta, seed, vertex diameter, stopping rule);
 // options supply what a checkpoint cannot carry — WithProgress,
-// WithMaxSamples, WithMaxDuration, WithDistCheckpoint, and WithExecutor
+// WithMaxSamples, WithMaxDuration, WithCheckpointEvery, and WithExecutor
 // with a TCP executor, which resumes a distributed session as this rank of
 // that world (every rank restores, or starts fresh: rank 0's state is the
 // one that counts) — and any statistical options are superseded by the

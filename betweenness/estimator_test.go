@@ -714,8 +714,8 @@ func TestCheckpointRestoreRejectsMismatches(t *testing.T) {
 }
 
 // TestEveryBackendCheckpointableAndRefinable: every backend's session owns
-// its state — it checkpoints, accepts a capture request, and refines in
-// place — and so does a certified top-k session.
+// its state — it checkpoints and refines in place — and so does a
+// certified top-k session.
 func TestEveryBackendCheckpointableAndRefinable(t *testing.T) {
 	g := testGraph(t)
 	for _, exec := range allBackends() {
@@ -726,7 +726,6 @@ func TestEveryBackendCheckpointableAndRefinable(t *testing.T) {
 		if !est.Checkpointable() {
 			t.Errorf("%s session claims not to be checkpointable", label(exec))
 		}
-		est.RequestCheckpoint()
 		if err := est.Checkpoint(&bytes.Buffer{}); err != nil {
 			t.Errorf("Checkpoint on %s returned %v", label(exec), err)
 		}
@@ -847,12 +846,15 @@ func FuzzRestoreEstimator(f *testing.F) {
 	// cap, 10x the calibration batch, is many ~9k-sample epochs away.
 	var shmInRun []byte
 	shm, err := NewEstimator(Undirected(g), WithEpsilon(0.001), WithSeed(1), WithThreads(2),
-		WithMaxSamples(200_000), WithExecutor(SharedMemory()))
+		WithMaxSamples(200_000), WithExecutor(SharedMemory()),
+		WithCheckpointEvery(time.Nanosecond, func(p []byte) {
+			if shmInRun == nil {
+				shmInRun = append([]byte(nil), p...)
+			}
+		}))
 	if err != nil {
 		f.Fatal(err)
 	}
-	shm.SetCheckpointSink(func(p []byte) { shmInRun = append([]byte(nil), p...) })
-	shm.RequestCheckpoint()
 	if _, err := shm.Run(context.Background()); err != nil || shmInRun == nil {
 		f.Fatalf("no in-run shared-memory capture (err %v)", err)
 	}

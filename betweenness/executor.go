@@ -56,9 +56,9 @@ var ErrRemoteCancelled = core.ErrRemoteCancelled
 // ErrCoordinatorLost reports that a distributed run's world rank 0 died —
 // the one failure the in-run shrink-and-recalibrate recovery cannot absorb —
 // or gave the run up on another rank's death before the sampling epochs.
-// Test with errors.Is. The one recovery path is a WithDistCheckpoint
-// capture: RestoreEstimator resumes it on a world of the same shape.
-// Without one, the run starts over.
+// Test with errors.Is. The one recovery path is a WithCheckpointEvery
+// capture, which every rank's sink received: RestoreEstimator resumes it
+// on a world of the same shape. Without one, the run starts over.
 var ErrCoordinatorLost = core.ErrCoordinatorLost
 
 // Sequential returns the single-threaded reference backend: SharedMemory

@@ -41,12 +41,10 @@ type settings struct {
 	// MaxDuration, when positive, is a wall-clock budget per call (see
 	// WithMaxDuration).
 	MaxDuration time.Duration
-	// DistCheckpointInterval, when positive, makes the MPI/TCP backends
-	// capture a checkpoint every that many epochs (see WithDistCheckpoint).
-	DistCheckpointInterval int
-	// DistCheckpoint receives each of them; it must be set together with
-	// DistCheckpointInterval.
-	DistCheckpoint func(payload []byte)
+	// CheckpointEvery, when positive, is the wall-clock interval of the
+	// in-run captures CheckpointSink receives (see WithCheckpointEvery).
+	CheckpointEvery time.Duration
+	CheckpointSink  func(payload []byte)
 	// exec is the backend (default SharedMemory()).
 	exec Executor
 }
@@ -72,7 +70,7 @@ func (s settings) coreConfig() core.Config {
 	return core.Config{
 		Config:             kadabra.Config{MaxSamples: s.MaxSamples, MaxDuration: s.MaxDuration},
 		RanksPerNode:       s.RanksPerNode,
-		CheckpointInterval: s.DistCheckpointInterval,
+		CheckpointInterval: s.CheckpointEvery,
 	}
 }
 
@@ -215,32 +213,35 @@ func WithMaxDuration(d time.Duration) Option {
 	}
 }
 
-// WithDistCheckpoint makes the MPI/TCP backends emit a periodic checkpoint
-// every `every` epochs: world rank 0 requests the session's own in-run
-// capture (the one RequestCheckpoint arms), the payload rides to every rank
-// on the termination-broadcast frame (no extra collective), and each
-// process hands the sealed envelope to sink — exactly as if sink had been
-// registered with SetCheckpointSink. The payload is a standard session
-// checkpoint: RestoreEstimator resumes it as a distributed session of the
-// same shape, so any surviving rank's copy restarts the job after a
-// coordinator (rank 0) death, the one failure the in-run shrink-and-
-// recalibrate recovery cannot absorb. The loss is bounded by one interval
-// of samples.
+// WithCheckpointEvery makes the session capture itself while it samples,
+// on every backend: world rank 0 takes the capture at the first epoch
+// boundary at least one interval (every) after the Run or Refine started
+// or after its last capture, and sink receives it as a sealed envelope, the
+// bytes Checkpoint would write at that point, so it can be persisted as-is
+// and RestoreEstimator resumes it on the backend it came from. On an MPI
+// backend the capture rides the termination broadcast to every rank (no
+// extra collective) and each process's sink receives it, once per process
+// (a LocalMPI world calls sink at rank 0 only); rank 0's interval is the
+// one that counts. Any rank's copy restarts the job after a coordinator
+// death (ErrCoordinatorLost), the one failure the in-run recovery cannot
+// absorb, so at most one interval of samples is lost.
 //
-// sink runs on the coordinator goroutine between epochs, once per process
-// (an in-process LocalMPI world calls it at rank 0 only): hand the payload
-// off (say, an atomic file write) rather than block in it. On the
-// single-process backends nothing requests the periodic capture.
-func WithDistCheckpoint(every int, sink func(payload []byte)) Option {
+// sink runs on the coordinating goroutine between epochs, pausing the run
+// for its duration: hand the payload off (an atomic file write is fine; a
+// network round trip is not). Before it runs, the observation Snapshot
+// serves mid-run is refreshed to the captured state, so Snapshot never
+// reads behind what a sink has persisted. The capture is bit-exact at one
+// thread; elsewhere the RNG streams are in use, so it carries none and
+// restores onto fresh ones (statistically equivalent; see Estimator).
+func WithCheckpointEvery(every time.Duration, sink func(payload []byte)) Option {
 	return func(s *settings) error {
-		if every < 1 {
-			return fmt.Errorf("betweenness: checkpoint interval must be >= 1 epoch, got %d", every)
+		if every <= 0 {
+			return fmt.Errorf("betweenness: checkpoint interval must be positive, got %v", every)
 		}
 		if sink == nil {
 			return fmt.Errorf("betweenness: checkpoint sink must not be nil")
 		}
-		s.DistCheckpointInterval = every
-		s.DistCheckpoint = sink
+		s.CheckpointEvery, s.CheckpointSink = every, sink
 		return nil
 	}
 }

@@ -50,6 +50,13 @@
 //	                   on Ctrl-C the work done so far is saved instead of
 //	                   discarded, and a completed run saves its final
 //	                   state for later refinement
+//	-checkpoint-interval D
+//	                   with -checkpoint PATH: also overwrite PATH
+//	                   atomically with a capture of the running session
+//	                   every D of wall clock, e.g. 30s (any backend; each
+//	                   process writes its own copy: once for dist, one per
+//	                   rank for tcp), so a crash loses at most D of
+//	                   sampling; restart with -resume PATH
 //	-resume PATH       continue a -checkpoint session on the backend that
 //	                   wrote it (a single-process session on shm at its
 //	                   threads, a dist session on its ranks); the
@@ -65,16 +72,8 @@
 // shrink-and-recalibrate recovery protocol — the world shrinks to the
 // survivors and the run completes with the full (eps, delta) guarantee.
 // The one failure that cannot be absorbed in-run is the death of rank 0
-// (the coordinator); bound its cost with
-//
-//	-dist-checkpoint-interval N   with -checkpoint PATH: every N epochs
-//	                              atomically overwrite PATH with a
-//	                              checkpoint of the running session (each
-//	                              process writes its own copy: once for
-//	                              -backend dist, one per rank for tcp).
-//	                              After a crash, restart from it with
-//	                              -resume PATH on the same backend — at
-//	                              most N epochs of samples are lost
+// (the coordinator); -checkpoint-interval bounds its cost, since every
+// rank receives rank 0's captures.
 //
 // Ctrl-C cancels a running estimate cleanly within one epoch of the
 // sampling loops (the diameter phase runs to completion first; bound it
@@ -131,9 +130,9 @@ func main() {
 
 		maxSamples = flag.Int64("max-samples", 0, "stop after this many samples and report the achieved guarantee (0 = until eps)")
 		maxDur     = flag.Duration("max-duration", 0, "stop after this much wall clock and report the achieved guarantee (0 = until eps)")
-		ckptPath   = flag.String("checkpoint", "", "persist the session here, on Ctrl-C and on completion (tcp: rank 0's copy holds the samples), and every -dist-checkpoint-interval epochs in between")
+		ckptPath   = flag.String("checkpoint", "", "persist the session here, on Ctrl-C and on completion (tcp: rank 0's copy holds the samples), and every -checkpoint-interval in between")
 		resumePath = flag.String("resume", "", "resume a -checkpoint session on the backend that wrote it, with its threads and ranks (tcp: pass -backend tcp again); explicit -eps/-delta refine it")
-		distCkpt   = flag.Int("dist-checkpoint-interval", 0, "dist/tcp: also write the session to -checkpoint every N epochs while it runs (0 = off)")
+		ckptEvery  = flag.Duration("checkpoint-interval", 0, "also write the session to -checkpoint every D of wall clock while it runs, on any backend (0 = off)")
 		memstats   = flag.Bool("memstats", false, "print heap and resident-set stats before exiting (the ingest smoke test's RSS bound)")
 	)
 	flag.Parse()
@@ -214,33 +213,30 @@ func main() {
 	}
 	opts = append(opts, betweenness.WithExecutor(exec))
 
-	if *distCkpt < 0 {
-		fatal(fmt.Errorf("-dist-checkpoint-interval must be >= 0, got %d", *distCkpt))
+	if *ckptEvery < 0 {
+		fatal(fmt.Errorf("-checkpoint-interval must be >= 0, got %v", *ckptEvery))
 	}
-	if *distCkpt > 0 {
-		switch *backend {
-		case "dist", "tcp":
-		default:
-			fatal(fmt.Errorf("-dist-checkpoint-interval needs an MPI backend (dist or tcp), got %q", *backend))
-		}
+	captures := 0 // counted by the sink on the run's goroutine, read after it
+	if *ckptEvery > 0 {
 		if *ckptPath == "" {
-			fatal(fmt.Errorf("-dist-checkpoint-interval needs -checkpoint PATH as the destination"))
+			fatal(fmt.Errorf("-checkpoint-interval needs -checkpoint PATH as the destination"))
 		}
 		// The sink overwrites the same file atomically each interval, so
 		// after a crash (including a rank-0 death, the one failure the
-		// in-run recovery cannot absorb) the newest complete checkpoint is
-		// on disk, restartable with -resume. The library calls it once per
-		// process and interval.
+		// in-run recovery cannot absorb) the newest complete capture is on
+		// disk, restartable with -resume. The library calls it once per
+		// process and capture.
 		path := *ckptPath
-		opts = append(opts, betweenness.WithDistCheckpoint(*distCkpt, func(payload []byte) {
+		opts = append(opts, betweenness.WithCheckpointEvery(*ckptEvery, func(payload []byte) {
+			captures++
 			if err := writeBlob(path, payload); err != nil {
-				fmt.Fprintln(os.Stderr, "bcapprox: distributed checkpoint:", err)
+				fmt.Fprintln(os.Stderr, "bcapprox: in-run checkpoint:", err)
 			}
 		}))
 	}
 	// In a TCP world the session's samples live at rank 0; the other ranks
-	// have nothing worth saving when a run ends (they do keep the periodic
-	// copies rank 0 broadcasts).
+	// have nothing worth saving when a run ends (they do keep the in-run
+	// captures rank 0 broadcasts).
 	saveTo := *ckptPath
 	if *backend == "tcp" && *rank != 0 {
 		saveTo = ""
@@ -337,6 +333,9 @@ func main() {
 			return
 		}
 		fatal(err)
+	}
+	if *ckptEvery > 0 {
+		fmt.Printf("in-run checkpoints written: %d\n", captures)
 	}
 	if saveTo != "" {
 		if werr := writeCheckpoint(est, saveTo); werr != nil {
@@ -440,8 +439,8 @@ func writeCheckpoint(est *betweenness.Estimator, path string) error {
 	return bigio.WriteAtomic(path, est.Checkpoint, nil)
 }
 
-// writeBlob durably replaces path with a sealed checkpoint from the
-// periodic sink, as writeCheckpoint does.
+// writeBlob durably replaces path with a sealed in-run capture, as
+// writeCheckpoint does.
 func writeBlob(path string, data []byte) error {
 	return bigio.WriteAtomic(path, func(w io.Writer) error {
 		_, err := w.Write(data)

@@ -3,8 +3,11 @@ package main
 import (
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/betweenness"
@@ -86,4 +89,48 @@ func assertOnlyEntries(t *testing.T, dir string, want ...string) {
 	if !slices.Equal(names, want) {
 		t.Fatalf("%s holds %v, want %v", dir, names, want)
 	}
+}
+
+// TestCheckpointIntervalOnShm runs the command on the shared-memory
+// backend with -checkpoint-interval 1ns -checkpoint PATH: it must report
+// in-run captures and leave a file restoreSession accepts. The test binary
+// re-runs itself as the command (mainArgsEnv), so main's flag handling is
+// what runs.
+func TestCheckpointIntervalOnShm(t *testing.T) {
+	const mainArgsEnv = "BCAPPROX_TEST_MAIN_ARGS"
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"bcapprox"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	const spec = "rmat:scale=8,ef=8"
+	path := filepath.Join(t.TempDir(), "s.bck")
+	args := []string{"-gen", spec, "-eps", "0.005", "-seed", "3", "-backend", "shm", "-threads", "2",
+		"-checkpoint-interval", "1ns", "-checkpoint", path}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("bcapprox %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	m := regexp.MustCompile(`in-run checkpoints written: (\d+)`).FindSubmatch(out)
+	if m == nil || string(m[1]) == "0" {
+		t.Fatalf("no in-run capture reported:\n%s", out)
+	}
+	g, err := ParseGenSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err = graph.LargestComponent(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := restoreSession(path, betweenness.Undirected(g), nil)
+	if err != nil {
+		t.Fatalf("restoreSession refused the file: %v", err)
+	}
+	if est.Backend() != "shared-memory" || est.Snapshot().Tau == 0 {
+		t.Fatalf("the file restored on %q with tau %d", est.Backend(), est.Snapshot().Tau)
+	}
+	assertOnlyEntries(t, filepath.Dir(path), "s.bck")
 }

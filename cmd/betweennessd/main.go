@@ -40,7 +40,7 @@ func main() {
 	dataDir := flag.String("data", "", "persistence directory (empty: in-memory only, nothing survives restarts)")
 	maxRuns := flag.Int("max-runs", 2, "maximum concurrent estimator runs (admission control)")
 	cacheSize := flag.Int("cache-size", 128, "result cache capacity in entries (negative disables)")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "periodic checkpoint cadence for running sessions (0: default 30s, negative disables)")
+	ckptInterval := flag.Duration("checkpoint-interval", 0, "in-run checkpoint cadence for running sessions (0: default 30s, negative disables)")
 	runTimeout := flag.Duration("run-timeout", 0, "server-side watchdog per run/refine; expired runs are interrupted, sessions stay resumable (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight runs on shutdown")
 	flag.Parse()

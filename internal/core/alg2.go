@@ -39,7 +39,9 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 	// Budget stopping (anytime sessions): rank 0 enforces the sample cap
 	// against the global tau; every rank honours the wall-clock deadline
 	// and its own context in its calibration threads.
-	budget := cfg.NewBudget(time.Now())
+	start := time.Now()
+	budget := cfg.NewBudget(start)
+	lastCapture := start // rank 0's in-run capture clock (cfg.CheckpointInterval)
 	n := st.N()
 	T := st.Threads()
 	root := 0
@@ -243,8 +245,9 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 		stats.Epochs++
 
 		// Fold into the state and check the stopping condition at rank 0
-		// only (lines 22-24). A periodic checkpoint is one more request for
-		// the state's own in-run capture, shipped on the broadcast below.
+		// only (lines 22-24). A continuing fold a capture interval after the
+		// last capture (or the run's start) captures the state, shipped on
+		// the broadcast below.
 		var next int64
 		var blob []byte
 		if ft.comm.Rank() == root {
@@ -254,16 +257,15 @@ func Algorithm2(ctx context.Context, st *kadabra.EstimatorState, comm *mpi.Comm,
 			}
 			ft.noteFold()
 			next = stopCode(st.CheckDue() && st.Check(n0) || budget.Exceeded(st.Tau()), ctx.Err(), remoteCancelled)
-			if next == codeContinue {
-				if cfg.CheckpointInterval > 0 && st.Epochs()%cfg.CheckpointInterval == 0 {
-					st.RequestCheckpoint()
+			if next == codeContinue && cfg.CheckpointInterval > 0 {
+				if now := time.Now(); now.Sub(lastCapture) >= cfg.CheckpointInterval {
+					blob, lastCapture = st.AppendCheckpoint(nil), now
 				}
-				blob = st.CaptureCheckpoint()
 			}
 		}
 
-		// Broadcast the termination code (plus any due checkpoint) with
-		// overlap (lines 25-27).
+		// Broadcast the termination code (plus any capture) with overlap
+		// (lines 25-27).
 		code, blob, err = broadcastFrame(ft.comm, root, next, blob, overlap)
 		if err != nil {
 			if rerr := recoverWorld(err); rerr != nil {

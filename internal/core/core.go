@@ -81,14 +81,16 @@ type Config struct {
 	// the golden-parity and fault-accounting tests need exactly that to pin
 	// results bit for bit, which is why it stays. Leave it off otherwise.
 	NoOverlap bool
-	// CheckpointInterval, when > 0, makes rank 0 request an in-run capture
-	// of the session (EstimatorState.RequestCheckpoint) every this many
-	// epochs. Any capture served at rank 0 rides the termination-broadcast
-	// frame to every rank's SetOnCheckpoint sink, so a rank-0 death — the
-	// one failure the in-run recovery protocol cannot absorb — costs at most
-	// one interval of samples: kadabra.RestoreEstimatorState brings the
-	// payload back as world rank 0 of a distributed session.
-	CheckpointInterval int
+	// CheckpointInterval, when > 0, makes world rank 0 capture the session
+	// (EstimatorState.AppendCheckpoint) at the first continuing fold that
+	// comes at least this long after the run started or after its last
+	// capture. The capture rides the termination-broadcast frame to every
+	// rank's SetOnCheckpoint sink, so a rank-0 death, the one failure the
+	// in-run recovery protocol cannot absorb, costs at most one interval of
+	// samples: kadabra.RestoreEstimatorState brings the payload back as
+	// world rank 0 of a distributed session. A one-rank world captures the
+	// same way, for its own sink.
+	CheckpointInterval time.Duration
 }
 
 func (c Config) threads() int {
@@ -130,8 +132,8 @@ type Stats struct {
 	RanksStarted int
 	RanksLost    int
 	Recoveries   int
-	// Checkpoints counts the periodic distributed checkpoints this rank
-	// received (see Config.CheckpointInterval).
+	// Checkpoints counts the in-run captures this rank received (see
+	// Config.CheckpointInterval).
 	Checkpoints int
 }
 
@@ -276,8 +278,8 @@ const (
 )
 
 // broadcastFrame distributes the termination code plus an optional opaque
-// blob — the periodic distributed checkpoint rides here, so checkpointing
-// adds no extra collective — with a non-blocking broadcast, overlapping
+// blob — rank 0's in-run capture rides here, so checkpointing adds no
+// extra collective — with a non-blocking broadcast, overlapping
 // with overlap().
 func broadcastFrame(comm *mpi.Comm, root int, code int64, blob []byte, overlap func()) (int64, []byte, error) {
 	var req *mpi.Request

@@ -60,9 +60,9 @@ func runWorld(t *testing.T, w *mpi.World, cfg Config, sts []*kadabra.EstimatorSt
 
 // TestRank0DeathCheckpointRestore is the coordinator-death drill: rank 0
 // dies mid-run, which in-run recovery deliberately does not absorb — but
-// every rank holds the latest periodic distributed checkpoint, so the job
-// restarts from it and still delivers the guarantee. This is the bound the
-// docs promise: a rank-0 death costs at most one checkpoint interval.
+// every rank holds the latest in-run capture, so the job restarts from it
+// and still delivers the guarantee. This is the bound the docs promise: a
+// rank-0 death costs at most one capture interval.
 func TestRank0DeathCheckpointRestore(t *testing.T) {
 	g := testGraph()
 	const procs = 3
@@ -71,7 +71,7 @@ func TestRank0DeathCheckpointRestore(t *testing.T) {
 	var mu sync.Mutex
 	ckpts := make([][][]byte, procs)
 	base := faultCfg(5)
-	base.CheckpointInterval = 2
+	base.CheckpointInterval = time.Nanosecond // a capture at every continuing fold
 	_, errs := runWorld(t, world, base, nil, func(rank int, st *kadabra.EstimatorState) {
 		st.SetOnCheckpoint(func(payload []byte) {
 			p := append([]byte(nil), payload...)
@@ -99,15 +99,18 @@ func TestRank0DeathCheckpointRestore(t *testing.T) {
 		}
 	}
 
-	// Epochs 2 and 4 were checkpointed before the epoch-5 kill, and every
-	// rank must hold identical payloads — that is what makes any survivor
-	// a valid restart point.
+	// The folds that closed epochs 2 to 4 were captured before the epoch-5
+	// kill (epoch 1 is the check on the calibration batch, before the epoch
+	// loop), and every rank must hold identical payloads — that is what
+	// makes any survivor a valid restart point.
 	for r := 0; r < procs; r++ {
-		if len(ckpts[r]) != 2 {
-			t.Fatalf("rank %d holds %d checkpoints, want 2", r, len(ckpts[r]))
+		if len(ckpts[r]) != 3 {
+			t.Fatalf("rank %d holds %d checkpoints, want 3", r, len(ckpts[r]))
 		}
-		if !bytes.Equal(ckpts[r][1], ckpts[0][1]) {
-			t.Fatalf("rank %d's checkpoint differs from rank 0's", r)
+		for i := range ckpts[r] {
+			if !bytes.Equal(ckpts[r][i], ckpts[0][i]) {
+				t.Fatalf("rank %d's checkpoint %d differs from rank 0's", r, i)
+			}
 		}
 	}
 
@@ -115,13 +118,13 @@ func TestRank0DeathCheckpointRestore(t *testing.T) {
 	// same shape, and a fresh world around it finishes the job as
 	// distributed: phase 2 is behind it, every sample it held is kept.
 	w := kadabra.UndirectedWorkload(g)
-	st, err := kadabra.RestoreEstimatorState(ckpts[1][1], w)
+	st, err := kadabra.RestoreEstimatorState(ckpts[1][2], w)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if st.Procs() != procs || st.Threads() != 1 || !st.Calibrated() || st.Tau() == 0 || st.Epochs() != 4 {
+	if st.Procs() != procs || st.Threads() != 1 || !st.Calibrated() || st.Tau() == 0 || st.Progress().Epoch != 4 {
 		t.Fatalf("restored state not the epoch-4 capture of a %d-rank session: procs=%d threads=%d calibrated=%v tau=%d epochs=%d",
-			procs, st.Procs(), st.Threads(), st.Calibrated(), st.Tau(), st.Epochs())
+			procs, st.Procs(), st.Threads(), st.Calibrated(), st.Tau(), st.Progress().Epoch)
 	}
 	held := st.Tau()
 	sts, err := NewStates(w, procs, base)
@@ -143,8 +146,8 @@ func TestRank0DeathCheckpointRestore(t *testing.T) {
 	guaranteeCheck(t, g, res, base.Eps)
 }
 
-// TestCheckpointConcurrentWithShrink pins the failure-path race the issue
-// names: periodic checkpoint writes (every epoch) racing a world shrink.
+// TestCheckpointConcurrentWithShrink pins a failure-path race: in-run
+// captures (every continuing fold) racing a world shrink.
 // Run under -race in CI.
 func TestCheckpointConcurrentWithShrink(t *testing.T) {
 	g := testGraph()
@@ -154,7 +157,7 @@ func TestCheckpointConcurrentWithShrink(t *testing.T) {
 	var mu sync.Mutex
 	var payloads [][]byte
 	base := faultCfg(6)
-	base.CheckpointInterval = 1
+	base.CheckpointInterval = time.Nanosecond
 	results, errs := runWorld(t, world, base, nil, func(rank int, st *kadabra.EstimatorState) {
 		st.SetOnCheckpoint(func(payload []byte) {
 			p := append([]byte(nil), payload...)

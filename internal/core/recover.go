@@ -44,8 +44,9 @@ import (
 //     (kadabra.Config.EpochLength).
 //
 // A rank-0 death is the one failure this protocol does not absorb in-run:
-// survivors return a coordinator-lost error, and the periodic distributed
-// checkpoints (Config.CheckpointInterval) bound the loss to one interval.
+// survivors return ErrCoordinatorLost, and the in-run captures every rank
+// receives (Config.CheckpointInterval) bound the loss to one interval: the
+// one recovery path is restoring a capture on a world of the same shape.
 // Deaths during the diameter and calibration phases are likewise reported
 // as plain errors — recovery covers the adaptive epoch loop, where
 // virtually all of the run time lives, and the termination broadcast that
@@ -265,10 +266,11 @@ func abandon(world *mpi.Comm) {
 // ErrCoordinatorLost reports that world rank 0 died, or abandoned the run
 // before the epoch loop: in-run recovery is impossible by design (rank 0
 // owns the global state S), so survivors abort and the caller restarts
-// from the latest distributed checkpoint.
+// from the latest in-run capture every rank received
+// (Config.CheckpointInterval), or from scratch without one.
 // Test with errors.Is; the cause (usually an mpi.ErrRankDead) is wrapped
 // alongside it.
-var ErrCoordinatorLost = errors.New("core: coordinator (world rank 0) lost, in-run recovery impossible — restart from the latest distributed checkpoint")
+var ErrCoordinatorLost = errors.New("core: coordinator (world rank 0) lost, in-run recovery impossible — restart from the latest in-run checkpoint")
 
 // follow is a survivor's half of the handshake: wait for a spec (specs
 // arrive in round order on the FIFO recovery channel; stale rounds are

@@ -8,7 +8,9 @@ import (
 	"os"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	. "repro/internal/kadabra"
@@ -70,8 +72,8 @@ func TestInRunCheckpointRoundtrip(t *testing.T) {
 				deltaL = append([]float64(nil), src.Cal().DeltaL...)
 				deltaU = append([]float64(nil), src.Cal().DeltaU...)
 			})
-			src.RequestCheckpoint()
-			if err := advance(context.Background(), src, Config{}); err != nil {
+			if _, err := core.RunLocal(context.Background(), []*EstimatorState{src},
+				core.Config{CheckpointInterval: time.Nanosecond}); err != nil {
 				t.Fatal(err)
 			}
 			if blob == nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/epoch"
@@ -82,11 +81,7 @@ type EstimatorState struct {
 	activeSince time.Time     // non-zero while a run executes
 	clockTau    int64         // tau already present when the clock started (restored sessions)
 
-	// ckptReq arms a one-shot in-run checkpoint capture (RequestCheckpoint,
-	// callable from any goroutine); the engine services it at the next
-	// consistent epoch boundary on the coordinating goroutine.
-	ckptReq      atomic.Bool
-	onCheckpoint func(payload []byte)
+	onCheckpoint func(payload []byte) // the in-run capture sink (SetOnCheckpoint)
 }
 
 // NewEstimatorState validates the workload, runs the diameter phase once
@@ -203,10 +198,6 @@ func (st *EstimatorState) N() int     { return st.w.n }
 // Tau returns the consistent sample count accumulated so far.
 func (st *EstimatorState) Tau() int64 { return st.s.Tau }
 
-// Epochs returns the number of stopping checks made, one per completed
-// epoch.
-func (st *EstimatorState) Epochs() int { return st.epochs }
-
 // VertexDiameter returns the cached phase-1 bound.
 func (st *EstimatorState) VertexDiameter() int { return st.vd }
 
@@ -234,34 +225,14 @@ func (st *EstimatorState) Timings() *Timings { return &st.timings }
 // which cannot serialize functions). Call only between runs.
 func (st *EstimatorState) SetOnEpoch(fn func(Progress)) { st.cfg.OnEpoch = fn }
 
-// SetOnCheckpoint registers the sink for in-run checkpoint captures (see
-// RequestCheckpoint). The sink runs on the engine's coordinating goroutine
-// at an epoch boundary, so a run in flight pauses for its duration: hand
-// the payload off (say, an atomic file write) rather than block in it.
-// Call only between runs.
+// SetOnCheckpoint registers the sink for in-run checkpoint captures: the
+// payloads (AppendCheckpoint) that world rank 0 of core.Algorithm2 takes
+// on its capture interval and ships to every rank on the termination
+// broadcast. The sink runs on the engine's coordinating goroutine at an
+// epoch boundary, so a run in flight pauses for its duration: hand the
+// payload off (say, an atomic file write) rather than block in it. Call
+// only between runs.
 func (st *EstimatorState) SetOnCheckpoint(fn func(payload []byte)) { st.onCheckpoint = fn }
-
-// RequestCheckpoint arms a one-shot capture of the session's resumable
-// state during an active run: at the next consistent epoch boundary the
-// engine serializes a checkpoint payload (AppendCheckpoint) and hands it to
-// the SetOnCheckpoint sink. Safe to call from any goroutine, including
-// concurrently with a run — this is how a caller that serializes runs
-// behind a mutex (the public Estimator, the daemon's periodic checkpointer)
-// captures in-flight work without blocking on that mutex. A request made
-// while no run is active stays armed for the next run's first boundary. A
-// distributed session serves it at world rank 0, and the payload reaches
-// every rank's sink on the termination broadcast.
-func (st *EstimatorState) RequestCheckpoint() { st.ckptReq.Store(true) }
-
-// CaptureCheckpoint fulfils an armed checkpoint request: it returns the
-// payload, or nil when none is due. The engine calls it on the coordinating
-// goroutine at epoch boundaries, where the accumulated frame is consistent.
-func (st *EstimatorState) CaptureCheckpoint() []byte {
-	if st.onCheckpoint == nil || !st.ckptReq.CompareAndSwap(true, false) {
-		return nil
-	}
-	return st.AppendCheckpoint(nil)
-}
 
 // DeliverCheckpoint hands a captured payload to the sink, if one is set.
 func (st *EstimatorState) DeliverCheckpoint(payload []byte) {

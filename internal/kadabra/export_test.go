@@ -26,6 +26,10 @@ var (
 // Omega returns the static maximal sample count for the current targets.
 func (st *EstimatorState) Omega() float64 { return st.omega }
 
+// Epochs returns the number of stopping checks made, one per completed
+// epoch.
+func (st *EstimatorState) Epochs() int { return st.epochs }
+
 // Frame returns the accumulated state frame.
 func (st *EstimatorState) Frame() *epoch.StateFrame { return st.s }
 

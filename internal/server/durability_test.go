@@ -119,12 +119,13 @@ func writeRecord(t *testing.T, dataDir string, meta sessionMeta, state []byte) {
 }
 
 // TestPeriodicCheckpointDuringRun is the SIGKILL acceptance scenario
-// in-process: a converged result and a long run checkpointed by the
-// background loop survive a crash image taken mid-run — the restarted
+// in-process: a converged result and a long run captured every
+// CheckpointInterval survive a crash image taken mid-run — the restarted
 // daemon serves the converged result from the cache its session's record
 // re-seeds and resumes the interrupted session with at most one checkpoint
-// interval of sampling lost. Pinned by the CI race job: the in-run capture (engine-side flag
-// service, sink write) runs concurrently with sampling and status reads.
+// interval of sampling lost. Pinned by the CI race job: the in-run capture
+// (engine-side capture, sink write) runs concurrently with sampling and
+// status reads.
 func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	dataDir := t.TempDir()
 	// One worker slot per long run below: none may wait for another to finish.
@@ -139,7 +140,7 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 		t.Fatalf("warm session did not converge: %v", status)
 	}
 
-	// Long runs for the background loop to checkpoint mid-flight: the seq
+	// Long runs for the engine to capture mid-flight: the seq
 	// capture is exact; the shm and dist ones are taken while the threads
 	// and ranks sample, and restore as the shm and dist sessions they were
 	// — under the certified top-k rule they were created with, which their
@@ -162,12 +163,13 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for _, long := range ids {
 		for {
-			// The record exists from creation; wait for one that holds a state.
-			if _, state := readRecord(t, dataDir, long); state != nil && sessionTau(t, tsA.URL, long) > 0 {
+			// The record exists from creation; wait for one that holds an
+			// in-run capture (a completion record says converged).
+			if meta, state := readRecord(t, dataDir, long); state != nil && !meta.Converged && sessionTau(t, tsA.URL, long) > 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("background loop never checkpointed running session %s", long)
+				t.Fatalf("no in-run capture of running session %s reached its record", long)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -604,7 +606,7 @@ func TestDistCheckpointRestoresUniform(t *testing.T) {
 	_, err := betweenness.Estimate(context.Background(), g.workload(),
 		betweenness.WithEpsilon(eps), betweenness.WithSeed(1), betweenness.WithThreads(1),
 		betweenness.WithExecutor(betweenness.LocalMPI(2)),
-		betweenness.WithDistCheckpoint(1, func(p []byte) {
+		betweenness.WithCheckpointEvery(time.Nanosecond, func(p []byte) {
 			mu.Lock()
 			if payload == nil {
 				payload = append([]byte(nil), p...)

@@ -2,13 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/betweenness"
 )
 
 // legacyDir is a data dir written by the daemon before session records
@@ -305,11 +311,13 @@ func TestCacheHitRestartDoesNotSample(t *testing.T) {
 
 // TestOneRecordWritePerEvent counts writeAtomic calls under sessions/ and
 // everywhere else in the data dir: creating a session and running it to
-// convergence is two (creation, end of run), and one in-run capture is one.
+// convergence is two (creation, end of run), and one in-run capture is one:
+// a run whose captures go through the daemon's sink, counted, writes the
+// record once per sink call and nothing else.
 func TestOneRecordWritePerEvent(t *testing.T) {
 	writes := countWrites(t)
 	dataDir := t.TempDir()
-	// The loop never ticks; the capture below is requested by hand.
+	// No capture interval elapses during the quick run.
 	srv, ts := newTestServer(t, Config{DataDir: dataDir, CheckpointInterval: time.Hour})
 	defer func() {
 		srv.cancelRuns()
@@ -326,36 +334,113 @@ func TestOneRecordWritePerEvent(t *testing.T) {
 		t.Errorf("create and one converged run: %d writes, want at most 2", n)
 	}
 
-	long := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.0005, "seed": 1})
-	do(t, "POST", ts.URL+"/sessions/"+long+"/run", nil)
-	deadline := time.Now().Add(30 * time.Second)
-	for sessionTau(t, ts.URL, long) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("long session never sampled")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	before := writes("")
+	// A 1 ns interval captures at every fold that does not stop the run.
+	long := createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.01, "seed": 1})
 	srv.mu.Lock()
 	s := srv.sessions[long]
 	srv.mu.Unlock()
-	s.est.RequestCheckpoint()
+	before, beforeLong := writes(""), writes(long+".bck")
+	calls := 0
+	res, err := s.est.Refine(context.Background(),
+		betweenness.WithCheckpointEvery(time.Nanosecond, func(payload []byte) {
+			calls++
+			srv.writeSessionCheckpoint(s, payload)
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatalf("a refine over %d epochs made no capture", res.Epochs)
+	}
+	if n, nLong := writes("")-before, writes(long+".bck")-beforeLong; n != calls || nLong != calls {
+		t.Errorf("%d in-run captures: %d writes, %d of them the session's record; want one record write each", calls, n, nLong)
+	}
+}
+
+// TestStatusNeverTrailsRecord checks, at every in-run capture the daemon
+// persists (at its write, before the rename), that the session's status
+// already reads at least the tau of the record being written, on the
+// seq and the dist backend: an operator never sees less than the restart
+// point on disk.
+func TestStatusNeverTrailsRecord(t *testing.T) {
+	dataDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{DataDir: dataDir, CheckpointInterval: 5 * time.Millisecond})
+	name := uploadGraph(t, ts.URL, "g", testGraphBytes(t))
+	srv.mu.Lock()
+	w := srv.graphs[name].workload()
+	srv.mu.Unlock()
+
+	var mu sync.Mutex
+	checked := map[string]int{}
+	var failures []string
+	crashBeforeRename = func(path string) bool {
+		id := strings.TrimSuffix(filepath.Base(path), ".bck")
+		data, err := os.ReadFile(path + ".tmp")
+		if err != nil || filepath.Dir(path) != srv.sessionsDir() {
+			return false
+		}
+		_, state, err := decodeRecord(data)
+		if err != nil || state == nil {
+			return false
+		}
+		est, err := betweenness.RestoreEstimator(bytes.NewReader(state), w)
+		if err != nil {
+			mu.Lock()
+			failures = append(failures, fmt.Sprintf("%s: record state does not restore: %v", id, err))
+			mu.Unlock()
+			return false
+		}
+		recordTau := est.Snapshot().Tau
+		var status struct {
+			Snapshot struct {
+				Tau int64 `json:"tau"`
+			} `json:"snapshot"`
+		}
+		resp, err := http.Get(ts.URL + "/sessions/" + id)
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&status)
+			resp.Body.Close()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err != nil:
+			failures = append(failures, fmt.Sprintf("%s: status read: %v", id, err))
+		case status.Snapshot.Tau < recordTau:
+			failures = append(failures, fmt.Sprintf("%s: status tau %d trails the record's %d", id, status.Snapshot.Tau, recordTau))
+		}
+		checked[id]++
+		return false
+	}
+	t.Cleanup(func() { crashBeforeRename = nil })
+
+	ids := []string{
+		createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.0005, "seed": 1}),
+		createSession(t, ts.URL, map[string]any{"graph": name, "eps": 0.0005, "seed": 2, "backend": "dist", "procs": 2, "threads": 1}),
+	}
+	for _, id := range ids {
+		do(t, "POST", ts.URL+"/sessions/"+id+"/run", nil)
+	}
+	const want = 5
+	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, state := readRecord(t, dataDir, long); state != nil {
+		mu.Lock()
+		enough := checked[ids[0]] >= want && checked[ids[1]] >= want
+		mu.Unlock()
+		if enough {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the requested capture never reached the record")
+			t.Fatalf("captures checked per session: %v, want %d each", checked, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	time.Sleep(50 * time.Millisecond) // room for any write that follows it
-	n := writes("")
-	if _, status := do(t, "GET", ts.URL+"/sessions/"+long, nil); status["state"] != stateRunning {
-		t.Fatalf("long session stopped during the count: %v", status)
-	}
-	if n-before != 1 {
-		t.Errorf("one in-run capture: %d writes, want 1", n-before)
+	srv.cancelRuns()
+	srv.wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, f := range failures {
+		t.Error(f)
 	}
 }
 

@@ -19,8 +19,8 @@
 //   - With a data dir, each session is one durable record,
 //     sessions/<id>.bck: its params, status and degradation note beside
 //     its estimator state (store.go). Every run and refine rewrites it in
-//     one write at completion, and a background loop (CheckpointInterval)
-//     captures in-flight runs at consistent epoch boundaries — so a
+//     one write at completion, and every CheckpointInterval the engine
+//     captures an in-flight run at a consistent epoch boundary — so a
 //     SIGKILL or OOM kill loses at most one interval of sampling, and
 //     Drain (wired to SIGTERM in cmd/betweennessd) remains the clean path:
 //     cancel runs, checkpoint everything, exit.
@@ -68,10 +68,11 @@ type Config struct {
 	// CacheSize is the result-cache capacity in entries. Default 128;
 	// negative disables caching entirely.
 	CacheSize int
-	// CheckpointInterval is the cadence of the periodic background
-	// checkpointer: how much sampling an unclean death (SIGKILL, OOM kill,
-	// power loss) can cost a running session. Default 30s; negative
-	// disables the loop (completion checkpoints and Drain still write).
+	// CheckpointInterval is the cadence of every running session's in-run
+	// capture (betweenness.WithCheckpointEvery), persisted into its record:
+	// how much sampling an unclean death (SIGKILL, OOM kill, power loss)
+	// can cost a running session. Default 30s; negative disables the
+	// captures (completion checkpoints and Drain still write).
 	CheckpointInterval time.Duration
 	// RunTimeout is the server-side watchdog ceiling on one run or refine.
 	// An expired operation is interrupted, not failed: the session keeps
@@ -101,8 +102,7 @@ type Server struct {
 	cancelRuns context.CancelFunc
 	// slots is the worker-pool semaphore (capacity MaxConcurrentRuns).
 	slots chan struct{}
-	// wg tracks in-flight run goroutines (and the checkpoint loop) for
-	// Drain.
+	// wg tracks in-flight run goroutines for Drain.
 	wg sync.WaitGroup
 
 	// ready flips true once rehydration finishes; /readyz gates on it (and
@@ -172,10 +172,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	srv.mux = srv.buildMux()
 	srv.ready.Store(true)
-	if cfg.DataDir != "" && cfg.CheckpointInterval > 0 {
-		srv.wg.Add(1)
-		go srv.checkpointLoop()
-	}
 	return srv, nil
 }
 
@@ -191,48 +187,6 @@ func (srv *Server) Ready() bool {
 	return srv.ready.Load() && !draining
 }
 
-// checkpointLoop is the periodic background checkpointer: every
-// CheckpointInterval it requests an in-run capture from every running
-// session. Idle sessions need nothing — every operation persists its
-// session synchronously at completion (finish), so idle state is already
-// durable; the loop's job is bounding what a SIGKILL can take from a run
-// in flight.
-func (srv *Server) checkpointLoop() {
-	defer srv.wg.Done()
-	ticker := time.NewTicker(srv.cfg.CheckpointInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			srv.checkpointPass()
-		case <-srv.runCtx.Done():
-			return
-		}
-	}
-}
-
-// checkpointPass arms one in-run capture per running session, whatever its
-// backend. It never touches the estimator mutex: RequestCheckpoint is a
-// flag the engine services at its next consistent epoch boundary on its own
-// coordinating goroutine (world rank 0's, for a dist session), and the sink
-// (writeSessionCheckpoint) persists the sealed envelope.
-func (srv *Server) checkpointPass() {
-	srv.mu.Lock()
-	sessions := make([]*session, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		sessions = append(sessions, s)
-	}
-	srv.mu.Unlock()
-	for _, s := range sessions {
-		s.mu.Lock()
-		running := s.state == stateRunning
-		s.mu.Unlock()
-		if running {
-			s.est.RequestCheckpoint()
-		}
-	}
-}
-
 // sessionLive reports whether s is still the registered session for its
 // id — the guard that keeps a checkpoint racing a DELETE from resurrecting
 // the deleted session's files.
@@ -240,18 +194,6 @@ func (srv *Server) sessionLive(s *session) bool {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	return srv.sessions[s.id] == s
-}
-
-// wireCheckpointSink registers the in-run capture sink on an estimator
-// (without a data dir or with the loop disabled there is nothing to capture
-// for).
-func (srv *Server) wireCheckpointSink(s *session, est *betweenness.Estimator) {
-	if srv.cfg.DataDir == "" || srv.cfg.CheckpointInterval <= 0 {
-		return
-	}
-	est.SetCheckpointSink(func(payload []byte) {
-		srv.writeSessionCheckpoint(s, payload)
-	})
 }
 
 // buildSession constructs (or restores, when state is non-empty) the
@@ -263,6 +205,11 @@ func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, state
 	opts, err := p.options(s.progress)
 	if err != nil {
 		return nil, err
+	}
+	if srv.cfg.DataDir != "" && srv.cfg.CheckpointInterval > 0 {
+		opts = append(opts, betweenness.WithCheckpointEvery(srv.cfg.CheckpointInterval, func(payload []byte) {
+			srv.writeSessionCheckpoint(s, payload)
+		}))
 	}
 	var est *betweenness.Estimator
 	if state == nil {
@@ -281,7 +228,6 @@ func (srv *Server) buildSession(id string, g *graphEntry, p sessionParams, state
 		return nil, err
 	}
 	s.est = est
-	srv.wireCheckpointSink(s, est)
 	return s, nil
 }
 

@@ -33,8 +33,8 @@ import (
 //
 // Graphs persist at registration. A session's record is rewritten whole,
 // in one write, at creation, at the end of every run or refine that changed
-// it, every CheckpointInterval during a run (via the estimator's in-run
-// capture hook), and by Drain — so what a session reports and the samples
+// it, every CheckpointInterval during a run (the estimator's in-run
+// capture, WithCheckpointEvery), and by Drain — so what a session reports and the samples
 // it holds never disagree on disk. The startup recovery scan (recovery.go)
 // CRC-verifies what it finds and quarantines damage instead of failing, so
 // a daemon that died uncleanly always comes back up.
@@ -276,10 +276,10 @@ func (srv *Server) persistSession(s *session, payload []byte) error {
 
 // writeSessionCheckpoint persists a sealed checkpoint payload captured
 // while the session's run is in flight. It is the sink every session's
-// estimator gets (Estimator.SetCheckpointSink) and runs on the engine's
+// estimator gets (betweenness.WithCheckpointEvery) and runs on the engine's
 // coordinating goroutine between epochs, so it must only hand the bytes to
 // the filesystem and go. Failures are logged, never fatal: a missed
-// periodic checkpoint degrades the durability window, not the run.
+// in-run capture degrades the durability window, not the run.
 func (srv *Server) writeSessionCheckpoint(s *session, payload []byte) {
 	if !srv.sessionLive(s) {
 		return

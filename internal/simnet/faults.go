@@ -29,7 +29,7 @@ type FaultPlan struct {
 	// the termination broadcast — the worst possible moment, with a
 	// decided code in flight). KillRank must be >= 1: a rank-0 death is by
 	// design not recoverable in-run and is exercised separately through
-	// the periodic distributed checkpoints.
+	// the in-run captures (core.Config.CheckpointInterval).
 	KillEpoch int
 	KillRank  int
 

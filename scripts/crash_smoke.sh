@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
 # Crash-safety smoke test for betweennessd: the unclean half of
 # scripts/server_smoke.sh, driven against the real binary with a real
-# SIGKILL (no drain, no checkpoint-on-shutdown — whatever the periodic
-# checkpointer and the write-as-produced durability paths put on disk is
-# all the restart gets):
+# SIGKILL (no drain, no checkpoint-on-shutdown — whatever the in-run
+# captures and the write-as-produced durability paths put on disk is all
+# the restart gets):
 #
 #   1. build the daemon, generate a graph, start with a short
 #      -checkpoint-interval on a data directory
 #   2. run one session to convergence (its record on disk holds the
 #      converged state)
-#   3. start a long (tight-epsilon) session, wait until the background
-#      checkpointer has written a state into its record, freeze the daemon
-#      (SIGSTOP), read tau out of the record on disk, then kill -9 the
-#      daemon
+#   3. start a long (tight-epsilon) session and wait until an in-run
+#      capture has put a state into its record; every poll round reads the
+#      record, then the status, and requires status tau >= record tau.
+#      Freeze the daemon (SIGSTOP), read tau out of the record on disk,
+#      require that record to be mid-run (its own section not converged),
+#      then kill -9 the daemon
 #   4. restart on the same data directory, assert /readyz turns ready and
-#      the long session resumed from exactly that periodic checkpoint: its
-#      tau equals the tau persisted when the daemon was frozen
+#      the long session resumed from exactly that in-run capture: its tau
+#      equals the tau persisted when the daemon was frozen
 #   5. run the resumed session to convergence
 #   6. do 3-5 again with a "backend":"dist" session: it must come back as
 #      the dist session it was — status backend "dist", tau intact, no
@@ -35,6 +37,7 @@ pidfile="$work/betweennessd.pid"
 
 cleanup() {
     if [ -f "$pidfile" ]; then
+        kill -CONT "$(cat "$pidfile")" 2>/dev/null || true
         kill "$(cat "$pidfile")" 2>/dev/null || true
     fi
 }
@@ -75,11 +78,42 @@ print(json.dumps(v) if isinstance(v, (dict, list)) else v)
 EOF
 }
 
-# ckpt_tau FILE -> prints tau from a session record; fails unless the
-# record holds a state (see scripts/record_tau.py).
-ckpt_tau() {
-    python3 scripts/record_tau.py "$1"
+# poll_round RECORD URL -> one Python process reads the session record
+# (scripts/record_tau.py), then the session status, and prints
+# "RECORD_TAU STATUS_TAU" (RECORD_TAU is - while the record holds no
+# state). It fails when the status trails the record: the daemon refreshes
+# the status from each in-run capture before persisting it, and both only
+# grow.
+poll_round() {
+    python3 - "$@" <<'EOF'
+import json, sys, urllib.request
+sys.path.insert(0, "scripts")
+from record_tau import read_record
+_, rec = read_record(sys.argv[1])
+tau = json.load(urllib.request.urlopen(sys.argv[2]))["snapshot"]["tau"]
+if rec is not None and tau < rec:
+    sys.exit("status tau %d trails the record's %d" % (tau, rec))
+print("-" if rec is None else rec, tau)
+EOF
 }
+
+# frozen_record RECORD -> prints "TAU mid-run" or "TAU finished" for a
+# record that holds a state, from the record's own section.
+frozen_record() {
+    python3 - "$1" <<'EOF'
+import sys
+sys.path.insert(0, "scripts")
+from record_tau import read_record
+section, tau = read_record(sys.argv[1])
+if tau is None:
+    sys.exit("record %s holds no state" % sys.argv[1])
+done = section.get("converged") or section.get("state_converged")
+print(tau, "finished" if done else "mid-run")
+EOF
+}
+
+# since START -> seconds elapsed since START (a date +%s.%N stamp)
+since() { awk -v a="$(date +%s.%N)" -v b="$1" 'BEGIN { printf "%.2f", a - b }'; }
 
 wait_idle() {
     for _ in $(seq 1 600); do
@@ -107,7 +141,7 @@ wait_idle "$s1"
 echo "   converged: tau=$(jget "$work/status.json" snapshot tau)"
 
 # crash_pass BACKEND BODY: start a long session, freeze and SIGKILL the
-# daemon once the periodic checkpointer has put a state in its record, restart,
+# daemon once an in-run capture has put a state in its record, restart,
 # and require the session back on BACKEND with exactly the persisted
 # samples, then run it to convergence.
 crash_pass() {
@@ -115,32 +149,34 @@ crash_pass() {
     echo "== long $backend session, SIGKILL mid-run"
     curl -fsS -X POST -d "$body" "$base/sessions" > "$work/s2.json"
     local s2; s2="$(jget "$work/s2.json" id)"
+    local started; started="$(date +%s.%N)"
     curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
-    # Wait for the periodic checkpointer: the record exists from creation, so
-    # wait for one that holds a state, and for the run to have real samples,
-    # before the plug is pulled.
-    local run_tau=0 captured=no
+    # The record exists from creation: wait for one that holds a state,
+    # and for the run to have real samples, before the plug is pulled.
+    local rec_tau=- run_tau=0
     for _ in $(seq 1 600); do
-        curl -fsS "$base/sessions/$s2" > "$work/status.json"
-        run_tau="$(jget "$work/status.json" snapshot tau)"
-        if ckpt_tau "$data/sessions/$s2.bck" >/dev/null 2>&1; then captured=yes; fi
-        if [ "$captured" = yes ] && [ "$run_tau" -ge 500 ] 2>/dev/null; then break; fi
+        poll_round "$data/sessions/$s2.bck" "$base/sessions/$s2" > "$work/poll.txt" ||
+            { echo "session $s2: status check failed" >&2; exit 1; }
+        read -r rec_tau run_tau < "$work/poll.txt"
+        if [ "$rec_tau" != - ] && [ "$run_tau" -ge 500 ]; then break; fi
         sleep 0.05
     done
-    [ "$captured" = yes ] || { echo "periodic checkpointer never put a state in $s2.bck" >&2; cat "$log" >&2; exit 1; }
-    [ "$(jget "$work/status.json" state)" != "idle" ] || { echo "session $s2 finished before the kill; tighten its eps" >&2; exit 1; }
-    # Freeze the daemon, then read what it persisted. A status read followed
-    # by a kill leaves a window in which a periodic checkpoint can land, so
-    # the tau on disk could pass the tau read. A stopped process cannot
-    # rename another record into place (a capture it was writing stays a
-    # .tmp file, which the restart quarantines), so the record on disk is
-    # exactly what the restart must resume from.
+    [ "$rec_tau" != - ] || { echo "no in-run capture put a state in $s2.bck" >&2; cat "$log" >&2; exit 1; }
+    # Freeze the daemon, then read what it persisted. A stopped process
+    # cannot rename another record into place (a capture it was writing
+    # stays a .tmp file, which the restart quarantines), so the record on
+    # disk is exactly what the restart must resume from, and its own
+    # section says whether the run was still going when it was written.
     kill -STOP "$(cat "$pidfile")"
-    local persisted_tau; persisted_tau="$(ckpt_tau "$data/sessions/$s2.bck")"
+    local froze_after; froze_after="$(since "$started")"
+    frozen_record "$data/sessions/$s2.bck" > "$work/frozen.txt"
+    local persisted_tau when
+    read -r persisted_tau when < "$work/frozen.txt"
     kill -9 "$(cat "$pidfile")"
     wait "$(cat "$pidfile")" 2>/dev/null || true
     rm -f "$pidfile"
-    echo "   froze at tau=$persisted_tau persisted, then killed -9"
+    echo "   froze ${froze_after}s into the run at tau=$persisted_tau persisted (last status read: tau=$run_tau), then killed -9"
+    [ "$when" = mid-run ] || { echo "the frozen record of $s2 is its completion record: the session finished before the freeze" >&2; exit 1; }
 
     echo "== restart on the crashed data directory"
     start_daemon
@@ -153,22 +189,27 @@ crash_pass() {
     [ "$resumed_tau" -eq "$persisted_tau" ] || { echo "resumed tau $resumed_tau, but the checkpoint persisted at the kill holds tau $persisted_tau" >&2; exit 1; }
     [ "$(jget "$work/status.json" backend)" = "$backend" ] || { echo "session came back on another backend:" >&2; cat "$work/status.json" >&2; exit 1; }
     if grep -q '"degraded"' "$work/status.json"; then echo "session came back degraded:" >&2; cat "$work/status.json" >&2; exit 1; fi
-    echo "   resumed on $backend from the periodic checkpoint with tau=$resumed_tau"
+    echo "   resumed on $backend from the in-run capture with tau=$resumed_tau"
 
     echo "== resumed session runs to convergence"
+    local resumed; resumed="$(date +%s.%N)"
     curl -fsS -X POST "$base/sessions/$s2/run" >/dev/null
     wait_idle "$s2"
     [ "$(jget "$work/status.json" converged)" = "True" ] || { echo "resumed session did not converge" >&2; exit 1; }
     [ "$(jget "$work/status.json" backend)" = "$backend" ] || { echo "resumed session finished on another backend" >&2; exit 1; }
     local final_tau; final_tau="$(jget "$work/status.json" snapshot tau)"
     [ "$final_tau" -gt "$resumed_tau" ] || { echo "resumed run did not extend samples" >&2; exit 1; }
-    echo "   converged at tau=$final_tau"
+    echo "   converged at tau=$final_tau, $(since "$resumed")s after the resume"
 }
 
-# Eps sized so each run outlasts several checkpoint intervals: a run that
-# finishes before the first tick leaves only its completion checkpoint, and
-# the kill would land on a converged session with nothing left to resume.
-crash_pass seq '{"graph":"crash","eps":0.0015,"delta":0.1,"seed":11}'
+# Eps sized so each session outlives its first capture (500ms in) and the
+# poll-to-freeze latency (one poll round) many times over: a session that
+# finishes first leaves its completion record, which the frozen-record
+# check refuses. On a 2-CPU Xeon the seq session runs ~8s in all (frozen
+# ~0.7s in, then 7.3-7.7s to converge after the resume, to the same tau
+# as an uninterrupted run); at eps 0.0015 it ran ~1s and often finished
+# before the freeze.
+crash_pass seq '{"graph":"crash","eps":0.0005,"delta":0.1,"seed":11}'
 crash_pass dist '{"graph":"crash","eps":0.001,"delta":0.1,"seed":12,"backend":"dist","procs":2,"threads":2}'
 
 echo "== pre-kill converged result survives as a cache hit"
